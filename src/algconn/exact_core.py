@@ -437,14 +437,17 @@ class LaurentMatrix:
 
     def kron(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """Kronecker product; index (i,p),(j,q) flattened row-major."""
+        zero = LaurentPoly.zero()
         out = []
         for i in range(self.rows):
             for p in range(other.rows):
                 row = []
                 for j in range(self.cols):
                     a = self._rows[i][j]
-                    for q in range(other.cols):
-                        row.append(a * other._rows[p][q])
+                    if a.is_zero:
+                        row.extend([zero] * other.cols)
+                    else:
+                        row.extend(zero if b.is_zero else a * b for b in other._rows[p])
                 out.append(row)
         return LaurentMatrix(out)
 
@@ -462,20 +465,6 @@ class LaurentMatrix:
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LaurentMatrix":
         return LaurentMatrix([[self._rows[i][j] for j in col_idx] for i in row_idx])
-
-    def power(self, n: int) -> "LaurentMatrix":
-        if not self.is_square:
-            raise NotSquare("matrix power needs a square matrix")
-        if n < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = LaurentMatrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base if n > 1 else base
-            n >>= 1
-        return result
 
     def trace(self) -> LaurentPoly:
         if not self.is_square:

@@ -50,13 +50,12 @@ from .exact_core import (
 )
 from .p1_engine import (
     P1Bundle,
+    _twisted_end_splitting,
     birkhoff_split,
     dual_bundle,
-    end_bundle,
     p1bundle_from_json,
     p1bundle_to_json,
     tangent_bundle,
-    tensor_bundle,
 )
 
 _inverse = lru_cache(maxsize=None)(unit_inverse)
@@ -176,13 +175,6 @@ def _unvec_cochain(col: LaurentMatrix, r: int, q: int) -> LaurentMatrix:
     return LaurentMatrix(rows)
 
 
-@lru_cache(maxsize=None)
-def _twisted_end_bundle(E: P1Bundle, V: P1Bundle) -> P1Bundle:
-    """End(E) (x) V*, the bundle where the cocycle lives; its transition is
-    kron(T, T^(-T), T_V^(-T)) under the (i, j, a) flattening."""
-    return tensor_bundle(end_bundle(E), dual_bundle(V))
-
-
 def split_coboundary(
     c: ObstructionCocycle, E: P1Bundle, V: P1Bundle
 ) -> tuple[LaurentMatrix, LaurentMatrix] | None:
@@ -205,8 +197,7 @@ def split_coboundary(
     if c.overlap_matrix.is_zero:
         zero = LaurentMatrix.zeros(r, r * q)
         return zero, zero
-    W = _twisted_end_bundle(E, V)
-    data = birkhoff_split(W)
+    data, u0_inv = _twisted_end_splitting(E, birkhoff_split(E), V, birkhoff_split(V))
     y = data.U0 @ _vec_cochain(c.overlap_matrix, r, q)
     beta0 = []
     beta1 = []
@@ -223,7 +214,7 @@ def split_coboundary(
                 return None  # nonzero coefficient in the obstruction window
         beta0.append(LaurentPoly(hol0))
         beta1.append(LaurentPoly(hol1))
-    b0 = _inverse(data.U0) @ LaurentMatrix.column(beta0)
+    b0 = u0_inv @ LaurentMatrix.column(beta0)
     b1 = data.U1 @ LaurentMatrix.column(beta1)
     return _unvec_cochain(b0, r, q), _unvec_cochain(b1, r, q)
 
@@ -259,10 +250,10 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
          A0^(a)  =  sum_b (T_V^(-T))_(a,b) * T A1^(b) T^(-1)  -  phi0_a * T' T^(-1),
 
          which is what "phi^* d + A0 and phi^* d + A1 define the same
-         operator on s0 = T s1" unwinds to;
-    (iii) the defining Leibniz rule on probe data: for f in {1, z, z^2} and
-         constant frame sections s, D(f s) - f D(s) = s (x) phi^*(df) in
-         chart 0 (an identity in the coefficients, checked symbolically).
+         operator on s0 = T s1" unwinds to.
+
+    The Leibniz rule needs no check: d0(f s) - f d0(s) = f' s phi0 holds for
+    every A0, since A0 acts linearly over functions.
     """
     r, q = E.rank, anchor.V.rank
     if cert.A0.shape != (r, r * q) or cert.A1.shape != (r, r * q):
@@ -282,33 +273,6 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
             rhs = rhs + transported[b].scalar_mul(tv_dual.entry(a, b))
         if _block(cert.A0, a, r) != rhs:
             return False
-
-    probes = [LaurentPoly.one(), LaurentPoly.z(1), LaurentPoly.z(2)]
-    frames = [
-        LaurentMatrix.column(
-            [LaurentPoly.one() if i == j else LaurentPoly.zero() for i in range(r)]
-        )
-        for j in range(r)
-    ]
-
-    def d0(sigma: LaurentMatrix) -> list[LaurentMatrix]:
-        dsigma = sigma.derivative()
-        return [
-            dsigma.scalar_mul(anchor.component(a)) + _block(cert.A0, a, r) @ sigma
-            for a in range(q)
-        ]
-
-    for f in probes:
-        df = f.derivative()
-        for s in frames:
-            lhs = d0(s.map_entries(lambda x: x * f))
-            base = d0(s)
-            for a in range(q):
-                rhs = base[a].map_entries(lambda x: x * f) + s.scalar_mul(
-                    anchor.component(a) * df
-                )
-                if lhs[a] != rhs:
-                    return False
     return True
 
 

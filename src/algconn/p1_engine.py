@@ -295,6 +295,80 @@ def birkhoff_split(E: P1Bundle) -> SplittingData:
     return _birkhoff_cached(E)
 
 
+def _kron_det(factors: Sequence[LaurentMatrix], order: Sequence[int]) -> LaurentPoly:
+    """det of kron(*factors) with its rows or columns permuted by order:
+    det kron(A, B, C) = det(A)^(bc) det(B)^(ac) det(C)^(ab), times the sign
+    of the permutation."""
+    n = len(order)
+    seen = [False] * n
+    cycles = 0
+    for start in range(n):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = order[j]
+    d = LaurentPoly.const(-1 if (n - cycles) % 2 else 1)
+    for F in factors:
+        d = d * F.det() ** (n // F.rows)
+    return d
+
+
+@lru_cache(maxsize=None)
+def _twisted_end_splitting(
+    E: P1Bundle, se: SplittingData, V: P1Bundle, sv: SplittingData
+) -> tuple[SplittingData, LaurentMatrix]:
+    """Splitting of End(E) (x) V* in closed form from splittings se of E and
+    sv of V, with the inverse of its chart-0 factor.
+
+    Its transition is T_W = kron(T, T^(-T), T_V^(-T)) under the row-major
+    (i, j, a) flattening. From U0 T U1 = D follow U0^(-1) = T U1 D^(-1),
+    U1^(-1) = D^(-1) U0 T and T^(-1) = U1 D^(-1) U0, and transposing the
+    inverse gives U0^(-T) T^(-T) U1^(-T) = D^(-1). Kronecker products of
+    splittings split the Kronecker product, so with P the permutation
+    sorting the exponents a_i - a_j - v_a,
+
+        U0_W = P kron(U0, U0^(-T), U0_V^(-T)),
+        U1_W = kron(U1, U1^(-T), U1_V^(-T)) P^T,
+        U0_W^(-1) = kron(U0^(-1), U0^T, U0_V^T) P^T.
+
+    The output passes the checks of SplittingData.verify, with unimodularity
+    read off the factor determinants (_kron_det) instead of a determinant
+    of the r^2 q square matrices.
+    """
+
+    def inverses(T: LaurentMatrix, s: SplittingData):
+        d_inv = LaurentMatrix.diag([LaurentPoly.z(-a) for a in s.type])
+        return T @ s.U1 @ d_inv, d_inv @ s.U0 @ T, s.U1 @ d_inv @ s.U0
+
+    u0_inv, u1_inv, t_inv = inverses(E.transition, se)
+    u0v_inv, u1v_inv, tv_inv = inverses(V.transition, sv)
+    exps = [a - b - v for a in se.type for b in se.type for v in sv.type]
+    n = len(exps)
+    order = sorted(range(n), key=lambda i: -exps[i])
+    every = range(n)
+    f0 = (se.U0, u0_inv.transpose(), u0v_inv.transpose())
+    f1 = (se.U1, u1_inv.transpose(), u1v_inv.transpose())
+    U0 = f0[0].kron(f0[1]).kron(f0[2]).submatrix(order, every)
+    U1 = f1[0].kron(f1[1]).kron(f1[2]).submatrix(every, order)
+    U0_inv = u0_inv.kron(se.U0.transpose()).kron(sv.U0.transpose()).submatrix(every, order)
+    data = SplittingData(tuple(exps[i] for i in order), U0, U1)
+
+    if sum(data.type) != -E.rank * E.rank * V.degree:
+        raise AssertionError("twisted End splitting has the wrong degree (internal bug)")
+    if not (U0.is_poly_in_z and U1.is_poly_in_w):
+        raise AssertionError("twisted End splitting factors not chart-holomorphic (internal bug)")
+    for factors in (f0, f1):
+        d = _kron_det(factors, order)
+        if d.is_zero or not d.is_constant:
+            raise AssertionError("twisted End splitting factor not unimodular (internal bug)")
+    T_W = E.transition.kron(t_inv.transpose()).kron(tv_inv.transpose())
+    if U0 @ T_W @ U1 != data.diagonal():
+        raise AssertionError("twisted End splitting failed U0 T U1 = diag (internal bug)")
+    return data, U0_inv
+
+
 # -- cohomology and sections ------------------------------------------------
 
 

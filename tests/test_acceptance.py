@@ -220,7 +220,7 @@ def test_criterion_09_connection_soundness():
         assert verify_connection(E, concrete, cert)
         verified += 1
     assert verified > 100
-    _report(9, started, f"{verified} certificates re-verified (gauge identity + Leibniz probes)")
+    _report(9, started, f"{verified} certificates re-verified (chart holomorphy + overlap identity)")
 
 
 def test_criterion_10_zero_anchor_totality():

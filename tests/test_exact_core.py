@@ -209,3 +209,5 @@ def test_kron_mixed_product():
     C = s.unimodular_z(2, ops=1)
     D = s.unimodular_w(2, ops=1)
     assert (A @ C).kron(B @ D) == (A.kron(B)) @ (C.kron(D))
+    S = LaurentMatrix.parse([["z^-1", "0"], ["0", "0"]])  # sparse operand
+    assert (A @ S).kron(S @ D) == (A.kron(S)) @ (S.kron(D))

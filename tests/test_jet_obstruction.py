@@ -2,8 +2,10 @@
 
 import pytest
 
+from algconn.algebroid_decision import AlgebroidDesc, AnchorDesc, AnchorKind, decide_connection
 from algconn.errors import InvalidAnchor, ShapeMismatch
-from algconn.exact_core import LaurentMatrix, LaurentPoly
+from algconn.exact_core import LaurentMatrix, LaurentPoly, laurent_parse, unit_inverse
+from algconn.formal_bundles import Atom, CurveContext, FormalBundle
 from algconn.jet_obstruction import (
     ConcreteAnchor,
     ConnectionCert,
@@ -22,8 +24,12 @@ from algconn.jet_obstruction import (
 )
 from algconn.p1_engine import (
     P1Bundle,
+    SplittingData,
+    _kron_det,
+    _twisted_end_splitting,
     birkhoff_split,
     dual_bundle,
+    end_bundle,
     gauge_transform,
     line_bundle,
     split_bundle,
@@ -142,7 +148,7 @@ def test_cocycle_transport_matches_kron_flattening():
     # blockwise transport sum_b (T_V^-T)_ab T c1^b T^-1 must equal the
     # kron(T, T^-T, T_V^-T) action on the row-major flattening
     from algconn.exact_core import unit_inverse
-    from algconn.jet_obstruction import _twisted_end_bundle, _unvec_cochain, _vec_cochain
+    from algconn.jet_obstruction import _unvec_cochain, _vec_cochain
 
     s = Sampler(44)
     E, _ = s.gauged_p1_bundle(max_rank=2, bound=2, ops=1, max_deg=1)
@@ -164,9 +170,81 @@ def test_cocycle_transport_matches_kron_flattening():
     direct = blocks[0]
     for a in range(1, q):
         direct = direct.hstack(blocks[a])
-    W = _twisted_end_bundle(E, V)
+    W = tensor_bundle(end_bundle(E), dual_bundle(V))
     via_kron = _unvec_cochain(W.transition @ _vec_cochain(c1, r, q), r, q)
     assert direct == via_kron
+
+
+# -- closed-form splitting of End(E) (x) V* ---------------------------------------
+
+
+def _twisted_end_cases():
+    s = Sampler(52)
+    for rank in (2, 3):
+        for V in (line_bundle(-1), split_bundle([1, -1])):
+            E, _ = s.gauged_p1_bundle(max_rank=rank, min_rank=rank, bound=1, ops=2, max_deg=1)
+            yield E, V
+
+
+def test_twisted_end_splitting_matches_direct_split():
+    # the old path (build the bundle, Birkhoff-split it) is the reference
+    for E, V in _twisted_end_cases():
+        data, u0_inv = _twisted_end_splitting(E, birkhoff_split(E), V, birkhoff_split(V))
+        W = tensor_bundle(end_bundle(E), dual_bundle(V))
+        assert data.verify(W)
+        assert data.type == birkhoff_split(W).type
+        assert data.U0 @ u0_inv == LaurentMatrix.identity(W.rank)
+
+
+def test_twisted_end_structural_det_matches_direct_det():
+    for E, V in _twisted_end_cases():
+        se, sv = birkhoff_split(E), birkhoff_split(V)
+        data, _ = _twisted_end_splitting(E, se, V, sv)
+        exps = [a - b - v for a in se.type for b in se.type for v in sv.type]
+        order = sorted(range(len(exps)), key=lambda i: -exps[i])
+        every = range(len(exps))
+        f0 = (se.U0, unit_inverse(se.U0).transpose(), unit_inverse(sv.U0).transpose())
+        f1 = (se.U1, unit_inverse(se.U1).transpose(), unit_inverse(sv.U1).transpose())
+        assert data.U0 == f0[0].kron(f0[1]).kron(f0[2]).submatrix(order, every)
+        assert data.U1 == f1[0].kron(f1[1]).kron(f1[2]).submatrix(every, order)
+        assert _kron_det(f0, order) == data.U0.det()
+        assert _kron_det(f1, order) == data.U1.det()
+    # both permutation signs, on factors that are not unimodular
+    s = Sampler(53)
+    A, B = s.unimodular_z(2, ops=2), LaurentMatrix.parse([["z", "1"], ["0", "z^-1 + 2"]])
+    for _ in range(6):
+        order = list(range(4))
+        s.rng.shuffle(order)
+        assert _kron_det((A, B), order) == A.kron(B).submatrix(order, range(4)).det()
+
+
+def test_twisted_end_splitting_rejects_tampered_factors():
+    E, _ = next(_twisted_end_cases())
+    se = birkhoff_split(E)
+    # a U0 row scaled by z, a U1 column by 1/z: still U0 T U1 = diag, but
+    # det U0 = z, so U0^(-T) and with it U0_W has a pole at z = 0
+    scale = LaurentMatrix.diag([LaurentPoly.z(1)] + [LaurentPoly.one()] * (E.rank - 1))
+    unscale = LaurentMatrix.diag([LaurentPoly.z(-1)] + [LaurentPoly.one()] * (E.rank - 1))
+    bad_e = SplittingData(se.type, scale @ se.U0, se.U1 @ unscale)
+    assert bad_e.U0 @ E.transition @ bad_e.U1 == se.diagonal()
+    V = line_bundle(-1)
+    with pytest.raises(AssertionError, match="holomorphic"):
+        _twisted_end_splitting(E, bad_e, V, birkhoff_split(V))
+    # the same on V: the kron factor U0_V^(-T) = z has det z and the U1
+    # factor det 1/z, while both stay chart-holomorphic
+    bad_v = SplittingData((-1,), LaurentMatrix.parse([["z^-1"]]), LaurentMatrix.parse([["z"]]))
+    with pytest.raises(AssertionError, match="unimodular"):
+        _twisted_end_splitting(E, se, V, bad_v)
+    # a splitting of V = O(-1) claiming type O(0)
+    one = LaurentMatrix.identity(1)
+    with pytest.raises(AssertionError, match="degree"):
+        _twisted_end_splitting(E, se, V, SplittingData((0,), one, one))
+    # unimodular, chart-holomorphic factors that do not split T
+    E2 = split_bundle([1, 0])
+    shear = LaurentMatrix.parse([["1", "1"], ["0", "1"]])
+    bad_split = SplittingData((1, 0), shear, LaurentMatrix.identity(2))
+    with pytest.raises(AssertionError, match="diag"):
+        _twisted_end_splitting(E2, bad_split, V, birkhoff_split(V))
 
 
 # -- coboundary solving --------------------------------------------------------------
@@ -254,7 +332,7 @@ def test_verify_rejects_perturbed_certs():
 def test_verify_constant_cert_with_gauge_partner():
     # on trivial E with the anchor O(0) -> TX given by z^2, the constant
     # matrices A0 = A1 = 1 satisfy the overlap identity (transport is the
-    # identity there) and the Leibniz probes
+    # identity there)
     E = trivial_bundle(1)
     a = anchor_line(0, "z^2")
     cert = ConnectionCert(
@@ -332,6 +410,35 @@ def test_rank2_anchor_connection():
     cert = construct_connection(E, a)
     assert cert is not None
     assert verify_connection(E, a, cert)
+
+
+def test_gauged_high_rank_connections():
+    # rank 3 and 4 E in a gauged frame; rank-1 anchors are cross-checked
+    # against the formal criterion, the rank-2 anchor against the diagonal
+    # frame of the same bundle
+    tangent_desc = AlgebroidDesc(
+        FormalBundle(CurveContext(0), (Atom(1, 2, is_tangent=True),)),
+        AnchorDesc(AnchorKind.ISOMORPHISM, (LaurentPoly.one(),)),
+    )
+    line = anchor_line(-1, "z^3 + z")
+    line_desc = AlgebroidDesc(
+        FormalBundle(CurveContext(0), (Atom(1, -1),)),
+        AnchorDesc(AnchorKind.NONZERO, (laurent_parse("z^3 + z"),)),
+    )
+    split2 = ConcreteAnchor(split_bundle([0, -1]), LaurentMatrix.parse([["z^2 + 1", "z"]]))
+    s = Sampler(54)
+    for exps in ([0, 0, 0], [1, 0, -1], [0, 0, 0, 0], [1, 1, 0, -2]):
+        r = len(exps)
+        E = gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+        E_formal = FormalBundle(CurveContext(0), tuple(Atom(1, a) for a in exps))
+        for anchor, desc in ((tangent_anchor(), tangent_desc), (line, line_desc), (split2, None)):
+            cert = construct_connection(E, anchor)
+            if cert is not None:
+                assert verify_connection(E, anchor, cert)
+            if desc is not None:
+                assert decide_connection(desc, E_formal).as_bool() == (cert is not None)
+            else:
+                assert connection_exists_p1(split_bundle(exps), anchor) == (cert is not None)
 
 
 def test_anchor_json_round_trip():
