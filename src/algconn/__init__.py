@@ -21,9 +21,7 @@ from .exact_core import (
     LaurentPoly,
     Rat,
     generic_rank,
-    laurent_derivative,
     laurent_parse,
-    unit_inverse,
 )
 from .formal_bundles import (
     Atom,
@@ -75,6 +73,7 @@ from .p1_engine import (
     trace_pair,
     trivial_bundle,
     twist,
+    unit_inverse,
 )
 
 __version__ = "0.1.0"

@@ -7,10 +7,11 @@ matrices over them carry the transition data of bundles on the projective
 line. "Polynomial in w" below always means w = 1/z, i.e. a Laurent
 polynomial whose exponents are all <= 0.
 
-Determinants, adjugates and generic ranks beyond the triangular and small
-cases are computed by exact evaluation/interpolation at integer nodes: a
-degree-d polynomial is pinned by d+1 exact values, so nothing here depends
-on floating point.
+Determinants and generic ranks beyond the triangular and small cases are
+computed by exact evaluation/interpolation at integer nodes: a degree-d
+polynomial is pinned by d+1 exact values, so nothing here depends on
+floating point. Inverses of unit matrices come from a certified splitting
+and live in p1_engine.
 """
 
 from __future__ import annotations
@@ -278,11 +279,6 @@ def laurent_parse(text: str) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def laurent_derivative(p: LaurentPoly) -> LaurentPoly:
-    """Formal derivative d/dz, term by term."""
-    return p.derivative()
-
-
 class LaurentMatrix:
     """Immutable rectangular matrix with LaurentPoly entries."""
 
@@ -527,7 +523,7 @@ class LaurentMatrix:
         s = max(0, -(self.min_exp() or 0))
         poly = self.shift(s)
         bound = _degree_sum_bound(poly)
-        nodes = _nodes(bound + 1, allow_zero=True)
+        nodes = _nodes(bound + 1)
         values = [_qdet(poly.eval_at(x)) for x in nodes]
         d = _interpolate(nodes, values)
         return d.shift(-r * s)
@@ -562,102 +558,6 @@ def monomial_parts(p: LaurentPoly) -> tuple[Fraction, int]:
     return c, exp
 
 
-def _monomial_inverse(p: LaurentPoly) -> LaurentPoly:
-    c, k = monomial_parts(p)
-    return LaurentPoly.monomial(1 / c, -k)
-
-
-def _triangular_inverse(M: LaurentMatrix, upper: bool) -> LaurentMatrix:
-    """Back-substitution inverse. In a triangular matrix that is invertible
-    over the Laurent ring every diagonal entry is itself a monomial (z is
-    prime and units are monomials), so the substitutions stay in the ring."""
-    r = M.rows
-    diag_inv = [_monomial_inverse(M.entry(i, i)) for i in range(r)]
-    zero = LaurentPoly.zero()
-    X = [[zero] * r for _ in range(r)]
-    for j in range(r):
-        X[j][j] = diag_inv[j]
-        if upper:
-            for i in range(j - 1, -1, -1):
-                acc = zero
-                for k in range(i + 1, j + 1):
-                    if not M.entry(i, k).is_zero and not X[k][j].is_zero:
-                        acc = acc + M.entry(i, k) * X[k][j]
-                if not acc.is_zero:
-                    X[i][j] = -(diag_inv[i] * acc)
-        else:
-            for i in range(j + 1, r):
-                acc = zero
-                for k in range(j, i):
-                    if not M.entry(i, k).is_zero and not X[k][j].is_zero:
-                        acc = acc + M.entry(i, k) * X[k][j]
-                if not acc.is_zero:
-                    X[i][j] = -(diag_inv[i] * acc)
-    return LaurentMatrix(X)
-
-
-def unit_inverse(M: LaurentMatrix) -> LaurentMatrix:
-    """Inverse of a matrix whose determinant is a unit c*z^k of the Laurent ring.
-
-    Triangular matrices invert by back-substitution; otherwise the adjugate
-    is interpolated from exact evaluations at nonzero integer nodes. The
-    product M @ M^-1 is checked to be the identity before returning.
-    """
-    if not M.is_square:
-        raise NotSquare(f"cannot invert a {M.rows}x{M.cols} matrix")
-    r = M.rows
-    if M.is_upper_triangular() or M.is_lower_triangular():
-        # raises NotAUnit on any non-monomial diagonal entry, which for a
-        # triangular matrix is exactly the non-unit-determinant case
-        inv = _triangular_inverse(M, upper=M.is_upper_triangular())
-        if (M @ inv) != LaurentMatrix.identity(r):
-            raise AssertionError("unit_inverse produced a wrong inverse (internal bug)")
-        return inv
-    d = M.det()
-    if d.is_zero:
-        raise NotAUnit("determinant is zero")
-    c, k = monomial_parts(d)
-    unit_inv = LaurentPoly.monomial(1 / c, -k)
-    if r <= 3:
-        m = M._rows
-        if r == 2:
-            adj = [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
-        else:
-            def cof(i: int, j: int) -> LaurentPoly:
-                ri = [a for a in range(3) if a != i]
-                cj = [b for b in range(3) if b != j]
-                minor = m[ri[0]][cj[0]] * m[ri[1]][cj[1]] - m[ri[0]][cj[1]] * m[ri[1]][cj[0]]
-                return minor if (i + j) % 2 == 0 else -minor
-
-            adj = [[cof(j, i) for j in range(3)] for i in range(3)]
-        inv = LaurentMatrix(adj).map_entries(lambda p: p * unit_inv)
-        if (M @ inv) != LaurentMatrix.identity(r):
-            raise AssertionError("unit_inverse produced a wrong inverse (internal bug)")
-        return inv
-    s = max(0, -(M.min_exp() or 0))
-    poly = M.shift(s)  # det = c * z^(k + r*s)
-    bound = _degree_sum_bound(poly)
-    nodes = _nodes(bound + 1, allow_zero=False)
-    adj_values: list[list[list[Fraction]]] = []
-    for x in nodes:
-        a = poly.eval_at(x)
-        det_x = c * Fraction(x) ** (k + r * s)
-        inv_x = _qinverse(a)
-        adj_values.append([[det_x * inv_x[i][j] for j in range(r)] for i in range(r)])
-    adj_entries = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            vals = [adj_values[t][i][j] for t in range(len(nodes))]
-            row.append(_interpolate(nodes, vals))
-        adj_entries.append(row)
-    adj_m = LaurentMatrix(adj_entries).shift(-s * (r - 1))
-    inv = adj_m.map_entries(lambda p: (p * (1 / c)).shift(-k))
-    if (M @ inv) != LaurentMatrix.identity(r):
-        raise AssertionError("unit_inverse produced a wrong inverse (internal bug)")
-    return inv
-
-
 def generic_rank(M: LaurentMatrix) -> int:
     """Rank of M over the fraction field Q(z).
 
@@ -677,7 +577,7 @@ def generic_rank(M: LaurentMatrix) -> int:
     d = P.max_exp() or 0
     npts = min(M.rows, M.cols) * d + 1
     best = 0
-    for x in _nodes(npts, allow_zero=True):
+    for x in _nodes(npts):
         best = max(best, _qrank(P.eval_at(x)))
     return best
 
@@ -699,10 +599,8 @@ def _degree_sum_bound(poly_matrix: LaurentMatrix) -> int:
     return min(row_sum, col_sum)
 
 
-def _nodes(count: int, allow_zero: bool) -> list[int]:
-    out: list[int] = []
-    if allow_zero:
-        out.append(0)
+def _nodes(count: int) -> list[int]:
+    out = [0]
     k = 1
     while len(out) < count:
         out.append(k)
@@ -748,6 +646,19 @@ def _qinverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def _qmatmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def _qrank(a: list[list[Fraction]]) -> int:

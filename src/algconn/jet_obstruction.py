@@ -39,17 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InvalidAnchor, LaurentSyntaxError, SchemaError, ShapeMismatch
-from .exact_core import (
-    LaurentMatrix,
-    LaurentPoly,
-    laurent_parse,
-    unit_inverse,
-)
+from .exact_core import LaurentMatrix, LaurentPoly, laurent_parse
 from .p1_engine import (
     P1Bundle,
+    _transition_inverse,
     _twisted_end_splitting,
     birkhoff_split,
     dual_bundle,
@@ -57,8 +52,6 @@ from .p1_engine import (
     p1bundle_to_json,
     tangent_bundle,
 )
-
-_inverse = lru_cache(maxsize=None)(unit_inverse)
 
 
 @dataclass(frozen=True)
@@ -146,7 +139,7 @@ def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
 
 def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocycle:
     """The V*-twisted discrepancy cocycle: blocks phi0_a * T' T^(-1)."""
-    disc = E.transition.derivative() @ _inverse(E.transition)
+    disc = E.transition.derivative() @ _transition_inverse(E)
     blocks = disc.scalar_mul(anchor.component(0))
     for a in range(1, anchor.V.rank):
         blocks = blocks.hstack(disc.scalar_mul(anchor.component(a)))
@@ -261,7 +254,7 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
     if not cert.A0.is_poly_in_z or not cert.A1.is_poly_in_w:
         return False
     T = E.transition
-    t_inv = _inverse(T)
+    t_inv = _transition_inverse(E)
     disc = T.derivative() @ t_inv
     tv_dual = dual_bundle(anchor.V).transition
     transported = [

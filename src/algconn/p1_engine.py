@@ -16,10 +16,12 @@ and anchors enter.
 Splitting (the decomposition into line bundles) is computed by a two-sided
 reduction: polynomial row operations on the left lower the row-degree sum
 until the matrix of leading row coefficients is invertible, at which point
-T = diag(z^(h_i)) * N with N invertible over the w-chart ring. The exact
-factorization identity U0 * T * U1 = diag(z^(a_i)) is asserted on every
-output, so the splitting type is certified independently of the strategy
-that found it.
+T = diag(z^(h_i)) * N with N invertible over the w-chart ring. U1 = N^(-1)
+is a w-power series that terminates, since N(0) is invertible and det N is
+constant. The exact factorization identity U0 * T * U1 = diag(z^(a_i)) is
+asserted on every output, so the splitting type is certified independently
+of the strategy that found it. Every inverse of a unit matrix is read off
+that identity.
 """
 
 from __future__ import annotations
@@ -34,21 +36,21 @@ from .errors import (
     LaurentSyntaxError,
     NonConstantTrace,
     NotAUnit,
+    NotSquare,
     SchemaError,
 )
 from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
     Rat,
+    _qinverse,
+    _qmatmul,
     _qnullspace,
     generic_rank,
     laurent_parse,
     monomial_parts,
-    unit_inverse,
 )
 from .formal_bundles import Atom, CurveContext, FormalBundle, HNFiltration, hn_filtration
-
-_inverse = lru_cache(maxsize=None)(unit_inverse)
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def tangent_bundle() -> P1Bundle:
 
 @lru_cache(maxsize=None)
 def dual_bundle(E: P1Bundle) -> P1Bundle:
-    return P1Bundle(E.rank, _inverse(E.transition).transpose())
+    return P1Bundle(E.rank, _transition_inverse(E).transpose())
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +123,7 @@ def hom_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
     kron(T_F, T_E^(-T))."""
     return P1Bundle(
         E.rank * F.rank,
-        F.transition.kron(_inverse(E.transition).transpose()),
+        F.transition.kron(_transition_inverse(E).transpose()),
     )
 
 
@@ -170,6 +172,9 @@ class SplittingData:
 
     def diagonal(self) -> LaurentMatrix:
         return LaurentMatrix.diag([LaurentPoly.z(a) for a in self.type])
+
+    def inverse_diagonal(self) -> LaurentMatrix:
+        return LaurentMatrix.diag([LaurentPoly.z(-a) for a in self.type])
 
     def verify(self, E: "P1Bundle") -> bool:
         if list(self.type) != sorted(self.type, reverse=True):
@@ -233,10 +238,40 @@ def _split_connected(T: LaurentMatrix) -> tuple[LaurentMatrix, LaurentMatrix, li
     # T_reduced = diag(z^h) * N with N(0) = H invertible and det N constant,
     # hence N is invertible over the w-chart polynomial ring.
     N = LaurentMatrix([[rows[i][j].shift(-tops[i]) for j in range(r)] for i in range(r)])
-    U1 = _inverse(N)
-    if not U1.is_poly_in_w:
-        raise AssertionError("chart-1 factor not polynomial in 1/z (internal bug)")
-    return LaurentMatrix(u0_rows), U1, tops
+    return LaurentMatrix(u0_rows), _series_inverse(N), tops
+
+
+def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
+    """N^(-1) for N polynomial in w = 1/z with N(0) = H invertible and det N
+    constant, as the w-power series
+
+        X_0 = H^(-1),  X_k = -H^(-1) * sum_(j=1..k) N_j X_(k-j),
+
+    where N = sum_j N_j w^j. N^(-1) = adj(N) / det N has w-degree at most
+    (r-1) deg_w N, so the series stops there, or sooner once deg_w N terms in
+    a row vanish, since each term depends on the deg_w N before it only. The
+    exact identity N U1 = I is checked, and fails when det N is not constant.
+    """
+    r = N.rows
+    deg = -N.min_exp()
+    coeffs = [[[x.coeff(-j) for x in N.row_list(i)] for i in range(r)] for j in range(deg + 1)]
+    h_inv = _qinverse(coeffs[0])
+    steps = [_qmatmul(h_inv, [[-x for x in row] for row in c]) for c in coeffs[1:]]  # -H^(-1) N_j
+    X = [h_inv]
+    for k in range(1, (r - 1) * deg + 1):
+        if not any(x for Xk in X[-deg:] for row in Xk for x in row):
+            break
+        Xk = [[Fraction(0)] * r for _ in range(r)]
+        for j in range(1, min(k, deg) + 1):
+            term = _qmatmul(steps[j - 1], X[k - j])
+            Xk = [[x + y for x, y in zip(ra, rt)] for ra, rt in zip(Xk, term)]
+        X.append(Xk)
+    U1 = LaurentMatrix(
+        [[LaurentPoly({-k: Xk[i][j] for k, Xk in enumerate(X)}) for j in range(r)] for i in range(r)]
+    )
+    if N @ U1 != LaurentMatrix.identity(r):
+        raise AssertionError("w-series inverse of the chart-1 factor failed N U1 = I (internal bug)")
+    return U1
 
 
 def _blocks(T: LaurentMatrix) -> list[list[int]]:
@@ -280,10 +315,8 @@ def _birkhoff_cached(E: P1Bundle) -> SplittingData:
                 scatter0[i][j] = U0c.entry(p, q)
                 scatter1[i][j] = U1c.entry(p, q)
     order = sorted(range(r), key=lambda i: -exps[i])
-    one = LaurentPoly.one()
-    P = LaurentMatrix([[one if j == order[i] else zero for j in range(r)] for i in range(r)])
-    U0 = P @ LaurentMatrix(scatter0)
-    U1 = LaurentMatrix(scatter1) @ P.transpose()
+    U0 = LaurentMatrix(scatter0).submatrix(order, range(r))
+    U1 = LaurentMatrix(scatter1).submatrix(range(r), order)
     data = SplittingData(tuple(exps[i] for i in order), U0, U1)
     if not data.verify(E):
         raise AssertionError("splitting failed verification (internal bug)")
@@ -293,6 +326,29 @@ def _birkhoff_cached(E: P1Bundle) -> SplittingData:
 def birkhoff_split(E: P1Bundle) -> SplittingData:
     """Split E into line bundles: exact factorization U0 * T * U1 = diag."""
     return _birkhoff_cached(E)
+
+
+def _inverses(T: LaurentMatrix, s: SplittingData) -> tuple[LaurentMatrix, LaurentMatrix]:
+    """(U0^(-1), T^(-1)) read off a splitting U0 T U1 = D of T:
+    U0^(-1) = T U1 D^(-1) and T^(-1) = U1 D^(-1) U0."""
+    u1_d_inv = s.U1 @ s.inverse_diagonal()
+    return T @ u1_d_inv, u1_d_inv @ s.U0
+
+
+@lru_cache(maxsize=None)
+def _transition_inverse(E: P1Bundle) -> LaurentMatrix:
+    """T^(-1) from the splitting of E, computed once per bundle: the cocycle,
+    every certificate check, duals and homs all need it."""
+    return _inverses(E.transition, birkhoff_split(E))[1]
+
+
+def unit_inverse(M: LaurentMatrix) -> LaurentMatrix:
+    """Inverse of a square matrix whose determinant is a unit c*z^k of the
+    Laurent ring. M is validated as the transition of a bundle and inverted
+    through its certified splitting; raises NotSquare or NotAUnit."""
+    if not M.is_square:
+        raise NotSquare(f"cannot invert a {M.rows}x{M.cols} matrix")
+    return _transition_inverse(P1Bundle(M.rows, M))
 
 
 def _kron_det(factors: Sequence[LaurentMatrix], order: Sequence[int]) -> LaurentPoly:
@@ -337,13 +393,10 @@ def _twisted_end_splitting(
     read off the factor determinants (_kron_det) instead of a determinant
     of the r^2 q square matrices.
     """
-
-    def inverses(T: LaurentMatrix, s: SplittingData):
-        d_inv = LaurentMatrix.diag([LaurentPoly.z(-a) for a in s.type])
-        return T @ s.U1 @ d_inv, d_inv @ s.U0 @ T, s.U1 @ d_inv @ s.U0
-
-    u0_inv, u1_inv, t_inv = inverses(E.transition, se)
-    u0v_inv, u1v_inv, tv_inv = inverses(V.transition, sv)
+    u0_inv, t_inv = _inverses(E.transition, se)
+    u0v_inv, tv_inv = _inverses(V.transition, sv)
+    u1_inv = se.inverse_diagonal() @ se.U0 @ E.transition
+    u1v_inv = sv.inverse_diagonal() @ sv.U0 @ V.transition
     exps = [a - b - v for a in se.type for b in se.type for v in sv.type]
     n = len(exps)
     order = sorted(range(n), key=lambda i: -exps[i])
@@ -394,7 +447,7 @@ def is_global_section(E: P1Bundle, v: LaurentMatrix) -> bool:
         return False
     if not v.is_poly_in_z:
         return False
-    return (_inverse(E.transition) @ v).is_poly_in_w
+    return (_transition_inverse(E) @ v).is_poly_in_w
 
 
 def global_sections(E: P1Bundle) -> list[GlobalSection]:
@@ -402,7 +455,7 @@ def global_sections(E: P1Bundle) -> list[GlobalSection]:
     O(a) are 1, z, ..., z^a; pushing through the frame change U0^(-1) gives
     chart-0 representatives in the original frame."""
     data = birkhoff_split(E)
-    u0_inv = _inverse(data.U0)
+    u0_inv = _inverses(E.transition, data)[0]
     out: list[GlobalSection] = []
     for idx, a in enumerate(data.type):
         if a < 0:
@@ -421,7 +474,7 @@ def is_global_hom(E: P1Bundle, F: P1Bundle, phi0: LaurentMatrix) -> bool:
         return False
     if not phi0.is_poly_in_z:
         return False
-    phi1 = _inverse(F.transition) @ phi0 @ E.transition
+    phi1 = _transition_inverse(F) @ phi0 @ E.transition
     return phi1.is_poly_in_w
 
 
@@ -431,7 +484,7 @@ def hom_sections(E: P1Bundle, F: P1Bundle) -> list[LaurentMatrix]:
     the chart-0 frame changes lands them in the original frames."""
     se = birkhoff_split(E)
     sf = birkhoff_split(F)
-    f0_inv = _inverse(sf.U0)
+    f0_inv = _inverses(F.transition, sf)[0]
     basis: list[LaurentMatrix] = []
     for j, b in enumerate(sf.type):
         for i, a in enumerate(se.type):

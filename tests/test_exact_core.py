@@ -16,10 +16,9 @@ from algconn.exact_core import (
     LaurentMatrix,
     LaurentPoly,
     generic_rank,
-    laurent_derivative,
     laurent_parse,
-    unit_inverse,
 )
+from algconn.p1_engine import unit_inverse
 from algconn.sampling import Sampler
 
 
@@ -85,9 +84,9 @@ def test_printer_parser_round_trip(p):
 
 
 def test_derivative_examples():
-    assert laurent_derivative(lp("z^3")) == lp("3*z^2")
-    assert laurent_derivative(lp("5")).is_zero
-    assert laurent_derivative(lp("z^-1")) == lp("-z^-2")
+    assert lp("z^3").derivative() == lp("3*z^2")
+    assert lp("5").derivative().is_zero
+    assert lp("z^-1").derivative() == lp("-z^-2")
 
 
 @given(poly_strategy, poly_strategy)
@@ -150,7 +149,7 @@ def test_unit_inverse_rejects_non_units():
 def test_unit_inverse_involution_on_random_unimodulars():
     s = Sampler(2024)
     for _ in range(25):
-        size = s.rng.randint(1, 4)
+        size = s.rng.randint(1, 5)
         A = s.unimodular_z(size, ops=3, max_deg=2)
         B = s.unimodular_w(size, ops=2, max_deg=2)
         M = A @ B  # unit determinant, generally dense

@@ -4,7 +4,7 @@ import pytest
 
 from algconn.algebroid_decision import AlgebroidDesc, AnchorDesc, AnchorKind, decide_connection
 from algconn.errors import InvalidAnchor, ShapeMismatch
-from algconn.exact_core import LaurentMatrix, LaurentPoly, laurent_parse, unit_inverse
+from algconn.exact_core import LaurentMatrix, LaurentPoly, laurent_parse
 from algconn.formal_bundles import Atom, CurveContext, FormalBundle
 from algconn.jet_obstruction import (
     ConcreteAnchor,
@@ -36,6 +36,7 @@ from algconn.p1_engine import (
     tangent_bundle,
     tensor_bundle,
     trivial_bundle,
+    unit_inverse,
 )
 from algconn.sampling import Sampler
 
@@ -147,7 +148,6 @@ def test_cocycle_trivial_and_zero_anchor():
 def test_cocycle_transport_matches_kron_flattening():
     # blockwise transport sum_b (T_V^-T)_ab T c1^b T^-1 must equal the
     # kron(T, T^-T, T_V^-T) action on the row-major flattening
-    from algconn.exact_core import unit_inverse
     from algconn.jet_obstruction import _unvec_cochain, _vec_cochain
 
     s = Sampler(44)
@@ -276,8 +276,6 @@ def test_coboundary_shape_mismatch():
 
 def test_coboundary_reassembles_cocycle():
     # whenever solvable, b0 - transport(b1) equals the input exactly
-    from algconn.exact_core import unit_inverse
-
     s = Sampler(45)
     for _ in range(10):
         E, _ = s.gauged_p1_bundle(max_rank=2, bound=1, ops=1, max_deg=1)

@@ -9,10 +9,11 @@ sys.path.insert(0, os.path.dirname(__file__))
 from oracles import h0_by_linear_solve, hn_first_step_bruteforce
 
 from algconn.errors import InvalidSection, NotAUnit
-from algconn.exact_core import LaurentMatrix
+from algconn.exact_core import LaurentMatrix, LaurentPoly
 from algconn.formal_bundles import Atom, CurveContext, FormalBundle, hn_filtration
 from algconn.p1_engine import (
     P1Bundle,
+    _series_inverse,
     birkhoff_split,
     cohomology_dims,
     dual_bundle,
@@ -118,6 +119,25 @@ def test_split_memo_observationally_transparent():
     _birkhoff_cached.cache_clear()
     fresh = birkhoff_split(E)
     assert fresh is not cached and fresh == cached
+
+
+def test_series_inverse_reaches_its_degree_bound():
+    # N = I + wJ with J the nilpotent 4x4 shift: N^-1 = I - wJ + w^2 J^2 - w^3 J^3
+    # has w-degree exactly (r-1) deg_w N = 3, so a shorter series fails N U1 = I
+    N = LaurentMatrix.parse(
+        [["1", "z^-1", "0", "0"], ["0", "1", "z^-1", "0"], ["0", "0", "1", "z^-1"], ["0", "0", "0", "1"]]
+    )
+    U1 = _series_inverse(N)
+    assert N @ U1 == LaurentMatrix.identity(4)
+    assert U1.min_exp() == -3
+    assert U1.entry(0, 3) == -LaurentPoly.z(-3)
+
+
+def test_series_inverse_rejects_nonconstant_det():
+    # N(0) is invertible but det N = 1 + w: the series never terminates
+    N = LaurentMatrix.parse([["1", "z^-1"], ["-1", "1"]])
+    with pytest.raises(AssertionError, match="N U1 = I"):
+        _series_inverse(N)
 
 
 # -- cohomology ------------------------------------------------------------------
