@@ -199,7 +199,7 @@ def bundle_from_json(doc) -> FormalBundle:
     if "genus" not in doc or "atoms" not in doc:
         raise SchemaError("bundle document needs 'genus' and 'atoms'")
     genus = doc["genus"]
-    if not isinstance(genus, int) or genus < 0:
+    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
         raise SchemaError("'genus' must be a non-negative integer")
     raw_atoms = doc["atoms"]
     if not isinstance(raw_atoms, list) or not raw_atoms:
@@ -208,11 +208,11 @@ def bundle_from_json(doc) -> FormalBundle:
     for i, a in enumerate(raw_atoms):
         if not isinstance(a, dict):
             raise SchemaError(f"atom #{i} must be an object")
-        try:
-            rank = int(a["rank"])
-            degree = int(a["degree"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"atom #{i} needs integer 'rank' and 'degree'") from exc
+        for field in ("rank", "degree"):
+            value = a.get(field)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SchemaError(f"atom #{i} '{field}' must be an integer, got {value!r}")
+        rank, degree = a["rank"], a["degree"]
         stab_raw = a.get("stability", "unknown")
         try:
             stab = Stability(stab_raw)

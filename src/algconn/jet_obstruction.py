@@ -47,7 +47,6 @@ from .p1_engine import (
     _transition_inverse,
     _twisted_end_splitting,
     birkhoff_split,
-    dual_bundle,
     p1bundle_from_json,
     p1bundle_to_json,
     tangent_bundle,
@@ -129,7 +128,7 @@ def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
     """Anchored jet bundle, rank r(1 + rank V), frame (E (x) V* slot, value)."""
     T = E.transition
     q = anchor.V.rank
-    tv_dual = dual_bundle(anchor.V).transition  # T_V^(-T)
+    tv_dual = _transition_inverse(anchor.V).transpose()  # T_V^(-T)
     upper_left = T.kron(tv_dual)
     upper_right = T.derivative().kron(anchor.phi_row.transpose())
     top = upper_left.hstack(upper_right)
@@ -138,7 +137,10 @@ def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
 
 
 def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocycle:
-    """The V*-twisted discrepancy cocycle: blocks phi0_a * T' T^(-1)."""
+    """The V*-twisted discrepancy cocycle: blocks phi0_a * T' T^(-1), zero
+    for the zero anchor without inverting T."""
+    if anchor.is_zero:
+        return ObstructionCocycle(LaurentMatrix.zeros(E.rank, E.rank * anchor.V.rank))
     disc = E.transition.derivative() @ _transition_inverse(E)
     blocks = disc.scalar_mul(anchor.component(0))
     for a in range(1, anchor.V.rank):
@@ -243,7 +245,9 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
          A0^(a)  =  sum_b (T_V^(-T))_(a,b) * T A1^(b) T^(-1)  -  phi0_a * T' T^(-1),
 
          which is what "phi^* d + A0 and phi^* d + A1 define the same
-         operator on s0 = T s1" unwinds to.
+         operator on s0 = T s1" unwinds to. It is checked multiplied on the
+         right by T, as A0^(a) T = sum_b (T_V^(-T))_(a,b) T A1^(b) - phi0_a T',
+         so no inverse of T is needed.
 
     The Leibniz rule needs no check: d0(f s) - f d0(s) = f' s phi0 holds for
     every A0, since A0 acts linearly over functions.
@@ -254,17 +258,14 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
     if not cert.A0.is_poly_in_z or not cert.A1.is_poly_in_w:
         return False
     T = E.transition
-    t_inv = _transition_inverse(E)
-    disc = T.derivative() @ t_inv
-    tv_dual = dual_bundle(anchor.V).transition
-    transported = [
-        T @ _block(cert.A1, b, r) @ t_inv for b in range(q)
-    ]
+    t_prime = T.derivative()
+    tv_dual = _transition_inverse(anchor.V).transpose()
+    transported = [T @ _block(cert.A1, b, r) for b in range(q)]
     for a in range(q):
-        rhs = disc.scalar_mul(-anchor.component(a))
+        rhs = t_prime.scalar_mul(-anchor.component(a))
         for b in range(q):
             rhs = rhs + transported[b].scalar_mul(tv_dual.entry(a, b))
-        if _block(cert.A0, a, r) != rhs:
+        if _block(cert.A0, a, r) @ T != rhs:
             return False
     return True
 

@@ -116,6 +116,30 @@ def test_decide_validation_error_exits_3(files, capsys, tmp_path):
     assert "validation error" in err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("degree", 0.5), ("degree", "0"), ("rank", True), ("rank", 1.0), ("degree", None)]
+)
+def test_decide_rejects_non_integer_atom_fields(files, capsys, tmp_path, field, value):
+    # int() would truncate 0.5 to 0 and read "0" and true as integers
+    atom = {"rank": 1, "degree": 0, field: value}
+    bundle = write(tmp_path, "b.json", {"genus": 0, "atoms": [{"rank": 1, "degree": 0}, atom]})
+    code, doc, err = run(capsys, ["decide", "--algebroid", files["algebroid"], "--bundle", bundle])
+    assert code == 2 and doc is None
+    assert "schema error" in err and f"atom #1 '{field}'" in err
+
+
+def test_decide_rejects_boolean_genus(files, capsys, tmp_path):
+    bundle = write(tmp_path, "b.json", {"genus": False, "atoms": [{"rank": 1, "degree": 0}]})
+    code, _, err = run(capsys, ["decide", "--algebroid", files["algebroid"], "--bundle", bundle])
+    assert code == 2 and "'genus'" in err
+
+
+def test_cohomology_rejects_boolean_rank(files, capsys, tmp_path):
+    p = write(tmp_path, "true.json", {"rank": True, "transition": [["z"]]})
+    code, doc, err = run(capsys, ["cohomology", "--bundle", p])
+    assert code == 2 and doc is None and "'rank'" in err
+
+
 def test_split_verified_output(files, capsys):
     code, doc, _ = run(capsys, ["split", "--bundle", files["p1"]])
     assert code == 0

@@ -25,7 +25,6 @@ from algconn.jet_obstruction import (
 from algconn.p1_engine import (
     P1Bundle,
     SplittingData,
-    _kron_det,
     _twisted_end_splitting,
     birkhoff_split,
     dual_bundle,
@@ -196,7 +195,7 @@ def test_twisted_end_splitting_matches_direct_split():
         assert data.U0 @ u0_inv == LaurentMatrix.identity(W.rank)
 
 
-def test_twisted_end_structural_det_matches_direct_det():
+def test_twisted_end_factors_are_kron_of_factor_splittings():
     for E, V in _twisted_end_cases():
         se, sv = birkhoff_split(E), birkhoff_split(V)
         data, _ = _twisted_end_splitting(E, se, V, sv)
@@ -207,43 +206,34 @@ def test_twisted_end_structural_det_matches_direct_det():
         f1 = (se.U1, unit_inverse(se.U1).transpose(), unit_inverse(sv.U1).transpose())
         assert data.U0 == f0[0].kron(f0[1]).kron(f0[2]).submatrix(order, every)
         assert data.U1 == f1[0].kron(f1[1]).kron(f1[2]).submatrix(every, order)
-        assert _kron_det(f0, order) == data.U0.det()
-        assert _kron_det(f1, order) == data.U1.det()
-    # both permutation signs, on factors that are not unimodular
-    s = Sampler(53)
-    A, B = s.unimodular_z(2, ops=2), LaurentMatrix.parse([["z", "1"], ["0", "z^-1 + 2"]])
-    for _ in range(6):
-        order = list(range(4))
-        s.rng.shuffle(order)
-        assert _kron_det((A, B), order) == A.kron(B).submatrix(order, range(4)).det()
 
 
 def test_twisted_end_splitting_rejects_tampered_factors():
     E, _ = next(_twisted_end_cases())
     se = birkhoff_split(E)
     # a U0 row scaled by z, a U1 column by 1/z: still U0 T U1 = diag, but
-    # det U0 = z, so U0^(-T) and with it U0_W has a pole at z = 0
+    # det U0 = z, so U0^(-1) has a pole at z = 0
     scale = LaurentMatrix.diag([LaurentPoly.z(1)] + [LaurentPoly.one()] * (E.rank - 1))
     unscale = LaurentMatrix.diag([LaurentPoly.z(-1)] + [LaurentPoly.one()] * (E.rank - 1))
     bad_e = SplittingData(se.type, scale @ se.U0, se.U1 @ unscale)
     assert bad_e.U0 @ E.transition @ bad_e.U1 == se.diagonal()
     V = line_bundle(-1)
-    with pytest.raises(AssertionError, match="holomorphic"):
+    with pytest.raises(AssertionError, match="unverified"):
         _twisted_end_splitting(E, bad_e, V, birkhoff_split(V))
-    # the same on V: the kron factor U0_V^(-T) = z has det z and the U1
-    # factor det 1/z, while both stay chart-holomorphic
+    # the same on V: U0_V = 1/z is not polynomial in z, although the kron
+    # factor U0_V^(-T) = z is
     bad_v = SplittingData((-1,), LaurentMatrix.parse([["z^-1"]]), LaurentMatrix.parse([["z"]]))
-    with pytest.raises(AssertionError, match="unimodular"):
+    with pytest.raises(AssertionError, match="unverified"):
         _twisted_end_splitting(E, se, V, bad_v)
     # a splitting of V = O(-1) claiming type O(0)
     one = LaurentMatrix.identity(1)
-    with pytest.raises(AssertionError, match="degree"):
+    with pytest.raises(AssertionError, match="unverified"):
         _twisted_end_splitting(E, se, V, SplittingData((0,), one, one))
     # unimodular, chart-holomorphic factors that do not split T
     E2 = split_bundle([1, 0])
     shear = LaurentMatrix.parse([["1", "1"], ["0", "1"]])
     bad_split = SplittingData((1, 0), shear, LaurentMatrix.identity(2))
-    with pytest.raises(AssertionError, match="diag"):
+    with pytest.raises(AssertionError, match="unverified"):
         _twisted_end_splitting(E2, bad_split, V, birkhoff_split(V))
 
 
@@ -325,6 +315,39 @@ def test_verify_rejects_perturbed_certs():
     assert not verify_connection(E, a, bad0)  # chart-0 holomorphy broken
     bad1 = ConnectionCert(A0=cert.A0 + LaurentMatrix.parse([["1"]]), A1=cert.A1)
     assert not verify_connection(E, a, bad1)  # overlap identity broken
+    # gauged rank-2 E (T is not central, so T X and X T differ) with a split
+    # rank-2 anchor, and the same anchor in a gauged frame of V (A V B has
+    # anchor phi0 A^(-1); T_V^(-T) is then not symmetric): a constant, hence
+    # chart-holomorphic, bump in any one block of A0 or A1 breaks the overlap
+    # identity
+    s = Sampler(55)
+    E = gauge_transform(split_bundle([1, -1]), s.unimodular_z(2), s.unimodular_w(2))
+    phi = LaurentMatrix.parse([["z^2 + 1", "z"]])
+    A = s.unimodular_z(2)
+    V = gauge_transform(split_bundle([0, -1]), A, s.unimodular_w(2))
+    zeros = ["0"] * 4
+    for a in (ConcreteAnchor(split_bundle([0, -1]), phi), ConcreteAnchor(V, phi @ unit_inverse(A))):
+        cert = construct_connection(E, a)
+        assert cert is not None and not cert.A0.is_zero and not cert.A1.is_zero
+        assert verify_connection(E, a, cert)
+        for bump in (LaurentMatrix.parse([["1", "0", "0", "0"], zeros]),
+                     LaurentMatrix.parse([["0", "0", "1", "0"], zeros])):
+            assert not verify_connection(E, a, ConnectionCert(A0=cert.A0 + bump, A1=cert.A1))
+            assert not verify_connection(E, a, ConnectionCert(A0=cert.A0, A1=cert.A1 + bump))
+
+
+def test_zero_anchor_does_not_split_e(monkeypatch):
+    import algconn.p1_engine as p1
+
+    split = []
+    cached = p1._birkhoff_cached
+    monkeypatch.setattr(p1, "_birkhoff_cached", lambda F: split.append(F) or cached(F))
+    s = Sampler(56)
+    E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
+    anchor = zero_anchor(split_bundle([1, -1]))
+    cert = construct_connection(E, anchor)
+    assert cert is not None and cert.A0.is_zero and cert.A1.is_zero
+    assert E not in split
 
 
 def test_verify_constant_cert_with_gauge_partner():

@@ -13,6 +13,8 @@ from algconn.exact_core import LaurentMatrix, LaurentPoly
 from algconn.formal_bundles import Atom, CurveContext, FormalBundle, hn_filtration
 from algconn.p1_engine import (
     P1Bundle,
+    SplittingData,
+    _birkhoff_cached,
     _series_inverse,
     birkhoff_split,
     cohomology_dims,
@@ -111,14 +113,81 @@ def test_split_type_gauge_invariant():
 
 
 def test_split_memo_observationally_transparent():
-    from algconn.p1_engine import _birkhoff_cached
-
     E = bundle([["z^-1", "1"], ["0", "z"]])
     cached = birkhoff_split(E)
     assert birkhoff_split(E) is cached  # served from the memo
     _birkhoff_cached.cache_clear()
     fresh = birkhoff_split(E)
     assert fresh is not cached and fresh == cached
+
+
+def verify_by_det(d: SplittingData, E: P1Bundle) -> bool:
+    """The definition of a splitting, with LaurentMatrix.det as reference:
+    sorted type summing to deg E, U0 polynomial in z and U1 in 1/z, both of
+    nonzero constant determinant, and U0 T U1 = diag(z^a)."""
+    if list(d.type) != sorted(d.type, reverse=True) or sum(d.type) != E.degree:
+        return False
+    if not (d.U0.is_poly_in_z and d.U1.is_poly_in_w):
+        return False
+    if any(x.is_zero or not x.is_constant for x in (d.U0.det(), d.U1.det())):
+        return False
+    return d.U0 @ E.transition @ d.U1 == d.diagonal()
+
+
+def tampered_splittings(E: P1Bundle) -> dict[str, SplittingData]:
+    """Splittings of E, rank >= 2 with distinct exponents, each broken in one way."""
+    d = birkhoff_split(E)
+    r = E.rank
+    one, z, w = LaurentPoly.one(), LaurentPoly.z(1), LaurentPoly.z(-1)
+
+    def at(i: int, x: LaurentPoly) -> LaurentMatrix:
+        return LaurentMatrix.diag([x if k == i else one for k in range(r)])
+
+    swap = LaurentMatrix.identity(r).submatrix([1, 0] + list(range(2, r)), range(r))
+    shear = LaurentMatrix.identity(r) + LaurentMatrix(
+        [[one if (i, j) == (0, 1) else LaurentPoly.zero() for j in range(r)] for i in range(r)]
+    )
+    low = list(d.type)
+    low[-1] -= 1
+    return {
+        # U0 T U1 = D still holds, but det U0 = z: of verify's checks only
+        # U0^(-1) = T U1 D^(-1) polynomial in z sees it
+        "row_scaled": SplittingData(d.type, at(0, z) @ d.U0, d.U1 @ at(0, w)),
+        "unsorted": SplittingData(d.type[1::-1] + d.type[2:], swap @ d.U0, d.U1 @ swap),
+        # U0 T U1 = diag(z^low) with det U1 = 1/z: of verify's checks only
+        # the degree sum sees it
+        "degree_sum": SplittingData(tuple(low), d.U0, d.U1 @ at(r - 1, w)),
+        "u0_not_poly": SplittingData(d.type, at(0, w) @ d.U0, d.U1 @ at(0, z)),
+        "shear": SplittingData(d.type, shear @ d.U0, d.U1),
+    }
+
+
+def test_verify_matches_det_definition_and_rejects_tampers():
+    s = Sampler(59)
+    for r in range(1, 6):
+        exps = s.exponents(max_rank=r, min_rank=r, bound=2)
+        E = gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+        d = birkhoff_split(E)
+        assert d.verify(E) and verify_by_det(d, E)
+        if r == 1:
+            continue
+        F = gauge_transform(split_bundle(range(r, 0, -1)), s.unimodular_z(r), s.unimodular_w(r))
+        tampers = tampered_splittings(F)
+        for name, bad in tampers.items():
+            assert not bad.verify(F) and not verify_by_det(bad, F), name
+        scaled = tampers["row_scaled"]
+        assert scaled.U0 @ F.transition @ scaled.U1 == scaled.diagonal()
+
+
+def test_split_and_verify_take_no_det(monkeypatch):
+    s = Sampler(60)
+    E = gauge_transform(split_bundle([2, 1, 0, -1, -3]), s.unimodular_z(5), s.unimodular_w(5))
+    _birkhoff_cached.cache_clear()
+    calls = []
+    det = LaurentMatrix.det
+    monkeypatch.setattr(LaurentMatrix, "det", lambda M: calls.append(M) or det(M))
+    birkhoff_split(E).verify(E)
+    assert calls == []
 
 
 def test_series_inverse_reaches_its_degree_bound():
