@@ -44,6 +44,7 @@ from .errors import InvalidAnchor, LaurentSyntaxError, SchemaError, ShapeMismatc
 from .exact_core import LaurentMatrix, LaurentPoly, laurent_parse
 from .p1_engine import (
     P1Bundle,
+    _derived_bundle,
     _transition_inverse,
     _twisted_end_splitting,
     birkhoff_split,
@@ -116,16 +117,19 @@ class ConnectionCert:
 
 
 def jet1_transition(E: P1Bundle) -> P1Bundle:
-    """First jet bundle, rank 2r, frame (derivative, value)."""
+    """First jet bundle, rank 2r, frame (derivative, value). Its transition
+    is block triangular with det = (-1)^r z^(-2r) (det T)^2, so its degree is
+    2 deg E - 2r."""
     T = E.transition
     tk = T.shift(-2).scalar_mul(-1)
     top = tk.hstack(T.derivative())
     bottom = LaurentMatrix.zeros(E.rank, E.rank).hstack(T)
-    return P1Bundle(2 * E.rank, top.vstack(bottom))
+    return _derived_bundle(2 * E.rank, top.vstack(bottom), 2 * E.degree - 2 * E.rank)
 
 
 def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
-    """Anchored jet bundle, rank r(1 + rank V), frame (E (x) V* slot, value)."""
+    """Anchored jet bundle, rank r(1 + rank V), frame (E (x) V* slot, value),
+    an extension of E by E (x) V*, so its degree is (q + 1) deg E - r deg V."""
     T = E.transition
     q = anchor.V.rank
     tv_dual = _transition_inverse(anchor.V).transpose()  # T_V^(-T)
@@ -133,7 +137,8 @@ def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
     upper_right = T.derivative().kron(anchor.phi_row.transpose())
     top = upper_left.hstack(upper_right)
     bottom = LaurentMatrix.zeros(E.rank, E.rank * q).hstack(T)
-    return P1Bundle(E.rank * (q + 1), top.vstack(bottom))
+    degree = (q + 1) * E.degree - E.rank * anchor.V.degree
+    return _derived_bundle(E.rank * (q + 1), top.vstack(bottom), degree)
 
 
 def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocycle:

@@ -24,11 +24,19 @@ of the strategy that found it. Every inverse of a unit matrix is read off
 that identity, and so is unimodularity: U0^(-1) = T * U1 * diag(z^(-a_i))
 polynomial in z makes U0 and U1 unimodular, so no determinant certifies a
 splitting.
+
+No determinant validates a transition either. The same reduction is the
+validation: it fails exactly when T is not a unit (a row reduces to zero,
+or N U1 = I fails because det N is not constant), and otherwise proves
+det T = c * z^(sum a_i), which fixes deg E = sum a_i. Bundles derived from
+validated ones (duals, twists, tensor and hom bundles, jet bundles) are units
+by construction; they skip the reduction and take their degree from a
+formula, which birkhoff_split checks against the splitting type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -50,17 +58,23 @@ from .exact_core import (
     _qnullspace,
     generic_rank,
     laurent_parse,
-    monomial_parts,
 )
 from .formal_bundles import Atom, CurveContext, FormalBundle, HNFiltration, hn_filtration
 
 
 @dataclass(frozen=True)
 class P1Bundle:
-    """Rank-r bundle on the projective line via its transition matrix."""
+    """Rank-r bundle on the projective line via its transition matrix.
+
+    Constructing one validates T by the reduction that splits it: NotAUnit
+    unless T is invertible over the Laurent ring, and the degree is the sum
+    of the splitting type. That splitting is memoised, so birkhoff_split
+    returns it without a second reduction.
+    """
 
     rank: int
     transition: LaurentMatrix
+    _degree: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.transition.is_square:
@@ -70,13 +84,8 @@ class P1Bundle:
                 f"rank {self.rank} does not match a "
                 f"{self.transition.rows}x{self.transition.cols} transition"
             )
-        det = self.transition.det()
-        if det.is_zero or not det.is_monomial():
-            raise NotAUnit(
-                f"transition determinant must be a nonzero monomial c*z^k, got {det}"
-            )
-        _, k = monomial_parts(det)
-        object.__setattr__(self, "_degree", k)
+        # on a memo hit the equal bundle split before supplies the type
+        object.__setattr__(self, "_degree", sum(_validating_split(self).type))
 
     @property
     def degree(self) -> int:
@@ -85,6 +94,17 @@ class P1Bundle:
     @property
     def slope(self) -> Fraction:
         return Fraction(self.degree, self.rank)
+
+
+def _derived_bundle(rank: int, transition: LaurentMatrix, degree: int) -> P1Bundle:
+    """A bundle whose transition is built from validated ones, hence a unit,
+    with its degree given by formula instead of a reduction; birkhoff_split
+    still checks that degree against the splitting type."""
+    E = object.__new__(P1Bundle)
+    object.__setattr__(E, "rank", rank)
+    object.__setattr__(E, "transition", transition)
+    object.__setattr__(E, "_degree", degree)
+    return E
 
 
 def line_bundle(a: int, coeff=1) -> P1Bundle:
@@ -109,23 +129,30 @@ def tangent_bundle() -> P1Bundle:
 
 @lru_cache(maxsize=None)
 def dual_bundle(E: P1Bundle) -> P1Bundle:
-    return P1Bundle(E.rank, _transition_inverse(E).transpose())
+    """E*: transition T^(-T), degree -deg E."""
+    return _derived_bundle(E.rank, _transition_inverse(E).transpose(), -E.degree)
 
 
 @lru_cache(maxsize=None)
 def tensor_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
-    """E (x) F with frames ordered row-major, i.e. kron(T_E, T_F)."""
-    return P1Bundle(E.rank * F.rank, E.transition.kron(F.transition))
+    """E (x) F with frames ordered row-major, i.e. kron(T_E, T_F); degree
+    r_F deg E + r_E deg F."""
+    return _derived_bundle(
+        E.rank * F.rank,
+        E.transition.kron(F.transition),
+        F.rank * E.degree + E.rank * F.degree,
+    )
 
 
 @lru_cache(maxsize=None)
 def hom_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
     """Hom(E, F): a local hom is an r_F x r_E matrix Phi with
     Phi0 = T_F * Phi1 * T_E^(-1); vectorized row-major this is
-    kron(T_F, T_E^(-T))."""
-    return P1Bundle(
+    kron(T_F, T_E^(-T)), of degree r_E deg F - r_F deg E."""
+    return _derived_bundle(
         E.rank * F.rank,
         F.transition.kron(_transition_inverse(E).transpose()),
+        E.rank * F.degree - F.rank * E.degree,
     )
 
 
@@ -135,14 +162,15 @@ def end_bundle(E: P1Bundle) -> P1Bundle:
 
 @lru_cache(maxsize=None)
 def twist(E: P1Bundle, n: int) -> P1Bundle:
-    """E (x) O(n): shifts every transition entry by z^n."""
-    return P1Bundle(E.rank, E.transition.shift(n))
+    """E (x) O(n): shifts every transition entry by z^n, and the degree by r n."""
+    return _derived_bundle(E.rank, E.transition.shift(n), E.degree + E.rank * n)
 
 
 def gauge_transform(E: P1Bundle, A: LaurentMatrix, B: LaurentMatrix) -> P1Bundle:
     """Change frames: T -> A * T * B. A must be polynomial in z and B in
     1/z, both with constant nonzero determinant, for this to be a frame
-    change; the constructor re-validates the unit determinant."""
+    change; the result is validated like any other transition, by the
+    reduction that splits it."""
     return P1Bundle(E.rank, A @ E.transition @ B)
 
 
@@ -193,13 +221,16 @@ class SplittingData:
         return (t_u1 @ self.inverse_diagonal()).is_poly_in_z
 
 
+_NOT_A_UNIT = "transition is not invertible over the Laurent ring"
+
+
 def _top_coefficient_data(rows: list[list[LaurentPoly]]) -> tuple[list[int], list[list[Fraction]]]:
     tops: list[int] = []
     H: list[list[Fraction]] = []
     for row in rows:
         exps = [x.max_exp for x in row if not x.is_zero]
         if not exps:
-            raise AssertionError("zero row in an invertible transition (internal bug)")
+            raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
         h = max(exps)
         tops.append(h)
         H.append([x.coeff(h) for x in row])
@@ -208,7 +239,11 @@ def _top_coefficient_data(rows: list[list[LaurentPoly]]) -> tuple[list[int], lis
 
 def _split_connected(T: LaurentMatrix) -> tuple[LaurentMatrix, LaurentMatrix, list[int]]:
     """Core reduction. Returns (U0, U1, exponents), U0 @ T @ U1 diagonal
-    with the given (unsorted) exponents."""
+    with the given (unsorted) exponents, or raises NotAUnit.
+
+    Each step lowers the row-degree sum by at least one, and for det T != 0
+    that sum stays >= the top exponent of det T >= the sum of the initial
+    row lows, so an exhausted budget, like a zero row, means det T = 0."""
     r = T.rows
     rows = [T.row_list(i) for i in range(r)]
     u0_rows = [LaurentMatrix.identity(r).row_list(i) for i in range(r)]
@@ -222,7 +257,7 @@ def _split_connected(T: LaurentMatrix) -> tuple[LaurentMatrix, LaurentMatrix, li
         if not null:
             break
         if budget <= 0:
-            raise AssertionError("splitting reduction failed to terminate (internal bug)")
+            raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
         budget -= 1
         kappa = null[0]
         support = [i for i in range(r) if kappa[i] != 0]
@@ -253,7 +288,8 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
     where N = sum_j N_j w^j. N^(-1) = adj(N) / det N has w-degree at most
     (r-1) deg_w N, so the series stops there, or sooner once deg_w N terms in
     a row vanish, since each term depends on the deg_w N before it only. The
-    exact identity N U1 = I is checked, and fails when det N is not constant.
+    exact identity N U1 = I is checked, and fails exactly when det N, hence
+    det T, is not a monomial: then NotAUnit is raised.
     """
     r = N.rows
     deg = -N.min_exp()
@@ -273,7 +309,10 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
         [[LaurentPoly({-k: Xk[i][j] for k, Xk in enumerate(X)}) for j in range(r)] for i in range(r)]
     )
     if N @ U1 != LaurentMatrix.identity(r):
-        raise AssertionError("w-series inverse of the chart-1 factor failed N U1 = I (internal bug)")
+        raise NotAUnit(
+            f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k "
+            "(the chart-1 factor N fails N U1 = I)"
+        )
     return U1
 
 
@@ -321,9 +360,17 @@ def _birkhoff_cached(E: P1Bundle) -> SplittingData:
     U0 = LaurentMatrix(scatter0).submatrix(order, range(r))
     U1 = LaurentMatrix(scatter1).submatrix(range(r), order)
     data = SplittingData(tuple(exps[i] for i in order), U0, U1)
+    if E.degree is None:
+        # E is being validated: the reduction has proved det T = c z^(sum a)
+        object.__setattr__(E, "_degree", sum(data.type))
     if not data.verify(E):
         raise AssertionError("splitting failed verification (internal bug)")
     return data
+
+
+# The splitting memo as P1Bundle construction reaches it. Validation fills the
+# memo that birkhoff_split serves, but is not itself a request for a splitting.
+_validating_split = _birkhoff_cached
 
 
 def birkhoff_split(E: P1Bundle) -> SplittingData:
@@ -331,18 +378,17 @@ def birkhoff_split(E: P1Bundle) -> SplittingData:
     return _birkhoff_cached(E)
 
 
-def _inverses(T: LaurentMatrix, s: SplittingData) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """(U0^(-1), T^(-1)) read off a splitting U0 T U1 = D of T:
-    U0^(-1) = T U1 D^(-1) and T^(-1) = U1 D^(-1) U0."""
-    u1_d_inv = s.U1 @ s.inverse_diagonal()
-    return T @ u1_d_inv, u1_d_inv @ s.U0
+def _u0_inverse(T: LaurentMatrix, s: SplittingData) -> LaurentMatrix:
+    """U0^(-1) = T U1 D^(-1), read off a splitting U0 T U1 = D of T."""
+    return T @ (s.U1 @ s.inverse_diagonal())
 
 
 @lru_cache(maxsize=None)
 def _transition_inverse(E: P1Bundle) -> LaurentMatrix:
-    """T^(-1) from the splitting of E, computed once per bundle: the cocycle,
-    every certificate check, duals and homs all need it."""
-    return _inverses(E.transition, birkhoff_split(E))[1]
+    """T^(-1) = U1 D^(-1) U0 from the splitting of E, computed once per
+    bundle: the cocycle, every certificate check, duals and homs need it."""
+    s = birkhoff_split(E)
+    return s.U1 @ s.inverse_diagonal() @ s.U0
 
 
 def unit_inverse(M: LaurentMatrix) -> LaurentMatrix:
@@ -362,11 +408,11 @@ def _twisted_end_splitting(
     sv of V, with the inverse of its chart-0 factor.
 
     Its transition is T_W = kron(T, T^(-T), T_V^(-T)) under the row-major
-    (i, j, a) flattening. From U0 T U1 = D follow U0^(-1) = T U1 D^(-1),
-    U1^(-1) = D^(-1) U0 T and T^(-1) = U1 D^(-1) U0, and transposing the
-    inverse gives U0^(-T) T^(-T) U1^(-T) = D^(-1). Kronecker products of
-    splittings split the Kronecker product, so with P the permutation
-    sorting the exponents a_i - a_j - v_a,
+    (i, j, a) flattening. From U0 T U1 = D follow U0^(-1) = T U1 D^(-1) and
+    U1^(-1) = D^(-1) U0 T (T^(-1) comes from the _transition_inverse memo),
+    and transposing the inverse gives U0^(-T) T^(-T) U1^(-T) = D^(-1).
+    Kronecker products of splittings split the Kronecker product, so with P
+    the permutation sorting the exponents a_i - a_j - v_a,
 
         U0_W = P kron(U0, U0^(-T), U0_V^(-T)),
         U1_W = kron(U1, U1^(-T), U1_V^(-T)) P^T,
@@ -378,8 +424,8 @@ def _twisted_end_splitting(
     """
     if not (se.verify(E) and sv.verify(V)):
         raise AssertionError("twisted End splitting from an unverified splitting of E or V (internal bug)")
-    u0_inv, t_inv = _inverses(E.transition, se)
-    u0v_inv, tv_inv = _inverses(V.transition, sv)
+    u0_inv, t_inv = _u0_inverse(E.transition, se), _transition_inverse(E)
+    u0v_inv, tv_inv = _u0_inverse(V.transition, sv), _transition_inverse(V)
     u1_inv = se.inverse_diagonal() @ se.U0 @ E.transition
     u1v_inv = sv.inverse_diagonal() @ sv.U0 @ V.transition
     exps = [a - b - v for a in se.type for b in se.type for v in sv.type]
@@ -429,7 +475,7 @@ def global_sections(E: P1Bundle) -> list[GlobalSection]:
     O(a) are 1, z, ..., z^a; pushing through the frame change U0^(-1) gives
     chart-0 representatives in the original frame."""
     data = birkhoff_split(E)
-    u0_inv = _inverses(E.transition, data)[0]
+    u0_inv = _u0_inverse(E.transition, data)
     out: list[GlobalSection] = []
     for idx, a in enumerate(data.type):
         if a < 0:
@@ -458,7 +504,7 @@ def hom_sections(E: P1Bundle, F: P1Bundle) -> list[LaurentMatrix]:
     the chart-0 frame changes lands them in the original frames."""
     se = birkhoff_split(E)
     sf = birkhoff_split(F)
-    f0_inv = _inverses(F.transition, sf)[0]
+    f0_inv = _u0_inverse(F.transition, sf)
     basis: list[LaurentMatrix] = []
     for j, b in enumerate(sf.type):
         for i, a in enumerate(se.type):

@@ -1,6 +1,9 @@
 """CLI: exit codes, schemas, determinism, emitted artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -160,6 +163,44 @@ def test_split_non_unit_exits_3(files, capsys):
     code, _, err = run(capsys, ["split", "--bundle", files["nonunit"]])
     assert code == 3
     assert "validation error" in err
+
+
+@pytest.mark.parametrize(
+    "transition",
+    [
+        [["z", "0"], ["0", "0"]],
+        [["1", "0"], ["z", "0"]],
+        [["1 + z^-1", "z"], ["0", "1"]],
+        [["1 + z", "0", "0"], ["z", "1", "0"], ["0", "z^-1", "1"]],
+    ],
+)
+def test_non_unit_message_names_the_fault(capsys, tmp_path, transition):
+    p = write(tmp_path, "t.json", {"rank": len(transition), "transition": transition})
+    for command in ("split", "cohomology"):
+        code, _, err = run(capsys, [command, "--bundle", p])
+        assert code == 3
+        assert "not invertible over the Laurent ring" in err
+
+
+@pytest.mark.parametrize("command", ["split", "cohomology"])
+def test_high_exponent_entry_splits_in_bounded_time(tmp_path, command):
+    # one z^3000 entry: a determinant needs thousands of interpolation nodes,
+    # the splitting reduction a single row operation
+    doc = {
+        "rank": 4,
+        "transition": [["1", "z^3000", "0", "0"], ["0", "1", "0", "0"],
+                       ["0", "z", "1", "0"], ["0", "0", "0", "1"]],
+    }
+    p = write(tmp_path, "big.json", doc)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "algconn.cli", command, "--bundle", p],
+        capture_output=True, text=True, timeout=15, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["type" if command == "split" else "splitting_type"] == [0, 0, 0, 0]
 
 
 def test_cohomology(files, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from algconn.algebroid_decision import AlgebroidDesc, AnchorDesc, AnchorKind, decide_connection
 from algconn.errors import InvalidAnchor, ShapeMismatch
-from algconn.exact_core import LaurentMatrix, LaurentPoly, laurent_parse
+from algconn.exact_core import LaurentMatrix, LaurentPoly, laurent_parse, monomial_parts
 from algconn.formal_bundles import Atom, CurveContext, FormalBundle
 from algconn.jet_obstruction import (
     ConcreteAnchor,
@@ -30,6 +30,7 @@ from algconn.p1_engine import (
     dual_bundle,
     end_bundle,
     gauge_transform,
+    hom_sections,
     line_bundle,
     split_bundle,
     tangent_bundle,
@@ -124,6 +125,31 @@ def test_jetV_degree_additive():
         J = jetV_transition(E, a)
         assert J.rank == 2 * E.rank
         assert J.degree == tensor_bundle(E, dual_bundle(a.V)).degree + E.degree
+
+
+def test_jet_degrees_match_det():
+    # the formula degrees 2 deg E - 2r and (q+1) deg E - r deg V against the
+    # exponent of det T of the jet transitions, V = O(2), O(-1), gauged rank 2
+    s = Sampler(63)
+
+    def gauged(exps):
+        r = len(exps)
+        return gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+
+    V2 = gauged([1, -2])
+    anchors = [
+        tangent_anchor(),
+        anchor_line(-1, "z^3 + z"),
+        ConcreteAnchor(V2, hom_sections(V2, tangent_bundle())[0]),
+    ]
+    assert [a.V.degree for a in anchors] == [2, -1, -1]
+    for exps in ([3], [2, -1], [1, 1, -3]):
+        E = gauged(exps)
+        J = jet1_transition(E)
+        assert J.degree == monomial_parts(J.transition.det())[1] == 2 * E.degree - 2 * E.rank
+        for a in anchors:
+            J = jetV_transition(E, a)
+            assert J.degree == monomial_parts(J.transition.det())[1]
 
 
 # -- obstruction cocycle -----------------------------------------------------------

@@ -9,8 +9,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 from oracles import h0_by_linear_solve, hn_first_step_bruteforce
 
 from algconn.errors import InvalidSection, NotAUnit
-from algconn.exact_core import LaurentMatrix, LaurentPoly
+from algconn.exact_core import LaurentMatrix, LaurentPoly, monomial_parts
 from algconn.formal_bundles import Atom, CurveContext, FormalBundle, hn_filtration
+from algconn.jet_obstruction import jet1_transition, jetV_transition, tangent_anchor
 from algconn.p1_engine import (
     P1Bundle,
     SplittingData,
@@ -29,6 +30,8 @@ from algconn.p1_engine import (
     is_global_section,
     kernel_filtration,
     line_bundle,
+    p1bundle_from_json,
+    p1bundle_to_json,
     riemann_roch_check,
     serre_dual_check,
     split_bundle,
@@ -59,6 +62,20 @@ def test_bundle_degree_and_validation():
         bundle([["z", "0"], ["0", "0"]])
     with pytest.raises(NotAUnit):
         bundle([["1 + z", "0"], ["0", "1"]])
+
+
+def test_non_units_raise_not_a_unit():
+    s = Sampler(61)
+    A, B = s.unimodular_z(3), s.unimodular_w(3)
+    hidden = A @ LaurentMatrix.parse([["1 + z", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]) @ B
+    for T in (
+        LaurentMatrix.parse([["1", "0"], ["z", "0"]]),  # a zero column, no zero row
+        LaurentMatrix.parse([["0", "z^2"], ["0", "1 + z"]]),  # det 0, reduction budget runs out
+        LaurentMatrix.parse([["1 + z^-1", "z"], ["0", "1"]]),
+        hidden,  # det = c(1 + z) behind a z/w gauge
+    ):
+        with pytest.raises(NotAUnit, match="not invertible over the Laurent ring"):
+            P1Bundle(T.rows, T)
 
 
 def test_degree_pinned_by_sections():
@@ -182,11 +199,19 @@ def test_verify_matches_det_definition_and_rejects_tampers():
 def test_split_and_verify_take_no_det(monkeypatch):
     s = Sampler(60)
     E = gauge_transform(split_bundle([2, 1, 0, -1, -3]), s.unimodular_z(5), s.unimodular_w(5))
+    doc = p1bundle_to_json(E)
     _birkhoff_cached.cache_clear()
     calls = []
     det = LaurentMatrix.det
     monkeypatch.setattr(LaurentMatrix, "det", lambda M: calls.append(M) or det(M))
     birkhoff_split(E).verify(E)
+    # the whole split/cohomology/sections flow, from JSON, and the jet bundles
+    F = p1bundle_from_json(doc)
+    assert birkhoff_split(F).verify(F)
+    assert cohomology_dims(F) == (6, 2) and serre_dual_check(F)
+    assert len(global_sections(F)) == 6
+    for J in (jet1_transition(F), jetV_transition(F, tangent_anchor())):
+        birkhoff_split(J)
     assert calls == []
 
 
@@ -205,7 +230,7 @@ def test_series_inverse_reaches_its_degree_bound():
 def test_series_inverse_rejects_nonconstant_det():
     # N(0) is invertible but det N = 1 + w: the series never terminates
     N = LaurentMatrix.parse([["1", "z^-1"], ["-1", "1"]])
-    with pytest.raises(AssertionError, match="N U1 = I"):
+    with pytest.raises(NotAUnit, match="N U1 = I"):
         _series_inverse(N)
 
 
@@ -372,6 +397,27 @@ def test_trace_pair_filtration_vanishing():
     assert is_global_hom(E, E, v) and is_global_hom(E, E, w)
     assert trace_pair(E, v, w) == 0
     assert trace_pair(E, v, v) == 3 * 3 + (-2) * (-2)
+
+
+def test_derived_degrees_match_det():
+    # each formula degree against the exponent of det T of the derived transition
+    s = Sampler(62)
+
+    def det_degree(X: P1Bundle) -> int:
+        return monomial_parts(X.transition.det())[1]
+
+    def gauged(exps):
+        r = len(exps)
+        return gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+
+    bundles = [gauged(e) for e in ([3], [2, -1], [1, 1, -3])] + [gauged([1, -3])]
+    for E in bundles:
+        assert E.degree != 0
+        for X in (dual_bundle(E), twist(E, 2), twist(E, -3), end_bundle(E)):
+            assert X.degree == det_degree(X)
+        for F in bundles[:2]:
+            for X in (tensor_bundle(E, F), hom_bundle(E, F), hom_bundle(F, E)):
+                assert X.degree == det_degree(X)
 
 
 def test_dual_tensor_end_degrees():
