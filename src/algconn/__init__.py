@@ -48,6 +48,7 @@ from .jet_obstruction import (
     split_coboundary,
     tangent_anchor,
     verify_connection,
+    verify_witness,
     zero_anchor,
 )
 from .p1_engine import (

@@ -110,6 +110,10 @@ def _is_tangent_bundle(V: FormalBundle) -> bool:
 def validate_algebroid(desc: AlgebroidDesc) -> AlgebroidDesc:
     """Check the anchor invariants and return a canonicalized descriptor.
 
+    A genus-0 atom of rank >= 2 declared stable is rejected: by Grothendieck
+    every bundle on the projective line is a sum of line bundles, so no such
+    V exists.
+
     Canonicalizations: at genus 0 a degree-2 line bundle is the tangent
     bundle (line bundles there are classified by degree), and a nonzero
     anchor on the tangent bundle is an isomorphism (a nonzero map between
@@ -119,6 +123,16 @@ def validate_algebroid(desc: AlgebroidDesc) -> AlgebroidDesc:
     anchor = desc.anchor
     g = V.context.genus
     tangent_deg = V.context.tangent_degree
+
+    if g == 0:
+        for k, atom in enumerate(V.atoms):
+            if atom.rank >= 2 and atom.stability == Stability.STABLE:
+                name = f" {atom.label!r}" if atom.label else ""
+                raise InvalidAnchor(
+                    f"V atom {k}{name} (rank {atom.rank}, degree {atom.degree}) is "
+                    f"declared stable, but genus 0 has no stable bundle of rank >= 2 "
+                    f"(every bundle on the projective line splits into line bundles)"
+                )
 
     if V.context.genus == 0 and V.rank == 1 and V.degree == tangent_deg:
         if not V.atoms[0].is_tangent:

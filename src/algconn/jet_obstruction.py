@@ -30,9 +30,15 @@ A connection is a pair of local operators  phi^* d + A0  and  phi^* d + A1
 (A0 polynomial in z, A1 in 1/z, each an r x r*rank(V) block row over the
 V*-frame) agreeing on the overlap. Eliminating A1 shows existence is the
 coboundary problem for the V*-twisted discrepancy cocycle with blocks
-phi0_a * T' T^(-1), solved per line-bundle summand of End(E) (x) V*: a
-cochain valued in O(d) misses being a coboundary exactly on the coefficient
-window z^(d+1) ... z^(-1).
+phi0_a * T' T^(-1). It is solved in the split frames of E and V, where
+End(E) (x) V* is the sum of the line bundles O(a_i - a_j - v_a), without
+building that bundle: a cochain valued in O(d) misses being a coboundary
+exactly on the coefficient window z^(d+1) ... z^(-1).
+
+Both answers are certified. A solution gives connection matrices, checked
+by verify_connection. A nonzero window coefficient gives a Serre-dual
+witness, a global section of End E (x) V (x) K that pairs nonzero with the
+cocycle, checked by verify_witness.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .p1_engine import (
     P1Bundle,
     _derived_bundle,
     _transition_inverse,
-    _twisted_end_splitting,
+    _u0_inverse,
     birkhoff_split,
     p1bundle_from_json,
     p1bundle_to_json,
@@ -84,6 +90,9 @@ class ConcreteAnchor:
 
     def component(self, a: int) -> LaurentPoly:
         return self.phi_row.entry(0, a)
+
+
+_ONE = LaurentPoly.one()
 
 
 def tangent_anchor() -> ConcreteAnchor:
@@ -153,26 +162,38 @@ def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocyc
     return ObstructionCocycle(blocks)
 
 
-def _vec_cochain(c: LaurentMatrix, r: int, q: int) -> LaurentMatrix:
-    """Flatten the block row [C^(1)|...|C^(q)] to the (i, j, a) row-major
-    column matching kron(T, T^(-T), T_V^(-T))."""
-    entries = []
-    for i in range(r):
-        for j in range(r):
-            for a in range(q):
-                entries.append(c.entry(i, a * r + j))
-    return LaurentMatrix.column(entries)
+# -- block rows [X^(1) | ... | X^(q)] of r x r blocks, one per V-index -----------
 
 
-def _unvec_cochain(col: LaurentMatrix, r: int, q: int) -> LaurentMatrix:
-    rows = []
-    for i in range(r):
-        row = [None] * (r * q)
-        for j in range(r):
-            for a in range(q):
-                row[a * r + j] = col.entry((i * r + j) * q + a, 0)
-        rows.append(row)
-    return LaurentMatrix(rows)
+def _blocks_of(M: LaurentMatrix, r: int) -> list[LaurentMatrix]:
+    return [M.submatrix(range(r), range(a * r, (a + 1) * r)) for a in range(M.cols // r)]
+
+
+def _mix(M: LaurentMatrix, blocks: list[LaurentMatrix]) -> list[LaurentMatrix]:
+    """The V-index action on a block row: out^(a) = sum_b M_ab * blocks^(b)."""
+    out = []
+    for a in range(M.rows):
+        acc = None
+        for b, block in enumerate(blocks):
+            m = M.entry(a, b)
+            if m.is_zero or block.is_zero:
+                continue
+            term = block if m == _ONE else block.scalar_mul(m)
+            acc = term if acc is None else acc + term
+        out.append(acc if acc is not None else LaurentMatrix.zeros(*blocks[0].shape))
+    return out
+
+
+def _conjugate(P: LaurentMatrix, blocks: list[LaurentMatrix], Q: LaurentMatrix) -> list[LaurentMatrix]:
+    """P X Q for every block X, skipping zero blocks."""
+    return [X if X.is_zero else P @ X @ Q for X in blocks]
+
+
+def _block_row(blocks: list[LaurentMatrix]) -> LaurentMatrix:
+    row = blocks[0]
+    for block in blocks[1:]:
+        row = row.hstack(block)
+    return row
 
 
 def split_coboundary(
@@ -181,12 +202,33 @@ def split_coboundary(
     """Solve c = b0 - transport(b1) with b0 holomorphic on the z-chart and
     b1 on the w-chart, in End(E) (x) V*.
 
-    In a split frame of End(E) (x) V* the equation decouples into scalar
-    problems valued in line bundles O(d): the z-chart side covers exponents
-    >= 0, the w-chart side exponents <= d, so solvability is exactly the
-    vanishing of the coefficients in the window d+1 .. -1. Returns the
-    cochains in the original frame, or None when a window coefficient is
-    nonzero.
+    With splittings U0 T U1 = diag(z^(a_i)) of E and U0_V T_V U1_V =
+    diag(z^(v_a)) of V, the cocycle in split frames is the conjugation
+
+        y^(a) = sum_b (U0_V^(-T))_ab * U0 C^(b) U0^(-1),
+
+    and entry (i, j, a) of y is valued in the line bundle O(d) with
+    d = a_i - a_j - v_a. There the equation is scalar: the z-chart side
+    covers exponents >= 0, the w-chart side exponents <= d, so it is
+    solvable exactly when the coefficients in the window d+1 .. -1 vanish.
+    The split cochains beta0, beta1 come back to the original frames as
+
+        b0^(a) = sum_b (U0_V^T)_ab * U0^(-1) beta0^(b) U0,
+        b1^(a) = sum_b (U1_V^(-T))_ab * U1 beta1^(b) U1^(-1),
+
+    with U0^(-1) = T U1 D^(-1) and U1^(-1) = D^(-1) U0 T read off the
+    splittings. This is the Kronecker splitting of End(E) (x) V* applied one
+    factor at a time, so that bundle is never built.
+
+    Returns the cochains, or None when a window coefficient z^e of entry
+    (i, j, a) is nonzero. Then the class is certified nonzero by a Serre-dual
+    witness in H^0(End E (x) V (x) K): the split-frame section z^(-e-1) of
+    that summand, which in the original frames is
+
+        Theta^(b) = (U0_V^(-1))_ba * U0^(-1)[:, j] U0[i, :] * z^(-e-1),
+
+    which pairs with c to that coefficient. verify_witness checks it without
+    the splittings, and a witness failing that check is an internal bug.
     """
     r, q = E.rank, V.rank
     if c.overlap_matrix.shape != (r, r * q):
@@ -197,26 +239,53 @@ def split_coboundary(
     if c.overlap_matrix.is_zero:
         zero = LaurentMatrix.zeros(r, r * q)
         return zero, zero
-    data, u0_inv = _twisted_end_splitting(E, birkhoff_split(E), V, birkhoff_split(V))
-    y = data.U0 @ _vec_cochain(c.overlap_matrix, r, q)
+    se, sv = birkhoff_split(E), birkhoff_split(V)
+    u0_inv = _u0_inverse(E.transition, se)
+    u0v_inv = _u0_inverse(V.transition, sv)
+    y = _mix(u0v_inv.transpose(), _conjugate(se.U0, _blocks_of(c.overlap_matrix, r), u0_inv))
     beta0 = []
     beta1 = []
-    for idx, d in enumerate(data.type):
-        entry = y.entry(idx, 0)
-        hol0: dict[int, Fraction] = {}
-        hol1: dict[int, Fraction] = {}
-        for e, coeff in entry.coeffs.items():
-            if e >= 0:
-                hol0[e] = coeff
-            elif e <= min(-1, d):
-                hol1[e - d] = -coeff
-            else:
-                return None  # nonzero coefficient in the obstruction window
-        beta0.append(LaurentPoly(hol0))
-        beta1.append(LaurentPoly(hol1))
-    b0 = u0_inv @ LaurentMatrix.column(beta0)
-    b1 = data.U1 @ LaurentMatrix.column(beta1)
-    return _unvec_cochain(b0, r, q), _unvec_cochain(b1, r, q)
+    for a, v in enumerate(sv.type):
+        rows0, rows1 = [], []
+        for i, ai in enumerate(se.type):
+            row0, row1 = [], []
+            for j, aj in enumerate(se.type):
+                d = ai - aj - v
+                hol0: dict[int, Fraction] = {}
+                hol1: dict[int, Fraction] = {}
+                for e, coeff in y[a].entry(i, j).coeffs.items():
+                    if e >= 0:
+                        hol0[e] = coeff
+                    elif e <= min(-1, d):
+                        hol1[e - d] = -coeff
+                    else:
+                        theta = _witness(se.U0, u0_inv, u0v_inv, i, j, a, e)
+                        if not verify_witness(E, V, c, theta):
+                            raise AssertionError(
+                                "Serre-dual witness failed verification (internal bug)"
+                            )
+                        return None
+                row0.append(LaurentPoly(hol0))
+                row1.append(LaurentPoly(hol1))
+            rows0.append(row0)
+            rows1.append(row1)
+        beta0.append(LaurentMatrix(rows0))
+        beta1.append(LaurentMatrix(rows1))
+    u1_inv = se.inverse_diagonal() @ se.U0 @ E.transition
+    u1v_inv = sv.inverse_diagonal() @ sv.U0 @ V.transition
+    b0 = _mix(sv.U0.transpose(), _conjugate(u0_inv, beta0, se.U0))
+    b1 = _mix(u1v_inv.transpose(), _conjugate(se.U1, beta1, u1_inv))
+    return _block_row(b0), _block_row(b1)
+
+
+def _witness(
+    U0: LaurentMatrix, u0_inv: LaurentMatrix, u0v_inv: LaurentMatrix, i: int, j: int, a: int, e: int
+) -> LaurentMatrix:
+    """Theta^(b) = (U0_V^(-1))_ba * U0^(-1)[:, j] U0[i, :] * z^(-e-1), as a
+    block row: the Serre dual of the window coefficient z^e of split entry
+    (i, j, a)."""
+    outer = (u0_inv.submatrix(range(U0.rows), [j]) @ U0.submatrix([i], range(U0.cols))).shift(-e - 1)
+    return _block_row([outer.scalar_mul(u0v_inv.entry(b, a)) for b in range(u0v_inv.rows)])
 
 
 def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert | None:
@@ -235,10 +304,6 @@ def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert 
     if not verify_connection(E, anchor, cert):
         raise AssertionError("constructed certificate failed verification (internal bug)")
     return cert
-
-
-def _block(M: LaurentMatrix, a: int, r: int) -> LaurentMatrix:
-    return M.submatrix(range(r), range(a * r, (a + 1) * r))
 
 
 def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert) -> bool:
@@ -265,14 +330,51 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
     T = E.transition
     t_prime = T.derivative()
     tv_dual = _transition_inverse(anchor.V).transpose()
-    transported = [T @ _block(cert.A1, b, r) for b in range(q)]
-    for a in range(q):
-        rhs = t_prime.scalar_mul(-anchor.component(a))
-        for b in range(q):
-            rhs = rhs + transported[b].scalar_mul(tv_dual.entry(a, b))
-        if _block(cert.A0, a, r) @ T != rhs:
+    transported = _mix(tv_dual, [T @ block for block in _blocks_of(cert.A1, r)])
+    for a, (block, rhs) in enumerate(zip(_blocks_of(cert.A0, r), transported)):
+        if block @ T != rhs - t_prime.scalar_mul(anchor.component(a)):
             return False
     return True
+
+
+def verify_witness(
+    E: P1Bundle, V: P1Bundle, cocycle: ObstructionCocycle, theta: LaurentMatrix
+) -> bool:
+    """Exact check that theta certifies the class of the cocycle nonzero.
+
+    theta = [Theta^(1) | ... | Theta^(q)] is the chart-0 representative of a
+    section of End E (x) V (x) K, dual to End E (x) V* (x) O under Serre
+    duality. The checks, none of which uses a splitting:
+
+    (i) the inverses used below are inverses: T T^(-1) = I, T_V T_V^(-1) = I;
+    (ii) chart-0 holomorphy: theta polynomial in z;
+    (iii) chart-1 holomorphy: with dz = -z^2 dw, each
+          z^2 * sum_b (T_V^(-1))_(a,b) * T^(-1) Theta^(b) T
+          is polynomial in 1/z;
+    (iv) the pairing Res_(z=0) sum_a tr(Theta^(a) C^(a)) is nonzero.
+
+    A coboundary b0 - transport(b1) pairs to zero: its b0 part is
+    holomorphic at 0, and its b1 part pairs through the chart-1 form, whose
+    exponents are <= -2. So (i)-(iv) prove the cocycle is no coboundary.
+    """
+    r, q = E.rank, V.rank
+    c = cocycle.overlap_matrix
+    if c.shape != (r, r * q) or theta.shape != (r, r * q):
+        return False
+    T, T_V = E.transition, V.transition
+    t_inv, tv_inv = _transition_inverse(E), _transition_inverse(V)
+    if T @ t_inv != LaurentMatrix.identity(r) or T_V @ tv_inv != LaurentMatrix.identity(q):
+        return False
+    if not theta.is_poly_in_z:
+        return False
+    thetas = _blocks_of(theta, r)
+    chart1 = _mix(tv_inv, _conjugate(t_inv, thetas, T))
+    if not all(block.shift(2).is_poly_in_w for block in chart1):
+        return False
+    pairing = LaurentPoly.zero()
+    for block, c_block in zip(thetas, _blocks_of(c, r)):
+        pairing = pairing + (block @ c_block).trace()
+    return pairing.coeff(-1) != 0
 
 
 def connection_exists_p1(E: P1Bundle, anchor: ConcreteAnchor) -> bool:

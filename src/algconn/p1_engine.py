@@ -32,6 +32,10 @@ det T = c * z^(sum a_i), which fixes deg E = sum a_i. Bundles derived from
 validated ones (duals, twists, tensor and hom bundles, jet bundles) are units
 by construction; they skip the reduction and take their degree from a
 formula, which birkhoff_split checks against the splitting type.
+
+End(E) (x) V*, where the connection obstruction lives, is never split as a
+bundle of its own: jet_obstruction.split_coboundary works through the
+splittings of E and V.
 """
 
 from __future__ import annotations
@@ -398,48 +402,6 @@ def unit_inverse(M: LaurentMatrix) -> LaurentMatrix:
     if not M.is_square:
         raise NotSquare(f"cannot invert a {M.rows}x{M.cols} matrix")
     return _transition_inverse(P1Bundle(M.rows, M))
-
-
-@lru_cache(maxsize=None)
-def _twisted_end_splitting(
-    E: P1Bundle, se: SplittingData, V: P1Bundle, sv: SplittingData
-) -> tuple[SplittingData, LaurentMatrix]:
-    """Splitting of End(E) (x) V* in closed form from splittings se of E and
-    sv of V, with the inverse of its chart-0 factor.
-
-    Its transition is T_W = kron(T, T^(-T), T_V^(-T)) under the row-major
-    (i, j, a) flattening. From U0 T U1 = D follow U0^(-1) = T U1 D^(-1) and
-    U1^(-1) = D^(-1) U0 T (T^(-1) comes from the _transition_inverse memo),
-    and transposing the inverse gives U0^(-T) T^(-T) U1^(-T) = D^(-1).
-    Kronecker products of splittings split the Kronecker product, so with P
-    the permutation sorting the exponents a_i - a_j - v_a,
-
-        U0_W = P kron(U0, U0^(-T), U0_V^(-T)),
-        U1_W = kron(U1, U1^(-T), U1_V^(-T)) P^T,
-        U0_W^(-1) = kron(U0^(-1), U0^T, U0_V^T) P^T.
-
-    Once se and sv pass SplittingData.verify, these Kronecker factors are
-    chart-holomorphic and unimodular and the exponents sum to -r^2 deg V, so
-    only the exact identity U0_W T_W U1_W = diag is checked on W.
-    """
-    if not (se.verify(E) and sv.verify(V)):
-        raise AssertionError("twisted End splitting from an unverified splitting of E or V (internal bug)")
-    u0_inv, t_inv = _u0_inverse(E.transition, se), _transition_inverse(E)
-    u0v_inv, tv_inv = _u0_inverse(V.transition, sv), _transition_inverse(V)
-    u1_inv = se.inverse_diagonal() @ se.U0 @ E.transition
-    u1v_inv = sv.inverse_diagonal() @ sv.U0 @ V.transition
-    exps = [a - b - v for a in se.type for b in se.type for v in sv.type]
-    n = len(exps)
-    order = sorted(range(n), key=lambda i: -exps[i])
-    every = range(n)
-    U0 = se.U0.kron(u0_inv.transpose()).kron(u0v_inv.transpose()).submatrix(order, every)
-    U1 = se.U1.kron(u1_inv.transpose()).kron(u1v_inv.transpose()).submatrix(every, order)
-    U0_inv = u0_inv.kron(se.U0.transpose()).kron(sv.U0.transpose()).submatrix(every, order)
-    data = SplittingData(tuple(exps[i] for i in order), U0, U1)
-    T_W = E.transition.kron(t_inv.transpose()).kron(tv_inv.transpose())
-    if U0 @ T_W @ U1 != data.diagonal():
-        raise AssertionError("twisted End splitting failed U0 T U1 = diag (internal bug)")
-    return data, U0_inv
 
 
 # -- cohomology and sections ------------------------------------------------

@@ -1,0 +1,84 @@
+"""Cross-validation of the Cech engine against the genus-0 closed form.
+
+On the projective line the obstruction class is the image of the Atiyah
+class of E under phi^*: K -> V^*. For E = (+) O(e_i) the Atiyah class is
+diagonal with entries e_i, and by Serre duality it pairs with
+H^0(End E (x) V (x) K) only through phi^* on H^0(V(-2)). For split
+V = (+) O(v_a) that map is nonzero exactly when some summand with v_a = 2
+carries phi_a != 0. So a connection exists iff E is trivial (every e_i = 0)
+or no v_a = 2 has phi_a != 0.
+
+The oracle below reads only the hidden integers e_i, v_a and the zero test
+of the split anchor row; it never calls the engine. The engine sees E in a
+gauged frame, and V either split or gauged as A diag(z^(v_a)) B with the
+anchor row carried along as phi_split A^(-1).
+"""
+
+from algconn.exact_core import LaurentMatrix, LaurentPoly
+from algconn.jet_obstruction import ConcreteAnchor, connection_exists_p1
+from algconn.p1_engine import gauge_transform, split_bundle
+from algconn.sampling import Sampler
+
+
+def closed_form_exists(e_type: list[int], v_type: list[int], phi_split: list) -> bool:
+    return all(e == 0 for e in e_type) or not any(
+        v == 2 and not p.is_zero for v, p in zip(v_type, phi_split)
+    )
+
+
+def _unimodular_with_inverse(s: Sampler, q: int) -> tuple[LaurentMatrix, LaurentMatrix]:
+    """A product of elementary matrices over the z-chart ring, and the
+    product of their inverses in reverse order."""
+    A = A_inv = LaurentMatrix.identity(q)
+    for _ in range(2):
+        i, j = s.rng.sample(range(q), 2)
+        p = s.laurent(0, 1, max_terms=2, nonzero=True)
+        elem = [LaurentMatrix.identity(q).row_list(k) for k in range(q)]
+        elem_inv = [LaurentMatrix.identity(q).row_list(k) for k in range(q)]
+        elem[i][j], elem_inv[i][j] = p, -p
+        A, A_inv = LaurentMatrix(elem) @ A, A_inv @ LaurentMatrix(elem_inv)
+    assert A @ A_inv == LaurentMatrix.identity(q)
+    return A, A_inv
+
+
+def _cases(count: int, seed: int):
+    s = Sampler(seed)
+    for index in range(count):
+        r = 1 + index % 3
+        e_type = [0] * r if index % 5 == 0 else [s.rng.randint(-2, 2) for _ in range(r)]
+        E = gauge_transform(split_bundle(e_type), s.unimodular_z(r, ops=2), s.unimodular_w(r, ops=2))
+        q = s.rng.choice((1, 2, 2))
+        v_type = [s.rng.choice((-2, -1, 0, 1, 2, 2)) for _ in range(q)]
+        phi_split = [
+            s.laurent(0, 2 - v, max_terms=2, nonzero=True) if s.rng.random() < 0.8
+            else LaurentPoly.zero()
+            for v in v_type
+        ]
+        row = LaurentMatrix([phi_split])
+        gauged = q == 2 and index % 2 == 0
+        if gauged:
+            A, A_inv = _unimodular_with_inverse(s, q)
+            V = gauge_transform(split_bundle(v_type), A, s.unimodular_w(q, ops=2))
+            anchor = ConcreteAnchor(V, row @ A_inv)
+        else:
+            anchor = ConcreteAnchor(split_bundle(v_type), row)
+        yield e_type, v_type, phi_split, gauged, E, anchor
+
+
+def test_engine_matches_genus0_closed_form():
+    mismatches = []
+    answers = []
+    for e_type, v_type, phi_split, gauged, E, anchor in _cases(120, 71):
+        expected = closed_form_exists(e_type, v_type, phi_split)
+        got = connection_exists_p1(E, anchor)
+        answers.append((E.rank, anchor.V.rank, gauged, expected))
+        if got != expected:
+            mismatches.append(
+                {"E_type": e_type, "V_type": v_type, "phi": [str(p) for p in phi_split],
+                 "gauged_V": gauged, "engine": got, "closed_form": expected}
+            )
+    assert mismatches == []
+    # the draw exercises what the closed form distinguishes
+    assert {a[3] for a in answers} == {True, False}
+    assert any(r == 3 and q == 2 and g and not x for r, q, g, x in answers)
+    assert sum(not a[3] for a in answers) >= 20

@@ -1,0 +1,45 @@
+"""Golden CLI outputs: stdout must stay byte-identical across changes.
+
+golden_cli.json holds the `algconn connect` stdout of 13 gauged cases (rank
+2 and 3 bundles; tangent, line, split rank-2 and gauged rank-2 anchors; both
+answers) and the sha256 of `algconn fuzz --count 200 --seed 0` stdout. The
+recorded outputs are replayed through algconn.cli.main here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from algconn.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+def _stdout(capsys, argv) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_golden_cases_cover_every_anchor_kind_and_answer():
+    seen = {(c["anchor_kind"], json.loads(c["stdout"])["exists"]) for c in GOLDEN["connect"]}
+    kinds = {"tangent", "line", "split2", "gauged2"}
+    assert {k for k, _ in seen} == kinds
+    assert {e for _, e in seen} == {True, False}
+    assert {c["bundle"]["rank"] for c in GOLDEN["connect"]} == {2, 3}
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN["connect"])))
+def test_connect_stdout_is_golden(index, tmp_path, capsys):
+    case = GOLDEN["connect"][index]
+    bundle, anchor = tmp_path / "bundle.json", tmp_path / "anchor.json"
+    bundle.write_text(json.dumps(case["bundle"]))
+    anchor.write_text(json.dumps(case["anchor"]))
+    out = _stdout(capsys, ["connect", "--bundle", str(bundle), "--anchor", str(anchor)])
+    assert out == case["stdout"]
+
+
+def test_fuzz_stdout_is_golden(capsys):
+    out = _stdout(capsys, GOLDEN["fuzz"]["argv"])
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["fuzz"]["stdout_sha256"]

@@ -20,12 +20,12 @@ from algconn.jet_obstruction import (
     split_coboundary,
     tangent_anchor,
     verify_connection,
+    verify_witness,
     zero_anchor,
 )
 from algconn.p1_engine import (
     P1Bundle,
     SplittingData,
-    _twisted_end_splitting,
     birkhoff_split,
     dual_bundle,
     end_bundle,
@@ -170,11 +170,42 @@ def test_cocycle_trivial_and_zero_anchor():
         assert obstruction_cocycle(E, zero_anchor(V)).is_zero
 
 
+def _vec_cochain(c: LaurentMatrix, r: int, q: int) -> LaurentMatrix:
+    """Flatten the block row [C^(1)|...|C^(q)] to the (i, j, a) row-major
+    column matching kron(T, T^(-T), T_V^(-T))."""
+    return LaurentMatrix.column(
+        [c.entry(i, a * r + j) for i in range(r) for j in range(r) for a in range(q)]
+    )
+
+
+def _unvec_cochain(col: LaurentMatrix, r: int, q: int) -> LaurentMatrix:
+    rows = []
+    for i in range(r):
+        row = [None] * (r * q)
+        for j in range(r):
+            for a in range(q):
+                row[a * r + j] = col.entry((i * r + j) * q + a, 0)
+        rows.append(row)
+    return LaurentMatrix(rows)
+
+
+def _transport(b1: LaurentMatrix, E: P1Bundle, V: P1Bundle) -> LaurentMatrix:
+    """sum_b (T_V^-T)_ab T b1^(b) T^-1, block by block."""
+    r, q = E.rank, V.rank
+    T, t_inv, tv_dual = E.transition, unit_inverse(E.transition), dual_bundle(V).transition
+    out = None
+    for a in range(q):
+        acc = LaurentMatrix.zeros(r, r)
+        for b in range(q):
+            sub = b1.submatrix(range(r), range(b * r, (b + 1) * r))
+            acc = acc + (T @ sub @ t_inv).scalar_mul(tv_dual.entry(a, b))
+        out = acc if out is None else out.hstack(acc)
+    return out
+
+
 def test_cocycle_transport_matches_kron_flattening():
     # blockwise transport sum_b (T_V^-T)_ab T c1^b T^-1 must equal the
     # kron(T, T^-T, T_V^-T) action on the row-major flattening
-    from algconn.jet_obstruction import _unvec_cochain, _vec_cochain
-
     s = Sampler(44)
     E, _ = s.gauged_p1_bundle(max_rank=2, bound=2, ops=1, max_deg=1)
     V = split_bundle([-1, 1])
@@ -182,85 +213,206 @@ def test_cocycle_transport_matches_kron_flattening():
     c1 = LaurentMatrix(
         [[s.laurent(-1, 1, max_terms=2) for _ in range(r * q)] for _ in range(r)]
     )
-    T = E.transition
-    t_inv = unit_inverse(T)
-    tv_dual = dual_bundle(V).transition
-    blocks = []
-    for a in range(q):
-        acc = LaurentMatrix.zeros(r, r)
-        for b in range(q):
-            sub = c1.submatrix(range(r), range(b * r, (b + 1) * r))
-            acc = acc + (T @ sub @ t_inv).scalar_mul(tv_dual.entry(a, b))
-        blocks.append(acc)
-    direct = blocks[0]
-    for a in range(1, q):
-        direct = direct.hstack(blocks[a])
     W = tensor_bundle(end_bundle(E), dual_bundle(V))
     via_kron = _unvec_cochain(W.transition @ _vec_cochain(c1, r, q), r, q)
-    assert direct == via_kron
+    assert _transport(c1, E, V) == via_kron
 
 
-# -- closed-form splitting of End(E) (x) V* ---------------------------------------
+# -- the split-frame solve against the Kronecker bundle ------------------------------
 
 
-def _twisted_end_cases():
+def _kronecker_reference(c: LaurentMatrix, E: P1Bundle, V: P1Bundle):
+    """The window rule on W = End(E) (x) V* built and Birkhoff-split as a
+    bundle of its own: the (b0, b1) it gives, or None."""
+    r, q = E.rank, V.rank
+    W = tensor_bundle(end_bundle(E), dual_bundle(V))
+    data = birkhoff_split(W)
+    y = data.U0 @ _vec_cochain(c, r, q)
+    beta0, beta1 = [], []
+    for idx, d in enumerate(data.type):
+        hol0, hol1 = {}, {}
+        for e, coeff in y.entry(idx, 0).coeffs.items():
+            if e >= 0:
+                hol0[e] = coeff
+            elif e <= min(-1, d):
+                hol1[e - d] = -coeff
+            else:
+                return None
+        beta0.append(LaurentPoly(hol0))
+        beta1.append(LaurentPoly(hol1))
+    b0 = unit_inverse(data.U0) @ LaurentMatrix.column(beta0)
+    b1 = data.U1 @ LaurentMatrix.column(beta1)
+    return _unvec_cochain(b0, r, q), _unvec_cochain(b1, r, q)
+
+
+def _solve_cases():
+    """Gauged rank-2/3 E against the tangent anchor, a line anchor, a split
+    rank-2 anchor with a degree-2 summand, and a gauged rank-2 V."""
     s = Sampler(52)
-    for rank in (2, 3):
-        for V in (line_bundle(-1), split_bundle([1, -1])):
-            E, _ = s.gauged_p1_bundle(max_rank=rank, min_rank=rank, bound=1, ops=2, max_deg=1)
-            yield E, V
+    A = s.unimodular_z(2)
+    V2 = gauge_transform(split_bundle([2, -1]), A, s.unimodular_w(2))
+    anchors = [
+        tangent_anchor(),
+        anchor_line(-1, "z^3 + z"),
+        ConcreteAnchor(split_bundle([2, 0]), LaurentMatrix.parse([["1", "z^2"]])),
+        ConcreteAnchor(V2, LaurentMatrix.parse([["2", "z^2 + z"]]) @ unit_inverse(A)),
+    ]
+    for exps in ([1, -1], [0, 0], [2, 1], [1, 0, -1], [0, 0, 0], [1, 1, -1]):
+        r = len(exps)
+        E = gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+        for anchor in anchors:
+            yield E, anchor
 
 
-def test_twisted_end_splitting_matches_direct_split():
-    # the old path (build the bundle, Birkhoff-split it) is the reference
-    for E, V in _twisted_end_cases():
-        data, u0_inv = _twisted_end_splitting(E, birkhoff_split(E), V, birkhoff_split(V))
-        W = tensor_bundle(end_bundle(E), dual_bundle(V))
-        assert data.verify(W)
-        assert data.type == birkhoff_split(W).type
-        assert data.U0 @ u0_inv == LaurentMatrix.identity(W.rank)
+def test_split_frame_solve_matches_kronecker_reference():
+    # the Kronecker bundle W, built and split as a bundle, is the reference;
+    # both must agree on solvability, and both cochain pairs must solve
+    # c = b0 - transport(b1) with b0 holomorphic in z and b1 in 1/z
+    answers = set()
+    for E, anchor in _solve_cases():
+        c = obstruction_cocycle(E, anchor)
+        got = split_coboundary(c, E, anchor.V)
+        ref = _kronecker_reference(c.overlap_matrix, E, anchor.V)
+        assert (got is None) == (ref is None)
+        answers.add(got is None)
+        for pair in (got, ref) if got is not None else ():
+            b0, b1 = pair
+            assert b0.is_poly_in_z and b1.is_poly_in_w
+            assert b0 - _transport(b1, E, anchor.V) == c.overlap_matrix
+    assert answers == {True, False}
 
 
-def test_twisted_end_factors_are_kron_of_factor_splittings():
-    for E, V in _twisted_end_cases():
-        se, sv = birkhoff_split(E), birkhoff_split(V)
-        data, _ = _twisted_end_splitting(E, se, V, sv)
-        exps = [a - b - v for a in se.type for b in se.type for v in sv.type]
-        order = sorted(range(len(exps)), key=lambda i: -exps[i])
-        every = range(len(exps))
-        f0 = (se.U0, unit_inverse(se.U0).transpose(), unit_inverse(sv.U0).transpose())
-        f1 = (se.U1, unit_inverse(se.U1).transpose(), unit_inverse(sv.U1).transpose())
-        assert data.U0 == f0[0].kron(f0[1]).kron(f0[2]).submatrix(order, every)
-        assert data.U1 == f1[0].kron(f1[1]).kron(f1[2]).submatrix(every, order)
+def test_tampered_splitting_never_gives_a_wrong_answer(monkeypatch):
+    # a U0 row scaled by z and a U1 column by 1/z still give U0 T U1 = diag,
+    # but det U0 = z, so the solve runs in a frame that is no frame change.
+    # Every answer is then the honest one or refused by its certificate
+    # check: a false "exists" by verify_connection, a false "no connection"
+    # by verify_witness
+    import algconn.jet_obstruction as jo
+
+    s = Sampler(53)
+    refused = set()
+    for exps in ([1, -1], [1, 0], [2, 0], [0, 0], [1, 1]):
+        for anchor in (anchor_line(-1, "z^3 + z"), tangent_anchor()):
+            E = gauge_transform(split_bundle(exps), s.unimodular_z(2), s.unimodular_w(2))
+            honest = birkhoff_split(E)
+            expected = construct_connection(E, anchor) is not None
+            for k in range(2):
+                scale = [LaurentPoly.one()] * 2
+                unscale = [LaurentPoly.one()] * 2
+                scale[k], unscale[k] = LaurentPoly.z(1), LaurentPoly.z(-1)
+                bad = SplittingData(
+                    honest.type,
+                    LaurentMatrix.diag(scale) @ honest.U0,
+                    honest.U1 @ LaurentMatrix.diag(unscale),
+                )
+                assert bad.U0 @ E.transition @ bad.U1 == honest.diagonal()
+                monkeypatch.setattr(
+                    jo, "birkhoff_split", lambda F, E=E, bad=bad: bad if F == E else birkhoff_split(F)
+                )
+                try:
+                    assert (construct_connection(E, anchor) is not None) == expected
+                except AssertionError as exc:
+                    assert "internal bug" in str(exc)
+                    refused.add(str(exc).split()[0])
+                monkeypatch.undo()
+    assert refused == {"constructed", "Serre-dual"}
 
 
-def test_twisted_end_splitting_rejects_tampered_factors():
-    E, _ = next(_twisted_end_cases())
-    se = birkhoff_split(E)
-    # a U0 row scaled by z, a U1 column by 1/z: still U0 T U1 = diag, but
-    # det U0 = z, so U0^(-1) has a pole at z = 0
-    scale = LaurentMatrix.diag([LaurentPoly.z(1)] + [LaurentPoly.one()] * (E.rank - 1))
-    unscale = LaurentMatrix.diag([LaurentPoly.z(-1)] + [LaurentPoly.one()] * (E.rank - 1))
-    bad_e = SplittingData(se.type, scale @ se.U0, se.U1 @ unscale)
-    assert bad_e.U0 @ E.transition @ bad_e.U1 == se.diagonal()
-    V = line_bundle(-1)
-    with pytest.raises(AssertionError, match="unverified"):
-        _twisted_end_splitting(E, bad_e, V, birkhoff_split(V))
-    # the same on V: U0_V = 1/z is not polynomial in z, although the kron
-    # factor U0_V^(-T) = z is
-    bad_v = SplittingData((-1,), LaurentMatrix.parse([["z^-1"]]), LaurentMatrix.parse([["z"]]))
-    with pytest.raises(AssertionError, match="unverified"):
-        _twisted_end_splitting(E, se, V, bad_v)
-    # a splitting of V = O(-1) claiming type O(0)
-    one = LaurentMatrix.identity(1)
-    with pytest.raises(AssertionError, match="unverified"):
-        _twisted_end_splitting(E, se, V, SplittingData((0,), one, one))
-    # unimodular, chart-holomorphic factors that do not split T
-    E2 = split_bundle([1, 0])
-    shear = LaurentMatrix.parse([["1", "1"], ["0", "1"]])
-    bad_split = SplittingData((1, 0), shear, LaurentMatrix.identity(2))
-    with pytest.raises(AssertionError, match="unverified"):
-        _twisted_end_splitting(E2, bad_split, V, birkhoff_split(V))
+# -- Serre-dual witnesses --------------------------------------------------------------
+
+
+def _witness_case():
+    """An obstructed gauged case and the witness split_coboundary certifies."""
+    import algconn.jet_obstruction as jo
+
+    s = Sampler(57)
+    A = s.unimodular_z(2)
+    V = gauge_transform(split_bundle([2, -1]), A, s.unimodular_w(2))
+    anchor = ConcreteAnchor(V, LaurentMatrix.parse([["1", "z"]]) @ unit_inverse(A))
+    E = gauge_transform(split_bundle([1, 0]), s.unimodular_z(2), s.unimodular_w(2))
+    c = obstruction_cocycle(E, anchor)
+    seen = []
+    original = jo.verify_witness
+    jo.verify_witness = lambda *args: seen.append(args[3]) or original(*args)
+    try:
+        assert split_coboundary(c, E, V) is None
+    finally:
+        jo.verify_witness = original
+    (theta,) = seen
+    return E, V, c, theta
+
+
+def test_every_obstructed_answer_has_a_verified_witness(monkeypatch):
+    import algconn.jet_obstruction as jo
+
+    checked = []
+    original = jo.verify_witness
+    monkeypatch.setattr(jo, "verify_witness", lambda *args: checked.append(original(*args)) or checked[-1])
+    negatives = 0
+    for E, anchor in _solve_cases():
+        if construct_connection(E, anchor) is None:
+            negatives += 1
+    assert negatives > 0 and checked == [True] * negatives
+
+
+def test_witness_pairs_to_zero_with_coboundaries():
+    # Serre duality: a global section of End E (x) V (x) K pairs to zero with
+    # every coboundary b0 - transport(b1), so the witness certifies the class
+    E, V, c, theta = _witness_case()
+    s = Sampler(58)
+    r, q = E.rank, V.rank
+    b0 = LaurentMatrix([[s.laurent(0, 3) for _ in range(r * q)] for _ in range(r)])
+    b1 = LaurentMatrix([[s.laurent(-3, 0) for _ in range(r * q)] for _ in range(r)])
+    cob = b0 - _transport(b1, E, V)
+    assert not cob.is_zero
+    assert verify_witness(E, V, c, theta)
+    assert verify_witness(E, V, ObstructionCocycle(c.overlap_matrix + cob), theta)
+    # check (iv) alone fails: same section, zero pairing
+    assert not verify_witness(E, V, ObstructionCocycle(cob), theta)
+    assert not verify_witness(E, V, ObstructionCocycle(LaurentMatrix.zeros(r, r * q)), theta)
+
+
+def test_witness_rejects_non_polynomial_theta():
+    # check (ii) alone fails: a z^-k bump, with k so large that the chart-1
+    # form stays polynomial in 1/z and the pairing keeps its residue
+    E, V, c, theta = _witness_case()
+    bump = LaurentMatrix.parse([["0", "0", "1", "0"], ["0"] * 4]).shift(-40)
+    assert not (theta + bump).is_poly_in_z
+    assert not verify_witness(E, V, c, theta + bump)
+
+
+def test_witness_rejects_positive_chart1_exponent():
+    # check (iii) alone fails: a z^k bump, polynomial in z, too high to
+    # change the residue, whose chart-1 form has positive exponents
+    E, V, c, theta = _witness_case()
+    bump = LaurentMatrix.parse([["0", "0", "1", "0"], ["0"] * 4]).shift(40)
+    assert (theta + bump).is_poly_in_z
+    assert not verify_witness(E, V, c, theta + bump)
+
+
+def test_witness_rejects_tampered_inverse(monkeypatch):
+    # check (i) alone fails: T^-1 or T_V^-1 off by a z^-k term small enough
+    # in the w-chart to keep the chart-1 form polynomial in 1/z
+    import algconn.jet_obstruction as jo
+
+    E, V, c, theta = _witness_case()
+    original = jo._transition_inverse
+    for victim in (E, V):
+        bump = LaurentMatrix.zeros(victim.rank, victim.rank) + LaurentMatrix.diag(
+            [LaurentPoly.z(-40)] + [LaurentPoly.zero()] * (victim.rank - 1)
+        )
+        monkeypatch.setattr(
+            jo, "_transition_inverse", lambda F, v=victim, b=bump: original(F) + b if F == v else original(F)
+        )
+        assert not verify_witness(E, V, c, theta)
+    monkeypatch.undo()
+    assert verify_witness(E, V, c, theta)
+
+
+def test_witness_shape_mismatch():
+    E, V, c, theta = _witness_case()
+    assert not verify_witness(E, V, c, theta.submatrix(range(E.rank), range(E.rank)))
 
 
 # -- coboundary solving --------------------------------------------------------------
