@@ -110,9 +110,9 @@ def _is_tangent_bundle(V: FormalBundle) -> bool:
 def validate_algebroid(desc: AlgebroidDesc) -> AlgebroidDesc:
     """Check the anchor invariants and return a canonicalized descriptor.
 
-    A genus-0 atom of rank >= 2 declared stable is rejected: by Grothendieck
-    every bundle on the projective line is a sum of line bundles, so no such
-    V exists.
+    A genus-0 atom of rank >= 2 is rejected, whatever its declared
+    stability: an atom is indecomposable, and by Grothendieck every bundle on
+    the projective line is a sum of line bundles, so no such V exists.
 
     Canonicalizations: at genus 0 a degree-2 line bundle is the tangent
     bundle (line bundles there are classified by degree), and a nonzero
@@ -126,12 +126,13 @@ def validate_algebroid(desc: AlgebroidDesc) -> AlgebroidDesc:
 
     if g == 0:
         for k, atom in enumerate(V.atoms):
-            if atom.rank >= 2 and atom.stability == Stability.STABLE:
+            if atom.rank >= 2:
                 name = f" {atom.label!r}" if atom.label else ""
                 raise InvalidAnchor(
                     f"V atom {k}{name} (rank {atom.rank}, degree {atom.degree}) is "
-                    f"declared stable, but genus 0 has no stable bundle of rank >= 2 "
-                    f"(every bundle on the projective line splits into line bundles)"
+                    f"declared {atom.stability.value}, but an atom is indecomposable and "
+                    f"genus 0 has no indecomposable bundle of rank >= 2 (every bundle "
+                    f"on the projective line splits into line bundles)"
                 )
 
     if V.context.genus == 0 and V.rank == 1 and V.degree == tangent_deg:

@@ -94,11 +94,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self._coeffs or set(self._coeffs) == {0}
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"not a constant: {self}")
-        return self.coeff(0)
-
     def is_monomial(self) -> bool:
         return len(self._coeffs) == 1
 

@@ -51,8 +51,6 @@ from .exact_core import LaurentMatrix, LaurentPoly, laurent_parse
 from .p1_engine import (
     P1Bundle,
     _derived_bundle,
-    _transition_inverse,
-    _u0_inverse,
     birkhoff_split,
     p1bundle_from_json,
     p1bundle_to_json,
@@ -141,7 +139,7 @@ def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
     an extension of E by E (x) V*, so its degree is (q + 1) deg E - r deg V."""
     T = E.transition
     q = anchor.V.rank
-    tv_dual = _transition_inverse(anchor.V).transpose()  # T_V^(-T)
+    tv_dual = birkhoff_split(anchor.V).transition_inverse.transpose()  # T_V^(-T)
     upper_left = T.kron(tv_dual)
     upper_right = T.derivative().kron(anchor.phi_row.transpose())
     top = upper_left.hstack(upper_right)
@@ -155,7 +153,7 @@ def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocyc
     for the zero anchor without inverting T."""
     if anchor.is_zero:
         return ObstructionCocycle(LaurentMatrix.zeros(E.rank, E.rank * anchor.V.rank))
-    disc = E.transition.derivative() @ _transition_inverse(E)
+    disc = E.transition.derivative() @ birkhoff_split(E).transition_inverse
     blocks = disc.scalar_mul(anchor.component(0))
     for a in range(1, anchor.V.rank):
         blocks = blocks.hstack(disc.scalar_mul(anchor.component(a)))
@@ -216,8 +214,8 @@ def split_coboundary(
         b0^(a) = sum_b (U0_V^T)_ab * U0^(-1) beta0^(b) U0,
         b1^(a) = sum_b (U1_V^(-T))_ab * U1 beta1^(b) U1^(-1),
 
-    with U0^(-1) = T U1 D^(-1) and U1^(-1) = D^(-1) U0 T read off the
-    splittings. This is the Kronecker splitting of End(E) (x) V* applied one
+    with U0^(-1) and U1^(-1) read off the splittings (SplittingData.u0_inverse,
+    u1_inverse). This is the Kronecker splitting of End(E) (x) V* applied one
     factor at a time, so that bundle is never built.
 
     Returns the cochains, or None when a window coefficient z^e of entry
@@ -240,8 +238,8 @@ def split_coboundary(
         zero = LaurentMatrix.zeros(r, r * q)
         return zero, zero
     se, sv = birkhoff_split(E), birkhoff_split(V)
-    u0_inv = _u0_inverse(E.transition, se)
-    u0v_inv = _u0_inverse(V.transition, sv)
+    u0_inv = se.u0_inverse(E.transition)
+    u0v_inv = sv.u0_inverse(V.transition)
     y = _mix(u0v_inv.transpose(), _conjugate(se.U0, _blocks_of(c.overlap_matrix, r), u0_inv))
     beta0 = []
     beta1 = []
@@ -271,8 +269,7 @@ def split_coboundary(
             rows1.append(row1)
         beta0.append(LaurentMatrix(rows0))
         beta1.append(LaurentMatrix(rows1))
-    u1_inv = se.inverse_diagonal() @ se.U0 @ E.transition
-    u1v_inv = sv.inverse_diagonal() @ sv.U0 @ V.transition
+    u1_inv, u1v_inv = se.u1_inverse(E.transition), sv.u1_inverse(V.transition)
     b0 = _mix(sv.U0.transpose(), _conjugate(u0_inv, beta0, se.U0))
     b1 = _mix(u1v_inv.transpose(), _conjugate(se.U1, beta1, u1_inv))
     return _block_row(b0), _block_row(b1)
@@ -329,7 +326,7 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
         return False
     T = E.transition
     t_prime = T.derivative()
-    tv_dual = _transition_inverse(anchor.V).transpose()
+    tv_dual = birkhoff_split(anchor.V).transition_inverse.transpose()
     transported = _mix(tv_dual, [T @ block for block in _blocks_of(cert.A1, r)])
     for a, (block, rhs) in enumerate(zip(_blocks_of(cert.A0, r), transported)):
         if block @ T != rhs - t_prime.scalar_mul(anchor.component(a)):
@@ -362,7 +359,8 @@ def verify_witness(
     if c.shape != (r, r * q) or theta.shape != (r, r * q):
         return False
     T, T_V = E.transition, V.transition
-    t_inv, tv_inv = _transition_inverse(E), _transition_inverse(V)
+    t_inv = birkhoff_split(E).transition_inverse
+    tv_inv = birkhoff_split(V).transition_inverse
     if T @ t_inv != LaurentMatrix.identity(r) or T_V @ tv_inv != LaurentMatrix.identity(q):
         return False
     if not theta.is_poly_in_z:

@@ -50,18 +50,19 @@ def test_validate_rank2_isomorphism_rejected():
 
 
 def test_validate_genus0_stable_rank2_rejected():
-    # Grothendieck: every bundle on P^1 splits, so a stable rank-2 atom at
-    # genus 0 describes no bundle, whatever the anchor
-    for kind in ("nonzero", "zero"):
-        with pytest.raises(InvalidAnchor, match=r"V atom 0 \(rank 2, degree 1\)"):
-            validate_algebroid(AlgebroidDesc(v_rank2(1), anchor(kind)))
-    V = FormalBundle(
-        CurveContext(0), (Atom(1, -1), Atom(3, -4, Stability.STABLE, label="S"))
-    )
-    with pytest.raises(InvalidAnchor, match=r"V atom 1 'S' \(rank 3, degree -4\)"):
-        decide_connection(AlgebroidDesc(V, anchor("nonzero")), e_lines([1]))
-    # at genus 1 stable bundles of rank 2 exist
-    validate_algebroid(AlgebroidDesc(v_rank2(-3, genus=1), anchor("nonzero")))
+    # Grothendieck: every bundle on P^1 splits, so an atom (an indecomposable
+    # summand) of rank >= 2 at genus 0 describes no bundle, whatever its
+    # declared stability and whatever the anchor
+    for stability in Stability:
+        declared = f"declared {stability.value}"
+        for kind in ("nonzero", "zero"):
+            with pytest.raises(InvalidAnchor, match=rf"V atom 0 \(rank 2, degree 1\) is {declared}"):
+                validate_algebroid(AlgebroidDesc(v_rank2(1, stability=stability), anchor(kind)))
+        V = FormalBundle(CurveContext(0), (Atom(1, -1), Atom(3, -4, stability, label="S")))
+        with pytest.raises(InvalidAnchor, match=rf"V atom 1 'S' \(rank 3, degree -4\) is {declared}"):
+            decide_connection(AlgebroidDesc(V, anchor("nonzero")), e_lines([1]))
+        # at genus 1 bundles of rank 2 of every stability exist
+        validate_algebroid(AlgebroidDesc(v_rank2(-3, genus=1, stability=stability), anchor("nonzero")))
 
 
 def test_validate_high_degree_nonzero_rejected():

@@ -98,20 +98,22 @@ def test_decide_atiyah_weil_true(files, capsys, tmp_path):
 
 
 def test_decide_genus0_stable_rank2_exits_3(files, capsys, tmp_path):
-    alg = write(
-        tmp_path,
-        "alg_stable2.json",
-        {
-            "V": {
-                "genus": 0,
-                "atoms": [{"rank": 2, "degree": 1, "stability": "stable", "label": "S"}],
+    for stability in ("stable", "semistable", "unknown"):
+        alg = write(
+            tmp_path,
+            f"alg_{stability}2.json",
+            {
+                "V": {
+                    "genus": 0,
+                    "atoms": [{"rank": 2, "degree": 1, "stability": stability, "label": "S"}],
+                },
+                "anchor": {"kind": "nonzero"},
             },
-            "anchor": {"kind": "nonzero"},
-        },
-    )
-    code, doc, err = run(capsys, ["decide", "--algebroid", alg, "--bundle", files["bundle"]])
-    assert code == 3 and doc is None
-    assert "validation error" in err and "V atom 0 'S' (rank 2, degree 1)" in err
+        )
+        code, doc, err = run(capsys, ["decide", "--algebroid", alg, "--bundle", files["bundle"]])
+        assert code == 3 and doc is None
+        assert "validation error" in err
+        assert f"V atom 0 'S' (rank 2, degree 1) is declared {stability}" in err
 
 
 def test_decide_malformed_json_exits_2(files, capsys):

@@ -392,19 +392,19 @@ def test_witness_rejects_positive_chart1_exponent():
 
 
 def test_witness_rejects_tampered_inverse(monkeypatch):
-    # check (i) alone fails: T^-1 or T_V^-1 off by a z^-k term small enough
-    # in the w-chart to keep the chart-1 form polynomial in 1/z
+    # check (i) alone fails: the splitting of E or of V hands out a T^-1 off
+    # by a z^-k term small enough in the w-chart to keep the chart-1 form
+    # polynomial in 1/z
     import algconn.jet_obstruction as jo
 
     E, V, c, theta = _witness_case()
-    original = jo._transition_inverse
+    original = jo.birkhoff_split
     for victim in (E, V):
-        bump = LaurentMatrix.zeros(victim.rank, victim.rank) + LaurentMatrix.diag(
-            [LaurentPoly.z(-40)] + [LaurentPoly.zero()] * (victim.rank - 1)
-        )
-        monkeypatch.setattr(
-            jo, "_transition_inverse", lambda F, v=victim, b=bump: original(F) + b if F == v else original(F)
-        )
+        good = original(victim)
+        bad = SplittingData(good.type, good.U0, good.U1)
+        bump = LaurentMatrix.diag([LaurentPoly.z(-40)] + [LaurentPoly.zero()] * (victim.rank - 1))
+        vars(bad)["transition_inverse"] = good.transition_inverse + bump  # the cached value
+        monkeypatch.setattr(jo, "birkhoff_split", lambda F, v=victim, b=bad: b if F == v else original(F))
         assert not verify_witness(E, V, c, theta)
     monkeypatch.undo()
     assert verify_witness(E, V, c, theta)
@@ -515,14 +515,15 @@ def test_verify_rejects_perturbed_certs():
 
 
 def test_zero_anchor_does_not_split_e(monkeypatch):
-    import algconn.p1_engine as p1
+    import algconn.jet_obstruction as jo
 
-    split = []
-    cached = p1._birkhoff_cached
-    monkeypatch.setattr(p1, "_birkhoff_cached", lambda F: split.append(F) or cached(F))
     s = Sampler(56)
     E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
     anchor = zero_anchor(split_bundle([1, -1]))
+    # from here on, every splitting the connection path asks for is recorded
+    split = []
+    original = jo.birkhoff_split
+    monkeypatch.setattr(jo, "birkhoff_split", lambda F: split.append(F) or original(F))
     cert = construct_connection(E, anchor)
     assert cert is not None and cert.A0.is_zero and cert.A1.is_zero
     assert E not in split

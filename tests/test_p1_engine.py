@@ -40,8 +40,6 @@ from algconn.p1_engine import (
     trace_pair,
     trivial_bundle,
     twist,
-    unvec_matrix,
-    vec_matrix,
 )
 from algconn.sampling import Sampler
 
@@ -136,6 +134,42 @@ def test_split_memo_observationally_transparent():
     _birkhoff_cached.cache_clear()
     fresh = birkhoff_split(E)
     assert fresh is not cached and fresh == cached
+
+
+def test_splitting_memo_is_the_only_memo():
+    import algconn.cli  # noqa: F401  (with the package, loads every algconn module)
+
+    memos = set()
+    for name, module in sorted(sys.modules.items()):
+        if module is None or not name.startswith("algconn"):
+            continue
+        for attr, value in vars(module).items():
+            members = vars(value).items() if isinstance(value, type) else [(None, value)]
+            for member, obj in members:
+                if callable(getattr(obj, "cache_info", None)):
+                    memos.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert memos == {"algconn.p1_engine._birkhoff_cached"}
+
+
+def test_equal_bundles_share_one_transition_inverse():
+    s = Sampler(61)
+    E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
+    F = p1bundle_from_json(p1bundle_to_json(E))
+    assert F is not E and F == E
+    t_inv = birkhoff_split(E).transition_inverse
+    assert birkhoff_split(F).transition_inverse is t_inv
+    assert E.transition @ t_inv == LaurentMatrix.identity(3)
+
+
+def test_splitting_inverses_are_two_sided():
+    s = Sampler(62)
+    for r in range(1, 6):
+        exps = s.exponents(max_rank=r, min_rank=r, bound=3)
+        E = gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+        d = birkhoff_split(E)
+        T, eye = E.transition, LaurentMatrix.identity(r)
+        for M, inv in ((T, d.transition_inverse), (d.U0, d.u0_inverse(T)), (d.U1, d.u1_inverse(T))):
+            assert M @ inv == eye and inv @ M == eye
 
 
 def verify_by_det(d: SplittingData, E: P1Bundle) -> bool:
@@ -316,9 +350,10 @@ def test_vec_convention_ties_hom_to_sections():
     F, _ = s.gauged_p1_bundle(max_rank=2, bound=2, ops=1, max_deg=1)
     H = hom_bundle(E, F)
     for phi in hom_sections(E, F):
-        v = vec_matrix(phi)
+        v = LaurentMatrix.column([phi.entry(i, j) for i in range(F.rank) for j in range(E.rank)])
         assert is_global_section(H, v)
-        assert unvec_matrix(v, F.rank, E.rank) == phi
+        rows = [[v.entry(i * E.rank + j, 0) for j in range(E.rank)] for i in range(F.rank)]
+        assert LaurentMatrix(rows) == phi
 
 
 # -- filtrations -------------------------------------------------------------------
