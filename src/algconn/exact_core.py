@@ -12,6 +12,16 @@ computed by exact evaluation/interpolation at integer nodes: a degree-d
 polynomial is pinned by d+1 exact values, so nothing here depends on
 floating point. Inverses of unit matrices come from a certified splitting
 and live in p1_engine.
+
+Canonical form. Every LaurentPoly maps int exponents to nonzero Fraction
+coefficients and stores no zero; every LaurentMatrix is a nonempty
+rectangular tuple of tuples of LaurentPoly. Only the public constructors
+LaurentPoly(...) and LaurentMatrix(...) validate (the parser, the JSON
+readers and the samplers go through them). The arithmetic kernels build
+canonical values by construction and wrap them with the trusted _poly and
+_matrix, without a re-check. LaurentPoly.__mul__ and LaurentMatrix.__matmul__
+share one product kernel, _accumulate: a matrix entry sums all its k-terms
+in one coefficient map and drops the zeros once.
 """
 
 from __future__ import annotations
@@ -23,6 +33,8 @@ from typing import Callable, Mapping, Sequence
 from .errors import LaurentSyntaxError, NotAUnit, NotSquare
 
 Rat = Fraction
+
+_Q0 = Fraction(0)
 
 
 class LaurentPoly:
@@ -38,6 +50,10 @@ class LaurentPoly:
         clean: dict[int, Fraction] = {}
         if coeffs:
             for exp, c in coeffs.items():
+                if isinstance(exp, bool) or not isinstance(exp, int):
+                    raise TypeError(f"exponent {exp!r} is not an int")
+                if isinstance(c, (bool, float)):
+                    raise TypeError(f"coefficient {c!r} of z^{exp} is not exact")
                 c = Fraction(c)
                 if c != 0:
                     clean[int(exp)] = c
@@ -59,11 +75,11 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def monomial(cls, c, exp: int) -> "LaurentPoly":
-        return cls({exp: Fraction(c)})
+        return cls({exp: c})
 
     @classmethod
     def z(cls, exp: int = 1) -> "LaurentPoly":
@@ -76,7 +92,7 @@ class LaurentPoly:
         return dict(self._coeffs)
 
     def coeff(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
+        return self._coeffs.get(exp, _Q0)
 
     @property
     def is_zero(self) -> bool:
@@ -112,15 +128,17 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+            elif s := s + c:
                 out[e] = s
-        return LaurentPoly(out)
+            else:
+                del out[e]
+        return _poly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return _poly({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -129,15 +147,8 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             return LaurentPoly({e: c * other for e, c in self._coeffs.items()})
         out: dict[int, Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(out)
+        _accumulate(out, self._coeffs, other._coeffs)
+        return _poly({e: c for e, c in out.items() if c})
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self.__mul__(other)
@@ -156,11 +167,11 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+        return _poly({e + k: c for e, c in self._coeffs.items()})
 
     def derivative(self) -> "LaurentPoly":
         """Formal d/dz: the exponent-k term k*c*z^(k-1)."""
-        return LaurentPoly({e - 1: c * e for e, c in self._coeffs.items() if e != 0})
+        return _poly({e - 1: c * e for e, c in self._coeffs.items() if e != 0})
 
     def evaluate(self, x) -> Fraction:
         if x == 0 and any(e < 0 for e in self._coeffs):
@@ -212,6 +223,26 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
+
+
+def _poly(coeffs: dict[int, Fraction]) -> LaurentPoly:
+    """Wrap a coefficient map already in canonical form (int exponents,
+    nonzero Fraction coefficients), without a check or a copy."""
+    p = object.__new__(LaurentPoly)
+    object.__setattr__(p, "_coeffs", coeffs)
+    object.__setattr__(p, "_hash", None)
+    return p
+
+
+def _accumulate(out: dict[int, Fraction], a: dict[int, Fraction], b: dict[int, Fraction]) -> None:
+    """out += a * b on coefficient maps. Sums that cancel stay in out as
+    zeros; the caller drops them once, when the map is complete."""
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = get(e)
+            out[e] = c1 * c2 if s is None else s + c1 * c2
 
 
 _TERM_RE = re.compile(
@@ -370,20 +401,14 @@ class LaurentMatrix:
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._require_same_shape(other)
-        return LaurentMatrix(
-            [
-                [self._rows[i][j] + other._rows[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+        return _matrix(
+            tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self._rows, other._rows))
         )
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._require_same_shape(other)
-        return LaurentMatrix(
-            [
-                [self._rows[i][j] - other._rows[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+        return _matrix(
+            tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(self._rows, other._rows))
         )
 
     def __neg__(self) -> "LaurentMatrix":
@@ -392,20 +417,19 @@ class LaurentMatrix:
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        zero = LaurentPoly.zero()
+        cols = [[x._coeffs for x in col] for col in zip(*other._rows)]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self._rows[i][k]
-                    b = other._rows[k][j]
-                    if not a.is_zero and not b.is_zero:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return LaurentMatrix(out)
+        for row in self._rows:
+            a_row = [x._coeffs for x in row]
+            new_row = []
+            for col in cols:
+                acc: dict[int, Fraction] = {}
+                for a, b in zip(a_row, col):
+                    if a and b:
+                        _accumulate(acc, a, b)
+                new_row.append(_poly({e: c for e, c in acc.items() if c}))
+            out.append(tuple(new_row))
+        return _matrix(tuple(out))
 
     def scalar_mul(self, s) -> "LaurentMatrix":
         if isinstance(s, (int, Fraction)):
@@ -416,12 +440,11 @@ class LaurentMatrix:
         return self.map_entries(lambda x: x.shift(k))
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(
-            [[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return _matrix(tuple(zip(*self._rows)))
 
     def map_entries(self, f: Callable[[LaurentPoly], LaurentPoly]) -> "LaurentMatrix":
-        return LaurentMatrix([[f(x) for x in row] for row in self._rows])
+        """Apply f entrywise; f must return LaurentPoly, which is not re-checked."""
+        return _matrix(tuple(tuple(f(x) for x in row) for row in self._rows))
 
     def derivative(self) -> "LaurentMatrix":
         return self.map_entries(lambda x: x.derivative())
@@ -445,17 +468,17 @@ class LaurentMatrix:
     def hstack(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return LaurentMatrix(
-            [list(self._rows[i]) + list(other._rows[i]) for i in range(self.rows)]
-        )
+        return _matrix(tuple(r + s for r, s in zip(self._rows, other._rows)))
 
     def vstack(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return LaurentMatrix([list(r) for r in self._rows] + [list(r) for r in other._rows])
+        return _matrix(self._rows + other._rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LaurentMatrix":
-        return LaurentMatrix([[self._rows[i][j] for j in col_idx] for i in row_idx])
+        if not row_idx or not col_idx:
+            raise ValueError("matrix must have positive dimensions")
+        return _matrix(tuple(tuple(self._rows[i][j] for j in col_idx) for i in row_idx))
 
     def trace(self) -> LaurentPoly:
         if not self.is_square:
@@ -543,6 +566,15 @@ class LaurentMatrix:
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self._rows]
+
+
+def _matrix(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentMatrix:
+    """Wrap a nonempty rectangular tuple of tuples of LaurentPoly, without a
+    check or a copy."""
+    m = object.__new__(LaurentMatrix)
+    object.__setattr__(m, "_rows", rows)
+    object.__setattr__(m, "_hash", None)
+    return m
 
 
 def monomial_parts(p: LaurentPoly) -> tuple[Fraction, int]:

@@ -220,8 +220,10 @@ def split_coboundary(
 
     Returns the cochains, or None when a window coefficient z^e of entry
     (i, j, a) is nonzero. Then the class is certified nonzero by a Serre-dual
-    witness in H^0(End E (x) V (x) K): the split-frame section z^(-e-1) of
-    that summand, which in the original frames is
+    witness in H^0(End E (x) V (x) K), taken at the first such (a, i, j) in
+    loop order and its lowest window exponent e, so that it depends on the
+    cocycle alone: the split-frame section z^(-e-1) of that summand, which in
+    the original frames is
 
         Theta^(b) = (U0_V^(-1))_ba * U0^(-1)[:, j] U0[i, :] * z^(-e-1),
 
@@ -251,7 +253,7 @@ def split_coboundary(
                 d = ai - aj - v
                 hol0: dict[int, Fraction] = {}
                 hol1: dict[int, Fraction] = {}
-                for e, coeff in y[a].entry(i, j).coeffs.items():
+                for e, coeff in sorted(y[a].entry(i, j).coeffs.items()):
                     if e >= 0:
                         hol0[e] = coeff
                     elif e <= min(-1, d):

@@ -1,11 +1,12 @@
 """Laurent arithmetic: parser, derivative, matrices, unit inverses."""
 
 import os
+import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -18,7 +19,13 @@ from algconn.exact_core import (
     generic_rank,
     laurent_parse,
 )
-from algconn.p1_engine import unit_inverse
+from algconn.p1_engine import (
+    P1Bundle,
+    _birkhoff_cached,
+    gauge_transform,
+    split_bundle,
+    unit_inverse,
+)
 from algconn.sampling import Sampler
 
 
@@ -78,6 +85,133 @@ poly_strategy = st.builds(
 @given(poly_strategy)
 def test_printer_parser_round_trip(p):
     assert laurent_parse(str(p)) == p
+
+
+# -- the public constructor validates -------------------------------------------
+
+
+@pytest.mark.parametrize("exp", [1.5, 2.0, Fraction(1), "1", True, None])
+def test_constructor_rejects_non_int_exponent(exp):
+    with pytest.raises(TypeError, match=re.escape(f"exponent {exp!r} is not an int")):
+        LaurentPoly({exp: 1})
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, float("nan"), True, False])
+def test_constructor_rejects_float_and_bool_coefficient(coeff):
+    with pytest.raises(TypeError, match=re.escape(f"coefficient {coeff!r} of z^1 is not exact")):
+        LaurentPoly({1: coeff})
+    with pytest.raises(TypeError, match=re.escape(f"coefficient {coeff!r} of z^0 ")):
+        LaurentPoly.const(coeff)
+    with pytest.raises(TypeError, match=re.escape(f"coefficient {coeff!r} of z^2 ")):
+        LaurentPoly.monomial(coeff, 2)
+
+
+def test_constructor_accepts_exact_input():
+    p = LaurentPoly({-2: 3, 0: Fraction(1, 2), 5: 0})
+    assert p.coeffs == {-2: Fraction(3), 0: Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in p.coeffs.values())
+    assert LaurentPoly.monomial(Fraction(2, 3), -1) == lp("2/3*z^-1")
+    with pytest.raises(TypeError, match="exponent 0.5 "):
+        LaurentPoly.monomial(1, 0.5)
+
+
+# -- canonical form of every kernel's output ------------------------------------
+
+
+def _assert_canonical_poly(x):
+    assert isinstance(x, LaurentPoly)
+    for e, c in x.coeffs.items():
+        assert type(e) is int and type(c) is Fraction and c != 0
+    rebuilt = LaurentPoly(x.coeffs)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
+def _assert_canonical_matrix(M):
+    for i in range(M.rows):
+        for j in range(M.cols):
+            _assert_canonical_poly(M.entry(i, j))
+    rebuilt = LaurentMatrix.parse(M.to_strings())
+    assert M == rebuilt and hash(M) == hash(rebuilt)
+
+
+def _naive_product(A, B):
+    """A @ B as coefficient maps, by direct convolution of the entries."""
+    out = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc = {}
+            for k in range(A.cols):
+                for e1, c1 in A.entry(i, k).coeffs.items():
+                    for e2, c2 in B.entry(k, j).coeffs.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+            row.append({e: c for e, c in acc.items() if c != 0})
+        out.append(row)
+    return out
+
+
+small_poly_strategy = st.builds(
+    LaurentPoly,
+    st.dictionaries(
+        st.integers(min_value=-3, max_value=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        max_size=3,
+    ),
+)
+
+
+def _matrices(rows, cols):
+    return st.lists(
+        st.lists(small_poly_strategy, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(LaurentMatrix)
+
+
+@given(poly_strategy, poly_strategy, st.integers(min_value=-4, max_value=4))
+def test_poly_kernels_keep_canonical_form(p, q, k):
+    minus_one = LaurentPoly.const(-1)
+    cancelling = (p - p, p * -1 + p, p * minus_one + p)
+    for x in (p + q, p - q, p * q, -p, p.shift(k), (p + q) * (p - q), *cancelling):
+        _assert_canonical_poly(x)
+    assert all(x.is_zero for x in cancelling)
+    assert (p + q) * (p - q) == p * p - q * q
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda r: st.tuples(_matrices(r, 2), _matrices(2, 2), _matrices(2, 2))
+    ),
+    st.integers(min_value=-3, max_value=3),
+)
+def test_matrix_kernels_keep_canonical_form(mats, k):
+    A, C, D = mats
+    # hstack(A, A) @ vstack(C, D - C) = A @ D: the C-terms cancel entrywise
+    A2, B2 = A.hstack(A), C.vstack(D - C)
+    results = [
+        A + A, A - A, -A, A.shift(k), A @ C, A2 @ B2, A.transpose(), A2, B2,
+        B2.submatrix([2, 0], [1]), A.map_entries(lambda x: x * x),
+    ]
+    for M in results:
+        _assert_canonical_matrix(M)
+    assert A2 @ B2 == A @ D
+    assert (A - A).is_zero
+    for X, Y in ((A, C), (A2, B2), (A2, C.vstack(-C)), (B2, A)):
+        if X.cols == Y.rows:
+            got = X @ Y
+            _assert_canonical_matrix(got)
+            assert [[got.entry(i, j).coeffs for j in range(got.cols)] for i in range(got.rows)] == (
+                _naive_product(X, Y)
+            )
+
+
+def test_rebuilt_transition_hits_the_splitting_memo():
+    # a transition made by the kernels and one parsed from its printout are
+    # equal and hash alike, so they share one memo entry
+    s = Sampler(31)
+    E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
+    hits = _birkhoff_cached.cache_info().hits
+    F = P1Bundle(3, LaurentMatrix.parse(E.transition.to_strings()))
+    assert F == E and _birkhoff_cached.cache_info().hits == hits + 1
 
 
 # -- derivative ---------------------------------------------------------------

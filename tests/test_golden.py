@@ -2,7 +2,9 @@
 
 golden_cli.json holds the `algconn connect` stdout of 13 gauged cases (rank
 2 and 3 bundles; tangent, line, split rank-2 and gauged rank-2 anchors; both
-answers) and the sha256 of `algconn fuzz --count 200 --seed 0` stdout. The
+answers), the `algconn split`, `cohomology` and `jets` stdout of 6 gauged
+rank 4-6 bundles (drawn by `Sampler.gauged_p1_bundle` with bound 2, ops 2,
+max_deg 1) and the sha256 of `algconn fuzz --count 200 --seed 0` stdout. The
 recorded outputs are replayed through algconn.cli.main here.
 """
 
@@ -38,6 +40,19 @@ def test_connect_stdout_is_golden(index, tmp_path, capsys):
     anchor.write_text(json.dumps(case["anchor"]))
     out = _stdout(capsys, ["connect", "--bundle", str(bundle), "--anchor", str(anchor)])
     assert out == case["stdout"]
+
+
+def test_golden_split_cases_cover_ranks_4_to_6():
+    assert sorted(c["bundle"]["rank"] for c in GOLDEN["split"]) == [4, 4, 5, 5, 6, 6]
+
+
+@pytest.mark.parametrize("command", ["split", "cohomology", "jets"])
+@pytest.mark.parametrize("index", range(len(GOLDEN["split"])))
+def test_split_path_stdout_is_golden(index, command, tmp_path, capsys):
+    case = GOLDEN["split"][index]
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(case["bundle"]))
+    assert _stdout(capsys, [command, "--bundle", str(bundle)]) == case[command]
 
 
 def test_fuzz_stdout_is_golden(capsys):

@@ -356,6 +356,63 @@ def test_every_obstructed_answer_has_a_verified_witness(monkeypatch):
     assert negatives > 0 and checked == [True] * negatives
 
 
+def _first_window_coefficient(c: ObstructionCocycle, E: P1Bundle, V: P1Bundle):
+    """(a, i, j, e, width): the first split entry (a, i, j) in loop order
+    with a window coefficient, its lowest window exponent e and how many
+    window coefficients it has; None if there are none."""
+    se, sv = birkhoff_split(E), birkhoff_split(V)
+    r = E.rank
+    u0_inv, u0v_inv = se.u0_inverse(E.transition), sv.u0_inverse(V.transition)
+    conj = [
+        se.U0 @ c.overlap_matrix.submatrix(range(r), range(b * r, (b + 1) * r)) @ u0_inv
+        for b in range(V.rank)
+    ]
+    for a, v in enumerate(sv.type):
+        y = LaurentMatrix.zeros(r, r)
+        for b, block in enumerate(conj):
+            y = y + block.scalar_mul(u0v_inv.entry(b, a))  # (U0_V^(-T))_ab
+        for i, ai in enumerate(se.type):
+            for j, aj in enumerate(se.type):
+                window = [e for e in y.entry(i, j).coeffs if ai - aj - v < e < 0]
+                if window:
+                    return a, i, j, min(window), len(window)
+    return None
+
+
+def test_witness_is_the_first_entry_and_its_lowest_window_exponent(monkeypatch):
+    # the witness depends on the cocycle alone, not on the order in which the
+    # arithmetic happened to store an entry's coefficients
+    import algconn.jet_obstruction as jo
+
+    seen = []
+    original = jo._witness
+    monkeypatch.setattr(
+        jo, "_witness", lambda *args: seen.append(args[3:]) or original(*args)
+    )
+    # in the anchor cases no obstructed entry has two window coefficients,
+    # so random cochains against wide windows are added
+    cases = [(obstruction_cocycle(E, anchor), E, anchor.V) for E, anchor in _solve_cases()]
+    s = Sampler(58)
+    for exps in ([2, -2], [3, 0, -1], [2, 2, -2]):
+        r = len(exps)
+        E = gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+        for V in (tangent_bundle(), split_bundle([1, -1])):
+            M = LaurentMatrix(
+                [[s.laurent(-4, 1, max_terms=3) for _ in range(r * V.rank)] for _ in range(r)]
+            )
+            cases.append((ObstructionCocycle(M), E, V))
+    wide = 0
+    for c, E, V in cases:
+        seen.clear()
+        expected = _first_window_coefficient(c, E, V)
+        assert (split_coboundary(c, E, V) is None) == (expected is not None)
+        if expected is not None:
+            a, i, j, e, width = expected
+            assert seen == [(i, j, a, e)]
+            wide += width > 1
+    assert wide > 0
+
+
 def test_witness_pairs_to_zero_with_coboundaries():
     # Serre duality: a global section of End E (x) V (x) K pairs to zero with
     # every coboundary b0 - transport(b1), so the witness certifies the class
