@@ -1,11 +1,19 @@
 """Exact rational and Laurent-polynomial arithmetic.
 
-Scalars are `fractions.Fraction` (exported as `Rat`): always in lowest terms
-with positive denominator, and no operation here ever rounds. Laurent
-polynomials in the chart coordinate z are maps exponent -> nonzero rational;
-matrices over them carry the transition data of bundles on the projective
-line. "Polynomial in w" below always means w = 1/z, i.e. a Laurent
-polynomial whose exponents are all <= 0.
+Scalars are exact rationals in one form: a Python int when the value is
+integral, and a `fractions.Fraction` (exported as `Rat`) with denominator > 1
+otherwise. So an int means integral and a Fraction is never integral; every
+coefficient a LaurentPoly stores or returns, and every value it evaluates
+to, is in this form. int and Fraction mix exactly, compare equal and hash
+alike (hash(3) == hash(Fraction(3))), and _q is the one normaliser that turns
+an integral Fraction into its int. No operation here ever rounds, and no
+helper divides two ints, which would give a float: a reciprocal is
+Fraction(1, p).
+
+Laurent polynomials in the chart coordinate z are maps exponent -> nonzero
+rational; matrices over them carry the transition data of bundles on the
+projective line. "Polynomial in w" below always means w = 1/z, i.e. a
+Laurent polynomial whose exponents are all <= 0.
 
 Determinants and generic ranks beyond the triangular and small cases are
 computed by exact evaluation/interpolation at integer nodes: a degree-d
@@ -13,15 +21,17 @@ polynomial is pinned by d+1 exact values, so nothing here depends on
 floating point. Inverses of unit matrices come from a certified splitting
 and live in p1_engine.
 
-Canonical form. Every LaurentPoly maps int exponents to nonzero Fraction
-coefficients and stores no zero; every LaurentMatrix is a nonempty
+Canonical form. Every LaurentPoly maps int exponents to nonzero scalars in
+the form above and stores no zero; every LaurentMatrix is a nonempty
 rectangular tuple of tuples of LaurentPoly. Only the public constructors
 LaurentPoly(...) and LaurentMatrix(...) validate (the parser, the JSON
 readers and the samplers go through them). The arithmetic kernels build
 canonical values by construction and wrap them with the trusted _poly and
-_matrix, without a re-check. LaurentPoly.__mul__ and LaurentMatrix.__matmul__
-share one product kernel, _accumulate: a matrix entry sums all its k-terms
-in one coefficient map and drops the zeros once.
+_matrix, without a re-check; they call _q only where a Fraction result can be
+integral (a sum, a scalar or derivative multiple, an accumulated product).
+LaurentPoly.__mul__ and LaurentMatrix.__matmul__ share one product kernel,
+_accumulate: a matrix entry sums all its k-terms in one coefficient map and
+drops the zeros once. Integer coefficients multiply there as native ints.
 """
 
 from __future__ import annotations
@@ -34,7 +44,12 @@ from .errors import LaurentSyntaxError, NotAUnit, NotSquare
 
 Rat = Fraction
 
-_Q0 = Fraction(0)
+
+def _q(c):
+    """c in canonical scalar form: an integral Fraction becomes its int."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 class LaurentPoly:
@@ -46,15 +61,16 @@ class LaurentPoly:
 
     __slots__ = ("_coeffs", "_hash")
 
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
+    def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
+        clean: dict[int, int | Fraction] = {}
         if coeffs:
             for exp, c in coeffs.items():
                 if isinstance(exp, bool) or not isinstance(exp, int):
                     raise TypeError(f"exponent {exp!r} is not an int")
                 if isinstance(c, (bool, float)):
                     raise TypeError(f"coefficient {c!r} of z^{exp} is not exact")
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = _q(Fraction(c))
                 if c != 0:
                     clean[int(exp)] = c
         object.__setattr__(self, "_coeffs", clean)
@@ -71,7 +87,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: Fraction(1)})
+        return cls({0: 1})
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
@@ -83,16 +99,16 @@ class LaurentPoly:
 
     @classmethod
     def z(cls, exp: int = 1) -> "LaurentPoly":
-        return cls({exp: Fraction(1)})
+        return cls({exp: 1})
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def coeffs(self) -> dict[int, Fraction]:
+    def coeffs(self) -> dict[int, int | Fraction]:
         return dict(self._coeffs)
 
-    def coeff(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, _Q0)
+    def coeff(self, exp: int) -> int | Fraction:
+        return self._coeffs.get(exp, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -132,7 +148,7 @@ class LaurentPoly:
             if s is None:
                 out[e] = c
             elif s := s + c:
-                out[e] = s
+                out[e] = _q(s)
             else:
                 del out[e]
         return _poly(out)
@@ -145,10 +161,12 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly({e: c * other for e, c in self._coeffs.items()})
-        out: dict[int, Fraction] = {}
+            if not other:
+                return _poly({})
+            return _poly({e: _q(c * other) for e, c in self._coeffs.items()})
+        out: dict[int, int | Fraction] = {}
         _accumulate(out, self._coeffs, other._coeffs)
-        return _poly({e: c for e, c in out.items() if c})
+        return _poly(_nonzero(out))
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self.__mul__(other)
@@ -171,21 +189,14 @@ class LaurentPoly:
 
     def derivative(self) -> "LaurentPoly":
         """Formal d/dz: the exponent-k term k*c*z^(k-1)."""
-        return _poly({e - 1: c * e for e, c in self._coeffs.items() if e != 0})
+        return _poly({e - 1: _q(c * e) for e, c in self._coeffs.items() if e != 0})
 
-    def evaluate(self, x) -> Fraction:
+    def evaluate(self, x) -> int | Fraction:
         if x == 0 and any(e < 0 for e in self._coeffs):
             raise ZeroDivisionError("evaluating a pole at z = 0")
-        if isinstance(x, int) and all(e >= 0 for e in self._coeffs):
-            total = Fraction(0)
-            for e, c in self._coeffs.items():
-                total += c * x**e
-            return total
-        x = Fraction(x)
-        total = Fraction(0)
-        for e, c in self._coeffs.items():
-            total += c * x**e
-        return total
+        if not (isinstance(x, int) and all(e >= 0 for e in self._coeffs)):
+            x = Fraction(x)
+        return _q(sum(c * x**e for e, c in self._coeffs.items()))
 
     # -- identity ----------------------------------------------------------
 
@@ -225,16 +236,18 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)!r})"
 
 
-def _poly(coeffs: dict[int, Fraction]) -> LaurentPoly:
+def _poly(coeffs: dict[int, int | Fraction]) -> LaurentPoly:
     """Wrap a coefficient map already in canonical form (int exponents,
-    nonzero Fraction coefficients), without a check or a copy."""
+    nonzero canonical scalars), without a check or a copy."""
     p = object.__new__(LaurentPoly)
     object.__setattr__(p, "_coeffs", coeffs)
     object.__setattr__(p, "_hash", None)
     return p
 
 
-def _accumulate(out: dict[int, Fraction], a: dict[int, Fraction], b: dict[int, Fraction]) -> None:
+def _accumulate(
+    out: dict[int, int | Fraction], a: dict[int, int | Fraction], b: dict[int, int | Fraction]
+) -> None:
     """out += a * b on coefficient maps. Sums that cancel stay in out as
     zeros; the caller drops them once, when the map is complete."""
     get = out.get
@@ -243,6 +256,12 @@ def _accumulate(out: dict[int, Fraction], a: dict[int, Fraction], b: dict[int, F
             e = e1 + e2
             s = get(e)
             out[e] = c1 * c2 if s is None else s + c1 * c2
+
+
+def _nonzero(acc: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
+    """The canonical form of a map _accumulate filled: cancelled zeros
+    dropped, integral Fractions made ints (an int passes one type check)."""
+    return {e: c if type(c) is int else _q(c) for e, c in acc.items() if c}
 
 
 _TERM_RE = re.compile(
@@ -263,7 +282,7 @@ def laurent_parse(text: str) -> LaurentPoly:
     LaurentSyntaxError with the offending position on malformed input, and on
     zero-denominator coefficients. Round-trips with the canonical printer.
     """
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int | Fraction] = {}
     pos = 0
     n = len(text)
     first = True
@@ -291,15 +310,16 @@ def laurent_parse(text: str) -> LaurentPoly:
             den = m.group("den")
             if den is not None and int(den) == 0:
                 raise LaurentSyntaxError("zero-denominator coefficient", pos)
-            coef = Fraction(int(m.group("num")), int(den) if den else 1)
+            num = int(m.group("num"))
+            coef = Fraction(num, int(den)) if den else num
             exp_s = m.group("exp1")
             has_z = "z" in text[pos : m.end()]
             exp = int(exp_s) if exp_s is not None else (1 if has_z else 0)
         else:
-            coef = Fraction(1)
+            coef = 1
             exp_s = m.group("exp2")
             exp = int(exp_s) if exp_s is not None else 1
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
+        coeffs[exp] = coeffs.get(exp, 0) + sign * coef
         pos = m.end()
         first = False
     return LaurentPoly(coeffs)
@@ -423,11 +443,11 @@ class LaurentMatrix:
             a_row = [x._coeffs for x in row]
             new_row = []
             for col in cols:
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int | Fraction] = {}
                 for a, b in zip(a_row, col):
                     if a and b:
                         _accumulate(acc, a, b)
-                new_row.append(_poly({e: c for e, c in acc.items() if c}))
+                new_row.append(_poly(_nonzero(acc)))
             out.append(tuple(new_row))
         return _matrix(tuple(out))
 
@@ -498,7 +518,7 @@ class LaurentMatrix:
 
     # -- exact numerics ----------------------------------------------------
 
-    def eval_at(self, x) -> list[list[Fraction]]:
+    def eval_at(self, x) -> list[list[int | Fraction]]:
         return [[e.evaluate(x) for e in row] for row in self._rows]
 
     def is_lower_triangular(self) -> bool:
@@ -577,7 +597,7 @@ def _matrix(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentMatrix:
     return m
 
 
-def monomial_parts(p: LaurentPoly) -> tuple[Fraction, int]:
+def monomial_parts(p: LaurentPoly) -> tuple[int | Fraction, int]:
     """Split a nonzero monomial c*z^k into (c, k); raises NotAUnit otherwise."""
     if len(p._coeffs) != 1:
         raise NotAUnit(f"not a nonzero monomial: {p}")
@@ -637,19 +657,19 @@ def _nodes(count: int) -> list[int]:
     return out[:count]
 
 
-def _qdet(a: list[list[Fraction]]) -> Fraction:
+def _qdet(a: list[list[int | Fraction]]) -> int | Fraction:
     n = len(a)
     a = [row[:] for row in a]
-    det = Fraction(1)
+    det = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             det = -det
         det *= a[col][col]
-        inv = 1 / a[col][col]
+        inv = Fraction(1, a[col][col])
         for r in range(col + 1, n):
             if a[r][col] != 0:
                 f = a[r][col] * inv
@@ -658,15 +678,15 @@ def _qdet(a: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _qinverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
+def _qinverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:
     n = len(a)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    aug = [row[:] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise ZeroDivisionError("singular matrix in _qinverse")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
+        inv = Fraction(1, aug[col][col])
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
@@ -675,10 +695,12 @@ def _qinverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _qmatmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+def _qmatmul(
+    a: list[list[int | Fraction]], b: list[list[int | Fraction]]
+) -> list[list[int | Fraction]]:
     out = []
     for row in a:
-        acc = [Fraction(0)] * len(b[0])
+        acc = [0] * len(b[0])
         for x, b_row in zip(row, b):
             if x:
                 for j, y in enumerate(b_row):
@@ -688,7 +710,7 @@ def _qmatmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Frac
     return out
 
 
-def _qrank(a: list[list[Fraction]]) -> int:
+def _qrank(a: list[list[int | Fraction]]) -> int:
     rows = [row[:] for row in a]
     nrows, ncols = len(rows), len(rows[0])
     rank = 0
@@ -698,7 +720,7 @@ def _qrank(a: list[list[Fraction]]) -> int:
         if pivot is None:
             continue
         rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = 1 / rows[row][col]
+        inv = Fraction(1, rows[row][col])
         for r in range(row + 1, nrows):
             if rows[r][col] != 0:
                 f = rows[r][col] * inv
@@ -711,13 +733,13 @@ def _qrank(a: list[list[Fraction]]) -> int:
     return rank
 
 
-def _qnullspace(a: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def _qnullspace(a: list[list[int | Fraction]], ncols: int) -> list[list[int | Fraction]]:
     """Basis of the right nullspace of a (possibly empty) constraint matrix."""
     if not a:
         basis = []
         for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
+            v = [0] * ncols
+            v[j] = 1
             basis.append(v)
         return basis
     rows = [row[:] for row in a]
@@ -729,7 +751,7 @@ def _qnullspace(a: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         if pivot is None:
             continue
         rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = 1 / rows[row][col]
+        inv = Fraction(1, rows[row][col])
         rows[row] = [x * inv for x in rows[row]]
         for r in range(nrows):
             if r != row and rows[r][col] != 0:
@@ -742,8 +764,8 @@ def _qnullspace(a: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
         basis.append(v)

@@ -251,8 +251,8 @@ def split_coboundary(
             row0, row1 = [], []
             for j, aj in enumerate(se.type):
                 d = ai - aj - v
-                hol0: dict[int, Fraction] = {}
-                hol1: dict[int, Fraction] = {}
+                hol0: dict[int, int | Fraction] = {}
+                hol1: dict[int, int | Fraction] = {}
                 for e, coeff in sorted(y[a].entry(i, j).coeffs.items()):
                     if e >= 0:
                         hol0[e] = coeff

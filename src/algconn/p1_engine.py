@@ -233,9 +233,11 @@ class SplittingData:
 _NOT_A_UNIT = "transition is not invertible over the Laurent ring"
 
 
-def _top_coefficient_data(rows: list[list[LaurentPoly]]) -> tuple[list[int], list[list[Fraction]]]:
+def _top_coefficient_data(
+    rows: list[list[LaurentPoly]],
+) -> tuple[list[int], list[list[int | Fraction]]]:
     tops: list[int] = []
-    H: list[list[Fraction]] = []
+    H: list[list[int | Fraction]] = []
     for row in rows:
         exps = [x.max_exp for x in row if not x.is_zero]
         if not exps:
@@ -309,7 +311,7 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
     for k in range(1, (r - 1) * deg + 1):
         if not any(x for Xk in X[-deg:] for row in Xk for x in row):
             break
-        Xk = [[Fraction(0)] * r for _ in range(r)]
+        Xk = [[0] * r for _ in range(r)]
         for j in range(1, min(k, deg) + 1):
             term = _qmatmul(steps[j - 1], X[k - j])
             Xk = [[x + y for x, y in zip(ra, rt)] for ra, rt in zip(Xk, term)]
@@ -531,7 +533,7 @@ def kernel_filtration(E: P1Bundle, theta: LaurentMatrix) -> tuple[tuple[int, ...
     return tuple(ranks), nilpotent
 
 
-def trace_pair(E: P1Bundle, v: LaurentMatrix, w: LaurentMatrix) -> Rat:
+def trace_pair(E: P1Bundle, v: LaurentMatrix, w: LaurentMatrix) -> int | Rat:
     """trace(v o w) for global endomorphism sections: a global function on a
     compact curve, hence an exact rational constant."""
     _require_end_section(E, v)

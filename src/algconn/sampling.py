@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebroid_decision import (
     AlgebroidDesc,
@@ -48,9 +47,9 @@ class Sampler:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
 
-    def coefficient(self, bound: int = 3, nonzero: bool = False) -> Fraction:
+    def coefficient(self, bound: int = 3, nonzero: bool = False) -> int:
         while True:
-            c = Fraction(self.rng.randint(-bound, bound))
+            c = self.rng.randint(-bound, bound)
             if c != 0 or not nonzero:
                 return c
 
@@ -63,7 +62,7 @@ class Sampler:
         nonzero: bool = False,
     ) -> LaurentPoly:
         while True:
-            coeffs: dict[int, Fraction] = {}
+            coeffs: dict[int, int] = {}
             for _ in range(self.rng.randint(0 if not nonzero else 1, max_terms)):
                 coeffs[self.rng.randint(min_exp, max_exp)] = self.coefficient(bound)
             p = LaurentPoly(coeffs)

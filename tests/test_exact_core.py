@@ -16,6 +16,11 @@ from algconn.errors import LaurentSyntaxError, NotAUnit, NotSquare
 from algconn.exact_core import (
     LaurentMatrix,
     LaurentPoly,
+    _qdet,
+    _qinverse,
+    _qmatmul,
+    _qnullspace,
+    _qrank,
     generic_rank,
     laurent_parse,
 )
@@ -73,8 +78,9 @@ def test_parse_zero_denominator():
         lp("z + 3/0*z^2")
 
 
-coeffs_strategy = st.fractions(
-    min_value=-50, max_value=50, max_denominator=20
+coeffs_strategy = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=20),
 )
 poly_strategy = st.builds(
     LaurentPoly,
@@ -106,10 +112,15 @@ def test_constructor_rejects_float_and_bool_coefficient(coeff):
         LaurentPoly.monomial(coeff, 2)
 
 
+def _is_canonical_scalar(c):
+    # an int when integral, a Fraction only with a real denominator; never 0
+    return c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+
+
 def test_constructor_accepts_exact_input():
     p = LaurentPoly({-2: 3, 0: Fraction(1, 2), 5: 0})
     assert p.coeffs == {-2: Fraction(3), 0: Fraction(1, 2)}
-    assert all(type(c) is Fraction for c in p.coeffs.values())
+    assert all(_is_canonical_scalar(c) for c in p.coeffs.values())
     assert LaurentPoly.monomial(Fraction(2, 3), -1) == lp("2/3*z^-1")
     with pytest.raises(TypeError, match="exponent 0.5 "):
         LaurentPoly.monomial(1, 0.5)
@@ -121,7 +132,7 @@ def test_constructor_accepts_exact_input():
 def _assert_canonical_poly(x):
     assert isinstance(x, LaurentPoly)
     for e, c in x.coeffs.items():
-        assert type(e) is int and type(c) is Fraction and c != 0
+        assert type(e) is int and _is_canonical_scalar(c)
     rebuilt = LaurentPoly(x.coeffs)
     assert x == rebuilt and hash(x) == hash(rebuilt)
 
@@ -154,7 +165,10 @@ small_poly_strategy = st.builds(
     LaurentPoly,
     st.dictionaries(
         st.integers(min_value=-3, max_value=3),
-        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.one_of(
+            st.integers(min_value=-3, max_value=3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        ),
         max_size=3,
     ),
 )
@@ -202,6 +216,90 @@ def test_matrix_kernels_keep_canonical_form(mats, k):
             assert [[got.entry(i, j).coeffs for j in range(got.cols)] for i in range(got.rows)] == (
                 _naive_product(X, Y)
             )
+
+
+def test_kernels_turn_integral_results_into_ints():
+    half, half_z = LaurentPoly.const(Fraction(1, 2)), LaurentPoly.monomial(Fraction(1, 2), 1)
+    # A @ B: each product is an integral Fraction; C @ D: the products are not, their sum is
+    A, B = LaurentMatrix.parse([["1/2", "1/3*z"]]), LaurentMatrix.parse([["2"], ["3*z^-1"]])
+    C, D = LaurentMatrix.parse([["1/2", "1/2*z"]]), LaurentMatrix.parse([["1"], ["z^-1"]])
+    cases = [
+        (half_z * 2, {1: 1}),
+        (half_z * Fraction(2), {1: 1}),
+        (2 * half_z, {1: 1}),
+        (half_z * LaurentPoly.const(2), {1: 1}),
+        (half + half, {0: 1}),
+        (half_z - LaurentPoly.monomial(Fraction(-3, 2), 1), {1: 2}),
+        (LaurentPoly.monomial(Fraction(1, 2), 2).derivative(), {1: 1}),
+        ((A @ B).entry(0, 0), {0: 2}),
+        ((C @ D).entry(0, 0), {0: 1}),
+        (laurent_parse("4/2*z - 1/3 + 1/3"), {1: 2}),
+    ]
+    for x, want in cases:
+        assert x.coeffs == want
+        assert all(type(c) is int for c in x.coeffs.values())
+        _assert_canonical_poly(x)
+
+
+def test_evaluate_returns_canonical_scalars():
+    for p, x, want in (
+        (lp("1/2*z + 1/2"), 1, 1),
+        (lp("3*z^2 - z"), -2, 14),
+        (lp("3*z^2"), Fraction(1, 3), Fraction(1, 3)),
+        (lp("z^-1 + 1/2"), 2, 1),
+        (lp("z^-2"), 2, Fraction(1, 4)),
+        (lp("0"), 5, 0),
+    ):
+        got = p.evaluate(x)
+        assert got == want and type(got) is type(want)
+    with pytest.raises(ZeroDivisionError):
+        lp("z^-1").evaluate(0)
+
+
+def test_dense_helpers_stay_exact_on_int_input():
+    # a reciprocal of an int pivot is Fraction(1, p), never the float 1 / p
+    results = [
+        (_qinverse([[2, 1], [1, 1]]), [[1, -1], [-1, 2]]),
+        (_qinverse([[2, 0], [0, 3]]), [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]),
+        (_qdet([[2, 1], [1, 3]]), 5),
+        (_qdet([[49, 49], [1, 1]]), 0),
+        (_qnullspace([[2, 4]], 2), [[-2, 1]]),
+        (_qnullspace([[3, 1, 0], [0, 7, 1]], 3), [[Fraction(1, 21), Fraction(-1, 7), 1]]),
+        (_qmatmul([[1, 2]], [[3], [4]]), [[11]]),
+    ]
+    for got, want in results:
+        assert got == want
+        flat = got if isinstance(got, list) else [[got]]
+        assert not any(isinstance(x, float) for row in flat for x in row)
+    # 1 - (1/49.0)*49 is not 0 in floating point: a float pivot finds rank 2
+    assert _qrank([[49, 49], [1, 1]]) == 1
+    assert _qrank([[2, 1], [1, 1]]) == 2
+
+
+def test_integral_fractions_and_ints_share_memo_keys():
+    assert LaurentPoly({0: Fraction(4, 2)}).coeff(0) == 2
+    assert type(LaurentPoly({0: Fraction(4, 2)}).coeff(0)) is int
+    built = LaurentMatrix(
+        [
+            [LaurentPoly({1: Fraction(3, 1)}), LaurentPoly({0: Fraction(5, 1), 2: Fraction(7, 1)})],
+            [LaurentPoly(), LaurentPoly({0: Fraction(1, 3)})],
+        ]
+    )
+    parsed = LaurentMatrix.parse([["3*z", "5 + 7*z^2"], ["0", "1/3"]])
+    E = P1Bundle(2, built)
+    hits = _birkhoff_cached.cache_info().hits
+    F = P1Bundle(2, parsed)
+    assert E == F and hash(E) == hash(F)
+    assert _birkhoff_cached.cache_info().hits == hits + 1
+    assert built.entry(0, 1).coeffs == {0: 5, 2: 7}
+    assert all(type(c) is int for c in built.entry(0, 1).coeffs.values())
+
+
+def test_sampler_coefficients_are_ints():
+    s = Sampler(5)
+    assert all(type(s.coefficient()) is int for _ in range(20))
+    p = s.laurent(-2, 2, nonzero=True)
+    assert all(type(c) is int for c in p.coeffs.values())
 
 
 def test_rebuilt_transition_hits_the_splitting_memo():
