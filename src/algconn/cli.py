@@ -15,12 +15,11 @@ from .algebroid_decision import algebroid_from_json, decide_connection, decision
 from .errors import AlgconnError, SchemaError
 from .formal_bundles import bundle_from_json
 from .jet_obstruction import (
+    _cocycle_and_connection,
     anchor_from_json,
     cert_to_json,
-    construct_connection,
     jet1_transition,
     jetV_transition,
-    obstruction_cocycle,
 )
 from .p1_engine import (
     birkhoff_split,
@@ -91,8 +90,7 @@ def cmd_cohomology(args) -> int:
 def cmd_connect(args) -> int:
     bundle = p1bundle_from_json(_load_json(args.bundle))
     anchor = anchor_from_json(_load_json(args.anchor))
-    cocycle = obstruction_cocycle(bundle, anchor)
-    cert = construct_connection(bundle, anchor)
+    cocycle, cert = _cocycle_and_connection(bundle, anchor)
     payload = {
         "exists": cert is not None,
         "cocycle": cocycle.overlap_matrix.to_strings(),

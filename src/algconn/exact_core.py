@@ -15,11 +15,14 @@ rational; matrices over them carry the transition data of bundles on the
 projective line. "Polynomial in w" below always means w = 1/z, i.e. a
 Laurent polynomial whose exponents are all <= 0.
 
-Determinants and generic ranks beyond the triangular and small cases are
-computed by exact evaluation/interpolation at integer nodes: a degree-d
-polynomial is pinned by d+1 exact values, so nothing here depends on
-floating point. Inverses of unit matrices come from a certified splitting
-and live in p1_engine.
+The generic rank of a Laurent matrix, its rank over Q(z), is the largest
+rank it takes at enough integer nodes: after each row is shifted into
+polynomials, a nonzero k x k minor has a bounded degree, so it cannot vanish
+at every node. Each rank at a node is exact, read off the nullspace of one
+rational elimination, so nothing here depends on floating point. No
+determinant is computed: a transition's determinant exponent is fixed by the
+splitting reduction, and inverses of unit matrices come from that certified
+splitting, both in p1_engine.
 
 Canonical form. Every LaurentPoly maps int exponents to nonzero scalars in
 the form above and stores no zero; every LaurentMatrix is a nonempty
@@ -40,7 +43,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import LaurentSyntaxError, NotAUnit, NotSquare
+from .errors import LaurentSyntaxError, NotSquare
 
 Rat = Fraction
 
@@ -67,7 +70,7 @@ class LaurentPoly:
             for exp, c in coeffs.items():
                 if isinstance(exp, bool) or not isinstance(exp, int):
                     raise TypeError(f"exponent {exp!r} is not an int")
-                if isinstance(c, (bool, float)):
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                     raise TypeError(f"coefficient {c!r} of z^{exp} is not exact")
                 if type(c) is not int:
                     c = _q(Fraction(c))
@@ -83,11 +86,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _poly({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _poly({0: 1})
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
@@ -394,9 +397,6 @@ class LaurentMatrix:
     def row_list(self, i: int) -> list[LaurentPoly]:
         return list(self._rows[i])
 
-    def col_list(self, j: int) -> list[LaurentPoly]:
-        return [self._rows[i][j] for i in range(self.rows)]
-
     @property
     def is_zero(self) -> bool:
         return all(x.is_zero for row in self._rows for x in row)
@@ -521,51 +521,6 @@ class LaurentMatrix:
     def eval_at(self, x) -> list[list[int | Fraction]]:
         return [[e.evaluate(x) for e in row] for row in self._rows]
 
-    def is_lower_triangular(self) -> bool:
-        return all(
-            self._rows[i][j].is_zero
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
-
-    def is_upper_triangular(self) -> bool:
-        return all(
-            self._rows[i][j].is_zero for i in range(self.rows) for j in range(min(i, self.cols))
-        )
-
-    def det(self) -> LaurentPoly:
-        """Exact determinant: diagonal product for triangular matrices,
-        direct expansion up to 3x3, evaluation/interpolation at integer
-        nodes beyond that."""
-        if not self.is_square:
-            raise NotSquare("determinant needs a square matrix")
-        if self.is_lower_triangular() or self.is_upper_triangular():
-            d = LaurentPoly.one()
-            for i in range(self.rows):
-                d = d * self._rows[i][i]
-            return d
-        m = self._rows
-        if self.rows == 2:
-            return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if self.rows == 3:
-            return (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-        if any(all(x.is_zero for x in row) for row in self._rows):
-            return LaurentPoly.zero()
-        if any(all(self._rows[i][j].is_zero for i in range(self.rows)) for j in range(self.cols)):
-            return LaurentPoly.zero()
-        r = self.rows
-        s = max(0, -(self.min_exp() or 0))
-        poly = self.shift(s)
-        bound = _degree_sum_bound(poly)
-        nodes = _nodes(bound + 1)
-        values = [_qdet(poly.eval_at(x)) for x in nodes]
-        d = _interpolate(nodes, values)
-        return d.shift(-r * s)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
@@ -597,20 +552,13 @@ def _matrix(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentMatrix:
     return m
 
 
-def monomial_parts(p: LaurentPoly) -> tuple[int | Fraction, int]:
-    """Split a nonzero monomial c*z^k into (c, k); raises NotAUnit otherwise."""
-    if len(p._coeffs) != 1:
-        raise NotAUnit(f"not a nonzero monomial: {p}")
-    ((exp, c),) = p._coeffs.items()
-    return c, exp
-
-
 def generic_rank(M: LaurentMatrix) -> int:
     """Rank of M over the fraction field Q(z).
 
     A k x k minor of the row-rescaled polynomial matrix has degree at most
     min(rows, cols) * maxdeg, so sampling that many + 1 distinct nodes is
-    enough: the generic rank is the maximum of the ranks at the nodes.
+    enough: the generic rank is the maximum of the ranks at the nodes. The
+    rank at a node is cols minus the nullity _qnullspace finds there.
     """
     if M.is_zero:
         return 0
@@ -625,25 +573,11 @@ def generic_rank(M: LaurentMatrix) -> int:
     npts = min(M.rows, M.cols) * d + 1
     best = 0
     for x in _nodes(npts):
-        best = max(best, _qrank(P.eval_at(x)))
+        best = max(best, M.cols - len(_qnullspace(P.eval_at(x), M.cols)))
     return best
 
 
 # -- exact rational linear algebra helpers ---------------------------------
-
-
-def _degree_sum_bound(poly_matrix: LaurentMatrix) -> int:
-    """Upper bound for deg det and all minors of a polynomial matrix: the
-    smaller of the row-wise and column-wise sums of maximal entry degrees."""
-    row_sum = 0
-    for i in range(poly_matrix.rows):
-        degs = [x.max_exp for x in poly_matrix.row_list(i) if not x.is_zero]
-        row_sum += max(degs) if degs else 0
-    col_sum = 0
-    for j in range(poly_matrix.cols):
-        degs = [x.max_exp for x in poly_matrix.col_list(j) if not x.is_zero]
-        col_sum += max(degs) if degs else 0
-    return min(row_sum, col_sum)
 
 
 def _nodes(count: int) -> list[int]:
@@ -655,27 +589,6 @@ def _nodes(count: int) -> list[int]:
             out.append(-k)
         k += 1
     return out[:count]
-
-
-def _qdet(a: list[list[int | Fraction]]) -> int | Fraction:
-    n = len(a)
-    a = [row[:] for row in a]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1, a[col][col])
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for cc in range(col, n):
-                    a[r][cc] -= f * a[col][cc]
-    return det
 
 
 def _qinverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:
@@ -708,29 +621,6 @@ def _qmatmul(
                         acc[j] += x * y
         out.append(acc)
     return out
-
-
-def _qrank(a: list[list[int | Fraction]]) -> int:
-    rows = [row[:] for row in a]
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = Fraction(1, rows[row][col])
-        for r in range(row + 1, nrows):
-            if rows[r][col] != 0:
-                f = rows[r][col] * inv
-                for cc in range(col, ncols):
-                    rows[r][cc] -= f * rows[row][cc]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
 
 
 def _qnullspace(a: list[list[int | Fraction]], ncols: int) -> list[list[int | Fraction]]:
@@ -770,30 +660,3 @@ def _qnullspace(a: list[list[int | Fraction]], ncols: int) -> list[list[int | Fr
             v[pc] = -rows[r][fc]
         basis.append(v)
     return basis
-
-
-def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> LaurentPoly:
-    """Newton-form interpolation through exact points, expanded to monomials."""
-    n = len(nodes)
-    coef = [Fraction(v) for v in values]
-    xs = [Fraction(x) for x in nodes]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    result = [Fraction(0)] * n
-    basis = [Fraction(0)] * n
-    basis[0] = Fraction(1)
-    blen = 1
-    for i, c in enumerate(coef):
-        if c != 0:
-            for j in range(blen):
-                result[j] += c * basis[j]
-        if i < n - 1:
-            # basis *= (x - nodes[i])
-            new = [Fraction(0)] * n
-            for j in range(blen):
-                new[j + 1] += basis[j]
-                new[j] -= xs[i] * basis[j]
-            basis = new
-            blen += 1
-    return LaurentPoly({i: c for i, c in enumerate(result) if c != 0})

@@ -40,10 +40,6 @@ class CurveContext:
     def tangent_degree(self) -> int:
         return 2 * (1 - self.genus)
 
-    @property
-    def canonical_degree(self) -> int:
-        return 2 * self.genus - 2
-
 
 @dataclass(frozen=True)
 class Atom:

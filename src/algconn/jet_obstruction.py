@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidAnchor, LaurentSyntaxError, SchemaError, ShapeMismatch
-from .exact_core import LaurentMatrix, LaurentPoly, laurent_parse
+from .exact_core import LaurentMatrix, LaurentPoly, _matrix, _poly, laurent_parse
 from .p1_engine import (
     P1Bundle,
     _derived_bundle,
@@ -265,12 +265,12 @@ def split_coboundary(
                                 "Serre-dual witness failed verification (internal bug)"
                             )
                         return None
-                row0.append(LaurentPoly(hol0))
-                row1.append(LaurentPoly(hol1))
-            rows0.append(row0)
-            rows1.append(row1)
-        beta0.append(LaurentMatrix(rows0))
-        beta1.append(LaurentMatrix(rows1))
+                row0.append(_poly(hol0))
+                row1.append(_poly(hol1))
+            rows0.append(tuple(row0))
+            rows1.append(tuple(row1))
+        beta0.append(_matrix(tuple(rows0)))
+        beta1.append(_matrix(tuple(rows1)))
     u1_inv, u1v_inv = se.u1_inverse(E.transition), sv.u1_inverse(V.transition)
     b0 = _mix(sv.U0.transpose(), _conjugate(u0_inv, beta0, se.U0))
     b1 = _mix(u1v_inv.transpose(), _conjugate(se.U1, beta1, u1_inv))
@@ -294,15 +294,23 @@ def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert 
     matrices A0 = -b0, A1 = -b1; the sign is forced by the overlap identity
     that verify_connection checks.
     """
+    return _cocycle_and_connection(E, anchor)[1]
+
+
+def _cocycle_and_connection(
+    E: P1Bundle, anchor: ConcreteAnchor
+) -> tuple[ObstructionCocycle, ConnectionCert | None]:
+    """The obstruction cocycle, computed once, with the certificate
+    construct_connection returns for it."""
     cocycle = obstruction_cocycle(E, anchor)
     solved = split_coboundary(cocycle, E, anchor.V)
     if solved is None:
-        return None
+        return cocycle, None
     b0, b1 = solved
     cert = ConnectionCert(A0=-b0, A1=-b1)
     if not verify_connection(E, anchor, cert):
         raise AssertionError("constructed certificate failed verification (internal bug)")
-    return cert
+    return cocycle, cert
 
 
 def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert) -> bool:

@@ -62,6 +62,8 @@ from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
     Rat,
+    _matrix,
+    _poly,
     _qinverse,
     _qmatmul,
     _qnullspace,
@@ -189,17 +191,18 @@ class SplittingData:
     determinant.
 
     Every inverse the engine needs is read off this identity by the methods
-    below."""
+    below. T^(-1) is cached on the object; D = diag(z^(a_i)) and D^(-1)
+    are cheap to rebuild, so the splitting memo does not keep them."""
 
     type: tuple[int, ...]
     U0: LaurentMatrix
     U1: LaurentMatrix
 
     def diagonal(self) -> LaurentMatrix:
-        return LaurentMatrix.diag([LaurentPoly.z(a) for a in self.type])
+        return _monomial_diagonal(self.type)
 
     def inverse_diagonal(self) -> LaurentMatrix:
-        return LaurentMatrix.diag([LaurentPoly.z(-a) for a in self.type])
+        return _monomial_diagonal([-a for a in self.type])
 
     def verify(self, E: "P1Bundle") -> bool:
         if list(self.type) != sorted(self.type, reverse=True):
@@ -228,6 +231,17 @@ class SplittingData:
     def u1_inverse(self, T: LaurentMatrix) -> LaurentMatrix:
         """U1^(-1) = D^(-1) U0 T, for the transition T this splits."""
         return self.inverse_diagonal() @ self.U0 @ T
+
+
+def _monomial_diagonal(exps: Sequence[int]) -> LaurentMatrix:
+    """diag(z^(e_1), ..., z^(e_r)), built in canonical form without a check."""
+    zero = _poly({})
+    return _matrix(
+        tuple(
+            tuple(_poly({e: 1}) if i == j else zero for j in range(len(exps)))
+            for i, e in enumerate(exps)
+        )
+    )
 
 
 _NOT_A_UNIT = "transition is not invertible over the Laurent ring"

@@ -100,9 +100,6 @@ class Sampler:
         )
         return scale @ M
 
-    def split_p1_bundle(self, max_rank: int = 3, bound: int = 4, min_rank: int = 1) -> P1Bundle:
-        return split_bundle(self.exponents(max_rank, bound, min_rank))
-
     def gauged_p1_bundle(
         self,
         max_rank: int = 3,

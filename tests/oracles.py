@@ -3,41 +3,76 @@
 These deliberately avoid the library's splitting/inversion machinery so they
 can check it: cohomology is computed by brute-force linear algebra on the
 two-chart holomorphy constraint (with degree bounds read off the transition
-matrix itself via a naive permutation-expansion determinant), and the
-filtration oracle enumerates sub-multisets exhaustively.
+matrix itself via an evaluation determinant), and the filtration oracle
+enumerates sub-multisets exhaustively.
+
+The determinant oracle evaluates entries from their coefficient dicts at a
+few integer nodes and eliminates over the rationals itself: it uses no
+elimination of algconn.exact_core and nothing of algconn.p1_engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
-from algconn.exact_core import LaurentMatrix, LaurentPoly
+from algconn.exact_core import LaurentMatrix
 
 
-def naive_det(M: LaurentMatrix) -> LaurentPoly:
-    """Permutation-expansion determinant; fine for the ranks tests use."""
-    n = M.rows
-    total = LaurentPoly.zero()
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = LaurentPoly.const(sign)
-        for i in range(n):
-            term = term * M.entry(i, perm[i])
-        total = total + term
-    return total
+def _scalar_det(a: list[list[Fraction]]) -> Fraction:
+    """Determinant of a rational matrix by fraction-valued Gaussian elimination."""
+    a = [row[:] for row in a]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def _det_at(M: LaurentMatrix, x: int) -> Fraction:
+    """det M(x), each entry summed from its coefficient dict at z = x."""
+    x = Fraction(x)
+    return _scalar_det(
+        [[sum(c * x**e for e, c in M.entry(i, j).coeffs.items()) for j in range(M.cols)]
+         for i in range(M.rows)]
+    )
+
+
+def monomial_det(M: LaurentMatrix) -> tuple[Fraction, int] | None:
+    """(c, k) when det M = c*z^k with c != 0, else None; by evaluation only.
+
+    With L the sum of the row-wise lowest exponents and s the sum of the
+    row-wise exponent spans, z^(-L) det M is a polynomial of degree <= s. So
+    det M = c*z^k needs L <= k <= L + s, and then holds if it holds at the
+    s + 1 distinct nodes 1 .. s + 1. Node 1 gives c and node 2 gives k.
+    """
+    low = span = 0
+    for i in range(M.rows):
+        exps = [e for j in range(M.cols) for e in M.entry(i, j).coeffs]
+        if not exps:
+            return None
+        low += min(exps)
+        span += max(exps) - min(exps)
+    c = _det_at(M, 1)
+    if c == 0:
+        return None
+    at2 = _det_at(M, 2)
+    k = next((k for k in range(low, low + span + 1) if c * Fraction(2) ** k == at2), None)
+    if k is None:
+        return None
+    if all(_det_at(M, x) == c * Fraction(x) ** k for x in range(3, span + 2)):
+        return c, k
+    return None
 
 
 def rref_nullity(rows: list[list[Fraction]], ncols: int) -> int:
@@ -72,13 +107,13 @@ def h0_by_linear_solve(transition: LaurentMatrix, n: int = 0) -> int:
     A section is a pair (v, u) with v = z^n T u, v polynomial in z and u in
     w = 1/z. Writing u = T^(-1) z^(-n) v bounds the w-degree of u by
     n - min_exp(T^(-1)), and min_exp(T^(-1)) >= (r-1) * min_exp(T) - k with
-    k the determinant exponent, read off the naive determinant. The sections
+    k the determinant exponent, read off monomial_det. The sections
     are then the nullspace of "negative coefficients of z^n T u vanish".
     """
     r = transition.rows
-    det = naive_det(transition)
-    assert not det.is_zero and det.is_monomial(), "oracle needs a unit determinant"
-    k = det.min_exp
+    unit = monomial_det(transition)
+    assert unit is not None, "oracle needs a unit determinant"
+    k = unit[1]
     lo_t = transition.min_exp() or 0
     lo_inv = (r - 1) * min(0, lo_t) - k
     m = n - lo_inv

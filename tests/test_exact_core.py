@@ -1,26 +1,19 @@
 """Laurent arithmetic: parser, derivative, matrices, unit inverses."""
 
-import os
 import re
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-sys.path.insert(0, os.path.dirname(__file__))
-from oracles import naive_det
-
 from algconn.errors import LaurentSyntaxError, NotAUnit, NotSquare
 from algconn.exact_core import (
     LaurentMatrix,
     LaurentPoly,
-    _qdet,
     _qinverse,
     _qmatmul,
     _qnullspace,
-    _qrank,
     generic_rank,
     laurent_parse,
 )
@@ -102,7 +95,7 @@ def test_constructor_rejects_non_int_exponent(exp):
         LaurentPoly({exp: 1})
 
 
-@pytest.mark.parametrize("coeff", [0.1, 1.0, float("nan"), True, False])
+@pytest.mark.parametrize("coeff", [0.1, 1.0, float("nan"), True, False, "1/2", " 3 ", "1e3", "z"])
 def test_constructor_rejects_float_and_bool_coefficient(coeff):
     with pytest.raises(TypeError, match=re.escape(f"coefficient {coeff!r} of z^1 is not exact")):
         LaurentPoly({1: coeff})
@@ -261,10 +254,10 @@ def test_dense_helpers_stay_exact_on_int_input():
     results = [
         (_qinverse([[2, 1], [1, 1]]), [[1, -1], [-1, 2]]),
         (_qinverse([[2, 0], [0, 3]]), [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]),
-        (_qdet([[2, 1], [1, 3]]), 5),
-        (_qdet([[49, 49], [1, 1]]), 0),
         (_qnullspace([[2, 4]], 2), [[-2, 1]]),
         (_qnullspace([[3, 1, 0], [0, 7, 1]], 3), [[Fraction(1, 21), Fraction(-1, 7), 1]]),
+        (_qnullspace([[49, 49], [1, 1]], 2), [[-1, 1]]),
+        (_qnullspace([[2, 1], [1, 1]], 2), []),
         (_qmatmul([[1, 2]], [[3], [4]]), [[11]]),
     ]
     for got, want in results:
@@ -272,8 +265,8 @@ def test_dense_helpers_stay_exact_on_int_input():
         flat = got if isinstance(got, list) else [[got]]
         assert not any(isinstance(x, float) for row in flat for x in row)
     # 1 - (1/49.0)*49 is not 0 in floating point: a float pivot finds rank 2
-    assert _qrank([[49, 49], [1, 1]]) == 1
-    assert _qrank([[2, 1], [1, 1]]) == 2
+    assert generic_rank(LaurentMatrix.parse([["49", "49"], ["1", "1"]])) == 1
+    assert generic_rank(LaurentMatrix.parse([["2", "1"], ["1", "1"]])) == 2
 
 
 def test_integral_fractions_and_ints_share_memo_keys():
@@ -389,29 +382,6 @@ def test_unit_inverse_involution_on_random_unimodulars():
         assert M @ unit_inverse(M) == LaurentMatrix.identity(size)
 
 
-def test_det_multiplicative_and_matches_naive():
-    s = Sampler(99)
-    for _ in range(20):
-        size = s.rng.randint(1, 3)
-        M = LaurentMatrix(
-            [[s.laurent(-2, 2, max_terms=2) for _ in range(size)] for _ in range(size)]
-        )
-        N = LaurentMatrix(
-            [[s.laurent(-2, 2, max_terms=2) for _ in range(size)] for _ in range(size)]
-        )
-        assert M.det() == naive_det(M)
-        assert (M @ N).det() == M.det() * N.det()
-
-
-def test_interpolation_path_matches_naive_det():
-    s = Sampler(7)
-    for _ in range(5):
-        M = LaurentMatrix(
-            [[s.laurent(-2, 2, max_terms=2) for _ in range(4)] for _ in range(4)]
-        )
-        assert M.det() == naive_det(M)
-
-
 def test_generic_rank():
     assert generic_rank(LaurentMatrix.zeros(2, 3)) == 0
     assert generic_rank(LaurentMatrix.identity(3)) == 3
@@ -429,8 +399,6 @@ def test_matrix_shape_mismatches():
         A @ LaurentMatrix.zeros(3, 1)
     with pytest.raises(ValueError):
         A + B
-    with pytest.raises(NotSquare):
-        LaurentMatrix.zeros(2, 3).det()
 
 
 def test_kron_mixed_product():
