@@ -278,12 +278,30 @@ _TERM_RE = re.compile(
 )
 
 
+def _numeral(m: re.Match, group: str) -> int | None:
+    """The int a matched numeral group spells, or None when it is absent.
+    int() refuses a numeral longer than the interpreter's digit limit
+    (sys.get_int_max_str_digits, 4300 by default) with a ValueError; that
+    is a syntax error at the numeral's position."""
+    s = m.group(group)
+    if s is None:
+        return None
+    try:
+        return int(s)
+    except ValueError:
+        raise LaurentSyntaxError(
+            f"numeral of {len(s.lstrip('+-'))} digits is longer than the integer digit limit",
+            m.start(group),
+        ) from None
+
+
 def laurent_parse(text: str) -> LaurentPoly:
     """Parse the grammar of signed terms c, c*z, c*z^k, z, z^k.
 
     Coefficients are integers or integer/integer fractions. Raises
-    LaurentSyntaxError with the offending position on malformed input, and on
-    zero-denominator coefficients. Round-trips with the canonical printer.
+    LaurentSyntaxError with the offending position on malformed input, on
+    zero-denominator coefficients, and on numerals longer than int()'s digit
+    limit. Round-trips with the canonical printer.
     """
     coeffs: dict[int, int | Fraction] = {}
     pos = 0
@@ -310,18 +328,19 @@ def laurent_parse(text: str) -> LaurentPoly:
         if m is None or m.end() == pos:
             raise LaurentSyntaxError("expected a term", pos)
         if m.group("num") is not None:
-            den = m.group("den")
-            if den is not None and int(den) == 0:
+            den = _numeral(m, "den")
+            if den == 0:
                 raise LaurentSyntaxError("zero-denominator coefficient", pos)
-            num = int(m.group("num"))
-            coef = Fraction(num, int(den)) if den else num
-            exp_s = m.group("exp1")
-            has_z = "z" in text[pos : m.end()]
-            exp = int(exp_s) if exp_s is not None else (1 if has_z else 0)
+            num = _numeral(m, "num")
+            coef = Fraction(num, den) if den else num
+            exp = _numeral(m, "exp1")
+            if exp is None:
+                exp = 1 if "z" in text[pos : m.end()] else 0
         else:
             coef = 1
-            exp_s = m.group("exp2")
-            exp = int(exp_s) if exp_s is not None else 1
+            exp = _numeral(m, "exp2")
+            if exp is None:
+                exp = 1
         coeffs[exp] = coeffs.get(exp, 0) + sign * coef
         pos = m.end()
         first = False

@@ -30,8 +30,15 @@ validation: it fails exactly when T is not a unit (a row reduces to zero,
 or N U1 = I fails because det N is not constant), and otherwise proves
 det T = c * z^(sum a_i), which fixes deg E = sum a_i. Bundles derived from
 validated ones (duals, twists, tensor and hom bundles, jet bundles) are units
-by construction; they skip the reduction and take their degree from a
-formula, which birkhoff_split checks against the splitting type.
+by construction; they skip the validating reduction and take their degree
+from a formula, which birkhoff_split checks against the splitting type.
+Duals and twists also carry a splitting, read in closed form off their
+factor's: they split the way E splits. birkhoff_split verifies that
+splitting in place of a reduction, and verifying suffices: the splitting type
+is an invariant of the bundle (Grothendieck), so any splitting that passes
+SplittingData.verify has the one type the reduction would find. Jet bundles
+are extensions, not sums, and the reduction splits them, as it does tensor
+and hom bundles.
 
 End(E) (x) V*, where the connection obstruction lives, is never split as a
 bundle of its own: jet_obstruction.split_coboundary works through the
@@ -39,8 +46,11 @@ splittings of E and V.
 
 There is one memo, the splitting memo behind birkhoff_split. Every inverse
 the engine takes (T^(-1), U0^(-1), U1^(-1)) is read off the SplittingData it
-holds: T^(-1) is cached on that object, so equal bundles share it, and the
-bundle constructors (duals, tensor and hom bundles, twists) cache nothing.
+holds: T^(-1) is cached on that object, so equal bundles share it. The
+bundle constructors cache nothing: the splitting a dual or twist carries is
+held only until birkhoff_split has verified it and handed it to the memo. A
+bundle equal to one split before gets the memo's splitting; the type is the
+same, U0 and U1 need not be.
 """
 
 from __future__ import annotations
@@ -64,6 +74,7 @@ from .exact_core import (
     Rat,
     _matrix,
     _poly,
+    _q,
     _qinverse,
     _qmatmul,
     _qnullspace,
@@ -86,6 +97,10 @@ class P1Bundle:
     rank: int
     transition: LaurentMatrix
     _degree: int | None = field(default=None, init=False, repr=False, compare=False)
+    # a splitting derived from a factor's, until _birkhoff_cached verifies it
+    _splitting: SplittingData | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.transition.is_square:
@@ -107,14 +122,21 @@ class P1Bundle:
         return Fraction(self.degree, self.rank)
 
 
-def _derived_bundle(rank: int, transition: LaurentMatrix, degree: int) -> P1Bundle:
+def _derived_bundle(
+    rank: int,
+    transition: LaurentMatrix,
+    degree: int,
+    splitting: SplittingData | None = None,
+) -> P1Bundle:
     """A bundle whose transition is built from validated ones, hence a unit,
-    with its degree given by formula instead of a reduction; birkhoff_split
-    still checks that degree against the splitting type."""
+    with its degree given by formula instead of a reduction, and possibly a
+    splitting read off its factors' in place of one. birkhoff_split checks
+    both: the degree against the splitting type, the splitting by verify."""
     E = object.__new__(P1Bundle)
     object.__setattr__(E, "rank", rank)
     object.__setattr__(E, "transition", transition)
     object.__setattr__(E, "_degree", degree)
+    object.__setattr__(E, "_splitting", splitting)
     return E
 
 
@@ -139,8 +161,22 @@ def tangent_bundle() -> P1Bundle:
 
 
 def dual_bundle(E: P1Bundle) -> P1Bundle:
-    """E*: transition T^(-T), degree -deg E."""
-    return _derived_bundle(E.rank, birkhoff_split(E).transition_inverse.transpose(), -E.degree)
+    """E*: transition T^(-T), degree -deg E.
+
+    It splits the way E does. Transposing the inverse of U0 T U1 = D gives
+    (U0^(-1))^T T^(-T) (U1^(-1))^T = D^(-1), and reversing the frame order
+    sorts the type -a_r >= ... >= -a_1. So E*'s U0 is (T U1 D^(-1))^T with
+    its rows reversed and its U1 is (D^(-1) U0 T)^T with its columns
+    reversed: polynomial in z and in 1/z, as U0^(-1) and U1^(-1) are."""
+    d = birkhoff_split(E)
+    r = E.rank
+    rev = range(r - 1, -1, -1)
+    splitting = SplittingData(
+        tuple(-a for a in reversed(d.type)),
+        d.u0_inverse(E.transition).transpose().submatrix(rev, range(r)),
+        d.u1_inverse(E.transition).transpose().submatrix(range(r), rev),
+    )
+    return _derived_bundle(r, d.transition_inverse.transpose(), -E.degree, splitting)
 
 
 def tensor_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
@@ -169,8 +205,20 @@ def end_bundle(E: P1Bundle) -> P1Bundle:
 
 
 def twist(E: P1Bundle, n: int) -> P1Bundle:
-    """E (x) O(n): shifts every transition entry by z^n, and the degree by r n."""
-    return _derived_bundle(E.rank, E.transition.shift(n), E.degree + E.rank * n)
+    """E (x) O(n): shifts every transition entry by z^n, and the degree by r n.
+
+    It keeps E's U0 and U1, since U0 (z^n T) U1 = z^n D, and adds n to the
+    type. A splitting E holds unverified is read directly: this identity is
+    equivalent to E's, so verifying the twist's verifies both."""
+    d = E._splitting
+    if d is None:
+        d = birkhoff_split(E)
+    return _derived_bundle(
+        E.rank,
+        E.transition.shift(n),
+        E.degree + E.rank * n,
+        SplittingData(tuple(a + n for a in d.type), d.U0, d.U1),
+    )
 
 
 def gauge_transform(E: P1Bundle, A: LaurentMatrix, B: LaurentMatrix) -> P1Bundle:
@@ -191,8 +239,9 @@ class SplittingData:
     determinant.
 
     Every inverse the engine needs is read off this identity by the methods
-    below. T^(-1) is cached on the object; D = diag(z^(a_i)) and D^(-1)
-    are cheap to rebuild, so the splitting memo does not keep them."""
+    below. D = diag(z^(a_i)) and D^(-1) are never multiplied: on the left
+    they shift row i by z^(+-a_i), on the right column j by z^(+-a_j). T^(-1)
+    is cached on the object."""
 
     type: tuple[int, ...]
     U0: LaurentMatrix
@@ -200,9 +249,6 @@ class SplittingData:
 
     def diagonal(self) -> LaurentMatrix:
         return _monomial_diagonal(self.type)
-
-    def inverse_diagonal(self) -> LaurentMatrix:
-        return _monomial_diagonal([-a for a in self.type])
 
     def verify(self, E: "P1Bundle") -> bool:
         if list(self.type) != sorted(self.type, reverse=True):
@@ -216,21 +262,21 @@ class SplittingData:
             return False
         # U0^(-1) = T U1 D^(-1) polynomial in z makes det U0 a nonzero constant;
         # det U1 = z^(sum a) / (det U0 det T) is then constant, det T being c z^(deg E).
-        return (t_u1 @ self.inverse_diagonal()).is_poly_in_z
+        return _shift_columns(t_u1, [-a for a in self.type]).is_poly_in_z
 
     @cached_property
     def transition_inverse(self) -> LaurentMatrix:
         """T^(-1) = U1 D^(-1) U0, computed once: the memo hands this object
         to every bundle equal to the one it split."""
-        return self.U1 @ self.inverse_diagonal() @ self.U0
+        return _shift_columns(self.U1, [-a for a in self.type]) @ self.U0
 
     def u0_inverse(self, T: LaurentMatrix) -> LaurentMatrix:
         """U0^(-1) = T U1 D^(-1), for the transition T this splits."""
-        return T @ (self.U1 @ self.inverse_diagonal())
+        return _shift_columns(T @ self.U1, [-a for a in self.type])
 
     def u1_inverse(self, T: LaurentMatrix) -> LaurentMatrix:
         """U1^(-1) = D^(-1) U0 T, for the transition T this splits."""
-        return self.inverse_diagonal() @ self.U0 @ T
+        return _shift_rows(self.U0 @ T, [-a for a in self.type])
 
 
 def _monomial_diagonal(exps: Sequence[int]) -> LaurentMatrix:
@@ -241,6 +287,18 @@ def _monomial_diagonal(exps: Sequence[int]) -> LaurentMatrix:
             tuple(_poly({e: 1}) if i == j else zero for j in range(len(exps)))
             for i, e in enumerate(exps)
         )
+    )
+
+
+def _shift_rows(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
+    """diag(z^(e_i)) * M: row i times z^(e_i)."""
+    return _matrix(tuple(tuple(x.shift(e) for x in M.row_list(i)) for i, e in enumerate(exps)))
+
+
+def _shift_columns(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
+    """M * diag(z^(e_j)): column j times z^(e_j)."""
+    return _matrix(
+        tuple(tuple(x.shift(e) for x, e in zip(M.row_list(i), exps)) for i in range(M.rows))
     )
 
 
@@ -290,7 +348,7 @@ def _split_connected(T: LaurentMatrix) -> tuple[LaurentMatrix, LaurentMatrix, li
         new_row = [LaurentPoly.zero()] * r
         new_u0 = [LaurentPoly.zero()] * r
         for i in support:
-            factor = LaurentPoly.monomial(kappa[i], tops[i0] - tops[i])
+            factor = _poly({tops[i0] - tops[i]: _q(kappa[i])})
             for j in range(r):
                 new_row[j] = new_row[j] + factor * rows[i][j]
                 new_u0[j] = new_u0[j] + factor * u0_rows[i][j]
@@ -300,8 +358,8 @@ def _split_connected(T: LaurentMatrix) -> tuple[LaurentMatrix, LaurentMatrix, li
 
     # T_reduced = diag(z^h) * N with N(0) = H invertible and det N constant,
     # hence N is invertible over the w-chart polynomial ring.
-    N = LaurentMatrix([[rows[i][j].shift(-tops[i]) for j in range(r)] for i in range(r)])
-    return LaurentMatrix(u0_rows), _series_inverse(N), tops
+    N = _shift_rows(_matrix(tuple(map(tuple, rows))), [-h for h in tops])
+    return _matrix(tuple(map(tuple, u0_rows))), _series_inverse(N), tops
 
 
 def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
@@ -330,8 +388,11 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
             term = _qmatmul(steps[j - 1], X[k - j])
             Xk = [[x + y for x, y in zip(ra, rt)] for ra, rt in zip(Xk, term)]
         X.append(Xk)
-    U1 = LaurentMatrix(
-        [[LaurentPoly({-k: Xk[i][j] for k, Xk in enumerate(X)}) for j in range(r)] for i in range(r)]
+    U1 = _matrix(
+        tuple(
+            tuple(_poly({-k: _q(Xk[i][j]) for k, Xk in enumerate(X) if Xk[i][j]}) for j in range(r))
+            for i in range(r)
+        )
     )
     if N @ U1 != LaurentMatrix.identity(r):
         raise NotAUnit(
@@ -372,14 +433,27 @@ def _blocks(T: LaurentMatrix) -> list[list[int]]:
 # a 2-vCPU VM.
 @lru_cache(maxsize=None)
 def _birkhoff_cached(E: P1Bundle) -> SplittingData:
-    T = E.transition
-    r = E.rank
-    comps = _blocks(T)
+    data = E._splitting
+    if data is None:
+        data = _reduce(E.transition)
+    if E.degree is None:
+        # E is being validated: the reduction has proved det T = c z^(sum a)
+        object.__setattr__(E, "_degree", sum(data.type))
+    if not data.verify(E):
+        raise AssertionError("splitting failed verification (internal bug)")
+    # a bundle holds a derived splitting only until it is verified
+    object.__setattr__(E, "_splitting", None)
+    return data
+
+
+def _reduce(T: LaurentMatrix) -> SplittingData:
+    """Split T block by block with the reduction, and sort the type."""
+    r = T.rows
     zero = LaurentPoly.zero()
     scatter0 = [[zero] * r for _ in range(r)]
     scatter1 = [[zero] * r for _ in range(r)]
     exps: list[int] = [0] * r
-    for comp in comps:
+    for comp in _blocks(T):
         U0c, U1c, hc = _split_connected(T.submatrix(comp, comp))
         for p, i in enumerate(comp):
             exps[i] = hc[p]
@@ -387,15 +461,9 @@ def _birkhoff_cached(E: P1Bundle) -> SplittingData:
                 scatter0[i][j] = U0c.entry(p, q)
                 scatter1[i][j] = U1c.entry(p, q)
     order = sorted(range(r), key=lambda i: -exps[i])
-    U0 = LaurentMatrix(scatter0).submatrix(order, range(r))
-    U1 = LaurentMatrix(scatter1).submatrix(range(r), order)
-    data = SplittingData(tuple(exps[i] for i in order), U0, U1)
-    if E.degree is None:
-        # E is being validated: the reduction has proved det T = c z^(sum a)
-        object.__setattr__(E, "_degree", sum(data.type))
-    if not data.verify(E):
-        raise AssertionError("splitting failed verification (internal bug)")
-    return data
+    U0 = _matrix(tuple(tuple(scatter0[i]) for i in order))
+    U1 = _matrix(tuple(tuple(row[j] for j in order) for row in scatter1))
+    return SplittingData(tuple(exps[i] for i in order), U0, U1)
 
 
 def birkhoff_split(E: P1Bundle) -> SplittingData:
@@ -493,7 +561,9 @@ def riemann_roch_check(E: P1Bundle) -> bool:
 
 
 def serre_dual_check(E: P1Bundle) -> bool:
-    """h^1(E) = h^0(E* (x) O(-2))."""
+    """h^1(E) = h^0(E* (x) O(-2)). The right side runs no second reduction:
+    E* (x) O(-2) carries a splitting read off E's, which birkhoff_split
+    verifies."""
     _, h1 = cohomology_dims(E)
     h0_dual, _ = cohomology_dims(twist(dual_bundle(E), -2))
     return h1 == h0_dual

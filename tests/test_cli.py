@@ -222,6 +222,21 @@ def test_high_exponent_entry_splits_in_bounded_time(tmp_path, command):
     assert out["type" if command == "split" else "splitting_type"] == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("command", ["split", "cohomology"])
+@pytest.mark.parametrize(
+    "entry, position",
+    [("1" + "0" * 5000, 0), ("z^" + "9" * 5000, 2), ("1 + 3/" + "7" * 5000 + "*z", 6)],
+    ids=["coefficient", "exponent", "denominator"],
+)
+def test_oversized_numeral_is_a_schema_error(capsys, tmp_path, command, entry, position):
+    # longer than int()'s default 4300-digit string limit
+    p = write(tmp_path, "huge.json", {"rank": 1, "transition": [[entry]]})
+    code, doc, err = run(capsys, [command, "--bundle", p])
+    assert code == 2 and doc is None
+    assert err.startswith("schema error: bad transition entry: numeral of")
+    assert f"(at position {position})" in err
+
+
 def test_cohomology(files, capsys):
     code, doc, _ = run(capsys, ["cohomology", "--bundle", files["p1"]])
     assert code == 0

@@ -16,6 +16,7 @@ from algconn.p1_engine import (
     P1Bundle,
     SplittingData,
     _birkhoff_cached,
+    _derived_bundle,
     _series_inverse,
     birkhoff_split,
     cohomology_dims,
@@ -297,6 +298,60 @@ def test_riemann_roch_and_serre():
         E, _ = s.gauged_p1_bundle(max_rank=3, bound=4, ops=2, max_deg=1)
         assert riemann_roch_check(E)
         assert serre_dual_check(E)
+
+
+# -- derived splittings ------------------------------------------------------------
+
+
+def test_derived_dual_and_twist_splittings_match_oracle_and_reduction():
+    # the dual and its twists carry a splitting read off E's; h^0 against the
+    # linear-solve oracle on T^(-T), the type against a fresh reduction of T^(-T)
+    s = Sampler(63)
+    for _ in range(12):
+        E, exps = s.gauged_p1_bundle(min_rank=2, max_rank=5, bound=2, ops=2, max_deg=1)
+        r = E.rank
+        D = dual_bundle(E)
+        assert D._splitting is not None
+        t_dual = D.transition
+        assert E.transition @ t_dual.transpose() == LaurentMatrix.identity(r)
+        derived = birkhoff_split(D).type
+        assert derived == tuple(-a for a in reversed(exps))
+        for n in (-2, 0, 1, 3):
+            X = twist(D, n)
+            assert X._splitting is not None
+            assert birkhoff_split(X).type == tuple(a + n for a in derived)
+            assert cohomology_dims(X)[0] == h0_by_linear_solve(t_dual, n)
+        _birkhoff_cached.cache_clear()
+        assert birkhoff_split(P1Bundle(r, t_dual)).type == derived
+
+
+def test_derived_splittings_are_verified():
+    # each alteration alone of a derived U0 entry, U1 entry or type trips the
+    # gate; a twist reading its factor's altered splitting trips it too
+    _birkhoff_cached.cache_clear()
+    s = Sampler(64)
+    E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
+    one = LaurentPoly.one()
+
+    def bump(M: LaurentMatrix) -> LaurentMatrix:
+        return M + LaurentMatrix.diag([one, LaurentPoly.zero(), LaurentPoly.zero()])
+
+    for X in (dual_bundle(E), twist(E, 3), twist(dual_bundle(E), -2)):
+        d = X._splitting
+        t = d.type
+        tampers = {
+            "U0": SplittingData(t, bump(d.U0), d.U1),
+            "U1": SplittingData(t, d.U0, bump(d.U1)),
+            "type": SplittingData((t[0] + 1,) + t[1:-1] + (t[-1] - 1,), d.U0, d.U1),
+        }
+        for name, bad in tampers.items():
+            for Y in (
+                _derived_bundle(X.rank, X.transition, X.degree, bad),
+                twist(_derived_bundle(X.rank, X.transition, X.degree, bad), 1),
+            ):
+                with pytest.raises(AssertionError, match="internal bug"):
+                    birkhoff_split(Y)
+        assert birkhoff_split(X) is d
 
 
 # -- sections --------------------------------------------------------------------
