@@ -40,10 +40,11 @@ drops the zeros once. Integer coefficients multiply there as native ints.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import LaurentSyntaxError, NotSquare
+from .errors import LaurentSyntaxError, NotSquare, PreconditionFailed
 
 Rat = Fraction
 
@@ -128,9 +129,6 @@ class LaurentPoly:
     @property
     def is_constant(self) -> bool:
         return not self._coeffs or set(self._coeffs) == {0}
-
-    def is_monomial(self) -> bool:
-        return len(self._coeffs) == 1
 
     @property
     def is_poly_in_z(self) -> bool:
@@ -221,18 +219,25 @@ class LaurentPoly:
         if not self._coeffs:
             return "0"
         parts: list[str] = []
-        for e in sorted(self._coeffs):  # ascending exponents, reproducibly
-            c = self._coeffs[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                zpart = "z" if e == 1 else f"z^{e}"
-                body = zpart if mag == 1 else f"{mag}*{zpart}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        try:
+            for e in sorted(self._coeffs):  # ascending exponents, reproducibly
+                c = self._coeffs[e]
+                mag = abs(c)
+                if e == 0:
+                    body = str(mag)
+                else:
+                    zpart = "z" if e == 1 else f"z^{e}"
+                    body = zpart if mag == 1 else f"{mag}*{zpart}"
+                if not parts:
+                    parts.append(body if c > 0 else f"-{body}")
+                else:
+                    parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        except ValueError:
+            # str() refuses an int longer than the interpreter's digit limit
+            raise PreconditionFailed(
+                f"the coefficient of z^{e} is too long to print: a numerator or denominator "
+                f"exceeds the integer digit limit of {sys.get_int_max_str_digits()} digits"
+            ) from None
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -124,14 +124,10 @@ class ConnectionCert:
 
 
 def jet1_transition(E: P1Bundle) -> P1Bundle:
-    """First jet bundle, rank 2r, frame (derivative, value). Its transition
-    is block triangular with det = (-1)^r z^(-2r) (det T)^2, so its degree is
+    """First jet bundle, rank 2r, frame (derivative, value): the anchored jet
+    bundle of the tangent anchor, with blocks -z^(-2) T, T', 0, T and degree
     2 deg E - 2r."""
-    T = E.transition
-    tk = T.shift(-2).scalar_mul(-1)
-    top = tk.hstack(T.derivative())
-    bottom = LaurentMatrix.zeros(E.rank, E.rank).hstack(T)
-    return _derived_bundle(2 * E.rank, top.vstack(bottom), 2 * E.degree - 2 * E.rank)
+    return jetV_transition(E, tangent_anchor())
 
 
 def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:

@@ -13,25 +13,29 @@ determinant of T. The tangent bundle is O(2) with transition -z^2: the sign
 is the honest chain rule d/dz = -z^2... for w = 1/z, and matters once jets
 and anchors enter.
 
-Splitting (the decomposition into line bundles) is computed by a two-sided
-reduction: polynomial row operations on the left lower the row-degree sum
-until the matrix of leading row coefficients is invertible, at which point
-T = diag(z^(h_i)) * N with N invertible over the w-chart ring. U1 = N^(-1)
-is a w-power series that terminates, since N(0) is invertible and det N is
-constant. The exact factorization identity U0 * T * U1 = diag(z^(a_i)) is
-asserted on every output, so the splitting type is certified independently
-of the strategy that found it. Every inverse of a unit matrix is read off
-that identity, and so is unimodularity: U0^(-1) = T * U1 * diag(z^(-a_i))
+Splitting (the decomposition into line bundles) is computed by one
+two-sided reduction over the whole transition: polynomial row operations on
+the left lower the row-degree sum until the matrix of leading row
+coefficients is invertible, at which point T = diag(z^(h_i)) * N with N(0)
+invertible. U1 is the w-power series of N^(-1), cut off at the w-degree
+N^(-1) has when det N is constant. The exact factorization identity
+U0 * T * U1 = diag(z^(a_i)) is checked once, by SplittingData.verify, on
+every output, so the splitting type is certified independently of the
+strategy that found it. Every inverse of a unit matrix is read off that
+identity, and so is unimodularity: U0^(-1) = T * U1 * diag(z^(-a_i))
 polynomial in z makes U0 and U1 unimodular, so no determinant certifies a
 splitting.
 
-No determinant validates a transition either. The same reduction is the
-validation: it fails exactly when T is not a unit (a row reduces to zero,
-or N U1 = I fails because det N is not constant), and otherwise proves
-det T = c * z^(sum a_i), which fixes deg E = sum a_i. Bundles derived from
-validated ones (duals, twists, tensor and hom bundles, jet bundles) are units
-by construction; they skip the validating reduction and take their degree
-from a formula, which birkhoff_split checks against the splitting type.
+No determinant validates a transition either. The same reduction and check
+are the validation, and raise NotAUnit exactly when T is not a unit. The
+reduction stops on det T = 0 (a row reduces to zero, or the step budget
+runs out). Otherwise U0 is unimodular by construction, so the identity
+holds exactly when N U1 = I, that is when det N is constant, and then it
+proves det T = c * z^(sum a_i), which fixes deg E = sum a_i. Bundles
+derived from validated ones (duals, twists, tensor and hom bundles, jet
+bundles) are units by construction; they skip the validation and take their
+degree from a formula, which birkhoff_split checks against the splitting
+type. For them a failed check is an internal bug, not NotAUnit.
 Duals and twists also carry a splitting, read in closed form off their
 factor's: they split the way E splits. birkhoff_split verifies that
 splitting in place of a reduction, and verifying suffices: the splitting type
@@ -248,21 +252,21 @@ class SplittingData:
     U1: LaurentMatrix
 
     def diagonal(self) -> LaurentMatrix:
-        return _monomial_diagonal(self.type)
+        return LaurentMatrix.diag([LaurentPoly.z(a) for a in self.type])
 
     def verify(self, E: "P1Bundle") -> bool:
+        """The one check of the identity, in the form U0 * U0^(-1) = I with
+        U0^(-1) = T U1 D^(-1) (the identity with D^(-1) applied)."""
         if list(self.type) != sorted(self.type, reverse=True):
             return False
         if sum(self.type) != E.degree:
             return False
         if not (self.U0.is_poly_in_z and self.U1.is_poly_in_w):
             return False
-        t_u1 = E.transition @ self.U1
-        if self.U0 @ t_u1 != self.diagonal():
-            return False
-        # U0^(-1) = T U1 D^(-1) polynomial in z makes det U0 a nonzero constant;
-        # det U1 = z^(sum a) / (det U0 det T) is then constant, det T being c z^(deg E).
-        return _shift_columns(t_u1, [-a for a in self.type]).is_poly_in_z
+        # U0^(-1) polynomial in z makes det U0 a nonzero constant; det U1 =
+        # z^(sum a) / (det U0 det T) is then constant, det T being c z^(deg E).
+        u0_inv = self.u0_inverse(E.transition)
+        return u0_inv.is_poly_in_z and self.U0 @ u0_inv == LaurentMatrix.identity(E.rank)
 
     @cached_property
     def transition_inverse(self) -> LaurentMatrix:
@@ -277,17 +281,6 @@ class SplittingData:
     def u1_inverse(self, T: LaurentMatrix) -> LaurentMatrix:
         """U1^(-1) = D^(-1) U0 T, for the transition T this splits."""
         return _shift_rows(self.U0 @ T, [-a for a in self.type])
-
-
-def _monomial_diagonal(exps: Sequence[int]) -> LaurentMatrix:
-    """diag(z^(e_1), ..., z^(e_r)), built in canonical form without a check."""
-    zero = _poly({})
-    return _matrix(
-        tuple(
-            tuple(_poly({e: 1}) if i == j else zero for j in range(len(exps)))
-            for i, e in enumerate(exps)
-        )
-    )
 
 
 def _shift_rows(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
@@ -320,13 +313,16 @@ def _top_coefficient_data(
     return tops, H
 
 
-def _split_connected(T: LaurentMatrix) -> tuple[LaurentMatrix, LaurentMatrix, list[int]]:
-    """Core reduction. Returns (U0, U1, exponents), U0 @ T @ U1 diagonal
-    with the given (unsorted) exponents, or raises NotAUnit.
+def _split_connected(T: LaurentMatrix) -> SplittingData:
+    """The reduction over the whole transition: U0 and U1 with U0 @ T @ U1
+    claimed diagonal, the type sorted, or NotAUnit when det T = 0. The claim
+    is checked by SplittingData.verify, not here.
 
     Each step lowers the row-degree sum by at least one, and for det T != 0
     that sum stays >= the top exponent of det T >= the sum of the initial
-    row lows, so an exhausted budget, like a zero row, means det T = 0."""
+    row lows, so an exhausted budget, like a zero row, means det T = 0. On a
+    block-diagonal T the first null vector of H lies in one block, so the
+    steps are those of the blocks reduced one by one."""
     r = T.rows
     rows = [T.row_list(i) for i in range(r)]
     u0_rows = [LaurentMatrix.identity(r).row_list(i) for i in range(r)]
@@ -356,10 +352,13 @@ def _split_connected(T: LaurentMatrix) -> tuple[LaurentMatrix, LaurentMatrix, li
         u0_rows[i0] = new_u0
         tops, H = _top_coefficient_data(rows)
 
-    # T_reduced = diag(z^h) * N with N(0) = H invertible and det N constant,
-    # hence N is invertible over the w-chart polynomial ring.
-    N = _shift_rows(_matrix(tuple(map(tuple, rows))), [-h for h in tops])
-    return _matrix(tuple(map(tuple, u0_rows))), _series_inverse(N), tops
+    # T_reduced = diag(z^h) * N with N(0) = H invertible; sorting its rows
+    # by h sorts the type, and permutes the columns of U1 = N^(-1) alike.
+    order = sorted(range(r), key=lambda i: -tops[i])
+    h = [tops[i] for i in order]
+    N = _shift_rows(_matrix(tuple(tuple(rows[i]) for i in order)), [-e for e in h])
+    U0 = _matrix(tuple(tuple(u0_rows[i]) for i in order))
+    return SplittingData(tuple(h), U0, _series_inverse(N))
 
 
 def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
@@ -370,9 +369,10 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
 
     where N = sum_j N_j w^j. N^(-1) = adj(N) / det N has w-degree at most
     (r-1) deg_w N, so the series stops there, or sooner once deg_w N terms in
-    a row vanish, since each term depends on the deg_w N before it only. The
-    exact identity N U1 = I is checked, and fails exactly when det N, hence
-    det T, is not a monomial: then NotAUnit is raised.
+    a row vanish, since each term depends on the deg_w N before it only.
+    When det N is not constant, the series does not terminate and its cut is
+    no inverse; SplittingData.verify then fails, and the transition is
+    rejected as no unit.
     """
     r = N.rows
     deg = -N.min_exp()
@@ -388,42 +388,12 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
             term = _qmatmul(steps[j - 1], X[k - j])
             Xk = [[x + y for x, y in zip(ra, rt)] for ra, rt in zip(Xk, term)]
         X.append(Xk)
-    U1 = _matrix(
-        tuple(
-            tuple(_poly({-k: _q(Xk[i][j]) for k, Xk in enumerate(X) if Xk[i][j]}) for j in range(r))
-            for i in range(r)
-        )
-    )
-    if N @ U1 != LaurentMatrix.identity(r):
-        raise NotAUnit(
-            f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k "
-            "(the chart-1 factor N fails N U1 = I)"
-        )
-    return U1
-
-
-def _blocks(T: LaurentMatrix) -> list[list[int]]:
-    """Connected components of the symmetric nonzero pattern; a component is
-    an index set on which T is block-diagonal."""
-    r = T.rows
-    parent = list(range(r))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(r):
-        for j in range(r):
-            if i != j and (not T.entry(i, j).is_zero or not T.entry(j, i).is_zero):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(r):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
+    cells = [
+        [{-k: _q(Xk[i][j]) for k, Xk in enumerate(X) if Xk[i][j]} for j in range(r)]
+        for i in range(r)
+    ]
+    zero = _poly({})  # shared by the zero entries: the memo keeps every U1 it hands out
+    return _matrix(tuple(tuple(_poly(c) if c else zero for c in row) for row in cells))
 
 
 # The one memo. It is global and keyed by bundle equality, not scoped to a
@@ -434,36 +404,20 @@ def _blocks(T: LaurentMatrix) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def _birkhoff_cached(E: P1Bundle) -> SplittingData:
     data = E._splitting
+    validating = E.degree is None
     if data is None:
-        data = _reduce(E.transition)
-    if E.degree is None:
-        # E is being validated: the reduction has proved det T = c z^(sum a)
+        data = _split_connected(E.transition)
+    if validating:
+        # the reduction's type; verify proves det T = c z^(sum a) or fails
         object.__setattr__(E, "_degree", sum(data.type))
     if not data.verify(E):
+        if validating:
+            # U0 is unimodular by construction, so the identity fails exactly when N U1 != I
+            raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k")
         raise AssertionError("splitting failed verification (internal bug)")
     # a bundle holds a derived splitting only until it is verified
     object.__setattr__(E, "_splitting", None)
     return data
-
-
-def _reduce(T: LaurentMatrix) -> SplittingData:
-    """Split T block by block with the reduction, and sort the type."""
-    r = T.rows
-    zero = LaurentPoly.zero()
-    scatter0 = [[zero] * r for _ in range(r)]
-    scatter1 = [[zero] * r for _ in range(r)]
-    exps: list[int] = [0] * r
-    for comp in _blocks(T):
-        U0c, U1c, hc = _split_connected(T.submatrix(comp, comp))
-        for p, i in enumerate(comp):
-            exps[i] = hc[p]
-            for q, j in enumerate(comp):
-                scatter0[i][j] = U0c.entry(p, q)
-                scatter1[i][j] = U1c.entry(p, q)
-    order = sorted(range(r), key=lambda i: -exps[i])
-    U0 = _matrix(tuple(tuple(scatter0[i]) for i in order))
-    U1 = _matrix(tuple(tuple(row[j] for j in order) for row in scatter1))
-    return SplittingData(tuple(exps[i] for i in order), U0, U1)
 
 
 def birkhoff_split(E: P1Bundle) -> SplittingData:

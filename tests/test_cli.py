@@ -237,6 +237,18 @@ def test_oversized_numeral_is_a_schema_error(capsys, tmp_path, command, entry, p
     assert f"(at position {position})" in err
 
 
+def test_unprintable_coefficient_is_a_validation_error(capsys, tmp_path):
+    # every numeral parses, but U1 of this bundle carries 1/C^2, whose
+    # ~6000-digit denominator exceeds the 4300-digit string limit
+    c = "7" * 3000
+    p = write(tmp_path, "long.json", {"rank": 2, "transition": [[f"{c}*z", "1"], ["0", f"{c}*z^-1"]]})
+    code, doc, err = run(capsys, ["split", "--bundle", p])
+    assert code == 3 and doc is None
+    assert err.startswith("validation error: ") and "digit limit" in err
+    for command in ("cohomology", "jets"):
+        assert run(capsys, [command, "--bundle", p])[0] == 0
+
+
 def test_cohomology(files, capsys):
     code, doc, _ = run(capsys, ["cohomology", "--bundle", files["p1"]])
     assert code == 0

@@ -4,8 +4,10 @@ golden_cli.json holds the `algconn connect` stdout of 13 gauged cases (rank
 2 and 3 bundles; tangent, line, split rank-2 and gauged rank-2 anchors; both
 answers), the `algconn split`, `cohomology` and `jets` stdout of 6 gauged
 rank 4-6 bundles (drawn by `Sampler.gauged_p1_bundle` with bound 2, ops 2,
-max_deg 1) and the sha256 of `algconn fuzz --count 200 --seed 0` stdout. The
-recorded outputs are replayed through algconn.cli.main here.
+max_deg 1) and of two rank-4 bundles the reduction once split block by block
+(a direct sum of two gauged rank-2 blocks, and a diagonal transition with
+non-unit scalars), and the sha256 of `algconn fuzz --count 200 --seed 0`
+stdout. The recorded outputs are replayed through algconn.cli.main here.
 """
 
 import hashlib
@@ -43,7 +45,16 @@ def test_connect_stdout_is_golden(index, tmp_path, capsys):
 
 
 def test_golden_split_cases_cover_ranks_4_to_6():
-    assert sorted(c["bundle"]["rank"] for c in GOLDEN["split"]) == [4, 4, 5, 5, 6, 6]
+    gauged, (direct_sum, diagonal) = GOLDEN["split"][:-2], GOLDEN["split"][-2:]
+    assert sorted(c["bundle"]["rank"] for c in gauged) == [4, 4, 5, 5, 6, 6]
+    # the direct sum: block-diagonal, each 2x2 block with an off-diagonal entry
+    T = direct_sum["bundle"]["transition"]
+    assert all(T[i][j] == "0" for i in range(4) for j in range(4) if (i < 2) != (j < 2))
+    assert T[0][1] != "0" and T[2][3] != "0"
+    # the diagonal bundle: no scalar is +-1, so U0 or U1 carries each inverse
+    T = diagonal["bundle"]["transition"]
+    assert all(T[i][j] == "0" for i in range(4) for j in range(4) if i != j)
+    assert [T[i][i] for i in range(4)] == ["2*z", "-3", "1/2*z^-1", "z^2"]
 
 
 @pytest.mark.parametrize("command", ["split", "cohomology", "jets"])

@@ -1,5 +1,6 @@
 """Splitting, cohomology, sections, filtrations on the projective line."""
 
+import json
 import os
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 from oracles import h0_by_linear_solve, hn_first_step_bruteforce, monomial_det
 
+from algconn.cli import main
 from algconn.errors import InvalidSection, NotAUnit
 from algconn.exact_core import LaurentMatrix, LaurentPoly
 from algconn.formal_bundles import Atom, CurveContext, FormalBundle, hn_filtration
@@ -259,11 +261,27 @@ def test_series_inverse_reaches_its_degree_bound():
     assert U1.entry(0, 3) == -LaurentPoly.z(-3)
 
 
-def test_series_inverse_rejects_nonconstant_det():
-    # N(0) is invertible but det N = 1 + w: the series never terminates
-    N = LaurentMatrix.parse([["1", "z^-1"], ["-1", "1"]])
-    with pytest.raises(NotAUnit, match="N U1 = I"):
-        _series_inverse(N)
+NONCONSTANT_DET = [["1", "z^-1"], ["-1", "1"]]
+
+
+def test_nonconstant_det_is_not_a_unit(capsys, tmp_path):
+    # N = T has N(0) invertible but det N = 1 + w: the series never
+    # terminates, its cut fails U0 T U1 = D, and the bundle being validated
+    # is no unit
+    with pytest.raises(NotAUnit, match="not a monomial"):
+        bundle(NONCONSTANT_DET)
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"rank": 2, "transition": NONCONSTANT_DET}))
+    assert main(["split", "--bundle", str(p)]) == 3
+    assert "not a monomial" in capsys.readouterr().err
+
+
+def test_derived_non_unit_is_an_internal_bug():
+    # the same transition, wrapped as a derived bundle, skips validation:
+    # there a failed identity is an internal bug, not NotAUnit
+    T = LaurentMatrix.parse(NONCONSTANT_DET)
+    with pytest.raises(AssertionError, match="internal bug"):
+        birkhoff_split(_derived_bundle(2, T, 0))
 
 
 # -- cohomology ------------------------------------------------------------------
