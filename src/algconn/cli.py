@@ -12,7 +12,7 @@ import json
 import sys
 
 from .algebroid_decision import algebroid_from_json, decide_connection, decision_to_json
-from .errors import AlgconnError, SchemaError
+from .errors import AlgconnError, PreconditionFailed, SchemaError
 from .formal_bundles import bundle_from_json
 from .jet_obstruction import (
     _cocycle_and_connection,
@@ -49,7 +49,15 @@ def _load_json(path: str):
 
 
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    except ValueError:
+        # str() refuses an int longer than the interpreter's digit limit
+        raise PreconditionFailed(
+            "the result holds an integer too long to print: it exceeds the integer "
+            f"digit limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
+    sys.stdout.write(text + "\n")
 
 
 def cmd_decide(args) -> int:

@@ -494,20 +494,22 @@ class LaurentMatrix:
         return self.map_entries(lambda x: x.derivative())
 
     def kron(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """Kronecker product; index (i,p),(j,q) flattened row-major."""
-        zero = LaurentPoly.zero()
+        """Kronecker product; index (i,p),(j,q) flattened row-major. A left
+        entry 1 reuses the right factor's row, so I (x) B costs no products."""
+        zero, one = LaurentPoly.zero(), LaurentPoly.one()
         out = []
-        for i in range(self.rows):
-            for p in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    a = self._rows[i][j]
+        for row_a in self._rows:
+            for row_b in other._rows:
+                row: list[LaurentPoly] = []
+                for a in row_a:
                     if a.is_zero:
-                        row.extend([zero] * other.cols)
+                        row.extend([zero] * len(row_b))
+                    elif a == one:
+                        row.extend(row_b)
                     else:
-                        row.extend(zero if b.is_zero else a * b for b in other._rows[p])
-                out.append(row)
-        return LaurentMatrix(out)
+                        row.extend(zero if b.is_zero else a * b for b in row_b)
+                out.append(tuple(row))
+        return _matrix(tuple(out))
 
     def hstack(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.rows != other.rows:

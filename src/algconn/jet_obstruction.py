@@ -27,13 +27,17 @@ exhibiting the extension  0 -> E (x) V* -> J -> E -> 0. For the tangent
 anchor (phi0 = 1) this is the first jet bundle on the nose.
 
 A connection is a pair of local operators  phi^* d + A0  and  phi^* d + A1
-(A0 polynomial in z, A1 in 1/z, each an r x r*rank(V) block row over the
-V*-frame) agreeing on the overlap. Eliminating A1 shows existence is the
-coboundary problem for the V*-twisted discrepancy cocycle with blocks
-phi0_a * T' T^(-1). It is solved in the split frames of E and V, where
-End(E) (x) V* is the sum of the line bundles O(a_i - a_j - v_a), without
-building that bundle: a cochain valued in O(d) misses being a coboundary
-exactly on the coefficient window z^(d+1) ... z^(-1).
+(A0 polynomial in z, A1 in 1/z) agreeing on the overlap. Each A, like every
+cochain of End(E) (x) V* here, is an r x rq block row [X^(1) | ... | X^(q)]
+over the V*-frame (r = rank E, q = rank V, entry (i, a*r + j) is entry
+(i, j) of block a), and the V-index acts on it through one Kronecker
+factor, by the block identity (X (A (x) B))^(a) = sum_b A_ba * X^(b) B.
+Eliminating A1 shows existence is the coboundary problem for the
+V*-twisted discrepancy cocycle c = phi0 (x) T' T^(-1). It is solved in the
+split frames of E and V, where End(E) (x) V* is the sum of the line bundles
+O(a_i - a_j - v_a), without building that bundle: a cochain valued in O(d)
+misses being a coboundary exactly on the coefficient window
+z^(d+1) ... z^(-1).
 
 Both answers are certified. A solution gives connection matrices, checked
 by verify_connection. A nonzero window coefficient gives a Serre-dual
@@ -86,12 +90,6 @@ class ConcreteAnchor:
     def is_zero(self) -> bool:
         return self.phi_row.is_zero
 
-    def component(self, a: int) -> LaurentPoly:
-        return self.phi_row.entry(0, a)
-
-
-_ONE = LaurentPoly.one()
-
 
 def tangent_anchor() -> ConcreteAnchor:
     """V = TX with the identity anchor (chart-0 and chart-1 rows both 1)."""
@@ -104,8 +102,8 @@ def zero_anchor(V: P1Bundle) -> ConcreteAnchor:
 
 @dataclass(frozen=True)
 class ObstructionCocycle:
-    """Chart-0 overlap representative of the obstruction class, as the block
-    row [C^(1) | ... | C^(q)] with C^(a) = phi0_a * T' T^(-1)."""
+    """Chart-0 overlap representative of the obstruction class, the block
+    row phi0 (x) T' T^(-1) = [C^(1) | ... | C^(q)], C^(a) = phi0_a * T' T^(-1)."""
 
     overlap_matrix: LaurentMatrix  # r x (r * rank V)
 
@@ -145,49 +143,17 @@ def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
 
 
 def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocycle:
-    """The V*-twisted discrepancy cocycle: blocks phi0_a * T' T^(-1), zero
-    for the zero anchor without inverting T."""
+    """The V*-twisted discrepancy cocycle phi0 (x) T' T^(-1), zero for the
+    zero anchor without inverting T."""
     if anchor.is_zero:
         return ObstructionCocycle(LaurentMatrix.zeros(E.rank, E.rank * anchor.V.rank))
     disc = E.transition.derivative() @ birkhoff_split(E).transition_inverse
-    blocks = disc.scalar_mul(anchor.component(0))
-    for a in range(1, anchor.V.rank):
-        blocks = blocks.hstack(disc.scalar_mul(anchor.component(a)))
-    return ObstructionCocycle(blocks)
-
-
-# -- block rows [X^(1) | ... | X^(q)] of r x r blocks, one per V-index -----------
+    return ObstructionCocycle(anchor.phi_row.kron(disc))
 
 
 def _blocks_of(M: LaurentMatrix, r: int) -> list[LaurentMatrix]:
+    """The r x r blocks [X^(1) | ... | X^(q)] of a block row, one per V-index."""
     return [M.submatrix(range(r), range(a * r, (a + 1) * r)) for a in range(M.cols // r)]
-
-
-def _mix(M: LaurentMatrix, blocks: list[LaurentMatrix]) -> list[LaurentMatrix]:
-    """The V-index action on a block row: out^(a) = sum_b M_ab * blocks^(b)."""
-    out = []
-    for a in range(M.rows):
-        acc = None
-        for b, block in enumerate(blocks):
-            m = M.entry(a, b)
-            if m.is_zero or block.is_zero:
-                continue
-            term = block if m == _ONE else block.scalar_mul(m)
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else LaurentMatrix.zeros(*blocks[0].shape))
-    return out
-
-
-def _conjugate(P: LaurentMatrix, blocks: list[LaurentMatrix], Q: LaurentMatrix) -> list[LaurentMatrix]:
-    """P X Q for every block X, skipping zero blocks."""
-    return [X if X.is_zero else P @ X @ Q for X in blocks]
-
-
-def _block_row(blocks: list[LaurentMatrix]) -> LaurentMatrix:
-    row = blocks[0]
-    for block in blocks[1:]:
-        row = row.hstack(block)
-    return row
 
 
 def split_coboundary(
@@ -197,31 +163,31 @@ def split_coboundary(
     b1 on the w-chart, in End(E) (x) V*.
 
     With splittings U0 T U1 = diag(z^(a_i)) of E and U0_V T_V U1_V =
-    diag(z^(v_a)) of V, the cocycle in split frames is the conjugation
+    diag(z^(v_a)) of V, the cocycle in split frames is
 
-        y^(a) = sum_b (U0_V^(-T))_ab * U0 C^(b) U0^(-1),
+        y = U0 c (U0_V^(-1) (x) U0^(-1)),
 
-    and entry (i, j, a) of y is valued in the line bundle O(d) with
+    and entry (i, a*r + j) of y is valued in the line bundle O(d) with
     d = a_i - a_j - v_a. There the equation is scalar: the z-chart side
     covers exponents >= 0, the w-chart side exponents <= d, so it is
     solvable exactly when the coefficients in the window d+1 .. -1 vanish.
     The split cochains beta0, beta1 come back to the original frames as
 
-        b0^(a) = sum_b (U0_V^T)_ab * U0^(-1) beta0^(b) U0,
-        b1^(a) = sum_b (U1_V^(-T))_ab * U1 beta1^(b) U1^(-1),
+        b0 = U0^(-1) beta0 (U0_V (x) U0),
+        b1 = U1 beta1 (U1_V^(-1) (x) U1^(-1)),
 
     with U0^(-1) and U1^(-1) read off the splittings (SplittingData.u0_inverse,
-    u1_inverse). This is the Kronecker splitting of End(E) (x) V* applied one
-    factor at a time, so that bundle is never built.
+    u1_inverse). This is the Kronecker splitting of End(E) (x) V* applied to
+    the block row, so that bundle is never built.
 
     Returns the cochains, or None when a window coefficient z^e of entry
-    (i, j, a) is nonzero. Then the class is certified nonzero by a Serre-dual
-    witness in H^0(End E (x) V (x) K), taken at the first such (a, i, j) in
-    loop order and its lowest window exponent e, so that it depends on the
-    cocycle alone: the split-frame section z^(-e-1) of that summand, which in
-    the original frames is
+    (i, a*r + j) is nonzero. Then the class is certified nonzero by a
+    Serre-dual witness in H^0(End E (x) V (x) K), taken at the first such
+    (a, i, j) in loop order and its lowest window exponent e, so that it
+    depends on the cocycle alone: the split-frame section z^(-e-1) of that
+    summand, which in the original frames is
 
-        Theta^(b) = (U0_V^(-1))_ba * U0^(-1)[:, j] U0[i, :] * z^(-e-1),
+        theta = (U0_V^(-1)[:, a])^T (x) U0^(-1)[:, j] U0[i, :] * z^(-e-1),
 
     which pairs with c to that coefficient. verify_witness checks it without
     the splittings, and a witness failing that check is an internal bug.
@@ -238,18 +204,16 @@ def split_coboundary(
     se, sv = birkhoff_split(E), birkhoff_split(V)
     u0_inv = se.u0_inverse(E.transition)
     u0v_inv = sv.u0_inverse(V.transition)
-    y = _mix(u0v_inv.transpose(), _conjugate(se.U0, _blocks_of(c.overlap_matrix, r), u0_inv))
-    beta0 = []
-    beta1 = []
+    y = se.U0 @ c.overlap_matrix @ u0v_inv.kron(u0_inv)
+    beta0: list[list[LaurentPoly]] = [[] for _ in range(r)]
+    beta1: list[list[LaurentPoly]] = [[] for _ in range(r)]
     for a, v in enumerate(sv.type):
-        rows0, rows1 = [], []
         for i, ai in enumerate(se.type):
-            row0, row1 = [], []
             for j, aj in enumerate(se.type):
                 d = ai - aj - v
                 hol0: dict[int, int | Fraction] = {}
                 hol1: dict[int, int | Fraction] = {}
-                for e, coeff in sorted(y[a].entry(i, j).coeffs.items()):
+                for e, coeff in sorted(y.entry(i, a * r + j).coeffs.items()):
                     if e >= 0:
                         hol0[e] = coeff
                     elif e <= min(-1, d):
@@ -261,26 +225,21 @@ def split_coboundary(
                                 "Serre-dual witness failed verification (internal bug)"
                             )
                         return None
-                row0.append(_poly(hol0))
-                row1.append(_poly(hol1))
-            rows0.append(tuple(row0))
-            rows1.append(tuple(row1))
-        beta0.append(_matrix(tuple(rows0)))
-        beta1.append(_matrix(tuple(rows1)))
+                beta0[i].append(_poly(hol0))
+                beta1[i].append(_poly(hol1))
     u1_inv, u1v_inv = se.u1_inverse(E.transition), sv.u1_inverse(V.transition)
-    b0 = _mix(sv.U0.transpose(), _conjugate(u0_inv, beta0, se.U0))
-    b1 = _mix(u1v_inv.transpose(), _conjugate(se.U1, beta1, u1_inv))
-    return _block_row(b0), _block_row(b1)
+    b0 = u0_inv @ _matrix(tuple(map(tuple, beta0))) @ sv.U0.kron(se.U0)
+    b1 = se.U1 @ _matrix(tuple(map(tuple, beta1))) @ u1v_inv.kron(u1_inv)
+    return b0, b1
 
 
 def _witness(
     U0: LaurentMatrix, u0_inv: LaurentMatrix, u0v_inv: LaurentMatrix, i: int, j: int, a: int, e: int
 ) -> LaurentMatrix:
-    """Theta^(b) = (U0_V^(-1))_ba * U0^(-1)[:, j] U0[i, :] * z^(-e-1), as a
-    block row: the Serre dual of the window coefficient z^e of split entry
-    (i, j, a)."""
+    """theta = (U0_V^(-1)[:, a])^T (x) U0^(-1)[:, j] U0[i, :] * z^(-e-1): the
+    Serre dual of the window coefficient z^e of split entry (i, a*r + j)."""
     outer = (u0_inv.submatrix(range(U0.rows), [j]) @ U0.submatrix([i], range(U0.cols))).shift(-e - 1)
-    return _block_row([outer.scalar_mul(u0v_inv.entry(b, a)) for b in range(u0v_inv.rows)])
+    return u0v_inv.submatrix(range(u0v_inv.rows), [a]).transpose().kron(outer)
 
 
 def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert | None:
@@ -313,14 +272,14 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
     """Exact symbolic verification of a certificate.
 
     (i) chart holomorphy: A0 polynomial in z, A1 in 1/z;
-    (ii) overlap agreement: for every V*-index a,
+    (ii) overlap agreement:
 
-         A0^(a)  =  sum_b (T_V^(-T))_(a,b) * T A1^(b) T^(-1)  -  phi0_a * T' T^(-1),
+         A0 (I_q (x) T)  =  T A1 (T_V^(-1) (x) I_r)  -  phi0 (x) T',
 
-         which is what "phi^* d + A0 and phi^* d + A1 define the same
-         operator on s0 = T s1" unwinds to. It is checked multiplied on the
-         right by T, as A0^(a) T = sum_b (T_V^(-T))_(a,b) T A1^(b) - phi0_a T',
-         so no inverse of T is needed.
+         which is, block by block, what "phi^* d + A0 and phi^* d + A1
+         define the same operator on s0 = T s1" unwinds to,
+         A0^(a) = sum_b (T_V^(-1))_ba * T A1^(b) T^(-1) - phi0_a * T' T^(-1),
+         multiplied on the right by T, so no inverse of T is needed.
 
     The Leibniz rule needs no check: d0(f s) - f d0(s) = f' s phi0 holds for
     every A0, since A0 acts linearly over functions.
@@ -331,13 +290,10 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
     if not cert.A0.is_poly_in_z or not cert.A1.is_poly_in_w:
         return False
     T = E.transition
-    t_prime = T.derivative()
-    tv_dual = birkhoff_split(anchor.V).transition_inverse.transpose()
-    transported = _mix(tv_dual, [T @ block for block in _blocks_of(cert.A1, r)])
-    for a, (block, rhs) in enumerate(zip(_blocks_of(cert.A0, r), transported)):
-        if block @ T != rhs - t_prime.scalar_mul(anchor.component(a)):
-            return False
-    return True
+    tv_inv = birkhoff_split(anchor.V).transition_inverse
+    lhs = cert.A0 @ LaurentMatrix.identity(q).kron(T)
+    rhs = T @ cert.A1 @ tv_inv.kron(LaurentMatrix.identity(r))
+    return lhs == rhs - anchor.phi_row.kron(T.derivative())
 
 
 def verify_witness(
@@ -351,9 +307,8 @@ def verify_witness(
 
     (i) the inverses used below are inverses: T T^(-1) = I, T_V T_V^(-1) = I;
     (ii) chart-0 holomorphy: theta polynomial in z;
-    (iii) chart-1 holomorphy: with dz = -z^2 dw, each
-          z^2 * sum_b (T_V^(-1))_(a,b) * T^(-1) Theta^(b) T
-          is polynomial in 1/z;
+    (iii) chart-1 holomorphy: with dz = -z^2 dw, the chart-1 representative
+          z^2 * T^(-1) theta (T_V^(-T) (x) T) is polynomial in 1/z;
     (iv) the pairing Res_(z=0) sum_a tr(Theta^(a) C^(a)) is nonzero.
 
     A coboundary b0 - transport(b1) pairs to zero: its b0 part is
@@ -371,12 +326,10 @@ def verify_witness(
         return False
     if not theta.is_poly_in_z:
         return False
-    thetas = _blocks_of(theta, r)
-    chart1 = _mix(tv_inv, _conjugate(t_inv, thetas, T))
-    if not all(block.shift(2).is_poly_in_w for block in chart1):
+    if not (t_inv @ theta @ tv_inv.transpose().kron(T)).shift(2).is_poly_in_w:
         return False
     pairing = LaurentPoly.zero()
-    for block, c_block in zip(thetas, _blocks_of(c, r)):
+    for block, c_block in zip(_blocks_of(theta, r), _blocks_of(c, r)):
         pairing = pairing + (block @ c_block).trace()
     return pairing.coeff(-1) != 0
 

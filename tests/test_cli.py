@@ -249,6 +249,17 @@ def test_unprintable_coefficient_is_a_validation_error(capsys, tmp_path):
         assert run(capsys, [command, "--bundle", p])[0] == 0
 
 
+def test_unprintable_payload_integer_is_a_validation_error(capsys, tmp_path):
+    # the 4300-digit exponent parses, but h0 = N + 1 = 10^4300 has 4301 digits
+    p = write(tmp_path, "h0.json", {"rank": 1, "transition": [["z^" + "9" * 4300]]})
+    code, doc, err = run(capsys, ["cohomology", "--bundle", p])
+    assert code == 3 and doc is None
+    assert err.startswith("validation error: ") and "digit limit" in err
+    assert str(sys.get_int_max_str_digits()) in err
+    for command in ("split", "jets"):
+        assert run(capsys, [command, "--bundle", p])[0] == 0
+
+
 def test_cohomology(files, capsys):
     code, doc, _ = run(capsys, ["cohomology", "--bundle", files["p1"]])
     assert code == 0

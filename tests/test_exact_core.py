@@ -410,3 +410,31 @@ def test_kron_mixed_product():
     assert (A @ C).kron(B @ D) == (A.kron(B)) @ (C.kron(D))
     S = LaurentMatrix.parse([["z^-1", "0"], ["0", "0"]])  # sparse operand
     assert (A @ S).kron(S @ D) == (A.kron(S)) @ (S.kron(D))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kron_acts_blockwise_on_block_rows(q, r):
+    # block a of X (A (x) B) is sum_b A_ba X^(b) B, for X = [X^(1) | ... | X^(q)]
+    s = Sampler(100 * q + r)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+
+    def draw(rows, cols, special=()):
+        return LaurentMatrix(
+            [[s.rng.choice(special + (s.laurent(-2, 2),)) for _ in range(cols)] for _ in range(rows)]
+        )
+
+    for _ in range(4):
+        A, B, X = draw(q, q, (one, zero)), draw(r, r), draw(r, r * q)
+        blocks = [X.submatrix(range(r), range(b * r, (b + 1) * r)) for b in range(q)]
+        want = None
+        for a in range(q):
+            block = LaurentMatrix.zeros(r, r)
+            for b in range(q):
+                block = block + (blocks[b] @ B).scalar_mul(A.entry(b, a))
+            want = block if want is None else want.hstack(block)
+        K = A.kron(B)
+        assert X @ K == want
+        rebuilt = LaurentMatrix([K.row_list(i) for i in range(K.rows)])
+        assert K == rebuilt and hash(K) == hash(rebuilt)
+        _assert_canonical_matrix(K)

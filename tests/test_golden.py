@@ -1,13 +1,14 @@
 """Golden CLI outputs: stdout must stay byte-identical across changes.
 
-golden_cli.json holds the `algconn connect` stdout of 13 gauged cases (rank
-2 and 3 bundles; tangent, line, split rank-2 and gauged rank-2 anchors; both
-answers), the `algconn split`, `cohomology` and `jets` stdout of 6 gauged
-rank 4-6 bundles (drawn by `Sampler.gauged_p1_bundle` with bound 2, ops 2,
-max_deg 1) and of two rank-4 bundles the reduction once split block by block
-(a direct sum of two gauged rank-2 blocks, and a diagonal transition with
-non-unit scalars), and the sha256 of `algconn fuzz --count 200 --seed 0`
-stdout. The recorded outputs are replayed through algconn.cli.main here.
+golden_cli.json holds the `algconn connect` stdout of 15 gauged cases (rank
+2 and 3 bundles; tangent, line, split rank-2, gauged rank-2 and split rank-3
+anchors; both answers), the `algconn split`, `cohomology` and `jets` stdout
+of 6 gauged rank 4-6 bundles (drawn by `Sampler.gauged_p1_bundle` with bound
+2, ops 2, max_deg 1) and of two rank-4 bundles the reduction once split
+block by block (a direct sum of two gauged rank-2 blocks, and a diagonal
+transition with non-unit scalars), and the sha256 of `algconn fuzz --count
+200 --seed 0` stdout. The recorded outputs are replayed through
+algconn.cli.main here.
 """
 
 import hashlib
@@ -28,7 +29,7 @@ def _stdout(capsys, argv) -> str:
 
 def test_golden_cases_cover_every_anchor_kind_and_answer():
     seen = {(c["anchor_kind"], json.loads(c["stdout"])["exists"]) for c in GOLDEN["connect"]}
-    kinds = {"tangent", "line", "split2", "gauged2"}
+    kinds = {"tangent", "line", "split2", "gauged2", "split3"}
     assert {k for k, _ in seen} == kinds
     assert {e for _, e in seen} == {True, False}
     assert {c["bundle"]["rank"] for c in GOLDEN["connect"]} == {2, 3}
