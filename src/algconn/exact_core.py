@@ -650,14 +650,9 @@ def _qmatmul(
 
 
 def _qnullspace(a: list[list[int | Fraction]], ncols: int) -> list[list[int | Fraction]]:
-    """Basis of the right nullspace of a (possibly empty) constraint matrix."""
-    if not a:
-        basis = []
-        for j in range(ncols):
-            v = [0] * ncols
-            v[j] = 1
-            basis.append(v)
-        return basis
+    """Basis of the right nullspace of a constraint matrix: one vector per
+    non-pivot column, with a 1 there. With no rows every column is free, so
+    the basis is the unit vectors."""
     rows = [row[:] for row in a]
     nrows = len(rows)
     pivots: list[int] = []

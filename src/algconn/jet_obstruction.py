@@ -37,10 +37,15 @@ V*-twisted discrepancy cocycle c = phi0 (x) T' T^(-1). It is solved in the
 split frames of E and V, where End(E) (x) V* is the sum of the line bundles
 O(a_i - a_j - v_a), without building that bundle: a cochain valued in O(d)
 misses being a coboundary exactly on the coefficient window
-z^(d+1) ... z^(-1).
+z^(d+1) ... z^(-1). Only the z-side cochain b0 is read off the split frames;
+the w-side one follows from the equation c = b0 - transport(b1) itself,
+
+    b1 = T^(-1) (b0 - c) (T_V (x) T).
 
 Both answers are certified. A solution gives connection matrices, checked
-by verify_connection. A nonzero window coefficient gives a Serre-dual
+by verify_connection from the input transitions alone, in the inverse-free
+form A0 (T_V (x) T) = T A1 - (phi0 T_V) (x) T'; that A1 comes out polynomial
+in 1/z is what certifies b1. A nonzero window coefficient gives a Serre-dual
 witness, a global section of End E (x) V (x) K that pairs nonzero with the
 cocycle, checked by verify_witness.
 """
@@ -171,14 +176,20 @@ def split_coboundary(
     d = a_i - a_j - v_a. There the equation is scalar: the z-chart side
     covers exponents >= 0, the w-chart side exponents <= d, so it is
     solvable exactly when the coefficients in the window d+1 .. -1 vanish.
-    The split cochains beta0, beta1 come back to the original frames as
+    The z-side split cochain beta0, the coefficients of exponent >= 0, comes
+    back to the original frames as
 
         b0 = U0^(-1) beta0 (U0_V (x) U0),
-        b1 = U1 beta1 (U1_V^(-1) (x) U1^(-1)),
 
-    with U0^(-1) and U1^(-1) read off the splittings (SplittingData.u0_inverse,
-    u1_inverse). This is the Kronecker splitting of End(E) (x) V* applied to
-    the block row, so that bundle is never built.
+    with U0^(-1) read off the splitting (SplittingData.u0_inverse). This is
+    the Kronecker splitting of End(E) (x) V* applied to the block row, so
+    that bundle is never built. Given b0, the equation fixes b1: since
+    transport(b1) = T b1 (T_V^(-1) (x) T^(-1)),
+
+        b1 = T^(-1) (b0 - c) (T_V (x) T),
+
+    with T^(-1) the splitting's cached transition_inverse. That b1 is
+    polynomial in 1/z is checked by verify_connection, not assumed here.
 
     Returns the cochains, or None when a window coefficient z^e of entry
     (i, a*r + j) is nonzero. Then the class is certified nonzero by a
@@ -206,19 +217,15 @@ def split_coboundary(
     u0v_inv = sv.u0_inverse(V.transition)
     y = se.U0 @ c.overlap_matrix @ u0v_inv.kron(u0_inv)
     beta0: list[list[LaurentPoly]] = [[] for _ in range(r)]
-    beta1: list[list[LaurentPoly]] = [[] for _ in range(r)]
     for a, v in enumerate(sv.type):
         for i, ai in enumerate(se.type):
             for j, aj in enumerate(se.type):
                 d = ai - aj - v
                 hol0: dict[int, int | Fraction] = {}
-                hol1: dict[int, int | Fraction] = {}
                 for e, coeff in sorted(y.entry(i, a * r + j).coeffs.items()):
                     if e >= 0:
                         hol0[e] = coeff
-                    elif e <= min(-1, d):
-                        hol1[e - d] = -coeff
-                    else:
+                    elif e > d:
                         theta = _witness(se.U0, u0_inv, u0v_inv, i, j, a, e)
                         if not verify_witness(E, V, c, theta):
                             raise AssertionError(
@@ -226,10 +233,8 @@ def split_coboundary(
                             )
                         return None
                 beta0[i].append(_poly(hol0))
-                beta1[i].append(_poly(hol1))
-    u1_inv, u1v_inv = se.u1_inverse(E.transition), sv.u1_inverse(V.transition)
     b0 = u0_inv @ _matrix(tuple(map(tuple, beta0))) @ sv.U0.kron(se.U0)
-    b1 = se.U1 @ _matrix(tuple(map(tuple, beta1))) @ u1v_inv.kron(u1_inv)
+    b1 = se.transition_inverse @ (b0 - c.overlap_matrix) @ V.transition.kron(E.transition)
     return b0, b1
 
 
@@ -274,12 +279,14 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
     (i) chart holomorphy: A0 polynomial in z, A1 in 1/z;
     (ii) overlap agreement:
 
-         A0 (I_q (x) T)  =  T A1 (T_V^(-1) (x) I_r)  -  phi0 (x) T',
+         A0 (T_V (x) T)  =  T A1  -  (phi0 T_V) (x) T'.
 
-         which is, block by block, what "phi^* d + A0 and phi^* d + A1
-         define the same operator on s0 = T s1" unwinds to,
-         A0^(a) = sum_b (T_V^(-1))_ba * T A1^(b) T^(-1) - phi0_a * T' T^(-1),
-         multiplied on the right by T, so no inverse of T is needed.
+         Block by block, "phi^* d + A0 and phi^* d + A1 define the same
+         operator on s0 = T s1" unwinds to
+         A0^(a) = sum_b (T_V^(-1))_ba * T A1^(b) T^(-1) - phi0_a * T' T^(-1);
+         multiplied on the right by T_V (x) T, an invertible factor, it
+         becomes the identity above. So the check reads only the input
+         transitions, phi0 and the certificate: no inverse, no splitting.
 
     The Leibniz rule needs no check: d0(f s) - f d0(s) = f' s phi0 holds for
     every A0, since A0 acts linearly over functions.
@@ -289,11 +296,8 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
         return False
     if not cert.A0.is_poly_in_z or not cert.A1.is_poly_in_w:
         return False
-    T = E.transition
-    tv_inv = birkhoff_split(anchor.V).transition_inverse
-    lhs = cert.A0 @ LaurentMatrix.identity(q).kron(T)
-    rhs = T @ cert.A1 @ tv_inv.kron(LaurentMatrix.identity(r))
-    return lhs == rhs - anchor.phi_row.kron(T.derivative())
+    T, T_V = E.transition, anchor.V.transition
+    return cert.A0 @ T_V.kron(T) == T @ cert.A1 - (anchor.phi_row @ T_V).kron(T.derivative())
 
 
 def verify_witness(

@@ -194,14 +194,10 @@ def tensor_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
 
 
 def hom_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
-    """Hom(E, F): a local hom is an r_F x r_E matrix Phi with
+    """Hom(E, F) = F (x) E*: a local hom is an r_F x r_E matrix Phi with
     Phi0 = T_F * Phi1 * T_E^(-1); vectorized row-major this is
     kron(T_F, T_E^(-T)), of degree r_E deg F - r_F deg E."""
-    return _derived_bundle(
-        E.rank * F.rank,
-        F.transition.kron(birkhoff_split(E).transition_inverse.transpose()),
-        E.rank * F.degree - F.rank * E.degree,
-    )
+    return tensor_bundle(F, dual_bundle(E))
 
 
 def end_bundle(E: P1Bundle) -> P1Bundle:

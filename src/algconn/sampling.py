@@ -27,7 +27,6 @@ from .jet_obstruction import (
     ConcreteAnchor,
     ConnectionCert,
     anchor_to_json,
-    connection_exists_p1,
     construct_connection,
     tangent_bundle,
     zero_anchor,
@@ -170,13 +169,10 @@ def run_fuzz(count: int, seed: int, collect_certs: bool = False) -> FuzzOutcome:
         e_concrete = split_bundle(exps)
         decision = decide_connection(formal, e_formal)
         declared = decision.as_bool()
-        if collect_certs:
-            cert = construct_connection(e_concrete, concrete)
-            computed = cert is not None
-            if cert is not None:
-                certs.append((e_concrete, concrete, cert))
-        else:
-            computed = connection_exists_p1(e_concrete, concrete)
+        cert = construct_connection(e_concrete, concrete)
+        computed = cert is not None
+        if computed and collect_certs:
+            certs.append((e_concrete, concrete, cert))
         if declared != computed:
             failures.append(
                 {

@@ -546,6 +546,33 @@ def test_construct_low_degree_anchor_always_succeeds():
     assert connection_exists_p1(split_bundle([0, 0]), tangent_anchor())
 
 
+def _gauged_certs():
+    """Gauged rank-2 E (T is not central, so T X and X T differ) with a split
+    rank-2 anchor, and the same anchor in a gauged frame of V (A V B has
+    anchor phi0 A^(-1); T_V^(-T) is then not symmetric): E, each anchor with
+    its certificate, and constant, hence chart-holomorphic, bumps of one
+    block each."""
+    s = Sampler(55)
+    E = gauge_transform(split_bundle([1, -1]), s.unimodular_z(2), s.unimodular_w(2))
+    phi = LaurentMatrix.parse([["z^2 + 1", "z"]])
+    A = s.unimodular_z(2)
+    V = gauge_transform(split_bundle([0, -1]), A, s.unimodular_w(2))
+    anchors = (ConcreteAnchor(split_bundle([0, -1]), phi), ConcreteAnchor(V, phi @ unit_inverse(A)))
+    zeros = ["0"] * 4
+    bumps = (LaurentMatrix.parse([["1", "0", "0", "0"], zeros]),
+             LaurentMatrix.parse([["0", "0", "1", "0"], zeros]))
+    return E, [(a, construct_connection(E, a)) for a in anchors], bumps
+
+
+def _accepts_and_rejects_bumps(E, pairs, bumps):
+    for a, cert in pairs:
+        assert cert is not None and not cert.A0.is_zero and not cert.A1.is_zero
+        assert verify_connection(E, a, cert)
+        for bump in bumps:
+            assert not verify_connection(E, a, ConnectionCert(A0=cert.A0 + bump, A1=cert.A1))
+            assert not verify_connection(E, a, ConnectionCert(A0=cert.A0, A1=cert.A1 + bump))
+
+
 def test_verify_rejects_perturbed_certs():
     E = trivial_bundle(1)
     a = tangent_anchor()
@@ -556,25 +583,25 @@ def test_verify_rejects_perturbed_certs():
     assert not verify_connection(E, a, bad0)  # chart-0 holomorphy broken
     bad1 = ConnectionCert(A0=cert.A0 + LaurentMatrix.parse([["1"]]), A1=cert.A1)
     assert not verify_connection(E, a, bad1)  # overlap identity broken
-    # gauged rank-2 E (T is not central, so T X and X T differ) with a split
-    # rank-2 anchor, and the same anchor in a gauged frame of V (A V B has
-    # anchor phi0 A^(-1); T_V^(-T) is then not symmetric): a constant, hence
-    # chart-holomorphic, bump in any one block of A0 or A1 breaks the overlap
-    # identity
-    s = Sampler(55)
-    E = gauge_transform(split_bundle([1, -1]), s.unimodular_z(2), s.unimodular_w(2))
-    phi = LaurentMatrix.parse([["z^2 + 1", "z"]])
-    A = s.unimodular_z(2)
-    V = gauge_transform(split_bundle([0, -1]), A, s.unimodular_w(2))
-    zeros = ["0"] * 4
-    for a in (ConcreteAnchor(split_bundle([0, -1]), phi), ConcreteAnchor(V, phi @ unit_inverse(A))):
-        cert = construct_connection(E, a)
-        assert cert is not None and not cert.A0.is_zero and not cert.A1.is_zero
-        assert verify_connection(E, a, cert)
-        for bump in (LaurentMatrix.parse([["1", "0", "0", "0"], zeros]),
-                     LaurentMatrix.parse([["0", "0", "1", "0"], zeros])):
-            assert not verify_connection(E, a, ConnectionCert(A0=cert.A0 + bump, A1=cert.A1))
-            assert not verify_connection(E, a, ConnectionCert(A0=cert.A0, A1=cert.A1 + bump))
+    # a bump in any one block of A0 or A1 breaks the overlap identity
+    _accepts_and_rejects_bumps(*_gauged_certs())
+
+
+def test_verify_connection_reads_no_splitting(monkeypatch):
+    # the certificate check reads the input transitions and the certificate
+    # alone: with every splitting unavailable, it still accepts the good
+    # certificates and rejects each bumped one
+    import algconn.jet_obstruction as jo
+    import algconn.p1_engine as pe
+
+    cases = _gauged_certs()
+
+    def no_splitting(F):
+        raise AssertionError("verify_connection asked for a splitting")
+
+    monkeypatch.setattr(jo, "birkhoff_split", no_splitting)
+    monkeypatch.setattr(pe, "_birkhoff_cached", no_splitting)
+    _accepts_and_rejects_bumps(*cases)
 
 
 def test_zero_anchor_does_not_split_e(monkeypatch):
