@@ -27,6 +27,7 @@ from .errors import (
     LaurentSyntaxError,
     PreconditionFailed,
     SchemaError,
+    naming,
 )
 from .exact_core import LaurentPoly, laurent_parse
 from .formal_bundles import (
@@ -249,7 +250,8 @@ def algebroid_from_json(doc) -> AlgebroidDesc:
         raise SchemaError("algebroid document must be a JSON object")
     if "V" not in doc or "anchor" not in doc:
         raise SchemaError("algebroid document needs 'V' and 'anchor'")
-    V = bundle_from_json(doc["V"])
+    with naming("V"):
+        V = bundle_from_json(doc["V"])
     raw = doc["anchor"]
     if not isinstance(raw, dict) or "kind" not in raw:
         raise SchemaError("'anchor' must be an object with a 'kind'")

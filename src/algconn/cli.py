@@ -11,8 +11,13 @@ import argparse
 import json
 import sys
 
-from .algebroid_decision import algebroid_from_json, decide_connection, decision_to_json
-from .errors import AlgconnError, PreconditionFailed, SchemaError
+from .algebroid_decision import (
+    algebroid_from_json,
+    decide_connection,
+    decision_to_json,
+    validate_algebroid,
+)
+from .errors import AlgconnError, PreconditionFailed, SchemaError, naming
 from .formal_bundles import bundle_from_json
 from .jet_obstruction import (
     _cocycle_and_connection,
@@ -43,9 +48,17 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+        raise SchemaError(f"cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
+        raise SchemaError(f"malformed JSON: {exc}") from exc
+
+
+def _read(args, option: str, parse):
+    """parse applied to the JSON file that --option names. A schema or
+    validation error raised on the way names the option and the file."""
+    path = getattr(args, option)
+    with naming(f"--{option} {path}"):
+        return parse(_load_json(path))
 
 
 def _emit(payload) -> None:
@@ -61,15 +74,16 @@ def _emit(payload) -> None:
 
 
 def cmd_decide(args) -> int:
-    desc = algebroid_from_json(_load_json(args.algebroid))
-    bundle = bundle_from_json(_load_json(args.bundle))
+    # validated here so that an invalid anchor names --algebroid
+    desc = _read(args, "algebroid", lambda doc: validate_algebroid(algebroid_from_json(doc)))
+    bundle = _read(args, "bundle", bundle_from_json)
     decision = decide_connection(desc, bundle)
     _emit(decision_to_json(decision))
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
-    bundle = p1bundle_from_json(_load_json(args.bundle))
+    bundle = _read(args, "bundle", p1bundle_from_json)
     data = birkhoff_split(bundle)
     payload = splitting_to_json(data)
     payload["degree"] = bundle.degree
@@ -79,7 +93,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    bundle = p1bundle_from_json(_load_json(args.bundle))
+    bundle = _read(args, "bundle", p1bundle_from_json)
     h0, h1 = cohomology_dims(bundle)
     _emit(
         {
@@ -96,8 +110,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    bundle = p1bundle_from_json(_load_json(args.bundle))
-    anchor = anchor_from_json(_load_json(args.anchor))
+    bundle = _read(args, "bundle", p1bundle_from_json)
+    anchor = _read(args, "anchor", anchor_from_json)
     cocycle, cert = _cocycle_and_connection(bundle, anchor)
     payload = {
         "exists": cert is not None,
@@ -110,14 +124,14 @@ def cmd_connect(args) -> int:
 
 
 def cmd_jets(args) -> int:
-    bundle = p1bundle_from_json(_load_json(args.bundle))
+    bundle = _read(args, "bundle", p1bundle_from_json)
     jet1 = jet1_transition(bundle)
     payload = {
         "jet1": p1bundle_to_json(jet1),
         "jet1_type": list(birkhoff_split(jet1).type),
     }
     if args.anchor is not None:
-        anchor = anchor_from_json(_load_json(args.anchor))
+        anchor = _read(args, "anchor", anchor_from_json)
         jetv = jetV_transition(bundle, anchor)
         payload["jetV"] = p1bundle_to_json(jetv)
         payload["jetV_type"] = list(birkhoff_split(jetv).type)

@@ -5,6 +5,8 @@ failures to a single exit code. Schema problems in JSON payloads raise
 SchemaError instead, which maps to the usage exit code.
 """
 
+from contextlib import contextmanager
+
 
 class AlgconnError(Exception):
     """Base class for domain-level failures."""
@@ -57,3 +59,15 @@ class ShapeMismatch(AlgconnError):
 
 class SchemaError(Exception):
     """A JSON payload does not match the expected schema (CLI usage error)."""
+
+
+@contextmanager
+def naming(where: str):
+    """Prefix "where: " to the message of a SchemaError or AlgconnError
+    raised inside, so that the error names the input at fault. The error
+    keeps its class, so the CLI maps it to the same exit code."""
+    try:
+        yield
+    except (SchemaError, AlgconnError) as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise

@@ -19,10 +19,18 @@ The generic rank of a Laurent matrix, its rank over Q(z), is the largest
 rank it takes at enough integer nodes: after each row is shifted into
 polynomials, a nonzero k x k minor has a bounded degree, so it cannot vanish
 at every node. Each rank at a node is exact, read off the nullspace of one
-rational elimination, so nothing here depends on floating point. No
-determinant is computed: a transition's determinant exponent is fixed by the
-splitting reduction, and inverses of unit matrices come from that certified
-splitting, both in p1_engine.
+fraction-free integer elimination, so nothing here depends on floating point.
+No determinant is computed: a transition's determinant exponent is fixed by
+the splitting reduction, and inverses of unit matrices come from that
+certified splitting, both in p1_engine.
+
+The scalar kernels _qnullspace and _qinverse eliminate without fractions
+(cf. Bareiss, Sylvester's identity and multistep integer-preserving Gaussian
+elimination, 1968): each row is scaled to integers by the lcm of its
+denominators, Gauss-Jordan runs on integer rows, each new row divided by its
+content, and each output entry is one division, in canonical form. The RREF
+and the inverse are unique, so they are the values a Fraction elimination
+gives (tests/oracles.py keeps that one as the reference).
 
 Canonical form. Every LaurentPoly maps int exponents to nonzero scalars in
 the form above and stores no zero; every LaurentMatrix is a nonempty
@@ -42,6 +50,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
 from .errors import LaurentSyntaxError, NotSquare, PreconditionFailed
@@ -377,21 +386,30 @@ class LaurentMatrix:
 
     # -- constructors ------------------------------------------------------
 
+    # identity, zeros and diag build canonical entries, so they check only
+    # the shape and, for diag, the r entries given, not r^2 built ones
+
     @classmethod
     def identity(cls, n: int) -> "LaurentMatrix":
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.diag([LaurentPoly.one()] * n)
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "LaurentMatrix":
-        zero = LaurentPoly.zero()
-        return cls([[zero] * c for _ in range(r)])
+        if r < 1 or c < 1:
+            raise ValueError("matrix must have positive dimensions")
+        return _matrix(((_poly({}),) * c,) * r)
 
     @classmethod
     def diag(cls, entries: Sequence[LaurentPoly]) -> "LaurentMatrix":
-        zero = LaurentPoly.zero()
         n = len(entries)
-        return cls([[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix must have positive dimensions")
+        if not all(isinstance(x, LaurentPoly) for x in entries):
+            raise TypeError("entries must be LaurentPoly")
+        zero = _poly({})
+        return _matrix(
+            tuple(tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n))
+        )
 
     @classmethod
     def parse(cls, rows: Sequence[Sequence[str]]) -> "LaurentMatrix":
@@ -618,20 +636,14 @@ def _nodes(count: int) -> list[int]:
 
 
 def _qinverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:
+    """A^(-1) by fraction-free Gauss-Jordan on [A | I]: the left block ends
+    diagonal, and row i of the inverse is row i of the right block over its
+    pivot. Raises ZeroDivisionError when A is singular."""
     n = len(a)
-    aug = [row[:] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix in _qinverse")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1, aug[col][col])
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    aug = [_int_row(list(row) + [int(i == j) for j in range(n)]) for i, row in enumerate(a)]
+    if len(_int_gauss_jordan(aug, n)) < n:
+        raise ZeroDivisionError("singular matrix in _qinverse")
+    return [[_ratio(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
 
 
 def _qmatmul(
@@ -651,33 +663,62 @@ def _qmatmul(
 
 def _qnullspace(a: list[list[int | Fraction]], ncols: int) -> list[list[int | Fraction]]:
     """Basis of the right nullspace of a constraint matrix: one vector per
-    non-pivot column, with a 1 there. With no rows every column is free, so
-    the basis is the unit vectors."""
-    rows = [row[:] for row in a]
-    nrows = len(rows)
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = Fraction(1, rows[row][col])
-        rows[row] = [x * inv for x in rows[row]]
-        for r in range(nrows):
-            if r != row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    non-pivot column, with a 1 there, read off the RREF. With no rows every
+    column is free, so the basis is the unit vectors."""
+    rows = [_int_row(row) for row in a]
+    pivots = _int_gauss_jordan(rows, ncols)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         v = [0] * ncols
         v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = _ratio(-row[fc], row[pc])
         basis.append(v)
     return basis
+
+
+def _int_row(row: Sequence[int | Fraction]) -> list[int]:
+    """The row times the lcm of its denominators: integers, same span."""
+    m = 1
+    for x in row:
+        if type(x) is not int:
+            m = lcm(m, x.denominator)
+    return [x * m if type(x) is int else x.numerator * (m // x.denominator) for x in row]
+
+
+def _int_gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
+    """Gauss-Jordan over the first ncols columns of integer rows, in place;
+    returns the pivot columns, pivot row k holding the k-th. A step replaces
+    row r by p*row_r - f*row_pivot (p the pivot, f the entry it clears) and
+    divides it by its content, so every row stays a nonzero integer multiple
+    of the same row of the rational elimination: the same pivots, and the
+    RREF is each pivot row over its pivot."""
+    nrows = len(rows)
+    pivots: list[int] = []
+    for col in range(ncols):
+        k = len(pivots)
+        if k == nrows:
+            break
+        pivot = next((r for r in range(k, nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        prow = rows[k]
+        p = prow[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != k:
+                new = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                rows[r] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+    return pivots
+
+
+def _ratio(n: int, d: int) -> int | Fraction:
+    """n / d in canonical scalar form, d != 0."""
+    q, m = divmod(n, d)
+    return Fraction(n, d) if m else q

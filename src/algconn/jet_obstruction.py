@@ -55,11 +55,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidAnchor, LaurentSyntaxError, SchemaError, ShapeMismatch
-from .exact_core import LaurentMatrix, LaurentPoly, _matrix, _poly, laurent_parse
+from .errors import InvalidAnchor, SchemaError, ShapeMismatch, naming
+from .exact_core import LaurentMatrix, LaurentPoly, _matrix, _poly
 from .p1_engine import (
     P1Bundle,
     _derived_bundle,
+    _parse_entries,
     birkhoff_split,
     p1bundle_from_json,
     p1bundle_to_json,
@@ -352,15 +353,12 @@ def anchor_from_json(doc) -> ConcreteAnchor:
         raise SchemaError("anchor document must be a JSON object")
     if "V" not in doc or "phi_row" not in doc:
         raise SchemaError("anchor document needs 'V' and 'phi_row'")
-    V = p1bundle_from_json(doc["V"])
+    with naming("V"):
+        V = p1bundle_from_json(doc["V"])
     raw = doc["phi_row"]
     if not isinstance(raw, list) or len(raw) != V.rank:
         raise SchemaError(f"'phi_row' must be a list of {V.rank} Laurent strings")
-    try:
-        row = LaurentMatrix([[laurent_parse(s) for s in raw]])
-    except (TypeError, LaurentSyntaxError) as exc:
-        raise SchemaError(f"bad phi_row entry: {exc}") from exc
-    return ConcreteAnchor(V, row)
+    return ConcreteAnchor(V, LaurentMatrix([_parse_entries(raw, "phi_row entry")]))
 
 
 def anchor_to_json(anchor: ConcreteAnchor) -> dict:

@@ -46,7 +46,8 @@ and hom bundles.
 
 End(E) (x) V*, where the connection obstruction lives, is never split as a
 bundle of its own: jet_obstruction.split_coboundary works through the
-splittings of E and V.
+splittings of E and V. Cohomology builds no bundle at all: h^0, h^1,
+Riemann-Roch and Serre duality are all read off the certified type of E.
 
 There is one memo, the splitting memo behind birkhoff_split. Every inverse
 the engine takes (T^(-1), U0^(-1), U1^(-1)) is read off the SplittingData it
@@ -321,7 +322,8 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
     steps are those of the blocks reduced one by one."""
     r = T.rows
     rows = [T.row_list(i) for i in range(r)]
-    u0_rows = [LaurentMatrix.identity(r).row_list(i) for i in range(r)]
+    identity = LaurentMatrix.identity(r)
+    u0_rows = [identity.row_list(i) for i in range(r)]
 
     tops, H = _top_coefficient_data(rows)
     lows = [min(x.min_exp for x in row if not x.is_zero) for row in rows]
@@ -340,7 +342,7 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
         new_row = [LaurentPoly.zero()] * r
         new_u0 = [LaurentPoly.zero()] * r
         for i in support:
-            factor = _poly({tops[i0] - tops[i]: _q(kappa[i])})
+            factor = _poly({tops[i0] - tops[i]: kappa[i]})  # kappa is canonical
             for j in range(r):
                 new_row[j] = new_row[j] + factor * rows[i][j]
                 new_u0[j] = new_u0[j] + factor * u0_rows[i][j]
@@ -511,12 +513,11 @@ def riemann_roch_check(E: P1Bundle) -> bool:
 
 
 def serre_dual_check(E: P1Bundle) -> bool:
-    """h^1(E) = h^0(E* (x) O(-2)). The right side runs no second reduction:
-    E* (x) O(-2) carries a splitting read off E's, which birkhoff_split
-    verifies."""
+    """h^1(E) = h^0(E* (x) K), K = O(-2), read off E's certified type: E =
+    sum O(a_i) gives E* (x) K = sum O(-a_i - 2), so h^0(E* (x) K) =
+    sum max(0, -a_i - 1). No dual bundle is built, split or verified."""
     _, h1 = cohomology_dims(E)
-    h0_dual, _ = cohomology_dims(twist(dual_bundle(E), -2))
-    return h1 == h0_dual
+    return h1 == sum(max(0, -a - 1) for a in birkhoff_split(E).type)
 
 
 def hn_p1(E: P1Bundle) -> HNFiltration:
@@ -596,11 +597,22 @@ def p1bundle_from_json(doc) -> P1Bundle:
         or any(not isinstance(r, list) or len(r) != rank for r in rows)
     ):
         raise SchemaError("'transition' must be a rank x rank grid of Laurent strings")
-    try:
-        T = LaurentMatrix([[laurent_parse(s) for s in row] for row in rows])
-    except (TypeError, LaurentSyntaxError) as exc:
-        raise SchemaError(f"bad transition entry: {exc}") from exc
+    T = LaurentMatrix(
+        [_parse_entries(row, f"transition entry at row {i}, column") for i, row in enumerate(rows)]
+    )
     return P1Bundle(rank, T)
+
+
+def _parse_entries(texts: list, what: str) -> list[LaurentPoly]:
+    """The Laurent strings parsed; SchemaError "bad <what> k: ..." names the
+    position k of the first that does not parse."""
+    out = []
+    for k, s in enumerate(texts):
+        try:
+            out.append(laurent_parse(s))
+        except (TypeError, LaurentSyntaxError) as exc:
+            raise SchemaError(f"bad {what} {k}: {exc}") from exc
+    return out
 
 
 def p1bundle_to_json(E: P1Bundle) -> dict:

@@ -8,7 +8,9 @@ enumerates sub-multisets exhaustively.
 
 The determinant oracle evaluates entries from their coefficient dicts at a
 few integer nodes and eliminates over the rationals itself: it uses no
-elimination of algconn.exact_core and nothing of algconn.p1_engine.
+elimination of algconn.exact_core and nothing of algconn.p1_engine. The
+Fraction Gauss-Jordan inverse and nullspace are the references for the
+fraction-free kernels of exact_core.
 """
 
 from __future__ import annotations
@@ -75,30 +77,57 @@ def monomial_det(M: LaurentMatrix) -> tuple[Fraction, int] | None:
     return None
 
 
-def rref_nullity(rows: list[list[Fraction]], ncols: int) -> int:
-    """Dimension of the right nullspace by plain row reduction."""
-    if not rows:
-        return ncols
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    rank = 0
+def fraction_inverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:
+    """A^(-1) by Gauss-Jordan on [A | I] in Fraction arithmetic: the
+    reference for exact_core._qinverse. Raises ZeroDivisionError when A is
+    singular."""
+    n = len(a)
+    aug = [row[:] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1, aug[col][col])
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def fraction_nullspace(a: list[list[int | Fraction]], ncols: int) -> list[list[int | Fraction]]:
+    """Right nullspace basis read off the RREF, computed in Fraction
+    arithmetic: one vector per non-pivot column, with a 1 there. The
+    reference for exact_core._qnullspace."""
+    rows = [row[:] for row in a]
+    nrows = len(rows)
+    pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if mat[r][col] != 0), None)
-        if piv is None:
+        pivot = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
+        if pivot is None:
             continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        inv = Fraction(1, rows[row][col])
+        rows[row] = [x * inv for x in rows[row]]
         for r in range(nrows):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-        rank += 1
+            if r != row and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row])]
+        pivots.append(col)
         row += 1
         if row == nrows:
             break
-    return ncols - rank
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
 
 
 def h0_by_linear_solve(transition: LaurentMatrix, n: int = 0) -> int:
@@ -136,7 +165,7 @@ def h0_by_linear_solve(transition: LaurentMatrix, n: int = 0) -> int:
                         touched = True
             if touched:
                 constraints.append(rowvec)
-    return rref_nullity(constraints, ncols)
+    return len(fraction_nullspace(constraints, ncols))
 
 
 def hn_first_step_bruteforce(degrees: list[int]) -> tuple[int, ...]:

@@ -233,7 +233,7 @@ def test_oversized_numeral_is_a_schema_error(capsys, tmp_path, command, entry, p
     p = write(tmp_path, "huge.json", {"rank": 1, "transition": [[entry]]})
     code, doc, err = run(capsys, [command, "--bundle", p])
     assert code == 2 and doc is None
-    assert err.startswith("schema error: bad transition entry: numeral of")
+    assert err.startswith(f"schema error: --bundle {p}: bad transition entry at row 0, column 0: numeral of")
     assert f"(at position {position})" in err
 
 
@@ -357,3 +357,72 @@ def test_usage_error_exits_2(files, capsys):
 def test_help_exits_0(files, capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# -- every schema or validation error names the input at fault ------------------
+
+
+def test_decide_errors_name_the_input(files, capsys, tmp_path):
+    rank2 = {"genus": 0, "atoms": [{"rank": 2, "degree": 1, "stability": "stable"}]}
+    alg = write(tmp_path, "rank2.json", {"V": rank2, "anchor": {"kind": "nonzero"}})
+    code, doc, err = run(capsys, ["decide", "--algebroid", alg, "--bundle", files["bundle"]])
+    assert (code, doc) == (3, None)
+    assert err.startswith(f"validation error: --algebroid {alg}: V atom 0 (rank 2, degree 1)")
+    bad_v = write(tmp_path, "bad_v.json", {"V": {"genus": 0, "atoms": []}, "anchor": {"kind": "zero"}})
+    code, doc, err = run(capsys, ["decide", "--algebroid", bad_v, "--bundle", files["bundle"]])
+    assert (code, doc) == (2, None)
+    assert err.startswith(f"schema error: --algebroid {bad_v}: V: 'atoms' must be a non-empty list")
+    bundle = write(tmp_path, "b.json", {"genus": 0, "atoms": [{"rank": 1, "degree": 0.5}]})
+    code, doc, err = run(capsys, ["decide", "--algebroid", files["algebroid"], "--bundle", bundle])
+    assert (code, doc) == (2, None)
+    assert err.startswith(f"schema error: --bundle {bundle}: atom #0 'degree' must be an integer")
+
+
+def test_split_errors_name_the_input_and_the_entry(capsys, tmp_path):
+    p = write(tmp_path, "entry.json", {"rank": 2, "transition": [["1", "z"], ["2*", "1"]]})
+    code, doc, err = run(capsys, ["split", "--bundle", p])
+    assert (code, doc) == (2, None)
+    assert err.startswith(f"schema error: --bundle {p}: bad transition entry at row 1, column 0: ")
+    p = write(tmp_path, "number.json", {"rank": 2, "transition": [["1", 7], ["0", "1"]]})
+    code, doc, err = run(capsys, ["split", "--bundle", p])
+    assert (code, doc) == (2, None)
+    assert err.startswith(f"schema error: --bundle {p}: bad transition entry at row 0, column 1: ")
+    p = write(tmp_path, "singular.json", {"rank": 2, "transition": [["1", "z"], ["1", "z"]]})
+    code, doc, err = run(capsys, ["split", "--bundle", p])
+    assert (code, doc) == (3, None)
+    assert err.startswith(f"validation error: --bundle {p}: transition is not invertible")
+
+
+def test_cohomology_errors_name_the_input(files, capsys, tmp_path):
+    code, doc, err = run(capsys, ["cohomology", "--bundle", files["badjson"]])
+    assert (code, doc) == (2, None)
+    assert err.startswith(f"schema error: --bundle {files['badjson']}: malformed JSON: ")
+    missing = str(tmp_path / "missing.json")
+    code, doc, err = run(capsys, ["cohomology", "--bundle", missing])
+    assert (code, doc) == (2, None)
+    assert err.startswith(f"schema error: --bundle {missing}: cannot read: ")
+
+
+def test_connect_tells_a_singular_anchor_from_a_singular_bundle(files, capsys, tmp_path):
+    singular = {"rank": 2, "transition": [["z", "0"], ["0", "0"]]}
+    anchor = write(tmp_path, "a.json", {"V": singular, "phi_row": ["1", "0"]})
+    code, doc, err = run(capsys, ["connect", "--bundle", files["p1"], "--anchor", anchor])
+    assert (code, doc) == (3, None)
+    assert err.startswith(f"validation error: --anchor {anchor}: V: transition is not invertible")
+    code, doc, err = run(capsys, ["connect", "--bundle", files["nonunit"], "--anchor", files["tangent"]])
+    assert (code, doc) == (3, None)
+    assert err.startswith(f"validation error: --bundle {files['nonunit']}: transition is not invertible")
+    phi = write(tmp_path, "phi.json", {"V": {"rank": 2, "transition": [["z", "0"], ["0", "1"]]},
+                                       "phi_row": ["1", "z^"]})
+    code, doc, err = run(capsys, ["connect", "--bundle", files["p1"], "--anchor", phi])
+    assert (code, doc) == (2, None)
+    assert err.startswith(f"schema error: --anchor {phi}: bad phi_row entry 1: ")
+
+
+def test_jets_errors_name_the_anchor_entry(files, capsys, tmp_path):
+    anchor = write(tmp_path, "a.json", {"V": {"rank": 1, "transition": [["z^2 +"]]}, "phi_row": ["1"]})
+    code, doc, err = run(capsys, ["jets", "--bundle", files["o2"], "--anchor", anchor])
+    assert (code, doc) == (2, None)
+    assert err.startswith(
+        f"schema error: --anchor {anchor}: V: bad transition entry at row 0, column 0: "
+    )

@@ -1,6 +1,8 @@
 """Laurent arithmetic: parser, derivative, matrices, unit inverses."""
 
+import os
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,9 @@ from algconn.p1_engine import (
     unit_inverse,
 )
 from algconn.sampling import Sampler
+
+sys.path.insert(0, os.path.dirname(__file__))
+from oracles import fraction_inverse, fraction_nullspace
 
 
 def lp(s: str) -> LaurentPoly:
@@ -267,6 +272,83 @@ def test_dense_helpers_stay_exact_on_int_input():
     # 1 - (1/49.0)*49 is not 0 in floating point: a float pivot finds rank 2
     assert generic_rank(LaurentMatrix.parse([["49", "49"], ["1", "1"]])) == 1
     assert generic_rank(LaurentMatrix.parse([["2", "1"], ["1", "1"]])) == 2
+
+
+# -- the fraction-free kernels against the Fraction Gauss-Jordan reference ----
+
+scalar_strategy = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+
+
+@st.composite
+def scalar_matrices(draw, square=False):
+    """A matrix of ints and Fractions, drawn in full or as a product of two
+    thinner ones (rank-deficient), with a zero row sometimes planted."""
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        a = draw(st.lists(st.lists(scalar_strategy, min_size=ncols, max_size=ncols),
+                          min_size=nrows, max_size=nrows))
+    else:
+        k = draw(st.integers(1, max(1, min(nrows, ncols) - 1)))
+        left = draw(st.lists(st.lists(scalar_strategy, min_size=k, max_size=k),
+                             min_size=nrows, max_size=nrows))
+        right = draw(st.lists(st.lists(scalar_strategy, min_size=ncols, max_size=ncols),
+                              min_size=k, max_size=k))
+        a = _qmatmul(left, right)
+    if draw(st.booleans()):
+        a[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    # the kernels take any exact entries, integral Fractions included
+    return [[Fraction(x) if draw(st.booleans()) else x for x in row] for row in a]
+
+
+def _canonical(rows) -> bool:
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for row in rows for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_matrices(), st.integers(0, 2))
+def test_qnullspace_matches_the_fraction_reference(a, extra_cols):
+    # extra_cols > 0 makes the matrix wider than drawn, with zero columns
+    ncols = len(a[0]) + extra_cols
+    a = [row + [0] * extra_cols for row in a]
+    before = [row[:] for row in a]
+    got = _qnullspace(a, ncols)
+    assert got == fraction_nullspace(a, ncols)
+    assert _canonical(got) and a == before
+    for v in got:
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_matrices(square=True))
+def test_qinverse_matches_the_fraction_reference(a):
+    before = [row[:] for row in a]
+    try:
+        want = fraction_inverse(a)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _qinverse(a)
+        return
+    got = _qinverse(a)
+    assert got == want
+    assert _canonical(got) and a == before
+
+
+def test_qnullspace_on_empty_zero_wide_and_tall_input():
+    assert _qnullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _qnullspace([[0, 0], [0, 0], [0, 0]], 2) == [[1, 0], [0, 1]]
+    wide = [[1, Fraction(1, 2), 3, 0], [2, 1, Fraction(7, 3), 1]]
+    tall = [[1, 2], [2, 4], [Fraction(1, 2), 1], [0, 0]]
+    for a, ncols in ((wide, 4), (tall, 2)):
+        got = _qnullspace(a, ncols)
+        assert got == fraction_nullspace(a, ncols) and _canonical(got)
+    assert _qnullspace(tall, 2) == [[-2, 1]]
+    with pytest.raises(ZeroDivisionError):
+        _qinverse([[1, Fraction(1, 2)], [2, 1]])
 
 
 def test_integral_fractions_and_ints_share_memo_keys():

@@ -318,6 +318,33 @@ def test_riemann_roch_and_serre():
         assert serre_dual_check(E)
 
 
+def test_serre_duality_against_direct_linear_algebra():
+    # h^1(E) = h^0(E* (x) K), the right side solved by the oracle on T^(-T),
+    # which splits nothing; T^(-1) itself is checked by T T^(-1) = I
+    s = Sampler(65)
+    for _ in range(12):
+        E, _ = s.gauged_p1_bundle(min_rank=2, max_rank=5, bound=2, ops=2, max_deg=1)
+        t_inv = birkhoff_split(E).transition_inverse
+        assert E.transition @ t_inv == LaurentMatrix.identity(E.rank)
+        assert serre_dual_check(E)
+        assert cohomology_dims(E)[1] == h0_by_linear_solve(t_inv.transpose(), -2)
+
+
+def test_cohomology_adds_one_memo_entry_per_bundle():
+    # cohomology builds no dual or twist: the memo holds the input bundles only
+    s = Sampler(66)
+    docs = {}
+    while len(docs) < 10:
+        E, _ = s.gauged_p1_bundle(min_rank=2, max_rank=5, bound=2, ops=2, max_deg=1)
+        docs.setdefault(json.dumps(p1bundle_to_json(E)), E.rank)
+    _birkhoff_cached.cache_clear()
+    for count, text in enumerate(docs, 1):
+        E = p1bundle_from_json(json.loads(text))
+        cohomology_dims(E)
+        assert riemann_roch_check(E) and serre_dual_check(E)
+        assert _birkhoff_cached.cache_info().currsize == count
+
+
 # -- derived splittings ------------------------------------------------------------
 
 
