@@ -17,20 +17,19 @@ with nonzero anchor the criterion proves nothing either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 from .errors import (
     ContextMismatch,
     InvalidAnchor,
-    LaurentSyntaxError,
     PreconditionFailed,
     SchemaError,
     naming,
 )
-from .exact_core import LaurentPoly, laurent_parse
+from .exact_core import LaurentPoly, _parse_entries, _Value
 from .formal_bundles import (
+    Atom,
     FormalBundle,
     Stability,
     atiyah_weil,
@@ -45,19 +44,31 @@ class AnchorKind(str, Enum):
     ISOMORPHISM = "isomorphism"
 
 
-@dataclass(frozen=True)
-class AnchorDesc:
+class AnchorDesc(_Value):
     """Anchor data. The optional section (chart-0 coefficients of the map
     into the tangent bundle) is carried for the genus-0 engine only."""
 
-    kind: AnchorKind
-    section: tuple[LaurentPoly, ...] | None = None
+    __slots__ = _fields = ("kind", "section")
+
+    def __init__(
+        self, kind: AnchorKind, section: tuple[LaurentPoly, ...] | None = None
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "section", section)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.section)
 
 
-@dataclass(frozen=True)
-class AlgebroidDesc:
-    V: FormalBundle
-    anchor: AnchorDesc
+class AlgebroidDesc(_Value):
+    __slots__ = _fields = ("V", "anchor")
+
+    def __init__(self, V: FormalBundle, anchor: AnchorDesc) -> None:
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "anchor", anchor)
+
+    def _key(self) -> tuple:
+        return (self.V, self.anchor)
 
 
 class Verdict(str, Enum):
@@ -85,11 +96,18 @@ CITATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Decision:
-    verdict: Verdict
-    reason: Reason
-    atiyah_weil: bool | None = None
+class Decision(_Value):
+    __slots__ = _fields = ("verdict", "reason", "atiyah_weil")
+
+    def __init__(
+        self, verdict: Verdict, reason: Reason, atiyah_weil: bool | None = None
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "atiyah_weil", atiyah_weil)
+
+    def _key(self) -> tuple:
+        return (self.verdict, self.reason, self.atiyah_weil)
 
     @property
     def citation(self) -> str:
@@ -138,10 +156,11 @@ def validate_algebroid(desc: AlgebroidDesc) -> AlgebroidDesc:
 
     if V.context.genus == 0 and V.rank == 1 and V.degree == tangent_deg:
         if not V.atoms[0].is_tangent:
-            V = FormalBundle(V.context, (replace(V.atoms[0], is_tangent=True),))
+            a = V.atoms[0]
+            V = FormalBundle(V.context, (Atom(a.rank, a.degree, a.stability, a.label, True),))
 
     if anchor.kind == AnchorKind.NONZERO and _is_tangent_bundle(V):
-        anchor = replace(anchor, kind=AnchorKind.ISOMORPHISM)
+        anchor = AnchorDesc(AnchorKind.ISOMORPHISM, anchor.section)
 
     if anchor.kind == AnchorKind.ISOMORPHISM:
         if V.rank != 1:
@@ -263,10 +282,7 @@ def algebroid_from_json(doc) -> AlgebroidDesc:
     if raw.get("section") is not None:
         if not isinstance(raw["section"], list):
             raise SchemaError("anchor section must be a list of Laurent strings")
-        try:
-            section = tuple(laurent_parse(s) for s in raw["section"])
-        except (TypeError, LaurentSyntaxError) as exc:
-            raise SchemaError(f"bad anchor section: {exc}") from exc
+        section = tuple(_parse_entries(raw["section"], "anchor section entry"))
     return AlgebroidDesc(V, AnchorDesc(kind, section))
 
 

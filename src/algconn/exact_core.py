@@ -43,17 +43,29 @@ integral (a sum, a scalar or derivative multiple, an accumulated product).
 LaurentPoly.__mul__ and LaurentMatrix.__matmul__ share one product kernel,
 _accumulate: a matrix entry sums all its k-terms in one coefficient map and
 drops the zeros once. Integer coefficients multiply there as native ints.
+
+Value classes. LaurentPoly and LaurentMatrix, and every record type of the
+package built on _Value (CurveContext, Atom, P1Bundle, SplittingData, the
+certificates, ...), are plain classes with __slots__: __init__ sets each
+field through object.__setattr__ and then validates, and __setattr__ raises
+AttributeError. A _Value compares, hashes and prints as a frozen dataclass
+over its fields would: equal to an object of the same class only, with the
+tuple _key() of its fields, in declaration order, as the identity. Copying
+an immutable value returns it, and pickling rebuilds it through its
+constructor (through _poly and _matrix for the two Laurent types). No
+dataclass is used: the dataclasses module and the code it generates with
+exec are most of the package's import time, which every CLI command pays.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, Sequence
 
-from .errors import LaurentSyntaxError, NotSquare, PreconditionFailed
+from .errors import LaurentSyntaxError, NotSquare, PreconditionFailed, SchemaError
 
 Rat = Fraction
 
@@ -63,6 +75,42 @@ def _q(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+class _Value:
+    """Base of the immutable record types. A subclass names its fields in
+    _fields, in declaration order, keeps them in __slots__, sets them in
+    __init__ through object.__setattr__ and returns them from _key()."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 class LaurentPoly:
@@ -252,6 +300,15 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
 
+    def __reduce__(self):
+        return _poly, (self._coeffs,)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
 
 def _poly(coeffs: dict[int, int | Fraction]) -> LaurentPoly:
     """Wrap a coefficient map already in canonical form (int exponents,
@@ -359,6 +416,18 @@ def laurent_parse(text: str) -> LaurentPoly:
         pos = m.end()
         first = False
     return LaurentPoly(coeffs)
+
+
+def _parse_entries(texts: list, what: str) -> list[LaurentPoly]:
+    """The Laurent strings parsed; SchemaError "bad <what> k: ..." names the
+    position k of the first that does not parse."""
+    out = []
+    for k, s in enumerate(texts):
+        try:
+            out.append(laurent_parse(s))
+        except (TypeError, LaurentSyntaxError) as exc:
+            raise SchemaError(f"bad {what} {k}: {exc}") from exc
+    return out
 
 
 class LaurentMatrix:
@@ -582,6 +651,15 @@ class LaurentMatrix:
 
     def __repr__(self) -> str:
         return f"LaurentMatrix({str(self)})"
+
+    def __reduce__(self):
+        return _matrix, (self._rows,)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self._rows]

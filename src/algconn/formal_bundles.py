@@ -13,11 +13,11 @@ strictly more information than its (rank, degree) class once g >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 from .errors import ContextMismatch, SchemaError, UnknownStability
+from .exact_core import _Value
 
 
 class Stability(str, Enum):
@@ -26,61 +26,77 @@ class Stability(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class CurveContext:
+class CurveContext(_Value):
     """A compact connected Riemann surface, known to this layer by its genus."""
 
-    genus: int
+    __slots__ = _fields = ("genus",)
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, genus: int) -> None:
+        object.__setattr__(self, "genus", genus)
+        if genus < 0:
             raise ValueError("genus must be a non-negative integer")
+
+    def _key(self) -> tuple:
+        return (self.genus,)
 
     @property
     def tangent_degree(self) -> int:
         return 2 * (1 - self.genus)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Value):
     """An indecomposable summand, identified by rank, degree and declared
     stability. Rank-1 atoms are always stable, so the flag is normalized."""
 
-    rank: int
-    degree: int
-    stability: Stability = Stability.UNKNOWN
-    label: str = ""
-    is_tangent: bool = False
+    __slots__ = _fields = ("rank", "degree", "stability", "label", "is_tangent")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(
+        self,
+        rank: int,
+        degree: int,
+        stability: Stability = Stability.UNKNOWN,
+        label: str = "",
+        is_tangent: bool = False,
+    ) -> None:
+        if rank == 1:
+            stability = Stability.STABLE
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "stability", stability)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "is_tangent", is_tangent)
+        if rank < 1:
             raise ValueError("atom rank must be positive")
-        if self.rank == 1 and self.stability != Stability.STABLE:
-            object.__setattr__(self, "stability", Stability.STABLE)
-        if self.is_tangent and self.rank != 1:
+        if is_tangent and rank != 1:
             raise ValueError("is_tangent requires rank 1")
+
+    def _key(self) -> tuple:
+        return (self.rank, self.degree, self.stability, self.label, self.is_tangent)
 
     @property
     def slope(self) -> Fraction:
         return Fraction(self.degree, self.rank)
 
 
-@dataclass(frozen=True)
-class FormalBundle:
+class FormalBundle(_Value):
     """Non-empty multiset of atoms over a fixed curve context."""
 
-    context: CurveContext
-    atoms: tuple[Atom, ...]
+    __slots__ = _fields = ("context", "atoms")
 
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, context: CurveContext, atoms: tuple[Atom, ...]) -> None:
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "atoms", atoms)
+        if not atoms:
             raise ValueError("a bundle needs at least one atom")
-        for a in self.atoms:
-            if a.is_tangent and a.degree != self.context.tangent_degree:
+        for a in atoms:
+            if a.is_tangent and a.degree != context.tangent_degree:
                 raise ValueError(
-                    f"tangent atom must have degree {self.context.tangent_degree} "
-                    f"at genus {self.context.genus}, got {a.degree}"
+                    f"tangent atom must have degree {context.tangent_degree} "
+                    f"at genus {context.genus}, got {a.degree}"
                 )
+
+    def _key(self) -> tuple:
+        return (self.context, self.atoms)
 
     @property
     def rank(self) -> int:
@@ -91,18 +107,21 @@ class FormalBundle:
         return sum(a.degree for a in self.atoms)
 
 
-@dataclass(frozen=True)
-class HNFiltration:
+class HNFiltration(_Value):
     """Successive-quotient data: (atoms, slope) steps with strictly
     decreasing slopes, partitioning the bundle's atoms."""
 
-    steps: tuple[tuple[tuple[Atom, ...], Fraction], ...]
+    __slots__ = _fields = ("steps",)
 
-    def __post_init__(self):
-        slopes = [s for _, s in self.steps]
+    def __init__(self, steps: tuple[tuple[tuple[Atom, ...], Fraction], ...]) -> None:
+        object.__setattr__(self, "steps", steps)
+        slopes = [s for _, s in steps]
         for earlier, later in zip(slopes, slopes[1:]):
             if not earlier > later:
                 raise ValueError(f"slopes not strictly decreasing: {slopes}")
+
+    def _key(self) -> tuple:
+        return (self.steps,)
 
     @property
     def slopes(self) -> tuple[Fraction, ...]:
@@ -129,10 +148,7 @@ def tensor_profile(E: FormalBundle, F: FormalBundle) -> tuple[int, int]:
 
 def dual(E: FormalBundle) -> FormalBundle:
     """Atom-wise (rank, -degree); stability classes are preserved."""
-    atoms = tuple(
-        replace(a, degree=-a.degree, is_tangent=False, label=a.label)
-        for a in E.atoms
-    )
+    atoms = tuple(Atom(a.rank, -a.degree, a.stability, a.label) for a in E.atoms)
     return FormalBundle(E.context, atoms)
 
 

@@ -52,15 +52,13 @@ cocycle, checked by verify_witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidAnchor, SchemaError, ShapeMismatch, naming
-from .exact_core import LaurentMatrix, LaurentPoly, _matrix, _poly
+from .exact_core import LaurentMatrix, LaurentPoly, _matrix, _parse_entries, _poly, _Value
 from .p1_engine import (
     P1Bundle,
     _derived_bundle,
-    _parse_entries,
     birkhoff_split,
     p1bundle_from_json,
     p1bundle_to_json,
@@ -68,25 +66,26 @@ from .p1_engine import (
 )
 
 
-@dataclass(frozen=True)
-class ConcreteAnchor:
+class ConcreteAnchor(_Value):
     """An anchor map V -> TX on the projective line, as its chart-0 row."""
 
-    V: P1Bundle
-    phi_row: LaurentMatrix  # 1 x rank(V)
+    __slots__ = _fields = ("V", "phi_row")
 
-    def __post_init__(self):
-        if self.phi_row.shape != (1, self.V.rank):
-            raise InvalidAnchor(
-                f"anchor row must be 1x{self.V.rank}, got {self.phi_row.shape}"
-            )
-        if not self.phi_row.is_poly_in_z:
+    def __init__(self, V: P1Bundle, phi_row: LaurentMatrix) -> None:  # phi_row 1 x rank(V)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "phi_row", phi_row)
+        if phi_row.shape != (1, V.rank):
+            raise InvalidAnchor(f"anchor row must be 1x{V.rank}, got {phi_row.shape}")
+        if not phi_row.is_poly_in_z:
             raise InvalidAnchor("anchor row must be polynomial in z")
         if not self.chart1_row().is_poly_in_w:
             raise InvalidAnchor(
                 "anchor is not a global homomorphism into the tangent bundle: "
                 "its chart-1 representative has positive exponents"
             )
+
+    def _key(self) -> tuple:
+        return (self.V, self.phi_row)
 
     def chart1_row(self) -> LaurentMatrix:
         """-z^(-2) * phi0 * T_V, the anchor row over the w-chart frames."""
@@ -106,25 +105,35 @@ def zero_anchor(V: P1Bundle) -> ConcreteAnchor:
     return ConcreteAnchor(V, LaurentMatrix.zeros(1, V.rank))
 
 
-@dataclass(frozen=True)
-class ObstructionCocycle:
+class ObstructionCocycle(_Value):
     """Chart-0 overlap representative of the obstruction class, the block
     row phi0 (x) T' T^(-1) = [C^(1) | ... | C^(q)], C^(a) = phi0_a * T' T^(-1)."""
 
-    overlap_matrix: LaurentMatrix  # r x (r * rank V)
+    __slots__ = _fields = ("overlap_matrix",)
+
+    def __init__(self, overlap_matrix: LaurentMatrix) -> None:  # r x (r * rank V)
+        object.__setattr__(self, "overlap_matrix", overlap_matrix)
+
+    def _key(self) -> tuple:
+        return (self.overlap_matrix,)
 
     @property
     def is_zero(self) -> bool:
         return self.overlap_matrix.is_zero
 
 
-@dataclass(frozen=True)
-class ConnectionCert:
+class ConnectionCert(_Value):
     """Local connection matrices: chart-0 operator phi^* d + A0 and chart-1
     operator phi^* d + A1, in the same block-row layout as the cocycle."""
 
-    A0: LaurentMatrix
-    A1: LaurentMatrix
+    __slots__ = _fields = ("A0", "A1")
+
+    def __init__(self, A0: LaurentMatrix, A1: LaurentMatrix) -> None:
+        object.__setattr__(self, "A0", A0)
+        object.__setattr__(self, "A1", A1)
+
+    def _key(self) -> tuple:
+        return (self.A0, self.A1)
 
 
 def jet1_transition(E: P1Bundle) -> P1Bundle:

@@ -10,7 +10,6 @@ of the coboundary solver.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .algebroid_decision import (
     AlgebroidDesc,
@@ -21,7 +20,7 @@ from .algebroid_decision import (
     decision_to_json,
     validate_algebroid,
 )
-from .exact_core import LaurentMatrix, LaurentPoly
+from .exact_core import LaurentMatrix, LaurentPoly, _Value
 from .formal_bundles import Atom, CurveContext, FormalBundle, bundle_to_json
 from .jet_obstruction import (
     ConcreteAnchor,
@@ -147,10 +146,26 @@ class Sampler:
         return formal, concrete
 
 
-@dataclass
-class FuzzOutcome:
-    report: dict
-    certs: list[tuple[P1Bundle, ConcreteAnchor, ConnectionCert]]
+class FuzzOutcome(_Value):
+    __slots__ = _fields = ("report", "certs")
+
+    def __init__(
+        self, report: dict, certs: list[tuple[P1Bundle, ConcreteAnchor, ConnectionCert]]
+    ) -> None:
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "certs", certs)
+
+    def _key(self) -> tuple:
+        return (self.report, self.certs)
+
+    # report and certs are mutable containers, so a copy is a new outcome
+    def __copy__(self):
+        return FuzzOutcome(self.report, self.certs)
+
+    def __deepcopy__(self, memo):
+        from copy import deepcopy
+
+        return FuzzOutcome(deepcopy(self.report, memo), deepcopy(self.certs, memo))
 
 
 def run_fuzz(count: int, seed: int, collect_certs: bool = False) -> FuzzOutcome:

@@ -378,6 +378,16 @@ def test_decide_errors_name_the_input(files, capsys, tmp_path):
     assert err.startswith(f"schema error: --bundle {bundle}: atom #0 'degree' must be an integer")
 
 
+def test_decide_names_the_bad_anchor_section_entry(files, capsys, tmp_path):
+    v = {"genus": 0, "atoms": [{"rank": 1, "degree": -3}, {"rank": 1, "degree": -3}]}
+    alg = write(tmp_path, "a.json", {"V": v, "anchor": {"kind": "nonzero", "section": ["1", "z^"]}})
+    code, doc, err = run(capsys, ["decide", "--algebroid", alg, "--bundle", files["bundle"]])
+    assert (code, doc) == (2, None)
+    assert err.startswith(
+        f"schema error: --algebroid {alg}: bad anchor section entry 1: expected '+' or '-'"
+    )
+
+
 def test_split_errors_name_the_input_and_the_entry(capsys, tmp_path):
     p = write(tmp_path, "entry.json", {"rank": 2, "transition": [["1", "z"], ["2*", "1"]]})
     code, doc, err = run(capsys, ["split", "--bundle", p])

@@ -1,0 +1,229 @@
+"""Value semantics of the record types: construction, equality, hashing,
+immutability, repr, copying and pickling; and the import cost of the CLI."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import algconn
+from algconn import (
+    AlgebroidDesc,
+    AnchorDesc,
+    AnchorKind,
+    Atom,
+    ConcreteAnchor,
+    ConnectionCert,
+    CurveContext,
+    Decision,
+    FormalBundle,
+    GlobalSection,
+    HNFiltration,
+    LaurentMatrix,
+    ObstructionCocycle,
+    P1Bundle,
+    Reason,
+    SplittingData,
+    Stability,
+    Verdict,
+    laurent_parse,
+    tangent_bundle,
+)
+from algconn.sampling import FuzzOutcome
+
+M = LaurentMatrix.parse
+ATOM = Atom(2, -1, Stability.STABLE, "a", False)
+LINE = Atom(1, 1, label="O(1)")
+TANGENT_V = FormalBundle(CurveContext(0), (Atom(1, 2, is_tangent=True),))
+
+# class -> (field names in declaration order, field values)
+CASES = {
+    CurveContext: (("genus",), (1,)),
+    Atom: (
+        ("rank", "degree", "stability", "label", "is_tangent"),
+        (2, -1, Stability.STABLE, "a", False),
+    ),
+    FormalBundle: (("context", "atoms"), (CurveContext(1), (ATOM, LINE))),
+    HNFiltration: (("steps",), ((((LINE,), Fraction(1)), ((ATOM,), Fraction(-1, 2))),)),
+    AnchorDesc: (("kind", "section"), (AnchorKind.NONZERO, (laurent_parse("1 + z"),))),
+    AlgebroidDesc: (
+        ("V", "anchor"),
+        (TANGENT_V, AnchorDesc(AnchorKind.ISOMORPHISM, (laurent_parse("1"),))),
+    ),
+    Decision: (
+        ("verdict", "reason", "atiyah_weil"),
+        (Verdict.EXISTS_IFF_ATIYAH_WEIL, Reason.ANCHOR_ISO_AW, True),
+    ),
+    ConcreteAnchor: (("V", "phi_row"), (tangent_bundle(), M([["1"]]))),
+    ObstructionCocycle: (("overlap_matrix",), (M([["2*z^-1", "0"]]),)),
+    ConnectionCert: (("A0", "A1"), (M([["z", "0"]]), M([["0", "1/2*z^-1"]]))),
+    P1Bundle: (("rank", "transition"), (2, M([["z", "1"], ["0", "z^-1"]]))),
+    SplittingData: (
+        ("type", "U0", "U1"),
+        ((1, -1), LaurentMatrix.identity(2), M([["1", "z^-1"], ["0", "1"]])),
+    ),
+    GlobalSection: (("chart0_rep",), (M([["z"], ["1"]]),)),
+    FuzzOutcome: (("report", "certs"), ({"cases": 1, "mismatches": 0}, [])),
+}
+
+# repr of each CASES instance, recorded from the dataclass implementation
+REPRS = {
+    CurveContext: "CurveContext(genus=1)",
+    Atom: "Atom(rank=2, degree=-1, stability=<Stability.STABLE: 'stable'>, label='a', "
+    "is_tangent=False)",
+    FormalBundle: "FormalBundle(context=CurveContext(genus=1), atoms=(Atom(rank=2, degree=-1, "
+    "stability=<Stability.STABLE: 'stable'>, label='a', is_tangent=False), Atom(rank=1, "
+    "degree=1, stability=<Stability.STABLE: 'stable'>, label='O(1)', is_tangent=False)))",
+    HNFiltration: "HNFiltration(steps=(((Atom(rank=1, degree=1, stability=<Stability.STABLE: "
+    "'stable'>, label='O(1)', is_tangent=False),), Fraction(1, 1)), ((Atom(rank=2, degree=-1, "
+    "stability=<Stability.STABLE: 'stable'>, label='a', is_tangent=False),), Fraction(-1, 2))))",
+    AnchorDesc: "AnchorDesc(kind=<AnchorKind.NONZERO: 'nonzero'>, section=(LaurentPoly('1 + z'),))",
+    AlgebroidDesc: "AlgebroidDesc(V=FormalBundle(context=CurveContext(genus=0), atoms=(Atom("
+    "rank=1, degree=2, stability=<Stability.STABLE: 'stable'>, label='', is_tangent=True),)), "
+    "anchor=AnchorDesc(kind=<AnchorKind.ISOMORPHISM: 'isomorphism'>, "
+    "section=(LaurentPoly('1'),)))",
+    Decision: "Decision(verdict=<Verdict.EXISTS_IFF_ATIYAH_WEIL: 'exists-iff-atiyah-weil'>, "
+    "reason=<Reason.ANCHOR_ISO_AW: 'AnchorIso_AW'>, atiyah_weil=True)",
+    ConcreteAnchor: "ConcreteAnchor(V=P1Bundle(rank=1, transition=LaurentMatrix([-z^2])), "
+    "phi_row=LaurentMatrix([1]))",
+    ObstructionCocycle: "ObstructionCocycle(overlap_matrix=LaurentMatrix([2*z^-1, 0]))",
+    ConnectionCert: "ConnectionCert(A0=LaurentMatrix([z, 0]), A1=LaurentMatrix([0, 1/2*z^-1]))",
+    P1Bundle: "P1Bundle(rank=2, transition=LaurentMatrix([z, 1; 0, z^-1]))",
+    SplittingData: "SplittingData(type=(1, -1), U0=LaurentMatrix([1, 0; 0, 1]), "
+    "U1=LaurentMatrix([1, z^-1; 0, 1]))",
+    GlobalSection: "GlobalSection(chart0_rep=LaurentMatrix([z; 1]))",
+    FuzzOutcome: "FuzzOutcome(report={'cases': 1, 'mismatches': 0}, certs=[])",
+}
+
+TYPES = list(CASES)
+
+
+def build(cls):
+    return cls(*CASES[cls][1])
+
+
+def test_every_type_is_covered():
+    assert set(REPRS) == set(CASES) and len(CASES) == 14
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_positional_and_keyword_construction_agree(cls):
+    names, values = CASES[cls]
+    x, y = cls(*values), cls(**dict(zip(names, values)))
+    assert x == y
+    assert tuple(getattr(x, n) for n in names) == values
+
+
+def test_defaults():
+    assert (Atom(2, 1).stability, Atom(2, 1).label, Atom(2, 1).is_tangent) == (
+        Stability.UNKNOWN, "", False)
+    assert Atom(1, 0).stability == Stability.STABLE  # rank 1 is always stable
+    assert AnchorDesc(AnchorKind.ZERO).section is None
+    assert Decision(Verdict.EXISTS, Reason.ZERO_ANCHOR).atiyah_weil is None
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_equality_and_hash_are_those_of_the_field_tuple(cls):
+    values = CASES[cls][1]
+    x, y = build(cls), build(cls)
+    assert x is not y and x == y and not x != y
+    try:
+        expected = hash(values)
+    except TypeError:  # FuzzOutcome holds a dict, so neither is hashable
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(y) == expected
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_another_class_with_the_same_fields_is_unequal(cls):
+    other = type("Other", (cls,), {"__slots__": ()})
+    x, y = build(cls), other(*CASES[cls][1])
+    assert x != y and y != x and not x == y
+
+
+def test_different_record_types_with_one_field_are_unequal():
+    col = M([["z"], ["1"]])
+    assert ObstructionCocycle(col) != GlobalSection(col)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_assignment_raises(cls):
+    x = build(cls)
+    name = CASES[cls][0][0]
+    with pytest.raises(AttributeError):
+        setattr(x, name, getattr(x, name))
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_repr_is_the_dataclass_repr(cls):
+    assert repr(build(cls)) == REPRS[cls]
+
+
+def test_p1bundle_compares_rank_and_transition_only():
+    E = build(P1Bundle)
+    assert E.degree == 0 and "_degree" not in repr(E)
+    assert hash(E) == hash((E.rank, E.transition))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [build(cls) for cls in TYPES] + [laurent_parse("1/2*z^-1 + 3"), M([["z", "1"], ["0", "1"]])],
+    ids=[cls.__name__ for cls in TYPES] + ["LaurentPoly", "LaurentMatrix"],
+)
+def test_copy_deepcopy_and_pickle_round_trip(x):
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x and repr(y) == repr(x)
+        if not isinstance(x, FuzzOutcome):
+            assert hash(y) == hash(x)
+
+
+def test_immutable_values_copy_to_themselves_and_outcomes_do_not():
+    for x in (build(P1Bundle), laurent_parse("z"), LaurentMatrix.identity(2)):
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+    outcome = build(FuzzOutcome)
+    assert copy.deepcopy(outcome).report is not outcome.report
+
+
+# every name algconn/__init__.py exports
+EXPORTS = """
+AlgebroidDesc AnchorDesc AnchorKind Decision Reason Verdict anchor_divisor_degree
+anchor_forced_zero decide_connection validate_algebroid LaurentMatrix LaurentPoly Rat
+generic_rank laurent_parse Atom CurveContext FormalBundle HNFiltration Stability atiyah_weil
+dual hn_filtration hom_vanishes slope tensor_profile ConcreteAnchor ConnectionCert
+ObstructionCocycle connection_exists_p1 construct_connection jet1_transition jetV_transition
+obstruction_cocycle split_coboundary tangent_anchor verify_connection verify_witness
+zero_anchor GlobalSection P1Bundle SplittingData birkhoff_split cohomology_dims dual_bundle
+end_bundle gauge_transform global_sections hn_p1 hom_bundle hom_sections kernel_filtration
+line_bundle riemann_roch_check serre_dual_check split_bundle tangent_bundle tensor_bundle
+trace_pair trivial_bundle twist unit_inverse __version__
+""".split()
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        f"sys.path[:1] = [{src!r}]\n"
+        "before = set(sys.modules)\n"
+        "import algconn.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))\n"
+        "import algconn\n"
+        f"print([n for n in {EXPORTS!r} if not hasattr(algconn, n)])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert all(hasattr(algconn, n) for n in EXPORTS)
