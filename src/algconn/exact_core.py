@@ -44,10 +44,25 @@ LaurentPoly.__mul__ and LaurentMatrix.__matmul__ share one product kernel,
 _accumulate: a matrix entry sums all its k-terms in one coefficient map and
 drops the zeros once. Integer coefficients multiply there as native ints.
 
+Zeros cost nothing. The zero polynomial is one shared object, _ZERO: the
+public constructor, _poly and LaurentPoly.zero() all return it for an empty
+map, so every zero entry of every matrix is that object. An operation with a
+zero operand returns an operand as it is, without a new polynomial: p + 0,
+0 + p, p - 0 and p.shift(0) are p, and -0, 0 * p and p * 0 are 0. A matrix
+product visits only nonzero entries: it is Gustavson's row-by-row sparse
+product (Two fast algorithms for sparse matrices: multiplication and
+permuted transposition, ACM TOMS 4(3), 1978), which adds a_ik times the
+nonzero entries of row k of the right factor into row i, for the nonzero
+a_ik only. Transitions and their splittings are mostly zero, so this is
+where products spend less. Returning an operand is safe because a
+LaurentPoly is immutable: nothing writes to its coefficient map, and its
+lazy hash depends on the coefficients only.
+
 Value classes. LaurentPoly and LaurentMatrix, and every record type of the
 package built on _Value (CurveContext, Atom, P1Bundle, SplittingData, the
 certificates, ...), are plain classes with __slots__: __init__ sets each
-field through object.__setattr__ and then validates, and __setattr__ raises
+field through object.__setattr__ and then validates (LaurentPoly validates
+in __new__, so that it can hand out _ZERO), and __setattr__ raises
 AttributeError. A _Value compares, hashes and prints as a frozen dataclass
 over its fields would: equal to an object of the same class only, with the
 tuple _key() of its fields, in declaration order, as the identity. Copying
@@ -116,13 +131,13 @@ class _Value:
 class LaurentPoly:
     """Laurent polynomial in z over the rationals.
 
-    Zero coefficients are never stored; the zero polynomial is the empty map.
-    Instances are immutable and hashable.
+    Zero coefficients are never stored; the zero polynomial is the empty map,
+    and one shared instance, _ZERO. Instances are immutable and hashable.
     """
 
     __slots__ = ("_coeffs", "_hash")
 
-    def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
+    def __new__(cls, coeffs: Mapping[int, int | Fraction] | None = None) -> "LaurentPoly":
         clean: dict[int, int | Fraction] = {}
         if coeffs:
             for exp, c in coeffs.items():
@@ -134,8 +149,7 @@ class LaurentPoly:
                     c = _q(Fraction(c))
                 if c != 0:
                     clean[int(exp)] = c
-        object.__setattr__(self, "_coeffs", clean)
-        object.__setattr__(self, "_hash", None)
+        return _poly(clean)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("LaurentPoly is immutable")
@@ -144,7 +158,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return _poly({})
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -200,6 +214,10 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             s = out.get(e)
@@ -212,16 +230,24 @@ class LaurentPoly:
         return _poly(out)
 
     def __neg__(self) -> "LaurentPoly":
+        if not self._coeffs:
+            return self
         return _poly({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not other._coeffs:
+            return self
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             if not other:
-                return _poly({})
+                return _ZERO
             return _poly({e: _q(c * other) for e, c in self._coeffs.items()})
+        if not self._coeffs:
+            return self
+        if not other._coeffs:
+            return other
         out: dict[int, int | Fraction] = {}
         _accumulate(out, self._coeffs, other._coeffs)
         return _poly(_nonzero(out))
@@ -243,6 +269,8 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
+        if not k or not self._coeffs:
+            return self
         return _poly({e + k: c for e, c in self._coeffs.items()})
 
     def derivative(self) -> "LaurentPoly":
@@ -312,11 +340,19 @@ class LaurentPoly:
 
 def _poly(coeffs: dict[int, int | Fraction]) -> LaurentPoly:
     """Wrap a coefficient map already in canonical form (int exponents,
-    nonzero canonical scalars), without a check or a copy."""
+    nonzero canonical scalars), without a check or a copy. An empty map is
+    the shared _ZERO."""
+    if not coeffs:
+        return _ZERO
     p = object.__new__(LaurentPoly)
     object.__setattr__(p, "_coeffs", coeffs)
     object.__setattr__(p, "_hash", None)
     return p
+
+
+_ZERO = object.__new__(LaurentPoly)  # the zero polynomial, the one LaurentPoly with no terms
+object.__setattr__(_ZERO, "_coeffs", {})
+object.__setattr__(_ZERO, "_hash", None)
 
 
 def _accumulate(
@@ -423,9 +459,11 @@ def _parse_entries(texts: list, what: str) -> list[LaurentPoly]:
     position k of the first that does not parse."""
     out = []
     for k, s in enumerate(texts):
+        if not isinstance(s, str):
+            raise SchemaError(f"bad {what} {k}: expected a Laurent string, got {type(s).__name__}")
         try:
             out.append(laurent_parse(s))
-        except (TypeError, LaurentSyntaxError) as exc:
+        except LaurentSyntaxError as exc:
             raise SchemaError(f"bad {what} {k}: {exc}") from exc
     return out
 
@@ -466,7 +504,7 @@ class LaurentMatrix:
     def zeros(cls, r: int, c: int) -> "LaurentMatrix":
         if r < 1 or c < 1:
             raise ValueError("matrix must have positive dimensions")
-        return _matrix(((_poly({}),) * c,) * r)
+        return _matrix(((_ZERO,) * c,) * r)
 
     @classmethod
     def diag(cls, entries: Sequence[LaurentPoly]) -> "LaurentMatrix":
@@ -475,9 +513,8 @@ class LaurentMatrix:
             raise ValueError("matrix must have positive dimensions")
         if not all(isinstance(x, LaurentPoly) for x in entries):
             raise TypeError("entries must be LaurentPoly")
-        zero = _poly({})
         return _matrix(
-            tuple(tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n))
+            tuple(tuple(entries[i] if i == j else _ZERO for j in range(n)) for i in range(n))
         )
 
     @classmethod
@@ -548,18 +585,25 @@ class LaurentMatrix:
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        cols = [[x._coeffs for x in col] for col in zip(*other._rows)]
+        # Gustavson's row-by-row product: row i of the result is the sum of
+        # a_ik * (row k of the right factor) over the nonzero a_ik, and each
+        # right row lists only its nonzero entries, so no zero is ever visited
+        b_rows = [[(j, x._coeffs) for j, x in enumerate(row) if x._coeffs] for row in other._rows]
+        width = len(other._rows[0])
         out = []
         for row in self._rows:
-            a_row = [x._coeffs for x in row]
-            new_row = []
-            for col in cols:
-                acc: dict[int, int | Fraction] = {}
-                for a, b in zip(a_row, col):
-                    if a and b:
+            accs: dict[int, dict[int, int | Fraction]] = {}
+            for x, b_row in zip(row, b_rows):
+                a = x._coeffs
+                if a:
+                    for j, b in b_row:
+                        acc = accs.get(j)
+                        if acc is None:
+                            accs[j] = acc = {}
                         _accumulate(acc, a, b)
-                new_row.append(_poly(_nonzero(acc)))
-            out.append(tuple(new_row))
+            out.append(
+                tuple(_poly(_nonzero(accs[j])) if j in accs else _ZERO for j in range(width))
+            )
         return _matrix(tuple(out))
 
     def scalar_mul(self, s) -> "LaurentMatrix":
@@ -583,18 +627,18 @@ class LaurentMatrix:
     def kron(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """Kronecker product; index (i,p),(j,q) flattened row-major. A left
         entry 1 reuses the right factor's row, so I (x) B costs no products."""
-        zero, one = LaurentPoly.zero(), LaurentPoly.one()
+        one = LaurentPoly.one()
         out = []
         for row_a in self._rows:
             for row_b in other._rows:
                 row: list[LaurentPoly] = []
                 for a in row_a:
                     if a.is_zero:
-                        row.extend([zero] * len(row_b))
+                        row.extend([_ZERO] * len(row_b))
                     elif a == one:
                         row.extend(row_b)
                     else:
-                        row.extend(zero if b.is_zero else a * b for b in row_b)
+                        row.extend(a * b for b in row_b)
                 out.append(tuple(row))
         return _matrix(tuple(out))
 

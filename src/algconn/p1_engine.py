@@ -401,8 +401,8 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
         [{-k: _q(Xk[i][j]) for k, Xk in enumerate(X) if Xk[i][j]} for j in range(r)]
         for i in range(r)
     ]
-    zero = _poly({})  # shared by the zero entries: the memo keeps every U1 it hands out
-    return _matrix(tuple(tuple(_poly(c) if c else zero for c in row) for row in cells))
+    # _poly makes an empty cell the shared zero: the U1s the memo keeps hold no zeros of their own
+    return _matrix(tuple(tuple(_poly(c) for c in row) for row in cells))
 
 
 # The one memo. It is global and keyed by bundle equality, not scoped to a

@@ -403,6 +403,47 @@ def test_split_errors_name_the_input_and_the_entry(capsys, tmp_path):
     assert err.startswith(f"validation error: --bundle {p}: transition is not invertible")
 
 
+NON_STRING_ENTRIES = pytest.mark.parametrize(
+    "entry, kind", [(1, "int"), (None, "NoneType"), (["z"], "list"), (2.5, "float")]
+)
+
+
+@NON_STRING_ENTRIES
+def test_non_string_transition_entry_is_a_schema_error(capsys, tmp_path, entry, kind):
+    p = write(tmp_path, "b.json", {"rank": 1, "transition": [[entry]]})
+    code, doc, err = run(capsys, ["split", "--bundle", p])
+    assert (code, doc) == (2, None)
+    assert err == (
+        f"schema error: --bundle {p}: bad transition entry at row 0, column 0: "
+        f"expected a Laurent string, got {kind}\n"
+    )
+
+
+@NON_STRING_ENTRIES
+def test_non_string_phi_row_entry_is_a_schema_error(files, capsys, tmp_path, entry, kind):
+    doc = {"V": {"rank": 1, "transition": [["-z^2"]]}, "phi_row": [entry]}
+    anchor = write(tmp_path, "a.json", doc)
+    code, doc, err = run(capsys, ["connect", "--bundle", files["p1"], "--anchor", anchor])
+    assert (code, doc) == (2, None)
+    assert err == (
+        f"schema error: --anchor {anchor}: bad phi_row entry 0: "
+        f"expected a Laurent string, got {kind}\n"
+    )
+
+
+@NON_STRING_ENTRIES
+def test_non_string_anchor_section_entry_is_a_schema_error(files, capsys, tmp_path, entry, kind):
+    v = {"genus": 0, "atoms": [{"rank": 1, "degree": -3}, {"rank": 1, "degree": -3}]}
+    doc = {"V": v, "anchor": {"kind": "nonzero", "section": ["1", entry]}}
+    alg = write(tmp_path, "a.json", doc)
+    code, doc, err = run(capsys, ["decide", "--algebroid", alg, "--bundle", files["bundle"]])
+    assert (code, doc) == (2, None)
+    assert err == (
+        f"schema error: --algebroid {alg}: bad anchor section entry 1: "
+        f"expected a Laurent string, got {kind}\n"
+    )
+
+
 def test_cohomology_errors_name_the_input(files, capsys, tmp_path):
     code, doc, err = run(capsys, ["cohomology", "--bundle", files["badjson"]])
     assert (code, doc) == (2, None)

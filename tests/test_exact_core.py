@@ -1,6 +1,7 @@
 """Laurent arithmetic: parser, derivative, matrices, unit inverses."""
 
 import os
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -214,6 +215,86 @@ def test_matrix_kernels_keep_canonical_form(mats, k):
             assert [[got.entry(i, j).coeffs for j in range(got.cols)] for i in range(got.rows)] == (
                 _naive_product(X, Y)
             )
+
+
+# -- zero-aware kernel: sparse products, one shared zero --------------------------
+
+
+@st.composite
+def sparse_factors(draw):
+    """A @ B with mostly zero entries, some rows and columns all zero, and
+    shapes that include 1 x n @ n x 1 and n x 1 @ 1 x n."""
+    dim, one = st.integers(min_value=1, max_value=5), st.just(1)
+    shapes = (st.tuples(dim, dim, dim), st.tuples(one, dim, one), st.tuples(dim, one, dim))
+    r, n, c = draw(st.one_of(*shapes))
+
+    def matrix(rows, cols):
+        zero_rows = draw(st.sets(st.integers(min_value=0, max_value=rows - 1), max_size=rows))
+        zero_cols = draw(st.sets(st.integers(min_value=0, max_value=cols - 1), max_size=cols))
+        return LaurentMatrix(
+            [
+                [
+                    LaurentPoly.zero()
+                    if i in zero_rows or j in zero_cols or draw(st.integers(0, 2))
+                    else draw(small_poly_strategy)
+                    for j in range(cols)
+                ]
+                for i in range(rows)
+            ]
+        )
+
+    return matrix(r, n), matrix(n, c)
+
+
+def _entries(M):
+    return [M.entry(i, j) for i in range(M.rows) for j in range(M.cols)]
+
+
+def _assert_zeros_shared(M):
+    zero = LaurentPoly.zero()
+    assert all(x is zero for x in _entries(M) if x.is_zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_factors())
+def test_sparse_product_matches_the_naive_product(factors):
+    A, B = factors
+    got = A @ B
+    _assert_canonical_matrix(got)
+    _assert_zeros_shared(got)
+    assert [[got.entry(i, j).coeffs for j in range(got.cols)] for i in range(got.rows)] == (
+        _naive_product(A, B)
+    )
+    # [A | A] @ [B; -B] cancels in every entry
+    cancelled = A.hstack(A) @ B.vstack(-B)
+    assert all(x is LaurentPoly.zero() for x in _entries(cancelled))
+
+
+def test_zero_operands_come_back_as_they_are():
+    p, zero = lp("2*z^-1 + 1/3 - z^2"), LaurentPoly.zero()
+    assert p + zero is p and zero + p is p and p - zero is p and p.shift(0) is p
+    assert -zero is zero and zero.shift(3) is zero
+    assert p * zero is zero and zero * p is zero and p * 0 is zero and 0 * p is zero
+    assert p * Fraction(0) is zero
+    # every zero polynomial is the one shared object, however it is made
+    made = [LaurentPoly(), LaurentPoly({2: 0}), lp("z - z"), p - p, p + (-p), zero.derivative()]
+    assert all(x is zero for x in made)
+    assert pickle.loads(pickle.dumps(zero)) is zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_factors())
+def test_matrix_kernels_hand_out_the_shared_zero(factors):
+    A, B = factors
+    p = lp("z^-1 + 2")
+    built = [
+        A.kron(B), B.kron(A), A @ B, A + A, A - A, A + (-A), -A, A.shift(2), A.transpose(),
+        LaurentMatrix.zeros(2, 3), LaurentMatrix.diag([p, LaurentPoly.zero(), p]),
+        LaurentMatrix.identity(3),
+    ]
+    for M in built:
+        _assert_zeros_shared(M)
+    assert all(x.is_zero for x in _entries(A - A))
 
 
 def test_kernels_turn_integral_results_into_ints():
