@@ -20,7 +20,6 @@ from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
     Rat,
-    generic_rank,
     laurent_parse,
 )
 from .formal_bundles import (
@@ -58,13 +57,10 @@ from .p1_engine import (
     birkhoff_split,
     cohomology_dims,
     dual_bundle,
-    end_bundle,
     gauge_transform,
     global_sections,
-    hn_p1,
     hom_bundle,
     hom_sections,
-    kernel_filtration,
     line_bundle,
     riemann_roch_check,
     serre_dual_check,

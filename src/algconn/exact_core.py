@@ -3,23 +3,17 @@
 Scalars are exact rationals in one form: a Python int when the value is
 integral, and a `fractions.Fraction` (exported as `Rat`) with denominator > 1
 otherwise. So an int means integral and a Fraction is never integral; every
-coefficient a LaurentPoly stores or returns, and every value it evaluates
-to, is in this form. int and Fraction mix exactly, compare equal and hash
-alike (hash(3) == hash(Fraction(3))), and _q is the one normaliser that turns
-an integral Fraction into its int. No operation here ever rounds, and no
-helper divides two ints, which would give a float: a reciprocal is
-Fraction(1, p).
+coefficient a LaurentPoly stores or returns is in this form. int and
+Fraction mix exactly, compare equal and hash alike (hash(3) ==
+hash(Fraction(3))), and _q is the one normaliser that turns an integral
+Fraction into its int. No operation here ever rounds, and no helper divides
+two ints, which would give a float: a reciprocal is Fraction(1, p).
 
 Laurent polynomials in the chart coordinate z are maps exponent -> nonzero
 rational; matrices over them carry the transition data of bundles on the
 projective line. "Polynomial in w" below always means w = 1/z, i.e. a
 Laurent polynomial whose exponents are all <= 0.
 
-The generic rank of a Laurent matrix, its rank over Q(z), is the largest
-rank it takes at enough integer nodes: after each row is shifted into
-polynomials, a nonzero k x k minor has a bounded degree, so it cannot vanish
-at every node. Each rank at a node is exact, read off the nullspace of one
-fraction-free integer elimination, so nothing here depends on floating point.
 No determinant is computed: a transition's determinant exponent is fixed by
 the splitting reduction, and inverses of unit matrices come from that
 certified splitting, both in p1_engine.
@@ -62,8 +56,8 @@ Value classes. LaurentPoly and LaurentMatrix, and every record type of the
 package built on _Value (CurveContext, Atom, P1Bundle, SplittingData, the
 certificates, ...), are plain classes with __slots__: __init__ sets each
 field through object.__setattr__ and then validates (LaurentPoly validates
-in __new__, so that it can hand out _ZERO), and __setattr__ raises
-AttributeError. A _Value compares, hashes and prints as a frozen dataclass
+in __new__, so that it can hand out _ZERO), and __setattr__ and __delattr__
+raise AttributeError. A _Value compares, hashes and prints as a frozen dataclass
 over its fields would: equal to an object of the same class only, with the
 tuple _key() of its fields, in declaration order, as the identity. Copying
 an immutable value returns it, and pickling rebuilds it through its
@@ -152,6 +146,9 @@ class LaurentPoly:
         return _poly(clean)
 
     def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError("LaurentPoly is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ------------------------------------------------------
@@ -255,18 +252,6 @@ class LaurentPoly:
     def __rmul__(self, other) -> "LaurentPoly":
         return self.__mul__(other)
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for LaurentPoly")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
         if not k or not self._coeffs:
@@ -276,13 +261,6 @@ class LaurentPoly:
     def derivative(self) -> "LaurentPoly":
         """Formal d/dz: the exponent-k term k*c*z^(k-1)."""
         return _poly({e - 1: _q(c * e) for e, c in self._coeffs.items() if e != 0})
-
-    def evaluate(self, x) -> int | Fraction:
-        if x == 0 and any(e < 0 for e in self._coeffs):
-            raise ZeroDivisionError("evaluating a pole at z = 0")
-        if not (isinstance(x, int) and all(e >= 0 for e in self._coeffs)):
-            x = Fraction(x)
-        return _q(sum(c * x**e for e, c in self._coeffs.items()))
 
     # -- identity ----------------------------------------------------------
 
@@ -491,6 +469,9 @@ class LaurentMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentMatrix is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("LaurentMatrix is immutable")
+
     # -- constructors ------------------------------------------------------
 
     # identity, zeros and diag build canonical entries, so they check only
@@ -673,10 +654,7 @@ class LaurentMatrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
-    # -- exact numerics ----------------------------------------------------
-
-    def eval_at(self, x) -> list[list[int | Fraction]]:
-        return [[e.evaluate(x) for e in row] for row in self._rows]
+    # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix):
@@ -718,43 +696,7 @@ def _matrix(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentMatrix:
     return m
 
 
-def generic_rank(M: LaurentMatrix) -> int:
-    """Rank of M over the fraction field Q(z).
-
-    A k x k minor of the row-rescaled polynomial matrix has degree at most
-    min(rows, cols) * maxdeg, so sampling that many + 1 distinct nodes is
-    enough: the generic rank is the maximum of the ranks at the nodes. The
-    rank at a node is cols minus the nullity _qnullspace finds there.
-    """
-    if M.is_zero:
-        return 0
-    rescaled = []
-    for i in range(M.rows):
-        row = M.row_list(i)
-        exps = [x.min_exp for x in row if not x.is_zero]
-        shift = -min(exps) if exps else 0
-        rescaled.append([x.shift(shift) for x in row])
-    P = LaurentMatrix(rescaled)
-    d = P.max_exp() or 0
-    npts = min(M.rows, M.cols) * d + 1
-    best = 0
-    for x in _nodes(npts):
-        best = max(best, M.cols - len(_qnullspace(P.eval_at(x), M.cols)))
-    return best
-
-
 # -- exact rational linear algebra helpers ---------------------------------
-
-
-def _nodes(count: int) -> list[int]:
-    out = [0]
-    k = 1
-    while len(out) < count:
-        out.append(k)
-        if len(out) < count:
-            out.append(-k)
-        k += 1
-    return out[:count]
 
 
 def _qinverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:

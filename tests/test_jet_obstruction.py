@@ -34,13 +34,15 @@ from algconn.p1_engine import (
     SplittingData,
     birkhoff_split,
     dual_bundle,
-    end_bundle,
     gauge_transform,
+    hom_bundle,
     hom_sections,
+    is_global_hom,
     line_bundle,
     split_bundle,
     tangent_bundle,
     tensor_bundle,
+    trace_pair,
     trivial_bundle,
     unit_inverse,
 )
@@ -219,7 +221,7 @@ def test_cocycle_transport_matches_kron_flattening():
     c1 = LaurentMatrix(
         [[s.laurent(-1, 1, max_terms=2) for _ in range(r * q)] for _ in range(r)]
     )
-    W = tensor_bundle(end_bundle(E), dual_bundle(V))
+    W = tensor_bundle(hom_bundle(E, E), dual_bundle(V))
     via_kron = _unvec_cochain(W.transition @ _vec_cochain(c1, r, q), r, q)
     assert _transport(c1, E, V) == via_kron
 
@@ -231,7 +233,7 @@ def _kronecker_reference(c: LaurentMatrix, E: P1Bundle, V: P1Bundle):
     """The window rule on W = End(E) (x) V* built and Birkhoff-split as a
     bundle of its own: the (b0, b1) it gives, or None."""
     r, q = E.rank, V.rank
-    W = tensor_bundle(end_bundle(E), dual_bundle(V))
+    W = tensor_bundle(hom_bundle(E, E), dual_bundle(V))
     data = birkhoff_split(W)
     y = data.U0 @ _vec_cochain(c, r, q)
     beta0, beta1 = [], []
@@ -360,6 +362,38 @@ def test_every_obstructed_answer_has_a_verified_witness(monkeypatch):
         if construct_connection(E, anchor) is None:
             negatives += 1
     assert negatives > 0 and checked == [True] * negatives
+
+
+def test_tangent_anchor_witness_is_an_atiyah_weil_summand(monkeypatch):
+    # for V = TX, V (x) K = O and a witness is a global endomorphism of E: the
+    # projection u v^T onto a summand O(a_i) with a_i != 0 (v^T u = 1), whose
+    # residue pairing with the cocycle is a_i (Weil 1938, Atiyah 1957)
+    import algconn.jet_obstruction as jo
+
+    seen = []
+    original = jo._witness
+    monkeypatch.setattr(
+        jo, "_witness", lambda *args: seen.append((args[3:], original(*args))) or seen[-1][1]
+    )
+    anchor = tangent_anchor()
+    s = Sampler(11)
+    negatives = 0
+    for _ in range(200):
+        E, _ = s.gauged_p1_bundle(max_rank=4)
+        seen.clear()
+        if construct_connection(E, anchor) is not None:
+            assert not seen
+            continue
+        negatives += 1
+        [((i, j, a, e), theta)] = seen
+        a_i = birkhoff_split(E).type[i]
+        assert (i, j, a, e) == (i, i, 0, -1) and a_i != 0
+        assert theta @ theta == theta
+        assert is_global_hom(E, E, theta)
+        assert trace_pair(E, theta, LaurentMatrix.identity(E.rank)) == 1
+        c = obstruction_cocycle(E, anchor).overlap_matrix
+        assert (theta @ c).trace().coeff(-1) == a_i
+    assert negatives > 100
 
 
 def _first_window_coefficient(c: ObstructionCocycle, E: P1Bundle, V: P1Bundle):

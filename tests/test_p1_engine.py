@@ -1,4 +1,4 @@
-"""Splitting, cohomology, sections, filtrations on the projective line."""
+"""Splitting, cohomology, sections, endomorphisms on the projective line."""
 
 import json
 import os
@@ -7,12 +7,11 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from oracles import h0_by_linear_solve, hn_first_step_bruteforce, monomial_det
+from oracles import h0_by_linear_solve, monomial_det
 
 from algconn.cli import main
 from algconn.errors import InvalidSection, NotAUnit
 from algconn.exact_core import LaurentMatrix, LaurentPoly
-from algconn.formal_bundles import Atom, CurveContext, FormalBundle, hn_filtration
 from algconn.jet_obstruction import jet1_transition, jetV_transition, tangent_anchor
 from algconn.p1_engine import (
     P1Bundle,
@@ -23,15 +22,12 @@ from algconn.p1_engine import (
     birkhoff_split,
     cohomology_dims,
     dual_bundle,
-    end_bundle,
     gauge_transform,
     global_sections,
-    hn_p1,
     hom_bundle,
     hom_sections,
     is_global_hom,
     is_global_section,
-    kernel_filtration,
     line_bundle,
     p1bundle_from_json,
     p1bundle_to_json,
@@ -231,6 +227,20 @@ def test_verify_matches_det_definition_and_rejects_tampers():
             assert not bad.verify(F) and not verify_by_det(bad, F), name
         scaled = tampers["row_scaled"]
         assert scaled.U0 @ F.transition @ scaled.U1 == scaled.diagonal()
+
+
+def test_verify_rejects_a_splitting_of_another_rank():
+    # a type, U0 or U1 whose size is not E's rank gives False, not a shape error
+    assert not birkhoff_split(split_bundle([1, -1])).verify(split_bundle([0, 0, 0]))
+    E = split_bundle([0, 0])
+    I2, I3 = LaurentMatrix.identity(2), LaurentMatrix.identity(3)
+    assert SplittingData((0, 0), I2, I2).verify(E)
+    for bad in (
+        SplittingData((0, 0), I3, I2),
+        SplittingData((0, 0), I2, I3),
+        SplittingData((0, 0, 0), I2, I2),
+    ):
+        assert not bad.verify(E), bad
 
 
 def test_split_and_verify_take_no_det():
@@ -453,63 +463,19 @@ def test_vec_convention_ties_hom_to_sections():
         assert LaurentMatrix(rows) == phi
 
 
-# -- filtrations -------------------------------------------------------------------
-
-
-def test_hn_p1_examples():
-    f = hn_p1(split_bundle([1, 1]))
-    assert len(f.steps) == 1 and f.slopes == (1,)
-    f2 = hn_p1(split_bundle([3, 1, -2]))
-    assert f2.slopes == (3, 1, -2)
-    f3 = hn_p1(trivial_bundle(3))
-    assert len(f3.steps) == 1 and f3.slopes == (0,)
-
-
-def test_hn_p1_matches_formal_and_bruteforce():
-    s = Sampler(24)
-    for _ in range(30):
-        exps = s.exponents(max_rank=5, bound=4)
-        E = split_bundle(exps)
-        f = hn_p1(E)
-        formal = hn_filtration(
-            FormalBundle(CurveContext(0), tuple(Atom(1, a) for a in exps))
-        )
-        assert f.slopes == formal.slopes
-        first = tuple(sorted(a.degree for a in f.steps[0][0]))
-        assert first == hn_first_step_bruteforce(exps)
-
-
 # -- endomorphisms -----------------------------------------------------------------
 
 
-def test_kernel_filtration_cases():
-    E = trivial_bundle(2)
-    up = LaurentMatrix.parse([["0", "1"], ["0", "0"]])
-    assert kernel_filtration(E, up) == ((0, 1, 2), True)
-    assert kernel_filtration(E, LaurentMatrix.zeros(2, 2)) == ((0, 2, 2), True)
-    ranks, nilp = kernel_filtration(E, LaurentMatrix.identity(2))
-    assert not nilp and ranks == (0, 0, 0)
-
-
-def test_kernel_filtration_nonconstant_entries():
-    # theta = [[0, z],[0, 0]] on O(1)+O(0): a genuine section with z-entries
-    E = split_bundle([1, 0])
-    theta = LaurentMatrix.parse([["0", "z"], ["0", "0"]])
-    assert is_global_hom(E, E, theta)
-    assert kernel_filtration(E, theta) == ((0, 1, 2), True)
-
-
 def test_kernel_filtration_rejects_non_sections():
+    # on O(1) + O(-1) the (1, 0) slot maps O(1) to O(-1), which has no nonzero map;
+    # trace_pair rejects it, and a matrix of the wrong size, in either argument
     E = split_bundle([1, -1])
-    bad = LaurentMatrix.parse([["0", "1"], ["0", "0"]])  # O(-1) -> O(1) needs deg <= 2... check
-    # the (0,1) slot maps the O(-1) summand to O(1): z^0 is fine there, but
-    # the (1,0) slot direction is the forbidden one
-    really_bad = LaurentMatrix.parse([["0", "0"], ["1", "0"]])
-    assert not is_global_hom(E, E, really_bad)
+    bad = LaurentMatrix.parse([["0", "0"], ["1", "0"]])
+    assert not is_global_hom(E, E, bad)
     with pytest.raises(InvalidSection):
-        kernel_filtration(E, really_bad)
+        trace_pair(E, bad, LaurentMatrix.identity(2))
     with pytest.raises(InvalidSection):
-        kernel_filtration(E, LaurentMatrix.parse([["z^-1"]]))
+        trace_pair(E, LaurentMatrix.identity(2), LaurentMatrix.parse([["z^-1"]]))
 
 
 def test_trace_pair_values():
@@ -545,7 +511,7 @@ def test_derived_degrees_match_det():
     bundles = [gauged(e) for e in ([3], [2, -1], [1, 1, -3])] + [gauged([1, -3])]
     for E in bundles:
         assert E.degree != 0
-        for X in (dual_bundle(E), twist(E, 2), twist(E, -3), end_bundle(E)):
+        for X in (dual_bundle(E), twist(E, 2), twist(E, -3), hom_bundle(E, E)):
             assert X.degree == det_degree(X)
         for F in bundles[:2]:
             for X in (tensor_bundle(E, F), hom_bundle(E, F), hom_bundle(F, E)):
@@ -557,5 +523,5 @@ def test_dual_tensor_end_degrees():
     assert dual_bundle(E).degree == -1
     F = split_bundle([1, 1])
     assert tensor_bundle(E, F).degree == E.degree * F.rank + E.rank * F.degree
-    assert end_bundle(E).degree == 0
+    assert hom_bundle(E, E).degree == 0
     assert twist(E, 3).degree == E.degree + 3 * E.rank

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,19 @@ def test_assignment_raises(cls):
         delattr(x, name)
 
 
+def test_laurent_values_refuse_assignment_and_deletion():
+    # fresh objects: deleting a field of the shared zero polynomial would break
+    # every later zero entry
+    for x in (laurent_parse("1/2*z^-1 + 3"), M([["z", "1"], ["0", "1"]])):
+        before = hash(x), str(x)
+        for name in type(x).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert (hash(x), str(x)) == before
+
+
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
 def test_repr_is_the_dataclass_repr(cls):
     assert repr(build(cls)) == REPRS[cls]
@@ -198,15 +212,26 @@ def test_immutable_values_copy_to_themselves_and_outcomes_do_not():
 EXPORTS = """
 AlgebroidDesc AnchorDesc AnchorKind Decision Reason Verdict anchor_divisor_degree
 anchor_forced_zero decide_connection validate_algebroid LaurentMatrix LaurentPoly Rat
-generic_rank laurent_parse Atom CurveContext FormalBundle HNFiltration Stability atiyah_weil
-dual hn_filtration hom_vanishes slope tensor_profile ConcreteAnchor ConnectionCert
+laurent_parse Atom CurveContext FormalBundle HNFiltration Stability atiyah_weil dual
+hn_filtration hom_vanishes slope tensor_profile ConcreteAnchor ConnectionCert
 ObstructionCocycle connection_exists_p1 construct_connection jet1_transition jetV_transition
 obstruction_cocycle split_coboundary tangent_anchor verify_connection verify_witness
 zero_anchor GlobalSection P1Bundle SplittingData birkhoff_split cohomology_dims dual_bundle
-end_bundle gauge_transform global_sections hn_p1 hom_bundle hom_sections kernel_filtration
-line_bundle riemann_roch_check serre_dual_check split_bundle tangent_bundle tensor_bundle
-trace_pair trivial_bundle twist unit_inverse __version__
+gauge_transform global_sections hom_bundle hom_sections line_bundle riemann_roch_check
+serre_dual_check split_bundle tangent_bundle tensor_bundle trace_pair trivial_bundle twist
+unit_inverse __version__
 """.split()
+
+
+def test_exports_are_exactly_the_public_names():
+    # two-sided: a removed name still bound fails, and so does an unrecorded new one
+    public = {
+        name
+        for name, value in vars(algconn).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(set(EXPORTS)) == len(EXPORTS)
+    assert public | {"__version__"} == set(EXPORTS)
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
