@@ -56,9 +56,6 @@ class AnchorDesc(_Value):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "section", section)
 
-    def _key(self) -> tuple:
-        return (self.kind, self.section)
-
 
 class AlgebroidDesc(_Value):
     __slots__ = _fields = ("V", "anchor")
@@ -66,9 +63,6 @@ class AlgebroidDesc(_Value):
     def __init__(self, V: FormalBundle, anchor: AnchorDesc) -> None:
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "anchor", anchor)
-
-    def _key(self) -> tuple:
-        return (self.V, self.anchor)
 
 
 class Verdict(str, Enum):
@@ -105,9 +99,6 @@ class Decision(_Value):
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "reason", reason)
         object.__setattr__(self, "atiyah_weil", atiyah_weil)
-
-    def _key(self) -> tuple:
-        return (self.verdict, self.reason, self.atiyah_weil)
 
     @property
     def citation(self) -> str:

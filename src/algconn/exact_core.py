@@ -52,18 +52,21 @@ where products spend less. Returning an operand is safe because a
 LaurentPoly is immutable: nothing writes to its coefficient map, and its
 lazy hash depends on the coefficients only.
 
-Value classes. LaurentPoly and LaurentMatrix, and every record type of the
-package built on _Value (CurveContext, Atom, P1Bundle, SplittingData, the
-certificates, ...), are plain classes with __slots__: __init__ sets each
-field through object.__setattr__ and then validates (LaurentPoly validates
-in __new__, so that it can hand out _ZERO), and __setattr__ and __delattr__
-raise AttributeError. A _Value compares, hashes and prints as a frozen dataclass
-over its fields would: equal to an object of the same class only, with the
-tuple _key() of its fields, in declaration order, as the identity. Copying
-an immutable value returns it, and pickling rebuilds it through its
-constructor (through _poly and _matrix for the two Laurent types). No
-dataclass is used: the dataclasses module and the code it generates with
-exec are most of the package's import time, which every CLI command pays.
+Value classes. Every value type of the package is a plain slotted class on
+_Value: the two Laurent types and the record types (CurveContext, Atom,
+P1Bundle, SplittingData, the certificates, ...). __init__ sets each field
+through object.__setattr__ and then validates (LaurentPoly validates in
+__new__, so that it can hand out _ZERO); _Value's __setattr__ and
+__delattr__ raise AttributeError, and copying a value returns it. A record
+type declares its identity once, in _fields, its field names in declaration
+order; _Value builds its _key from them, an operator.attrgetter that returns
+the field tuple, and compares, hashes, prints and pickles by that tuple as a
+frozen dataclass would: equal to an object of the same class only. The
+Laurent types declare no _fields: they compare by their coefficients or
+rows, cache their hash, print in Laurent notation and pickle through _poly
+and _matrix. No dataclass is used: the dataclasses module and the code it
+generates with exec are most of the package's import time, which every CLI
+command pays.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ import sys
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import LaurentSyntaxError, NotSquare, PreconditionFailed, SchemaError
 
@@ -87,12 +91,25 @@ def _q(c):
 
 
 class _Value:
-    """Base of the immutable record types. A subclass names its fields in
-    _fields, in declaration order, keeps them in __slots__, sets them in
-    __init__ through object.__setattr__ and returns them from _key()."""
+    """Base of the immutable value types. A record type names its fields
+    once, in _fields, in declaration order, keeps them in __slots__ and sets
+    them in __init__ through object.__setattr__. When the class is made,
+    _Value builds its _key from _fields: _key(x) is the field tuple that
+    equality, hashing, repr and pickling read. The two Laurent types declare
+    no _fields and define their own identity; they inherit the guards and
+    the copying."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("_fields")
+        if fields is not None:
+            # attrgetter reads the fields at C speed; with one name it returns
+            # the value itself, so that one is wrapped in a 1-tuple
+            get = attrgetter(*fields)
+            cls._key = staticmethod(get if len(fields) > 1 else lambda x: (get(x),))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -103,17 +120,18 @@ class _Value:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key()))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._key()
+        return type(self), self._key(self)
 
     def __copy__(self):
         return self
@@ -122,7 +140,7 @@ class _Value:
         return self
 
 
-class LaurentPoly:
+class LaurentPoly(_Value):
     """Laurent polynomial in z over the rationals.
 
     Zero coefficients are never stored; the zero polynomial is the empty map,
@@ -144,12 +162,6 @@ class LaurentPoly:
                 if c != 0:
                     clean[int(exp)] = c
         return _poly(clean)
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -309,12 +321,6 @@ class LaurentPoly:
     def __reduce__(self):
         return _poly, (self._coeffs,)
 
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
 
 def _poly(coeffs: dict[int, int | Fraction]) -> LaurentPoly:
     """Wrap a coefficient map already in canonical form (int exponents,
@@ -446,7 +452,7 @@ def _parse_entries(texts: list, what: str) -> list[LaurentPoly]:
     return out
 
 
-class LaurentMatrix:
+class LaurentMatrix(_Value):
     """Immutable rectangular matrix with LaurentPoly entries."""
 
     __slots__ = ("_rows", "_hash")
@@ -465,12 +471,6 @@ class LaurentMatrix:
             frozen.append(tuple(row))
         object.__setattr__(self, "_rows", tuple(frozen))
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("LaurentMatrix is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -541,10 +541,6 @@ class LaurentMatrix:
     def min_exp(self) -> int | None:
         exps = [x.min_exp for row in self._rows for x in row if not x.is_zero]
         return min(exps) if exps else None
-
-    def max_exp(self) -> int | None:
-        exps = [x.max_exp for row in self._rows for x in row if not x.is_zero]
-        return max(exps) if exps else None
 
     # -- algebra -----------------------------------------------------------
 
@@ -676,12 +672,6 @@ class LaurentMatrix:
 
     def __reduce__(self):
         return _matrix, (self._rows,)
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self._rows]

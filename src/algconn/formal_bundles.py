@@ -36,9 +36,6 @@ class CurveContext(_Value):
         if genus < 0:
             raise ValueError("genus must be a non-negative integer")
 
-    def _key(self) -> tuple:
-        return (self.genus,)
-
     @property
     def tangent_degree(self) -> int:
         return 2 * (1 - self.genus)
@@ -70,9 +67,6 @@ class Atom(_Value):
         if is_tangent and rank != 1:
             raise ValueError("is_tangent requires rank 1")
 
-    def _key(self) -> tuple:
-        return (self.rank, self.degree, self.stability, self.label, self.is_tangent)
-
     @property
     def slope(self) -> Fraction:
         return Fraction(self.degree, self.rank)
@@ -95,9 +89,6 @@ class FormalBundle(_Value):
                     f"at genus {context.genus}, got {a.degree}"
                 )
 
-    def _key(self) -> tuple:
-        return (self.context, self.atoms)
-
     @property
     def rank(self) -> int:
         return sum(a.rank for a in self.atoms)
@@ -119,9 +110,6 @@ class HNFiltration(_Value):
         for earlier, later in zip(slopes, slopes[1:]):
             if not earlier > later:
                 raise ValueError(f"slopes not strictly decreasing: {slopes}")
-
-    def _key(self) -> tuple:
-        return (self.steps,)
 
     @property
     def slopes(self) -> tuple[Fraction, ...]:

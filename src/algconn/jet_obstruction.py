@@ -84,9 +84,6 @@ class ConcreteAnchor(_Value):
                 "its chart-1 representative has positive exponents"
             )
 
-    def _key(self) -> tuple:
-        return (self.V, self.phi_row)
-
     def chart1_row(self) -> LaurentMatrix:
         """-z^(-2) * phi0 * T_V, the anchor row over the w-chart frames."""
         return (self.phi_row @ self.V.transition).shift(-2).scalar_mul(-1)
@@ -114,9 +111,6 @@ class ObstructionCocycle(_Value):
     def __init__(self, overlap_matrix: LaurentMatrix) -> None:  # r x (r * rank V)
         object.__setattr__(self, "overlap_matrix", overlap_matrix)
 
-    def _key(self) -> tuple:
-        return (self.overlap_matrix,)
-
     @property
     def is_zero(self) -> bool:
         return self.overlap_matrix.is_zero
@@ -131,9 +125,6 @@ class ConnectionCert(_Value):
     def __init__(self, A0: LaurentMatrix, A1: LaurentMatrix) -> None:
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "A1", A1)
-
-    def _key(self) -> tuple:
-        return (self.A0, self.A1)
 
 
 def jet1_transition(E: P1Bundle) -> P1Bundle:

@@ -107,9 +107,6 @@ class P1Bundle(_Value):
         object.__setattr__(self, "_splitting", None)
         self.__post_init__()  # its own method, so that bench/tracer.py can time it
 
-    def _key(self) -> tuple:
-        return (self.rank, self.transition)
-
     def __post_init__(self):
         if not self.transition.is_square:
             raise NotAUnit("transition matrix must be square")
@@ -250,9 +247,6 @@ class SplittingData(_Value):
         object.__setattr__(self, "U0", U0)
         object.__setattr__(self, "U1", U1)
 
-    def _key(self) -> tuple:
-        return (self.type, self.U0, self.U1)
-
     def diagonal(self) -> LaurentMatrix:
         return LaurentMatrix.diag([LaurentPoly.z(a) for a in self.type])
 
@@ -290,12 +284,18 @@ class SplittingData(_Value):
 
 
 def _shift_rows(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
-    """diag(z^(e_i)) * M: row i times z^(e_i)."""
+    """diag(z^(e_i)) * M: row i times z^(e_i). ValueError unless there is
+    one exponent per row."""
+    if len(exps) != M.rows:
+        raise ValueError(f"{len(exps)} row shifts for {M.rows} rows")
     return _matrix(tuple(tuple(x.shift(e) for x in M.row_list(i)) for i, e in enumerate(exps)))
 
 
 def _shift_columns(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
-    """M * diag(z^(e_j)): column j times z^(e_j)."""
+    """M * diag(z^(e_j)): column j times z^(e_j). ValueError unless there
+    is one exponent per column."""
+    if len(exps) != M.cols:
+        raise ValueError(f"{len(exps)} column shifts for {M.cols} columns")
     return _matrix(
         tuple(tuple(x.shift(e) for x, e in zip(M.row_list(i), exps)) for i in range(M.rows))
     )
@@ -461,17 +461,6 @@ class GlobalSection(_Value):
 
     def __init__(self, chart0_rep: LaurentMatrix) -> None:
         object.__setattr__(self, "chart0_rep", chart0_rep)
-
-    def _key(self) -> tuple:
-        return (self.chart0_rep,)
-
-
-def is_global_section(E: P1Bundle, v: LaurentMatrix) -> bool:
-    if v.cols != 1 or v.rows != E.rank:
-        return False
-    if not v.is_poly_in_z:
-        return False
-    return (birkhoff_split(E).transition_inverse @ v).is_poly_in_w
 
 
 def global_sections(E: P1Bundle) -> list[GlobalSection]:

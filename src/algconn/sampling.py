@@ -155,9 +155,6 @@ class FuzzOutcome(_Value):
         object.__setattr__(self, "report", report)
         object.__setattr__(self, "certs", certs)
 
-    def _key(self) -> tuple:
-        return (self.report, self.certs)
-
     # report and certs are mutable containers, so a copy is a new outcome
     def __copy__(self):
         return FuzzOutcome(self.report, self.certs)

@@ -27,7 +27,6 @@ from algconn.p1_engine import (
     hom_bundle,
     hom_sections,
     is_global_hom,
-    is_global_section,
     line_bundle,
     p1bundle_from_json,
     p1bundle_to_json,
@@ -243,6 +242,21 @@ def test_verify_rejects_a_splitting_of_another_rank():
         assert not bad.verify(E), bad
 
 
+def test_inverses_refuse_a_splitting_of_another_rank():
+    # a type of length 3 with 2x2 frames is no splitting: the inverses raise
+    # instead of reading a 2x2 answer off the first two exponents
+    I2 = LaurentMatrix.identity(2)
+    data = SplittingData((1, 0, -1), I2, I2)
+    with pytest.raises(ValueError, match="3 column shifts for 2 columns"):
+        data.transition_inverse
+    with pytest.raises(ValueError, match="3 column shifts for 2 columns"):
+        data.u0_inverse(I2)
+    with pytest.raises(ValueError, match="3 row shifts for 2 rows"):
+        data.u1_inverse(I2)
+    with pytest.raises(ValueError, match="1 row shifts for 2 rows"):
+        SplittingData((0,), I2, I2).u1_inverse(I2)
+
+
 def test_split_and_verify_take_no_det():
     assert not hasattr(LaurentMatrix, "det")
     s = Sampler(60)
@@ -309,9 +323,11 @@ def test_cohomology_against_direct_linear_algebra():
     checked = 0
     for _ in range(60):
         E, _ = s.gauged_p1_bundle(max_rank=3, bound=3, ops=2, max_deg=1)
-        if (E.transition.max_exp() or 0) > 4 or (E.transition.min_exp() or 0) < -4:
+        T = E.transition
+        top = max(x.max_exp for i in range(T.rows) for x in T.row_list(i) if not x.is_zero)
+        if top > 4 or T.min_exp() < -4:
             continue
-        assert cohomology_dims(E)[0] == h0_by_linear_solve(E.transition)
+        assert cohomology_dims(E)[0] == h0_by_linear_solve(T)
         checked += 1
     assert checked >= 30
 
@@ -435,7 +451,7 @@ def test_sections_validity_and_count_random():
         secs = global_sections(E)
         assert len(secs) == cohomology_dims(E)[0]
         for sec in secs:
-            assert is_global_section(E, sec.chart0_rep)
+            assert is_global_hom(trivial_bundle(1), E, sec.chart0_rep)
 
 
 def test_hom_sections_count_and_validity():
@@ -458,7 +474,7 @@ def test_vec_convention_ties_hom_to_sections():
     H = hom_bundle(E, F)
     for phi in hom_sections(E, F):
         v = LaurentMatrix.column([phi.entry(i, j) for i in range(F.rank) for j in range(E.rank)])
-        assert is_global_section(H, v)
+        assert is_global_hom(trivial_bundle(1), H, v)
         rows = [[v.entry(i * E.rank + j, 0) for j in range(E.rank)] for i in range(F.rank)]
         assert LaurentMatrix(rows) == phi
 

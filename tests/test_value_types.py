@@ -34,6 +34,7 @@ from algconn import (
     laurent_parse,
     tangent_bundle,
 )
+from algconn.exact_core import _Value
 from algconn.sampling import FuzzOutcome
 
 M = LaurentMatrix.parse
@@ -199,6 +200,39 @@ def test_copy_deepcopy_and_pickle_round_trip(x):
         assert type(y) is type(x) and y == x and repr(y) == repr(x)
         if not isinstance(x, FuzzOutcome):
             assert hash(y) == hash(x)
+
+
+class Pair(_Value):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+class Single(_Value):
+    __slots__ = _fields = ("x",)
+
+    def __init__(self, x):
+        object.__setattr__(self, "x", x)
+
+
+def test_a_record_declares_only_its_fields():
+    # _fields alone gives equality, hashing, repr, copying and pickling
+    for x, values in ((Pair(1, "b"), (1, "b")), (Single(Fraction(1, 2)), (Fraction(1, 2),))):
+        cls = type(x)
+        assert x == cls(*values) and hash(x) == hash(values)
+        assert x != Pair(2, "b") and x != Single(2)
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(cls._fields, values))
+        assert repr(x) == f"{cls.__qualname__}({fields})"
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        y = pickle.loads(pickle.dumps(x))
+        assert type(y) is cls and y == x and hash(y) == hash(x)
+    # one field: the identity is the 1-tuple, not the bare value
+    assert hash(Single(3)) == hash((3,)) != hash(3)
+    assert repr(Single(3)) == "Single(x=3)"
+    with pytest.raises(AttributeError):
+        Single(3).x = 4
 
 
 def test_immutable_values_copy_to_themselves_and_outcomes_do_not():
