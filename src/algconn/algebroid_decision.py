@@ -124,6 +124,10 @@ def validate_algebroid(desc: AlgebroidDesc) -> AlgebroidDesc:
     stability: an atom is indecomposable, and by Grothendieck every bundle on
     the projective line is a sum of line bundles, so no such V exists.
 
+    An explicit section is genus-0 data, checked as a map V -> TX: entry k
+    maps the line atom O(v_k) into O(2), so it is a polynomial in z of degree
+    <= 2 - v_k.
+
     Canonicalizations: at genus 0 a degree-2 line bundle is the tangent
     bundle (line bundles there are classified by degree), and a nonzero
     anchor on the tangent bundle is an isomorphism (a nonzero map between
@@ -185,6 +189,14 @@ def validate_algebroid(desc: AlgebroidDesc) -> AlgebroidDesc:
             raise InvalidAnchor(
                 f"anchor section has {len(anchor.section)} entries for rank {V.rank}"
             )
+        # every genus-0 atom is a line, so entry k maps atom k into TX
+        for k, (p, atom) in enumerate(zip(anchor.section, V.atoms)):
+            top = tangent_deg - atom.degree
+            if not p.is_zero and (not p.is_poly_in_z or p.max_exp > top):
+                raise InvalidAnchor(
+                    f"anchor section entry {k} ({p}) is no map from O({atom.degree}) "
+                    f"into the tangent bundle: it must be a polynomial in z of degree <= {top}"
+                )
         section_zero = all(p.is_zero for p in anchor.section)
         if anchor.kind == AnchorKind.ZERO and not section_zero:
             raise InvalidAnchor("zero anchor carries a nonzero section")

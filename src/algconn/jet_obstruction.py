@@ -1,13 +1,9 @@
 """Jets, the obstruction cocycle, and explicit connection certificates.
 
-Conventions, fixed once and used everywhere below. The tangent bundle is
-O(2) with transition -z^2, so a global anchor phi: V -> TX with chart-0 row
-phi0 (a 1 x rank(V) matrix over the V-frame) has chart-1 row
-
-    phi1 = -z^(-2) * phi0 * T_V,
-
-and validity of an anchor is exactly that phi0 is polynomial in z and phi1
-polynomial in 1/z.
+Conventions, fixed once and used everywhere below. An anchor phi: V -> TX
+is given by its chart-0 row phi0, a 1 x rank(V) matrix over the V-frame,
+and it is valid exactly when is_global_hom(V, tangent_bundle(), phi0): the
+hom algebra of p1_engine owns that test, as it owns Hom(V, E).
 
 The first jet bundle of E, in the frame (derivative slot, value slot), has
 transition
@@ -17,14 +13,15 @@ transition
 
 with T' = dT/dz: differentiate s0 = T(z) s1(1/z) and the chain rule
 produces exactly these blocks. The anchored jet bundle, the pushout of the
-jet sequence along -phi^* with frame (E (x) V*-slot, value slot), comes out
+jet sequence along -phi^* with frame (Hom(V, E)-slot, value slot), comes out
 block upper triangular as well:
 
-    [[T (x) T_V^(-T),  T' (x) phi0^T],
-     [0,               T            ]]
+    [[T_H,  T' (x) phi0^T],
+     [0,    T            ]]
 
-exhibiting the extension  0 -> E (x) V* -> J -> E -> 0. For the tangent
-anchor (phi0 = 1) this is the first jet bundle on the nose.
+with T_H the transition of H = hom_bundle(V, E) = E (x) V*. It exhibits the
+extension  0 -> Hom(V, E) -> J -> E -> 0, so deg J = deg H + deg E. For the
+tangent anchor (phi0 = 1) this is the first jet bundle on the nose.
 
 A connection is a pair of local operators  phi^* d + A0  and  phi^* d + A1
 (A0 polynomial in z, A1 in 1/z) agreeing on the overlap. Each A, like every
@@ -60,6 +57,8 @@ from .p1_engine import (
     P1Bundle,
     _derived_bundle,
     birkhoff_split,
+    hom_bundle,
+    is_global_hom,
     p1bundle_from_json,
     p1bundle_to_json,
     tangent_bundle,
@@ -76,17 +75,11 @@ class ConcreteAnchor(_Value):
         object.__setattr__(self, "phi_row", phi_row)
         if phi_row.shape != (1, V.rank):
             raise InvalidAnchor(f"anchor row must be 1x{V.rank}, got {phi_row.shape}")
-        if not phi_row.is_poly_in_z:
-            raise InvalidAnchor("anchor row must be polynomial in z")
-        if not self.chart1_row().is_poly_in_w:
+        if not is_global_hom(V, tangent_bundle(), phi_row):
             raise InvalidAnchor(
-                "anchor is not a global homomorphism into the tangent bundle: "
-                "its chart-1 representative has positive exponents"
+                "anchor is not a global homomorphism into the tangent bundle: its row "
+                "must be polynomial in z, and its chart-1 row polynomial in 1/z"
             )
-
-    def chart1_row(self) -> LaurentMatrix:
-        """-z^(-2) * phi0 * T_V, the anchor row over the w-chart frames."""
-        return (self.phi_row @ self.V.transition).shift(-2).scalar_mul(-1)
 
     @property
     def is_zero(self) -> bool:
@@ -135,17 +128,14 @@ def jet1_transition(E: P1Bundle) -> P1Bundle:
 
 
 def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
-    """Anchored jet bundle, rank r(1 + rank V), frame (E (x) V* slot, value),
-    an extension of E by E (x) V*, so its degree is (q + 1) deg E - r deg V."""
+    """Anchored jet bundle, rank r(1 + rank V), frame (Hom(V, E) slot, value):
+    the extension of E by H = hom_bundle(V, E) = E (x) V*, with transition
+    [[T_H, T' (x) phi0^T], [0, T]] and degree deg H + deg E."""
     T = E.transition
-    q = anchor.V.rank
-    tv_dual = birkhoff_split(anchor.V).transition_inverse.transpose()  # T_V^(-T)
-    upper_left = T.kron(tv_dual)
-    upper_right = T.derivative().kron(anchor.phi_row.transpose())
-    top = upper_left.hstack(upper_right)
-    bottom = LaurentMatrix.zeros(E.rank, E.rank * q).hstack(T)
-    degree = (q + 1) * E.degree - E.rank * anchor.V.degree
-    return _derived_bundle(E.rank * (q + 1), top.vstack(bottom), degree)
+    H = hom_bundle(anchor.V, E)
+    top = H.transition.hstack(T.derivative().kron(anchor.phi_row.transpose()))
+    bottom = LaurentMatrix.zeros(E.rank, H.rank).hstack(T)
+    return _derived_bundle(H.rank + E.rank, top.vstack(bottom), H.degree + E.degree)
 
 
 def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocycle:

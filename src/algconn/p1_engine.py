@@ -493,20 +493,19 @@ def is_global_hom(E: P1Bundle, F: P1Bundle, phi0: LaurentMatrix) -> bool:
 
 def hom_sections(E: P1Bundle, F: P1Bundle) -> list[LaurentMatrix]:
     """Basis of H^0(Hom(E, F)) as chart-0 matrices. In split frames the
-    basis elements are z^m E_(j,i) with 0 <= m <= b_j - a_i; conjugating by
-    the chart-0 frame changes lands them in the original frames."""
+    basis elements are z^m E_(j,i) with 0 <= m <= b_j - a_i; conjugated by
+    the chart-0 frame changes, z^m E_(j,i) becomes z^m times the outer
+    product U0_F^(-1)[:, j] U0_E[i, :], one per summand pair (j, i)."""
     se = birkhoff_split(E)
     sf = birkhoff_split(F)
     f0_inv = sf.u0_inverse(F.transition)
     basis: list[LaurentMatrix] = []
     for j, b in enumerate(sf.type):
+        col = f0_inv.submatrix(range(F.rank), [j])
         for i, a in enumerate(se.type):
-            if b - a < 0:
-                continue
-            for m in range(b - a + 1):
-                mat = [[LaurentPoly.zero()] * E.rank for _ in range(F.rank)]
-                mat[j][i] = LaurentPoly.z(m)
-                basis.append(f0_inv @ LaurentMatrix(mat) @ se.U0)
+            if b >= a:
+                outer = col @ se.U0.submatrix([i], range(E.rank))
+                basis.extend(outer.shift(m) for m in range(b - a + 1))
     return basis
 
 

@@ -24,7 +24,6 @@ from .exact_core import LaurentMatrix, LaurentPoly, _Value
 from .formal_bundles import Atom, CurveContext, FormalBundle, bundle_to_json
 from .jet_obstruction import (
     ConcreteAnchor,
-    ConnectionCert,
     anchor_to_json,
     construct_connection,
     tangent_bundle,
@@ -147,31 +146,27 @@ class Sampler:
 
 
 class FuzzOutcome(_Value):
-    __slots__ = _fields = ("report", "certs")
+    __slots__ = _fields = ("report",)
 
-    def __init__(
-        self, report: dict, certs: list[tuple[P1Bundle, ConcreteAnchor, ConnectionCert]]
-    ) -> None:
+    def __init__(self, report: dict) -> None:
         object.__setattr__(self, "report", report)
-        object.__setattr__(self, "certs", certs)
 
-    # report and certs are mutable containers, so a copy is a new outcome
+    # the report is a mutable container, so a copy is a new outcome
     def __copy__(self):
-        return FuzzOutcome(self.report, self.certs)
+        return FuzzOutcome(self.report)
 
     def __deepcopy__(self, memo):
         from copy import deepcopy
 
-        return FuzzOutcome(deepcopy(self.report, memo), deepcopy(self.certs, memo))
+        return FuzzOutcome(deepcopy(self.report, memo))
 
 
-def run_fuzz(count: int, seed: int, collect_certs: bool = False) -> FuzzOutcome:
+def run_fuzz(count: int, seed: int) -> FuzzOutcome:
     """Compare the formal decision with the cohomological computation on
     `count` random rank-1 genus-0 cases. Any mismatch would falsify one of
     the two routes, so the report lists offending descriptors verbatim."""
     sampler = Sampler(seed)
     failures = []
-    certs: list[tuple[P1Bundle, ConcreteAnchor, ConnectionCert]] = []
     for index in range(count):
         formal, concrete = sampler.rank1_algebroid()
         exps = sampler.exponents(max_rank=3, bound=4)
@@ -181,10 +176,7 @@ def run_fuzz(count: int, seed: int, collect_certs: bool = False) -> FuzzOutcome:
         e_concrete = split_bundle(exps)
         decision = decide_connection(formal, e_formal)
         declared = decision.as_bool()
-        cert = construct_connection(e_concrete, concrete)
-        computed = cert is not None
-        if computed and collect_certs:
-            certs.append((e_concrete, concrete, cert))
+        computed = construct_connection(e_concrete, concrete) is not None
         if declared != computed:
             failures.append(
                 {
@@ -203,4 +195,4 @@ def run_fuzz(count: int, seed: int, collect_certs: bool = False) -> FuzzOutcome:
         "mismatches": len(failures),
         "failures": failures,
     }
-    return FuzzOutcome(report, certs)
+    return FuzzOutcome(report)

@@ -108,6 +108,21 @@ def test_validate_section_consistency():
     with pytest.raises(InvalidAnchor):
         validate_algebroid(AlgebroidDesc(v_line(-1, genus=1), anchor("nonzero", ["z"])))
     validate_algebroid(AlgebroidDesc(v_line(-1), anchor("nonzero", ["z^3 - 1"])))
+    # a genus-0 section is a map V -> TX: entry k is a polynomial of degree
+    # <= 2 - deg(atom k); the boundary degree is accepted
+    validate_algebroid(AlgebroidDesc(v_line(-1), anchor("nonzero", ["z^3"])))
+    validate_algebroid(AlgebroidDesc(v_line(2, tangent=True), anchor("isomorphism", ["-2"])))
+    v10 = e_lines([1, 0])
+    validate_algebroid(AlgebroidDesc(v10, anchor("nonzero", ["z", "z^2"])))
+    for V, kind, section, k in (
+        (v_line(-1), "nonzero", ["z^5"], 0),
+        (v_line(-1), "nonzero", ["z^-1"], 0),
+        (v_line(2, tangent=True), "isomorphism", ["z"], 0),
+        (v10, "nonzero", ["z^2", "1"], 0),
+        (v10, "nonzero", ["1", "z^3 + 1"], 1),
+    ):
+        with pytest.raises(InvalidAnchor, match=rf"anchor section entry {k} "):
+            validate_algebroid(AlgebroidDesc(V, anchor(kind, section)))
 
 
 def test_anchor_forced_zero_cases():

@@ -368,6 +368,19 @@ def test_decide_errors_name_the_input(files, capsys, tmp_path):
     code, doc, err = run(capsys, ["decide", "--algebroid", alg, "--bundle", files["bundle"]])
     assert (code, doc) == (3, None)
     assert err.startswith(f"validation error: --algebroid {alg}: V atom 0 (rank 2, degree 1)")
+    # a genus-0 section that is no map V -> TX: above the top degree, a pole,
+    # vanishing on TX, above the top degree on O(1) + O(0)
+    for degrees, kind, section in (
+        ([-1], "nonzero", ["z^5"]),
+        ([-1], "nonzero", ["z^-1"]),
+        ([2], "isomorphism", ["z"]),
+        ([1, 0], "nonzero", ["z^2", "1"]),
+    ):
+        v = {"genus": 0, "atoms": [{"rank": 1, "degree": d} for d in degrees]}
+        alg = write(tmp_path, "section.json", {"V": v, "anchor": {"kind": kind, "section": section}})
+        code, doc, err = run(capsys, ["decide", "--algebroid", alg, "--bundle", files["bundle"]])
+        assert (code, doc) == (3, None)
+        assert err.startswith(f"validation error: --algebroid {alg}: anchor section entry 0 ")
     bad_v = write(tmp_path, "bad_v.json", {"V": {"genus": 0, "atoms": []}, "anchor": {"kind": "zero"}})
     code, doc, err = run(capsys, ["decide", "--algebroid", bad_v, "--bundle", files["bundle"]])
     assert (code, doc) == (2, None)

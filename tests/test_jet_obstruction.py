@@ -56,6 +56,13 @@ def anchor_line(v: int, poly: str) -> ConcreteAnchor:
 # -- anchors -----------------------------------------------------------------
 
 
+def _gauged_v2() -> P1Bundle:
+    # the gauged rank-2 V = O(1) + O(-2) of test_jet_degrees_match_det: the
+    # first draw of Sampler(63)
+    s = Sampler(63)
+    return gauge_transform(split_bundle([1, -2]), s.unimodular_z(2), s.unimodular_w(2))
+
+
 def test_anchor_validation():
     anchor_line(-3, "z^5 + 1")  # degree <= 5 allowed
     anchor_line(1, "z")  # degree <= 1
@@ -65,19 +72,33 @@ def test_anchor_validation():
         anchor_line(-1, "z^-1")  # not holomorphic on the z-chart
     with pytest.raises(InvalidAnchor):
         ConcreteAnchor(line_bundle(0), LaurentMatrix.parse([["1", "0"]]))  # shape
+    # every global hom V2 -> TX is an anchor; a z^-1 term, or a term whose
+    # chart-1 image -z^(k-2) T_V[a, :] has a positive exponent, is not
+    V2 = _gauged_v2()
+    basis = hom_sections(V2, tangent_bundle())
+    assert len(basis) == 7  # h^0(O(1) + O(4))
+    for phi in basis:
+        assert ConcreteAnchor(V2, phi).phi_row == phi
+        for a in range(2):
+            top = max(x.max_exp for x in V2.transition.row_list(a) if not x.is_zero)
+            for k in (-1, max(0, 3 - top)):
+                bump = [LaurentPoly.monomial(int(b == a), k) for b in range(2)]
+                with pytest.raises(InvalidAnchor):
+                    ConcreteAnchor(V2, phi + LaurentMatrix([bump]))
 
 
 def test_tangent_anchor_is_identity_in_both_charts():
     a = tangent_anchor()
     assert a.phi_row == LaurentMatrix.parse([["1"]])
-    assert a.chart1_row() == LaurentMatrix.parse([["1"]])
+    chart1 = birkhoff_split(tangent_bundle()).transition_inverse @ a.phi_row @ a.V.transition
+    assert chart1 == LaurentMatrix.parse([["1"]])
 
 
 def test_rank2_anchor_supported():
     V = split_bundle([-1, -2])
     a = ConcreteAnchor(V, LaurentMatrix.parse([["z^3", "1"]]))
     assert not a.is_zero
-    assert a.chart1_row().is_poly_in_w
+    assert is_global_hom(V, tangent_bundle(), a.phi_row)
 
 
 # -- jet bundles ----------------------------------------------------------------
@@ -136,8 +157,9 @@ def test_jetV_degree_additive():
 
 
 def test_jet_degrees_match_det():
-    # the formula degrees 2 deg E - 2r and (q+1) deg E - r deg V against the
-    # exponent of det T of the jet transitions, V = O(2), O(-1), gauged rank 2
+    # the degrees 2 deg E - 2r and deg Hom(V, E) + deg E against the exponent
+    # of det T of the jet transitions, V = O(2), O(-1), gauged rank 2; the
+    # upper-left block of J_V(E) is the transition of Hom(V, E)
     s = Sampler(63)
 
     def gauged(exps):
@@ -145,6 +167,7 @@ def test_jet_degrees_match_det():
         return gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
 
     V2 = gauged([1, -2])
+    assert V2 == _gauged_v2()
     anchors = [
         tangent_anchor(),
         anchor_line(-1, "z^3 + z"),
@@ -158,6 +181,8 @@ def test_jet_degrees_match_det():
         for a in anchors:
             J = jetV_transition(E, a)
             assert J.degree == monomial_det(J.transition)[1]
+            H = hom_bundle(a.V, E)
+            assert J.transition.submatrix(range(H.rank), range(H.rank)) == H.transition
 
 
 # -- obstruction cocycle -----------------------------------------------------------

@@ -69,7 +69,7 @@ CASES = {
         ((1, -1), LaurentMatrix.identity(2), M([["1", "z^-1"], ["0", "1"]])),
     ),
     GlobalSection: (("chart0_rep",), (M([["z"], ["1"]]),)),
-    FuzzOutcome: (("report", "certs"), ({"cases": 1, "mismatches": 0}, [])),
+    FuzzOutcome: (("report",), ({"cases": 1, "mismatches": 0},)),
 }
 
 # repr of each CASES instance, recorded from the dataclass implementation
@@ -98,7 +98,7 @@ REPRS = {
     SplittingData: "SplittingData(type=(1, -1), U0=LaurentMatrix([1, 0; 0, 1]), "
     "U1=LaurentMatrix([1, z^-1; 0, 1]))",
     GlobalSection: "GlobalSection(chart0_rep=LaurentMatrix([z; 1]))",
-    FuzzOutcome: "FuzzOutcome(report={'cases': 1, 'mismatches': 0}, certs=[])",
+    FuzzOutcome: "FuzzOutcome(report={'cases': 1, 'mismatches': 0})",
 }
 
 TYPES = list(CASES)
