@@ -8,6 +8,10 @@ rotates three anchors (tangent, O(1), O(2)+O(1)). Runs each command through
 algconn.cli.main in-process and prints one sha256 per command over the input
 texts, exit codes and stdout. Two checkouts print the same lines exactly when
 their outputs are byte-identical on these inputs.
+
+cli_stdout_digest.expected holds the four lines of ``--count 200 --seed 0``
+under Python 3.11, and CI diffs a fresh run against it there. Other Python
+versions may draw other inputs from the same seed; that is not checked.
 """
 
 from __future__ import annotations

@@ -38,19 +38,25 @@ LaurentPoly.__mul__ and LaurentMatrix.__matmul__ share one product kernel,
 _accumulate: a matrix entry sums all its k-terms in one coefficient map and
 drops the zeros once. Integer coefficients multiply there as native ints.
 
-Zeros cost nothing. The zero polynomial is one shared object, _ZERO: the
-public constructor, _poly and LaurentPoly.zero() all return it for an empty
-map, so every zero entry of every matrix is that object. An operation with a
-zero operand returns an operand as it is, without a new polynomial: p + 0,
-0 + p, p - 0 and p.shift(0) are p, and -0, 0 * p and p * 0 are 0. A matrix
-product visits only nonzero entries: it is Gustavson's row-by-row sparse
-product (Two fast algorithms for sparse matrices: multiplication and
-permuted transposition, ACM TOMS 4(3), 1978), which adds a_ik times the
-nonzero entries of row k of the right factor into row i, for the nonzero
-a_ik only. Transitions and their splittings are mostly zero, so this is
-where products spend less. Returning an operand is safe because a
-LaurentPoly is immutable: nothing writes to its coefficient map, and its
-lazy hash depends on the coefficients only.
+Zeros and ones cost nothing. The zero polynomial is one shared object,
+_ZERO: the public constructor, _poly and LaurentPoly.zero() all return it
+for an empty map, so every zero entry of every matrix is that object. The
+unit polynomial is one shared object too, _ONE: the public constructor,
+_poly and LaurentPoly.one() return it for the map {0: 1}, so every entry
+equal to 1 is that object, whether an identity's, a parsed "1" or a product
+that cancels to one. The frames a splitting keeps (U0, U1 and U0^(-1),
+mostly identity entries) thus hold no zeros and no ones of their own, and
+kron tests a left entry 1 by identity. An operation with a zero operand
+returns an operand as it is, without a new polynomial: p + 0, 0 + p, p - 0
+and p.shift(0) are p, and -0, 0 * p and p * 0 are 0. A matrix product
+visits only nonzero entries: it is Gustavson's row-by-row sparse product
+(Two fast algorithms for sparse matrices: multiplication and permuted
+transposition, ACM TOMS 4(3), 1978), which adds a_ik times the nonzero
+entries of row k of the right factor into row i, for the nonzero a_ik only.
+Transitions and their splittings are mostly zero, so this is where products
+spend less. Sharing and returning an operand are safe because a LaurentPoly
+is immutable: nothing writes to its coefficient map, and its lazy hash
+depends on the coefficients only.
 
 Value classes. Every value type of the package is a plain slotted class on
 _Value: the two Laurent types and the record types (CurveContext, Atom,
@@ -171,7 +177,7 @@ class LaurentPoly(_Value):
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return _poly({0: 1})
+        return _ONE
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
@@ -325,9 +331,11 @@ class LaurentPoly(_Value):
 def _poly(coeffs: dict[int, int | Fraction]) -> LaurentPoly:
     """Wrap a coefficient map already in canonical form (int exponents,
     nonzero canonical scalars), without a check or a copy. An empty map is
-    the shared _ZERO."""
+    the shared _ZERO, and {0: 1} the shared _ONE."""
     if not coeffs:
         return _ZERO
+    if coeffs == _ONE_COEFFS:
+        return _ONE
     p = object.__new__(LaurentPoly)
     object.__setattr__(p, "_coeffs", coeffs)
     object.__setattr__(p, "_hash", None)
@@ -337,6 +345,10 @@ def _poly(coeffs: dict[int, int | Fraction]) -> LaurentPoly:
 _ZERO = object.__new__(LaurentPoly)  # the zero polynomial, the one LaurentPoly with no terms
 object.__setattr__(_ZERO, "_coeffs", {})
 object.__setattr__(_ZERO, "_hash", None)
+_ONE_COEFFS = {0: 1}
+_ONE = object.__new__(LaurentPoly)  # the unit polynomial, the one LaurentPoly equal to 1
+object.__setattr__(_ONE, "_coeffs", _ONE_COEFFS)
+object.__setattr__(_ONE, "_hash", None)
 
 
 def _accumulate(
@@ -604,7 +616,6 @@ class LaurentMatrix(_Value):
     def kron(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """Kronecker product; index (i,p),(j,q) flattened row-major. A left
         entry 1 reuses the right factor's row, so I (x) B costs no products."""
-        one = LaurentPoly.one()
         out = []
         for row_a in self._rows:
             for row_b in other._rows:
@@ -612,7 +623,7 @@ class LaurentMatrix(_Value):
                 for a in row_a:
                     if a.is_zero:
                         row.extend([_ZERO] * len(row_b))
-                    elif a == one:
+                    elif a is _ONE:
                         row.extend(row_b)
                     else:
                         row.extend(a * b for b in row_b)

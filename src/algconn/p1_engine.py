@@ -51,11 +51,13 @@ Riemann-Roch and Serre duality are all read off the certified type of E.
 
 There is one memo, the splitting memo behind birkhoff_split. Every inverse
 the engine takes (T^(-1), U0^(-1), U1^(-1)) is read off the SplittingData it
-holds: T^(-1) is cached on that object, so equal bundles share it. The
-bundle constructors cache nothing: the splitting a dual or twist carries is
-held only until birkhoff_split has verified it and handed it to the memo. A
-bundle equal to one split before gets the memo's splitting; the type is the
-same, U0 and U1 need not be.
+holds. T^(-1) and U0^(-1) are kept on that object, so equal bundles share
+them: U0^(-1) is the one SplittingData.verify computes, and it serves every
+later reader (sections, hom sections, the dual's splitting, the coboundary
+solve and its witness). The bundle constructors cache nothing: the splitting
+a dual or twist carries is held only until birkhoff_split has verified it
+and handed it to the memo. A bundle equal to one split before gets the
+memo's splitting; the type is the same, U0 and U1 need not be.
 """
 
 from __future__ import annotations
@@ -236,11 +238,21 @@ class SplittingData(_Value):
 
     Every inverse the engine needs is read off this identity by the methods
     below. D = diag(z^(a_i)) and D^(-1) are never multiplied: on the left
-    they shift row i by z^(+-a_i), on the right column j by z^(+-a_j). T^(-1)
-    is cached on the object."""
+    they shift row i by z^(+-a_i), on the right column j by z^(+-a_j).
+
+    Two inverses are kept on the object. T^(-1) is cached on first read.
+    U0^(-1) = T U1 D^(-1) depends on the transition T it is read for, so
+    the first one computed is held with that T as its key, and returned for
+    T or any equal transition; another T gets its own, computed and not
+    held. For a splitting in the memo the first reader is verify, on the
+    bundle it splits, so that is the U0^(-1) every later reader gets. It is
+    never seeded from a closed form (the frames of a dual or a twist, say):
+    verify reads it, and U0 U0^(-1) = I checks the identity only when
+    U0^(-1) is T U1 D^(-1) of the T under test."""
 
     _fields = ("type", "U0", "U1")
-    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached T^(-1)
+    # __dict__ holds the cached T^(-1) and the held (T, U0^(-1))
+    __slots__ = _fields + ("__dict__",)
 
     def __init__(self, type: tuple[int, ...], U0: LaurentMatrix, U1: LaurentMatrix) -> None:
         object.__setattr__(self, "type", type)
@@ -275,8 +287,16 @@ class SplittingData(_Value):
         return _shift_columns(self.U1, [-a for a in self.type]) @ self.U0
 
     def u0_inverse(self, T: LaurentMatrix) -> LaurentMatrix:
-        """U0^(-1) = T U1 D^(-1), for the transition T this splits."""
-        return _shift_columns(T @ self.U1, [-a for a in self.type])
+        """U0^(-1) = T U1 D^(-1), for the transition T this splits. The
+        first one computed is held with its T as key and returned again for
+        that T or an equal one; any other T gets its own, computed afresh."""
+        held = self.__dict__.get("_u0_inverse")
+        if held is not None and (held[0] is T or held[0] == T):
+            return held[1]
+        inv = _shift_columns(T @ self.U1, [-a for a in self.type])
+        if held is None:
+            self.__dict__["_u0_inverse"] = (T, inv)
+        return inv
 
     def u1_inverse(self, T: LaurentMatrix) -> LaurentMatrix:
         """U1^(-1) = D^(-1) U0 T, for the transition T this splits."""

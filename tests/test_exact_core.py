@@ -1,5 +1,6 @@
 """Laurent arithmetic: parser, derivative, matrices, unit inverses."""
 
+import copy
 import os
 import pickle
 import re
@@ -216,7 +217,7 @@ def test_matrix_kernels_keep_canonical_form(mats, k):
             )
 
 
-# -- zero-aware kernel: sparse products, one shared zero --------------------------
+# -- zero-aware kernel: sparse products, one shared zero and one shared unit ------
 
 
 @st.composite
@@ -279,6 +280,47 @@ def test_zero_operands_come_back_as_they_are():
     made = [LaurentPoly(), LaurentPoly({2: 0}), lp("z - z"), p - p, p + (-p), zero.derivative()]
     assert all(x is zero for x in made)
     assert pickle.loads(pickle.dumps(zero)) is zero
+
+
+def test_every_unit_polynomial_is_the_one_shared_object():
+    one = LaurentPoly.one()
+    z = LaurentPoly.z(1)
+    A = LaurentMatrix.parse([["1", "z"], ["0", "1"]])
+    A_inv = LaurentMatrix.parse([["1", "-z"], ["0", "1"]])
+    made = [
+        LaurentPoly({0: 1}), LaurentPoly({0: Fraction(2, 2)}), LaurentPoly.const(1),
+        LaurentPoly.monomial(1, 0), laurent_parse("1"), laurent_parse("2 - 1"),
+        one * one, z.shift(-1), lp("z^-1") * z, lp("1/2") * 2,
+        pickle.loads(pickle.dumps(one)), copy.copy(one), copy.deepcopy(one),
+    ]
+    made += [LaurentMatrix.identity(4).entry(i, i) for i in range(4)]
+    made += [(A @ A_inv).entry(i, i) for i in range(2)] + [(A_inv @ A).entry(1, 1)]
+    assert all(x is one for x in made)
+    assert one == LaurentPoly({0: 1}) and hash(one) == hash(LaurentPoly.const(1))
+
+
+def test_the_shared_unit_is_immutable():
+    one = LaurentPoly.one()
+    for name in ("_coeffs", "_hash", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(one, name, {})
+        with pytest.raises(AttributeError):
+            delattr(one, name)
+    assert one.coeffs == {0: 1} and str(one) == "1"
+    one.coeffs[0] = 5  # a copy: the shared map is not handed out
+    assert LaurentPoly.one().coeff(0) == 1
+
+
+def test_kron_with_a_unit_left_entry_reuses_the_right_rows():
+    B = LaurentMatrix.parse([["z + 1", "0"], ["2*z^-1", "1/3"]])
+    K = LaurentMatrix.parse([["1", "0"], ["z", "1"]]).kron(B)
+    for p in range(2):
+        row = [K.entry(p, j) for j in range(4)]
+        assert all(x is y for x, y in zip(row[:2], B.row_list(p)))  # left entry 1
+        assert all(x is LaurentPoly.zero() for x in row[2:])  # left entry 0
+        bottom = [K.entry(2 + p, j) for j in range(4)]
+        assert all(x is y for x, y in zip(bottom[2:], B.row_list(p)))
+        assert bottom[:2] == [LaurentPoly.z(1) * b for b in B.row_list(p)]
 
 
 @settings(max_examples=60, deadline=None)

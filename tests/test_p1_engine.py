@@ -19,6 +19,7 @@ from algconn.p1_engine import (
     _birkhoff_cached,
     _derived_bundle,
     _series_inverse,
+    _shift_columns,
     birkhoff_split,
     cohomology_dims,
     dual_bundle,
@@ -170,6 +171,56 @@ def test_splitting_inverses_are_two_sided():
             assert M @ inv == eye and inv @ M == eye
 
 
+def test_u0_inverse_is_held_for_its_transition():
+    s = Sampler(63)
+    for r in (4, 5, 6):
+        exps = s.exponents(max_rank=r, min_rank=r, bound=2)
+        E = gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+        d = birkhoff_split(E)
+        T = E.transition
+        held = d.u0_inverse(T)
+        assert d.u0_inverse(T) is held
+        assert held == _shift_columns(T @ d.U1, [-a for a in d.type])
+        # an equal bundle built afresh gets the memo's splitting and the held inverse
+        F = p1bundle_from_json(p1bundle_to_json(E))
+        assert F.transition is not T and F.transition == T
+        assert birkhoff_split(F) is d and d.u0_inverse(F.transition) is held
+        # another transition gets its own inverse, and the held one stays
+        T2 = T.shift(1)
+        assert d.u0_inverse(T2) == _shift_columns(T2 @ d.U1, [-a for a in d.type]) != held
+        assert d.u0_inverse(T) is held
+
+
+def test_verify_reads_no_held_inverse_of_another_bundle():
+    s = Sampler(64)
+    for r in (4, 5, 6):
+        E = gauge_transform(split_bundle(range(r, 0, -1)), s.unimodular_z(r), s.unimodular_w(r))
+        E2 = gauge_transform(split_bundle(range(r, 0, -1)), s.unimodular_z(r), s.unimodular_w(r))
+        assert E2 != E and (E2.rank, E2.degree) == (E.rank, E.degree)
+        d = birkhoff_split(E)
+        assert d.verify(E) and not d.verify(E2) and d.verify(E)
+
+
+def test_split_verify_and_sections_form_t_u1_once(monkeypatch):
+    s = Sampler(65)
+    r = 5
+    T = s.unimodular_z(r) @ split_bundle([3, 1, 0, -1, -2]).transition @ s.unimodular_w(r)
+    _birkhoff_cached.cache_clear()  # so that P1Bundle(r, T) runs the reduction and verify
+    products = []
+    matmul = LaurentMatrix.__matmul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(LaurentMatrix, "__matmul__", counting)
+    E = P1Bundle(r, T)
+    d = birkhoff_split(E)
+    assert d.verify(E)
+    assert len(global_sections(E)) == cohomology_dims(E)[0]
+    assert sum(1 for x, y in products if x is T and y is d.U1) == 1
+
+
 def verify_by_det(d: SplittingData, E: P1Bundle) -> bool:
     """The definition of a splitting, with the oracle determinant as reference:
     sorted type summing to deg E, U0 polynomial in z and U1 in 1/z, both of
@@ -249,8 +300,9 @@ def test_inverses_refuse_a_splitting_of_another_rank():
     data = SplittingData((1, 0, -1), I2, I2)
     with pytest.raises(ValueError, match="3 column shifts for 2 columns"):
         data.transition_inverse
-    with pytest.raises(ValueError, match="3 column shifts for 2 columns"):
-        data.u0_inverse(I2)
+    for _ in range(2):  # a refused inverse is not held
+        with pytest.raises(ValueError, match="3 column shifts for 2 columns"):
+            data.u0_inverse(I2)
     with pytest.raises(ValueError, match="3 row shifts for 2 rows"):
         data.u1_inverse(I2)
     with pytest.raises(ValueError, match="1 row shifts for 2 rows"):
