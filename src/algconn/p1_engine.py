@@ -35,14 +35,12 @@ proves det T = c * z^(sum a_i), which fixes deg E = sum a_i. Bundles
 derived from validated ones (duals, twists, tensor and hom bundles, jet
 bundles) are units by construction; they skip the validation and take their
 degree from a formula, which birkhoff_split checks against the splitting
-type. For them a failed check is an internal bug, not NotAUnit.
-Duals and twists also carry a splitting, read in closed form off their
-factor's: they split the way E splits. birkhoff_split verifies that
-splitting in place of a reduction, and verifying suffices: the splitting type
-is an invariant of the bundle (Grothendieck), so any splitting that passes
-SplittingData.verify has the one type the reduction would find. Jet bundles
-are extensions, not sums, and the reduction splits them, as it does tensor
-and hom bundles.
+type, on every call. For them a failed check is an internal bug, not
+NotAUnit. Every splitting, of a derived bundle too, is the reduction's,
+checked by SplittingData.verify: the splitting type is an invariant of the
+bundle (Grothendieck), so a dual or twist needs no splitting of its own
+read off its factor's, and where a factor's splitting serves (the
+coboundary solve), it is read there.
 
 End(E) (x) V*, where the connection obstruction lives, is never split as a
 bundle of its own: jet_obstruction.split_coboundary works through the
@@ -50,14 +48,13 @@ splittings of E and V. Cohomology builds no bundle at all: h^0, h^1,
 Riemann-Roch and Serre duality are all read off the certified type of E.
 
 There is one memo, the splitting memo behind birkhoff_split. Every inverse
-the engine takes (T^(-1), U0^(-1), U1^(-1)) is read off the SplittingData it
-holds. T^(-1) and U0^(-1) are kept on that object, so equal bundles share
-them: U0^(-1) is the one SplittingData.verify computes, and it serves every
-later reader (sections, hom sections, the dual's splitting, the coboundary
-solve and its witness). The bundle constructors cache nothing: the splitting
-a dual or twist carries is held only until birkhoff_split has verified it
-and handed it to the memo. A bundle equal to one split before gets the
-memo's splitting; the type is the same, U0 and U1 need not be.
+the engine takes (T^(-1), U0^(-1)) is read off the SplittingData it holds
+and kept on that object, so equal bundles share them: U0^(-1) is the one
+SplittingData.verify computes, and it serves every later reader (sections,
+hom sections, the coboundary solve and its witness). The bundle
+constructors cache nothing, and the memo is a pure function of the
+transition: equal bundles get the same type, U0 and U1, whatever was split
+before.
 """
 
 from __future__ import annotations
@@ -99,14 +96,12 @@ class P1Bundle(_Value):
     """
 
     _fields = ("rank", "transition")
-    # _splitting: one derived from a factor's, until _birkhoff_cached verifies it
-    __slots__ = _fields + ("_degree", "_splitting")
+    __slots__ = _fields + ("_degree",)
 
     def __init__(self, rank: int, transition: LaurentMatrix) -> None:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "_degree", None)
-        object.__setattr__(self, "_splitting", None)
         self.__post_init__()  # its own method, so that bench/tracer.py can time it
 
     def __post_init__(self):
@@ -129,21 +124,14 @@ class P1Bundle(_Value):
         return Fraction(self.degree, self.rank)
 
 
-def _derived_bundle(
-    rank: int,
-    transition: LaurentMatrix,
-    degree: int,
-    splitting: SplittingData | None = None,
-) -> P1Bundle:
+def _derived_bundle(rank: int, transition: LaurentMatrix, degree: int) -> P1Bundle:
     """A bundle whose transition is built from validated ones, hence a unit,
-    with its degree given by formula instead of a reduction, and possibly a
-    splitting read off its factors' in place of one. birkhoff_split checks
-    both: the degree against the splitting type, the splitting by verify."""
+    with its degree given by formula instead of a reduction. birkhoff_split
+    checks that degree against the splitting type whenever it is asked."""
     E = object.__new__(P1Bundle)
     object.__setattr__(E, "rank", rank)
     object.__setattr__(E, "transition", transition)
     object.__setattr__(E, "_degree", degree)
-    object.__setattr__(E, "_splitting", splitting)
     return E
 
 
@@ -168,22 +156,9 @@ def tangent_bundle() -> P1Bundle:
 
 
 def dual_bundle(E: P1Bundle) -> P1Bundle:
-    """E*: transition T^(-T), degree -deg E.
-
-    It splits the way E does. Transposing the inverse of U0 T U1 = D gives
-    (U0^(-1))^T T^(-T) (U1^(-1))^T = D^(-1), and reversing the frame order
-    sorts the type -a_r >= ... >= -a_1. So E*'s U0 is (T U1 D^(-1))^T with
-    its rows reversed and its U1 is (D^(-1) U0 T)^T with its columns
-    reversed: polynomial in z and in 1/z, as U0^(-1) and U1^(-1) are."""
-    d = birkhoff_split(E)
-    r = E.rank
-    rev = range(r - 1, -1, -1)
-    splitting = SplittingData(
-        tuple(-a for a in reversed(d.type)),
-        d.u0_inverse(E.transition).transpose().submatrix(rev, range(r)),
-        d.u1_inverse(E.transition).transpose().submatrix(range(r), rev),
-    )
-    return _derived_bundle(r, d.transition_inverse.transpose(), -E.degree, splitting)
+    """E*: transition T^(-T), with T^(-1) read off E's splitting, and degree
+    -deg E. Its type is -a_r >= ... >= -a_1."""
+    return _derived_bundle(E.rank, birkhoff_split(E).transition_inverse.transpose(), -E.degree)
 
 
 def tensor_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
@@ -204,20 +179,9 @@ def hom_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
 
 
 def twist(E: P1Bundle, n: int) -> P1Bundle:
-    """E (x) O(n): shifts every transition entry by z^n, and the degree by r n.
-
-    It keeps E's U0 and U1, since U0 (z^n T) U1 = z^n D, and adds n to the
-    type. A splitting E holds unverified is read directly: this identity is
-    equivalent to E's, so verifying the twist's verifies both."""
-    d = E._splitting
-    if d is None:
-        d = birkhoff_split(E)
-    return _derived_bundle(
-        E.rank,
-        E.transition.shift(n),
-        E.degree + E.rank * n,
-        SplittingData(tuple(a + n for a in d.type), d.U0, d.U1),
-    )
+    """E (x) O(n): shifts every transition entry by z^n, and the degree by
+    r n. Its type is E's plus n."""
+    return _derived_bundle(E.rank, E.transition.shift(n), E.degree + E.rank * n)
 
 
 def gauge_transform(E: P1Bundle, A: LaurentMatrix, B: LaurentMatrix) -> P1Bundle:
@@ -245,10 +209,10 @@ class SplittingData(_Value):
     the first one computed is held with that T as its key, and returned for
     T or any equal transition; another T gets its own, computed and not
     held. For a splitting in the memo the first reader is verify, on the
-    bundle it splits, so that is the U0^(-1) every later reader gets. It is
-    never seeded from a closed form (the frames of a dual or a twist, say):
-    verify reads it, and U0 U0^(-1) = I checks the identity only when
-    U0^(-1) is T U1 D^(-1) of the T under test."""
+    bundle it splits, so that is the U0^(-1) every later reader gets. The
+    key keeps verify sound: U0 U0^(-1) = I checks the identity only when
+    U0^(-1) is T U1 D^(-1) of the T under test, so verify(E2) for another
+    bundle E2 computes its own."""
 
     _fields = ("type", "U0", "U1")
     # __dict__ holds the cached T^(-1) and the held (T, U0^(-1))
@@ -258,9 +222,6 @@ class SplittingData(_Value):
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "U0", U0)
         object.__setattr__(self, "U1", U1)
-
-    def diagonal(self) -> LaurentMatrix:
-        return LaurentMatrix.diag([LaurentPoly.z(a) for a in self.type])
 
     def verify(self, E: "P1Bundle") -> bool:
         """The one check of the identity, in the form U0 * U0^(-1) = I with
@@ -297,10 +258,6 @@ class SplittingData(_Value):
         if held is None:
             self.__dict__["_u0_inverse"] = (T, inv)
         return inv
-
-    def u1_inverse(self, T: LaurentMatrix) -> LaurentMatrix:
-        """U1^(-1) = D^(-1) U0 T, for the transition T this splits."""
-        return _shift_rows(self.U0 @ T, [-a for a in self.type])
 
 
 def _shift_rows(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
@@ -430,10 +387,8 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
 # a 2-vCPU VM.
 @lru_cache(maxsize=None)
 def _birkhoff_cached(E: P1Bundle) -> SplittingData:
-    data = E._splitting
+    data = _split_connected(E.transition)
     validating = E.degree is None
-    if data is None:
-        data = _split_connected(E.transition)
     if validating:
         # the reduction's type; verify proves det T = c z^(sum a) or fails
         object.__setattr__(E, "_degree", sum(data.type))
@@ -442,14 +397,17 @@ def _birkhoff_cached(E: P1Bundle) -> SplittingData:
             # U0 is unimodular by construction, so the identity fails exactly when N U1 != I
             raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k")
         raise AssertionError("splitting failed verification (internal bug)")
-    # a bundle holds a derived splitting only until it is verified
-    object.__setattr__(E, "_splitting", None)
     return data
 
 
 def birkhoff_split(E: P1Bundle) -> SplittingData:
-    """Split E into line bundles: exact factorization U0 * T * U1 = diag."""
-    return _birkhoff_cached(E)
+    """Split E into line bundles: exact factorization U0 * T * U1 = diag.
+    A derived bundle's formula degree is checked against the type on every
+    call, memo hit or not, since a hit skips verify."""
+    data = _birkhoff_cached(E)
+    if sum(data.type) != E.degree:
+        raise AssertionError("splitting failed verification (internal bug)")
+    return data
 
 
 def unit_inverse(M: LaurentMatrix) -> LaurentMatrix:

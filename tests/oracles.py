@@ -10,7 +10,8 @@ The determinant oracle evaluates entries from their coefficient dicts at a
 few integer nodes and eliminates over the rationals itself: it uses no
 elimination of algconn.exact_core and nothing of algconn.p1_engine. The
 Fraction Gauss-Jordan inverse and nullspace are the references for the
-fraction-free kernels of exact_core.
+fraction-free kernels of exact_core. split_diagonal builds the D that a
+splitting claims, from its type alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from algconn.exact_core import LaurentMatrix
+from algconn.exact_core import LaurentMatrix, LaurentPoly
 
 
 def _scalar_det(a: list[list[Fraction]]) -> Fraction:
@@ -166,6 +167,11 @@ def h0_by_linear_solve(transition: LaurentMatrix, n: int = 0) -> int:
             if touched:
                 constraints.append(rowvec)
     return len(fraction_nullspace(constraints, ncols))
+
+
+def split_diagonal(exponents) -> LaurentMatrix:
+    """diag(z^(a_1), ..., z^(a_r)): the right side D of U0 T U1 = D."""
+    return LaurentMatrix.diag([LaurentPoly.z(a) for a in exponents])
 
 
 def hn_first_step_bruteforce(degrees: list[int]) -> tuple[int, ...]:

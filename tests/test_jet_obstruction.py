@@ -6,7 +6,7 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from oracles import monomial_det
+from oracles import monomial_det, split_diagonal
 
 from algconn.algebroid_decision import AlgebroidDesc, AnchorDesc, AnchorKind, decide_connection
 from algconn.errors import InvalidAnchor, ShapeMismatch
@@ -339,7 +339,7 @@ def test_tampered_splitting_never_gives_a_wrong_answer(monkeypatch):
                     LaurentMatrix.diag(scale) @ honest.U0,
                     honest.U1 @ LaurentMatrix.diag(unscale),
                 )
-                assert bad.U0 @ E.transition @ bad.U1 == honest.diagonal()
+                assert bad.U0 @ E.transition @ bad.U1 == split_diagonal(honest.type)
                 monkeypatch.setattr(
                     jo, "birkhoff_split", lambda F, E=E, bad=bad: bad if F == E else birkhoff_split(F)
                 )
@@ -642,6 +642,18 @@ def test_verify_rejects_perturbed_certs():
     assert not verify_connection(E, a, bad0)  # chart-0 holomorphy broken
     bad1 = ConnectionCert(A0=cert.A0 + LaurentMatrix.parse([["1"]]), A1=cert.A1)
     assert not verify_connection(E, a, bad1)  # overlap identity broken
+    # bumps that keep the overlap identity (T_V (x) T = -z^2 here), each
+    # breaking the holomorphy of one chart only
+    one, minus_z2 = LaurentMatrix.parse([["1"]]), LaurentMatrix.parse([["-z^2"]])
+    for A0, A1 in (
+        (cert.A0 + LaurentMatrix.parse([["-z^-2"]]), cert.A1 + one),
+        (cert.A0 + one, cert.A1 + minus_z2),
+    ):
+        assert A0 @ minus_z2 == A1 - (a.phi_row @ a.V.transition).kron(E.transition.derivative())
+        assert not verify_connection(E, a, ConnectionCert(A0=A0, A1=A1))
+    # a certificate of the wrong shape is rejected, not a shape error
+    wide = LaurentMatrix.zeros(1, 2)
+    assert not verify_connection(E, a, ConnectionCert(A0=wide, A1=wide))
     # a bump in any one block of A0 or A1 breaks the overlap identity
     _accepts_and_rejects_bumps(*_gauged_certs())
 

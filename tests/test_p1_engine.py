@@ -7,7 +7,7 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from oracles import h0_by_linear_solve, monomial_det
+from oracles import h0_by_linear_solve, monomial_det, split_diagonal
 
 from algconn.cli import main
 from algconn.errors import InvalidSection, NotAUnit
@@ -20,6 +20,7 @@ from algconn.p1_engine import (
     _derived_bundle,
     _series_inverse,
     _shift_columns,
+    _shift_rows,
     birkhoff_split,
     cohomology_dims,
     dual_bundle,
@@ -34,6 +35,7 @@ from algconn.p1_engine import (
     riemann_roch_check,
     serre_dual_check,
     split_bundle,
+    splitting_to_json,
     tangent_bundle,
     tensor_bundle,
     trace_pair,
@@ -167,7 +169,8 @@ def test_splitting_inverses_are_two_sided():
         E = gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
         d = birkhoff_split(E)
         T, eye = E.transition, LaurentMatrix.identity(r)
-        for M, inv in ((T, d.transition_inverse), (d.U0, d.u0_inverse(T)), (d.U1, d.u1_inverse(T))):
+        u1_inv = split_diagonal([-a for a in d.type]) @ d.U0 @ T  # D^(-1) U0 T
+        for M, inv in ((T, d.transition_inverse), (d.U0, d.u0_inverse(T)), (d.U1, u1_inv)):
             assert M @ inv == eye and inv @ M == eye
 
 
@@ -231,7 +234,7 @@ def verify_by_det(d: SplittingData, E: P1Bundle) -> bool:
         return False
     if any(monomial_det(U) is None or monomial_det(U)[1] != 0 for U in (d.U0, d.U1)):
         return False
-    return d.U0 @ E.transition @ d.U1 == d.diagonal()
+    return d.U0 @ E.transition @ d.U1 == split_diagonal(d.type)
 
 
 def tampered_splittings(E: P1Bundle) -> dict[str, SplittingData]:
@@ -243,10 +246,15 @@ def tampered_splittings(E: P1Bundle) -> dict[str, SplittingData]:
     def at(i: int, x: LaurentPoly) -> LaurentMatrix:
         return LaurentMatrix.diag([x if k == i else one for k in range(r)])
 
+    def unit_at_01(x: LaurentPoly) -> LaurentMatrix:
+        return LaurentMatrix.identity(r) + LaurentMatrix(
+            [[x if (i, j) == (0, 1) else LaurentPoly.zero() for j in range(r)] for i in range(r)]
+        )
+
     swap = LaurentMatrix.identity(r).submatrix([1, 0] + list(range(2, r)), range(r))
-    shear = LaurentMatrix.identity(r) + LaurentMatrix(
-        [[one if (i, j) == (0, 1) else LaurentPoly.zero() for j in range(r)] for i in range(r)]
-    )
+    shear = unit_at_01(one)
+    # G = I + z^k E_01 with k = a_0 - a_1 + 1: D^(-1) G^(-1) D = I - z E_01
+    steep = unit_at_01(LaurentPoly.z(d.type[0] - d.type[1] + 1))
     low = list(d.type)
     low[-1] -= 1
     return {
@@ -259,6 +267,9 @@ def tampered_splittings(E: P1Bundle) -> dict[str, SplittingData]:
         "degree_sum": SplittingData(tuple(low), d.U0, d.U1 @ at(r - 1, w)),
         "u0_not_poly": SplittingData(d.type, at(0, w) @ d.U0, d.U1 @ at(0, z)),
         "shear": SplittingData(d.type, shear @ d.U0, d.U1),
+        # U0 T U1 = D, U0 polynomial and U0^(-1) = T U1 D^(-1) polynomial in
+        # z, det U1 = 1: of verify's checks only U1 polynomial in 1/z sees it
+        "u1_not_poly": SplittingData(d.type, steep @ d.U0, d.U1 @ unit_at_01(-z)),
     }
 
 
@@ -276,7 +287,18 @@ def test_verify_matches_det_definition_and_rejects_tampers():
         for name, bad in tampers.items():
             assert not bad.verify(F) and not verify_by_det(bad, F), name
         scaled = tampers["row_scaled"]
-        assert scaled.U0 @ F.transition @ scaled.U1 == scaled.diagonal()
+        assert scaled.U0 @ F.transition @ scaled.U1 == split_diagonal(scaled.type)
+
+
+def test_verify_rejects_u0_off_its_chart_under_a_wrong_degree():
+    # with deg E right, the other checks imply U0 polynomial in z (det U0^(-1)
+    # = c det U1 is then polynomial in z and in 1/z); under a wrong formula
+    # degree only that check rejects U0 = 1/z for T = z^2 taken as O(1)
+    E = _derived_bundle(1, LaurentMatrix.parse([["z^2"]]), 1)
+    bad = SplittingData((1,), LaurentMatrix.parse([["z^-1"]]), LaurentMatrix.identity(1))
+    assert bad.U0 @ E.transition @ bad.U1 == split_diagonal(bad.type)
+    assert bad.u0_inverse(E.transition).is_poly_in_z
+    assert not bad.verify(E)
 
 
 def test_verify_rejects_a_splitting_of_another_rank():
@@ -303,10 +325,21 @@ def test_inverses_refuse_a_splitting_of_another_rank():
     for _ in range(2):  # a refused inverse is not held
         with pytest.raises(ValueError, match="3 column shifts for 2 columns"):
             data.u0_inverse(I2)
-    with pytest.raises(ValueError, match="3 row shifts for 2 rows"):
-        data.u1_inverse(I2)
-    with pytest.raises(ValueError, match="1 row shifts for 2 rows"):
-        SplittingData((0,), I2, I2).u1_inverse(I2)
+    with pytest.raises(ValueError, match="1 column shifts for 2 columns"):
+        SplittingData((0,), I2, I2).transition_inverse
+
+
+def test_shifts_refuse_a_wrong_number_of_exponents():
+    # one exponent per row or column, or ValueError: zip would drop the rest
+    M = LaurentMatrix.parse([["1", "z"], ["z^-1", "2"], ["0", "1"]])
+    assert _shift_rows(M, [1, 0, -1]) == split_diagonal([1, 0, -1]) @ M
+    assert _shift_columns(M, [2, -1]) == M @ split_diagonal([2, -1])
+    for exps in ([1, 0], [1, 0, -1, 2]):
+        with pytest.raises(ValueError, match=f"{len(exps)} row shifts for 3 rows"):
+            _shift_rows(M, exps)
+    for exps in ([1], [1, 0, -1]):
+        with pytest.raises(ValueError, match=f"{len(exps)} column shifts for 2 columns"):
+            _shift_columns(M, exps)
 
 
 def test_split_and_verify_take_no_det():
@@ -358,6 +391,21 @@ def test_derived_non_unit_is_an_internal_bug():
     T = LaurentMatrix.parse(NONCONSTANT_DET)
     with pytest.raises(AssertionError, match="internal bug"):
         birkhoff_split(_derived_bundle(2, T, 0))
+
+
+def test_derived_degree_is_checked_on_a_memo_hit():
+    # a wrong formula degree is an internal bug whether the equal bundle was
+    # split before (a memo hit, where verify does not run) or not
+    T = LaurentMatrix.parse([["z^2", "1"], ["0", "z^-1"]])
+    E = P1Bundle(2, T)
+    assert birkhoff_split(E).type == (2, -1)
+    for clear in (False, True):
+        if clear:
+            _birkhoff_cached.cache_clear()
+        wrong = _derived_bundle(2, T, 7)
+        with pytest.raises(AssertionError, match="internal bug"):
+            birkhoff_split(wrong)
+        assert birkhoff_split(_derived_bundle(2, T, 1)).type == (2, -1)
 
 
 # -- cohomology ------------------------------------------------------------------
@@ -423,58 +471,50 @@ def test_cohomology_adds_one_memo_entry_per_bundle():
         assert _birkhoff_cached.cache_info().currsize == count
 
 
-# -- derived splittings ------------------------------------------------------------
+# -- derived bundles -------------------------------------------------------------
 
 
-def test_derived_dual_and_twist_splittings_match_oracle_and_reduction():
-    # the dual and its twists carry a splitting read off E's; h^0 against the
-    # linear-solve oracle on T^(-T), the type against a fresh reduction of T^(-T)
+def test_dual_and_twist_types_match_oracle_and_reduction():
+    # the dual's type is E's negated and reversed, a twist's is shifted by n;
+    # h^0 against the linear-solve oracle on T^(-T), the type against a fresh
+    # reduction of T^(-T)
     s = Sampler(63)
     for _ in range(12):
         E, exps = s.gauged_p1_bundle(min_rank=2, max_rank=5, bound=2, ops=2, max_deg=1)
         r = E.rank
         D = dual_bundle(E)
-        assert D._splitting is not None
         t_dual = D.transition
         assert E.transition @ t_dual.transpose() == LaurentMatrix.identity(r)
         derived = birkhoff_split(D).type
         assert derived == tuple(-a for a in reversed(exps))
         for n in (-2, 0, 1, 3):
             X = twist(D, n)
-            assert X._splitting is not None
             assert birkhoff_split(X).type == tuple(a + n for a in derived)
             assert cohomology_dims(X)[0] == h0_by_linear_solve(t_dual, n)
         _birkhoff_cached.cache_clear()
         assert birkhoff_split(P1Bundle(r, t_dual)).type == derived
 
 
-def test_derived_splittings_are_verified():
-    # each alteration alone of a derived U0 entry, U1 entry or type trips the
-    # gate; a twist reading its factor's altered splitting trips it too
-    _birkhoff_cached.cache_clear()
-    s = Sampler(64)
-    E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
-    one = LaurentPoly.one()
-
-    def bump(M: LaurentMatrix) -> LaurentMatrix:
-        return M + LaurentMatrix.diag([one, LaurentPoly.zero(), LaurentPoly.zero()])
-
-    for X in (dual_bundle(E), twist(E, 3), twist(dual_bundle(E), -2)):
-        d = X._splitting
-        t = d.type
-        tampers = {
-            "U0": SplittingData(t, bump(d.U0), d.U1),
-            "U1": SplittingData(t, d.U0, bump(d.U1)),
-            "type": SplittingData((t[0] + 1,) + t[1:-1] + (t[-1] - 1,), d.U0, d.U1),
-        }
-        for name, bad in tampers.items():
-            for Y in (
-                _derived_bundle(X.rank, X.transition, X.degree, bad),
-                twist(_derived_bundle(X.rank, X.transition, X.degree, bad), 1),
-            ):
-                with pytest.raises(AssertionError, match="internal bug"):
-                    birkhoff_split(Y)
-        assert birkhoff_split(X) is d
+def test_splitting_does_not_depend_on_what_was_split_before():
+    # the memo is a pure function of the transition: a dual or twist split
+    # first leaves the same U0 and U1 that a fresh reduction of its
+    # transition gives
+    s = Sampler(67)
+    for _ in range(8):
+        E, _ = s.gauged_p1_bundle(min_rank=1, max_rank=4, bound=2, ops=2, max_deg=1)
+        for derive in (
+            lambda: dual_bundle(E),
+            lambda: twist(E, 2),
+            lambda: twist(dual_bundle(E), -1),
+        ):
+            X = derive()
+            _birkhoff_cached.cache_clear()
+            fresh = splitting_to_json(birkhoff_split(P1Bundle(X.rank, X.transition)))
+            _birkhoff_cached.cache_clear()
+            X = derive()
+            birkhoff_split(X)
+            after = splitting_to_json(birkhoff_split(P1Bundle(X.rank, X.transition)))
+            assert after == fresh
 
 
 # -- sections --------------------------------------------------------------------
@@ -542,7 +582,7 @@ def test_kernel_filtration_rejects_non_sections():
     assert not is_global_hom(E, E, bad)
     with pytest.raises(InvalidSection):
         trace_pair(E, bad, LaurentMatrix.identity(2))
-    with pytest.raises(InvalidSection):
+    with pytest.raises(InvalidSection, match=r"must be 2x2, got \(1, 1\)"):
         trace_pair(E, LaurentMatrix.identity(2), LaurentMatrix.parse([["z^-1"]]))
 
 
