@@ -98,8 +98,8 @@ MUTANTS = (
         P1_TESTS,
     ),
     Mutant("verify-identity", P1, VERIFY_IDENTITY, "return u0_inv.is_poly_in_z", P1_TESTS),
-    # the formula degree of a derived bundle, checked on memo hits too
-    Mutant("split-degree-on-hit", P1, "if sum(data.type) != E.degree:", "if False:", P1_TESTS),
+    # construction is validation: a failed identity is NotAUnit
+    Mutant("validate-not-a-unit", P1, "if not data.verify(E):", "if False:", P1_TESTS),
     # the held U0^(-1) serves its own transition only
     Mutant(
         "u0-inverse-key",

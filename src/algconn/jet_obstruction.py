@@ -20,8 +20,10 @@ block upper triangular as well:
      [0,    T            ]]
 
 with T_H the transition of H = hom_bundle(V, E) = E (x) V*. It exhibits the
-extension  0 -> Hom(V, E) -> J -> E -> 0, so deg J = deg H + deg E. For the
-tangent anchor (phi0 = 1) this is the first jet bundle on the nose.
+extension  0 -> Hom(V, E) -> J -> E -> 0, so deg J = deg H + deg E, a fact
+about the bundle: like every bundle, J takes its degree from the splitting
+type of the reduction that validates it. For the tangent anchor (phi0 = 1)
+this is the first jet bundle on the nose.
 
 A connection is a pair of local operators  phi^* d + A0  and  phi^* d + A1
 (A0 polynomial in z, A1 in 1/z) agreeing on the overlap. Each A, like every
@@ -55,7 +57,6 @@ from .errors import InvalidAnchor, SchemaError, ShapeMismatch, naming
 from .exact_core import LaurentMatrix, LaurentPoly, _matrix, _parse_entries, _poly, _Value
 from .p1_engine import (
     P1Bundle,
-    _derived_bundle,
     birkhoff_split,
     hom_bundle,
     is_global_hom,
@@ -122,20 +123,21 @@ class ConnectionCert(_Value):
 
 def jet1_transition(E: P1Bundle) -> P1Bundle:
     """First jet bundle, rank 2r, frame (derivative, value): the anchored jet
-    bundle of the tangent anchor, with blocks -z^(-2) T, T', 0, T and degree
-    2 deg E - 2r."""
+    bundle of the tangent anchor, with blocks -z^(-2) T, T', 0, T. Its
+    degree is 2 deg E - 2r."""
     return jetV_transition(E, tangent_anchor())
 
 
 def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
     """Anchored jet bundle, rank r(1 + rank V), frame (Hom(V, E) slot, value):
     the extension of E by H = hom_bundle(V, E) = E (x) V*, with transition
-    [[T_H, T' (x) phi0^T], [0, T]] and degree deg H + deg E."""
+    [[T_H, T' (x) phi0^T], [0, T]]. Like every bundle it is validated and
+    split when it is built; its degree is deg H + deg E."""
     T = E.transition
     H = hom_bundle(anchor.V, E)
     top = H.transition.hstack(T.derivative().kron(anchor.phi_row.transpose()))
     bottom = LaurentMatrix.zeros(E.rank, H.rank).hstack(T)
-    return _derived_bundle(H.rank + E.rank, top.vstack(bottom), H.degree + E.degree)
+    return P1Bundle(H.rank + E.rank, top.vstack(bottom))
 
 
 def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocycle:

@@ -31,16 +31,9 @@ are the validation, and raise NotAUnit exactly when T is not a unit. The
 reduction stops on det T = 0 (a row reduces to zero, or the step budget
 runs out). Otherwise U0 is unimodular by construction, so the identity
 holds exactly when N U1 = I, that is when det N is constant, and then it
-proves det T = c * z^(sum a_i), which fixes deg E = sum a_i. Bundles
-derived from validated ones (duals, twists, tensor and hom bundles, jet
-bundles) are units by construction; they skip the validation and take their
-degree from a formula, which birkhoff_split checks against the splitting
-type, on every call. For them a failed check is an internal bug, not
-NotAUnit. Every splitting, of a derived bundle too, is the reduction's,
-checked by SplittingData.verify: the splitting type is an invariant of the
-bundle (Grothendieck), so a dual or twist needs no splitting of its own
-read off its factor's, and where a factor's splitting serves (the
-coboundary solve), it is read there.
+proves det T = c * z^(sum a_i), which fixes deg E = sum a_i. Every bundle,
+a dual, twist, tensor, hom or jet bundle too, is validated by the reduction
+that splits it, and its degree is the sum of its splitting type.
 
 End(E) (x) V*, where the connection obstruction lives, is never split as a
 bundle of its own: jet_obstruction.split_coboundary works through the
@@ -90,7 +83,8 @@ class P1Bundle(_Value):
 
     Constructing one validates T by the reduction that splits it: NotAUnit
     unless T is invertible over the Laurent ring, and the degree is the sum
-    of the splitting type. That splitting is memoised, so birkhoff_split
+    of the splitting type. Duals, twists, tensor, hom and jet bundles are
+    built this way too. That splitting is memoised, so birkhoff_split
     returns it without a second reduction. Only rank and transition take
     part in equality, hashing and repr.
     """
@@ -124,17 +118,6 @@ class P1Bundle(_Value):
         return Fraction(self.degree, self.rank)
 
 
-def _derived_bundle(rank: int, transition: LaurentMatrix, degree: int) -> P1Bundle:
-    """A bundle whose transition is built from validated ones, hence a unit,
-    with its degree given by formula instead of a reduction. birkhoff_split
-    checks that degree against the splitting type whenever it is asked."""
-    E = object.__new__(P1Bundle)
-    object.__setattr__(E, "rank", rank)
-    object.__setattr__(E, "transition", transition)
-    object.__setattr__(E, "_degree", degree)
-    return E
-
-
 def line_bundle(a: int, coeff=1) -> P1Bundle:
     return P1Bundle(1, LaurentMatrix([[LaurentPoly.monomial(coeff, a)]]))
 
@@ -156,32 +139,28 @@ def tangent_bundle() -> P1Bundle:
 
 
 def dual_bundle(E: P1Bundle) -> P1Bundle:
-    """E*: transition T^(-T), with T^(-1) read off E's splitting, and degree
-    -deg E. Its type is -a_r >= ... >= -a_1."""
-    return _derived_bundle(E.rank, birkhoff_split(E).transition_inverse.transpose(), -E.degree)
+    """E*: transition T^(-T), with T^(-1) read off E's splitting. Its type
+    is -a_r >= ... >= -a_1, so its degree is -deg E."""
+    return P1Bundle(E.rank, birkhoff_split(E).transition_inverse.transpose())
 
 
 def tensor_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
-    """E (x) F with frames ordered row-major, i.e. kron(T_E, T_F); degree
-    r_F deg E + r_E deg F."""
-    return _derived_bundle(
-        E.rank * F.rank,
-        E.transition.kron(F.transition),
-        F.rank * E.degree + E.rank * F.degree,
-    )
+    """E (x) F with frames ordered row-major, i.e. kron(T_E, T_F). Its
+    degree is r_F deg E + r_E deg F."""
+    return P1Bundle(E.rank * F.rank, E.transition.kron(F.transition))
 
 
 def hom_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
     """Hom(E, F) = F (x) E*: a local hom is an r_F x r_E matrix Phi with
     Phi0 = T_F * Phi1 * T_E^(-1); vectorized row-major this is
-    kron(T_F, T_E^(-T)), of degree r_E deg F - r_F deg E."""
+    kron(T_F, T_E^(-T)). Its degree is r_E deg F - r_F deg E."""
     return tensor_bundle(F, dual_bundle(E))
 
 
 def twist(E: P1Bundle, n: int) -> P1Bundle:
-    """E (x) O(n): shifts every transition entry by z^n, and the degree by
-    r n. Its type is E's plus n."""
-    return _derived_bundle(E.rank, E.transition.shift(n), E.degree + E.rank * n)
+    """E (x) O(n): shifts every transition entry by z^n. Its type is E's
+    plus n, so its degree is deg E + r n."""
+    return P1Bundle(E.rank, E.transition.shift(n))
 
 
 def gauge_transform(E: P1Bundle, A: LaurentMatrix, B: LaurentMatrix) -> P1Bundle:
@@ -388,26 +367,19 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
 @lru_cache(maxsize=None)
 def _birkhoff_cached(E: P1Bundle) -> SplittingData:
     data = _split_connected(E.transition)
-    validating = E.degree is None
-    if validating:
-        # the reduction's type; verify proves det T = c z^(sum a) or fails
-        object.__setattr__(E, "_degree", sum(data.type))
+    # the reduction's type; verify proves det T = c z^(sum a) or fails
+    object.__setattr__(E, "_degree", sum(data.type))
     if not data.verify(E):
-        if validating:
-            # U0 is unimodular by construction, so the identity fails exactly when N U1 != I
-            raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k")
-        raise AssertionError("splitting failed verification (internal bug)")
+        # U0 is unimodular by construction, so the identity fails exactly when N U1 != I
+        raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k")
     return data
 
 
 def birkhoff_split(E: P1Bundle) -> SplittingData:
     """Split E into line bundles: exact factorization U0 * T * U1 = diag.
-    A derived bundle's formula degree is checked against the type on every
-    call, memo hit or not, since a hit skips verify."""
-    data = _birkhoff_cached(E)
-    if sum(data.type) != E.degree:
-        raise AssertionError("splitting failed verification (internal bug)")
-    return data
+    Constructing E split it already, so this is a memo lookup unless the
+    memo was cleared since."""
+    return _birkhoff_cached(E)
 
 
 def unit_inverse(M: LaurentMatrix) -> LaurentMatrix:

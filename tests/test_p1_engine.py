@@ -12,12 +12,16 @@ from oracles import h0_by_linear_solve, monomial_det, split_diagonal
 from algconn.cli import main
 from algconn.errors import InvalidSection, NotAUnit
 from algconn.exact_core import LaurentMatrix, LaurentPoly
-from algconn.jet_obstruction import jet1_transition, jetV_transition, tangent_anchor
+from algconn.jet_obstruction import (
+    ConcreteAnchor,
+    jet1_transition,
+    jetV_transition,
+    tangent_anchor,
+)
 from algconn.p1_engine import (
     P1Bundle,
     SplittingData,
     _birkhoff_cached,
-    _derived_bundle,
     _series_inverse,
     _shift_columns,
     _shift_rows,
@@ -292,9 +296,14 @@ def test_verify_matches_det_definition_and_rejects_tampers():
 
 def test_verify_rejects_u0_off_its_chart_under_a_wrong_degree():
     # with deg E right, the other checks imply U0 polynomial in z (det U0^(-1)
-    # = c det U1 is then polynomial in z and in 1/z); under a wrong formula
-    # degree only that check rejects U0 = 1/z for T = z^2 taken as O(1)
-    E = _derived_bundle(1, LaurentMatrix.parse([["z^2"]]), 1)
+    # = c det U1 is then polynomial in z and in 1/z); under a wrong degree
+    # only that check rejects U0 = 1/z for T = z^2 taken as O(1). No
+    # constructor can make such a bundle any more (each takes its degree from
+    # the reduction), so the test assembles it by hand.
+    E = object.__new__(P1Bundle)
+    object.__setattr__(E, "rank", 1)
+    object.__setattr__(E, "transition", LaurentMatrix.parse([["z^2"]]))
+    object.__setattr__(E, "_degree", 1)
     bad = SplittingData((1,), LaurentMatrix.parse([["z^-1"]]), LaurentMatrix.identity(1))
     assert bad.U0 @ E.transition @ bad.U1 == split_diagonal(bad.type)
     assert bad.u0_inverse(E.transition).is_poly_in_z
@@ -383,29 +392,6 @@ def test_nonconstant_det_is_not_a_unit(capsys, tmp_path):
     p.write_text(json.dumps({"rank": 2, "transition": NONCONSTANT_DET}))
     assert main(["split", "--bundle", str(p)]) == 3
     assert "not a monomial" in capsys.readouterr().err
-
-
-def test_derived_non_unit_is_an_internal_bug():
-    # the same transition, wrapped as a derived bundle, skips validation:
-    # there a failed identity is an internal bug, not NotAUnit
-    T = LaurentMatrix.parse(NONCONSTANT_DET)
-    with pytest.raises(AssertionError, match="internal bug"):
-        birkhoff_split(_derived_bundle(2, T, 0))
-
-
-def test_derived_degree_is_checked_on_a_memo_hit():
-    # a wrong formula degree is an internal bug whether the equal bundle was
-    # split before (a memo hit, where verify does not run) or not
-    T = LaurentMatrix.parse([["z^2", "1"], ["0", "z^-1"]])
-    E = P1Bundle(2, T)
-    assert birkhoff_split(E).type == (2, -1)
-    for clear in (False, True):
-        if clear:
-            _birkhoff_cached.cache_clear()
-        wrong = _derived_bundle(2, T, 7)
-        with pytest.raises(AssertionError, match="internal bug"):
-            birkhoff_split(wrong)
-        assert birkhoff_split(_derived_bundle(2, T, 1)).type == (2, -1)
 
 
 # -- cohomology ------------------------------------------------------------------
@@ -605,25 +591,57 @@ def test_trace_pair_filtration_vanishing():
     assert trace_pair(E, v, v) == 3 * 3 + (-2) * (-2)
 
 
+def gauged(s: Sampler, exps) -> P1Bundle:
+    r = len(exps)
+    return gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+
+
 def test_derived_degrees_match_det():
-    # each formula degree against the exponent of det T of the derived transition
+    # each degree, the sum of the splitting type, against the exponent of
+    # det T of the derived transition and the formula for its construction
     s = Sampler(62)
-
-    def det_degree(X: P1Bundle) -> int:
-        return monomial_det(X.transition)[1]
-
-    def gauged(exps):
-        r = len(exps)
-        return gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
-
-    bundles = [gauged(e) for e in ([3], [2, -1], [1, 1, -3])] + [gauged([1, -3])]
+    bundles = [gauged(s, e) for e in ([3], [2, -1], [1, 1, -3])] + [gauged(s, [1, -3])]
     for E in bundles:
-        assert E.degree != 0
-        for X in (dual_bundle(E), twist(E, 2), twist(E, -3), hom_bundle(E, E)):
-            assert X.degree == det_degree(X)
+        r, d = E.rank, E.degree
+        assert d != 0
+        for X, formula in (
+            (dual_bundle(E), -d),
+            (twist(E, 2), d + 2 * r),
+            (twist(E, -3), d - 3 * r),
+            (hom_bundle(E, E), 0),
+            (jet1_transition(E), 2 * d - 2 * r),
+        ):
+            assert X.degree == formula == monomial_det(X.transition)[1]
         for F in bundles[:2]:
-            for X in (tensor_bundle(E, F), hom_bundle(E, F), hom_bundle(F, E)):
-                assert X.degree == det_degree(X)
+            for X, formula in (
+                (tensor_bundle(E, F), F.rank * d + r * F.degree),
+                (hom_bundle(E, F), r * F.degree - F.rank * d),
+                (hom_bundle(F, E), F.rank * d - r * F.degree),
+            ):
+                assert X.degree == formula == monomial_det(X.transition)[1]
+
+
+def test_derived_bundles_are_split_when_built():
+    # each constructor validates what it builds by splitting it, so a
+    # following birkhoff_split is a memo hit; the degree is the sum of that
+    # type, the formula for the construction and the exponent of det T
+    s = Sampler(64)
+    E, F, V = gauged(s, [2, -1]), gauged(s, [1, 0, -2]), gauged(s, [1, -2])
+    anchor = ConcreteAnchor(V, hom_sections(V, tangent_bundle())[0])
+    r, d = E.rank, E.degree
+    H = hom_bundle(V, E)
+    for X, formula in (
+        (dual_bundle(E), -d),
+        (twist(E, 3), d + 3 * r),
+        (tensor_bundle(E, F), F.rank * d + r * F.degree),
+        (H, V.rank * d - r * V.degree),
+        (jet1_transition(E), 2 * d - 2 * r),
+        (jetV_transition(E, anchor), H.degree + d),
+    ):
+        misses = _birkhoff_cached.cache_info().misses
+        data = birkhoff_split(X)
+        assert _birkhoff_cached.cache_info().misses == misses, X
+        assert X.degree == sum(data.type) == formula == monomial_det(X.transition)[1]
 
 
 def test_dual_tensor_end_degrees():
