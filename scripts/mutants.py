@@ -3,11 +3,11 @@
     python3 scripts/mutants.py [NAME ...]    # all mutants, or the named ones
     python3 scripts/mutants.py --list
 
-Each mutant disables one check in src/algconn by an exact-text patch: the
-text that implements the check, the text that replaces it, and the test file
-that must then fail. The harness copies src/, tests/ and pyproject.toml into
-a temporary directory and runs each test file it needs once unpatched, which
-must pass. Then, for each mutant, it writes the patched module into the copy,
+Each mutant disables one check in src/algconn, or breaks one rule that a
+test pins, by an exact-text patch: the text that implements it, the text
+that replaces it, and the test file that must then fail. The harness copies
+src/, tests/ and pyproject.toml into a temporary directory and runs each
+test file it needs once unpatched, which must pass. Then, for each mutant, it writes the patched module into the copy,
 runs ``python -m pytest -x -q <test file>`` there, and puts the module back.
 
 A mutant is killed when pytest reports failing tests (exit status 1); a
@@ -106,6 +106,16 @@ MUTANTS = (
         P1,
         "if held is not None and (held[0] is T or held[0] == T):",
         "if held is not None:",
+        P1_TESTS,
+    ),
+    # the w-series of U1 = N^(-1): its cap, and its stop after deg_w N zero
+    # terms in a row (the mutant stops after deg_w N - 1 >= 1 of them)
+    Mutant("series-cap", P1, "if k + j > cap:", "if k + j >= cap:", P1_TESTS),
+    Mutant(
+        "series-stop-one-zero-early",
+        P1,
+        "k = min(pending)\n",
+        "k = min(pending)\n        if X and 1 < k - max(X) >= max(terms):\n            break\n",
         P1_TESTS,
     ),
     Mutant("shift-rows-guard", P1, "if len(exps) != M.rows:", "if False:", P1_TESTS),

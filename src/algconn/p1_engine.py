@@ -67,12 +67,14 @@ from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
     Rat,
+    _accumulate,
     _matrix,
+    _nonzero,
     _parse_entries,
     _poly,
-    _q,
+    _qaccumulate,
     _qinverse,
-    _qmatmul,
+    _qnonzero,
     _qnullspace,
     _Value,
 )
@@ -260,19 +262,14 @@ def _shift_columns(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
 _NOT_A_UNIT = "transition is not invertible over the Laurent ring"
 
 
-def _top_coefficient_data(
-    rows: list[list[LaurentPoly]],
-) -> tuple[list[int], list[list[int | Fraction]]]:
-    tops: list[int] = []
-    H: list[list[int | Fraction]] = []
-    for row in rows:
-        exps = [x.max_exp for x in row if not x.is_zero]
-        if not exps:
-            raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
-        h = max(exps)
-        tops.append(h)
-        H.append([x.coeff(h) for x in row])
-    return tops, H
+def _top_coefficients(row: list[LaurentPoly]) -> tuple[int, list[int | Fraction]]:
+    """The top exponent h of a row and the row's coefficients of z^h;
+    NotAUnit for a zero row."""
+    exps = [x.max_exp for x in row if not x.is_zero]
+    if not exps:
+        raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
+    h = max(exps)
+    return h, [x.coeff(h) for x in row]
 
 
 def _split_connected(T: LaurentMatrix) -> SplittingData:
@@ -284,13 +281,16 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
     that sum stays >= the top exponent of det T >= the sum of the initial
     row lows, so an exhausted budget, like a zero row, means det T = 0. On a
     block-diagonal T the first null vector of H lies in one block, so the
-    steps are those of the blocks reduced one by one."""
+    steps are those of the blocks reduced one by one. A step changes row i0
+    only: its new row and U0 row are summed on coefficient maps, so their
+    cost follows the nonzero terms of the rows they combine, and only row
+    i0's top exponent and coefficients are read again."""
     r = T.rows
     rows = [T.row_list(i) for i in range(r)]
     identity = LaurentMatrix.identity(r)
     u0_rows = [identity.row_list(i) for i in range(r)]
 
-    tops, H = _top_coefficient_data(rows)
+    tops, H = map(list, zip(*map(_top_coefficients, rows)))
     lows = [min(x.min_exp for x in row if not x.is_zero) for row in rows]
     budget = sum(tops) - sum(lows) + 1
 
@@ -304,16 +304,16 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
         kappa = null[0]
         support = [i for i in range(r) if kappa[i] != 0]
         i0 = max(support, key=lambda i: tops[i])
-        new_row = [LaurentPoly.zero()] * r
-        new_u0 = [LaurentPoly.zero()] * r
+        row_acc = [{} for _ in range(r)]
+        u0_acc = [{} for _ in range(r)]
         for i in support:
-            factor = _poly({tops[i0] - tops[i]: kappa[i]})  # kappa is canonical
+            factor = {tops[i0] - tops[i]: kappa[i]}  # kappa is canonical
             for j in range(r):
-                new_row[j] = new_row[j] + factor * rows[i][j]
-                new_u0[j] = new_u0[j] + factor * u0_rows[i][j]
-        rows[i0] = new_row
-        u0_rows[i0] = new_u0
-        tops, H = _top_coefficient_data(rows)
+                _accumulate(row_acc[j], factor, rows[i][j]._coeffs)
+                _accumulate(u0_acc[j], factor, u0_rows[i][j]._coeffs)
+        rows[i0] = [_poly(_nonzero(acc)) for acc in row_acc]
+        u0_rows[i0] = [_poly(_nonzero(acc)) for acc in u0_acc]
+        tops[i0], H[i0] = _top_coefficients(rows[i0])
 
     # T_reduced = diag(z^h) * N with N(0) = H invertible; sorting its rows
     # by h sorts the type, and permutes the columns of U1 = N^(-1) alike.
@@ -328,7 +328,7 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
     """N^(-1) for N polynomial in w = 1/z with N(0) = H invertible and det N
     constant, as the w-power series
 
-        X_0 = H^(-1),  X_k = -H^(-1) * sum_(j=1..k) N_j X_(k-j),
+        X_0 = H^(-1),  X_k = sum_(j=1..k) S_j X_(k-j),  S_j = -H^(-1) N_j,
 
     where N = sum_j N_j w^j. N^(-1) = adj(N) / det N has w-degree at most
     (r-1) deg_w N, so the series stops there, or sooner once deg_w N terms in
@@ -336,25 +336,42 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
     When det N is not constant, the series does not terminate and its cut is
     no inverse; SplittingData.verify then fails, and the transition is
     rejected as no unit.
+
+    The cost follows the nonzero terms, not the w-degree. N's terms are read
+    off its coefficient maps as sparse rows, and S_j is built for the
+    nonzero N_j only. X_k is summed only for the k reachable as k' + j from
+    a nonzero X_k' and a nonzero S_j, in increasing k, so each sum is
+    complete when it is read. deg_w N zero terms in a row leave no k
+    pending, and the series ends there.
     """
     r = N.rows
-    deg = -N.min_exp()
-    coeffs = [[[x.coeff(-j) for x in N.row_list(i)] for i in range(r)] for j in range(deg + 1)]
-    h_inv = _qinverse(coeffs[0])
-    steps = [_qmatmul(h_inv, [[-x for x in row] for row in c]) for c in coeffs[1:]]  # -H^(-1) N_j
-    X = [h_inv]
-    for k in range(1, (r - 1) * deg + 1):
-        if not any(x for Xk in X[-deg:] for row in Xk for x in row):
-            break
-        Xk = [[0] * r for _ in range(r)]
-        for j in range(1, min(k, deg) + 1):
-            term = _qmatmul(steps[j - 1], X[k - j])
-            Xk = [[x + y for x, y in zip(ra, rt)] for ra, rt in zip(Xk, term)]
-        X.append(Xk)
-    cells = [
-        [{-k: _q(Xk[i][j]) for k, Xk in enumerate(X) if Xk[i][j]} for j in range(r)]
-        for i in range(r)
-    ]
+    terms: dict[int, dict[int, dict[int, int | Fraction]]] = {}  # j -> H if j = 0 else -N_j
+    for i in range(r):
+        for col, x in enumerate(N.row_list(i)):
+            for e, c in x._coeffs.items():
+                terms.setdefault(-e, {}).setdefault(i, {})[col] = -c if e else c
+    h = terms.pop(0, {})
+    h_inv = _qinverse([[h.get(i, {}).get(col, 0) for col in range(r)] for i in range(r)])
+    h_inv = _qnonzero({i: dict(enumerate(row)) for i, row in enumerate(h_inv)})
+    steps = [(j, _qnonzero(_qaccumulate({}, h_inv, terms[j]))) for j in sorted(terms)]
+    cap = (r - 1) * max(terms, default=0)
+    X = {}  # k -> X_k, for the nonzero X_k only
+    pending = {0: h_inv}
+    while pending:
+        k = min(pending)
+        Xk = _qnonzero(pending.pop(k))
+        if not Xk:
+            continue
+        X[k] = Xk
+        for j, S in steps:
+            if k + j > cap:
+                break
+            _qaccumulate(pending.setdefault(k + j, {}), S, Xk)
+    cells = [[{} for _ in range(r)] for _ in range(r)]
+    for k, Xk in X.items():
+        for i, row in Xk.items():
+            for col, x in row.items():
+                cells[i][col][-k] = x
     # _poly makes an empty cell the shared zero: the U1s the memo keeps hold no zeros of their own
     return _matrix(tuple(tuple(_poly(c) for c in row) for row in cells))
 

@@ -10,7 +10,8 @@ The determinant oracle evaluates entries from their coefficient dicts at a
 few integer nodes and eliminates over the rationals itself: it uses no
 elimination of algconn.exact_core and nothing of algconn.p1_engine. The
 Fraction Gauss-Jordan inverse and nullspace are the references for the
-fraction-free kernels of exact_core. split_diagonal builds the D that a
+fraction-free kernels of exact_core, and the dense product is the reference
+for its sparse product kernel. split_diagonal builds the D that a
 splitting claims, from its type alone.
 """
 
@@ -76,6 +77,14 @@ def monomial_det(M: LaurentMatrix) -> tuple[Fraction, int] | None:
     if all(_det_at(M, x) == c * Fraction(x) ** k for x in range(3, span + 2)):
         return c, k
     return None
+
+
+def fraction_matmul(
+    a: list[list[int | Fraction]], b: list[list[int | Fraction]]
+) -> list[list[int | Fraction]]:
+    """The dense product of two scalar matrices, every entry a full sum:
+    the reference for exact_core._qaccumulate."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def fraction_inverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:

@@ -201,6 +201,24 @@ def test_non_unit_message_names_the_fault(capsys, tmp_path, transition):
         assert "not invertible over the Laurent ring" in err
 
 
+def run_child(argv, timeout):
+    """`python -m algconn.cli argv` in a child process that runs this
+    checkout's sources. A hang raises TimeoutExpired, and an address space
+    over 2 GiB fails the child, so a runaway input fails its test instead of
+    stalling the suite or filling the memory."""
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "algconn.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env, preexec_fn=cap_memory,
+    )
+
+
 @pytest.mark.parametrize("command", ["split", "cohomology"])
 def test_high_exponent_entry_splits_in_bounded_time(tmp_path, command):
     # one z^3000 entry: a determinant needs thousands of interpolation nodes,
@@ -211,15 +229,22 @@ def test_high_exponent_entry_splits_in_bounded_time(tmp_path, command):
                        ["0", "z", "1", "0"], ["0", "0", "0", "1"]],
     }
     p = write(tmp_path, "big.json", doc)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "algconn.cli", command, "--bundle", p],
-        capture_output=True, text=True, timeout=15, env=env,
-    )
+    proc = run_child([command, "--bundle", p], timeout=15)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["type" if command == "split" else "splitting_type"] == [0, 0, 0, 0]
+
+
+def test_wide_w_span_splits_in_bounded_time(tmp_path):
+    # one w^(10^8) entry: U1 = N^-1 has two w-powers, 0 and 10^8, and the
+    # series visits those two, not the 10^8 + 1 powers in between
+    doc = {"rank": 2, "transition": [["1", "z^-100000000"], ["0", "1"]]}
+    p = write(tmp_path, "wide.json", doc)
+    proc = run_child(["split", "--bundle", p], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["type"] == [0, 0]
+    assert out["U1"] == [["1", "-z^-100000000"], ["0", "1"]]
 
 
 @pytest.mark.parametrize("command", ["split", "cohomology"])

@@ -15,8 +15,9 @@ from algconn.errors import LaurentSyntaxError, NotAUnit, NotSquare
 from algconn.exact_core import (
     LaurentMatrix,
     LaurentPoly,
+    _qaccumulate,
     _qinverse,
-    _qmatmul,
+    _qnonzero,
     _qnullspace,
     laurent_parse,
 )
@@ -30,7 +31,7 @@ from algconn.p1_engine import (
 from algconn.sampling import Sampler
 
 sys.path.insert(0, os.path.dirname(__file__))
-from oracles import fraction_inverse, fraction_nullspace
+from oracles import fraction_inverse, fraction_matmul, fraction_nullspace
 
 
 def lp(s: str) -> LaurentPoly:
@@ -371,7 +372,6 @@ def test_dense_helpers_stay_exact_on_int_input():
         # 1 - (1/49.0)*49 is not 0 in floating point: a float pivot finds rank 2
         (_qnullspace([[49, 49], [1, 1]], 2), [[-1, 1]]),
         (_qnullspace([[2, 1], [1, 1]], 2), []),
-        (_qmatmul([[1, 2]], [[3], [4]]), [[11]]),
     ]
     for got, want in results:
         assert got == want
@@ -402,7 +402,7 @@ def scalar_matrices(draw, square=False):
                              min_size=nrows, max_size=nrows))
         right = draw(st.lists(st.lists(scalar_strategy, min_size=ncols, max_size=ncols),
                               min_size=k, max_size=k))
-        a = _qmatmul(left, right)
+        a = fraction_matmul(left, right)
     if draw(st.booleans()):
         a[draw(st.integers(0, nrows - 1))] = [0] * ncols
     # the kernels take any exact entries, integral Fractions included
@@ -441,6 +441,28 @@ def test_qinverse_matches_the_fraction_reference(a):
     got = _qinverse(a)
     assert got == want
     assert _canonical(got) and a == before
+
+
+def _sparse(a):
+    """A dense scalar matrix as the sparse rows of _qaccumulate."""
+    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a) if any(row)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_matrices(), st.integers(1, 5), st.data())
+def test_qaccumulate_matches_the_fraction_product(a, ncols, data):
+    b = data.draw(st.lists(st.lists(scalar_strategy, min_size=ncols, max_size=ncols),
+                           min_size=len(a[0]), max_size=len(a[0])))
+    acc = {}
+    _qaccumulate(acc, _sparse(a), _sparse(b))
+    _qaccumulate(acc, _sparse(a), _sparse(b))
+    got = _qnonzero(acc)
+    assert got == _sparse([[2 * x for x in row] for row in fraction_matmul(a, b)])
+    # ints and Fractions only, never a float, and no integral Fraction
+    assert _canonical([list(row.values()) for row in got.values()])
+    # sums that cancel leave no zero entry and no empty row
+    _qaccumulate(acc, _sparse([[-2 * x for x in row] for row in a]), _sparse(b))
+    assert _qnonzero(acc) == {}
 
 
 def test_qnullspace_on_empty_zero_wide_and_tall_input():

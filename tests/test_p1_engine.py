@@ -379,6 +379,17 @@ def test_series_inverse_reaches_its_degree_bound():
     assert U1.entry(0, 3) == -LaurentPoly.z(-3)
 
 
+
+def test_series_inverse_runs_past_its_zero_terms():
+    # N = I + w^2 J with J the nilpotent 3x3 shift: N^-1 = I - w^2 J + w^4 J^2
+    # has terms at w^0, w^2 and w^4 and zero terms between them. One zero term
+    # is fewer than deg_w N = 2 in a row, so it must not end the series.
+    N = LaurentMatrix.parse([["1", "z^-2", "0"], ["0", "1", "z^-2"], ["0", "0", "1"]])
+    U1 = _series_inverse(N)
+    assert N @ U1 == LaurentMatrix.identity(3)
+    assert U1.min_exp() == -4
+    assert U1.entry(0, 2) == LaurentPoly.z(-4)
+
 NONCONSTANT_DET = [["1", "z^-1"], ["-1", "1"]]
 
 
