@@ -98,8 +98,8 @@ MUTANTS = (
         P1_TESTS,
     ),
     Mutant("verify-identity", P1, VERIFY_IDENTITY, "return u0_inv.is_poly_in_z", P1_TESTS),
-    # construction is validation: a failed identity is NotAUnit
-    Mutant("validate-not-a-unit", P1, "if not data.verify(E):", "if False:", P1_TESTS),
+    # the reduction decides units; a splitting that fails verify is a bug
+    Mutant("verify-internal-bug", P1, "if not data.verify(E):", "if False:", P1_TESTS),
     # the held U0^(-1) serves its own transition only
     Mutant(
         "u0-inverse-key",
@@ -108,17 +108,8 @@ MUTANTS = (
         "if held is not None:",
         P1_TESTS,
     ),
-    # the w-series of U1 = N^(-1): its cap, and its stop after deg_w N zero
-    # terms in a row (the mutant stops after deg_w N - 1 >= 1 of them)
-    Mutant("series-cap", P1, "if k + j > cap:", "if k + j >= cap:", P1_TESTS),
-    Mutant(
-        "series-stop-one-zero-early",
-        P1,
-        "k = min(pending)\n",
-        "k = min(pending)\n        if X and 1 < k - max(X) >= max(terms):\n            break\n",
-        P1_TESTS,
-    ),
-    Mutant("shift-rows-guard", P1, "if len(exps) != M.rows:", "if False:", P1_TESTS),
+    # the w-chart reduction: a row of positive degree left means no unit
+    Mutant("w-side-unit-test", P1, "if any(w_tops):", "if False:", P1_TESTS),
     Mutant("shift-columns-guard", P1, "if len(exps) != M.cols:", "if False:", P1_TESTS),
     Mutant(
         "end-section-shape",

@@ -24,10 +24,10 @@ elimination, 1968): each row is scaled to integers by the lcm of its
 denominators, Gauss-Jordan runs on integer rows, each new row divided by its
 content, and each output entry is one division, in canonical form. The RREF
 and the inverse are unique, so they are the values a Fraction elimination
-gives (tests/oracles.py keeps that one as the reference). The scalar product
-kernel, _qaccumulate, keeps no dense table: it takes sparse rows, maps row
--> {column: nonzero entry}, and is Gustavson's product like a matrix product
-below, so the w-series of a splitting visits the nonzero entries only.
+gives (tests/oracles.py keeps that one as the reference). The splitting
+reduction in p1_engine is their one caller: _qnullspace gives each step's
+null vector, and _qinverse inverts the constant matrix its w-chart run ends
+on.
 
 Canonical form. Every LaurentPoly maps int exponents to nonzero scalars in
 the form above and stores no zero; every LaurentMatrix is a nonempty
@@ -714,31 +714,7 @@ def _qinverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:
     return [[_ratio(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
 
 
-def _qaccumulate(acc: dict, a: dict, b: dict) -> dict:
-    """acc += a * b on sparse scalar matrices, maps row -> {column: entry}
-    that hold no zero entry and no empty row; returns acc. Gustavson's
-    row-by-row product: a_il times row l of b is added into row i for the
-    nonzero a_il only. Sums that cancel stay in acc as zeros, and a row
-    that got no term as an empty row; _qnonzero drops them once."""
-    for i, a_row in a.items():
-        out = acc.setdefault(i, {})
-        get = out.get
-        for l, x in a_row.items():
-            b_row = b.get(l)
-            if b_row is not None:
-                for j, y in b_row.items():
-                    s = get(j)
-                    out[j] = x * y if s is None else s + x * y
-    return acc
-
-
-def _qnonzero(acc: dict) -> dict:
-    """The canonical form of a map _qaccumulate filled: cancelled zeros and
-    empty rows dropped, integral Fractions made ints."""
-    return {i: row for i, acc_row in acc.items() if (row := _nonzero(acc_row))}
-
-
-def _qnullspace(a: list[list[int | Fraction]], ncols: int) -> list[list[int | Fraction]]:
+def _qnullspace(a: Sequence[Sequence[int | Fraction]], ncols: int) -> list[list[int | Fraction]]:
     """Basis of the right nullspace of a constraint matrix: one vector per
     non-pivot column, with a 1 there, read off the RREF. With no rows every
     column is free, so the basis is the unit vectors."""

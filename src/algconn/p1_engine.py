@@ -13,27 +13,30 @@ determinant of T. The tangent bundle is O(2) with transition -z^2: the sign
 is the honest chain rule d/dz = -z^2... for w = 1/z, and matters once jets
 and anchors enter.
 
-Splitting (the decomposition into line bundles) is computed by one
-two-sided reduction over the whole transition: polynomial row operations on
-the left lower the row-degree sum until the matrix of leading row
-coefficients is invertible, at which point T = diag(z^(h_i)) * N with N(0)
-invertible. U1 is the w-power series of N^(-1), cut off at the w-degree
-N^(-1) has when det N is constant. The exact factorization identity
-U0 * T * U1 = diag(z^(a_i)) is checked once, by SplittingData.verify, on
-every output, so the splitting type is certified independently of the
-strategy that found it. Every inverse of a unit matrix is read off that
-identity, and so is unimodularity: U0^(-1) = T * U1 * diag(z^(-a_i))
-polynomial in z makes U0 and U1 unimodular, so no determinant certifies a
-splitting.
+Splitting (the decomposition into line bundles) is computed by one row
+reduction, run on both charts: polynomial row operations on the left lower
+the row-degree sum until the matrix of leading row coefficients is
+invertible (the predictable-degree property; Kailath, Linear Systems,
+1980). On the z-chart it gives U0 with U0 * T = diag(z^(h_i)) * N, N
+polynomial in w = 1/z with N(0) invertible. On the w-chart it reduces N,
+reflected to a polynomial in z, and gives U1 = N^(-1). The exact
+factorization identity U0 * T * U1 = diag(z^(a_i)) is checked once, by
+SplittingData.verify, on every output, so the splitting type is certified
+independently of the strategy that found it. Every inverse of a unit matrix
+is read off that identity, and so is unimodularity: U0^(-1) = T * U1 *
+diag(z^(-a_i)) polynomial in z makes U0 and U1 unimodular, so no
+determinant certifies a splitting.
 
-No determinant validates a transition either. The same reduction and check
-are the validation, and raise NotAUnit exactly when T is not a unit. The
-reduction stops on det T = 0 (a row reduces to zero, or the step budget
-runs out). Otherwise U0 is unimodular by construction, so the identity
-holds exactly when N U1 = I, that is when det N is constant, and then it
-proves det T = c * z^(sum a_i), which fixes deg E = sum a_i. Every bundle,
-a dual, twist, tensor, hom or jet bundle too, is validated by the reduction
-that splits it, and its degree is the sum of its splitting type.
+No determinant validates a transition either. The reduction is the
+validation, and raises NotAUnit exactly when T is not a unit. On the
+z-chart it stops on det T = 0 (a row reduces to zero, or the step budget
+runs out). Otherwise det N is a nonzero polynomial in w, and the w-chart
+reduction leaves a row of positive degree exactly when det N is no
+constant, that is when det T is no monomial c * z^k. For a unit the
+identity proves det T = c * z^(sum a_i), which fixes deg E = sum a_i, and an
+identity that fails is an internal bug. Every bundle, a dual, twist,
+tensor, hom or jet bundle too, is validated by the reduction that splits
+it, and its degree is the sum of its splitting type.
 
 End(E) (x) V*, where the connection obstruction lives, is never split as a
 bundle of its own: jet_obstruction.split_coboundary works through the
@@ -52,7 +55,7 @@ before.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -67,14 +70,11 @@ from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
     Rat,
-    _accumulate,
     _matrix,
     _nonzero,
     _parse_entries,
     _poly,
-    _qaccumulate,
     _qinverse,
-    _qnonzero,
     _qnullspace,
     _Value,
 )
@@ -114,10 +114,6 @@ class P1Bundle(_Value):
     @property
     def degree(self) -> int:
         return self._degree
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.degree, self.rank)
 
 
 def line_bundle(a: int, coeff=1) -> P1Bundle:
@@ -241,14 +237,6 @@ class SplittingData(_Value):
         return inv
 
 
-def _shift_rows(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
-    """diag(z^(e_i)) * M: row i times z^(e_i). ValueError unless there is
-    one exponent per row."""
-    if len(exps) != M.rows:
-        raise ValueError(f"{len(exps)} row shifts for {M.rows} rows")
-    return _matrix(tuple(tuple(x.shift(e) for x in M.row_list(i)) for i, e in enumerate(exps)))
-
-
 def _shift_columns(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
     """M * diag(z^(e_j)): column j times z^(e_j). ValueError unless there
     is one exponent per column."""
@@ -261,41 +249,45 @@ def _shift_columns(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
 
 _NOT_A_UNIT = "transition is not invertible over the Laurent ring"
 
+# a matrix row as the coefficient maps of its entries, in canonical form
+_Row = list[dict[int, int | Fraction]]
 
-def _top_coefficients(row: list[LaurentPoly]) -> tuple[int, list[int | Fraction]]:
-    """The top exponent h of a row and the row's coefficients of z^h;
-    NotAUnit for a zero row."""
-    exps = [x.max_exp for x in row if not x.is_zero]
+
+def _top_coefficients(row: _Row) -> tuple[int, list[int | Fraction]]:
+    """The top exponent h of a row of coefficient maps and the row's
+    coefficients of z^h; NotAUnit for a zero row."""
+    exps = [max(x) for x in row if x]
     if not exps:
         raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
     h = max(exps)
-    return h, [x.coeff(h) for x in row]
+    return h, [x.get(h, 0) for x in row]
 
 
-def _split_connected(T: LaurentMatrix) -> SplittingData:
-    """The reduction over the whole transition: U0 and U1 with U0 @ T @ U1
-    claimed diagonal, the type sorted, or NotAUnit when det T = 0. The claim
-    is checked by SplittingData.verify, not here.
+def _reduce(
+    rows: list[_Row], done: Callable[[list[int]], bool] | None = None
+) -> tuple[list[int], list[list[int | Fraction]], list[_Row]]:
+    """Row-reduce a square matrix of coefficient maps in place by polynomial
+    row operations on the left, V @ rows_in = rows_out, until its matrix H
+    of top row coefficients is invertible or done(tops) holds; returns the
+    row tops, H and the rows of V. NotAUnit when the determinant is zero.
 
-    Each step lowers the row-degree sum by at least one, and for det T != 0
-    that sum stays >= the top exponent of det T >= the sum of the initial
-    row lows, so an exhausted budget, like a zero row, means det T = 0. On a
-    block-diagonal T the first null vector of H lies in one block, so the
-    steps are those of the blocks reduced one by one. A step changes row i0
-    only: its new row and U0 row are summed on coefficient maps, so their
-    cost follows the nonzero terms of the rows they combine, and only row
-    i0's top exponent and coefficients are read again."""
-    r = T.rows
-    rows = [T.row_list(i) for i in range(r)]
-    identity = LaurentMatrix.identity(r)
-    u0_rows = [identity.row_list(i) for i in range(r)]
-
+    A step takes a left null vector kappa of H and replaces row i0, the row
+    of highest top in kappa's support, by sum_i kappa_i z^(top_i0 - top_i)
+    row_i: the top coefficients cancel, so the row-degree sum falls by at
+    least one. For det != 0 that sum stays >= the top exponent of det >= the
+    sum of the initial row lows, so an exhausted budget, like a zero row,
+    means det = 0. On a block-diagonal matrix the first null vector of H
+    lies in one block, so the steps are those of the blocks reduced one by
+    one. A step changes row i0 only, and its new row and V row are summed
+    on coefficient maps, so their cost follows the nonzero terms of the
+    rows they combine. The maps are wrapped as polynomials by the caller,
+    once, for the rows it keeps."""
+    r = len(rows)
+    v_rows = [[{0: 1} if i == j else {} for j in range(r)] for i in range(r)]
     tops, H = map(list, zip(*map(_top_coefficients, rows)))
-    lows = [min(x.min_exp for x in row if not x.is_zero) for row in rows]
-    budget = sum(tops) - sum(lows) + 1
-
-    while True:
-        null = _qnullspace([[H[j][i] for j in range(r)] for i in range(r)], r)
+    budget = sum(tops) - sum(min(min(x) for x in row if x) for row in rows) + 1
+    while done is None or not done(tops):
+        null = _qnullspace(list(zip(*H)), r)
         if not null:
             break
         if budget <= 0:
@@ -304,76 +296,57 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
         kappa = null[0]
         support = [i for i in range(r) if kappa[i] != 0]
         i0 = max(support, key=lambda i: tops[i])
-        row_acc = [{} for _ in range(r)]
-        u0_acc = [{} for _ in range(r)]
-        for i in support:
-            factor = {tops[i0] - tops[i]: kappa[i]}  # kappa is canonical
-            for j in range(r):
-                _accumulate(row_acc[j], factor, rows[i][j]._coeffs)
-                _accumulate(u0_acc[j], factor, u0_rows[i][j]._coeffs)
-        rows[i0] = [_poly(_nonzero(acc)) for acc in row_acc]
-        u0_rows[i0] = [_poly(_nonzero(acc)) for acc in u0_acc]
+        terms = [(i, tops[i0] - tops[i], kappa[i]) for i in support]  # kappa is canonical
+        rows[i0] = _combine(rows, terms)
+        v_rows[i0] = _combine(v_rows, terms)
         tops[i0], H[i0] = _top_coefficients(rows[i0])
+    return tops, H, v_rows
 
-    # T_reduced = diag(z^h) * N with N(0) = H invertible; sorting its rows
-    # by h sorts the type, and permutes the columns of U1 = N^(-1) alike.
+
+def _combine(rows: list[_Row], terms: list[tuple[int, int, int | Fraction]]) -> _Row:
+    """The sum of k z^s rows[i] over the (i, s, k) in terms, entry by entry,
+    in canonical form."""
+    accs: _Row = [{} for _ in rows[0]]
+    for i, s, k in terms:
+        for acc, x in zip(accs, rows[i]):
+            if x:
+                get = acc.get
+                for e, c in x.items():
+                    e += s
+                    v = get(e)
+                    acc[e] = k * c if v is None else v + k * c
+    return [_nonzero(acc) if acc else acc for acc in accs]
+
+
+def _split_connected(T: LaurentMatrix) -> SplittingData:
+    """U0 and U1 with U0 @ T @ U1 claimed diagonal and the type sorted, by
+    one reduction run on both charts; NotAUnit when T is no unit. The claim
+    is checked by SplittingData.verify, not here.
+
+    On the z-chart, _reduce gives U0 @ T = diag(z^h) * N, N polynomial in
+    w = 1/z with N(0) = H invertible; sorting the rows by h sorts the type.
+    U1 = N^(-1). Reflected (w -> z), N is a polynomial matrix R with R(0) =
+    H, so det R != 0, and _reduce on it gives W @ R = R' with row degrees
+    summing to deg det R once its top coefficients are invertible. So R is
+    a unit exactly when they all reach zero: then R' = C is constant and
+    invertible (det C = det W det R != 0), and R^(-1) = C^(-1) W. The w-side
+    stops as soon as every row degree is zero, with no null-space test on
+    C, and a positive row degree left means det T is no monomial. Any kappa
+    gives the same U1 = N^(-1), while the z-side's kappa fixes U0."""
+    r = T.rows
+    rows = [[x._coeffs for x in T.row_list(i)] for i in range(r)]
+    tops, _, u0_rows = _reduce(rows)
     order = sorted(range(r), key=lambda i: -tops[i])
-    h = [tops[i] for i in order]
-    N = _shift_rows(_matrix(tuple(tuple(rows[i]) for i in order)), [-e for e in h])
-    U0 = _matrix(tuple(tuple(u0_rows[i]) for i in order))
-    return SplittingData(tuple(h), U0, _series_inverse(N))
-
-
-def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
-    """N^(-1) for N polynomial in w = 1/z with N(0) = H invertible and det N
-    constant, as the w-power series
-
-        X_0 = H^(-1),  X_k = sum_(j=1..k) S_j X_(k-j),  S_j = -H^(-1) N_j,
-
-    where N = sum_j N_j w^j. N^(-1) = adj(N) / det N has w-degree at most
-    (r-1) deg_w N, so the series stops there, or sooner once deg_w N terms in
-    a row vanish, since each term depends on the deg_w N before it only.
-    When det N is not constant, the series does not terminate and its cut is
-    no inverse; SplittingData.verify then fails, and the transition is
-    rejected as no unit.
-
-    The cost follows the nonzero terms, not the w-degree. N's terms are read
-    off its coefficient maps as sparse rows, and S_j is built for the
-    nonzero N_j only. X_k is summed only for the k reachable as k' + j from
-    a nonzero X_k' and a nonzero S_j, in increasing k, so each sum is
-    complete when it is read. deg_w N zero terms in a row leave no k
-    pending, and the series ends there.
-    """
-    r = N.rows
-    terms: dict[int, dict[int, dict[int, int | Fraction]]] = {}  # j -> H if j = 0 else -N_j
-    for i in range(r):
-        for col, x in enumerate(N.row_list(i)):
-            for e, c in x._coeffs.items():
-                terms.setdefault(-e, {}).setdefault(i, {})[col] = -c if e else c
-    h = terms.pop(0, {})
-    h_inv = _qinverse([[h.get(i, {}).get(col, 0) for col in range(r)] for i in range(r)])
-    h_inv = _qnonzero({i: dict(enumerate(row)) for i, row in enumerate(h_inv)})
-    steps = [(j, _qnonzero(_qaccumulate({}, h_inv, terms[j]))) for j in sorted(terms)]
-    cap = (r - 1) * max(terms, default=0)
-    X = {}  # k -> X_k, for the nonzero X_k only
-    pending = {0: h_inv}
-    while pending:
-        k = min(pending)
-        Xk = _qnonzero(pending.pop(k))
-        if not Xk:
-            continue
-        X[k] = Xk
-        for j, S in steps:
-            if k + j > cap:
-                break
-            _qaccumulate(pending.setdefault(k + j, {}), S, Xk)
-    cells = [[{} for _ in range(r)] for _ in range(r)]
-    for k, Xk in X.items():
-        for i, row in Xk.items():
-            for col, x in row.items():
-                cells[i][col][-k] = x
-    # _poly makes an empty cell the shared zero: the U1s the memo keeps hold no zeros of their own
-    return _matrix(tuple(tuple(_poly(c) for c in row) for row in cells))
+    R = [[{tops[i] - e: c for e, c in x.items()} for x in rows[i]] for i in order]
+    w_tops, C, w_rows = _reduce(R, done=lambda w_tops: not any(w_tops))
+    if any(w_tops):
+        raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k")
+    U1 = []  # C^(-1) W, reflected back to w
+    for c_row in _qinverse(C):
+        row = _combine(w_rows, [(k, 0, c) for k, c in enumerate(c_row) if c])
+        U1.append(tuple(_poly({-e: c for e, c in x.items()}) for x in row))
+    U0 = tuple(tuple(map(_poly, u0_rows[i])) for i in order)
+    return SplittingData(tuple(tops[i] for i in order), _matrix(U0), _matrix(tuple(U1)))
 
 
 # The one memo. It is global and keyed by bundle equality, not scoped to a
@@ -384,11 +357,11 @@ def _series_inverse(N: LaurentMatrix) -> LaurentMatrix:
 @lru_cache(maxsize=None)
 def _birkhoff_cached(E: P1Bundle) -> SplittingData:
     data = _split_connected(E.transition)
-    # the reduction's type; verify proves det T = c z^(sum a) or fails
+    # the reduction's type; verify proves det T = c z^(sum a)
     object.__setattr__(E, "_degree", sum(data.type))
     if not data.verify(E):
-        # U0 is unimodular by construction, so the identity fails exactly when N U1 != I
-        raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k")
+        # the reduction on both charts decided T is a unit, so this is a bug
+        raise AssertionError("splitting failed verification (internal bug)")
     return data
 
 

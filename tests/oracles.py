@@ -82,8 +82,7 @@ def monomial_det(M: LaurentMatrix) -> tuple[Fraction, int] | None:
 def fraction_matmul(
     a: list[list[int | Fraction]], b: list[list[int | Fraction]]
 ) -> list[list[int | Fraction]]:
-    """The dense product of two scalar matrices, every entry a full sum:
-    the reference for exact_core._qaccumulate."""
+    """The dense product of two scalar matrices, every entry a full sum."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 

@@ -237,7 +237,7 @@ def test_high_exponent_entry_splits_in_bounded_time(tmp_path, command):
 
 def test_wide_w_span_splits_in_bounded_time(tmp_path):
     # one w^(10^8) entry: U1 = N^-1 has two w-powers, 0 and 10^8, and the
-    # series visits those two, not the 10^8 + 1 powers in between
+    # w-side reduction takes one step on them, not one per power in between
     doc = {"rank": 2, "transition": [["1", "z^-100000000"], ["0", "1"]]}
     p = write(tmp_path, "wide.json", doc)
     proc = run_child(["split", "--bundle", p], timeout=10)
@@ -245,6 +245,16 @@ def test_wide_w_span_splits_in_bounded_time(tmp_path):
     out = json.loads(proc.stdout)
     assert out["type"] == [0, 0]
     assert out["U1"] == [["1", "-z^-100000000"], ["0", "1"]]
+
+
+def test_wide_w_span_non_unit_fails_in_bounded_time(tmp_path):
+    # det T = 1 + z^-1 with one w^(10^8) entry: N^-1 is an infinite w-series,
+    # and the w-side reduction ends in two steps on a row of degree 1
+    doc = {"rank": 2, "transition": [["1 + z^-1", "z^-100000000"], ["0", "1"]]}
+    p = write(tmp_path, "wide_non_unit.json", doc)
+    proc = run_child(["split", "--bundle", p], timeout=10)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("validation error: ") and "not a monomial" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["split", "cohomology"])

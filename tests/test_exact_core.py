@@ -15,9 +15,7 @@ from algconn.errors import LaurentSyntaxError, NotAUnit, NotSquare
 from algconn.exact_core import (
     LaurentMatrix,
     LaurentPoly,
-    _qaccumulate,
     _qinverse,
-    _qnonzero,
     _qnullspace,
     laurent_parse,
 )
@@ -441,28 +439,6 @@ def test_qinverse_matches_the_fraction_reference(a):
     got = _qinverse(a)
     assert got == want
     assert _canonical(got) and a == before
-
-
-def _sparse(a):
-    """A dense scalar matrix as the sparse rows of _qaccumulate."""
-    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a) if any(row)}
-
-
-@settings(max_examples=300, deadline=None)
-@given(scalar_matrices(), st.integers(1, 5), st.data())
-def test_qaccumulate_matches_the_fraction_product(a, ncols, data):
-    b = data.draw(st.lists(st.lists(scalar_strategy, min_size=ncols, max_size=ncols),
-                           min_size=len(a[0]), max_size=len(a[0])))
-    acc = {}
-    _qaccumulate(acc, _sparse(a), _sparse(b))
-    _qaccumulate(acc, _sparse(a), _sparse(b))
-    got = _qnonzero(acc)
-    assert got == _sparse([[2 * x for x in row] for row in fraction_matmul(a, b)])
-    # ints and Fractions only, never a float, and no integral Fraction
-    assert _canonical([list(row.values()) for row in got.values()])
-    # sums that cancel leave no zero entry and no empty row
-    _qaccumulate(acc, _sparse([[-2 * x for x in row] for row in a]), _sparse(b))
-    assert _qnonzero(acc) == {}
 
 
 def test_qnullspace_on_empty_zero_wide_and_tall_input():

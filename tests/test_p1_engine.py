@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 from oracles import h0_by_linear_solve, monomial_det, split_diagonal
 
+from algconn import p1_engine
 from algconn.cli import main
 from algconn.errors import InvalidSection, NotAUnit
 from algconn.exact_core import LaurentMatrix, LaurentPoly
@@ -22,9 +23,7 @@ from algconn.p1_engine import (
     P1Bundle,
     SplittingData,
     _birkhoff_cached,
-    _series_inverse,
     _shift_columns,
-    _shift_rows,
     birkhoff_split,
     cohomology_dims,
     dual_bundle,
@@ -339,13 +338,9 @@ def test_inverses_refuse_a_splitting_of_another_rank():
 
 
 def test_shifts_refuse_a_wrong_number_of_exponents():
-    # one exponent per row or column, or ValueError: zip would drop the rest
+    # one exponent per column, or ValueError: zip would drop the rest
     M = LaurentMatrix.parse([["1", "z"], ["z^-1", "2"], ["0", "1"]])
-    assert _shift_rows(M, [1, 0, -1]) == split_diagonal([1, 0, -1]) @ M
     assert _shift_columns(M, [2, -1]) == M @ split_diagonal([2, -1])
-    for exps in ([1, 0], [1, 0, -1, 2]):
-        with pytest.raises(ValueError, match=f"{len(exps)} row shifts for 3 rows"):
-            _shift_rows(M, exps)
     for exps in ([1], [1, 0, -1]):
         with pytest.raises(ValueError, match=f"{len(exps)} column shifts for 2 columns"):
             _shift_columns(M, exps)
@@ -367,42 +362,62 @@ def test_split_and_verify_take_no_det():
         birkhoff_split(J)
 
 
-def test_series_inverse_reaches_its_degree_bound():
-    # N = I + wJ with J the nilpotent 4x4 shift: N^-1 = I - wJ + w^2 J^2 - w^3 J^3
-    # has w-degree exactly (r-1) deg_w N = 3, so a shorter series fails N U1 = I
+def test_u1_reaches_its_degree_bound():
+    # T = N = I + wJ with J the nilpotent 4x4 shift: U0 = I, and U1 = N^-1 =
+    # I - wJ + w^2 J^2 - w^3 J^3 has w-degree exactly (r-1) deg_w N = 3
     N = LaurentMatrix.parse(
         [["1", "z^-1", "0", "0"], ["0", "1", "z^-1", "0"], ["0", "0", "1", "z^-1"], ["0", "0", "0", "1"]]
     )
-    U1 = _series_inverse(N)
+    U1 = birkhoff_split(P1Bundle(4, N)).U1
     assert N @ U1 == LaurentMatrix.identity(4)
     assert U1.min_exp() == -3
     assert U1.entry(0, 3) == -LaurentPoly.z(-3)
 
 
-
-def test_series_inverse_runs_past_its_zero_terms():
-    # N = I + w^2 J with J the nilpotent 3x3 shift: N^-1 = I - w^2 J + w^4 J^2
-    # has terms at w^0, w^2 and w^4 and zero terms between them. One zero term
-    # is fewer than deg_w N = 2 in a row, so it must not end the series.
+def test_u1_runs_past_its_zero_terms():
+    # T = N = I + w^2 J with J the nilpotent 3x3 shift: U1 = N^-1 = I - w^2 J
+    # + w^4 J^2 has terms at w^0, w^2 and w^4 and zero terms between them
     N = LaurentMatrix.parse([["1", "z^-2", "0"], ["0", "1", "z^-2"], ["0", "0", "1"]])
-    U1 = _series_inverse(N)
+    U1 = birkhoff_split(P1Bundle(3, N)).U1
     assert N @ U1 == LaurentMatrix.identity(3)
     assert U1.min_exp() == -4
     assert U1.entry(0, 2) == LaurentPoly.z(-4)
+
 
 NONCONSTANT_DET = [["1", "z^-1"], ["-1", "1"]]
 
 
 def test_nonconstant_det_is_not_a_unit(capsys, tmp_path):
-    # N = T has N(0) invertible but det N = 1 + w: the series never
-    # terminates, its cut fails U0 T U1 = D, and the bundle being validated
-    # is no unit
+    # N = T has N(0) invertible but det N = 1 + w: reflected, R = [[1, z],
+    # [-1, 1]] is row-reduced with row degrees 1 and 0, summing to deg det R
+    # = 1 > 0, so the bundle being validated is no unit. The rank-3 case has
+    # det T = 1 + z^-1 and one w^(10^6) entry.
     with pytest.raises(NotAUnit, match="not a monomial"):
         bundle(NONCONSTANT_DET)
+    with pytest.raises(NotAUnit, match="not a monomial"):
+        bundle([["1 + z^-1", "z^-1000000", "0"], ["0", "1", "z"], ["0", "0", "1"]])
     p = tmp_path / "t.json"
     p.write_text(json.dumps({"rank": 2, "transition": NONCONSTANT_DET}))
     assert main(["split", "--bundle", str(p)]) == 3
     assert "not a monomial" in capsys.readouterr().err
+
+
+def test_a_split_that_fails_verify_is_an_internal_bug(monkeypatch):
+    # the reduction decides units, so a claimed splitting that fails the
+    # identity is a bug, not a verdict on the input
+    real = p1_engine._split_connected
+
+    def tampered(T):
+        data = real(T)
+        return SplittingData(data.type, data.U0, data.U1.shift(-1))
+
+    monkeypatch.setattr(p1_engine, "_split_connected", tampered)
+    _birkhoff_cached.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="internal bug"):
+            bundle([["z", "1"], ["0", "z^-1"]])
+    finally:
+        _birkhoff_cached.cache_clear()
 
 
 # -- cohomology ------------------------------------------------------------------
