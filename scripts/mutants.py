@@ -43,6 +43,7 @@ CORE = "src/algconn/exact_core.py"
 P1_TESTS = "tests/test_p1_engine.py"
 JET_TESTS = "tests/test_jet_obstruction.py"
 CLI_TESTS = "tests/test_cli.py"
+CORE_TESTS = "tests/test_exact_core.py"
 TIMEOUT_S = 300  # one test file; a mutant that hangs its tests is an error, not a kill
 
 VERIFY_SHAPES = (
@@ -185,6 +186,14 @@ MUTANTS = (
         JET_TESTS,
     ),
     Mutant("witness-pairing", JET, "return pairing.coeff(-1) != 0", "return True", JET_TESTS),
+    # the scalar kernels' Gauss-Jordan stops at the first column with no pivot
+    Mutant(
+        "gauss-jordan-early-stop",
+        CORE,
+        "        if pivot is None:\n            return col",
+        "        if pivot is None:\n            continue",
+        CORE_TESTS,
+    ),
     # parse-time guards of exact_core
     Mutant("parse-non-string-entry", CORE, "if not isinstance(s, str):", "if False:", CLI_TESTS),
     Mutant(

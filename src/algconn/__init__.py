@@ -11,7 +11,6 @@ from .algebroid_decision import (
     Decision,
     Reason,
     Verdict,
-    anchor_divisor_degree,
     anchor_forced_zero,
     decide_connection,
     validate_algebroid,
@@ -29,11 +28,7 @@ from .formal_bundles import (
     HNFiltration,
     Stability,
     atiyah_weil,
-    dual,
     hn_filtration,
-    hom_vanishes,
-    slope,
-    tensor_profile,
 )
 from .jet_obstruction import (
     ConcreteAnchor,

@@ -221,26 +221,6 @@ def anchor_forced_zero(desc: AlgebroidDesc) -> bool:
     return V.degree > tangent_deg
 
 
-def anchor_divisor_degree(desc: AlgebroidDesc) -> int:
-    """Degree of the vanishing divisor of a nonzero anchor on a line bundle:
-    deg(TX) - deg(V), positive exactly because V admits a nonzero map to TX
-    without being TX."""
-    V = desc.V
-    if V.rank != 1:
-        raise PreconditionFailed("anchor divisor defined only for rank-1 V")
-    if desc.anchor.kind != AnchorKind.NONZERO:
-        raise PreconditionFailed(
-            f"anchor divisor defined only for nonzero non-isomorphism anchors, "
-            f"got kind '{desc.anchor.kind.value}'"
-        )
-    if _is_tangent_bundle(V):
-        raise PreconditionFailed("anchor divisor undefined for V = TX")
-    deg = V.context.tangent_degree - V.degree
-    if deg <= 0:
-        raise PreconditionFailed("descriptor violates degree(V) < degree(TX)")
-    return deg
-
-
 def decide_connection(desc: AlgebroidDesc, E: FormalBundle) -> Decision:
     """Total, deterministic case analysis; first matching case wins."""
     desc = validate_algebroid(desc)

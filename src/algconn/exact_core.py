@@ -21,13 +21,14 @@ certified splitting, both in p1_engine.
 The scalar kernels _qnullspace and _qinverse eliminate without fractions
 (cf. Bareiss, Sylvester's identity and multistep integer-preserving Gaussian
 elimination, 1968): each row is scaled to integers by the lcm of its
-denominators, Gauss-Jordan runs on integer rows, each new row divided by its
-content, and each output entry is one division, in canonical form. The RREF
-and the inverse are unique, so they are the values a Fraction elimination
-gives (tests/oracles.py keeps that one as the reference). The splitting
-reduction in p1_engine is their one caller: _qnullspace gives each step's
-null vector, and _qinverse inverts the constant matrix its w-chart run ends
-on.
+denominators, Gauss-Jordan runs on integer rows up to the first column
+without a pivot, each new row divided by its content, and each output entry
+is one division, in canonical form. The RREF and the inverse are unique, so
+they are the values a Fraction elimination gives (tests/oracles.py keeps
+that one as the reference). The splitting reduction in p1_engine is their
+one caller: _qnullspace gives each step's null vector, the first vector of
+the RREF nullspace basis, and _qinverse inverts the constant matrix its
+w-chart run ends on.
 
 Canonical form. Every LaurentPoly maps int exponents to nonzero scalars in
 the form above and stores no zero; every LaurentMatrix is a nonempty
@@ -206,10 +207,6 @@ class LaurentPoly(_Value):
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    @property
-    def min_exp(self) -> int | None:
-        return min(self._coeffs) if self._coeffs else None
 
     @property
     def max_exp(self) -> int | None:
@@ -553,10 +550,6 @@ class LaurentMatrix(_Value):
     def is_poly_in_w(self) -> bool:
         return all(x.is_poly_in_w for row in self._rows for x in row)
 
-    def min_exp(self) -> int | None:
-        exps = [x.min_exp for row in self._rows for x in row if not x.is_zero]
-        return min(exps) if exps else None
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
@@ -709,28 +702,26 @@ def _qinverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:
     pivot. Raises ZeroDivisionError when A is singular."""
     n = len(a)
     aug = [_int_row(list(row) + [int(i == j) for j in range(n)]) for i, row in enumerate(a)]
-    if len(_int_gauss_jordan(aug, n)) < n:
+    if _int_gauss_jordan(aug, n) < n:
         raise ZeroDivisionError("singular matrix in _qinverse")
     return [[_ratio(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
 
 
-def _qnullspace(a: Sequence[Sequence[int | Fraction]], ncols: int) -> list[list[int | Fraction]]:
-    """Basis of the right nullspace of a constraint matrix: one vector per
-    non-pivot column, with a 1 there, read off the RREF. With no rows every
-    column is free, so the basis is the unit vectors."""
+def _qnullspace(a: Sequence[Sequence[int | Fraction]], ncols: int) -> list[int | Fraction] | None:
+    """The first vector of the RREF basis of the right nullspace of a
+    constraint matrix, or None when the nullspace is zero: the vector with
+    a 1 at the first non-pivot column fc, and zeros past it. Gauss-Jordan
+    stops at fc; the pivots after it would not change the vector, as their
+    rows are zero in column fc. With no rows fc is 0."""
     rows = [_int_row(row) for row in a]
-    pivots = _int_gauss_jordan(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = _ratio(-row[fc], row[pc])
-        basis.append(v)
-    return basis
+    fc = _int_gauss_jordan(rows, ncols)
+    if fc == ncols:
+        return None
+    v = [0] * ncols
+    v[fc] = 1
+    for pc in range(fc):
+        v[pc] = _ratio(-rows[pc][fc], rows[pc][pc])
+    return v
 
 
 def _int_row(row: Sequence[int | Fraction]) -> list[int]:
@@ -742,33 +733,30 @@ def _int_row(row: Sequence[int | Fraction]) -> list[int]:
     return [x * m if type(x) is int else x.numerator * (m // x.denominator) for x in row]
 
 
-def _int_gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
-    """Gauss-Jordan over the first ncols columns of integer rows, in place;
-    returns the pivot columns, pivot row k holding the k-th. A step replaces
-    row r by p*row_r - f*row_pivot (p the pivot, f the entry it clears) and
-    divides it by its content, so every row stays a nonzero integer multiple
-    of the same row of the rational elimination: the same pivots, and the
-    RREF is each pivot row over its pivot."""
+def _int_gauss_jordan(rows: list[list[int]], ncols: int) -> int:
+    """Gauss-Jordan on integer rows, in place, column by column from column
+    0 until a column has no pivot; returns that column, or ncols when each
+    of the first ncols has one. Row k then holds the pivot of column k, for
+    each k before the returned column. A step replaces row r by p*row_r - f*row_pivot (p the pivot,
+    f the entry it clears) and divides it by its content, so every row
+    stays a nonzero integer multiple of the same row of the rational
+    elimination: the same pivots, and the RREF is each pivot row over its
+    pivot."""
     nrows = len(rows)
-    pivots: list[int] = []
     for col in range(ncols):
-        k = len(pivots)
-        if k == nrows:
-            break
-        pivot = next((r for r in range(k, nrows) if rows[r][col]), None)
+        pivot = next((r for r in range(col, nrows) if rows[r][col]), None)
         if pivot is None:
-            continue
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        prow = rows[k]
+            return col
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        prow = rows[col]
         p = prow[col]
         for r, row in enumerate(rows):
             f = row[col]
-            if f and r != k:
+            if f and r != col:
                 new = [p * x - f * y for x, y in zip(row, prow)]
                 g = gcd(*new)
                 rows[r] = [x // g for x in new] if g > 1 else new
-        pivots.append(col)
-    return pivots
+    return ncols
 
 
 def _ratio(n: int, d: int) -> int | Fraction:

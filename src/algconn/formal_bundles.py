@@ -16,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ContextMismatch, SchemaError, UnknownStability
+from .errors import SchemaError, UnknownStability
 from .exact_core import _Value
 
 
@@ -116,39 +116,6 @@ class HNFiltration(_Value):
         return tuple(s for _, s in self.steps)
 
 
-def slope(E: FormalBundle) -> Fraction:
-    """degree/rank in lowest terms."""
-    return Fraction(E.degree, E.rank)
-
-
-def tensor_profile(E: FormalBundle, F: FormalBundle) -> tuple[int, int]:
-    """(rank, degree) of E (x) F. Only the numerical profile is defined:
-    the atom decomposition of a tensor product is not formally determined,
-    but mu(E (x) F) = mu(E) + mu(F) already follows from this profile."""
-    if E.context != F.context:
-        raise ContextMismatch(
-            f"tensor of bundles over genus {E.context.genus} and {F.context.genus}"
-        )
-    rank = E.rank * F.rank
-    degree = E.degree * F.rank + E.rank * F.degree
-    return rank, degree
-
-
-def dual(E: FormalBundle) -> FormalBundle:
-    """Atom-wise (rank, -degree); stability classes are preserved."""
-    atoms = tuple(Atom(a.rank, -a.degree, a.stability, a.label) for a in E.atoms)
-    return FormalBundle(E.context, atoms)
-
-
-def is_semistable(E: FormalBundle) -> bool:
-    """Certified semistability: every atom declared (semi)stable and all
-    slopes equal. Unknown flags mean no certificate."""
-    if any(a.stability == Stability.UNKNOWN for a in E.atoms):
-        return False
-    slopes = {a.slope for a in E.atoms}
-    return len(slopes) == 1
-
-
 def hn_filtration(E: FormalBundle) -> HNFiltration:
     """Group atoms by slope, in strictly decreasing slope order.
 
@@ -168,20 +135,6 @@ def hn_filtration(E: FormalBundle) -> HNFiltration:
         (tuple(by_slope[s]), s) for s in sorted(by_slope, reverse=True)
     )
     return HNFiltration(steps)
-
-
-class HomVanishing(str, Enum):
-    VANISHES = "vanishes"
-    UNKNOWN = "unknown"
-
-
-def hom_vanishes(E: FormalBundle, F: FormalBundle) -> HomVanishing:
-    """H^0(Hom(E, F)) = 0 is certified when both bundles are semistable with
-    mu(E) > mu(F); in every other situation the formal layer cannot decide
-    and answers unknown."""
-    if is_semistable(E) and is_semistable(F) and slope(E) > slope(F):
-        return HomVanishing.VANISHES
-    return HomVanishing.UNKNOWN
 
 
 def atiyah_weil(E: FormalBundle) -> bool:

@@ -21,11 +21,15 @@ invertible (the predictable-degree property; Kailath, Linear Systems,
 polynomial in w = 1/z with N(0) invertible. On the w-chart it reduces N,
 reflected to a polynomial in z, and gives U1 = N^(-1). The exact
 factorization identity U0 * T * U1 = diag(z^(a_i)) is checked once, by
-SplittingData.verify, on every output, so the splitting type is certified
-independently of the strategy that found it. Every inverse of a unit matrix
-is read off that identity, and so is unimodularity: U0^(-1) = T * U1 *
-diag(z^(-a_i)) polynomial in z makes U0 and U1 unimodular, so no
-determinant certifies a splitting.
+SplittingData.verify, on every output, and every inverse of a unit matrix
+is read off it. U0^(-1) = T * U1 * diag(z^(-a_i)) polynomial in z makes U0
+unimodular, with no determinant. The check does not make U1 unimodular, so
+it does not certify the type on its own: it gives det T * det U1 =
+c * z^(sum a_i), and the memo sets deg E to sum a_i before it calls verify,
+so verify's degree check compares the type with itself. For T = 1, the
+claim U0 = 1, U1 = z^-1, type (-1) passes it. That U1 is unimodular rests
+on the reduction: U1 is C^(-1) W reflected, C constant, and every w-chart
+step in W scales the determinant by a nonzero constant.
 
 No determinant validates a transition either. The reduction is the
 validation, and raises NotAUnit exactly when T is not a unit. On the
@@ -33,10 +37,10 @@ z-chart it stops on det T = 0 (a row reduces to zero, or the step budget
 runs out). Otherwise det N is a nonzero polynomial in w, and the w-chart
 reduction leaves a row of positive degree exactly when det N is no
 constant, that is when det T is no monomial c * z^k. For a unit the
-identity proves det T = c * z^(sum a_i), which fixes deg E = sum a_i, and an
-identity that fails is an internal bug. Every bundle, a dual, twist,
-tensor, hom or jet bundle too, is validated by the reduction that splits
-it, and its degree is the sum of its splitting type.
+identity and the unimodular U1 give det T = c * z^(sum a_i), which fixes
+deg E = sum a_i, and an identity that fails is an internal bug. Every
+bundle, a dual, twist, tensor, hom or jet bundle too, is validated by the
+reduction that splits it, and its degree is the sum of its splitting type.
 
 End(E) (x) V*, where the connection obstruction lives, is never split as a
 bundle of its own: jet_obstruction.split_coboundary works through the
@@ -213,8 +217,9 @@ class SplittingData(_Value):
             return False
         if not (self.U0.is_poly_in_z and self.U1.is_poly_in_w):
             return False
-        # U0^(-1) polynomial in z makes det U0 a nonzero constant; det U1 =
-        # z^(sum a) / (det U0 det T) is then constant, det T being c z^(deg E).
+        # U0^(-1) polynomial in z makes det U0 a nonzero constant. det U1 =
+        # z^(sum a) / (det U0 det T) is constant only for det T = c z^(deg E)
+        # with deg E known apart from this type, which the memo path lacks.
         u0_inv = self.u0_inverse(E.transition)
         return u0_inv.is_poly_in_z and self.U0 @ u0_inv == LaurentMatrix.identity(E.rank)
 
@@ -287,13 +292,12 @@ def _reduce(
     tops, H = map(list, zip(*map(_top_coefficients, rows)))
     budget = sum(tops) - sum(min(min(x) for x in row if x) for row in rows) + 1
     while done is None or not done(tops):
-        null = _qnullspace(list(zip(*H)), r)
-        if not null:
+        kappa = _qnullspace(list(zip(*H)), r)
+        if kappa is None:
             break
         if budget <= 0:
             raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
         budget -= 1
-        kappa = null[0]
         support = [i for i in range(r) if kappa[i] != 0]
         i0 = max(support, key=lambda i: tops[i])
         terms = [(i, tops[i0] - tops[i], kappa[i]) for i in support]  # kappa is canonical
@@ -357,7 +361,8 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
 @lru_cache(maxsize=None)
 def _birkhoff_cached(E: P1Bundle) -> SplittingData:
     data = _split_connected(E.transition)
-    # the reduction's type; verify proves det T = c z^(sum a)
+    # the reduction's type, so verify's degree check compares it with itself:
+    # det U1 constant, and so det T = c z^(sum a), rests on the reduction
     object.__setattr__(E, "_degree", sum(data.type))
     if not data.verify(E):
         # the reduction on both charts decided T is a unit, so this is a bug

@@ -139,20 +139,28 @@ def fraction_nullspace(a: list[list[int | Fraction]], ncols: int) -> list[list[i
     return basis
 
 
+def min_exponent(M: LaurentMatrix) -> int | None:
+    """The lowest exponent of any entry of M, read off the coefficient
+    maps; None for the zero matrix."""
+    exps = [e for i in range(M.rows) for x in M.row_list(i) for e in x.coeffs]
+    return min(exps) if exps else None
+
+
 def h0_by_linear_solve(transition: LaurentMatrix, n: int = 0) -> int:
     """dim H^0 of the bundle twisted by O(n), by direct linear algebra.
 
     A section is a pair (v, u) with v = z^n T u, v polynomial in z and u in
     w = 1/z. Writing u = T^(-1) z^(-n) v bounds the w-degree of u by
-    n - min_exp(T^(-1)), and min_exp(T^(-1)) >= (r-1) * min_exp(T) - k with
-    k the determinant exponent, read off monomial_det. The sections
-    are then the nullspace of "negative coefficients of z^n T u vanish".
+    n - min_exponent(T^(-1)), and min_exponent(T^(-1)) >= (r-1) *
+    min_exponent(T) - k with k the determinant exponent, read off
+    monomial_det. The sections are then the nullspace of "negative
+    coefficients of z^n T u vanish".
     """
     r = transition.rows
     unit = monomial_det(transition)
     assert unit is not None, "oracle needs a unit determinant"
     k = unit[1]
-    lo_t = transition.min_exp() or 0
+    lo_t = min_exponent(transition) or 0
     lo_inv = (r - 1) * min(0, lo_t) - k
     m = n - lo_inv
     if m < 0:

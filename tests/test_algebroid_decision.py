@@ -10,7 +10,6 @@ from algconn.algebroid_decision import (
     Verdict,
     algebroid_from_json,
     algebroid_to_json,
-    anchor_divisor_degree,
     anchor_forced_zero,
     decide_connection,
     decision_to_json,
@@ -133,20 +132,6 @@ def test_anchor_forced_zero_cases():
     assert not anchor_forced_zero(
         AlgebroidDesc(v_rank2(0, genus=1, stability=Stability.UNKNOWN), anchor("zero"))
     )
-
-
-def test_anchor_divisor_degree():
-    assert anchor_divisor_degree(AlgebroidDesc(v_line(-3), anchor("nonzero"))) == 5
-    assert anchor_divisor_degree(AlgebroidDesc(v_line(-3, genus=2), anchor("nonzero"))) == 1
-    assert anchor_divisor_degree(AlgebroidDesc(v_line(1), anchor("nonzero"))) == 1
-    with pytest.raises(PreconditionFailed):
-        anchor_divisor_degree(AlgebroidDesc(v_line(-3), anchor("zero")))
-    with pytest.raises(PreconditionFailed):
-        anchor_divisor_degree(AlgebroidDesc(v_rank2(-3), anchor("nonzero")))
-    with pytest.raises(PreconditionFailed):
-        anchor_divisor_degree(
-            AlgebroidDesc(v_line(2, tangent=True), anchor("nonzero"))
-        )
 
 
 def test_decide_rank_one_not_tangent():

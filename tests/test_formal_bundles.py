@@ -1,4 +1,4 @@
-"""Formal layer: slopes, duals, filtrations, the degree-zero criterion."""
+"""Formal layer: atoms, filtrations, the degree-zero criterion, JSON."""
 
 import os
 import sys
@@ -9,22 +9,16 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 from oracles import hn_first_step_bruteforce
 
-from algconn.errors import ContextMismatch, SchemaError, UnknownStability
+from algconn.errors import SchemaError, UnknownStability
 from algconn.formal_bundles import (
     Atom,
     CurveContext,
     FormalBundle,
-    HomVanishing,
     Stability,
     atiyah_weil,
     bundle_from_json,
     bundle_to_json,
-    dual,
     hn_filtration,
-    hom_vanishes,
-    is_semistable,
-    slope,
-    tensor_profile,
 )
 from algconn.sampling import Sampler
 
@@ -34,43 +28,6 @@ P0 = CurveContext(0)
 def fb(*pairs, genus=0, stability=Stability.STABLE):
     atoms = tuple(Atom(r, d, stability) for r, d in pairs)
     return FormalBundle(CurveContext(genus), atoms)
-
-
-def test_slope_examples():
-    assert slope(fb((1, 0))) == 0
-    assert slope(fb((2, 1))) == Fraction(1, 2)
-    assert slope(fb((2, 1), (1, 1))) == Fraction(2, 3)
-
-
-def test_tensor_profile_examples():
-    assert tensor_profile(fb((1, 0)), fb((1, 0))) == (1, 0)
-    assert tensor_profile(fb((2, 1)), fb((1, -2))) == (2, -3)
-    assert tensor_profile(fb((3, 2)), fb((2, -5))) == (6, -11)
-
-
-def test_tensor_profile_slope_additive():
-    s = Sampler(31)
-    for _ in range(50):
-        E = fb(*[(s.rng.randint(1, 3), s.rng.randint(-5, 5)) for _ in range(s.rng.randint(1, 3))])
-        F = fb(*[(s.rng.randint(1, 3), s.rng.randint(-5, 5)) for _ in range(s.rng.randint(1, 3))])
-        r, d = tensor_profile(E, F)
-        assert Fraction(d, r) == slope(E) + slope(F)
-
-
-def test_tensor_profile_context_mismatch():
-    with pytest.raises(ContextMismatch):
-        tensor_profile(fb((1, 0)), fb((1, 0), genus=1))
-
-
-def test_dual():
-    assert dual(fb((1, 3))).atoms[0].degree == -3
-    E = fb((2, 0))
-    assert dual(E).atoms[0].stability == Stability.STABLE
-    s = Sampler(4)
-    for _ in range(25):
-        E = fb(*[(s.rng.randint(1, 4), s.rng.randint(-6, 6)) for _ in range(s.rng.randint(1, 4))])
-        assert dual(dual(E)) == E
-        assert slope(dual(E)) == -slope(E)
 
 
 def test_hn_singleton_semistable():
@@ -112,16 +69,6 @@ def test_hn_first_step_matches_bruteforce_on_line_bundles():
         slopes = list(f.slopes)
         assert slopes == sorted(slopes, reverse=True)
         assert len(set(slopes)) == len(slopes)
-
-
-def test_hom_vanishes():
-    assert hom_vanishes(fb((1, 1)), fb((1, 0))) == HomVanishing.VANISHES
-    assert hom_vanishes(fb((1, 0)), fb((1, 0))) == HomVanishing.UNKNOWN
-    assert hom_vanishes(fb((1, 0)), fb((1, 5))) == HomVanishing.UNKNOWN
-    # non-semistable source: no certificate even with bigger slope
-    E = fb((1, 4), (1, -1))
-    assert not is_semistable(E)
-    assert hom_vanishes(E, fb((1, 0))) == HomVanishing.UNKNOWN
 
 
 def test_atiyah_weil():
