@@ -51,7 +51,7 @@ VERIFY_SHAPES = (
 )
 VERIFY_FRAMES = "if not (self.U0.is_poly_in_z and self.U1.is_poly_in_w):"
 VERIFY_IDENTITY = (
-    "return u0_inv.is_poly_in_z and self.U0 @ u0_inv == LaurentMatrix.identity(E.rank)"
+    "return u0_inv.is_poly_in_z and self.U0 @ u0_inv == LaurentMatrix.identity(r)"
 )
 CONNECTION_CHARTS = "if not cert.A0.is_poly_in_z or not cert.A1.is_poly_in_w:"
 WITNESS_INVERSES = (
@@ -59,7 +59,7 @@ WITNESS_INVERSES = (
 )
 
 MUTANTS = (
-    # SplittingData.verify, one check at a time
+    # SplittingData.verify and the memo's check _splits, one check at a time
     Mutant(
         "verify-type-length",
         P1,
@@ -88,19 +88,28 @@ MUTANTS = (
         "if False:",
         P1_TESTS,
     ),
-    Mutant("verify-degree-sum", P1, "if sum(self.type) != E.degree:", "if False:", P1_TESTS),
+    Mutant(
+        "verify-degree-sum",
+        P1,
+        "return sum(self.type) == E.degree and self._splits(E.transition)",
+        "return self._splits(E.transition)",
+        P1_TESTS,
+    ),
     Mutant("verify-u0-in-z", P1, VERIFY_FRAMES, "if not self.U1.is_poly_in_w:", P1_TESTS),
     Mutant("verify-u1-in-w", P1, VERIFY_FRAMES, "if not self.U0.is_poly_in_z:", P1_TESTS),
     Mutant(
         "verify-u0-inverse-in-z",
         P1,
         VERIFY_IDENTITY,
-        "return self.U0 @ u0_inv == LaurentMatrix.identity(E.rank)",
+        "return self.U0 @ u0_inv == LaurentMatrix.identity(r)",
         P1_TESTS,
     ),
     Mutant("verify-identity", P1, VERIFY_IDENTITY, "return u0_inv.is_poly_in_z", P1_TESTS),
-    # the reduction decides units; a splitting that fails verify is a bug
-    Mutant("verify-internal-bug", P1, "if not data.verify(E):", "if False:", P1_TESTS),
+    # the reduction decides units; a splitting that fails the check is a bug
+    Mutant("verify-internal-bug", P1, "if not data._splits(T):", "if False:", P1_TESTS),
+    # P1Bundle's shape guards
+    Mutant("bundle-square", P1, "if not self.transition.is_square:", "if False:", P1_TESTS),
+    Mutant("bundle-rank", P1, "if self.transition.rows != self.rank:", "if False:", P1_TESTS),
     # the held U0^(-1) serves its own transition only
     Mutant(
         "u0-inverse-key",
@@ -111,6 +120,8 @@ MUTANTS = (
     ),
     # the w-chart reduction: a row of positive degree left means no unit
     Mutant("w-side-unit-test", P1, "if any(w_tops):", "if False:", P1_TESTS),
+    # the z-chart step budget: on det 0 with a wide span, it bounds the time
+    Mutant("reduction-budget", P1, "if budget <= 0:", "if False:", CLI_TESTS),
     Mutant("shift-columns-guard", P1, "if len(exps) != M.cols:", "if False:", P1_TESTS),
     Mutant(
         "end-section-shape",

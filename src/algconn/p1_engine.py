@@ -20,16 +20,12 @@ invertible (the predictable-degree property; Kailath, Linear Systems,
 1980). On the z-chart it gives U0 with U0 * T = diag(z^(h_i)) * N, N
 polynomial in w = 1/z with N(0) invertible. On the w-chart it reduces N,
 reflected to a polynomial in z, and gives U1 = N^(-1). The exact
-factorization identity U0 * T * U1 = diag(z^(a_i)) is checked once, by
-SplittingData.verify, on every output, and every inverse of a unit matrix
-is read off it. U0^(-1) = T * U1 * diag(z^(-a_i)) polynomial in z makes U0
-unimodular, with no determinant. The check does not make U1 unimodular, so
-it does not certify the type on its own: it gives det T * det U1 =
-c * z^(sum a_i), and the memo sets deg E to sum a_i before it calls verify,
-so verify's degree check compares the type with itself. For T = 1, the
-claim U0 = 1, U1 = z^-1, type (-1) passes it. That U1 is unimodular rests
-on the reduction: U1 is C^(-1) W reflected, C constant, and every w-chart
-step in W scales the determinant by a nonzero constant.
+factorization identity U0 * T * U1 = diag(z^(a_i)) is checked once per
+transition, when the memo splits it, and every inverse of a unit matrix is
+read off it. U0^(-1) = T * U1 * diag(z^(-a_i)) polynomial in z makes U0
+unimodular, with no determinant. That U1 is unimodular rests on the
+reduction: U1 is C^(-1) W reflected, C constant, and every w-chart step in
+W scales the determinant by a nonzero constant.
 
 No determinant validates a transition either. The reduction is the
 validation, and raises NotAUnit exactly when T is not a unit. On the
@@ -47,14 +43,14 @@ bundle of its own: jet_obstruction.split_coboundary works through the
 splittings of E and V. Cohomology builds no bundle at all: h^0, h^1,
 Riemann-Roch and Serre duality are all read off the certified type of E.
 
-There is one memo, the splitting memo behind birkhoff_split. Every inverse
-the engine takes (T^(-1), U0^(-1)) is read off the SplittingData it holds
-and kept on that object, so equal bundles share them: U0^(-1) is the one
-SplittingData.verify computes, and it serves every later reader (sections,
-hom sections, the coboundary solve and its witness). The bundle
-constructors cache nothing, and the memo is a pure function of the
-transition: equal bundles get the same type, U0 and U1, whatever was split
-before.
+There is one memo, the splitting memo behind birkhoff_split, keyed by the
+transition. Every inverse the engine takes (T^(-1), U0^(-1)) is read off
+the SplittingData it holds and kept on that object, so equal transitions
+share them: U0^(-1) is the one the memo's check computes, and it serves
+every later reader (sections, hom sections, the coboundary solve and its
+witness). The bundle constructors cache nothing, and the memo is a pure
+function of the transition: equal bundles get the same type, U0 and U1,
+whatever was split before.
 """
 
 from __future__ import annotations
@@ -96,12 +92,11 @@ class P1Bundle(_Value):
     """
 
     _fields = ("rank", "transition")
-    __slots__ = _fields + ("_degree",)
+    __slots__ = _fields + ("degree",)
 
     def __init__(self, rank: int, transition: LaurentMatrix) -> None:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "_degree", None)
         self.__post_init__()  # its own method, so that bench/tracer.py can time it
 
     def __post_init__(self):
@@ -112,12 +107,7 @@ class P1Bundle(_Value):
                 f"rank {self.rank} does not match a "
                 f"{self.transition.rows}x{self.transition.cols} transition"
             )
-        # on a memo hit the equal bundle split before supplies the type
-        object.__setattr__(self, "_degree", sum(_birkhoff_cached(self).type))
-
-    @property
-    def degree(self) -> int:
-        return self._degree
+        object.__setattr__(self, "degree", sum(_birkhoff_cached(self.transition).type))
 
 
 def line_bundle(a: int, coeff=1) -> P1Bundle:
@@ -189,11 +179,11 @@ class SplittingData(_Value):
     U0^(-1) = T U1 D^(-1) depends on the transition T it is read for, so
     the first one computed is held with that T as its key, and returned for
     T or any equal transition; another T gets its own, computed and not
-    held. For a splitting in the memo the first reader is verify, on the
-    bundle it splits, so that is the U0^(-1) every later reader gets. The
-    key keeps verify sound: U0 U0^(-1) = I checks the identity only when
-    U0^(-1) is T U1 D^(-1) of the T under test, so verify(E2) for another
-    bundle E2 computes its own."""
+    held. For a splitting in the memo the first reader is the memo's check,
+    on the transition it splits, so that is the U0^(-1) every later reader
+    gets. The key keeps the check sound: U0 U0^(-1) = I checks the identity
+    only when U0^(-1) is T U1 D^(-1) of the T under test, so verify(E2) for
+    another bundle E2 computes its own."""
 
     _fields = ("type", "U0", "U1")
     # __dict__ holds the cached T^(-1) and the held (T, U0^(-1))
@@ -205,28 +195,30 @@ class SplittingData(_Value):
         object.__setattr__(self, "U1", U1)
 
     def verify(self, E: "P1Bundle") -> bool:
-        """The one check of the identity, in the form U0 * U0^(-1) = I with
-        U0^(-1) = T U1 D^(-1) (the identity with D^(-1) applied). A type,
-        U0 or U1 whose size is not E's rank is not a splitting of E: False."""
-        r = E.rank
+        """Is this a splitting of E: a type summing to deg E that splits
+        E's transition. A type, U0 or U1 whose size is not E's rank is not a
+        splitting of E: False."""
+        return sum(self.type) == E.degree and self._splits(E.transition)
+
+    def _splits(self, T: LaurentMatrix) -> bool:
+        """The one check of the identity against the square transition T,
+        in the form U0 * U0^(-1) = I with U0^(-1) = T U1 D^(-1) (the
+        identity with D^(-1) applied), after the shapes, the sorted type
+        and the charts of U0 and U1."""
+        r = T.rows
         if len(self.type) != r or self.U0.shape != (r, r) or self.U1.shape != (r, r):
             return False
         if list(self.type) != sorted(self.type, reverse=True):
             return False
-        if sum(self.type) != E.degree:
-            return False
         if not (self.U0.is_poly_in_z and self.U1.is_poly_in_w):
             return False
-        # U0^(-1) polynomial in z makes det U0 a nonzero constant. det U1 =
-        # z^(sum a) / (det U0 det T) is constant only for det T = c z^(deg E)
-        # with deg E known apart from this type, which the memo path lacks.
-        u0_inv = self.u0_inverse(E.transition)
-        return u0_inv.is_poly_in_z and self.U0 @ u0_inv == LaurentMatrix.identity(E.rank)
+        u0_inv = self.u0_inverse(T)
+        return u0_inv.is_poly_in_z and self.U0 @ u0_inv == LaurentMatrix.identity(r)
 
     @cached_property
     def transition_inverse(self) -> LaurentMatrix:
         """T^(-1) = U1 D^(-1) U0, computed once: the memo hands this object
-        to every bundle equal to the one it split."""
+        to every transition equal to the one it split."""
         return _shift_columns(self.U1, [-a for a in self.type]) @ self.U0
 
     def u0_inverse(self, T: LaurentMatrix) -> LaurentMatrix:
@@ -325,7 +317,7 @@ def _combine(rows: list[_Row], terms: list[tuple[int, int, int | Fraction]]) -> 
 def _split_connected(T: LaurentMatrix) -> SplittingData:
     """U0 and U1 with U0 @ T @ U1 claimed diagonal and the type sorted, by
     one reduction run on both charts; NotAUnit when T is no unit. The claim
-    is checked by SplittingData.verify, not here.
+    is checked by the memo, not here.
 
     On the z-chart, _reduce gives U0 @ T = diag(z^h) * N, N polynomial in
     w = 1/z with N(0) = H invertible; sorting the rows by h sorts the type.
@@ -353,18 +345,15 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
     return SplittingData(tuple(tops[i] for i in order), _matrix(U0), _matrix(tuple(U1)))
 
 
-# The one memo. It is global and keyed by bundle equality, not scoped to a
-# bundle instance: small split bundles (the E and V of run_fuzz cases, their
+# The one memo. It is global and keyed by transition equality, not scoped to
+# a bundle instance: small split bundles (the E and V of run_fuzz cases, their
 # duals and twists) recur across inputs as fresh, equal objects. Scoped to the
 # instance, the bench's fuzz_diagonal workload fell from 83 to 43 cases/s on
 # a 2-vCPU VM.
 @lru_cache(maxsize=None)
-def _birkhoff_cached(E: P1Bundle) -> SplittingData:
-    data = _split_connected(E.transition)
-    # the reduction's type, so verify's degree check compares it with itself:
-    # det U1 constant, and so det T = c z^(sum a), rests on the reduction
-    object.__setattr__(E, "_degree", sum(data.type))
-    if not data.verify(E):
+def _birkhoff_cached(T: LaurentMatrix) -> SplittingData:
+    data = _split_connected(T)
+    if not data._splits(T):
         # the reduction on both charts decided T is a unit, so this is a bug
         raise AssertionError("splitting failed verification (internal bug)")
     return data
@@ -374,16 +363,16 @@ def birkhoff_split(E: P1Bundle) -> SplittingData:
     """Split E into line bundles: exact factorization U0 * T * U1 = diag.
     Constructing E split it already, so this is a memo lookup unless the
     memo was cleared since."""
-    return _birkhoff_cached(E)
+    return _birkhoff_cached(E.transition)
 
 
 def unit_inverse(M: LaurentMatrix) -> LaurentMatrix:
     """Inverse of a square matrix whose determinant is a unit c*z^k of the
-    Laurent ring. M is validated as the transition of a bundle and inverted
-    through its certified splitting; raises NotSquare or NotAUnit."""
+    Laurent ring, read off M's certified splitting, which validates M as a
+    transition; raises NotSquare or NotAUnit."""
     if not M.is_square:
         raise NotSquare(f"cannot invert a {M.rows}x{M.cols} matrix")
-    return birkhoff_split(P1Bundle(M.rows, M)).transition_inverse
+    return _birkhoff_cached(M).transition_inverse
 
 
 # -- cohomology and sections ------------------------------------------------

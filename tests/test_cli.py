@@ -257,6 +257,17 @@ def test_wide_w_span_non_unit_fails_in_bounded_time(tmp_path):
     assert proc.stderr.startswith("validation error: ") and "not a monomial" in proc.stderr
 
 
+def test_wide_span_zero_determinant_fails_in_bounded_time(tmp_path):
+    # det T = 0 with a w^(10^8) entry: each z-side step lowers the first row's
+    # top by one, so only the step budget sum(tops) - sum(lows) + 1 = 2 ends
+    # the reduction before ~10^8 steps
+    doc = {"rank": 2, "transition": [["0", "-z^-2"], ["0", "z^-100000000 + z^-99999999"]]}
+    p = write(tmp_path, "wide_det_zero.json", doc)
+    proc = run_child(["split", "--bundle", p], timeout=10)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("validation error: ") and "determinant is zero" in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["split", "cohomology"])
 @pytest.mark.parametrize(
     "entry, position",

@@ -805,3 +805,39 @@ def test_gauged_high_rank_connections():
 def test_anchor_json_round_trip():
     a = anchor_line(-3, "z^5 + 1")
     assert anchor_from_json(anchor_to_json(a)) == a
+
+
+def _jet_splitting(cert: ConnectionCert, r: int, q: int) -> LaurentMatrix:
+    """Phi0 = [[M], [I_r]] with M[i q + a][j] = -A0[i][a r + j]: the chart-0
+    map E -> J_V(E) that a connection gives, in J's frame (Hom(V, E) slot,
+    value) with Hom(V, E) = E (x) V* vectorized row-major."""
+    neg = -cert.A0
+    M = [[neg.entry(i, a * r + j) for j in range(r)] for i in range(r) for a in range(q)]
+    return LaurentMatrix(M).vstack(LaurentMatrix.identity(r))
+
+
+def test_every_certificate_splits_the_anchored_jet_sequence():
+    # a connection is a splitting E -> J_V(E) of 0 -> E (x) V* -> J_V(E) ->
+    # E -> 0: Phi0 built from A0 alone must be a global hom, checked on J's
+    # transition and not through verify_connection; z^40 in M breaks it
+    s = Sampler(69)
+    tangent = tangent_anchor()
+    anchors = (tangent, anchor_line(-1, "z^2 + 1"),
+               ConcreteAnchor(split_bundle([1, 0]), LaurentMatrix.parse([["1", "z"]])))
+    checked = 0
+    for anchor in anchors:
+        for _ in range(6):
+            r = s.rng.randint(1, 3)
+            # the tangent anchor has connections on trivial E only
+            exps = [0] * r if anchor is tangent else s.exponents(max_rank=r, min_rank=r, bound=2)
+            E = gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+            cert = construct_connection(E, anchor)
+            assert cert is not None
+            J = jetV_transition(E, anchor)
+            phi0 = _jet_splitting(cert, r, anchor.V.rank)
+            assert is_global_hom(E, J, phi0)
+            bump = LaurentMatrix([[LaurentPoly.z(40) if (i, j) == (0, 0) else LaurentPoly.zero()
+                                   for j in range(r)] for i in range(J.rank)])
+            assert not is_global_hom(E, J, phi0 + bump)
+            checked += 1
+    assert checked == 18

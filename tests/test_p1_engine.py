@@ -44,6 +44,7 @@ from algconn.p1_engine import (
     trace_pair,
     trivial_bundle,
     twist,
+    unit_inverse,
 )
 from algconn.sampling import Sampler
 
@@ -78,6 +79,15 @@ def test_non_units_raise_not_a_unit():
     ):
         with pytest.raises(NotAUnit, match="not invertible over the Laurent ring"):
             P1Bundle(T.rows, T)
+
+
+def test_bundle_rejects_a_transition_of_another_shape():
+    # a non-square transition is no unit, and a square one of another size
+    # is a rank mismatch, not a bundle of its own size
+    with pytest.raises(NotAUnit, match="must be square"):
+        P1Bundle(2, LaurentMatrix.parse([["1", "0", "0"], ["0", "1", "0"]]))
+    with pytest.raises(ValueError, match="rank 3 does not match a 2x2 transition"):
+        P1Bundle(3, LaurentMatrix.identity(2))
 
 
 def test_degree_pinned_by_sections():
@@ -138,6 +148,20 @@ def test_split_memo_observationally_transparent():
     _birkhoff_cached.cache_clear()
     fresh = birkhoff_split(E)
     assert fresh is not cached and fresh == cached
+
+
+def test_split_memo_is_keyed_by_the_transition(monkeypatch):
+    # a bundle reads the memo entry of its transition, and unit_inverse reads
+    # the entry of its matrix without building a bundle
+    s = Sampler(68)
+    E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
+    assert birkhoff_split(E) is _birkhoff_cached(E.transition)
+    T = s.unimodular_z(3) @ split_bundle([1, 0, -1]).transition @ s.unimodular_w(3)
+    built = []
+    monkeypatch.setattr(P1Bundle, "__post_init__", lambda self: built.append(self))
+    inv = unit_inverse(T)
+    assert built == [] and inv is _birkhoff_cached(T).transition_inverse
+    assert T @ inv == LaurentMatrix.identity(3)
 
 
 def test_splitting_memo_is_the_only_memo():
@@ -302,7 +326,7 @@ def test_verify_rejects_u0_off_its_chart_under_a_wrong_degree():
     E = object.__new__(P1Bundle)
     object.__setattr__(E, "rank", 1)
     object.__setattr__(E, "transition", LaurentMatrix.parse([["z^2"]]))
-    object.__setattr__(E, "_degree", 1)
+    object.__setattr__(E, "degree", 1)
     bad = SplittingData((1,), LaurentMatrix.parse([["z^-1"]]), LaurentMatrix.identity(1))
     assert bad.U0 @ E.transition @ bad.U1 == split_diagonal(bad.type)
     assert bad.u0_inverse(E.transition).is_poly_in_z

@@ -186,7 +186,7 @@ def test_repr_is_the_dataclass_repr(cls):
 
 def test_p1bundle_compares_rank_and_transition_only():
     E = build(P1Bundle)
-    assert E.degree == 0 and "_degree" not in repr(E)
+    assert E.degree == 0 and "degree" not in repr(E)
     assert hash(E) == hash((E.rank, E.transition))
 
 
