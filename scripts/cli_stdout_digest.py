@@ -1,13 +1,14 @@
 """Digest the stdout of split, cohomology, connect and jets on gauged inputs.
 
-    PYTHONPATH=<checkout>/src python3 scripts/cli_stdout_digest.py [--count N] [--seed S]
+    python3 scripts/cli_stdout_digest.py [--count N] [--seed S]
 
 Builds N gauged bundles of rank 2-6 (a hidden splitting type, frame changes
 polynomial in z and in 1/z, half of them with a rational row scale) and
 rotates three anchors (tangent, O(1), O(2)+O(1)). Runs each command through
 algconn.cli.main in-process and prints one sha256 per command over the input
 texts, exit codes and stdout. Two checkouts print the same lines exactly when
-their outputs are byte-identical on these inputs.
+their outputs are byte-identical on these inputs. The script imports algconn
+from the src directory of its own checkout, whatever else is installed.
 
 cli_stdout_digest.expected holds the four lines of ``--count 200 --seed 0``
 under Python 3.11, and CI diffs a fresh run against it there. Other Python
@@ -23,11 +24,15 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
-from algconn.cli import main
-from algconn.exact_core import LaurentMatrix, LaurentPoly
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from algconn.cli import main  # noqa: E402
+from algconn.exact_core import LaurentMatrix, LaurentPoly  # noqa: E402
 
 ANCHORS = (
     {"V": {"rank": 1, "transition": [["-z^2"]]}, "phi_row": ["1"]},

@@ -205,6 +205,15 @@ MUTANTS = (
         "        if pivot is None:\n            continue",
         CORE_TESTS,
     ),
+    # the product kernel's one-term path and its single-contribution entries
+    Mutant(
+        "one-term-canonical-scalar",
+        CORE,
+        "c if type(c := c1 * c2) is int else _q(c)",
+        "c1 * c2",
+        CORE_TESTS,
+    ),
+    Mutant("matmul-single-contribution", CORE, "if acc is None:", "if True:", CORE_TESTS),
     # parse-time guards of exact_core
     Mutant("parse-non-string-entry", CORE, "if not isinstance(s, str):", "if False:", CLI_TESTS),
     Mutant(

@@ -37,10 +37,12 @@ LaurentPoly(...) and LaurentMatrix(...) validate (the parser, the JSON
 readers and the samplers go through them). The arithmetic kernels build
 canonical values by construction and wrap them with the trusted _poly and
 _matrix, without a re-check; they call _q only where a Fraction result can be
-integral (a sum, a scalar or derivative multiple, an accumulated product).
-LaurentPoly.__mul__ and LaurentMatrix.__matmul__ share one product kernel,
-_accumulate: a matrix entry sums all its k-terms in one coefficient map and
-drops the zeros once. Integer coefficients multiply there as native ints.
+integral (a sum, a scalar or derivative multiple, a product with a
+Fraction in it). LaurentPoly.__mul__, LaurentMatrix.kron and each entry of
+LaurentMatrix.__matmul__ that receives one a_ik*b_kj multiply through one
+rule, _product; a matrix entry that receives two or more sums them in one
+coefficient map with _accumulate, the one multi-term loop, and drops the
+zeros once. Integer coefficients multiply as native ints throughout.
 
 Zeros and ones cost nothing. The zero polynomial is one shared object,
 _ZERO: the public constructor, _poly and LaurentPoly.zero() all return it
@@ -50,17 +52,22 @@ _poly and LaurentPoly.one() return it for the map {0: 1}, so every entry
 equal to 1 is that object, whether an identity's, a parsed "1" or a product
 that cancels to one. The frames a splitting keeps (U0, U1 and U0^(-1),
 mostly identity entries) thus hold no zeros and no ones of their own, and
-kron tests a left entry 1 by identity. An operation with a zero operand
-returns an operand as it is, without a new polynomial: p + 0, 0 + p, p - 0
-and p.shift(0) are p, and -0, 0 * p and p * 0 are 0. A matrix product
-visits only nonzero entries: it is Gustavson's row-by-row sparse product
-(Two fast algorithms for sparse matrices: multiplication and permuted
-transposition, ACM TOMS 4(3), 1978), which adds a_ik times the nonzero
-entries of row k of the right factor into row i, for the nonzero a_ik only.
-Transitions and their splittings are mostly zero, so this is where products
-spend less. Sharing and returning an operand are safe because a LaurentPoly
-is immutable: nothing writes to its coefficient map, and its lazy hash
-depends on the coefficients only.
+_product and kron test a factor 1 by identity. An operation with a zero or
+unit operand returns an operand as it is, without a new polynomial: p + 0,
+0 + p, p - 0, p.shift(0), p * 1 and 1 * p are p, and -0, 0 * p and p * 0
+are 0; so the entries of I @ A, A @ I and 1 (x) A are A's own. A one-term
+factor c*z^e costs one pass: the product is {e + e2: c * c2}, which cannot
+cancel, so it needs no zero filter, and _q runs only on a Fraction product
+(2 * 1/2 is the int 1). A matrix product visits only nonzero entries: it
+is Gustavson's row-by-row sparse product (Two fast algorithms for sparse
+matrices: multiplication and permuted transposition, ACM TOMS 4(3), 1978),
+which adds a_ik times the nonzero entries of row k of the right factor
+into row i, for the nonzero a_ik only; an output entry that one such
+product reaches takes it through _product, with no accumulator.
+Transitions and their splittings are mostly zero and their entries mostly
+monomials, so this is where products spend less. Sharing and returning an
+operand are safe because a LaurentPoly is immutable: nothing writes to its
+coefficient map, and its lazy hash depends on the coefficients only.
 
 Value classes. Every value type of the package is a plain slotted class on
 _Value: the two Laurent types and the record types (CurveContext, Atom,
@@ -219,12 +226,12 @@ class LaurentPoly(_Value):
     @property
     def is_poly_in_z(self) -> bool:
         """Holomorphic on the z-chart: no negative exponents."""
-        return all(e >= 0 for e in self._coeffs)
+        return not self._coeffs or min(self._coeffs) >= 0
 
     @property
     def is_poly_in_w(self) -> bool:
         """Holomorphic on the w = 1/z chart: no positive exponents."""
-        return all(e <= 0 for e in self._coeffs)
+        return not self._coeffs or max(self._coeffs) <= 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -252,7 +259,16 @@ class LaurentPoly(_Value):
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not other._coeffs:
             return self
-        return self + (-other)
+        out = dict(self._coeffs)
+        for e, c in other._coeffs.items():
+            s = out.get(e)
+            if s is None:
+                out[e] = -c
+            elif s := s - c:
+                out[e] = _q(s)
+            else:
+                del out[e]
+        return _poly(out)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -263,9 +279,7 @@ class LaurentPoly(_Value):
             return self
         if not other._coeffs:
             return other
-        out: dict[int, int | Fraction] = {}
-        _accumulate(out, self._coeffs, other._coeffs)
-        return _poly(_nonzero(out))
+        return _product(self, other)
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self.__mul__(other)
@@ -349,6 +363,28 @@ _ONE_COEFFS = {0: 1}
 _ONE = object.__new__(LaurentPoly)  # the unit polynomial, the one LaurentPoly equal to 1
 object.__setattr__(_ONE, "_coeffs", _ONE_COEFFS)
 object.__setattr__(_ONE, "_hash", None)
+
+
+def _product(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
+    """x * y for two nonzero LaurentPolys. A factor 1 returns the other
+    operand itself. A one-term factor c*z^e shifts and scales the other in
+    one pass, which cannot cancel, so no zero is filtered; _q runs only on a
+    Fraction product. Any other pair goes through _accumulate."""
+    if x is _ONE:
+        return y
+    if y is _ONE:
+        return x
+    a, b = x._coeffs, y._coeffs
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((e1, c1),) = a.items()
+        return _poly(
+            {e1 + e2: c if type(c := c1 * c2) is int else _q(c) for e2, c2 in b.items()}
+        )
+    out: dict[int, int | Fraction] = {}
+    _accumulate(out, a, b)
+    return _poly(_nonzero(out))
 
 
 def _accumulate(
@@ -540,15 +576,27 @@ class LaurentMatrix(_Value):
 
     @property
     def is_zero(self) -> bool:
-        return all(x.is_zero for row in self._rows for x in row)
+        for row in self._rows:
+            for x in row:
+                if x._coeffs:
+                    return False
+        return True
 
     @property
     def is_poly_in_z(self) -> bool:
-        return all(x.is_poly_in_z for row in self._rows for x in row)
+        for row in self._rows:
+            for x in row:
+                if x._coeffs and min(x._coeffs) < 0:
+                    return False
+        return True
 
     @property
     def is_poly_in_w(self) -> bool:
-        return all(x.is_poly_in_w for row in self._rows for x in row)
+        for row in self._rows:
+            for x in row:
+                if x._coeffs and max(x._coeffs) > 0:
+                    return False
+        return True
 
     # -- algebra -----------------------------------------------------------
 
@@ -568,27 +616,35 @@ class LaurentMatrix(_Value):
         return self.map_entries(lambda x: -x)
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if self.cols != other.rows:
+        if len(self._rows[0]) != len(other._rows):
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         # Gustavson's row-by-row product: row i of the result is the sum of
         # a_ik * (row k of the right factor) over the nonzero a_ik, and each
-        # right row lists only its nonzero entries, so no zero is ever visited
-        b_rows = [[(j, x._coeffs) for j, x in enumerate(row) if x._coeffs] for row in other._rows]
+        # right row lists only its nonzero entries, so no zero is ever visited.
+        # An entry holds its first contribution as the pair (a_ik, b_kj), which
+        # _product multiplies; a second one turns it into an accumulator.
+        b_rows = [[(j, y) for j, y in enumerate(row) if y._coeffs] for row in other._rows]
         width = len(other._rows[0])
         out = []
         for row in self._rows:
-            accs: dict[int, dict[int, int | Fraction]] = {}
+            entries: dict[int, tuple[LaurentPoly, LaurentPoly] | dict[int, int | Fraction]] = {}
+            get = entries.get
             for x, b_row in zip(row, b_rows):
-                a = x._coeffs
-                if a:
-                    for j, b in b_row:
-                        acc = accs.get(j)
+                if x._coeffs:
+                    for j, y in b_row:
+                        acc = get(j)
                         if acc is None:
-                            accs[j] = acc = {}
-                        _accumulate(acc, a, b)
-            out.append(
-                tuple(_poly(_nonzero(accs[j])) if j in accs else _ZERO for j in range(width))
-            )
+                            entries[j] = (x, y)
+                            continue
+                        if type(acc) is tuple:
+                            x0, y0 = acc
+                            entries[j] = acc = {}
+                            _accumulate(acc, x0._coeffs, y0._coeffs)
+                        _accumulate(acc, x._coeffs, y._coeffs)
+            new = [_ZERO] * width
+            for j, acc in entries.items():
+                new[j] = _product(*acc) if type(acc) is tuple else _poly(_nonzero(acc))
+            out.append(tuple(new))
         return _matrix(tuple(out))
 
     def scalar_mul(self, s) -> "LaurentMatrix":
@@ -611,7 +667,8 @@ class LaurentMatrix(_Value):
 
     def kron(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """Kronecker product; index (i,p),(j,q) flattened row-major. A left
-        entry 1 reuses the right factor's row, so I (x) B costs no products."""
+        entry 1 reuses the right factor's row, so I (x) B costs no products,
+        and a right entry 1 is the left entry itself (see _product)."""
         out = []
         for row_a in self._rows:
             for row_b in other._rows:
@@ -622,7 +679,7 @@ class LaurentMatrix(_Value):
                     elif a is _ONE:
                         row.extend(row_b)
                     else:
-                        row.extend(a * b for b in row_b)
+                        row += [_product(a, b) if b._coeffs else _ZERO for b in row_b]
                 out.append(tuple(row))
         return _matrix(tuple(out))
 

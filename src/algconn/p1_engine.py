@@ -126,8 +126,10 @@ def split_bundle(exponents: Sequence[int]) -> P1Bundle:
 
 
 def tangent_bundle() -> P1Bundle:
-    """The tangent bundle: O(2) with transition -z^2 (chain-rule sign)."""
-    return line_bundle(2, -1)
+    """The tangent bundle: O(2) with transition -z^2 (chain-rule sign). It
+    is one value, built when the module is imported, so each anchor check
+    reads the same transition and its cached hash."""
+    return _TANGENT
 
 
 def dual_bundle(E: P1Bundle) -> P1Bundle:
@@ -373,6 +375,9 @@ def unit_inverse(M: LaurentMatrix) -> LaurentMatrix:
     if not M.is_square:
         raise NotSquare(f"cannot invert a {M.rows}x{M.cols} matrix")
     return _birkhoff_cached(M).transition_inverse
+
+
+_TANGENT = line_bundle(2, -1)  # tangent_bundle(); built here, once the memo exists
 
 
 # -- cohomology and sections ------------------------------------------------

@@ -360,6 +360,90 @@ def test_kernels_turn_integral_results_into_ints():
         _assert_canonical_poly(x)
 
 
+# -- one-term and unit factors: one pass, or the operand itself ------------------
+
+
+one_term_strategy = st.builds(
+    LaurentPoly.monomial,
+    st.one_of(
+        st.integers(min_value=-3, max_value=3).filter(bool),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    ),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+def test_one_term_factor_with_an_integral_fraction_product_gives_ints():
+    m, p = lp("2*z"), lp("1/2 + 3/2*z^2")
+    want = lp("z + 3*z^3")
+    products = [m * p, p * m, (LaurentMatrix([[m]]) @ LaurentMatrix([[p]])).entry(0, 0)]
+    products += [LaurentMatrix([[m]]).kron(LaurentMatrix([[p]])).entry(0, 0)]
+    for x in products:
+        assert x.coeffs == {1: 1, 3: 3}
+        assert all(type(c) is int for c in x.coeffs.values())
+        assert x == want and hash(x) == hash(want)
+    # int times int stays an int, and a one-term product equal to 1 is the shared unit
+    assert all(type(c) is int for c in (lp("3*z^-1") * lp("2 - z")).coeffs.values())
+    assert lp("2*z") * lp("1/2*z^-1") is LaurentPoly.one()
+
+
+def test_unit_factors_come_back_as_the_other_operand():
+    one = LaurentPoly.one()
+    p = lp("2*z^-1 + 1/3 - z^2")
+    assert p * one is p and one * p is p
+    A = LaurentMatrix.parse([["z + 1", "0", "1/2*z^-1"], ["3", "z^2 - z", "1"]])
+    I2, I3 = LaurentMatrix.identity(2), LaurentMatrix.identity(3)
+    for M in (I2 @ A, A @ I3, A.kron(LaurentMatrix([[one]])), LaurentMatrix([[one]]).kron(A)):
+        assert M.shape == A.shape
+        assert all(M.entry(i, j) is A.entry(i, j) for i in range(2) for j in range(3))
+
+
+def test_single_contribution_entry_that_cancels_inside():
+    # (1 + z)(1 - z): one a_ik * b_kj reaches the entry, and its z-terms cancel
+    A = LaurentMatrix.parse([["1 + z", "0"], ["0", "z"]])
+    B = LaurentMatrix.parse([["1 - z", "0"], ["5", "z^-1"]])
+    got = A @ B
+    assert got.entry(0, 0).coeffs == {0: 1, 2: -1}
+    assert got.entry(0, 1) is LaurentPoly.zero()
+    assert got.entry(1, 0).coeffs == {1: 5} and got.entry(1, 1) is LaurentPoly.one()
+    _assert_canonical_matrix(got)
+
+
+def test_two_contributions_that_cancel_give_the_shared_zero():
+    # z * 1 + 1 * (-z) = 0, and z * (1 - z) + (-1) * (z - z^2) = 0
+    for row, col in ((["z", "1"], ["1", "-z"]), (["z", "-1"], ["1 - z", "z - z^2"])):
+        got = LaurentMatrix.parse([row]) @ LaurentMatrix.parse([[c] for c in col])
+        assert got.entry(0, 0) is LaurentPoly.zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_term_strategy, small_poly_strategy)
+def test_one_term_products_match_the_naive_product(m, p):
+    M, P = LaurentMatrix([[m]]), LaurentMatrix([[p]])
+    for want, got in (
+        (_naive_product(M, P), [m * p, (M @ P).entry(0, 0), M.kron(P).entry(0, 0)]),
+        (_naive_product(P, M), [p * m, (P @ M).entry(0, 0), P.kron(M).entry(0, 0)]),
+    ):
+        for x in got:
+            assert [[x.coeffs]] == want
+            _assert_canonical_poly(x)
+            if x.is_zero:
+                assert x is LaurentPoly.zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_factors())
+def test_chart_predicates_match_their_definition(factors):
+    for M in factors:
+        exps = [e for x in _entries(M) for e in x.coeffs]
+        assert M.is_zero == (not exps)
+        assert M.is_poly_in_z == all(e >= 0 for e in exps)
+        assert M.is_poly_in_w == all(e <= 0 for e in exps)
+        for x in _entries(M):
+            assert x.is_poly_in_z == all(e >= 0 for e in x.coeffs)
+            assert x.is_poly_in_w == all(e <= 0 for e in x.coeffs)
+
+
 def test_dense_helpers_stay_exact_on_int_input():
     # a reciprocal of an int pivot is Fraction(1, p), never the float 1 / p
     results = [
