@@ -40,6 +40,7 @@ Mutant = namedtuple("Mutant", "name module old new tests")
 P1 = "src/algconn/p1_engine.py"
 JET = "src/algconn/jet_obstruction.py"
 CORE = "src/algconn/exact_core.py"
+CLI = "src/algconn/cli.py"
 P1_TESTS = "tests/test_p1_engine.py"
 JET_TESTS = "tests/test_jet_obstruction.py"
 CLI_TESTS = "tests/test_cli.py"
@@ -197,6 +198,14 @@ MUTANTS = (
         JET_TESTS,
     ),
     Mutant("witness-pairing", JET, "return pairing.coeff(-1) != 0", "return True", JET_TESTS),
+    # the contraction pairs Theta^(a)_ij with C^(a)_ji, not with C^(a)_ij
+    Mutant(
+        "witness-pairing-transpose",
+        JET,
+        "c.entry(j, a * r + i)",
+        "c.entry(i, a * r + j)",
+        JET_TESTS,
+    ),
     # the scalar kernels' Gauss-Jordan stops at the first column with no pivot
     Mutant(
         "gauss-jordan-early-stop",
@@ -221,6 +230,14 @@ MUTANTS = (
         CORE,
         "        return int(s)\n    except ValueError:",
         "        return int(s)\n    except ZeroDivisionError:",
+        CLI_TESTS,
+    ),
+    # hostile JSON (over-deep, an over-long integer, non-UTF-8) is a schema error
+    Mutant(
+        "load-json-errors",
+        CLI,
+        "except (ValueError, RecursionError) as exc:",
+        "except json.JSONDecodeError as exc:",
         CLI_TESTS,
     ),
 )

@@ -49,7 +49,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad syntax, non-UTF-8 bytes and over-long integers
         raise SchemaError(f"malformed JSON: {exc}") from exc
 
 

@@ -149,11 +149,6 @@ def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocyc
     return ObstructionCocycle(anchor.phi_row.kron(disc))
 
 
-def _blocks_of(M: LaurentMatrix, r: int) -> list[LaurentMatrix]:
-    """The r x r blocks [X^(1) | ... | X^(q)] of a block row, one per V-index."""
-    return [M.submatrix(range(r), range(a * r, (a + 1) * r)) for a in range(M.cols // r)]
-
-
 def split_coboundary(
     c: ObstructionCocycle, E: P1Bundle, V: P1Bundle
 ) -> tuple[LaurentMatrix, LaurentMatrix] | None:
@@ -306,7 +301,8 @@ def verify_witness(
     (ii) chart-0 holomorphy: theta polynomial in z;
     (iii) chart-1 holomorphy: with dz = -z^2 dw, the chart-1 representative
           z^2 * T^(-1) theta (T_V^(-T) (x) T) is polynomial in 1/z;
-    (iv) the pairing Res_(z=0) sum_a tr(Theta^(a) C^(a)) is nonzero.
+    (iv) the pairing Res_(z=0) sum_a tr(Theta^(a) C^(a)) is nonzero, read
+         as the one contraction sum_(a,i,j) Theta^(a)_ij C^(a)_ji.
 
     A coboundary b0 - transport(b1) pairs to zero: its b0 part is
     holomorphic at 0, and its b1 part pairs through the chart-1 form, whose
@@ -325,9 +321,11 @@ def verify_witness(
         return False
     if not (t_inv @ theta @ tv_inv.transpose().kron(T)).shift(2).is_poly_in_w:
         return False
-    pairing = LaurentPoly.zero()
-    for block, c_block in zip(_blocks_of(theta, r), _blocks_of(c, r)):
-        pairing = pairing + (block @ c_block).trace()
+    pairing = sum(
+        (theta.entry(i, a * r + j) * c.entry(j, a * r + i)
+         for a in range(q) for i in range(r) for j in range(r)),
+        LaurentPoly.zero(),
+    )
     return pairing.coeff(-1) != 0
 
 

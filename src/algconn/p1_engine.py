@@ -378,6 +378,7 @@ def unit_inverse(M: LaurentMatrix) -> LaurentMatrix:
 
 
 _TANGENT = line_bundle(2, -1)  # tangent_bundle(); built here, once the memo exists
+_TRIVIAL = trivial_bundle(1)  # O, whose homs into E are E's sections
 
 
 # -- cohomology and sections ------------------------------------------------
@@ -403,19 +404,9 @@ class GlobalSection(_Value):
 
 
 def global_sections(E: P1Bundle) -> list[GlobalSection]:
-    """A basis of H^0(E), of size h^0. In the split frame the sections of
-    O(a) are 1, z, ..., z^a; pushing through the frame change U0^(-1) gives
-    chart-0 representatives in the original frame."""
-    data = birkhoff_split(E)
-    u0_inv = data.u0_inverse(E.transition)
-    out: list[GlobalSection] = []
-    for idx, a in enumerate(data.type):
-        if a < 0:
-            continue
-        col = LaurentMatrix.column([u0_inv.entry(i, idx) for i in range(E.rank)])
-        for m in range(a + 1):
-            out.append(GlobalSection(col.shift(m)))
-    return out
+    """A basis of H^0(E), of size h^0: the homs O -> E, hom_sections(O, E).
+    In the split frame the sections of O(a) are 1, z, ..., z^a."""
+    return [GlobalSection(M) for M in hom_sections(_TRIVIAL, E)]
 
 
 def is_global_hom(E: P1Bundle, F: P1Bundle, phi0: LaurentMatrix) -> bool:
@@ -434,16 +425,22 @@ def hom_sections(E: P1Bundle, F: P1Bundle) -> list[LaurentMatrix]:
     """Basis of H^0(Hom(E, F)) as chart-0 matrices. In split frames the
     basis elements are z^m E_(j,i) with 0 <= m <= b_j - a_i; conjugated by
     the chart-0 frame changes, z^m E_(j,i) becomes z^m times the outer
-    product U0_F^(-1)[:, j] U0_E[i, :], one per summand pair (j, i)."""
+    product U0_F^(-1)[:, j] U0_E[i, :], one per summand pair (j, i), taken
+    as U0_E[i, :] (x) U0_F^(-1)[:, j], where an entry 1 of the row copies
+    the column with no product. With E = O, U0_E = (1), so this is
+    global_sections: the sections z^m U0_F^(-1)[:, j]."""
     se = birkhoff_split(E)
     sf = birkhoff_split(F)
     f0_inv = sf.u0_inverse(F.transition)
+    rows = [se.U0.submatrix([i], range(E.rank)) for i in range(E.rank)]
     basis: list[LaurentMatrix] = []
     for j, b in enumerate(sf.type):
+        if b < se.type[-1]:
+            break  # both types descend, so no pair (j, i) from here on has b_j >= a_i
         col = f0_inv.submatrix(range(F.rank), [j])
-        for i, a in enumerate(se.type):
+        for row, a in zip(rows, se.type):
             if b >= a:
-                outer = col @ se.U0.submatrix([i], range(E.rank))
+                outer = row.kron(col)
                 basis.extend(outer.shift(m) for m in range(b - a + 1))
     return basis
 

@@ -18,7 +18,6 @@ from .algebroid_decision import (
     algebroid_to_json,
     decide_connection,
     decision_to_json,
-    validate_algebroid,
 )
 from .exact_core import LaurentMatrix, LaurentPoly, _Value
 from .formal_bundles import Atom, CurveContext, FormalBundle, bundle_to_json
@@ -114,8 +113,10 @@ class Sampler:
         return gauge_transform(diag, A, B), sorted(exps, reverse=True)
 
     def rank1_algebroid(self) -> tuple[AlgebroidDesc, ConcreteAnchor]:
-        """A validated rank-1 genus-0 algebroid, in matching formal and
-        concrete presentations."""
+        """A rank-1 genus-0 algebroid, in matching formal and concrete
+        presentations. The descriptor is valid and canonical by
+        construction: a degree-2 atom is the tangent bundle, with a zero or
+        isomorphism anchor. decide_connection validates it."""
         v = self.rng.randint(-4, 2)
         if v == 2:
             kind = self.rng.choice([AnchorKind.ZERO, AnchorKind.ISOMORPHISM])
@@ -141,8 +142,7 @@ class Sampler:
 
         atom = Atom(1, v, is_tangent=(v == 2))
         V = FormalBundle(CurveContext(0), (atom,))
-        formal = validate_algebroid(AlgebroidDesc(V, AnchorDesc(kind, section)))
-        return formal, concrete
+        return AlgebroidDesc(V, AnchorDesc(kind, section)), concrete
 
 
 class FuzzOutcome(_Value):

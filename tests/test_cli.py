@@ -283,6 +283,22 @@ def test_oversized_numeral_is_a_schema_error(capsys, tmp_path, command, entry, p
     assert f"(at position {position})" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000, b'{"rank": ' + b"1" * 5000 + b"}", b"\xff\xfe"],
+    ids=["over-deep", "over-long-integer", "non-utf8"],
+)
+def test_hostile_json_is_a_schema_error(tmp_path, content):
+    # RecursionError, the integer digit limit's ValueError and
+    # UnicodeDecodeError, each caught while the file is read
+    p = tmp_path / "hostile.json"
+    p.write_bytes(content)
+    proc = run_child(["split", "--bundle", str(p)], timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"schema error: --bundle {p}: malformed JSON: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_unprintable_coefficient_is_a_validation_error(capsys, tmp_path):
     # every numeral parses, but U1 of this bundle carries 1/C^2, whose
     # ~6000-digit denominator exceeds the 4300-digit string limit
