@@ -97,6 +97,7 @@ MUTANTS = (
         P1_TESTS,
     ),
     Mutant("verify-u0-in-z", P1, VERIFY_FRAMES, "if not self.U1.is_poly_in_w:", P1_TESTS),
+    Mutant("verify-u1-unimodular", P1, "if _qnullspace(w0, r) is not None:", "if False:", P1_TESTS),
     Mutant("verify-u1-in-w", P1, VERIFY_FRAMES, "if not self.U0.is_poly_in_z:", P1_TESTS),
     Mutant(
         "verify-u0-inverse-in-z",
@@ -223,6 +224,58 @@ MUTANTS = (
         CORE_TESTS,
     ),
     Mutant("matmul-single-contribution", CORE, "if acc is None:", "if True:", CORE_TESTS),
+    # a 1 x 1 factor is a scalar: [[1]] is the identity on either side, and
+    # the one-product path serves a 1 x 1 @ 1 x 1 product only, not r x 1 @ 1 x 1
+    Mutant(
+        "kron-unit-scalar",
+        CORE,
+        "if self._rows == _ONE_ROWS:\n            return other",
+        "if self._rows == _ONE_ROWS:\n            return self",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "matmul-unit-left",
+        CORE,
+        "if len(a_rows) == 1 and a_rows[0][0] is _ONE:\n                return other",
+        "if len(a_rows) == 1 and a_rows[0][0] is _ONE:\n                return self",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "matmul-unit-right",
+        CORE,
+        "if y is _ONE:\n                    return self",
+        "if y is _ONE:\n                    return other",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "matmul-one-by-one",
+        CORE,
+        "if len(a_rows) == 1:\n                    return _matrix(((_product(",
+        "if True:\n                    return _matrix(((_product(",
+        CORE_TESTS,
+    ),
+    # z and monomial wrap int input unchecked: a zero or a bool must not pass
+    Mutant(
+        "monomial-int-zero",
+        CORE,
+        "return _poly({exp: c}) if c else _ZERO",
+        "return _poly({exp: c})",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "monomial-int-type",
+        CORE,
+        "if type(c) is int and type(exp) is int:",
+        "if isinstance(c, int) and isinstance(exp, int):",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "z-int-type",
+        CORE,
+        "        if type(exp) is int:\n            return _poly({exp: 1})",
+        "        if isinstance(exp, int):\n            return _poly({exp: 1})",
+        CORE_TESTS,
+    ),
     # parse-time guards of exact_core
     Mutant("parse-non-string-entry", CORE, "if not isinstance(s, str):", "if False:", CLI_TESTS),
     Mutant(

@@ -36,8 +36,12 @@ rectangular tuple of tuples of LaurentPoly. Only the public constructors
 LaurentPoly(...) and LaurentMatrix(...) validate (the parser, the JSON
 readers and the samplers go through them). The arithmetic kernels build
 canonical values by construction and wrap them with the trusted _poly and
-_matrix, without a re-check; they call _q only where a Fraction result can be
-integral (a sum, a scalar or derivative multiple, a product with a
+_matrix, without a re-check. A wrap sets its two slots through the slots'
+own member-descriptor setters, bound once at import, not through
+object.__setattr__, which looks the slot up by name on every call.
+LaurentPoly.z and LaurentPoly.monomial wrap int input with _poly too, as it
+is canonical already. The kernels call _q only where a Fraction result can
+be integral (a sum, a scalar or derivative multiple, a product with a
 Fraction in it). LaurentPoly.__mul__, LaurentMatrix.kron and each entry of
 LaurentMatrix.__matmul__ that receives one a_ik*b_kj multiply through one
 rule, _product; a matrix entry that receives two or more sums them in one
@@ -55,19 +59,22 @@ mostly identity entries) thus hold no zeros and no ones of their own, and
 _product and kron test a factor 1 by identity. An operation with a zero or
 unit operand returns an operand as it is, without a new polynomial: p + 0,
 0 + p, p - 0, p.shift(0), p * 1 and 1 * p are p, and -0, 0 * p and p * 0
-are 0; so the entries of I @ A, A @ I and 1 (x) A are A's own. A one-term
-factor c*z^e costs one pass: the product is {e + e2: c * c2}, which cannot
-cancel, so it needs no zero filter, and _q runs only on a Fraction product
-(2 * 1/2 is the int 1). A matrix product visits only nonzero entries: it
-is Gustavson's row-by-row sparse product (Two fast algorithms for sparse
-matrices: multiplication and permuted transposition, ACM TOMS 4(3), 1978),
-which adds a_ik times the nonzero entries of row k of the right factor
-into row i, for the nonzero a_ik only; an output entry that one such
-product reaches takes it through _product, with no accumulator.
-Transitions and their splittings are mostly zero and their entries mostly
-monomials, so this is where products spend less. Sharing and returning an
-operand are safe because a LaurentPoly is immutable: nothing writes to its
-coefficient map, and its lazy hash depends on the coefficients only.
+are 0; so the entries of I @ A, A @ I and 1 (x) A are A's own. A 1 x 1
+matrix factor is a scalar, which the kernels read off the operands' shape:
+[[1]] @ B and [[1]] (x) B are B itself, A @ [[1]] is A, and a 1 x 1 @ 1 x 1
+product is one _product. A one-term factor c*z^e costs one pass: the
+product is {e + e2: c * c2}, which cannot cancel, so it needs no zero
+filter, and _q runs only on a Fraction product (2 * 1/2 is the int 1). A
+matrix product visits only nonzero entries: it is Gustavson's row-by-row
+sparse product (Two fast algorithms for sparse matrices: multiplication and
+permuted transposition, ACM TOMS 4(3), 1978), which adds a_ik times the
+nonzero entries of row k of the right factor into row i, for the nonzero
+a_ik only; an output entry that one such product reaches takes it through
+_product, with no accumulator. Transitions and their splittings are mostly
+zero and their entries mostly monomials, so this is where products spend
+less. Sharing and returning an operand are safe because both Laurent types
+are immutable: nothing writes to a coefficient map or a row tuple, and a
+lazy hash depends on the value only.
 
 Value classes. Every value type of the package is a plain slotted class on
 _Value: the two Laurent types and the record types (CurveContext, Atom,
@@ -196,10 +203,14 @@ class LaurentPoly(_Value):
 
     @classmethod
     def monomial(cls, c, exp: int) -> "LaurentPoly":
+        if type(c) is int and type(exp) is int:  # canonical already: no check
+            return _poly({exp: c}) if c else _ZERO
         return cls({exp: c})
 
     @classmethod
     def z(cls, exp: int = 1) -> "LaurentPoly":
+        if type(exp) is int:
+            return _poly({exp: 1})
         return cls({exp: 1})
 
     # -- inspection --------------------------------------------------------
@@ -305,7 +316,7 @@ class LaurentPoly(_Value):
         h = self._hash
         if h is None:
             h = hash(tuple(sorted(self._coeffs.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_poly_hash(self, h)
         return h
 
     # -- printing ----------------------------------------------------------
@@ -342,6 +353,13 @@ class LaurentPoly(_Value):
         return _poly, (self._coeffs,)
 
 
+# The slots' own setters, bound once: the trusted wraps set a slot through
+# these, not through object.__setattr__, which looks the name up on each call.
+_new = object.__new__
+_set_coeffs = LaurentPoly._coeffs.__set__
+_set_poly_hash = LaurentPoly._hash.__set__
+
+
 def _poly(coeffs: dict[int, int | Fraction]) -> LaurentPoly:
     """Wrap a coefficient map already in canonical form (int exponents,
     nonzero canonical scalars), without a check or a copy. An empty map is
@@ -350,26 +368,27 @@ def _poly(coeffs: dict[int, int | Fraction]) -> LaurentPoly:
         return _ZERO
     if coeffs == _ONE_COEFFS:
         return _ONE
-    p = object.__new__(LaurentPoly)
-    object.__setattr__(p, "_coeffs", coeffs)
-    object.__setattr__(p, "_hash", None)
+    p = _new(LaurentPoly)
+    _set_coeffs(p, coeffs)
+    _set_poly_hash(p, None)
     return p
 
 
-_ZERO = object.__new__(LaurentPoly)  # the zero polynomial, the one LaurentPoly with no terms
-object.__setattr__(_ZERO, "_coeffs", {})
-object.__setattr__(_ZERO, "_hash", None)
+_ZERO = _new(LaurentPoly)  # the zero polynomial, the one LaurentPoly with no terms
+_set_coeffs(_ZERO, {})
+_set_poly_hash(_ZERO, None)
 _ONE_COEFFS = {0: 1}
-_ONE = object.__new__(LaurentPoly)  # the unit polynomial, the one LaurentPoly equal to 1
-object.__setattr__(_ONE, "_coeffs", _ONE_COEFFS)
-object.__setattr__(_ONE, "_hash", None)
+_ONE = _new(LaurentPoly)  # the unit polynomial, the one LaurentPoly equal to 1
+_set_coeffs(_ONE, _ONE_COEFFS)
+_set_poly_hash(_ONE, None)
 
 
 def _product(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
-    """x * y for two nonzero LaurentPolys. A factor 1 returns the other
-    operand itself. A one-term factor c*z^e shifts and scales the other in
-    one pass, which cannot cancel, so no zero is filtered; _q runs only on a
-    Fraction product. Any other pair goes through _accumulate."""
+    """x * y for two LaurentPolys. A factor 1 returns the other operand
+    itself. A one-term factor c*z^e shifts and scales the other in one pass,
+    which cannot cancel, so no zero is filtered; _q runs only on a Fraction
+    product. Any other pair goes through _accumulate. A zero factor gives
+    _ZERO through the same passes, as they run over no term."""
     if x is _ONE:
         return y
     if y is _ONE:
@@ -550,10 +569,6 @@ class LaurentMatrix(_Value):
     def parse(cls, rows: Sequence[Sequence[str]]) -> "LaurentMatrix":
         return cls([[laurent_parse(s) for s in row] for row in rows])
 
-    @classmethod
-    def column(cls, entries: Sequence[LaurentPoly]) -> "LaurentMatrix":
-        return cls([[e] for e in entries])
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -613,20 +628,33 @@ class LaurentMatrix(_Value):
         )
 
     def __neg__(self) -> "LaurentMatrix":
-        return self.map_entries(lambda x: -x)
+        return _matrix(tuple(tuple(-x for x in row) for row in self._rows))
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if len(self._rows[0]) != len(other._rows):
+        """The matrix product. A 1 x 1 factor is a scalar: [[1]] @ B is B,
+        A @ [[1]] is A, and a 1 x 1 @ 1 x 1 product is one _product. Any
+        other pair runs Gustavson's sparse product."""
+        a_rows, b_rows = self._rows, other._rows
+        if len(a_rows[0]) != len(b_rows):
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
+        if len(b_rows) == 1:  # the inner dimension is 1
+            if len(a_rows) == 1 and a_rows[0][0] is _ONE:
+                return other
+            if len(b_rows[0]) == 1:
+                y = b_rows[0][0]
+                if y is _ONE:
+                    return self
+                if len(a_rows) == 1:
+                    return _matrix(((_product(a_rows[0][0], y),),))
         # Gustavson's row-by-row product: row i of the result is the sum of
         # a_ik * (row k of the right factor) over the nonzero a_ik, and each
         # right row lists only its nonzero entries, so no zero is ever visited.
         # An entry holds its first contribution as the pair (a_ik, b_kj), which
         # _product multiplies; a second one turns it into an accumulator.
-        b_rows = [[(j, y) for j, y in enumerate(row) if y._coeffs] for row in other._rows]
-        width = len(other._rows[0])
+        width = len(b_rows[0])
+        b_rows = [[(j, y) for j, y in enumerate(row) if y._coeffs] for row in b_rows]
         out = []
-        for row in self._rows:
+        for row in a_rows:
             entries: dict[int, tuple[LaurentPoly, LaurentPoly] | dict[int, int | Fraction]] = {}
             get = entries.get
             for x, b_row in zip(row, b_rows):
@@ -653,7 +681,7 @@ class LaurentMatrix(_Value):
         return self.map_entries(lambda x: x * s)
 
     def shift(self, k: int) -> "LaurentMatrix":
-        return self.map_entries(lambda x: x.shift(k))
+        return _matrix(tuple(tuple(x.shift(k) for x in row) for row in self._rows))
 
     def transpose(self) -> "LaurentMatrix":
         return _matrix(tuple(zip(*self._rows)))
@@ -663,18 +691,21 @@ class LaurentMatrix(_Value):
         return _matrix(tuple(tuple(f(x) for x in row) for row in self._rows))
 
     def derivative(self) -> "LaurentMatrix":
-        return self.map_entries(lambda x: x.derivative())
+        return _matrix(tuple(tuple(x.derivative() for x in row) for row in self._rows))
 
     def kron(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """Kronecker product; index (i,p),(j,q) flattened row-major. A left
-        entry 1 reuses the right factor's row, so I (x) B costs no products,
-        and a right entry 1 is the left entry itself (see _product)."""
+        """Kronecker product; index (i,p),(j,q) flattened row-major. A 1 x 1
+        left factor is a scalar, and [[1]] (x) B is B itself. A left entry 1
+        reuses the right factor's row, so I (x) B costs no products, and a
+        right entry 1 is the left entry itself (see _product)."""
+        if self._rows == _ONE_ROWS:
+            return other
         out = []
         for row_a in self._rows:
             for row_b in other._rows:
                 row: list[LaurentPoly] = []
                 for a in row_a:
-                    if a.is_zero:
+                    if not a._coeffs:
                         row.extend([_ZERO] * len(row_b))
                     elif a is _ONE:
                         row.extend(row_b)
@@ -708,7 +739,7 @@ class LaurentMatrix(_Value):
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return (len(self._rows), len(self._rows[0]))
 
     def _require_same_shape(self, other: "LaurentMatrix") -> None:
         if self.shape != other.shape:
@@ -725,7 +756,7 @@ class LaurentMatrix(_Value):
         h = self._hash
         if h is None:
             h = hash(self._rows)
-            object.__setattr__(self, "_hash", h)
+            _set_matrix_hash(self, h)
         return h
 
     def __str__(self) -> str:
@@ -741,12 +772,17 @@ class LaurentMatrix(_Value):
         return [[str(x) for x in row] for row in self._rows]
 
 
+_set_rows = LaurentMatrix._rows.__set__
+_set_matrix_hash = LaurentMatrix._hash.__set__
+_ONE_ROWS = ((_ONE,),)  # the rows of the 1 x 1 identity
+
+
 def _matrix(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentMatrix:
     """Wrap a nonempty rectangular tuple of tuples of LaurentPoly, without a
     check or a copy."""
-    m = object.__new__(LaurentMatrix)
-    object.__setattr__(m, "_rows", rows)
-    object.__setattr__(m, "_hash", None)
+    m = _new(LaurentMatrix)
+    _set_rows(m, rows)
+    _set_matrix_hash(m, None)
     return m
 
 

@@ -23,9 +23,11 @@ reflected to a polynomial in z, and gives U1 = N^(-1). The exact
 factorization identity U0 * T * U1 = diag(z^(a_i)) is checked once per
 transition, when the memo splits it, and every inverse of a unit matrix is
 read off it. U0^(-1) = T * U1 * diag(z^(-a_i)) polynomial in z makes U0
-unimodular, with no determinant. That U1 is unimodular rests on the
-reduction: U1 is C^(-1) W reflected, C constant, and every w-chart step in
-W scales the determinant by a nonzero constant.
+unimodular, with no determinant. U1 is unimodular exactly when its constant
+term U1(w = 0) is invertible, and the check asks that of it: det U0 is a
+nonzero constant, so det T * det U1 = c * z^(sum a_i). So det U1 = q(1/z),
+q a polynomial, divides a monomial in the Laurent ring: q(w) = c' * w^m,
+which is a nonzero constant iff q(0) != 0.
 
 No determinant validates a transition either. The reduction is the
 validation, and raises NotAUnit exactly when T is not a unit. On the
@@ -205,14 +207,18 @@ class SplittingData(_Value):
     def _splits(self, T: LaurentMatrix) -> bool:
         """The one check of the identity against the square transition T,
         in the form U0 * U0^(-1) = I with U0^(-1) = T U1 D^(-1) (the
-        identity with D^(-1) applied), after the shapes, the sorted type
-        and the charts of U0 and U1."""
+        identity with D^(-1) applied), after the shapes, the sorted type,
+        the charts of U0 and U1 and the invertible constant term of U1,
+        which makes U1 unimodular (see the module docstring)."""
         r = T.rows
         if len(self.type) != r or self.U0.shape != (r, r) or self.U1.shape != (r, r):
             return False
         if list(self.type) != sorted(self.type, reverse=True):
             return False
         if not (self.U0.is_poly_in_z and self.U1.is_poly_in_w):
+            return False
+        w0 = [[x._coeffs.get(0, 0) for x in self.U1.row_list(i)] for i in range(r)]
+        if _qnullspace(w0, r) is not None:
             return False
         u0_inv = self.u0_inverse(T)
         return u0_inv.is_poly_in_z and self.U0 @ u0_inv == LaurentMatrix.identity(r)

@@ -12,7 +12,7 @@ elimination of algconn.exact_core and nothing of algconn.p1_engine. The
 Fraction Gauss-Jordan inverse and nullspace are the references for the
 fraction-free kernels of exact_core, and the dense product is the reference
 for its sparse product kernel. split_diagonal builds the D that a
-splitting claims, from its type alone.
+splitting claims, from its type alone, and column a column vector.
 """
 
 from __future__ import annotations
@@ -183,6 +183,11 @@ def h0_by_linear_solve(transition: LaurentMatrix, n: int = 0) -> int:
             if touched:
                 constraints.append(rowvec)
     return len(fraction_nullspace(constraints, ncols))
+
+
+def column(entries) -> LaurentMatrix:
+    """The column vector with the given LaurentPoly entries."""
+    return LaurentMatrix([[e] for e in entries])
 
 
 def split_diagonal(exponents) -> LaurentMatrix:

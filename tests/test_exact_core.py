@@ -98,6 +98,10 @@ def test_printer_parser_round_trip(p):
 def test_constructor_rejects_non_int_exponent(exp):
     with pytest.raises(TypeError, match=re.escape(f"exponent {exp!r} is not an int")):
         LaurentPoly({exp: 1})
+    # z and monomial wrap int input unchecked, so they must still refuse the rest
+    for make in (lambda: LaurentPoly.z(exp), lambda: LaurentPoly.monomial(2, exp)):
+        with pytest.raises(TypeError, match=re.escape(f"exponent {exp!r} is not an int")):
+            make()
 
 
 @pytest.mark.parametrize("coeff", [0.1, 1.0, float("nan"), True, False, "1/2", " 3 ", "1e3", "z"])
@@ -298,6 +302,19 @@ def test_every_unit_polynomial_is_the_one_shared_object():
     assert one == LaurentPoly({0: 1}) and hash(one) == hash(LaurentPoly.const(1))
 
 
+def test_int_monomials_are_the_validated_values():
+    assert LaurentPoly.z(0) is LaurentPoly.one() and LaurentPoly.monomial(1, 0) is LaurentPoly.one()
+    assert LaurentPoly.monomial(0, 5) is LaurentPoly.zero()
+    assert LaurentPoly.monomial(Fraction(0), 5) is LaurentPoly.zero()
+    for c in (1, -3, 10**30, Fraction(6, 3), Fraction(-2, 7)):
+        for e in (-4, 0, 3):
+            want = LaurentPoly({e: c})
+            for got in (LaurentPoly.monomial(c, e), LaurentPoly.z(e) * c):
+                assert got == want and hash(got) == hash(want)
+                _assert_canonical_poly(got)
+    assert LaurentPoly.z(-2) == LaurentPoly({-2: 1}) and LaurentPoly.z() == lp("z")
+
+
 def test_the_shared_unit_is_immutable():
     one = LaurentPoly.one()
     for name in ("_coeffs", "_hash", "anything"):
@@ -396,6 +413,41 @@ def test_unit_factors_come_back_as_the_other_operand():
     for M in (I2 @ A, A @ I3, A.kron(LaurentMatrix([[one]])), LaurentMatrix([[one]]).kron(A)):
         assert M.shape == A.shape
         assert all(M.entry(i, j) is A.entry(i, j) for i in range(2) for j in range(3))
+
+
+def test_a_unit_one_by_one_factor_is_the_other_operand():
+    one = LaurentMatrix([[LaurentPoly.one()]])
+    row = LaurentMatrix.parse([["z + 1", "0", "1/2*z^-1"]])
+    col = LaurentMatrix.parse([["z^2 - 1"], ["1/3"]])
+    for A in (row, col, LaurentMatrix.parse([["2*z", "1"], ["0", "z^-1"]])):
+        assert one.kron(A) is A
+    assert one @ row is row and col @ one is col
+    assert one @ one is one and one.kron(one) is one
+    # a 1 x 1 factor other than [[1]] multiplies every entry
+    two = LaurentMatrix.parse([["2"]])
+    assert two @ row == LaurentMatrix.parse([["2*z + 2", "0", "z^-1"]])
+    assert col @ two == LaurentMatrix.parse([["2*z^2 - 2"], ["2/3"]])
+    assert two.kron(col) == col @ two
+
+
+one_by_one_strategy = st.one_of(
+    small_poly_strategy,
+    one_term_strategy,
+    st.just(LaurentPoly.zero()),
+    st.just(LaurentPoly.one()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_by_one_strategy, one_by_one_strategy)
+def test_one_by_one_products_match_the_naive_product(p, q):
+    P, Q = LaurentMatrix([[p]]), LaurentMatrix([[q]])
+    for got in (P @ Q, P.kron(Q)):
+        x = got.entry(0, 0)
+        assert got.shape == (1, 1) and [[x.coeffs]] == _naive_product(P, Q)
+        _assert_canonical_poly(x)
+        if x.is_zero:
+            assert x is LaurentPoly.zero()
 
 
 def test_single_contribution_entry_that_cancels_inside():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from oracles import monomial_det, split_diagonal
+from oracles import column, monomial_det, split_diagonal
 
 from algconn.algebroid_decision import AlgebroidDesc, AnchorDesc, AnchorKind, decide_connection
 from algconn.errors import InvalidAnchor, ShapeMismatch
@@ -206,7 +206,7 @@ def test_cocycle_trivial_and_zero_anchor():
 def _vec_cochain(c: LaurentMatrix, r: int, q: int) -> LaurentMatrix:
     """Flatten the block row [C^(1)|...|C^(q)] to the (i, j, a) row-major
     column matching kron(T, T^(-T), T_V^(-T))."""
-    return LaurentMatrix.column(
+    return column(
         [c.entry(i, a * r + j) for i in range(r) for j in range(r) for a in range(q)]
     )
 
@@ -273,8 +273,8 @@ def _kronecker_reference(c: LaurentMatrix, E: P1Bundle, V: P1Bundle):
                 return None
         beta0.append(LaurentPoly(hol0))
         beta1.append(LaurentPoly(hol1))
-    b0 = unit_inverse(data.U0) @ LaurentMatrix.column(beta0)
-    b1 = data.U1 @ LaurentMatrix.column(beta1)
+    b0 = unit_inverse(data.U0) @ column(beta0)
+    b1 = data.U1 @ column(beta1)
     return _unvec_cochain(b0, r, q), _unvec_cochain(b1, r, q)
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from oracles import h0_by_linear_solve, min_exponent, monomial_det, split_diagonal
+from oracles import column, h0_by_linear_solve, min_exponent, monomial_det, split_diagonal
 
 from algconn import p1_engine
 from algconn.cli import main
@@ -282,16 +282,22 @@ def tampered_splittings(E: P1Bundle) -> dict[str, SplittingData]:
     shear = unit_at_01(one)
     # G = I + z^k E_01 with k = a_0 - a_1 + 1: D^(-1) G^(-1) D = I - z E_01
     steep = unit_at_01(LaurentPoly.z(d.type[0] - d.type[1] + 1))
-    low = list(d.type)
+    low, high = list(d.type), list(d.type)
     low[-1] -= 1
+    high[0] += 1
     return {
-        # U0 T U1 = D still holds, but det U0 = z: of verify's checks only
-        # U0^(-1) = T U1 D^(-1) polynomial in z sees it
+        # U0 T U1 = D still holds, but det U0 = z and det U1 = 1/z: of
+        # verify's checks only U0^(-1) = T U1 D^(-1) polynomial in z and
+        # U1's singular constant term see it
         "row_scaled": SplittingData(d.type, at(0, z) @ d.U0, d.U1 @ at(0, w)),
         "unsorted": SplittingData(d.type[1::-1] + d.type[2:], swap @ d.U0, d.U1 @ swap),
         # U0 T U1 = diag(z^low) with det U1 = 1/z: of verify's checks only
-        # the degree sum sees it
+        # the degree sum and U1's singular constant term see it
         "degree_sum": SplittingData(tuple(low), d.U0, d.U1 @ at(r - 1, w)),
+        # U0 T U1 = diag(z^high) with det U0 = z and U1 unimodular: of
+        # verify's checks only the degree sum and U0^(-1) polynomial in z see
+        # it, and _splits, which reads no degree, sees it by the latter alone
+        "degree_raised": SplittingData(tuple(high), at(0, z) @ d.U0, d.U1),
         "u0_not_poly": SplittingData(d.type, at(0, w) @ d.U0, d.U1 @ at(0, z)),
         "shear": SplittingData(d.type, shear @ d.U0, d.U1),
         # U0 T U1 = D, U0 polynomial and U0^(-1) = T U1 D^(-1) polynomial in
@@ -313,6 +319,7 @@ def test_verify_matches_det_definition_and_rejects_tampers():
         tampers = tampered_splittings(F)
         for name, bad in tampers.items():
             assert not bad.verify(F) and not verify_by_det(bad, F), name
+        assert not tampers["degree_raised"]._splits(F.transition)
         scaled = tampers["row_scaled"]
         assert scaled.U0 @ F.transition @ scaled.U1 == split_diagonal(scaled.type)
 
@@ -331,6 +338,35 @@ def test_verify_rejects_u0_off_its_chart_under_a_wrong_degree():
     assert bad.U0 @ E.transition @ bad.U1 == split_diagonal(bad.type)
     assert bad.u0_inverse(E.transition).is_poly_in_z
     assert not bad.verify(E)
+    # the true splitting of z^2 splits the transition, and only the degree
+    # sum sees that its type (2,) is not O(1)'s
+    true = SplittingData((2,), LaurentMatrix.identity(1), LaurentMatrix.identity(1))
+    assert true._splits(E.transition) and not true.verify(E)
+
+
+def test_splits_rejects_a_u1_that_is_not_unimodular(monkeypatch):
+    # T = I: each stub has U0 T U1 = D, U0 and U1 on their charts and U0^(-1)
+    # = T U1 D^(-1) = I, yet det U1 = w. Only U1's constant term, singular
+    # (zero, or nonzero of rank 1), sees it.
+    w = LaurentPoly.z(-1)
+    stubs = [
+        SplittingData((-1,), LaurentMatrix.identity(1), LaurentMatrix.diag([w])),
+        SplittingData((0, -1), LaurentMatrix.identity(2), LaurentMatrix.diag([LaurentPoly.one(), w])),
+    ]
+    for stub in stubs:
+        T = LaurentMatrix.identity(len(stub.type))
+        assert stub.U0 @ T @ stub.U1 == split_diagonal(stub.type)
+        assert stub.U0.is_poly_in_z and stub.U1.is_poly_in_w
+        assert stub.u0_inverse(T) == T
+        assert not stub._splits(T), stub
+    # the memo checks what the reduction returns: such a stub is a bug
+    monkeypatch.setattr(p1_engine, "_split_connected", lambda T: stubs[0])
+    _birkhoff_cached.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="internal bug"):
+            P1Bundle(1, LaurentMatrix.identity(1))
+    finally:
+        _birkhoff_cached.cache_clear()
 
 
 def test_verify_rejects_a_splitting_of_another_rank():
@@ -601,7 +637,7 @@ def test_vec_convention_ties_hom_to_sections():
     F, _ = s.gauged_p1_bundle(max_rank=2, bound=2, ops=1, max_deg=1)
     H = hom_bundle(E, F)
     for phi in hom_sections(E, F):
-        v = LaurentMatrix.column([phi.entry(i, j) for i in range(F.rank) for j in range(E.rank)])
+        v = column([phi.entry(i, j) for i in range(F.rank) for j in range(E.rank)])
         assert is_global_hom(trivial_bundle(1), H, v)
         rows = [[v.entry(i * E.rank + j, 0) for j in range(E.rank)] for i in range(F.rank)]
         assert LaurentMatrix(rows) == phi

@@ -25,12 +25,16 @@ def to_sympy_matrix(M: LaurentMatrix):
 
 
 def test_unit_inverse_matches_sympy_inverse():
-    s = Sampler(61)
-    for rank in range(1, 6):
-        E, _ = s.gauged_p1_bundle(max_rank=rank, min_rank=rank, bound=2, ops=2, max_deg=1)
-        expected = to_sympy_matrix(E.transition).inv(method="LU")
-        got = to_sympy_matrix(unit_inverse(E.transition))
-        assert (got - expected).applyfunc(sympy.cancel).is_zero_matrix, rank
+    # adj T / det T by Berkowitz, as the h^0 oracle below: with LU, sympy's
+    # is_zero_matrix answers None on the rank-3 bundle of seed 63
+    for seed in (61, 63):
+        s = Sampler(seed)
+        for rank in range(1, 6):
+            E, _ = s.gauged_p1_bundle(max_rank=rank, min_rank=rank, bound=2, ops=2, max_deg=1)
+            T = to_sympy_matrix(E.transition)
+            expected = T.adjugate(method="berkowitz") / T.det(method="berkowitz")
+            got = to_sympy_matrix(unit_inverse(E.transition))
+            assert (got - expected).applyfunc(sympy.cancel).is_zero_matrix, (seed, rank)
 
 
 def test_det_matches_sympy_det():

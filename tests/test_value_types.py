@@ -25,6 +25,7 @@ from algconn import (
     GlobalSection,
     HNFiltration,
     LaurentMatrix,
+    LaurentPoly,
     ObstructionCocycle,
     P1Bundle,
     Reason,
@@ -168,8 +169,10 @@ def test_assignment_raises(cls):
 
 def test_laurent_values_refuse_assignment_and_deletion():
     # fresh objects: deleting a field of the shared zero polynomial would break
-    # every later zero entry
-    for x in (laurent_parse("1/2*z^-1 + 3"), M([["z", "1"], ["0", "1"]])):
+    # every later zero entry. The products, monomial and negation are built by
+    # the trusted wraps, which set the slots without object.__setattr__.
+    p, A = laurent_parse("1/2*z^-1 + 3"), M([["z", "1"], ["0", "1"]])
+    for x in (p, A, p * p, LaurentPoly.monomial(5, -1), A @ A, A.kron(A), -A.shift(1)):
         before = hash(x), str(x)
         for name in type(x).__slots__:
             with pytest.raises(AttributeError):
