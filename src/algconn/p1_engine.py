@@ -19,24 +19,22 @@ the row-degree sum until the matrix of leading row coefficients is
 invertible (the predictable-degree property; Kailath, Linear Systems,
 1980). On the z-chart it gives U0 with U0 * T = diag(z^(h_i)) * N, N
 polynomial in w = 1/z with N(0) invertible. On the w-chart it reduces N,
-reflected to a polynomial in z, and gives U1 = N^(-1). The exact
-factorization identity U0 * T * U1 = diag(z^(a_i)) is checked once per
-transition, when the memo splits it, and every inverse of a unit matrix is
-read off it. U0^(-1) = T * U1 * diag(z^(-a_i)) polynomial in z makes U0
-unimodular, with no determinant. U1 is unimodular exactly when its constant
-term U1(w = 0) is invertible, and the check asks that of it: det U0 is a
-nonzero constant, so det T * det U1 = c * z^(sum a_i). So det U1 = q(1/z),
-q a polynomial, divides a monomial in the Laurent ring: q(w) = c' * w^m,
-which is a nonzero constant iff q(0) != 0.
+reflected to a polynomial in z, and gives U1 = N^(-1). A SplittingData
+checks its own frames when it is built. The identity U0 * T * U1 =
+diag(z^(a_i)), the one clause that reads T, is checked once per splitting
+the memo makes, and every inverse of a unit matrix is read off it.
+U0^(-1) = T * U1 * diag(z^(-a_i)) polynomial in z makes U0 unimodular,
+with no determinant, and then U1 is unimodular iff its constant term
+U1(w = 0) is invertible: det T * det U1 = c * z^(sum a_i), so det U1 =
+q(1/z) divides a monomial, q(w) = c' * w^m, a nonzero constant iff q(0) != 0.
 
 No determinant validates a transition either. The reduction is the
 validation, and raises NotAUnit exactly when T is not a unit. On the
 z-chart it stops on det T = 0 (a row reduces to zero, or the step budget
 runs out). Otherwise det N is a nonzero polynomial in w, and the w-chart
 reduction leaves a row of positive degree exactly when det N is no
-constant, that is when det T is no monomial c * z^k. For a unit the
-identity and the unimodular U1 give det T = c * z^(sum a_i), which fixes
-deg E = sum a_i, and an identity that fails is an internal bug. Every
+constant, that is when det T is no monomial c * z^k. For a unit deg E =
+sum a_i (see SplittingData), and a failing identity is an internal bug. Every
 bundle, a dual, twist, tensor, hom or jet bundle too, is validated by the
 reduction that splits it, and its degree is the sum of its splitting type.
 
@@ -46,13 +44,11 @@ splittings of E and V. Cohomology builds no bundle at all: h^0, h^1,
 Riemann-Roch and Serre duality are all read off the certified type of E.
 
 There is one memo, the splitting memo behind birkhoff_split, keyed by the
-transition. Every inverse the engine takes (T^(-1), U0^(-1)) is read off
-the SplittingData it holds and kept on that object, so equal transitions
-share them: U0^(-1) is the one the memo's check computes, and it serves
-every later reader (sections, hom sections, the coboundary solve and its
-witness). The bundle constructors cache nothing, and the memo is a pure
-function of the transition: equal bundles get the same type, U0 and U1,
-whatever was split before.
+transition. Every inverse the engine takes (T^(-1), and the U0^(-1) the
+memo's check computes) is read off the SplittingData it holds and kept
+there, so equal transitions share them. The bundle constructors cache
+nothing, and the memo is a pure function of the transition: equal bundles
+get the same type, U0 and U1, whatever was split before.
 """
 
 from __future__ import annotations
@@ -173,21 +169,24 @@ def gauge_transform(E: P1Bundle, A: LaurentMatrix, B: LaurentMatrix) -> P1Bundle
 class SplittingData(_Value):
     """U0 * T * U1 = diag(z^(a_1), ..., z^(a_r)) with a_1 >= ... >= a_r,
     U0 polynomial in z, U1 polynomial in 1/z, both of constant nonzero
-    determinant.
+    determinant. The record checks all but the identity when it is built:
+    ValueError unless U0 and U1 are r x r for a type of length r, the type
+    descends, U0 is polynomial in z, U1 in 1/z and U1(w = 0) is invertible.
+    verify(E) and the memo's _splits(T) check the identity alone.
 
-    Every inverse the engine needs is read off this identity by the methods
-    below. D = diag(z^(a_i)) and D^(-1) are never multiplied: on the left
-    they shift row i by z^(+-a_i), on the right column j by z^(+-a_j).
+    No degree is compared: U0 U0^(-1) = I with both factors polynomial in
+    z makes det U0 = c0, and every bundle a constructor can make has det T
+    = c z^(deg E), since building it ran its own validating split. So
+    det U1 = (c0 c)^(-1) z^(sum a_i - deg E), a polynomial in 1/z whose
+    constant term is nonzero: it is constant, and sum a_i = deg E.
 
-    Two inverses are kept on the object. T^(-1) is cached on first read.
-    U0^(-1) = T U1 D^(-1) depends on the transition T it is read for, so
-    the first one computed is held with that T as its key, and returned for
-    T or any equal transition; another T gets its own, computed and not
-    held. For a splitting in the memo the first reader is the memo's check,
-    on the transition it splits, so that is the U0^(-1) every later reader
-    gets. The key keeps the check sound: U0 U0^(-1) = I checks the identity
-    only when U0^(-1) is T U1 D^(-1) of the T under test, so verify(E2) for
-    another bundle E2 computes its own."""
+    Every inverse the engine needs is read off the identity. D =
+    diag(z^(a_i)) and D^(-1) are never multiplied: on the left they shift
+    row i by z^(+-a_i), on the right column j by z^(+-a_j). T^(-1) is
+    cached on first read, and U0^(-1) is held for the T it was first read
+    for (u0_inverse): in the memo, the check's, which later readers get.
+    That key keeps the check sound: U0 U0^(-1) = I checks the identity only
+    for the T that U0^(-1) was read for, so verify(E2) computes its own."""
 
     _fields = ("type", "U0", "U1")
     # __dict__ holds the cached T^(-1) and the held (T, U0^(-1))
@@ -197,28 +196,30 @@ class SplittingData(_Value):
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "U0", U0)
         object.__setattr__(self, "U1", U1)
+        r = len(type)
+        if U0.shape != (r, r) or U1.shape != (r, r):
+            raise ValueError(f"frames {U0.shape}, {U1.shape} for a type of length {r}")
+        if list(type) != sorted(type, reverse=True):
+            raise ValueError(f"splitting type must descend, got {type}")
+        if not U0.is_poly_in_z:
+            raise ValueError("U0 must be polynomial in z")
+        if not U1.is_poly_in_w:
+            raise ValueError("U1 must be polynomial in 1/z")
+        w0 = [[x._coeffs.get(0, 0) for x in U1.row_list(i)] for i in range(r)]
+        if _qnullspace(w0, r) is not None:
+            raise ValueError("U1 must have an invertible constant term")
 
     def verify(self, E: "P1Bundle") -> bool:
-        """Is this a splitting of E: a type summing to deg E that splits
-        E's transition. A type, U0 or U1 whose size is not E's rank is not a
-        splitting of E: False."""
-        return sum(self.type) == E.degree and self._splits(E.transition)
+        """Does this split E's transition? Its type then sums to deg E (see
+        above); a splitting of another rank is not one of E: False."""
+        return self._splits(E.transition)
 
     def _splits(self, T: LaurentMatrix) -> bool:
-        """The one check of the identity against the square transition T,
-        in the form U0 * U0^(-1) = I with U0^(-1) = T U1 D^(-1) (the
-        identity with D^(-1) applied), after the shapes, the sorted type,
-        the charts of U0 and U1 and the invertible constant term of U1,
-        which makes U1 unimodular (see the module docstring)."""
-        r = T.rows
-        if len(self.type) != r or self.U0.shape != (r, r) or self.U1.shape != (r, r):
-            return False
-        if list(self.type) != sorted(self.type, reverse=True):
-            return False
-        if not (self.U0.is_poly_in_z and self.U1.is_poly_in_w):
-            return False
-        w0 = [[x._coeffs.get(0, 0) for x in self.U1.row_list(i)] for i in range(r)]
-        if _qnullspace(w0, r) is not None:
+        """T's size, then the identity against the square transition T in
+        the form U0 * U0^(-1) = I with U0^(-1) = T U1 D^(-1) polynomial in z
+        (the identity with D^(-1) applied)."""
+        r = len(self.type)
+        if T.rows != r:
             return False
         u0_inv = self.u0_inverse(T)
         return u0_inv.is_poly_in_z and self.U0 @ u0_inv == LaurentMatrix.identity(r)
@@ -243,10 +244,8 @@ class SplittingData(_Value):
 
 
 def _shift_columns(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
-    """M * diag(z^(e_j)): column j times z^(e_j). ValueError unless there
-    is one exponent per column."""
-    if len(exps) != M.cols:
-        raise ValueError(f"{len(exps)} column shifts for {M.cols} columns")
+    """M * diag(z^(e_j)): column j times z^(e_j), one exponent per column.
+    Both callers pass a splitting's r columns and its type, of length r."""
     return _matrix(
         tuple(tuple(x.shift(e) for x, e in zip(M.row_list(i), exps)) for i in range(M.rows))
     )
@@ -324,8 +323,8 @@ def _combine(rows: list[_Row], terms: list[tuple[int, int, int | Fraction]]) -> 
 
 def _split_connected(T: LaurentMatrix) -> SplittingData:
     """U0 and U1 with U0 @ T @ U1 claimed diagonal and the type sorted, by
-    one reduction run on both charts; NotAUnit when T is no unit. The claim
-    is checked by the memo, not here.
+    one reduction run on both charts; NotAUnit when T is no unit. The record
+    checks its frames when built, and the memo checks the identity.
 
     On the z-chart, _reduce gives U0 @ T = diag(z^h) * N, N polynomial in
     w = 1/z with N(0) = H invertible; sorting the rows by h sorts the type.

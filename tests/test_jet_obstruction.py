@@ -316,11 +316,12 @@ def test_split_frame_solve_matches_kronecker_reference():
 
 
 def test_tampered_splitting_never_gives_a_wrong_answer(monkeypatch):
-    # a U0 row scaled by z and a U1 column by 1/z still give U0 T U1 = diag,
-    # but det U0 = z, so the solve runs in a frame that is no frame change.
-    # Every answer is then the honest one or refused by its certificate
-    # check: a false "exists" by verify_connection, a false "no connection"
-    # by verify_witness
+    # U0's row 0 scaled by z^m under a type with a_0 raised by m still gives
+    # U0 T U1 = diag, and the record builds, but det U0 = z^m, so the solve
+    # runs in a frame that is no frame change; of the splitting's checks only
+    # U0^(-1) polynomial in z sees it. Every answer is then the honest one or
+    # refused by its certificate check: a false "exists" by verify_connection,
+    # a false "no connection" by verify_witness
     import algconn.jet_obstruction as jo
 
     s = Sampler(53)
@@ -330,16 +331,12 @@ def test_tampered_splitting_never_gives_a_wrong_answer(monkeypatch):
             E = gauge_transform(split_bundle(exps), s.unimodular_z(2), s.unimodular_w(2))
             honest = birkhoff_split(E)
             expected = construct_connection(E, anchor) is not None
-            for k in range(2):
-                scale = [LaurentPoly.one()] * 2
-                unscale = [LaurentPoly.one()] * 2
-                scale[k], unscale[k] = LaurentPoly.z(1), LaurentPoly.z(-1)
-                bad = SplittingData(
-                    honest.type,
-                    LaurentMatrix.diag(scale) @ honest.U0,
-                    honest.U1 @ LaurentMatrix.diag(unscale),
-                )
-                assert bad.U0 @ E.transition @ bad.U1 == split_diagonal(honest.type)
+            for m in (1, 2):
+                raised = (honest.type[0] + m,) + honest.type[1:]
+                scale = LaurentMatrix.diag([LaurentPoly.z(m), LaurentPoly.one()])
+                bad = SplittingData(raised, scale @ honest.U0, honest.U1)
+                assert bad.U0 @ E.transition @ bad.U1 == split_diagonal(raised)
+                assert not bad.verify(E)
                 monkeypatch.setattr(
                     jo, "birkhoff_split", lambda F, E=E, bad=bad: bad if F == E else birkhoff_split(F)
                 )

@@ -3,6 +3,8 @@
 import json
 import os
 import sys
+from collections import namedtuple
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +13,7 @@ from oracles import column, h0_by_linear_solve, min_exponent, monomial_det, spli
 
 from algconn import p1_engine
 from algconn.cli import main
-from algconn.errors import InvalidSection, NotAUnit
+from algconn.errors import InvalidSection, NonConstantTrace, NotAUnit
 from algconn.exact_core import LaurentMatrix, LaurentPoly
 from algconn.jet_obstruction import (
     ConcreteAnchor,
@@ -231,6 +233,47 @@ def test_verify_reads_no_held_inverse_of_another_bundle():
         assert d.verify(E) and not d.verify(E2) and d.verify(E)
 
 
+def test_verify_accepts_every_splitting_not_only_the_memos():
+    # every automorphism g of the split bundle sum O(a_i) gives another
+    # splitting (type, g U0, U1 D^(-1) g^(-1) D) of E: g = I + c z^m E_ij with
+    # i < j and 0 <= m <= a_i - a_j, a scaling, or a swap inside a run of
+    # equal a_i. Each builds, verifies, and its type sums to deg E
+    def unit(r: int, entries: dict) -> LaurentMatrix:  # I plus the (i, j): entry items
+        return LaurentMatrix.identity(r) + LaurentMatrix(
+            [[entries.get((i, j), LaurentPoly.zero()) for j in range(r)] for i in range(r)]
+        )
+
+    one, minus_half = LaurentPoly.one(), LaurentPoly.monomial(Fraction(-1, 2), 0)
+    s = Sampler(66)
+    checked = 0
+    for r in range(2, 6):
+        runs = [1] * (r - 1) + [-1], range(r, 0, -1), s.exponents(max_rank=r, min_rank=r, bound=2)
+        for exps in runs:
+            E = gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+            d = birkhoff_split(E)
+            a = d.type
+            D, D_inv = split_diagonal(a), split_diagonal([-x for x in a])
+            autos = []
+            for i in range(r):
+                for j in range(i + 1, r):
+                    for m in range(a[i] - a[j] + 1):
+                        c = LaurentPoly.monomial(s.coefficient(nonzero=True), m)
+                        autos.append((unit(r, {(i, j): c}), unit(r, {(i, j): -c})))
+                # I + E_ii doubles frame i, and I - E_ii / 2 halves it back
+                autos.append((unit(r, {(i, i): one}), unit(r, {(i, i): minus_half})))
+                if i + 1 < r and a[i] == a[i + 1]:
+                    swap = LaurentMatrix.identity(r).submatrix(
+                        [*range(i), i + 1, i, *range(i + 2, r)], range(r))
+                    autos.append((swap, swap))
+            for g, g_inv in autos:
+                assert g @ g_inv == LaurentMatrix.identity(r)
+                other = SplittingData(a, g @ d.U0, d.U1 @ D_inv @ g_inv @ D)
+                assert other != d and other.verify(E) and verify_by_det(other, E)
+                assert sum(other.type) == E.degree
+                checked += 1
+    assert checked > 100
+
+
 def test_split_verify_and_sections_form_t_u1_once(monkeypatch):
     s = Sampler(65)
     r = 5
@@ -251,10 +294,11 @@ def test_split_verify_and_sections_form_t_u1_once(monkeypatch):
     assert sum(1 for x, y in products if x is T and y is d.U1) == 1
 
 
-def verify_by_det(d: SplittingData, E: P1Bundle) -> bool:
+def verify_by_det(d, E: P1Bundle) -> bool:
     """The definition of a splitting, with the oracle determinant as reference:
     sorted type summing to deg E, U0 polynomial in z and U1 in 1/z, both of
-    nonzero constant determinant, and U0 T U1 = diag(z^a)."""
+    nonzero constant determinant, and U0 T U1 = diag(z^a). d is a
+    SplittingData or a claimed one (a Claim) that its constructor refuses."""
     if list(d.type) != sorted(d.type, reverse=True) or sum(d.type) != E.degree:
         return False
     if not (d.U0.is_poly_in_z and d.U1.is_poly_in_w):
@@ -264,7 +308,23 @@ def verify_by_det(d: SplittingData, E: P1Bundle) -> bool:
     return d.U0 @ E.transition @ d.U1 == split_diagonal(d.type)
 
 
-def tampered_splittings(E: P1Bundle) -> dict[str, SplittingData]:
+# a claimed splitting, not yet built: SplittingData(*claim) checks its frames
+Claim = namedtuple("Claim", "type U0 U1")
+
+# where each tamper is refused: by the constructor's clause with this message,
+# or (None) by verify, the identity against the transition
+REFUSED_BY = {
+    "row_scaled": "invertible constant term",
+    "unsorted": "must descend",
+    "degree_sum": "invertible constant term",
+    "degree_raised": None,
+    "u0_not_poly": "U0 must be polynomial in z",
+    "shear": None,
+    "u1_not_poly": "U1 must be polynomial in 1/z",
+}
+
+
+def tampered_splittings(E: P1Bundle) -> dict[str, Claim]:
     """Splittings of E, rank >= 2 with distinct exponents, each broken in one way."""
     d = birkhoff_split(E)
     r = E.rank
@@ -286,23 +346,23 @@ def tampered_splittings(E: P1Bundle) -> dict[str, SplittingData]:
     low[-1] -= 1
     high[0] += 1
     return {
-        # U0 T U1 = D still holds, but det U0 = z and det U1 = 1/z: of
-        # verify's checks only U0^(-1) = T U1 D^(-1) polynomial in z and
-        # U1's singular constant term see it
-        "row_scaled": SplittingData(d.type, at(0, z) @ d.U0, d.U1 @ at(0, w)),
-        "unsorted": SplittingData(d.type[1::-1] + d.type[2:], swap @ d.U0, d.U1 @ swap),
-        # U0 T U1 = diag(z^low) with det U1 = 1/z: of verify's checks only
-        # the degree sum and U1's singular constant term see it
-        "degree_sum": SplittingData(tuple(low), d.U0, d.U1 @ at(r - 1, w)),
-        # U0 T U1 = diag(z^high) with det U0 = z and U1 unimodular: of
-        # verify's checks only the degree sum and U0^(-1) polynomial in z see
-        # it, and _splits, which reads no degree, sees it by the latter alone
-        "degree_raised": SplittingData(tuple(high), at(0, z) @ d.U0, d.U1),
-        "u0_not_poly": SplittingData(d.type, at(0, w) @ d.U0, d.U1 @ at(0, z)),
-        "shear": SplittingData(d.type, shear @ d.U0, d.U1),
+        # U0 T U1 = D still holds, but det U0 = z and det U1 = 1/z: U1's
+        # singular constant term sees it, and so would U0^(-1) off its chart
+        "row_scaled": Claim(d.type, at(0, z) @ d.U0, d.U1 @ at(0, w)),
+        "unsorted": Claim(d.type[1::-1] + d.type[2:], swap @ d.U0, d.U1 @ swap),
+        # U0 T U1 = diag(z^low) with det U1 = 1/z: U1's singular constant
+        # term sees it, and with it the type's sum deg E - 1
+        "degree_sum": Claim(tuple(low), d.U0, d.U1 @ at(r - 1, w)),
+        # U0 T U1 = diag(z^high) with det U0 = z and U1 unimodular: the
+        # constructor accepts it, and of verify's clauses only U0^(-1)
+        # polynomial in z sees it
+        "degree_raised": Claim(tuple(high), at(0, z) @ d.U0, d.U1),
+        "u0_not_poly": Claim(d.type, at(0, w) @ d.U0, d.U1 @ at(0, z)),
+        "shear": Claim(d.type, shear @ d.U0, d.U1),
         # U0 T U1 = D, U0 polynomial and U0^(-1) = T U1 D^(-1) polynomial in
-        # z, det U1 = 1: of verify's checks only U1 polynomial in 1/z sees it
-        "u1_not_poly": SplittingData(d.type, steep @ d.U0, d.U1 @ unit_at_01(-z)),
+        # z, det U1 = 1: U1 polynomial in 1/z sees it (at some ranks U1's
+        # constant term is singular too)
+        "u1_not_poly": Claim(d.type, steep @ d.U0, d.U1 @ unit_at_01(-z)),
     }
 
 
@@ -317,31 +377,34 @@ def test_verify_matches_det_definition_and_rejects_tampers():
             continue
         F = gauge_transform(split_bundle(range(r, 0, -1)), s.unimodular_z(r), s.unimodular_w(r))
         tampers = tampered_splittings(F)
-        for name, bad in tampers.items():
-            assert not bad.verify(F) and not verify_by_det(bad, F), name
-        assert not tampers["degree_raised"]._splits(F.transition)
+        assert set(tampers) == set(REFUSED_BY)
+        for name, claim in tampers.items():
+            assert not verify_by_det(claim, F), name
+            if REFUSED_BY[name] is None:
+                assert not SplittingData(*claim).verify(F), name
+            else:
+                with pytest.raises(ValueError, match=REFUSED_BY[name]):
+                    SplittingData(*claim)
         scaled = tampers["row_scaled"]
         assert scaled.U0 @ F.transition @ scaled.U1 == split_diagonal(scaled.type)
 
 
 def test_verify_rejects_u0_off_its_chart_under_a_wrong_degree():
-    # with deg E right, the other checks imply U0 polynomial in z (det U0^(-1)
+    # with deg E right, the other clauses imply U0 polynomial in z (det U0^(-1)
     # = c det U1 is then polynomial in z and in 1/z); under a wrong degree
-    # only that check rejects U0 = 1/z for T = z^2 taken as O(1). No
-    # constructor can make such a bundle any more (each takes its degree from
-    # the reduction), so the test assembles it by hand.
-    E = object.__new__(P1Bundle)
-    object.__setattr__(E, "rank", 1)
-    object.__setattr__(E, "transition", LaurentMatrix.parse([["z^2"]]))
-    object.__setattr__(E, "degree", 1)
-    bad = SplittingData((1,), LaurentMatrix.parse([["z^-1"]]), LaurentMatrix.identity(1))
-    assert bad.U0 @ E.transition @ bad.U1 == split_diagonal(bad.type)
-    assert bad.u0_inverse(E.transition).is_poly_in_z
-    assert not bad.verify(E)
-    # the true splitting of z^2 splits the transition, and only the degree
-    # sum sees that its type (2,) is not O(1)'s
-    true = SplittingData((2,), LaurentMatrix.identity(1), LaurentMatrix.identity(1))
-    assert true._splits(E.transition) and not true.verify(E)
+    # only that clause refuses U0 = 1/z. For T = [[1]], of O, the claim of
+    # type (-1,) with U0 = 1/z and U1 = 1 satisfies the identity, U0^(-1) =
+    # T U1 D^(-1) = z is polynomial in z and U0 U0^(-1) = I: only U0's chart
+    # refuses it, when the record is built
+    E = trivial_bundle(1)
+    U0, U1 = LaurentMatrix.parse([["z^-1"]]), LaurentMatrix.parse([["1"]])
+    assert U0 @ E.transition @ U1 == split_diagonal([-1])
+    u0_inv = E.transition @ U1 @ split_diagonal([1])
+    assert u0_inv.is_poly_in_z and U0 @ u0_inv == LaurentMatrix.identity(1)
+    with pytest.raises(ValueError, match="U0 must be polynomial in z"):
+        SplittingData((-1,), U0, U1)
+    d = birkhoff_split(E)
+    assert d.verify(E) and sum(d.type) == E.degree == 0
 
 
 def test_splits_rejects_a_u1_that_is_not_unimodular(monkeypatch):
@@ -350,60 +413,47 @@ def test_splits_rejects_a_u1_that_is_not_unimodular(monkeypatch):
     # (zero, or nonzero of rank 1), sees it.
     w = LaurentPoly.z(-1)
     stubs = [
-        SplittingData((-1,), LaurentMatrix.identity(1), LaurentMatrix.diag([w])),
-        SplittingData((0, -1), LaurentMatrix.identity(2), LaurentMatrix.diag([LaurentPoly.one(), w])),
+        Claim((-1,), LaurentMatrix.identity(1), LaurentMatrix.diag([w])),
+        Claim((0, -1), LaurentMatrix.identity(2), LaurentMatrix.diag([LaurentPoly.one(), w])),
     ]
     for stub in stubs:
         T = LaurentMatrix.identity(len(stub.type))
         assert stub.U0 @ T @ stub.U1 == split_diagonal(stub.type)
         assert stub.U0.is_poly_in_z and stub.U1.is_poly_in_w
-        assert stub.u0_inverse(T) == T
-        assert not stub._splits(T), stub
-    # the memo checks what the reduction returns: such a stub is a bug
-    monkeypatch.setattr(p1_engine, "_split_connected", lambda T: stubs[0])
+        assert T @ stub.U1 @ split_diagonal([-a for a in stub.type]) == T
+        with pytest.raises(ValueError, match="invertible constant term"):
+            SplittingData(*stub)
+    # a stub from the reduction is refused before it can enter the memo
+    monkeypatch.setattr(p1_engine, "_split_connected", lambda T: SplittingData(*stubs[0]))
     _birkhoff_cached.cache_clear()
     try:
-        with pytest.raises(AssertionError, match="internal bug"):
+        with pytest.raises(ValueError, match="invertible constant term"):
             P1Bundle(1, LaurentMatrix.identity(1))
+        assert _birkhoff_cached.cache_info().currsize == 0
     finally:
         _birkhoff_cached.cache_clear()
 
 
 def test_verify_rejects_a_splitting_of_another_rank():
-    # a type, U0 or U1 whose size is not E's rank gives False, not a shape error
+    # a splitting of another rank gives False, not a shape error; a type, U0
+    # or U1 of different sizes is no record at all
     assert not birkhoff_split(split_bundle([1, -1])).verify(split_bundle([0, 0, 0]))
     E = split_bundle([0, 0])
     I2, I3 = LaurentMatrix.identity(2), LaurentMatrix.identity(3)
     assert SplittingData((0, 0), I2, I2).verify(E)
-    for bad in (
-        SplittingData((0, 0), I3, I2),
-        SplittingData((0, 0), I2, I3),
-        SplittingData((0, 0, 0), I2, I2),
-    ):
-        assert not bad.verify(E), bad
+    for bad in (((0, 0), I3, I2), ((0, 0), I2, I3), ((0, 0, 0), I2, I2)):
+        with pytest.raises(ValueError, match="for a type of length"):
+            SplittingData(*bad)
 
 
 def test_inverses_refuse_a_splitting_of_another_rank():
-    # a type of length 3 with 2x2 frames is no splitting: the inverses raise
-    # instead of reading a 2x2 answer off the first two exponents
+    # a type of length 3 with 2x2 frames is no splitting: the constructor
+    # refuses it, so no inverse is ever read off the first two exponents
     I2 = LaurentMatrix.identity(2)
-    data = SplittingData((1, 0, -1), I2, I2)
-    with pytest.raises(ValueError, match="3 column shifts for 2 columns"):
-        data.transition_inverse
-    for _ in range(2):  # a refused inverse is not held
-        with pytest.raises(ValueError, match="3 column shifts for 2 columns"):
-            data.u0_inverse(I2)
-    with pytest.raises(ValueError, match="1 column shifts for 2 columns"):
-        SplittingData((0,), I2, I2).transition_inverse
-
-
-def test_shifts_refuse_a_wrong_number_of_exponents():
-    # one exponent per column, or ValueError: zip would drop the rest
-    M = LaurentMatrix.parse([["1", "z"], ["z^-1", "2"], ["0", "1"]])
-    assert _shift_columns(M, [2, -1]) == M @ split_diagonal([2, -1])
-    for exps in ([1], [1, 0, -1]):
-        with pytest.raises(ValueError, match=f"{len(exps)} column shifts for 2 columns"):
-            _shift_columns(M, exps)
+    with pytest.raises(ValueError, match=r"frames \(2, 2\), \(2, 2\) for a type of length 3"):
+        SplittingData((1, 0, -1), I2, I2)
+    with pytest.raises(ValueError, match=r"frames \(2, 2\), \(2, 2\) for a type of length 1"):
+        SplittingData((0,), I2, I2)
 
 
 def test_split_and_verify_take_no_det():
@@ -468,8 +518,8 @@ def test_a_split_that_fails_verify_is_an_internal_bug(monkeypatch):
     real = p1_engine._split_connected
 
     def tampered(T):
-        data = real(T)
-        return SplittingData(data.type, data.U0, data.U1.shift(-1))
+        data = real(T)  # 2 U0 keeps every clause of the record but the identity
+        return SplittingData(data.type, data.U0.scalar_mul(2), data.U1)
 
     monkeypatch.setattr(p1_engine, "_split_connected", tampered)
     _birkhoff_cached.cache_clear()
@@ -665,6 +715,16 @@ def test_trace_pair_values():
     up = LaurentMatrix.parse([["0", "1"], ["0", "0"]])
     assert trace_pair(E, I2, up) == 0
     assert trace_pair(E, LaurentMatrix.zeros(2, 2), up) == 0
+
+
+def test_a_nonconstant_trace_is_refused(monkeypatch):
+    # only a non-section can have a non-constant trace, and is_global_hom
+    # refuses every one; with that check gone, z passes as an endomorphism
+    # section of O, and its trace with itself, z^2, is refused here
+    monkeypatch.setattr(p1_engine, "is_global_hom", lambda E, F, phi0: True)
+    z = LaurentMatrix.parse([["z"]])
+    with pytest.raises(NonConstantTrace, match=r"trace came out non-constant: z\^2"):
+        trace_pair(line_bundle(0), z, z)
 
 
 def test_trace_pair_filtration_vanishing():
