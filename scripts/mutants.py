@@ -19,11 +19,13 @@ when every selected mutant is killed, 1 otherwise.
 
 riemann_roch_check and serre_dual_check have no mutant. Both read h^0 and
 h^1 off the certified type, so each is true by construction: making it
-return True changes nothing a test can see. Two checks left the engine with
-their mutants, verify-degree-sum and shift-columns-guard: the degree sum of
-SplittingData.verify follows from the record's clauses and the identity
-(the proof is in SplittingData's docstring), and _shift_columns' guard on
-the number of exponents is one that no record that builds can trip.
+return True changes nothing a test can see. Three checks left the engine
+with their mutants, verify-degree-sum, shift-columns-guard and
+u0-inverse-key: the degree sum of SplittingData.verify follows from the
+record's clauses and the identity (the proof is in SplittingData's
+docstring), _shift_columns' guard on the number of exponents is one that
+no record that builds can trip, and a SplittingData holds the one
+transition it splits, so no U0^(-1) is keyed by another.
 """
 
 from __future__ import annotations
@@ -52,18 +54,14 @@ CORE_TESTS = "tests/test_exact_core.py"
 TIMEOUT_S = 300  # one test file; a mutant that hangs its tests is an error, not a kill
 
 VERIFY_SHAPES = "if U0.shape != (r, r) or U1.shape != (r, r):"
-VERIFY_IDENTITY = (
-    "return u0_inv.is_poly_in_z and self.U0 @ u0_inv == LaurentMatrix.identity(r)"
-)
 CONNECTION_CHARTS = "if not cert.A0.is_poly_in_z or not cert.A1.is_poly_in_w:"
 WITNESS_INVERSES = (
     "if T @ t_inv != LaurentMatrix.identity(r) or T_V @ tv_inv != LaurentMatrix.identity(q):"
 )
 
 MUTANTS = (
-    # the clauses of a splitting: the record's own, checked by SplittingData
-    # when it is built, then those against a transition, checked by _splits
-    # (verify and the memo), one clause at a time
+    # the clauses of a splitting, checked by SplittingData when it is built,
+    # one clause at a time; then verify, which compares transitions
     Mutant("verify-u0-shape", P1, VERIFY_SHAPES, "if U1.shape != (r, r):", P1_TESTS),
     Mutant("verify-u1-shape", P1, VERIFY_SHAPES, "if U0.shape != (r, r):", P1_TESTS),
     Mutant(
@@ -76,28 +74,33 @@ MUTANTS = (
     Mutant("verify-u0-in-z", P1, "if not U0.is_poly_in_z:", "if False:", P1_TESTS),
     Mutant("verify-u1-in-w", P1, "if not U1.is_poly_in_w:", "if False:", P1_TESTS),
     Mutant("verify-u1-unimodular", P1, "if _qnullspace(w0, r) is not None:", "if False:", P1_TESTS),
-    Mutant("verify-type-length", P1, "if T.rows != r:", "if False:", P1_TESTS),
+    Mutant("verify-type-length", P1, "if transition.shape != (r, r):", "if False:", P1_TESTS),
+    Mutant("verify-u0-inverse-in-z", P1, "if not u0_inv.is_poly_in_z:", "if False:", P1_TESTS),
     Mutant(
-        "verify-u0-inverse-in-z",
+        "verify-identity",
         P1,
-        VERIFY_IDENTITY,
-        "return self.U0 @ u0_inv == LaurentMatrix.identity(r)",
+        "if U0 @ u0_inv != LaurentMatrix.identity(r):",
+        "if False:",
         P1_TESTS,
     ),
-    Mutant("verify-identity", P1, VERIFY_IDENTITY, "return u0_inv.is_poly_in_z", P1_TESTS),
-    # the reduction decides units; a splitting that fails the check is a bug
-    Mutant("verify-internal-bug", P1, "if not data._splits(T):", "if False:", P1_TESTS),
+    Mutant(
+        "verify-transition-equality",
+        P1,
+        "return E.transition == self.transition",
+        "return True",
+        P1_TESTS,
+    ),
+    # the reduction decides units; a splitting its record refuses is a bug
+    Mutant(
+        "verify-internal-bug",
+        P1,
+        "except ValueError as exc:",
+        "except ZeroDivisionError as exc:",
+        P1_TESTS,
+    ),
     # P1Bundle's shape guards
     Mutant("bundle-square", P1, "if not self.transition.is_square:", "if False:", P1_TESTS),
     Mutant("bundle-rank", P1, "if self.transition.rows != self.rank:", "if False:", P1_TESTS),
-    # the held U0^(-1) serves its own transition only
-    Mutant(
-        "u0-inverse-key",
-        P1,
-        "if held is not None and (held[0] is T or held[0] == T):",
-        "if held is not None:",
-        P1_TESTS,
-    ),
     # the w-chart reduction: a row of positive degree left means no unit
     Mutant("w-side-unit-test", P1, "if any(w_tops):", "if False:", P1_TESTS),
     # the z-chart step budget: on det 0 with a wide span, it bounds the time

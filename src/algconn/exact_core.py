@@ -97,7 +97,7 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
@@ -678,17 +678,13 @@ class LaurentMatrix(_Value):
     def scalar_mul(self, s) -> "LaurentMatrix":
         if isinstance(s, (int, Fraction)):
             s = LaurentPoly.const(s)
-        return self.map_entries(lambda x: x * s)
+        return _matrix(tuple(tuple(x * s for x in row) for row in self._rows))
 
     def shift(self, k: int) -> "LaurentMatrix":
         return _matrix(tuple(tuple(x.shift(k) for x in row) for row in self._rows))
 
     def transpose(self) -> "LaurentMatrix":
         return _matrix(tuple(zip(*self._rows)))
-
-    def map_entries(self, f: Callable[[LaurentPoly], LaurentPoly]) -> "LaurentMatrix":
-        """Apply f entrywise; f must return LaurentPoly, which is not re-checked."""
-        return _matrix(tuple(tuple(f(x) for x in row) for row in self._rows))
 
     def derivative(self) -> "LaurentMatrix":
         return _matrix(tuple(tuple(x.derivative() for x in row) for row in self._rows))

@@ -19,10 +19,11 @@ block upper triangular as well:
     [[T_H,  T' (x) phi0^T],
      [0,    T            ]]
 
-with T_H the transition of H = hom_bundle(V, E) = E (x) V*. It exhibits the
-extension  0 -> Hom(V, E) -> J -> E -> 0, so deg J = deg H + deg E, a fact
-about the bundle: like every bundle, J takes its degree from the splitting
-type of the reduction that validates it. For the tangent anchor (phi0 = 1)
+with T_H = T (x) T_V^(-T) the transition of H = Hom(V, E) = E (x) V*, read
+off the splitting of V; H itself is never built. It exhibits the extension
+0 -> Hom(V, E) -> J -> E -> 0, so deg J = deg H + deg E, a fact about the
+bundle: like every bundle, J takes its degree from the splitting type of
+the reduction that validates it. For the tangent anchor (phi0 = 1)
 this is the first jet bundle on the nose.
 
 A connection is a pair of local operators  phi^* d + A0  and  phi^* d + A1
@@ -58,7 +59,6 @@ from .exact_core import LaurentMatrix, LaurentPoly, _matrix, _parse_entries, _po
 from .p1_engine import (
     P1Bundle,
     birkhoff_split,
-    hom_bundle,
     is_global_hom,
     p1bundle_from_json,
     p1bundle_to_json,
@@ -130,14 +130,15 @@ def jet1_transition(E: P1Bundle) -> P1Bundle:
 
 def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
     """Anchored jet bundle, rank r(1 + rank V), frame (Hom(V, E) slot, value):
-    the extension of E by H = hom_bundle(V, E) = E (x) V*, with transition
-    [[T_H, T' (x) phi0^T], [0, T]]. Like every bundle it is validated and
-    split when it is built; its degree is deg H + deg E."""
+    the extension of E by H = Hom(V, E) = E (x) V*, with transition
+    [[T_H, T' (x) phi0^T], [0, T]] and T_H = T (x) T_V^(-T), the transition
+    of hom_bundle(V, E), built from V's splitting without that bundle. J is
+    the one bundle built, validated and split; its degree is deg H + deg E."""
     T = E.transition
-    H = hom_bundle(anchor.V, E)
-    top = H.transition.hstack(T.derivative().kron(anchor.phi_row.transpose()))
-    bottom = LaurentMatrix.zeros(E.rank, H.rank).hstack(T)
-    return P1Bundle(H.rank + E.rank, top.vstack(bottom))
+    T_H = T.kron(birkhoff_split(anchor.V).transition_inverse.transpose())
+    top = T_H.hstack(T.derivative().kron(anchor.phi_row.transpose()))
+    bottom = LaurentMatrix.zeros(E.rank, T_H.rows).hstack(T)
+    return P1Bundle(T_H.rows + E.rank, top.vstack(bottom))
 
 
 def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocycle:
@@ -169,10 +170,11 @@ def split_coboundary(
 
         b0 = U0^(-1) beta0 (U0_V (x) U0),
 
-    with U0^(-1) read off the splitting (SplittingData.u0_inverse). This is
-    the Kronecker splitting of End(E) (x) V* applied to the block row, so
-    that bundle is never built. Given b0, the equation fixes b1: since
-    transport(b1) = T b1 (T_V^(-1) (x) T^(-1)),
+    with U0^(-1) the one each splitting's check computed when it was built
+    (SplittingData.u0_inverse). This is the Kronecker splitting of End(E)
+    (x) V* applied to the block row, so that bundle is never built. Given
+    b0, the equation fixes b1: since transport(b1) = T b1 (T_V^(-1) (x)
+    T^(-1)),
 
         b1 = T^(-1) (b0 - c) (T_V (x) T),
 
@@ -201,8 +203,7 @@ def split_coboundary(
         zero = LaurentMatrix.zeros(r, r * q)
         return zero, zero
     se, sv = birkhoff_split(E), birkhoff_split(V)
-    u0_inv = se.u0_inverse(E.transition)
-    u0v_inv = sv.u0_inverse(V.transition)
+    u0_inv, u0v_inv = se.u0_inverse, sv.u0_inverse
     y = se.U0 @ c.overlap_matrix @ u0v_inv.kron(u0_inv)
     beta0: list[list[LaurentPoly]] = [[] for _ in range(r)]
     for a, v in enumerate(sv.type):

@@ -20,9 +20,8 @@ invertible (the predictable-degree property; Kailath, Linear Systems,
 1980). On the z-chart it gives U0 with U0 * T = diag(z^(h_i)) * N, N
 polynomial in w = 1/z with N(0) invertible. On the w-chart it reduces N,
 reflected to a polynomial in z, and gives U1 = N^(-1). A SplittingData
-checks its own frames when it is built. The identity U0 * T * U1 =
-diag(z^(a_i)), the one clause that reads T, is checked once per splitting
-the memo makes, and every inverse of a unit matrix is read off it.
+holds the T it splits and checks all of U0 * T * U1 = diag(z^(a_i)) once,
+when it is built, and every inverse of a unit matrix is read off it.
 U0^(-1) = T * U1 * diag(z^(-a_i)) polynomial in z makes U0 unimodular,
 with no determinant, and then U1 is unimodular iff its constant term
 U1(w = 0) is invertible: det T * det U1 = c * z^(sum a_i), so det U1 =
@@ -45,7 +44,7 @@ Riemann-Roch and Serre duality are all read off the certified type of E.
 
 There is one memo, the splitting memo behind birkhoff_split, keyed by the
 transition. Every inverse the engine takes (T^(-1), and the U0^(-1) the
-memo's check computes) is read off the SplittingData it holds and kept
+record's check computes) is read off the SplittingData it holds and kept
 there, so equal transitions share them. The bundle constructors cache
 nothing, and the memo is a pure function of the transition: equal bundles
 get the same type, U0 and U1, whatever was split before.
@@ -169,10 +168,11 @@ def gauge_transform(E: P1Bundle, A: LaurentMatrix, B: LaurentMatrix) -> P1Bundle
 class SplittingData(_Value):
     """U0 * T * U1 = diag(z^(a_1), ..., z^(a_r)) with a_1 >= ... >= a_r,
     U0 polynomial in z, U1 polynomial in 1/z, both of constant nonzero
-    determinant. The record checks all but the identity when it is built:
-    ValueError unless U0 and U1 are r x r for a type of length r, the type
-    descends, U0 is polynomial in z, U1 in 1/z and U1(w = 0) is invertible.
-    verify(E) and the memo's _splits(T) check the identity alone.
+    determinant: a checked factorization of the transition T it holds. It
+    is checked once, when it is built: ValueError unless U0 and U1 are r x r
+    for a type of length r, the type descends, U0 is polynomial in z, U1 in
+    1/z, U1(w = 0) is invertible, T is r x r, and the identity holds in the
+    form U0 * U0^(-1) = I with U0^(-1) = T U1 D^(-1) polynomial in z.
 
     No degree is compared: U0 U0^(-1) = I with both factors polynomial in
     z makes det U0 = c0, and every bundle a constructor can make has det T
@@ -182,17 +182,16 @@ class SplittingData(_Value):
 
     Every inverse the engine needs is read off the identity. D =
     diag(z^(a_i)) and D^(-1) are never multiplied: on the left they shift
-    row i by z^(+-a_i), on the right column j by z^(+-a_j). T^(-1) is
-    cached on first read, and U0^(-1) is held for the T it was first read
-    for (u0_inverse): in the memo, the check's, which later readers get.
-    That key keeps the check sound: U0 U0^(-1) = I checks the identity only
-    for the T that U0^(-1) was read for, so verify(E2) computes its own."""
+    row i by z^(+-a_i), on the right column j by z^(+-a_j). U0^(-1) is the
+    check's, kept in u0_inverse, and T^(-1) is computed on first read."""
 
-    _fields = ("type", "U0", "U1")
-    # __dict__ holds the cached T^(-1) and the held (T, U0^(-1))
-    __slots__ = _fields + ("__dict__",)
+    _fields = ("transition", "type", "U0", "U1")
+    __slots__ = _fields + ("u0_inverse", "__dict__")  # __dict__ holds the cached T^(-1)
 
-    def __init__(self, type: tuple[int, ...], U0: LaurentMatrix, U1: LaurentMatrix) -> None:
+    def __init__(
+        self, transition: LaurentMatrix, type: tuple[int, ...], U0: LaurentMatrix, U1: LaurentMatrix
+    ) -> None:
+        object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "U0", U0)
         object.__setattr__(self, "U1", U1)
@@ -208,39 +207,26 @@ class SplittingData(_Value):
         w0 = [[x._coeffs.get(0, 0) for x in U1.row_list(i)] for i in range(r)]
         if _qnullspace(w0, r) is not None:
             raise ValueError("U1 must have an invertible constant term")
+        if transition.shape != (r, r):
+            raise ValueError(f"a transition of shape {transition.shape} for a type of length {r}")
+        u0_inv = _shift_columns(transition @ U1, [-a for a in type])
+        if not u0_inv.is_poly_in_z:
+            raise ValueError("U0^(-1) = T U1 D^(-1) must be polynomial in z")
+        if U0 @ u0_inv != LaurentMatrix.identity(r):
+            raise ValueError("U0 T U1 must be diag(z^(a_i))")
+        object.__setattr__(self, "u0_inverse", u0_inv)
 
     def verify(self, E: "P1Bundle") -> bool:
-        """Does this split E's transition? Its type then sums to deg E (see
-        above); a splitting of another rank is not one of E: False."""
-        return self._splits(E.transition)
-
-    def _splits(self, T: LaurentMatrix) -> bool:
-        """T's size, then the identity against the square transition T in
-        the form U0 * U0^(-1) = I with U0^(-1) = T U1 D^(-1) polynomial in z
-        (the identity with D^(-1) applied)."""
-        r = len(self.type)
-        if T.rows != r:
-            return False
-        u0_inv = self.u0_inverse(T)
-        return u0_inv.is_poly_in_z and self.U0 @ u0_inv == LaurentMatrix.identity(r)
+        """Does this split E's transition? Exactly when it is this record's
+        own: the identity fixes T = U0^(-1) D U1^(-1). Its type then sums to
+        deg E (see above)."""
+        return E.transition == self.transition
 
     @cached_property
     def transition_inverse(self) -> LaurentMatrix:
         """T^(-1) = U1 D^(-1) U0, computed once: the memo hands this object
         to every transition equal to the one it split."""
         return _shift_columns(self.U1, [-a for a in self.type]) @ self.U0
-
-    def u0_inverse(self, T: LaurentMatrix) -> LaurentMatrix:
-        """U0^(-1) = T U1 D^(-1), for the transition T this splits. The
-        first one computed is held with its T as key and returned again for
-        that T or an equal one; any other T gets its own, computed afresh."""
-        held = self.__dict__.get("_u0_inverse")
-        if held is not None and (held[0] is T or held[0] == T):
-            return held[1]
-        inv = _shift_columns(T @ self.U1, [-a for a in self.type])
-        if held is None:
-            self.__dict__["_u0_inverse"] = (T, inv)
-        return inv
 
 
 def _shift_columns(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
@@ -322,9 +308,9 @@ def _combine(rows: list[_Row], terms: list[tuple[int, int, int | Fraction]]) -> 
 
 
 def _split_connected(T: LaurentMatrix) -> SplittingData:
-    """U0 and U1 with U0 @ T @ U1 claimed diagonal and the type sorted, by
-    one reduction run on both charts; NotAUnit when T is no unit. The record
-    checks its frames when built, and the memo checks the identity.
+    """U0 and U1 with U0 @ T @ U1 diagonal and the type sorted, by one
+    reduction run on both charts; NotAUnit when T is no unit. The record
+    checks the factorization when it is built.
 
     On the z-chart, _reduce gives U0 @ T = diag(z^h) * N, N polynomial in
     w = 1/z with N(0) = H invertible; sorting the rows by h sorts the type.
@@ -349,7 +335,7 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
         row = _combine(w_rows, [(k, 0, c) for k, c in enumerate(c_row) if c])
         U1.append(tuple(_poly({-e: c for e, c in x.items()}) for x in row))
     U0 = tuple(tuple(map(_poly, u0_rows[i])) for i in order)
-    return SplittingData(tuple(tops[i] for i in order), _matrix(U0), _matrix(tuple(U1)))
+    return SplittingData(T, tuple(tops[i] for i in order), _matrix(U0), _matrix(tuple(U1)))
 
 
 # The one memo. It is global and keyed by transition equality, not scoped to
@@ -359,11 +345,11 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
 # a 2-vCPU VM.
 @lru_cache(maxsize=None)
 def _birkhoff_cached(T: LaurentMatrix) -> SplittingData:
-    data = _split_connected(T)
-    if not data._splits(T):
+    try:
+        return _split_connected(T)
+    except ValueError as exc:
         # the reduction on both charts decided T is a unit, so this is a bug
-        raise AssertionError("splitting failed verification (internal bug)")
-    return data
+        raise AssertionError("splitting failed verification (internal bug)") from exc
 
 
 def birkhoff_split(E: P1Bundle) -> SplittingData:
@@ -436,7 +422,7 @@ def hom_sections(E: P1Bundle, F: P1Bundle) -> list[LaurentMatrix]:
     global_sections: the sections z^m U0_F^(-1)[:, j]."""
     se = birkhoff_split(E)
     sf = birkhoff_split(F)
-    f0_inv = sf.u0_inverse(F.transition)
+    f0_inv = sf.u0_inverse
     rows = [se.U0.submatrix([i], range(E.rank)) for i in range(E.rank)]
     basis: list[LaurentMatrix] = []
     for j, b in enumerate(sf.type):

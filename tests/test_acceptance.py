@@ -152,7 +152,7 @@ def _nonsemistable_case(s: Sampler):
 def _hom_sections_reference(E, F):
     """H^0(Hom(E, F)) by the defining product U0_F^(-1) (z^m E_ji) U0_E."""
     se, sf = birkhoff_split(E), birkhoff_split(F)
-    f0_inv = sf.u0_inverse(F.transition)
+    f0_inv = sf.u0_inverse
     basis = []
     for j, b in enumerate(sf.type):
         for i, a in enumerate(se.type):

@@ -205,7 +205,7 @@ def test_matrix_kernels_keep_canonical_form(mats, k):
     A2, B2 = A.hstack(A), C.vstack(D - C)
     results = [
         A + A, A - A, -A, A.shift(k), A @ C, A2 @ B2, A.transpose(), A2, B2,
-        B2.submatrix([2, 0], [1]), A.map_entries(lambda x: x * x),
+        B2.submatrix([2, 0], [1]), A.scalar_mul(A.entry(0, 0)),
     ]
     for M in results:
         _assert_canonical_matrix(M)

@@ -32,6 +32,8 @@ from algconn.jet_obstruction import (
 from algconn.p1_engine import (
     P1Bundle,
     SplittingData,
+    _birkhoff_cached,
+    _shift_columns,
     birkhoff_split,
     dual_bundle,
     gauge_transform,
@@ -185,6 +187,26 @@ def test_jet_degrees_match_det():
             assert J.transition.submatrix(range(H.rank), range(H.rank)) == H.transition
 
 
+def test_a_jet_bundle_adds_one_memo_entry():
+    # the upper-left block of J_V(E) is read off V's splitting, so J is the
+    # one bundle a jets call builds: with E and V split on a cleared memo,
+    # each jet bundle adds its own entry and no other
+    s = Sampler(64)
+    E = gauge_transform(split_bundle([2, 0, 0, -1, -3]), s.unimodular_z(5), s.unimodular_w(5))
+    V2 = _gauged_v2()
+    anchors = [tangent_anchor(), ConcreteAnchor(V2, hom_sections(V2, tangent_bundle())[0])]
+    for jet in [jet1_transition] + [lambda E, a=a: jetV_transition(E, a) for a in anchors]:
+        try:
+            _birkhoff_cached.cache_clear()
+            for F in (E, tangent_bundle(), V2):
+                birkhoff_split(F)
+            J = jet(E)
+            assert _birkhoff_cached.cache_info().currsize == 4
+            assert birkhoff_split(J).verify(J)
+        finally:
+            _birkhoff_cached.cache_clear()
+
+
 # -- obstruction cocycle -----------------------------------------------------------
 
 
@@ -315,13 +337,23 @@ def test_split_frame_solve_matches_kronecker_reference():
     assert answers == {True, False}
 
 
+def _forged_splitting(**slots) -> SplittingData:
+    """A SplittingData with its slots set directly, past the constructor's
+    checks: what an engine bug could hand out to the certificate checks."""
+    forged = object.__new__(SplittingData)
+    for name, value in slots.items():
+        getattr(SplittingData, name).__set__(forged, value)
+    return forged
+
+
 def test_tampered_splitting_never_gives_a_wrong_answer(monkeypatch):
     # U0's row 0 scaled by z^m under a type with a_0 raised by m still gives
-    # U0 T U1 = diag, and the record builds, but det U0 = z^m, so the solve
-    # runs in a frame that is no frame change; of the splitting's checks only
-    # U0^(-1) polynomial in z sees it. Every answer is then the honest one or
-    # refused by its certificate check: a false "exists" by verify_connection,
-    # a false "no connection" by verify_witness
+    # U0 T U1 = diag, but det U0 = z^m: of the record's clauses only U0^(-1)
+    # polynomial in z sees it, and the constructor refuses it. Forged past
+    # the constructor, the solve runs in a frame that is no frame change.
+    # Every answer is then the honest one or refused by its certificate
+    # check: a false "exists" by verify_connection, a false "no connection"
+    # by verify_witness
     import algconn.jet_obstruction as jo
 
     s = Sampler(53)
@@ -334,9 +366,14 @@ def test_tampered_splitting_never_gives_a_wrong_answer(monkeypatch):
             for m in (1, 2):
                 raised = (honest.type[0] + m,) + honest.type[1:]
                 scale = LaurentMatrix.diag([LaurentPoly.z(m), LaurentPoly.one()])
-                bad = SplittingData(raised, scale @ honest.U0, honest.U1)
+                claim = (E.transition, raised, scale @ honest.U0, honest.U1)
+                with pytest.raises(ValueError, match="must be polynomial in z"):
+                    SplittingData(*claim)
+                bad = _forged_splitting(
+                    **dict(zip(SplittingData._fields, claim)),
+                    u0_inverse=_shift_columns(E.transition @ honest.U1, [-a for a in raised]),
+                )
                 assert bad.U0 @ E.transition @ bad.U1 == split_diagonal(raised)
-                assert not bad.verify(E)
                 monkeypatch.setattr(
                     jo, "birkhoff_split", lambda F, E=E, bad=bad: bad if F == E else birkhoff_split(F)
                 )
@@ -424,7 +461,7 @@ def _first_window_coefficient(c: ObstructionCocycle, E: P1Bundle, V: P1Bundle):
     window coefficients it has; None if there are none."""
     se, sv = birkhoff_split(E), birkhoff_split(V)
     r = E.rank
-    u0_inv, u0v_inv = se.u0_inverse(E.transition), sv.u0_inverse(V.transition)
+    u0_inv, u0v_inv = se.u0_inverse, sv.u0_inverse
     conj = [
         se.U0 @ c.overlap_matrix.submatrix(range(r), range(b * r, (b + 1) * r)) @ u0_inv
         for b in range(V.rank)
@@ -520,7 +557,7 @@ def test_witness_rejects_tampered_inverse(monkeypatch):
     original = jo.birkhoff_split
     for victim in (E, V):
         good = original(victim)
-        bad = SplittingData(good.type, good.U0, good.U1)
+        bad = SplittingData(good.transition, good.type, good.U0, good.U1)
         bump = LaurentMatrix.diag([LaurentPoly.z(-40)] + [LaurentPoly.zero()] * (victim.rank - 1))
         vars(bad)["transition_inverse"] = good.transition_inverse + bump  # the cached value
         monkeypatch.setattr(jo, "birkhoff_split", lambda F, v=victim, b=bad: b if F == v else original(F))

@@ -199,7 +199,7 @@ def test_splitting_inverses_are_two_sided():
         d = birkhoff_split(E)
         T, eye = E.transition, LaurentMatrix.identity(r)
         u1_inv = split_diagonal([-a for a in d.type]) @ d.U0 @ T  # D^(-1) U0 T
-        for M, inv in ((T, d.transition_inverse), (d.U0, d.u0_inverse(T)), (d.U1, u1_inv)):
+        for M, inv in ((T, d.transition_inverse), (d.U0, d.u0_inverse), (d.U1, u1_inv)):
             assert M @ inv == eye and inv @ M == eye
 
 
@@ -210,17 +210,13 @@ def test_u0_inverse_is_held_for_its_transition():
         E = gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
         d = birkhoff_split(E)
         T = E.transition
-        held = d.u0_inverse(T)
-        assert d.u0_inverse(T) is held
+        held = d.u0_inverse
+        assert d.u0_inverse is held and d.transition is T
         assert held == _shift_columns(T @ d.U1, [-a for a in d.type])
-        # an equal bundle built afresh gets the memo's splitting and the held inverse
+        # an equal bundle built afresh gets the memo's splitting and its inverse
         F = p1bundle_from_json(p1bundle_to_json(E))
         assert F.transition is not T and F.transition == T
-        assert birkhoff_split(F) is d and d.u0_inverse(F.transition) is held
-        # another transition gets its own inverse, and the held one stays
-        T2 = T.shift(1)
-        assert d.u0_inverse(T2) == _shift_columns(T2 @ d.U1, [-a for a in d.type]) != held
-        assert d.u0_inverse(T) is held
+        assert birkhoff_split(F) is d and birkhoff_split(F).u0_inverse is held
 
 
 def test_verify_reads_no_held_inverse_of_another_bundle():
@@ -267,7 +263,7 @@ def test_verify_accepts_every_splitting_not_only_the_memos():
                     autos.append((swap, swap))
             for g, g_inv in autos:
                 assert g @ g_inv == LaurentMatrix.identity(r)
-                other = SplittingData(a, g @ d.U0, d.U1 @ D_inv @ g_inv @ D)
+                other = SplittingData(E.transition, a, g @ d.U0, d.U1 @ D_inv @ g_inv @ D)
                 assert other != d and other.verify(E) and verify_by_det(other, E)
                 assert sum(other.type) == E.degree
                 checked += 1
@@ -294,6 +290,33 @@ def test_split_verify_and_sections_form_t_u1_once(monkeypatch):
     assert sum(1 for x, y in products if x is T and y is d.U1) == 1
 
 
+def test_verify_forms_no_product_and_a_split_checks_once(monkeypatch):
+    # a record splits exactly its own transition, so verify multiplies
+    # nothing; the memo's split checks the identity with one T U1 and one
+    # U0 U0^(-1)
+    s = Sampler(67)
+    r = 4
+    T = s.unimodular_z(r) @ split_bundle([2, 1, -1, -2]).transition @ s.unimodular_w(r)
+    _birkhoff_cached.cache_clear()  # so that P1Bundle(r, T) runs the reduction
+    products = []
+    matmul = LaurentMatrix.__matmul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(LaurentMatrix, "__matmul__", counting)
+    E = P1Bundle(r, T)
+    d = birkhoff_split(E)
+    copy, other = p1bundle_from_json(p1bundle_to_json(E)), twist(E, 1)
+    split = products[:]
+    products.clear()
+    assert d.verify(E) and d.verify(copy) and not d.verify(other)
+    assert products == []
+    assert sum(1 for x, y in split if x is T and y is d.U1) == 1
+    assert sum(1 for x, y in split if x is d.U0 and y is d.u0_inverse) == 1
+
+
 def verify_by_det(d, E: P1Bundle) -> bool:
     """The definition of a splitting, with the oracle determinant as reference:
     sorted type summing to deg E, U0 polynomial in z and U1 in 1/z, both of
@@ -308,18 +331,17 @@ def verify_by_det(d, E: P1Bundle) -> bool:
     return d.U0 @ E.transition @ d.U1 == split_diagonal(d.type)
 
 
-# a claimed splitting, not yet built: SplittingData(*claim) checks its frames
-Claim = namedtuple("Claim", "type U0 U1")
+# a claimed splitting, not yet built: SplittingData(*claim) checks it
+Claim = namedtuple("Claim", "transition type U0 U1")
 
-# where each tamper is refused: by the constructor's clause with this message,
-# or (None) by verify, the identity against the transition
+# the constructor's clause that refuses each tamper, by its message
 REFUSED_BY = {
     "row_scaled": "invertible constant term",
     "unsorted": "must descend",
     "degree_sum": "invertible constant term",
-    "degree_raised": None,
+    "degree_raised": r"T U1 D\^\(-1\) must be polynomial in z",
     "u0_not_poly": "U0 must be polynomial in z",
-    "shear": None,
+    "shear": "U0 T U1 must be diag",
     "u1_not_poly": "U1 must be polynomial in 1/z",
 }
 
@@ -327,7 +349,7 @@ REFUSED_BY = {
 def tampered_splittings(E: P1Bundle) -> dict[str, Claim]:
     """Splittings of E, rank >= 2 with distinct exponents, each broken in one way."""
     d = birkhoff_split(E)
-    r = E.rank
+    r, T = E.rank, E.transition
     one, z, w = LaurentPoly.one(), LaurentPoly.z(1), LaurentPoly.z(-1)
 
     def at(i: int, x: LaurentPoly) -> LaurentMatrix:
@@ -348,21 +370,20 @@ def tampered_splittings(E: P1Bundle) -> dict[str, Claim]:
     return {
         # U0 T U1 = D still holds, but det U0 = z and det U1 = 1/z: U1's
         # singular constant term sees it, and so would U0^(-1) off its chart
-        "row_scaled": Claim(d.type, at(0, z) @ d.U0, d.U1 @ at(0, w)),
-        "unsorted": Claim(d.type[1::-1] + d.type[2:], swap @ d.U0, d.U1 @ swap),
+        "row_scaled": Claim(T, d.type, at(0, z) @ d.U0, d.U1 @ at(0, w)),
+        "unsorted": Claim(T, d.type[1::-1] + d.type[2:], swap @ d.U0, d.U1 @ swap),
         # U0 T U1 = diag(z^low) with det U1 = 1/z: U1's singular constant
         # term sees it, and with it the type's sum deg E - 1
-        "degree_sum": Claim(tuple(low), d.U0, d.U1 @ at(r - 1, w)),
-        # U0 T U1 = diag(z^high) with det U0 = z and U1 unimodular: the
-        # constructor accepts it, and of verify's clauses only U0^(-1)
-        # polynomial in z sees it
-        "degree_raised": Claim(tuple(high), at(0, z) @ d.U0, d.U1),
-        "u0_not_poly": Claim(d.type, at(0, w) @ d.U0, d.U1 @ at(0, z)),
-        "shear": Claim(d.type, shear @ d.U0, d.U1),
+        "degree_sum": Claim(T, tuple(low), d.U0, d.U1 @ at(r - 1, w)),
+        # U0 T U1 = diag(z^high) with det U0 = z and U1 unimodular: of the
+        # record's clauses only U0^(-1) polynomial in z sees it
+        "degree_raised": Claim(T, tuple(high), at(0, z) @ d.U0, d.U1),
+        "u0_not_poly": Claim(T, d.type, at(0, w) @ d.U0, d.U1 @ at(0, z)),
+        "shear": Claim(T, d.type, shear @ d.U0, d.U1),
         # U0 T U1 = D, U0 polynomial and U0^(-1) = T U1 D^(-1) polynomial in
         # z, det U1 = 1: U1 polynomial in 1/z sees it (at some ranks U1's
         # constant term is singular too)
-        "u1_not_poly": Claim(d.type, steep @ d.U0, d.U1 @ unit_at_01(-z)),
+        "u1_not_poly": Claim(T, d.type, steep @ d.U0, d.U1 @ unit_at_01(-z)),
     }
 
 
@@ -380,11 +401,8 @@ def test_verify_matches_det_definition_and_rejects_tampers():
         assert set(tampers) == set(REFUSED_BY)
         for name, claim in tampers.items():
             assert not verify_by_det(claim, F), name
-            if REFUSED_BY[name] is None:
-                assert not SplittingData(*claim).verify(F), name
-            else:
-                with pytest.raises(ValueError, match=REFUSED_BY[name]):
-                    SplittingData(*claim)
+            with pytest.raises(ValueError, match=REFUSED_BY[name]):
+                SplittingData(*claim)
         scaled = tampers["row_scaled"]
         assert scaled.U0 @ F.transition @ scaled.U1 == split_diagonal(scaled.type)
 
@@ -402,7 +420,7 @@ def test_verify_rejects_u0_off_its_chart_under_a_wrong_degree():
     u0_inv = E.transition @ U1 @ split_diagonal([1])
     assert u0_inv.is_poly_in_z and U0 @ u0_inv == LaurentMatrix.identity(1)
     with pytest.raises(ValueError, match="U0 must be polynomial in z"):
-        SplittingData((-1,), U0, U1)
+        SplittingData(E.transition, (-1,), U0, U1)
     d = birkhoff_split(E)
     assert d.verify(E) and sum(d.type) == E.degree == 0
 
@@ -412,36 +430,41 @@ def test_splits_rejects_a_u1_that_is_not_unimodular(monkeypatch):
     # = T U1 D^(-1) = I, yet det U1 = w. Only U1's constant term, singular
     # (zero, or nonzero of rank 1), sees it.
     w = LaurentPoly.z(-1)
+    I1, I2 = LaurentMatrix.identity(1), LaurentMatrix.identity(2)
     stubs = [
-        Claim((-1,), LaurentMatrix.identity(1), LaurentMatrix.diag([w])),
-        Claim((0, -1), LaurentMatrix.identity(2), LaurentMatrix.diag([LaurentPoly.one(), w])),
+        Claim(I1, (-1,), I1, LaurentMatrix.diag([w])),
+        Claim(I2, (0, -1), I2, LaurentMatrix.diag([LaurentPoly.one(), w])),
     ]
     for stub in stubs:
-        T = LaurentMatrix.identity(len(stub.type))
+        T = stub.transition
         assert stub.U0 @ T @ stub.U1 == split_diagonal(stub.type)
         assert stub.U0.is_poly_in_z and stub.U1.is_poly_in_w
         assert T @ stub.U1 @ split_diagonal([-a for a in stub.type]) == T
         with pytest.raises(ValueError, match="invertible constant term"):
             SplittingData(*stub)
-    # a stub from the reduction is refused before it can enter the memo
+    # a stub from the reduction is refused before it can enter the memo, and
+    # the memo reports the refusal as an internal bug
     monkeypatch.setattr(p1_engine, "_split_connected", lambda T: SplittingData(*stubs[0]))
     _birkhoff_cached.cache_clear()
     try:
-        with pytest.raises(ValueError, match="invertible constant term"):
-            P1Bundle(1, LaurentMatrix.identity(1))
+        with pytest.raises(AssertionError, match="internal bug") as refused:
+            P1Bundle(1, I1)
+        assert isinstance(refused.value.__cause__, ValueError)
+        assert "invertible constant term" in str(refused.value.__cause__)
         assert _birkhoff_cached.cache_info().currsize == 0
     finally:
         _birkhoff_cached.cache_clear()
 
 
 def test_verify_rejects_a_splitting_of_another_rank():
-    # a splitting of another rank gives False, not a shape error; a type, U0
-    # or U1 of different sizes is no record at all
+    # a splitting of another rank gives False, not a shape error; a type, U0,
+    # U1 or transition of different sizes is no record at all
     assert not birkhoff_split(split_bundle([1, -1])).verify(split_bundle([0, 0, 0]))
     E = split_bundle([0, 0])
     I2, I3 = LaurentMatrix.identity(2), LaurentMatrix.identity(3)
-    assert SplittingData((0, 0), I2, I2).verify(E)
-    for bad in (((0, 0), I3, I2), ((0, 0), I2, I3), ((0, 0, 0), I2, I2)):
+    assert SplittingData(E.transition, (0, 0), I2, I2).verify(E)
+    for bad in ((I2, (0, 0), I3, I2), (I2, (0, 0), I2, I3), (I2, (0, 0, 0), I2, I2),
+                (I3, (0, 0), I2, I2)):
         with pytest.raises(ValueError, match="for a type of length"):
             SplittingData(*bad)
 
@@ -451,9 +474,9 @@ def test_inverses_refuse_a_splitting_of_another_rank():
     # refuses it, so no inverse is ever read off the first two exponents
     I2 = LaurentMatrix.identity(2)
     with pytest.raises(ValueError, match=r"frames \(2, 2\), \(2, 2\) for a type of length 3"):
-        SplittingData((1, 0, -1), I2, I2)
+        SplittingData(I2, (1, 0, -1), I2, I2)
     with pytest.raises(ValueError, match=r"frames \(2, 2\), \(2, 2\) for a type of length 1"):
-        SplittingData((0,), I2, I2)
+        SplittingData(I2, (0,), I2, I2)
 
 
 def test_split_and_verify_take_no_det():
@@ -519,13 +542,14 @@ def test_a_split_that_fails_verify_is_an_internal_bug(monkeypatch):
 
     def tampered(T):
         data = real(T)  # 2 U0 keeps every clause of the record but the identity
-        return SplittingData(data.type, data.U0.scalar_mul(2), data.U1)
+        return SplittingData(T, data.type, data.U0.scalar_mul(2), data.U1)
 
     monkeypatch.setattr(p1_engine, "_split_connected", tampered)
     _birkhoff_cached.cache_clear()
     try:
-        with pytest.raises(AssertionError, match="internal bug"):
+        with pytest.raises(AssertionError, match="internal bug") as refused:
             bundle([["z", "1"], ["0", "z^-1"]])
+        assert "U0 T U1 must be diag" in str(refused.value.__cause__)
     finally:
         _birkhoff_cached.cache_clear()
 

@@ -66,8 +66,13 @@ CASES = {
     ConnectionCert: (("A0", "A1"), (M([["z", "0"]]), M([["0", "1/2*z^-1"]]))),
     P1Bundle: (("rank", "transition"), (2, M([["z", "1"], ["0", "z^-1"]]))),
     SplittingData: (
-        ("type", "U0", "U1"),
-        ((1, -1), LaurentMatrix.identity(2), M([["1", "z^-1"], ["0", "1"]])),
+        ("transition", "type", "U0", "U1"),
+        (
+            M([["z", "-1"], ["0", "z^-1"]]),
+            (1, -1),
+            LaurentMatrix.identity(2),
+            M([["1", "z^-1"], ["0", "1"]]),
+        ),
     ),
     GlobalSection: (("chart0_rep",), (M([["z"], ["1"]]),)),
     FuzzOutcome: (("report",), ({"cases": 1, "mismatches": 0},)),
@@ -96,8 +101,8 @@ REPRS = {
     ObstructionCocycle: "ObstructionCocycle(overlap_matrix=LaurentMatrix([2*z^-1, 0]))",
     ConnectionCert: "ConnectionCert(A0=LaurentMatrix([z, 0]), A1=LaurentMatrix([0, 1/2*z^-1]))",
     P1Bundle: "P1Bundle(rank=2, transition=LaurentMatrix([z, 1; 0, z^-1]))",
-    SplittingData: "SplittingData(type=(1, -1), U0=LaurentMatrix([1, 0; 0, 1]), "
-    "U1=LaurentMatrix([1, z^-1; 0, 1]))",
+    SplittingData: "SplittingData(transition=LaurentMatrix([z, -1; 0, z^-1]), type=(1, -1), "
+    "U0=LaurentMatrix([1, 0; 0, 1]), U1=LaurentMatrix([1, z^-1; 0, 1]))",
     GlobalSection: "GlobalSection(chart0_rep=LaurentMatrix([z; 1]))",
     FuzzOutcome: "FuzzOutcome(report={'cases': 1, 'mismatches': 0})",
 }
