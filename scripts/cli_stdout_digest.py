@@ -10,9 +10,10 @@ texts, exit codes and stdout. Two checkouts print the same lines exactly when
 their outputs are byte-identical on these inputs. The script imports algconn
 from the src directory of its own checkout, whatever else is installed.
 
-cli_stdout_digest.expected holds the four lines of ``--count 200 --seed 0``
-under Python 3.11, and CI diffs a fresh run against it there. Other Python
-versions may draw other inputs from the same seed; that is not checked.
+cli_stdout_digest.expected holds the four lines of ``--count 200 --seed 0``.
+The inputs come from random.Random's integer draws (randint, choice,
+sample), which give the same stream from a seed on Python 3.10 to 3.13, so
+CI diffs a fresh run against that file on every Python of its matrix.
 """
 
 from __future__ import annotations

@@ -150,6 +150,8 @@ MUTANTS = (
         "return True",
         JET_TESTS,
     ),
+    # the solve stores -beta0, so that it returns A0 = -b0 with no negation
+    Mutant("connection-sign", JET, "hol0[e] = -coeff", "hol0[e] = coeff", JET_TESTS),
     # verify_witness
     Mutant(
         "witness-shape",

@@ -38,7 +38,10 @@ readers and the samplers go through them). The arithmetic kernels build
 canonical values by construction and wrap them with the trusted _poly and
 _matrix, without a re-check. A wrap sets its two slots through the slots'
 own member-descriptor setters, bound once at import, not through
-object.__setattr__, which looks the slot up by name on every call.
+object.__setattr__, which looks the slot up by name on every call. A
+kernel that maps a matrix entry by entry builds each row in one list pass,
+tuple([...]), and the rows the same way: a generator expression would make
+one generator object per row, a fixed cost on the small matrices here.
 LaurentPoly.z and LaurentPoly.monomial wrap int input with _poly too, as it
 is canonical already. The kernels call _q only where a Fraction result can
 be integral (a sum, a scalar or derivative multiple, a product with a
@@ -70,11 +73,17 @@ sparse product (Two fast algorithms for sparse matrices: multiplication and
 permuted transposition, ACM TOMS 4(3), 1978), which adds a_ik times the
 nonzero entries of row k of the right factor into row i, for the nonzero
 a_ik only; an output entry that one such product reaches takes it through
-_product, with no accumulator. Transitions and their splittings are mostly
-zero and their entries mostly monomials, so this is where products spend
-less. Sharing and returning an operand are safe because both Laurent types
-are immutable: nothing writes to a coefficient map or a row tuple, and a
-lazy hash depends on the value only.
+_product, with no accumulator. Row k of the right factor is listed (its
+nonzero entries with their columns) when a nonzero a_ik first reads it, so
+a zero, diagonal or permutation left factor never scans a row it does not
+use. Transitions and their splittings are mostly zero and their entries
+mostly monomials, so this is where products spend less. Sharing and
+returning an operand are safe because both Laurent types are immutable:
+nothing writes to a coefficient map or a row tuple, and a lazy hash depends
+on the value only. An operand of another type makes +, -, * and @ return
+NotImplemented, so Python raises TypeError; the slot is read inside
+try/except AttributeError, which costs the common path nothing from Python
+3.11 on (an exception costs only when raised).
 
 Value classes. Every value type of the package is a plain slotted class on
 _Value: the two Laurent types and the record types (CurveContext, Atom,
@@ -247,12 +256,16 @@ class LaurentPoly(_Value):
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not other._coeffs:
+        try:
+            b = other._coeffs
+        except AttributeError:
+            return NotImplemented
+        if not b:
             return self
         if not self._coeffs:
             return other
         out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
+        for e, c in b.items():
             s = out.get(e)
             if s is None:
                 out[e] = c
@@ -268,10 +281,14 @@ class LaurentPoly(_Value):
         return _poly({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not other._coeffs:
+        try:
+            b = other._coeffs
+        except AttributeError:
+            return NotImplemented
+        if not b:
             return self
         out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
+        for e, c in b.items():
             s = out.get(e)
             if s is None:
                 out[e] = -c
@@ -286,9 +303,13 @@ class LaurentPoly(_Value):
             if not other:
                 return _ZERO
             return _poly({e: _q(c * other) for e, c in self._coeffs.items()})
+        try:
+            b = other._coeffs
+        except AttributeError:
+            return NotImplemented
         if not self._coeffs:
             return self
-        if not other._coeffs:
+        if not b:
             return other
         return _product(self, other)
 
@@ -562,7 +583,7 @@ class LaurentMatrix(_Value):
         if not all(isinstance(x, LaurentPoly) for x in entries):
             raise TypeError("entries must be LaurentPoly")
         return _matrix(
-            tuple(tuple(entries[i] if i == j else _ZERO for j in range(n)) for i in range(n))
+            tuple([tuple([entries[i] if i == j else _ZERO for j in range(n)]) for i in range(n)])
         )
 
     @classmethod
@@ -616,25 +637,37 @@ class LaurentMatrix(_Value):
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        try:
+            b_rows = other._rows
+        except AttributeError:
+            return NotImplemented
         self._require_same_shape(other)
         return _matrix(
-            tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self._rows, other._rows))
+            tuple([tuple([x + y for x, y in zip(r, s)]) for r, s in zip(self._rows, b_rows)])
         )
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        try:
+            b_rows = other._rows
+        except AttributeError:
+            return NotImplemented
         self._require_same_shape(other)
         return _matrix(
-            tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(self._rows, other._rows))
+            tuple([tuple([x - y for x, y in zip(r, s)]) for r, s in zip(self._rows, b_rows)])
         )
 
     def __neg__(self) -> "LaurentMatrix":
-        return _matrix(tuple(tuple(-x for x in row) for row in self._rows))
+        return _matrix(tuple([tuple([-x for x in row]) for row in self._rows]))
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """The matrix product. A 1 x 1 factor is a scalar: [[1]] @ B is B,
         A @ [[1]] is A, and a 1 x 1 @ 1 x 1 product is one _product. Any
         other pair runs Gustavson's sparse product."""
-        a_rows, b_rows = self._rows, other._rows
+        a_rows = self._rows
+        try:
+            b_rows = other._rows
+        except AttributeError:
+            return NotImplemented
         if len(a_rows[0]) != len(b_rows):
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         if len(b_rows) == 1:  # the inner dimension is 1
@@ -649,16 +682,21 @@ class LaurentMatrix(_Value):
         # Gustavson's row-by-row product: row i of the result is the sum of
         # a_ik * (row k of the right factor) over the nonzero a_ik, and each
         # right row lists only its nonzero entries, so no zero is ever visited.
-        # An entry holds its first contribution as the pair (a_ik, b_kj), which
-        # _product multiplies; a second one turns it into an accumulator.
+        # Right row k is listed when a nonzero a_ik first reads it, so a row
+        # no a_ik reads is never scanned. An entry holds its first contribution
+        # as the pair (a_ik, b_kj), which _product multiplies; a second one
+        # turns it into an accumulator.
         width = len(b_rows[0])
-        b_rows = [[(j, y) for j, y in enumerate(row) if y._coeffs] for row in b_rows]
+        listed: list[list[tuple[int, LaurentPoly]] | None] = [None] * len(b_rows)
         out = []
         for row in a_rows:
             entries: dict[int, tuple[LaurentPoly, LaurentPoly] | dict[int, int | Fraction]] = {}
             get = entries.get
-            for x, b_row in zip(row, b_rows):
+            for k, x in enumerate(row):
                 if x._coeffs:
+                    b_row = listed[k]
+                    if b_row is None:
+                        b_row = listed[k] = [(j, y) for j, y in enumerate(b_rows[k]) if y._coeffs]
                     for j, y in b_row:
                         acc = get(j)
                         if acc is None:
@@ -678,16 +716,16 @@ class LaurentMatrix(_Value):
     def scalar_mul(self, s) -> "LaurentMatrix":
         if isinstance(s, (int, Fraction)):
             s = LaurentPoly.const(s)
-        return _matrix(tuple(tuple(x * s for x in row) for row in self._rows))
+        return _matrix(tuple([tuple([x * s for x in row]) for row in self._rows]))
 
     def shift(self, k: int) -> "LaurentMatrix":
-        return _matrix(tuple(tuple(x.shift(k) for x in row) for row in self._rows))
+        return _matrix(tuple([tuple([x.shift(k) for x in row]) for row in self._rows]))
 
     def transpose(self) -> "LaurentMatrix":
         return _matrix(tuple(zip(*self._rows)))
 
     def derivative(self) -> "LaurentMatrix":
-        return _matrix(tuple(tuple(x.derivative() for x in row) for row in self._rows))
+        return _matrix(tuple([tuple([x.derivative() for x in row]) for row in self._rows]))
 
     def kron(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """Kronecker product; index (i,p),(j,q) flattened row-major. A 1 x 1
@@ -723,7 +761,8 @@ class LaurentMatrix(_Value):
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LaurentMatrix":
         if not row_idx or not col_idx:
             raise ValueError("matrix must have positive dimensions")
-        return _matrix(tuple(tuple(self._rows[i][j] for j in col_idx) for i in row_idx))
+        rows = self._rows
+        return _matrix(tuple([tuple([rows[i][j] for j in col_idx]) for i in row_idx]))
 
     def trace(self) -> LaurentPoly:
         if not self.is_square:

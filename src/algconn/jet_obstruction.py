@@ -42,6 +42,11 @@ the w-side one follows from the equation c = b0 - transport(b1) itself,
 
     b1 = T^(-1) (b0 - c) (T_V (x) T).
 
+The solve returns the connection matrices A0 = -b0 and A1 = -b1 themselves,
+A1 = T^(-1) (c + A0) (T_V (x) T), so no matrix is negated on the way to a
+certificate; split_coboundary negates them back for callers that want the
+cochains.
+
 Both answers are certified. A solution gives connection matrices, checked
 by verify_connection from the input transitions alone, in the inverse-free
 form A0 (T_V (x) T) = T A1 - (phi0 T_V) (x) T'; that A1 comes out polynomial
@@ -156,6 +161,21 @@ def split_coboundary(
     """Solve c = b0 - transport(b1) with b0 holomorphic on the z-chart and
     b1 on the w-chart, in End(E) (x) V*.
 
+    The solve itself is _connection, which returns the connection matrices
+    A0 = -b0 and A1 = -b1 that construct_connection certifies; this is their
+    negation, for callers that want the cochains. Returns None, with the
+    same Serre-dual witness checked, when the class is nonzero.
+    """
+    cert = _connection(c, E, V)
+    if cert is None:
+        return None
+    return -cert.A0, -cert.A1
+
+
+def _connection(c: ObstructionCocycle, E: P1Bundle, V: P1Bundle) -> ConnectionCert | None:
+    """The connection matrices A0 = -b0 and A1 = -b1 of the cochains that
+    solve c = b0 - transport(b1), or None when no such cochains exist.
+
     With splittings U0 T U1 = diag(z^(a_i)) of E and U0_V T_V U1_V =
     diag(z^(v_a)) of V, the cocycle in split frames is
 
@@ -165,28 +185,30 @@ def split_coboundary(
     d = a_i - a_j - v_a. There the equation is scalar: the z-chart side
     covers exponents >= 0, the w-chart side exponents <= d, so it is
     solvable exactly when the coefficients in the window d+1 .. -1 vanish.
-    The z-side split cochain beta0, the coefficients of exponent >= 0, comes
-    back to the original frames as
+    The z-side split cochain beta0 holds the coefficients of exponent >= 0;
+    the scan stores -beta0, so that A0 = -b0 comes back to the original
+    frames as
 
-        b0 = U0^(-1) beta0 (U0_V (x) U0),
+        A0 = U0^(-1) (-beta0) (U0_V (x) U0),
 
     with U0^(-1) the one each splitting's check computed when it was built
     (SplittingData.u0_inverse). This is the Kronecker splitting of End(E)
     (x) V* applied to the block row, so that bundle is never built. Given
-    b0, the equation fixes b1: since transport(b1) = T b1 (T_V^(-1) (x)
-    T^(-1)),
+    A0, the equation fixes A1: since transport(b1) = T b1 (T_V^(-1) (x)
+    T^(-1)) and b1 = T^(-1) (b0 - c) (T_V (x) T),
 
-        b1 = T^(-1) (b0 - c) (T_V (x) T),
+        A1 = T^(-1) (c + A0) (T_V (x) T),
 
-    with T^(-1) the splitting's cached transition_inverse. That b1 is
-    polynomial in 1/z is checked by verify_connection, not assumed here.
+    with T^(-1) the splitting's cached transition_inverse; no matrix is
+    negated. That A1 is polynomial in 1/z is checked by verify_connection,
+    not assumed here.
 
-    Returns the cochains, or None when a window coefficient z^e of entry
-    (i, a*r + j) is nonzero. Then the class is certified nonzero by a
-    Serre-dual witness in H^0(End E (x) V (x) K), taken at the first such
-    (a, i, j) in loop order and its lowest window exponent e, so that it
-    depends on the cocycle alone: the split-frame section z^(-e-1) of that
-    summand, which in the original frames is
+    Returns None when a window coefficient z^e of entry (i, a*r + j) is
+    nonzero. Then the class is certified nonzero by a Serre-dual witness in
+    H^0(End E (x) V (x) K), taken at the first such (a, i, j) in loop order
+    and its lowest window exponent e, so that it depends on the cocycle
+    alone: the split-frame section z^(-e-1) of that summand, which in the
+    original frames is
 
         theta = (U0_V^(-1)[:, a])^T (x) U0^(-1)[:, j] U0[i, :] * z^(-e-1),
 
@@ -201,19 +223,20 @@ def split_coboundary(
         )
     if c.overlap_matrix.is_zero:
         zero = LaurentMatrix.zeros(r, r * q)
-        return zero, zero
+        return ConnectionCert(zero, zero)
     se, sv = birkhoff_split(E), birkhoff_split(V)
     u0_inv, u0v_inv = se.u0_inverse, sv.u0_inverse
     y = se.U0 @ c.overlap_matrix @ u0v_inv.kron(u0_inv)
-    beta0: list[list[LaurentPoly]] = [[] for _ in range(r)]
+    minus_beta0: list[list[LaurentPoly]] = [[] for _ in range(r)]
     for a, v in enumerate(sv.type):
         for i, ai in enumerate(se.type):
+            y_row = y._rows[i]
             for j, aj in enumerate(se.type):
                 d = ai - aj - v
                 hol0: dict[int, int | Fraction] = {}
-                for e, coeff in sorted(y.entry(i, a * r + j).coeffs.items()):
+                for e, coeff in sorted(y_row[a * r + j]._coeffs.items()):
                     if e >= 0:
-                        hol0[e] = coeff
+                        hol0[e] = -coeff
                     elif e > d:
                         theta = _witness(se.U0, u0_inv, u0v_inv, i, j, a, e)
                         if not verify_witness(E, V, c, theta):
@@ -221,10 +244,10 @@ def split_coboundary(
                                 "Serre-dual witness failed verification (internal bug)"
                             )
                         return None
-                beta0[i].append(_poly(hol0))
-    b0 = u0_inv @ _matrix(tuple(map(tuple, beta0))) @ sv.U0.kron(se.U0)
-    b1 = se.transition_inverse @ (b0 - c.overlap_matrix) @ V.transition.kron(E.transition)
-    return b0, b1
+                minus_beta0[i].append(_poly(hol0))
+    A0 = u0_inv @ _matrix(tuple(map(tuple, minus_beta0))) @ sv.U0.kron(se.U0)
+    A1 = se.transition_inverse @ (c.overlap_matrix + A0) @ V.transition.kron(E.transition)
+    return ConnectionCert(A0, A1)
 
 
 def _witness(
@@ -241,7 +264,9 @@ def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert 
 
     The cochains (b0, b1) with cocycle = b0 - transport(b1) give connection
     matrices A0 = -b0, A1 = -b1; the sign is forced by the overlap identity
-    that verify_connection checks.
+    that verify_connection checks. _connection solves for A0 and A1
+    themselves, its window scan storing the negated coefficients, so no
+    matrix is negated here.
     """
     return _cocycle_and_connection(E, anchor)[1]
 
@@ -250,13 +275,12 @@ def _cocycle_and_connection(
     E: P1Bundle, anchor: ConcreteAnchor
 ) -> tuple[ObstructionCocycle, ConnectionCert | None]:
     """The obstruction cocycle, computed once, with the certificate
-    construct_connection returns for it."""
+    construct_connection returns for it: _connection's A0 and A1 as they
+    come, with the sign A0 = -b0 already in its window scan."""
     cocycle = obstruction_cocycle(E, anchor)
-    solved = split_coboundary(cocycle, E, anchor.V)
-    if solved is None:
+    cert = _connection(cocycle, E, anchor.V)
+    if cert is None:
         return cocycle, None
-    b0, b1 = solved
-    cert = ConnectionCert(A0=-b0, A1=-b1)
     if not verify_connection(E, anchor, cert):
         raise AssertionError("constructed certificate failed verification (internal bug)")
     return cocycle, cert

@@ -38,8 +38,8 @@ bundle, a dual, twist, tensor, hom or jet bundle too, is validated by the
 reduction that splits it, and its degree is the sum of its splitting type.
 
 End(E) (x) V*, where the connection obstruction lives, is never split as a
-bundle of its own: jet_obstruction.split_coboundary works through the
-splittings of E and V. Cohomology builds no bundle at all: h^0, h^1,
+bundle of its own: the connection solve of jet_obstruction works through
+the splittings of E and V. Cohomology builds no bundle at all: h^0, h^1,
 Riemann-Roch and Serre duality are all read off the certified type of E.
 
 There is one memo, the splitting memo behind birkhoff_split, keyed by the
@@ -232,9 +232,7 @@ class SplittingData(_Value):
 def _shift_columns(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
     """M * diag(z^(e_j)): column j times z^(e_j), one exponent per column.
     Both callers pass a splitting's r columns and its type, of length r."""
-    return _matrix(
-        tuple(tuple(x.shift(e) for x, e in zip(M.row_list(i), exps)) for i in range(M.rows))
-    )
+    return _matrix(tuple([tuple([x.shift(e) for x, e in zip(row, exps)]) for row in M._rows]))
 
 
 _NOT_A_UNIT = "transition is not invertible over the Laurent ring"
@@ -333,8 +331,8 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
     U1 = []  # C^(-1) W, reflected back to w
     for c_row in _qinverse(C):
         row = _combine(w_rows, [(k, 0, c) for k, c in enumerate(c_row) if c])
-        U1.append(tuple(_poly({-e: c for e, c in x.items()}) for x in row))
-    U0 = tuple(tuple(map(_poly, u0_rows[i])) for i in order)
+        U1.append(tuple([_poly({-e: c for e, c in x.items()}) for x in row]))
+    U0 = tuple([tuple(map(_poly, u0_rows[i])) for i in order])
     return SplittingData(T, tuple(tops[i] for i in order), _matrix(U0), _matrix(tuple(U1)))
 
 

@@ -713,6 +713,28 @@ def test_matrix_shape_mismatches():
         A + B
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: LaurentPoly({1: 2}) * 1.5,
+        lambda: 1.5 * LaurentPoly({1: 2}),
+        lambda: LaurentPoly({1: 2}) + 1,
+        lambda: LaurentPoly({1: 2}) - 1,
+        lambda: LaurentPoly({1: 2}) * LaurentMatrix.parse([["1"]]),
+        lambda: LaurentMatrix.parse([["1"]]) @ 2,
+        lambda: LaurentMatrix.parse([["1"]]) + 1,
+        lambda: LaurentMatrix.parse([["1"]]) - LaurentPoly.one(),
+    ],
+    ids=["poly*float", "float*poly", "poly+int", "poly-int", "poly*matrix", "matrix@int",
+         "matrix+int", "matrix-poly"],
+)
+def test_a_foreign_operand_raises_type_error(op):
+    # the operators return NotImplemented for an operand without the slot
+    # they read, so Python raises TypeError, not an AttributeError
+    with pytest.raises(TypeError):
+        op()
+
+
 def test_kron_mixed_product():
     s = Sampler(5)
     A = s.unimodular_z(2, ops=2)

@@ -632,6 +632,34 @@ def test_construct_obstructed_cases():
     assert not connection_exists_p1(split_bundle([1, -1]), tangent_anchor())
 
 
+def test_the_solve_negates_no_matrix(monkeypatch):
+    # construct_connection takes A0 = -b0 and A1 = -b1 from the solve as they
+    # come, its window scan storing the negated coefficients: with matrix
+    # negation refused, both answers still come out. split_coboundary's
+    # cochains on the same cocycle are the certificate's negation.
+    s = Sampler(55)
+    E = gauge_transform(split_bundle([1, -1]), s.unimodular_z(2), s.unimodular_w(2))
+    trivial = gauge_transform(split_bundle([0, 0]), s.unimodular_z(2), s.unimodular_w(2))
+    split2 = ConcreteAnchor(split_bundle([0, -1]), LaurentMatrix.parse([["z^2 + 1", "z"]]))
+    cases = [(trivial, tangent_anchor(), True), (E, split2, True), (E, tangent_anchor(), False)]
+
+    def refuse(self):
+        raise AssertionError("a matrix was negated")
+
+    with monkeypatch.context() as m:
+        m.setattr(LaurentMatrix, "__neg__", refuse)
+        certs = [construct_connection(bundle, anchor) for bundle, anchor, _ in cases]
+    for (bundle, anchor, exists), cert in zip(cases, certs):
+        c = obstruction_cocycle(bundle, anchor)
+        solved = split_coboundary(c, bundle, anchor.V)
+        assert (cert is not None) == (solved is not None) == exists
+        if exists:
+            assert not cert.A0.is_zero and not cert.A1.is_zero  # so the sign shows
+            b0, b1 = solved
+            assert b0 - _transport(b1, bundle, anchor.V) == c.overlap_matrix
+            assert (-b0, -b1) == (cert.A0, cert.A1)
+
+
 def test_construct_low_degree_anchor_always_succeeds():
     cert = construct_connection(line_bundle(1), anchor_line(-3, "z^5 + 1"))
     assert cert is not None
