@@ -19,13 +19,16 @@ when every selected mutant is killed, 1 otherwise.
 
 riemann_roch_check and serre_dual_check have no mutant. Both read h^0 and
 h^1 off the certified type, so each is true by construction: making it
-return True changes nothing a test can see. Three checks left the engine
-with their mutants, verify-degree-sum, shift-columns-guard and
-u0-inverse-key: the degree sum of SplittingData.verify follows from the
-record's clauses and the identity (the proof is in SplittingData's
-docstring), _shift_columns' guard on the number of exponents is one that
-no record that builds can trip, and a SplittingData holds the one
-transition it splits, so no U0^(-1) is keyed by another.
+return True changes nothing a test can see. Five checks left the engine
+with their mutants, verify-degree-sum, shift-columns-guard,
+u0-inverse-key, witness-inverse-of-E and witness-inverse-of-V: the degree
+sum of SplittingData.verify follows from the record's clauses and the
+identity (the proof is in SplittingData's docstring), _shift_columns' guard
+on the number of exponents is one that no record that builds can trip, a
+SplittingData holds the one transition it splits, so no U0^(-1) is keyed by
+another, and verify_witness reads no inverse whose identity T T^(-1) = I it
+would have to check: it takes the witness in both charts and checks their
+overlap identity, inverse-free, as verify_connection does.
 """
 
 from __future__ import annotations
@@ -55,9 +58,8 @@ TIMEOUT_S = 300  # one test file; a mutant that hangs its tests is an error, not
 
 VERIFY_SHAPES = "if U0.shape != (r, r) or U1.shape != (r, r):"
 CONNECTION_CHARTS = "if not cert.A0.is_poly_in_z or not cert.A1.is_poly_in_w:"
-WITNESS_INVERSES = (
-    "if T @ t_inv != LaurentMatrix.identity(r) or T_V @ tv_inv != LaurentMatrix.identity(q):"
-)
+WITNESS_CHARTS = "if not theta0.is_poly_in_z or not theta1.is_poly_in_w:"
+WITNESS_CHECKED = "if not (anchors_cocycle and verify_witness(E, anchor.V, cocycle, *answer)):"
 
 MUTANTS = (
     # the clauses of a splitting, checked by SplittingData when it is built,
@@ -152,33 +154,37 @@ MUTANTS = (
     ),
     # the solve stores -beta0, so that it returns A0 = -b0 with no negation
     Mutant("connection-sign", JET, "hol0[e] = -coeff", "hol0[e] = coeff", JET_TESTS),
+    # _cocycle_and_connection checks either answer of the solve; a witness
+    # only with the cocycle it pairs with checked to be the anchor's
+    Mutant(
+        "connection-checked",
+        JET,
+        "if not verify_connection(E, anchor, answer):",
+        "if False:",
+        JET_TESTS,
+    ),
+    Mutant("witness-checked", JET, WITNESS_CHECKED, "if False:", JET_TESTS),
+    Mutant(
+        "witness-cocycle",
+        JET,
+        WITNESS_CHECKED,
+        "if not verify_witness(E, anchor.V, cocycle, *answer):",
+        JET_TESTS,
+    ),
     # verify_witness
     Mutant(
         "witness-shape",
         JET,
-        "if c.shape != (r, r * q) or theta.shape != (r, r * q):",
+        "if c.shape != (r, r * q) or theta0.shape != (r, r * q) or theta1.shape != (r, r * q):",
         "if False:",
         JET_TESTS,
     ),
+    Mutant("witness-chart0", JET, WITNESS_CHARTS, "if not theta1.is_poly_in_w:", JET_TESTS),
+    Mutant("witness-chart1", JET, WITNESS_CHARTS, "if not theta0.is_poly_in_z:", JET_TESTS),
     Mutant(
-        "witness-inverse-of-E",
+        "witness-overlap",
         JET,
-        WITNESS_INVERSES,
-        "if T_V @ tv_inv != LaurentMatrix.identity(q):",
-        JET_TESTS,
-    ),
-    Mutant(
-        "witness-inverse-of-V",
-        JET,
-        WITNESS_INVERSES,
-        "if T @ t_inv != LaurentMatrix.identity(r):",
-        JET_TESTS,
-    ),
-    Mutant("witness-chart0", JET, "if not theta.is_poly_in_z:", "if False:", JET_TESTS),
-    Mutant(
-        "witness-chart1",
-        JET,
-        "if not (t_inv @ theta @ tv_inv.transpose().kron(T)).shift(2).is_poly_in_w:",
+        "if lhs != (theta0 @ LaurentMatrix.identity(q).kron(T)).shift(2):",
         "if False:",
         JET_TESTS,
     ),

@@ -39,7 +39,6 @@ from .jet_obstruction import (
     jet1_transition,
     jetV_transition,
     obstruction_cocycle,
-    split_coboundary,
     tangent_anchor,
     verify_connection,
     verify_witness,

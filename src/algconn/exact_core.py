@@ -25,10 +25,11 @@ denominators, Gauss-Jordan runs on integer rows up to the first column
 without a pivot, each new row divided by its content, and each output entry
 is one division, in canonical form. The RREF and the inverse are unique, so
 they are the values a Fraction elimination gives (tests/oracles.py keeps
-that one as the reference). The splitting reduction in p1_engine is their
-one caller: _qnullspace gives each step's null vector, the first vector of
-the RREF nullspace basis, and _qinverse inverts the constant matrix its
-w-chart run ends on.
+that one as the reference). p1_engine calls them in two places: in the
+splitting reduction, _qnullspace gives each step's null vector, the first
+vector of the RREF nullspace basis, and _qinverse inverts the constant
+matrix its w-chart run ends on; SplittingData's check calls _qnullspace to
+see that U1(w = 0) is invertible.
 
 Canonical form. Every LaurentPoly maps int exponents to nonzero scalars in
 the form above and stores no zero; every LaurentMatrix is a nonempty

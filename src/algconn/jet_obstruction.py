@@ -44,15 +44,16 @@ the w-side one follows from the equation c = b0 - transport(b1) itself,
 
 The solve returns the connection matrices A0 = -b0 and A1 = -b1 themselves,
 A1 = T^(-1) (c + A0) (T_V (x) T), so no matrix is negated on the way to a
-certificate; split_coboundary negates them back for callers that want the
-cochains.
+certificate. A nonzero class returns a Serre-dual witness instead, a global
+section of End E (x) V (x) K that pairs nonzero with the cocycle, as its two
+chart forms (Theta0, Theta1) read off the split frames.
 
-Both answers are certified. A solution gives connection matrices, checked
-by verify_connection from the input transitions alone, in the inverse-free
-form A0 (T_V (x) T) = T A1 - (phi0 T_V) (x) T'; that A1 comes out polynomial
-in 1/z is what certifies b1. A nonzero window coefficient gives a Serre-dual
-witness, a global section of End E (x) V (x) K that pairs nonzero with the
-cocycle, checked by verify_witness.
+Both answers are checked by one rule, in one place (_cocycle_and_connection):
+from the input transitions, phi0, the cocycle and the answer, in inverse-free
+form, with no splitting. verify_connection checks A0 (T_V (x) T) = T A1 -
+(phi0 T_V) (x) T' (A1 polynomial in 1/z certifies b1); verify_witness checks
+T Theta1 (T_V^T (x) I_r) = z^2 Theta0 (I_q (x) T) and the pairing, against
+a cocycle checked as c (I_q (x) T) = phi0 (x) T'.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .errors import InvalidAnchor, SchemaError, ShapeMismatch, naming
 from .exact_core import LaurentMatrix, LaurentPoly, _matrix, _parse_entries, _poly, _Value
 from .p1_engine import (
     P1Bundle,
+    SplittingData,
     birkhoff_split,
     is_global_hom,
     p1bundle_from_json,
@@ -155,26 +157,14 @@ def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocyc
     return ObstructionCocycle(anchor.phi_row.kron(disc))
 
 
-def split_coboundary(
+def _connection(
     c: ObstructionCocycle, E: P1Bundle, V: P1Bundle
-) -> tuple[LaurentMatrix, LaurentMatrix] | None:
-    """Solve c = b0 - transport(b1) with b0 holomorphic on the z-chart and
-    b1 on the w-chart, in End(E) (x) V*.
-
-    The solve itself is _connection, which returns the connection matrices
-    A0 = -b0 and A1 = -b1 that construct_connection certifies; this is their
-    negation, for callers that want the cochains. Returns None, with the
-    same Serre-dual witness checked, when the class is nonzero.
-    """
-    cert = _connection(c, E, V)
-    if cert is None:
-        return None
-    return -cert.A0, -cert.A1
-
-
-def _connection(c: ObstructionCocycle, E: P1Bundle, V: P1Bundle) -> ConnectionCert | None:
-    """The connection matrices A0 = -b0 and A1 = -b1 of the cochains that
-    solve c = b0 - transport(b1), or None when no such cochains exist.
+) -> ConnectionCert | tuple[LaurentMatrix, LaurentMatrix]:
+    """Solve c = b0 - transport(b1), with b0 holomorphic on the z-chart and
+    b1 on the w-chart, in End(E) (x) V*, for any cochain c of the right
+    shape: the connection matrices A0 = -b0 and A1 = -b1 when such cochains
+    exist, else a Serre-dual witness pair (Theta0, Theta1). Nothing here is
+    checked; _cocycle_and_connection checks either answer.
 
     With splittings U0 T U1 = diag(z^(a_i)) of E and U0_V T_V U1_V =
     diag(z^(v_a)) of V, the cocycle in split frames is
@@ -200,20 +190,12 @@ def _connection(c: ObstructionCocycle, E: P1Bundle, V: P1Bundle) -> ConnectionCe
         A1 = T^(-1) (c + A0) (T_V (x) T),
 
     with T^(-1) the splitting's cached transition_inverse; no matrix is
-    negated. That A1 is polynomial in 1/z is checked by verify_connection,
-    not assumed here.
+    negated.
 
-    Returns None when a window coefficient z^e of entry (i, a*r + j) is
-    nonzero. Then the class is certified nonzero by a Serre-dual witness in
-    H^0(End E (x) V (x) K), taken at the first such (a, i, j) in loop order
-    and its lowest window exponent e, so that it depends on the cocycle
-    alone: the split-frame section z^(-e-1) of that summand, which in the
-    original frames is
-
-        theta = (U0_V^(-1)[:, a])^T (x) U0^(-1)[:, j] U0[i, :] * z^(-e-1),
-
-    which pairs with c to that coefficient. verify_witness checks it without
-    the splittings, and a witness failing that check is an internal bug.
+    When a window coefficient z^e of entry (i, a*r + j) is nonzero, the
+    class is nonzero, and the answer is the Serre dual of that coefficient
+    (_witness), taken at the first such (a, i, j) in loop order and its
+    lowest window exponent e, so that it depends on the cocycle alone.
     """
     r, q = E.rank, V.rank
     if c.overlap_matrix.shape != (r, r * q):
@@ -225,8 +207,7 @@ def _connection(c: ObstructionCocycle, E: P1Bundle, V: P1Bundle) -> ConnectionCe
         zero = LaurentMatrix.zeros(r, r * q)
         return ConnectionCert(zero, zero)
     se, sv = birkhoff_split(E), birkhoff_split(V)
-    u0_inv, u0v_inv = se.u0_inverse, sv.u0_inverse
-    y = se.U0 @ c.overlap_matrix @ u0v_inv.kron(u0_inv)
+    y = se.U0 @ c.overlap_matrix @ sv.u0_inverse.kron(se.u0_inverse)
     minus_beta0: list[list[LaurentPoly]] = [[] for _ in range(r)]
     for a, v in enumerate(sv.type):
         for i, ai in enumerate(se.type):
@@ -238,36 +219,38 @@ def _connection(c: ObstructionCocycle, E: P1Bundle, V: P1Bundle) -> ConnectionCe
                     if e >= 0:
                         hol0[e] = -coeff
                     elif e > d:
-                        theta = _witness(se.U0, u0_inv, u0v_inv, i, j, a, e)
-                        if not verify_witness(E, V, c, theta):
-                            raise AssertionError(
-                                "Serre-dual witness failed verification (internal bug)"
-                            )
-                        return None
+                        return _witness(se, sv, E.transition, i, j, a, e)
                 minus_beta0[i].append(_poly(hol0))
-    A0 = u0_inv @ _matrix(tuple(map(tuple, minus_beta0))) @ sv.U0.kron(se.U0)
+    A0 = se.u0_inverse @ _matrix(tuple(map(tuple, minus_beta0))) @ sv.U0.kron(se.U0)
     A1 = se.transition_inverse @ (c.overlap_matrix + A0) @ V.transition.kron(E.transition)
     return ConnectionCert(A0, A1)
 
 
 def _witness(
-    U0: LaurentMatrix, u0_inv: LaurentMatrix, u0v_inv: LaurentMatrix, i: int, j: int, a: int, e: int
-) -> LaurentMatrix:
-    """theta = (U0_V^(-1)[:, a])^T (x) U0^(-1)[:, j] U0[i, :] * z^(-e-1): the
-    Serre dual of the window coefficient z^e of split entry (i, a*r + j)."""
-    outer = (u0_inv.submatrix(range(U0.rows), [j]) @ U0.submatrix([i], range(U0.cols))).shift(-e - 1)
-    return u0v_inv.submatrix(range(u0v_inv.rows), [a]).transpose().kron(outer)
+    se: SplittingData, sv: SplittingData, T: LaurentMatrix, i: int, j: int, a: int, e: int
+) -> tuple[LaurentMatrix, LaurentMatrix]:
+    """The Serre dual of the window coefficient z^e of split entry
+    (i, a*r + j), which Theta0 pairs with the cocycle to, in both charts:
+
+        Theta0 = (U0_V^(-1)[:, a])^T (x) U0^(-1)[:, j] U0[i, :] * z^(-e-1),
+        Theta1 = (U1_V[:, a])^T (x) U1[:, j] (U0[i, :] T) * z^(1-e-v_a-a_j),
+
+    the chart-1 form z^2 T^(-1) Theta0 (T_V^(-T) (x) T), since U0 T U1 = D
+    gives T^(-1) U0^(-1) = U1 D^(-1), and likewise for V."""
+    r, q = T.rows, len(sv.type)
+    row = se.U0.submatrix([i], range(r))
+    outer0 = se.u0_inverse.submatrix(range(r), [j]).shift(-e - 1) @ row
+    outer1 = se.U1.submatrix(range(r), [j]).shift(1 - e - sv.type[a] - se.type[j]) @ (row @ T)
+    theta0 = sv.u0_inverse.submatrix(range(q), [a]).transpose().kron(outer0)
+    theta1 = sv.U1.submatrix(range(q), [a]).transpose().kron(outer1)
+    return theta0, theta1
 
 
 def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert | None:
-    """Produce a verified certificate when the obstruction class vanishes.
-
-    The cochains (b0, b1) with cocycle = b0 - transport(b1) give connection
-    matrices A0 = -b0, A1 = -b1; the sign is forced by the overlap identity
-    that verify_connection checks. _connection solves for A0 and A1
-    themselves, its window scan storing the negated coefficients, so no
-    matrix is negated here.
-    """
+    """A verified certificate when the obstruction class vanishes, else None
+    with a verified witness. The cochains (b0, b1) with cocycle = b0 -
+    transport(b1) give A0 = -b0, A1 = -b1, the sign forced by the overlap
+    identity that verify_connection checks."""
     return _cocycle_and_connection(E, anchor)[1]
 
 
@@ -275,15 +258,22 @@ def _cocycle_and_connection(
     E: P1Bundle, anchor: ConcreteAnchor
 ) -> tuple[ObstructionCocycle, ConnectionCert | None]:
     """The obstruction cocycle, computed once, with the certificate
-    construct_connection returns for it: _connection's A0 and A1 as they
-    come, with the sign A0 = -b0 already in its window scan."""
+    construct_connection returns for it, or None. Either answer of
+    _connection is checked here, and a failed check is an internal bug. A
+    witness certifies the class it pairs with, and the cocycle reads the
+    splitting's T^(-1), so the cocycle is checked too, as c (I_q (x) T) =
+    phi0 (x) T'; verify_connection never reads the cocycle."""
     cocycle = obstruction_cocycle(E, anchor)
-    cert = _connection(cocycle, E, anchor.V)
-    if cert is None:
-        return cocycle, None
-    if not verify_connection(E, anchor, cert):
-        raise AssertionError("constructed certificate failed verification (internal bug)")
-    return cocycle, cert
+    answer = _connection(cocycle, E, anchor.V)
+    if isinstance(answer, ConnectionCert):
+        if not verify_connection(E, anchor, answer):
+            raise AssertionError("constructed certificate failed verification (internal bug)")
+        return cocycle, answer
+    T, I_q = E.transition, LaurentMatrix.identity(anchor.V.rank)
+    anchors_cocycle = cocycle.overlap_matrix @ I_q.kron(T) == anchor.phi_row.kron(T.derivative())
+    if not (anchors_cocycle and verify_witness(E, anchor.V, cocycle, *answer)):
+        raise AssertionError("Serre-dual witness failed verification (internal bug)")
+    return cocycle, None
 
 
 def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert) -> bool:
@@ -314,40 +304,41 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
 
 
 def verify_witness(
-    E: P1Bundle, V: P1Bundle, cocycle: ObstructionCocycle, theta: LaurentMatrix
+    E: P1Bundle, V: P1Bundle, cocycle: ObstructionCocycle,
+    theta0: LaurentMatrix, theta1: LaurentMatrix,
 ) -> bool:
-    """Exact check that theta certifies the class of the cocycle nonzero.
+    """Exact check that (theta0, theta1) certifies the class of the cocycle
+    nonzero. theta0 = [Theta0^(1) | ... | Theta0^(q)] and theta1 are the
+    chart-0 and chart-1 forms of a section of End E (x) V (x) K, dual to
+    End E (x) V* (x) O under Serre duality. Like verify_connection, the
+    checks read no inverse and no splitting:
 
-    theta = [Theta^(1) | ... | Theta^(q)] is the chart-0 representative of a
-    section of End E (x) V (x) K, dual to End E (x) V* (x) O under Serre
-    duality. The checks, none of which uses a splitting:
+    (i) chart holomorphy: theta0 polynomial in z, theta1 in 1/z;
+    (ii) overlap agreement: with dz = -z^2 dw, theta1 is the chart-1 form
+         z^2 T^(-1) theta0 (T_V^(-T) (x) T); multiplied on the left by T
+         and on the right by T_V^T (x) I_r, invertible factors, that is
 
-    (i) the inverses used below are inverses: T T^(-1) = I, T_V T_V^(-1) = I;
-    (ii) chart-0 holomorphy: theta polynomial in z;
-    (iii) chart-1 holomorphy: with dz = -z^2 dw, the chart-1 representative
-          z^2 * T^(-1) theta (T_V^(-T) (x) T) is polynomial in 1/z;
-    (iv) the pairing Res_(z=0) sum_a tr(Theta^(a) C^(a)) is nonzero, read
-         as the one contraction sum_(a,i,j) Theta^(a)_ij C^(a)_ji.
+             T theta1 (T_V^T (x) I_r)  =  z^2 theta0 (I_q (x) T);
+
+    (iii) the pairing Res_(z=0) sum_a tr(Theta0^(a) C^(a)) is nonzero, read
+          as the one contraction sum_(a,i,j) Theta0^(a)_ij C^(a)_ji.
 
     A coboundary b0 - transport(b1) pairs to zero: its b0 part is
     holomorphic at 0, and its b1 part pairs through the chart-1 form, whose
-    exponents are <= -2. So (i)-(iv) prove the cocycle is no coboundary.
+    exponents are <= -2. So (i)-(iii) prove the cocycle is no coboundary.
     """
     r, q = E.rank, V.rank
     c = cocycle.overlap_matrix
-    if c.shape != (r, r * q) or theta.shape != (r, r * q):
+    if c.shape != (r, r * q) or theta0.shape != (r, r * q) or theta1.shape != (r, r * q):
         return False
-    T, T_V = E.transition, V.transition
-    t_inv = birkhoff_split(E).transition_inverse
-    tv_inv = birkhoff_split(V).transition_inverse
-    if T @ t_inv != LaurentMatrix.identity(r) or T_V @ tv_inv != LaurentMatrix.identity(q):
+    if not theta0.is_poly_in_z or not theta1.is_poly_in_w:
         return False
-    if not theta.is_poly_in_z:
-        return False
-    if not (t_inv @ theta @ tv_inv.transpose().kron(T)).shift(2).is_poly_in_w:
+    T = E.transition
+    lhs = T @ theta1 @ V.transition.transpose().kron(LaurentMatrix.identity(r))
+    if lhs != (theta0 @ LaurentMatrix.identity(q).kron(T)).shift(2):
         return False
     pairing = sum(
-        (theta.entry(i, a * r + j) * c.entry(j, a * r + i)
+        (theta0.entry(i, a * r + j) * c.entry(j, a * r + i)
          for a in range(q) for i in range(r) for j in range(r)),
         LaurentPoly.zero(),
     )

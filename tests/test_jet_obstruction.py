@@ -16,6 +16,7 @@ from algconn.jet_obstruction import (
     ConcreteAnchor,
     ConnectionCert,
     ObstructionCocycle,
+    _connection,
     anchor_from_json,
     anchor_to_json,
     connection_exists_p1,
@@ -23,7 +24,6 @@ from algconn.jet_obstruction import (
     jet1_transition,
     jetV_transition,
     obstruction_cocycle,
-    split_coboundary,
     tangent_anchor,
     verify_connection,
     verify_witness,
@@ -319,6 +319,13 @@ def _solve_cases():
             yield E, anchor
 
 
+def _cochains(c: ObstructionCocycle, E: P1Bundle, V: P1Bundle):
+    """The cochains (b0, b1) = (-A0, -A1) of the solve's connection
+    matrices, or None when it answers with a witness."""
+    answer = _connection(c, E, V)
+    return (-answer.A0, -answer.A1) if isinstance(answer, ConnectionCert) else None
+
+
 def test_split_frame_solve_matches_kronecker_reference():
     # the Kronecker bundle W, built and split as a bundle, is the reference;
     # both must agree on solvability, and both cochain pairs must solve
@@ -326,7 +333,7 @@ def test_split_frame_solve_matches_kronecker_reference():
     answers = set()
     for E, anchor in _solve_cases():
         c = obstruction_cocycle(E, anchor)
-        got = split_coboundary(c, E, anchor.V)
+        got = _cochains(c, E, anchor.V)
         ref = _kronecker_reference(c.overlap_matrix, E, anchor.V)
         assert (got is None) == (ref is None)
         answers.add(got is None)
@@ -389,25 +396,29 @@ def test_tampered_splitting_never_gives_a_wrong_answer(monkeypatch):
 # -- Serre-dual witnesses --------------------------------------------------------------
 
 
-def _witness_case():
-    """An obstructed gauged case and the witness split_coboundary certifies."""
-    import algconn.jet_obstruction as jo
-
+def _witness_anchor():
+    """An obstructed gauged case: E and a gauged rank-2 anchor."""
     s = Sampler(57)
     A = s.unimodular_z(2)
     V = gauge_transform(split_bundle([2, -1]), A, s.unimodular_w(2))
     anchor = ConcreteAnchor(V, LaurentMatrix.parse([["1", "z"]]) @ unit_inverse(A))
     E = gauge_transform(split_bundle([1, 0]), s.unimodular_z(2), s.unimodular_w(2))
+    return E, anchor
+
+
+def _witness_case():
+    """The obstructed case, its cocycle and the witness pair the solve
+    returns for it."""
+    E, anchor = _witness_anchor()
     c = obstruction_cocycle(E, anchor)
-    seen = []
-    original = jo.verify_witness
-    jo.verify_witness = lambda *args: seen.append(args[3]) or original(*args)
-    try:
-        assert split_coboundary(c, E, V) is None
-    finally:
-        jo.verify_witness = original
-    (theta,) = seen
-    return E, V, c, theta
+    theta0, theta1 = _connection(c, E, anchor.V)
+    return E, anchor.V, c, theta0, theta1
+
+
+def _chart1(theta0: LaurentMatrix, E: P1Bundle, V: P1Bundle) -> LaurentMatrix:
+    """z^2 T^(-1) theta0 (T_V^(-T) (x) T): the chart-1 form of theta0."""
+    T = E.transition
+    return (unit_inverse(T) @ theta0 @ unit_inverse(V.transition).transpose().kron(T)).shift(2)
 
 
 def test_every_obstructed_answer_has_a_verified_witness(monkeypatch):
@@ -444,7 +455,7 @@ def test_tangent_anchor_witness_is_an_atiyah_weil_summand(monkeypatch):
             assert not seen
             continue
         negatives += 1
-        [((i, j, a, e), theta)] = seen
+        [((i, j, a, e), (theta, _))] = seen
         a_i = birkhoff_split(E).type[i]
         assert (i, j, a, e) == (i, i, 0, -1) and a_i != 0
         assert theta @ theta == theta
@@ -504,7 +515,7 @@ def test_witness_is_the_first_entry_and_its_lowest_window_exponent(monkeypatch):
     for c, E, V in cases:
         seen.clear()
         expected = _first_window_coefficient(c, E, V)
-        assert (split_coboundary(c, E, V) is None) == (expected is not None)
+        assert isinstance(_connection(c, E, V), tuple) == (expected is not None)
         if expected is not None:
             a, i, j, e, width = expected
             assert seen == [(i, j, a, e)]
@@ -515,60 +526,89 @@ def test_witness_is_the_first_entry_and_its_lowest_window_exponent(monkeypatch):
 def test_witness_pairs_to_zero_with_coboundaries():
     # Serre duality: a global section of End E (x) V (x) K pairs to zero with
     # every coboundary b0 - transport(b1), so the witness certifies the class
-    E, V, c, theta = _witness_case()
+    E, V, c, theta0, theta1 = _witness_case()
     s = Sampler(58)
     r, q = E.rank, V.rank
     b0 = LaurentMatrix([[s.laurent(0, 3) for _ in range(r * q)] for _ in range(r)])
     b1 = LaurentMatrix([[s.laurent(-3, 0) for _ in range(r * q)] for _ in range(r)])
     cob = b0 - _transport(b1, E, V)
     assert not cob.is_zero
-    assert verify_witness(E, V, c, theta)
-    assert verify_witness(E, V, ObstructionCocycle(c.overlap_matrix + cob), theta)
-    # check (iv) alone fails: same section, zero pairing
-    assert not verify_witness(E, V, ObstructionCocycle(cob), theta)
-    assert not verify_witness(E, V, ObstructionCocycle(LaurentMatrix.zeros(r, r * q)), theta)
+    assert theta1 == _chart1(theta0, E, V)  # read off the frames, no inverse taken
+    assert verify_witness(E, V, c, theta0, theta1)
+    assert verify_witness(E, V, ObstructionCocycle(c.overlap_matrix + cob), theta0, theta1)
+    # the pairing alone fails: same section, zero pairing
+    assert not verify_witness(E, V, ObstructionCocycle(cob), theta0, theta1)
+    zero = ObstructionCocycle(LaurentMatrix.zeros(r, r * q))
+    assert not verify_witness(E, V, zero, theta0, theta1)
 
 
 def test_witness_rejects_non_polynomial_theta():
-    # check (ii) alone fails: a z^-k bump, with k so large that the chart-1
-    # form stays polynomial in 1/z and the pairing keeps its residue
-    E, V, c, theta = _witness_case()
+    # chart-0 holomorphy alone fails: a z^-k bump of theta0 and its chart-1
+    # form, with k so large that theta1 stays polynomial in 1/z and the
+    # pairing keeps its residue
+    E, V, c, theta0, theta1 = _witness_case()
     bump = LaurentMatrix.parse([["0", "0", "1", "0"], ["0"] * 4]).shift(-40)
-    assert not (theta + bump).is_poly_in_z
-    assert not verify_witness(E, V, c, theta + bump)
+    bumped0, bumped1 = theta0 + bump, theta1 + _chart1(bump, E, V)
+    assert not bumped0.is_poly_in_z and bumped1.is_poly_in_w
+    assert not verify_witness(E, V, c, bumped0, bumped1)
 
 
 def test_witness_rejects_positive_chart1_exponent():
-    # check (iii) alone fails: a z^k bump, polynomial in z, too high to
-    # change the residue, whose chart-1 form has positive exponents
-    E, V, c, theta = _witness_case()
+    # chart-1 holomorphy alone fails: a z^k bump of theta0, polynomial in z,
+    # too high to change the residue, and its chart-1 form, which has
+    # positive exponents
+    E, V, c, theta0, theta1 = _witness_case()
     bump = LaurentMatrix.parse([["0", "0", "1", "0"], ["0"] * 4]).shift(40)
-    assert (theta + bump).is_poly_in_z
-    assert not verify_witness(E, V, c, theta + bump)
+    bumped0, bumped1 = theta0 + bump, theta1 + _chart1(bump, E, V)
+    assert bumped0.is_poly_in_z and not bumped1.is_poly_in_w
+    assert not verify_witness(E, V, c, bumped0, bumped1)
 
 
 def test_witness_rejects_tampered_inverse(monkeypatch):
-    # check (i) alone fails: the splitting of E or of V hands out a T^-1 off
-    # by a z^-k term small enough in the w-chart to keep the chart-1 form
-    # polynomial in 1/z
+    # the cocycle phi0 (x) T' T^(-1) reads the splitting's cached T^(-1). A
+    # forged one gives a cocycle that is not the anchor's, and a witness for
+    # it would be a wrong "no" if the cocycle went unchecked: every answer
+    # is refused as an internal bug instead. V's T^(-1) is read by no part
+    # of the answer: forged, it changes nothing
     import algconn.jet_obstruction as jo
 
-    E, V, c, theta = _witness_case()
+    E0, anchor0 = _witness_anchor()
+    s = Sampler(59)
+    E1 = gauge_transform(split_bundle([0, 0]), s.unimodular_z(2), s.unimodular_w(2))
+    cases = ((E0, anchor0, False), (E1, tangent_anchor(), True))
     original = jo.birkhoff_split
-    for victim in (E, V):
-        good = original(victim)
-        bad = SplittingData(good.transition, good.type, good.U0, good.U1)
-        bump = LaurentMatrix.diag([LaurentPoly.z(-40)] + [LaurentPoly.zero()] * (victim.rank - 1))
-        vars(bad)["transition_inverse"] = good.transition_inverse + bump  # the cached value
-        monkeypatch.setattr(jo, "birkhoff_split", lambda F, v=victim, b=bad: b if F == v else original(F))
-        assert not verify_witness(E, V, c, theta)
-    monkeypatch.undo()
-    assert verify_witness(E, V, c, theta)
+    refused = []
+    for E, anchor, exists in cases:
+        assert (construct_connection(E, anchor) is not None) == exists
+        for victim in (E, anchor.V):
+            good = original(victim)
+            zeros = [LaurentPoly.zero()] * (victim.rank - 1)
+            for k in (-40, -1, 0, 1):
+                bad = SplittingData(good.transition, good.type, good.U0, good.U1)
+                bump = LaurentMatrix.diag([LaurentPoly.z(k)] + zeros)
+                vars(bad)["transition_inverse"] = good.transition_inverse + bump  # the cached value
+                monkeypatch.setattr(
+                    jo, "birkhoff_split", lambda F, v=victim, b=bad: b if F == v else original(F)
+                )
+                if victim is anchor.V:
+                    assert (construct_connection(E, anchor) is not None) == exists
+                else:
+                    with pytest.raises(AssertionError, match="internal bug") as refusal:
+                        construct_connection(E, anchor)
+                    refused.append((exists, str(refusal.value).split()[0]))
+                monkeypatch.undo()
+    # a forged cocycle of the obstructed case has a witness that pairs with
+    # it honestly, and the unobstructed case has one whose witness would
+    # answer a wrong "no": the check of the cocycle refuses both
+    assert [kind for exists, kind in refused if not exists] == ["Serre-dual"] * 4
+    assert (True, "Serre-dual") in refused
 
 
 def test_witness_shape_mismatch():
-    E, V, c, theta = _witness_case()
-    assert not verify_witness(E, V, c, theta.submatrix(range(E.rank), range(E.rank)))
+    E, V, c, theta0, theta1 = _witness_case()
+    square = range(E.rank)
+    assert not verify_witness(E, V, c, theta0.submatrix(square, square), theta1)
+    assert not verify_witness(E, V, c, theta0, theta1.submatrix(square, square))
 
 
 # -- coboundary solving --------------------------------------------------------------
@@ -577,16 +617,16 @@ def test_witness_shape_mismatch():
 def test_coboundary_window_examples():
     # z^-1 valued in O(-2): the window [-1,-1] is hit
     c = ObstructionCocycle(LaurentMatrix.parse([["z^-1"]]))
-    assert split_coboundary(c, line_bundle(0), tangent_bundle()) is None
+    assert _cochains(c, line_bundle(0), tangent_bundle()) is None
     # constant in O(0): chart-0 side
-    got = split_coboundary(
+    got = _cochains(
         ObstructionCocycle(LaurentMatrix.parse([["1"]])), line_bundle(0), line_bundle(0)
     )
     assert got is not None
     b0, b1 = got
     assert str(b0.entry(0, 0)) == "1" and b1.is_zero
     # z^-1 in O(0): the window is empty, the chart-1 side absorbs it
-    got2 = split_coboundary(c, line_bundle(0), line_bundle(0))
+    got2 = _cochains(c, line_bundle(0), line_bundle(0))
     assert got2 is not None
     b0, b1 = got2
     assert b0.is_zero and not b1.is_zero
@@ -595,7 +635,7 @@ def test_coboundary_window_examples():
 def test_coboundary_shape_mismatch():
     c = ObstructionCocycle(LaurentMatrix.parse([["z^-1"]]))
     with pytest.raises(ShapeMismatch):
-        split_coboundary(c, split_bundle([0, 0]), line_bundle(0))
+        _connection(c, split_bundle([0, 0]), line_bundle(0))
 
 
 def test_coboundary_reassembles_cocycle():
@@ -607,7 +647,7 @@ def test_coboundary_reassembles_cocycle():
         phi = s.laurent(0, 2 - V.degree, max_terms=2, nonzero=True)
         anchor = ConcreteAnchor(V, LaurentMatrix([[phi]]))
         c = obstruction_cocycle(E, anchor)
-        got = split_coboundary(c, E, V)
+        got = _cochains(c, E, V)
         assert got is not None  # line-bundle anchors below degree 2 never obstruct
         b0, b1 = got
         T = E.transition
@@ -635,8 +675,8 @@ def test_construct_obstructed_cases():
 def test_the_solve_negates_no_matrix(monkeypatch):
     # construct_connection takes A0 = -b0 and A1 = -b1 from the solve as they
     # come, its window scan storing the negated coefficients: with matrix
-    # negation refused, both answers still come out. split_coboundary's
-    # cochains on the same cocycle are the certificate's negation.
+    # negation refused, both answers still come out. The cochains b0 and b1
+    # on the same cocycle are the certificate's negation.
     s = Sampler(55)
     E = gauge_transform(split_bundle([1, -1]), s.unimodular_z(2), s.unimodular_w(2))
     trivial = gauge_transform(split_bundle([0, 0]), s.unimodular_z(2), s.unimodular_w(2))
@@ -651,7 +691,7 @@ def test_the_solve_negates_no_matrix(monkeypatch):
         certs = [construct_connection(bundle, anchor) for bundle, anchor, _ in cases]
     for (bundle, anchor, exists), cert in zip(cases, certs):
         c = obstruction_cocycle(bundle, anchor)
-        solved = split_coboundary(c, bundle, anchor.V)
+        solved = _cochains(c, bundle, anchor.V)
         assert (cert is not None) == (solved is not None) == exists
         if exists:
             assert not cert.A0.is_zero and not cert.A1.is_zero  # so the sign shows
@@ -720,21 +760,27 @@ def test_verify_rejects_perturbed_certs():
     _accepts_and_rejects_bumps(*_gauged_certs())
 
 
-def test_verify_connection_reads_no_splitting(monkeypatch):
-    # the certificate check reads the input transitions and the certificate
-    # alone: with every splitting unavailable, it still accepts the good
-    # certificates and rejects each bumped one
+def test_no_certificate_check_reads_the_engine(monkeypatch):
+    # each check reads the input transitions, the cocycle and the answer
+    # alone: with every splitting unavailable, verify_connection still
+    # accepts the good certificates and verify_witness the good witness,
+    # and each rejects a one-term bump of any one of A0, A1, Theta0, Theta1
     import algconn.jet_obstruction as jo
     import algconn.p1_engine as pe
 
-    cases = _gauged_certs()
+    certs = _gauged_certs()
+    E, V, c, theta0, theta1 = _witness_case()
 
     def no_splitting(F):
-        raise AssertionError("verify_connection asked for a splitting")
+        raise AssertionError("a certificate check asked for a splitting")
 
     monkeypatch.setattr(jo, "birkhoff_split", no_splitting)
     monkeypatch.setattr(pe, "_birkhoff_cached", no_splitting)
-    _accepts_and_rejects_bumps(*cases)
+    _accepts_and_rejects_bumps(*certs)
+    assert verify_witness(E, V, c, theta0, theta1)
+    for bump in certs[2]:
+        assert not verify_witness(E, V, c, theta0 + bump, theta1)
+        assert not verify_witness(E, V, c, theta0, theta1 + bump)
 
 
 def test_zero_anchor_does_not_split_e(monkeypatch):

@@ -256,7 +256,7 @@ AlgebroidDesc AnchorDesc AnchorKind Decision Reason Verdict anchor_forced_zero
 decide_connection validate_algebroid LaurentMatrix LaurentPoly Rat laurent_parse Atom
 CurveContext FormalBundle HNFiltration Stability atiyah_weil hn_filtration ConcreteAnchor
 ConnectionCert ObstructionCocycle connection_exists_p1 construct_connection jet1_transition
-jetV_transition obstruction_cocycle split_coboundary tangent_anchor verify_connection
+jetV_transition obstruction_cocycle tangent_anchor verify_connection
 verify_witness zero_anchor GlobalSection P1Bundle SplittingData birkhoff_split
 cohomology_dims dual_bundle gauge_transform global_sections hom_bundle hom_sections
 line_bundle riemann_roch_check serre_dual_check split_bundle tangent_bundle tensor_bundle
