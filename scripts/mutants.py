@@ -27,8 +27,15 @@ identity (the proof is in SplittingData's docstring), _shift_columns' guard
 on the number of exponents is one that no record that builds can trip, a
 SplittingData holds the one transition it splits, so no U0^(-1) is keyed by
 another, and verify_witness reads no inverse whose identity T T^(-1) = I it
-would have to check: it takes the witness in both charts and checks their
-overlap identity, inverse-free, as verify_connection does.
+would have to check.
+
+The witness is five vectors, not the pair of r x rq matrices (Theta0,
+Theta1), and verify_witness reads no cocycle, so the mutants of the matrix
+checks left with their code: witness-shape, witness-chart0,
+witness-chart1, witness-overlap, witness-pairing, witness-pairing-transpose
+and witness-cocycle. Each vector check has its own mutant
+(witness-vector-shape and witness-in-z through witness-residue), and the
+cocycle the CLI prints is checked on its own (printed-cocycle-checked).
 """
 
 from __future__ import annotations
@@ -58,8 +65,12 @@ TIMEOUT_S = 300  # one test file; a mutant that hangs its tests is an error, not
 
 VERIFY_SHAPES = "if U0.shape != (r, r) or U1.shape != (r, r):"
 CONNECTION_CHARTS = "if not cert.A0.is_poly_in_z or not cert.A1.is_poly_in_w:"
-WITNESS_CHARTS = "if not theta0.is_poly_in_z or not theta1.is_poly_in_w:"
-WITNESS_CHECKED = "if not (anchors_cocycle and verify_witness(E, anchor.V, cocycle, *answer)):"
+WITNESS_SHAPES = (
+    "if (u.shape, v.shape, x.shape, w0.shape, w1.shape) != ((r, 1), (1, r), (r, 1), (q, 1), (q, 1)):"
+)
+WITNESS_IN_W = (
+    "if not (x.is_poly_in_w and w1.is_poly_in_w and (v @ T).shift(2 - v_a - a_i).is_poly_in_w):"
+)
 
 MUTANTS = (
     # the clauses of a splitting, checked by SplittingData when it is built,
@@ -154,49 +165,63 @@ MUTANTS = (
     ),
     # the solve stores -beta0, so that it returns A0 = -b0 with no negation
     Mutant("connection-sign", JET, "hol0[e] = -coeff", "hol0[e] = coeff", JET_TESTS),
-    # _cocycle_and_connection checks either answer of the solve; a witness
-    # only with the cocycle it pairs with checked to be the anchor's
+    # construct_connection decides from the integers of the two splittings,
+    # and checks either answer; a window hit after an integer "yes" is a bug
+    Mutant(
+        "integer-rule",
+        JET,
+        "i = next((i for i, ai in enumerate(se.type) if ai != 0), None)",
+        "i = next((i for i, ai in enumerate(se.type)), None)",
+        JET_TESTS,
+    ),
+    Mutant(
+        "window-after-yes",
+        JET,
+        "if not isinstance(cert, ConnectionCert):",
+        "if False:",
+        JET_TESTS,
+    ),
     Mutant(
         "connection-checked",
         JET,
-        "if not verify_connection(E, anchor, answer):",
+        "if not verify_connection(E, anchor, cert):",
         "if False:",
         JET_TESTS,
     ),
-    Mutant("witness-checked", JET, WITNESS_CHECKED, "if False:", JET_TESTS),
     Mutant(
-        "witness-cocycle",
+        "witness-checked",
         JET,
-        WITNESS_CHECKED,
-        "if not verify_witness(E, anchor.V, cocycle, *answer):",
-        JET_TESTS,
-    ),
-    # verify_witness
-    Mutant(
-        "witness-shape",
-        JET,
-        "if c.shape != (r, r * q) or theta0.shape != (r, r * q) or theta1.shape != (r, r * q):",
+        "if not verify_witness(E, anchor, *witness):",
         "if False:",
         JET_TESTS,
     ),
-    Mutant("witness-chart0", JET, WITNESS_CHARTS, "if not theta1.is_poly_in_w:", JET_TESTS),
-    Mutant("witness-chart1", JET, WITNESS_CHARTS, "if not theta0.is_poly_in_z:", JET_TESTS),
+    # _cocycle_and_connection checks the cocycle algconn connect prints
     Mutant(
-        "witness-overlap",
+        "printed-cocycle-checked",
         JET,
-        "if lhs != (theta0 @ LaurentMatrix.identity(q).kron(T)).shift(2):",
+        "if cocycle.overlap_matrix @ I_q.kron(T) != anchor.phi_row.kron(T.derivative()):",
         "if False:",
         JET_TESTS,
     ),
-    Mutant("witness-pairing", JET, "return pairing.coeff(-1) != 0", "return True", JET_TESTS),
-    # the contraction pairs Theta^(a)_ij with C^(a)_ji, not with C^(a)_ij
+    # verify_witness: a shape guard, then one mutant per vector check
+    Mutant("witness-vector-shape", JET, WITNESS_SHAPES, "if False:", JET_TESTS),
     Mutant(
-        "witness-pairing-transpose",
+        "witness-in-z",
         JET,
-        "c.entry(j, a * r + i)",
-        "c.entry(i, a * r + j)",
+        "if not (u.is_poly_in_z and v.is_poly_in_z and w0.is_poly_in_z):",
+        "if False:",
         JET_TESTS,
     ),
+    Mutant("witness-in-w", JET, WITNESS_IN_W, "if False:", JET_TESTS),
+    Mutant("witness-identity-of-e", JET, "if T @ x != u.shift(a_i):", "if False:", JET_TESTS),
+    Mutant(
+        "witness-identity-of-v",
+        JET,
+        "if anchor.V.transition @ w1 != w0.shift(v_a):",
+        "if False:",
+        JET_TESTS,
+    ),
+    Mutant("witness-residue", JET, "return pairing.coeff(a_i - 1) != 0", "return True", JET_TESTS),
     # the scalar kernels' Gauss-Jordan stops at the first column with no pivot
     Mutant(
         "gauss-jordan-early-stop",

@@ -34,26 +34,28 @@ over the V*-frame (r = rank E, q = rank V, entry (i, a*r + j) is entry
 factor, by the block identity (X (A (x) B))^(a) = sum_b A_ba * X^(b) B.
 Eliminating A1 shows existence is the coboundary problem for the
 V*-twisted discrepancy cocycle c = phi0 (x) T' T^(-1). It is solved in the
-split frames of E and V, where End(E) (x) V* is the sum of the line bundles
+split frames U0 T U1 = D = diag(z^(a_i)) of E and U0_V T_V U1_V =
+diag(z^(v_a)) of V, where End(E) (x) V* is the sum of the line bundles
 O(a_i - a_j - v_a), without building that bundle: a cochain valued in O(d)
 misses being a coboundary exactly on the coefficient window
-z^(d+1) ... z^(-1). Only the z-side cochain b0 is read off the split frames;
-the w-side one follows from the equation c = b0 - transport(b1) itself,
+z^(d+1) ... z^(-1). Since T^(-1) U0^(-1) = U1 D^(-1), the cocycle in split
+frames is y = psi (x) M, with psi = phi0 U0_V^(-1) the anchor in V's split
+frame (psi_a of degree <= 2 - v_a) and M = U0 T' U1 D^(-1). Differentiating
+U0 T U1 = D gives M = D' D^(-1) - U0' U0^(-1) - D U1^(-1) U1' D^(-1): the
+middle term is polynomial in z, and the last has exponents <= a_i - a_j - 2
+at (i, j). So the one coefficient of y that can fall in a window is
+a_i psi_a(0), at z^(-1) of entry (i, a*r + i) with v_a = 2: the Atiyah class
+of E pushed along phi^*. The answer is read off integers: no connection
+exactly when some v_a = 2 has psi_a(0) != 0 and some a_i != 0.
 
-    b1 = T^(-1) (b0 - c) (T_V (x) T).
-
-The solve returns the connection matrices A0 = -b0 and A1 = -b1 themselves,
-A1 = T^(-1) (c + A0) (T_V (x) T), so no matrix is negated on the way to a
-certificate. A nonzero class returns a Serre-dual witness instead, a global
-section of End E (x) V (x) K that pairs nonzero with the cocycle, as its two
-chart forms (Theta0, Theta1) read off the split frames.
-
-Both answers are checked by one rule, in one place (_cocycle_and_connection):
-from the input transitions, phi0, the cocycle and the answer, in inverse-free
-form, with no splitting. verify_connection checks A0 (T_V (x) T) = T A1 -
-(phi0 T_V) (x) T' (A1 polynomial in 1/z certifies b1); verify_witness checks
-T Theta1 (T_V^T (x) I_r) = z^2 Theta0 (I_q (x) T) and the pairing, against
-a cocycle checked as c (I_q (x) T) = phi0 (x) T'.
+A "no" is certified by five vectors of the two splittings, a Serre-dual
+rank-one section that pairs to a_i psi_a(0) with the cocycle
+(verify_witness). A "yes" solves for the connection matrices A0 = -b0 and
+A1 = -b1 from y (_solve), with no matrix negated on the way, and
+verify_connection checks them. Both checks read the input transitions,
+phi0 and the answer alone, inverse-free, with no splitting and no cocycle;
+construct_connection computes none. The CLI prints the cocycle, checked as
+c (I_q (x) T) = phi0 (x) T' (_cocycle_and_connection).
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .exact_core import LaurentMatrix, LaurentPoly, _matrix, _parse_entries, _po
 from .p1_engine import (
     P1Bundle,
     SplittingData,
+    _shift_columns,
     birkhoff_split,
     is_global_hom,
     p1bundle_from_json,
@@ -159,121 +162,117 @@ def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocyc
 
 def _connection(
     c: ObstructionCocycle, E: P1Bundle, V: P1Bundle
-) -> ConnectionCert | tuple[LaurentMatrix, LaurentMatrix]:
-    """Solve c = b0 - transport(b1), with b0 holomorphic on the z-chart and
-    b1 on the w-chart, in End(E) (x) V*, for any cochain c of the right
-    shape: the connection matrices A0 = -b0 and A1 = -b1 when such cochains
-    exist, else a Serre-dual witness pair (Theta0, Theta1). Nothing here is
-    checked; _cocycle_and_connection checks either answer.
-
-    With splittings U0 T U1 = diag(z^(a_i)) of E and U0_V T_V U1_V =
-    diag(z^(v_a)) of V, the cocycle in split frames is
-
-        y = U0 c (U0_V^(-1) (x) U0^(-1)),
-
-    and entry (i, a*r + j) of y is valued in the line bundle O(d) with
-    d = a_i - a_j - v_a. There the equation is scalar: the z-chart side
-    covers exponents >= 0, the w-chart side exponents <= d, so it is
-    solvable exactly when the coefficients in the window d+1 .. -1 vanish.
-    The z-side split cochain beta0 holds the coefficients of exponent >= 0;
-    the scan stores -beta0, so that A0 = -b0 comes back to the original
-    frames as
-
-        A0 = U0^(-1) (-beta0) (U0_V (x) U0),
-
-    with U0^(-1) the one each splitting's check computed when it was built
-    (SplittingData.u0_inverse). This is the Kronecker splitting of End(E)
-    (x) V* applied to the block row, so that bundle is never built. Given
-    A0, the equation fixes A1: since transport(b1) = T b1 (T_V^(-1) (x)
-    T^(-1)) and b1 = T^(-1) (b0 - c) (T_V (x) T),
-
-        A1 = T^(-1) (c + A0) (T_V (x) T),
-
-    with T^(-1) the splitting's cached transition_inverse; no matrix is
-    negated.
-
-    When a window coefficient z^e of entry (i, a*r + j) is nonzero, the
-    class is nonzero, and the answer is the Serre dual of that coefficient
-    (_witness), taken at the first such (a, i, j) in loop order and its
-    lowest window exponent e, so that it depends on the cocycle alone.
-    """
+) -> ConnectionCert | tuple[int, int, int, int]:
+    """Solve c = b0 - transport(b1), b0 holomorphic on the z-chart and b1 on
+    the w-chart, in End(E) (x) V*, for any cochain c of the right shape, by
+    _solve on U0 c (U0_V^(-1) (x) U0^(-1)) (I_q (x) D). Nothing is checked."""
     r, q = E.rank, V.rank
     if c.overlap_matrix.shape != (r, r * q):
         raise ShapeMismatch(
             f"cochain shape {c.overlap_matrix.shape} does not match rank {r} "
             f"and anchor rank {q}"
         )
-    if c.overlap_matrix.is_zero:
-        zero = LaurentMatrix.zeros(r, r * q)
-        return ConnectionCert(zero, zero)
     se, sv = birkhoff_split(E), birkhoff_split(V)
     y = se.U0 @ c.overlap_matrix @ sv.u0_inverse.kron(se.u0_inverse)
+    return _solve(_shift_columns(y, list(se.type) * q), se, sv, E, V)
+
+
+def _solve(
+    yd: LaurentMatrix, se: SplittingData, sv: SplittingData, E: P1Bundle, V: P1Bundle,
+) -> ConnectionCert | tuple[int, int, int, int]:
+    """The connection matrices A0 = -b0 and A1 = -b1 for the cochain c with
+    split-frame form y = U0 c (U0_V^(-1) (x) U0^(-1)), or the first window
+    hit (a, i, j, e). It reads yd = y (I_q (x) D), so an anchor's cocycle
+    needs no D^(-1): yd = psi (x) U0 T' U1, and the term z^e of entry
+    (i, a*r + j) of yd is the term z^(e - a_j) of y, valued in O(d) with
+    d = a_i - a_j - v_a. There the z-chart side covers exponents >= 0 and
+    the w-chart side exponents <= d, so the equation is solvable exactly
+    when the window d+1 .. -1 holds no coefficient; the first one in loop
+    order, at its lowest exponent, depends on the cochain alone. The scan
+    stores -beta0, the terms of exponent >= 0 negated, so A0 = -b0 = U0^(-1)
+    (-beta0) (U0_V (x) U0) negates no matrix, and D^(-1) y_neg for the rest.
+    As c + A0 = U0^(-1) y_neg (U0_V (x) U0) and T^(-1) U0^(-1) = U1 D^(-1),
+    A1 = T^(-1) (c + A0) (T_V (x) T) = U1 (D^(-1) y_neg) (U0_V (x) U0)
+    (T_V (x) T), with no inverse but the held U0^(-1)."""
+    r = E.rank
+    if yd.is_zero:  # c = 0, so A0 = A1 = 0
+        zero = LaurentMatrix.zeros(r, yd.cols)
+        return ConnectionCert(zero, zero)
     minus_beta0: list[list[LaurentPoly]] = [[] for _ in range(r)]
+    dinv_y_neg: list[list[LaurentPoly]] = [[] for _ in range(r)]
     for a, v in enumerate(sv.type):
         for i, ai in enumerate(se.type):
-            y_row = y._rows[i]
+            yd_row = yd._rows[i]
             for j, aj in enumerate(se.type):
                 d = ai - aj - v
                 hol0: dict[int, int | Fraction] = {}
-                for e, coeff in sorted(y_row[a * r + j]._coeffs.items()):
+                hol1: dict[int, int | Fraction] = {}
+                for e, coeff in sorted(yd_row[a * r + j]._coeffs.items()):
+                    e -= aj
                     if e >= 0:
                         hol0[e] = -coeff
                     elif e > d:
-                        return _witness(se, sv, E.transition, i, j, a, e)
+                        return a, i, j, e
+                    else:
+                        hol1[e - ai] = coeff
                 minus_beta0[i].append(_poly(hol0))
-    A0 = se.u0_inverse @ _matrix(tuple(map(tuple, minus_beta0))) @ sv.U0.kron(se.U0)
-    A1 = se.transition_inverse @ (c.overlap_matrix + A0) @ V.transition.kron(E.transition)
-    return ConnectionCert(A0, A1)
-
-
-def _witness(
-    se: SplittingData, sv: SplittingData, T: LaurentMatrix, i: int, j: int, a: int, e: int
-) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """The Serre dual of the window coefficient z^e of split entry
-    (i, a*r + j), which Theta0 pairs with the cocycle to, in both charts:
-
-        Theta0 = (U0_V^(-1)[:, a])^T (x) U0^(-1)[:, j] U0[i, :] * z^(-e-1),
-        Theta1 = (U1_V[:, a])^T (x) U1[:, j] (U0[i, :] T) * z^(1-e-v_a-a_j),
-
-    the chart-1 form z^2 T^(-1) Theta0 (T_V^(-T) (x) T), since U0 T U1 = D
-    gives T^(-1) U0^(-1) = U1 D^(-1), and likewise for V."""
-    r, q = T.rows, len(sv.type)
-    row = se.U0.submatrix([i], range(r))
-    outer0 = se.u0_inverse.submatrix(range(r), [j]).shift(-e - 1) @ row
-    outer1 = se.U1.submatrix(range(r), [j]).shift(1 - e - sv.type[a] - se.type[j]) @ (row @ T)
-    theta0 = sv.u0_inverse.submatrix(range(q), [a]).transpose().kron(outer0)
-    theta1 = sv.U1.submatrix(range(q), [a]).transpose().kron(outer1)
-    return theta0, theta1
+                dinv_y_neg[i].append(_poly(hol1))
+    u0_kron = sv.U0.kron(se.U0)
+    A0 = se.u0_inverse @ (_matrix(tuple(map(tuple, minus_beta0))) @ u0_kron)
+    w_side = _matrix(tuple(map(tuple, dinv_y_neg))) @ u0_kron @ V.transition.kron(E.transition)
+    return ConnectionCert(A0, se.U1 @ w_side)
 
 
 def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert | None:
     """A verified certificate when the obstruction class vanishes, else None
-    with a verified witness. The cochains (b0, b1) with cocycle = b0 -
-    transport(b1) give A0 = -b0, A1 = -b1, the sign forced by the overlap
-    identity that verify_connection checks."""
-    return _cocycle_and_connection(E, anchor)[1]
+    with a verified witness, decided by the integer rule of the module
+    docstring with no cocycle and no inverse but the held U0^(-1)'s. A "no"
+    at the first V-index a with v_a = 2 and psi_a(0) != 0 and the first i
+    with a_i != 0 is the Serre dual of the window coefficient a_i psi_a(0):
+    Theta0 = w0^T (x) u v with u = U0^(-1)[:, i], v = U0[i, :] and w0 =
+    U0_V^(-1)[:, a], its chart-1 form read off x = U1[:, i] and w1 =
+    U1_V[:, a]; verify_witness checks the five vectors. A "yes" solves on
+    y = psi (x) M, read as y (I_q (x) D) = psi (x) U0 T' U1, where a window
+    hit contradicts the integers. Either failure is an internal bug."""
+    r, q = E.rank, anchor.V.rank
+    if anchor.is_zero:
+        zero = LaurentMatrix.zeros(r, r * q)
+        cert = ConnectionCert(zero, zero)
+    else:
+        se, sv = birkhoff_split(E), birkhoff_split(anchor.V)
+        psi = anchor.phi_row @ sv.u0_inverse
+        a = next((a for a, v in enumerate(sv.type) if v == 2 and psi.entry(0, a).coeff(0)), None)
+        i = next((i for i, ai in enumerate(se.type) if ai != 0), None)
+        if a is not None and i is not None:
+            witness = (
+                se.type[i], sv.type[a], se.u0_inverse.submatrix(range(r), [i]),
+                se.U0.submatrix([i], range(r)), se.U1.submatrix(range(r), [i]),
+                sv.u0_inverse.submatrix(range(q), [a]), sv.U1.submatrix(range(q), [a]),
+            )
+            if not verify_witness(E, anchor, *witness):
+                raise AssertionError("Serre-dual witness failed verification (internal bug)")
+            return None
+        yd = psi.kron(se.U0 @ E.transition.derivative() @ se.U1)
+        cert = _solve(yd, se, sv, E, anchor.V)
+        if not isinstance(cert, ConnectionCert):
+            raise AssertionError("window coefficient where the integers found none (internal bug)")
+    if not verify_connection(E, anchor, cert):
+        raise AssertionError("constructed certificate failed verification (internal bug)")
+    return cert
 
 
 def _cocycle_and_connection(
     E: P1Bundle, anchor: ConcreteAnchor
 ) -> tuple[ObstructionCocycle, ConnectionCert | None]:
-    """The obstruction cocycle, computed once, with the certificate
-    construct_connection returns for it, or None. Either answer of
-    _connection is checked here, and a failed check is an internal bug. A
-    witness certifies the class it pairs with, and the cocycle reads the
-    splitting's T^(-1), so the cocycle is checked too, as c (I_q (x) T) =
-    phi0 (x) T'; verify_connection never reads the cocycle."""
+    """The obstruction cocycle that algconn connect prints, with the answer
+    of construct_connection, which reads no cocycle. The cocycle reads the
+    splitting's cached T^(-1), so it is checked, whatever the answer, as
+    c (I_q (x) T) = phi0 (x) T'; a failed check is an internal bug."""
     cocycle = obstruction_cocycle(E, anchor)
-    answer = _connection(cocycle, E, anchor.V)
-    if isinstance(answer, ConnectionCert):
-        if not verify_connection(E, anchor, answer):
-            raise AssertionError("constructed certificate failed verification (internal bug)")
-        return cocycle, answer
     T, I_q = E.transition, LaurentMatrix.identity(anchor.V.rank)
-    anchors_cocycle = cocycle.overlap_matrix @ I_q.kron(T) == anchor.phi_row.kron(T.derivative())
-    if not (anchors_cocycle and verify_witness(E, anchor.V, cocycle, *answer)):
-        raise AssertionError("Serre-dual witness failed verification (internal bug)")
-    return cocycle, None
+    if cocycle.overlap_matrix @ I_q.kron(T) != anchor.phi_row.kron(T.derivative()):
+        raise AssertionError("obstruction cocycle failed its check (internal bug)")
+    return cocycle, construct_connection(E, anchor)
 
 
 def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert) -> bool:
@@ -304,45 +303,46 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
 
 
 def verify_witness(
-    E: P1Bundle, V: P1Bundle, cocycle: ObstructionCocycle,
-    theta0: LaurentMatrix, theta1: LaurentMatrix,
+    E: P1Bundle, anchor: ConcreteAnchor, a_i: int, v_a: int,
+    u: LaurentMatrix, v: LaurentMatrix, x: LaurentMatrix, w0: LaurentMatrix, w1: LaurentMatrix,
 ) -> bool:
-    """Exact check that (theta0, theta1) certifies the class of the cocycle
-    nonzero. theta0 = [Theta0^(1) | ... | Theta0^(q)] and theta1 are the
-    chart-0 and chart-1 forms of a section of End E (x) V (x) K, dual to
-    End E (x) V* (x) O under Serre duality. Like verify_connection, the
-    checks read no inverse and no splitting:
+    """Exact check that Theta0 = w0^T (x) u v, a section of End E (x) V (x) K
+    (dual to End E (x) V* under Serre duality), certifies the obstruction
+    class of the anchor nonzero. u and x are r x 1, v is 1 x r, w0 and w1
+    are q x 1. Like verify_connection, the checks read T, T', T_V and phi0
+    alone, with no inverse, no splitting and no cocycle:
 
-    (i) chart holomorphy: theta0 polynomial in z, theta1 in 1/z;
-    (ii) overlap agreement: with dz = -z^2 dw, theta1 is the chart-1 form
-         z^2 T^(-1) theta0 (T_V^(-T) (x) T); multiplied on the left by T
-         and on the right by T_V^T (x) I_r, invertible factors, that is
+    (i) u, v and w0 polynomial in z;
+    (ii) x, w1 and z^(2 - v_a - a_i) v T polynomial in 1/z;
+    (iii) T x = z^(a_i) u;
+    (iv) T_V w1 = z^(v_a) w0;
+    (v) Res_(z=0) (phi0 w0) (v T' x) z^(-a_i) != 0.
 
-             T theta1 (T_V^T (x) I_r)  =  z^2 theta0 (I_q (x) T);
-
-    (iii) the pairing Res_(z=0) sum_a tr(Theta0^(a) C^(a)) is nonzero, read
-          as the one contraction sum_(a,i,j) Theta0^(a)_ij C^(a)_ji.
-
-    A coboundary b0 - transport(b1) pairs to zero: its b0 part is
-    holomorphic at 0, and its b1 part pairs through the chart-1 form, whose
-    exponents are <= -2. So (i)-(iii) prove the cocycle is no coboundary.
+    By (iii) and (iv), T^(-1) u = z^(-a_i) x and T_V^(-1) w0 = z^(-v_a) w1,
+    so the chart-1 form of Theta0, z^2 T^(-1) Theta0 (T_V^(-T) (x) T) with
+    dz = -z^2 dw, is Theta1 = w1^T (x) x (z^(2 - v_a - a_i) v T). By (i)
+    and (ii), Theta0 is polynomial in z and Theta1 in 1/z: a global
+    section. Its pairing with the cocycle c = phi0 (x) T' T^(-1) is
+    Res sum_b tr(Theta0^(b) C^(b)) = Res (phi0 w0) (v T' T^(-1) u), the
+    residue of (v) by (iii). A coboundary b0 - transport(b1) pairs to zero:
+    its b0 part is holomorphic at 0, and its b1 part pairs through Theta1,
+    whose exponents are <= -2. So (i)-(v) prove the class nonzero, at O(r^2)
+    polynomial products.
     """
-    r, q = E.rank, V.rank
-    c = cocycle.overlap_matrix
-    if c.shape != (r, r * q) or theta0.shape != (r, r * q) or theta1.shape != (r, r * q):
-        return False
-    if not theta0.is_poly_in_z or not theta1.is_poly_in_w:
+    r, q = E.rank, anchor.V.rank
+    if (u.shape, v.shape, x.shape, w0.shape, w1.shape) != ((r, 1), (1, r), (r, 1), (q, 1), (q, 1)):
         return False
     T = E.transition
-    lhs = T @ theta1 @ V.transition.transpose().kron(LaurentMatrix.identity(r))
-    if lhs != (theta0 @ LaurentMatrix.identity(q).kron(T)).shift(2):
+    if not (u.is_poly_in_z and v.is_poly_in_z and w0.is_poly_in_z):
         return False
-    pairing = sum(
-        (theta0.entry(i, a * r + j) * c.entry(j, a * r + i)
-         for a in range(q) for i in range(r) for j in range(r)),
-        LaurentPoly.zero(),
-    )
-    return pairing.coeff(-1) != 0
+    if not (x.is_poly_in_w and w1.is_poly_in_w and (v @ T).shift(2 - v_a - a_i).is_poly_in_w):
+        return False
+    if T @ x != u.shift(a_i):
+        return False
+    if anchor.V.transition @ w1 != w0.shift(v_a):
+        return False
+    pairing = (anchor.phi_row @ w0).entry(0, 0) * (v @ T.derivative() @ x).entry(0, 0)
+    return pairing.coeff(a_i - 1) != 0
 
 
 def connection_exists_p1(E: P1Bundle, anchor: ConcreteAnchor) -> bool:

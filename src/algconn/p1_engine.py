@@ -230,8 +230,8 @@ class SplittingData(_Value):
 
 
 def _shift_columns(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
-    """M * diag(z^(e_j)): column j times z^(e_j), one exponent per column.
-    Both callers pass a splitting's r columns and its type, of length r."""
+    """M * diag(z^(e_j)): column j times z^(e_j). Every caller passes one
+    exponent per column: a splitting's type, or q copies of it for r x rq."""
     return _matrix(tuple([tuple([x.shift(e) for x, e in zip(row, exps)]) for row in M._rows]))
 
 

@@ -13,6 +13,9 @@ Fraction Gauss-Jordan inverse and nullspace are the references for the
 fraction-free kernels of exact_core, and the dense product is the reference
 for its sparse product kernel. split_diagonal builds the D that a
 splitting claims, from its type alone, and column a column vector.
+serre_witness, is_global_witness and residue_pairing judge a vector
+witness by the rank-one section it names, in both charts, with inverses
+they are handed and check, and the trace pairing summed entry by entry.
 """
 
 from __future__ import annotations
@@ -193,6 +196,38 @@ def column(entries) -> LaurentMatrix:
 def split_diagonal(exponents) -> LaurentMatrix:
     """diag(z^(a_1), ..., z^(a_r)): the right side D of U0 T U1 = D."""
     return LaurentMatrix.diag([LaurentPoly.z(a) for a in exponents])
+
+
+def serre_witness(u: LaurentMatrix, v: LaurentMatrix, w0: LaurentMatrix) -> LaurentMatrix:
+    """Theta0 = w0^T (x) u v: the chart-0 block row [Theta0^(1) | ... |
+    Theta0^(q)] of the rank-one section of End E (x) V (x) K that a vector
+    witness (u r x 1, v 1 x r, w0 q x 1) names."""
+    return w0.transpose().kron(u @ v)
+
+
+def is_global_witness(
+    theta0: LaurentMatrix, T: LaurentMatrix, T_inv: LaurentMatrix,
+    T_V: LaurentMatrix, T_V_inv: LaurentMatrix,
+) -> bool:
+    """Is theta0 a global section: polynomial in z, with its chart-1 form
+    z^2 T^(-1) theta0 (T_V^(-T) (x) T) polynomial in 1/z? The inverses are
+    checked here, not trusted."""
+    assert T @ T_inv == LaurentMatrix.identity(T.rows)
+    assert T_V @ T_V_inv == LaurentMatrix.identity(T_V.rows)
+    theta1 = (T_inv @ theta0 @ T_V_inv.transpose().kron(T)).shift(2)
+    return theta0.is_poly_in_z and theta1.is_poly_in_w
+
+
+def residue_pairing(theta0: LaurentMatrix, c: LaurentMatrix) -> int | Fraction:
+    """Res_(z=0) sum_a tr(Theta0^(a) C^(a)) of two r x rq block rows, as the
+    sum over (a, i, j) of Theta0^(a)_ij C^(a)_ji."""
+    r = c.rows
+    total = LaurentPoly.zero()
+    for a in range(c.cols // r):
+        for i in range(r):
+            for j in range(r):
+                total = total + theta0.entry(i, a * r + j) * c.entry(j, a * r + i)
+    return total.coeff(-1)
 
 
 def hn_first_step_bruteforce(degrees: list[int]) -> tuple[int, ...]:

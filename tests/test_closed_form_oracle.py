@@ -71,7 +71,8 @@ def test_engine_matches_genus0_closed_form():
     for e_type, v_type, phi_split, gauged, E, anchor in _cases(120, 71):
         expected = closed_form_exists(e_type, v_type, phi_split)
         got = connection_exists_p1(E, anchor)
-        answers.append((E.rank, anchor.V.rank, gauged, expected))
+        atiyah = any(v == 2 and not p.is_zero for v, p in zip(v_type, phi_split))
+        answers.append((E.rank, anchor.V.rank, gauged, expected, not any(e_type), atiyah))
         if got != expected:
             mismatches.append(
                 {"E_type": e_type, "V_type": v_type, "phi": [str(p) for p in phi_split],
@@ -80,5 +81,9 @@ def test_engine_matches_genus0_closed_form():
     assert mismatches == []
     # the draw exercises what the closed form distinguishes
     assert {a[3] for a in answers} == {True, False}
-    assert any(r == 3 and q == 2 and g and not x for r, q, g, x in answers)
+    assert any(r == 3 and q == 2 and g and not x for r, q, g, x, _, _ in answers)
     assert sum(not a[3] for a in answers) >= 20
+    # a trivial E against a gauged rank-2 V whose degree-2 summand carries
+    # the anchor: the integers answer "yes" because every a_i is 0, and the
+    # solve runs on y = psi (x) M with q = 2
+    assert any(q == 2 and g and trivial and atiyah for _, q, g, _, trivial, atiyah in answers)

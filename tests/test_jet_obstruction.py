@@ -6,7 +6,14 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from oracles import column, monomial_det, split_diagonal
+from oracles import (
+    column,
+    is_global_witness,
+    monomial_det,
+    residue_pairing,
+    serre_witness,
+    split_diagonal,
+)
 
 from algconn.algebroid_decision import AlgebroidDesc, AnchorDesc, AnchorKind, decide_connection
 from algconn.errors import InvalidAnchor, ShapeMismatch
@@ -16,6 +23,7 @@ from algconn.jet_obstruction import (
     ConcreteAnchor,
     ConnectionCert,
     ObstructionCocycle,
+    _cocycle_and_connection,
     _connection,
     anchor_from_json,
     anchor_to_json,
@@ -358,9 +366,10 @@ def test_tampered_splitting_never_gives_a_wrong_answer(monkeypatch):
     # U0 T U1 = diag, but det U0 = z^m: of the record's clauses only U0^(-1)
     # polynomial in z sees it, and the constructor refuses it. Forged past
     # the constructor, the solve runs in a frame that is no frame change.
-    # Every answer is then the honest one or refused by its certificate
-    # check: a false "exists" by verify_connection, a false "no connection"
-    # by verify_witness
+    # Every answer is then the honest one or refused as an internal bug: a
+    # false "no connection" by verify_witness, a false "exists" by
+    # verify_connection, or by the scan when it meets a window coefficient
+    # after the integer rule said "yes"
     import algconn.jet_obstruction as jo
 
     s = Sampler(53)
@@ -390,7 +399,7 @@ def test_tampered_splitting_never_gives_a_wrong_answer(monkeypatch):
                     assert "internal bug" in str(exc)
                     refused.add(str(exc).split()[0])
                 monkeypatch.undo()
-    assert refused == {"constructed", "Serre-dual"}
+    assert refused == {"constructed", "Serre-dual", "window"}
 
 
 # -- Serre-dual witnesses --------------------------------------------------------------
@@ -406,63 +415,109 @@ def _witness_anchor():
     return E, anchor
 
 
-def _witness_case():
-    """The obstructed case, its cocycle and the witness pair the solve
-    returns for it."""
-    E, anchor = _witness_anchor()
-    c = obstruction_cocycle(E, anchor)
-    theta0, theta1 = _connection(c, E, anchor.V)
-    return E, anchor.V, c, theta0, theta1
-
-
-def _chart1(theta0: LaurentMatrix, E: P1Bundle, V: P1Bundle) -> LaurentMatrix:
-    """z^2 T^(-1) theta0 (T_V^(-T) (x) T): the chart-1 form of theta0."""
-    T = E.transition
-    return (unit_inverse(T) @ theta0 @ unit_inverse(V.transition).transpose().kron(T)).shift(2)
-
-
-def test_every_obstructed_answer_has_a_verified_witness(monkeypatch):
-    import algconn.jet_obstruction as jo
-
-    checked = []
-    original = jo.verify_witness
-    monkeypatch.setattr(jo, "verify_witness", lambda *args: checked.append(original(*args)) or checked[-1])
-    negatives = 0
-    for E, anchor in _solve_cases():
-        if construct_connection(E, anchor) is None:
-            negatives += 1
-    assert negatives > 0 and checked == [True] * negatives
-
-
-def test_tangent_anchor_witness_is_an_atiyah_weil_summand(monkeypatch):
-    # for V = TX, V (x) K = O and a witness is a global endomorphism of E: the
-    # projection u v^T onto a summand O(a_i) with a_i != 0 (v^T u = 1), whose
-    # residue pairing with the cocycle is a_i (Weil 1938, Atiyah 1957)
+def _checked_witnesses(cases):
+    """construct_connection on each (E, anchor), with the vector witness
+    (a_i, v_a, u, v, x, w0, w1) it hands verify_witness for each "no", and
+    None for each "yes"."""
     import algconn.jet_obstruction as jo
 
     seen = []
-    original = jo._witness
-    monkeypatch.setattr(
-        jo, "_witness", lambda *args: seen.append((args[3:], original(*args))) or seen[-1][1]
+    original = jo.verify_witness
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jo, "verify_witness", lambda *args: seen.append(args[2:]) or original(*args))
+        answers = [construct_connection(E, anchor) for E, anchor in cases]
+    witnesses = iter(seen)
+    return [next(witnesses) if answer is None else None for answer in answers]
+
+
+def _witness_case():
+    """The obstructed case and the witness construct_connection checks for it."""
+    E, anchor = _witness_anchor()
+    [witness] = _checked_witnesses([(E, anchor)])
+    return E, anchor, witness
+
+
+def _vector_checks(E: P1Bundle, anchor: ConcreteAnchor, witness) -> tuple[bool, ...]:
+    """The five checks (i)-(v) of verify_witness, restated here, so that a
+    tamper can show which one it breaks."""
+    a_i, v_a, u, v, x, w0, w1 = witness
+    T = E.transition
+    pairing = (anchor.phi_row @ w0) @ (v @ T.derivative() @ x)
+    return (
+        u.is_poly_in_z and v.is_poly_in_z and w0.is_poly_in_z,
+        x.is_poly_in_w and w1.is_poly_in_w and (v @ T).shift(2 - v_a - a_i).is_poly_in_w,
+        T @ x == u.shift(a_i),
+        anchor.V.transition @ w1 == w0.shift(v_a),
+        pairing.entry(0, 0).coeff(a_i - 1) != 0,
     )
+
+
+def _certifies(E: P1Bundle, anchor: ConcreteAnchor, witness) -> bool:
+    """Does the rank-one section the witness names certify the class, judged
+    by the oracles: a global section that pairs nonzero with the cocycle?"""
+    _, _, u, v, _, w0, _ = witness
+    theta0 = serre_witness(u, v, w0)
+    T, T_V = E.transition, anchor.V.transition
+    if not is_global_witness(theta0, T, unit_inverse(T), T_V, unit_inverse(T_V)):
+        return False
+    return residue_pairing(theta0, obstruction_cocycle(E, anchor).overlap_matrix) != 0
+
+
+def _tampered(E: P1Bundle, anchor: ConcreteAnchor, witness, check: int):
+    """The witness changed so that check `check` of (i)-(v) fails and the
+    other four hold: u moves by z^-40 e_1 for (i) or z^40 e_1 for (ii), with
+    x moved along so that T x = z^(a_i) u stays; u alone moves by z^40 e_1
+    for (iii), and w0 by z^40 f_1 for (iv), each too far to touch the
+    residue; (v) takes the vectors of E's summand with a_i = 0, which name
+    a global section that pairs to zero."""
+    a_i, v_a, u, v, x, w0, w1 = witness
+    r, q = E.rank, anchor.V.rank
+    e1 = column([LaurentPoly.one()] + [LaurentPoly.zero()] * (r - 1))
+    if check in (0, 1):
+        bump = e1.shift(-40 if check == 0 else 40)
+        return a_i, v_a, u + bump, v, x + (unit_inverse(E.transition) @ bump).shift(a_i), w0, w1
+    if check == 2:
+        return a_i, v_a, u + e1.shift(40), v, x, w0, w1
+    if check == 3:
+        f1 = column([LaurentPoly.one()] + [LaurentPoly.zero()] * (q - 1))
+        return a_i, v_a, u, v, x, w0 + f1.shift(40), w1
+    se = birkhoff_split(E)
+    k = se.type.index(0)
+    return (0, v_a, se.u0_inverse.submatrix(range(r), [k]), se.U0.submatrix([k], range(r)),
+            se.U1.submatrix(range(r), [k]), w0, w1)
+
+
+def test_every_obstructed_answer_has_a_verified_witness():
+    # each "no" hands verify_witness five vectors that pass every check and
+    # name a section the oracles accept
+    cases = list(_solve_cases())
+    checked = [(*case, w) for case, w in zip(cases, _checked_witnesses(cases)) if w is not None]
+    assert checked
+    for E, anchor, witness in checked:
+        assert _vector_checks(E, anchor, witness) == (True,) * 5
+        assert _certifies(E, anchor, witness)
+
+
+def test_tangent_anchor_witness_is_an_atiyah_weil_summand():
+    # for V = TX, V (x) K = O and a witness is a global endomorphism of E: the
+    # projection u v onto a summand O(a_i) with a_i != 0 (v u = 1), whose
+    # residue pairing with the cocycle is a_i (Weil 1938, Atiyah 1957)
     anchor = tangent_anchor()
     s = Sampler(11)
+    bundles = [s.gauged_p1_bundle(max_rank=4)[0] for _ in range(200)]
     negatives = 0
-    for _ in range(200):
-        E, _ = s.gauged_p1_bundle(max_rank=4)
-        seen.clear()
-        if construct_connection(E, anchor) is not None:
-            assert not seen
+    for E, witness in zip(bundles, _checked_witnesses([(E, anchor) for E in bundles])):
+        if witness is None:
             continue
         negatives += 1
-        [((i, j, a, e), (theta, _))] = seen
-        a_i = birkhoff_split(E).type[i]
-        assert (i, j, a, e) == (i, i, 0, -1) and a_i != 0
+        a_i, v_a, u, v, x, w0, w1 = witness
+        theta = serre_witness(u, v, w0)
+        assert v_a == 2 and a_i == next(a for a in birkhoff_split(E).type if a != 0)
         assert theta @ theta == theta
         assert is_global_hom(E, E, theta)
         assert trace_pair(E, theta, LaurentMatrix.identity(E.rank)) == 1
         c = obstruction_cocycle(E, anchor).overlap_matrix
-        assert (theta @ c).trace().coeff(-1) == a_i
+        assert (theta @ c).trace().coeff(-1) == a_i == residue_pairing(theta, c)
     assert negatives > 100
 
 
@@ -489,19 +544,24 @@ def _first_window_coefficient(c: ObstructionCocycle, E: P1Bundle, V: P1Bundle):
     return None
 
 
-def test_witness_is_the_first_entry_and_its_lowest_window_exponent(monkeypatch):
-    # the witness depends on the cocycle alone, not on the order in which the
-    # arithmetic happened to store an entry's coefficients
-    import algconn.jet_obstruction as jo
-
-    seen = []
-    original = jo._witness
-    monkeypatch.setattr(
-        jo, "_witness", lambda *args: seen.append(args[3:]) or original(*args)
-    )
+def test_witness_is_the_first_entry_and_its_lowest_window_exponent():
+    # the window hit depends on the cochain alone, not on the order in which
+    # the arithmetic happened to store an entry's coefficients; on an
+    # anchor's cocycle it is (a, i, i, -1) at the integers' first a and i,
+    # where construct_connection takes its witness
+    anchor_cases = list(_solve_cases())
+    cases = [(obstruction_cocycle(E, anchor), E, anchor.V) for E, anchor in anchor_cases]
+    for (c, E, V), witness in zip(cases, _checked_witnesses(anchor_cases)):
+        hit = _connection(c, E, V)
+        assert (witness is None) == isinstance(hit, ConnectionCert)
+        if witness is not None:
+            a, i, j, e = hit
+            se, sv = birkhoff_split(E), birkhoff_split(V)
+            assert (j, e, sv.type[a], witness[0]) == (i, -1, 2, se.type[i])
+            assert witness[2] == se.u0_inverse.submatrix(range(E.rank), [i])
+            assert witness[5] == sv.u0_inverse.submatrix(range(V.rank), [a])
     # in the anchor cases no obstructed entry has two window coefficients,
     # so random cochains against wide windows are added
-    cases = [(obstruction_cocycle(E, anchor), E, anchor.V) for E, anchor in _solve_cases()]
     s = Sampler(58)
     for exps in ([2, -2], [3, 0, -1], [2, 2, -2]):
         r = len(exps)
@@ -513,63 +573,83 @@ def test_witness_is_the_first_entry_and_its_lowest_window_exponent(monkeypatch):
             cases.append((ObstructionCocycle(M), E, V))
     wide = 0
     for c, E, V in cases:
-        seen.clear()
         expected = _first_window_coefficient(c, E, V)
-        assert isinstance(_connection(c, E, V), tuple) == (expected is not None)
-        if expected is not None:
-            a, i, j, e, width = expected
-            assert seen == [(i, j, a, e)]
-            wide += width > 1
+        got = _connection(c, E, V)
+        if expected is None:
+            assert isinstance(got, ConnectionCert)
+        else:
+            assert got == expected[:4]
+            wide += expected[4] > 1
     assert wide > 0
 
 
 def test_witness_pairs_to_zero_with_coboundaries():
     # Serre duality: a global section of End E (x) V (x) K pairs to zero with
-    # every coboundary b0 - transport(b1), so the witness certifies the class
-    E, V, c, theta0, theta1 = _witness_case()
+    # every coboundary b0 - transport(b1), so the witness certifies the
+    # class; the residue that verify_witness reads off the vectors is the
+    # pairing of the section they name
+    E, anchor, witness = _witness_case()
+    a_i, v_a, u, v, x, w0, w1 = witness
+    V = anchor.V
     s = Sampler(58)
     r, q = E.rank, V.rank
     b0 = LaurentMatrix([[s.laurent(0, 3) for _ in range(r * q)] for _ in range(r)])
     b1 = LaurentMatrix([[s.laurent(-3, 0) for _ in range(r * q)] for _ in range(r)])
     cob = b0 - _transport(b1, E, V)
     assert not cob.is_zero
-    assert theta1 == _chart1(theta0, E, V)  # read off the frames, no inverse taken
-    assert verify_witness(E, V, c, theta0, theta1)
-    assert verify_witness(E, V, ObstructionCocycle(c.overlap_matrix + cob), theta0, theta1)
-    # the pairing alone fails: same section, zero pairing
-    assert not verify_witness(E, V, ObstructionCocycle(cob), theta0, theta1)
-    zero = ObstructionCocycle(LaurentMatrix.zeros(r, r * q))
-    assert not verify_witness(E, V, zero, theta0, theta1)
+    theta0 = serre_witness(u, v, w0)
+    T = E.transition
+    assert is_global_witness(theta0, T, unit_inverse(T), V.transition, unit_inverse(V.transition))
+    c = obstruction_cocycle(E, anchor).overlap_matrix
+    residue = ((anchor.phi_row @ w0) @ (v @ T.derivative() @ x)).entry(0, 0).coeff(a_i - 1)
+    assert residue_pairing(theta0, c) == residue != 0
+    assert residue_pairing(theta0, c + cob) == residue
+    assert residue_pairing(theta0, cob) == 0
+
+
+def _assert_tamper_fails_alone(check: int):
+    E, anchor, witness = _witness_case()
+    assert verify_witness(E, anchor, *witness)
+    bad = _tampered(E, anchor, witness, check)
+    assert _vector_checks(E, anchor, bad) == tuple(k != check for k in range(5))
+    assert not _certifies(E, anchor, bad)  # the bump really breaks the witness
+    assert not verify_witness(E, anchor, *bad)
 
 
 def test_witness_rejects_non_polynomial_theta():
-    # chart-0 holomorphy alone fails: a z^-k bump of theta0 and its chart-1
-    # form, with k so large that theta1 stays polynomial in 1/z and the
-    # pairing keeps its residue
-    E, V, c, theta0, theta1 = _witness_case()
-    bump = LaurentMatrix.parse([["0", "0", "1", "0"], ["0"] * 4]).shift(-40)
-    bumped0, bumped1 = theta0 + bump, theta1 + _chart1(bump, E, V)
-    assert not bumped0.is_poly_in_z and bumped1.is_poly_in_w
-    assert not verify_witness(E, V, c, bumped0, bumped1)
+    # check (i) alone fails: u + z^-40 e_1, with x moved so that T x = z^(a_i) u
+    # still holds; Theta0 is then no polynomial in z
+    _assert_tamper_fails_alone(0)
 
 
 def test_witness_rejects_positive_chart1_exponent():
-    # chart-1 holomorphy alone fails: a z^k bump of theta0, polynomial in z,
-    # too high to change the residue, and its chart-1 form, which has
-    # positive exponents
-    E, V, c, theta0, theta1 = _witness_case()
-    bump = LaurentMatrix.parse([["0", "0", "1", "0"], ["0"] * 4]).shift(40)
-    bumped0, bumped1 = theta0 + bump, theta1 + _chart1(bump, E, V)
-    assert bumped0.is_poly_in_z and not bumped1.is_poly_in_w
-    assert not verify_witness(E, V, c, bumped0, bumped1)
+    # check (ii) alone fails: u + z^40 e_1 and x with it, so x has positive
+    # exponents and the chart-1 form of Theta0 is no polynomial in 1/z
+    _assert_tamper_fails_alone(1)
 
 
-def test_witness_rejects_tampered_inverse(monkeypatch):
-    # the cocycle phi0 (x) T' T^(-1) reads the splitting's cached T^(-1). A
-    # forged one gives a cocycle that is not the anchor's, and a witness for
-    # it would be a wrong "no" if the cocycle went unchecked: every answer
-    # is refused as an internal bug instead. V's T^(-1) is read by no part
-    # of the answer: forged, it changes nothing
+def test_witness_rejects_a_broken_identity_of_e():
+    # check (iii) alone fails: u + z^40 e_1 with x kept; the residue reads x,
+    # so without (iii) the checks would pass a section that is not global
+    _assert_tamper_fails_alone(2)
+
+
+def test_witness_rejects_a_broken_identity_of_v():
+    # check (iv) alone fails: w0 + z^40 f_1 with w1 kept
+    _assert_tamper_fails_alone(3)
+
+
+def test_witness_rejects_a_zero_pairing():
+    # check (v) alone fails: the vectors of the summand O(0) of E name a
+    # global section, which pairs to a_i psi_a(0) = 0
+    _assert_tamper_fails_alone(4)
+
+
+def test_forged_inverse_never_reaches_an_answer(monkeypatch):
+    # construct_connection reads no cached T^(-1): forged for E or for V,
+    # both answers stay the honest ones. The cocycle algconn connect prints
+    # does read E's, so _cocycle_and_connection checks it, whatever the
+    # answer, and refuses a forged one; V's is read by neither
     import algconn.jet_obstruction as jo
 
     E0, anchor0 = _witness_anchor()
@@ -577,7 +657,7 @@ def test_witness_rejects_tampered_inverse(monkeypatch):
     E1 = gauge_transform(split_bundle([0, 0]), s.unimodular_z(2), s.unimodular_w(2))
     cases = ((E0, anchor0, False), (E1, tangent_anchor(), True))
     original = jo.birkhoff_split
-    refused = []
+    refused = 0
     for E, anchor, exists in cases:
         assert (construct_connection(E, anchor) is not None) == exists
         for victim in (E, anchor.V):
@@ -590,25 +670,65 @@ def test_witness_rejects_tampered_inverse(monkeypatch):
                 monkeypatch.setattr(
                     jo, "birkhoff_split", lambda F, v=victim, b=bad: b if F == v else original(F)
                 )
-                if victim is anchor.V:
-                    assert (construct_connection(E, anchor) is not None) == exists
+                assert (construct_connection(E, anchor) is not None) == exists
+                if victim is E:
+                    with pytest.raises(AssertionError, match="cocycle failed its check"):
+                        _cocycle_and_connection(E, anchor)
+                    refused += 1
                 else:
-                    with pytest.raises(AssertionError, match="internal bug") as refusal:
-                        construct_connection(E, anchor)
-                    refused.append((exists, str(refusal.value).split()[0]))
+                    assert (_cocycle_and_connection(E, anchor)[1] is not None) == exists
                 monkeypatch.undo()
-    # a forged cocycle of the obstructed case has a witness that pairs with
-    # it honestly, and the unobstructed case has one whose witness would
-    # answer a wrong "no": the check of the cocycle refuses both
-    assert [kind for exists, kind in refused if not exists] == ["Serre-dual"] * 4
-    assert (True, "Serre-dual") in refused
+    assert refused == 8
 
 
 def test_witness_shape_mismatch():
-    E, V, c, theta0, theta1 = _witness_case()
-    square = range(E.rank)
-    assert not verify_witness(E, V, c, theta0.submatrix(square, square), theta1)
-    assert not verify_witness(E, V, c, theta0, theta1.submatrix(square, square))
+    E, anchor, witness = _witness_case()
+    for k in range(2, 7):
+        wrong = list(witness)
+        wrong[k] = wrong[k].transpose()
+        assert not verify_witness(E, anchor, *wrong)
+
+
+def test_an_answer_builds_no_cocycle_and_reads_no_inverse(monkeypatch):
+    # construct_connection answers from the two splittings: a "no" checks
+    # five vectors and a "yes" solves y = psi (x) M, so neither builds the
+    # cocycle, runs the cochain solve _connection or reads a T^(-1)
+    import algconn.jet_obstruction as jo
+
+    cases = [(E, a, construct_connection(E, a) is not None) for E, a in _solve_cases()]
+
+    def refuse(*args):
+        raise AssertionError("an answer read the cocycle, the cochain solve or a T^(-1)")
+
+    monkeypatch.setattr(jo, "obstruction_cocycle", refuse)
+    monkeypatch.setattr(jo, "_connection", refuse)
+    monkeypatch.setattr(SplittingData, "transition_inverse", property(refuse))
+    for E, anchor, exists in cases:
+        assert (construct_connection(E, anchor) is not None) == exists
+    assert {exists for _, _, exists in cases} == {True, False}
+
+
+def test_window_hit_after_an_integer_yes_is_refused(monkeypatch):
+    # a forged splitting of the tangent bundle that claims type (3,) hides
+    # its degree-2 summand from the integer rule, which answers "yes"; the
+    # scan then meets the Atiyah coefficient in the window of O(-3), and
+    # construct_connection refuses instead of returning a certificate
+    import algconn.jet_obstruction as jo
+
+    s = Sampler(60)
+    E = gauge_transform(split_bundle([1, -1]), s.unimodular_z(2), s.unimodular_w(2))
+    anchor = tangent_anchor()
+    honest = birkhoff_split(anchor.V)
+    claim = (honest.transition, (3,), honest.U0, honest.U1.shift(1))
+    with pytest.raises(ValueError, match="must be polynomial in 1/z"):
+        SplittingData(*claim)
+    fields = dict(zip(SplittingData._fields, claim))
+    forged = _forged_splitting(**fields, u0_inverse=honest.u0_inverse)
+    assert forged.U0 @ forged.transition @ forged.U1 == split_diagonal((3,))
+    original = jo.birkhoff_split
+    monkeypatch.setattr(jo, "birkhoff_split", lambda F: forged if F == anchor.V else original(F))
+    with pytest.raises(AssertionError, match="window coefficient .*internal bug"):
+        construct_connection(E, anchor)
 
 
 # -- coboundary solving --------------------------------------------------------------
@@ -761,15 +881,17 @@ def test_verify_rejects_perturbed_certs():
 
 
 def test_no_certificate_check_reads_the_engine(monkeypatch):
-    # each check reads the input transitions, the cocycle and the answer
-    # alone: with every splitting unavailable, verify_connection still
-    # accepts the good certificates and verify_witness the good witness,
-    # and each rejects a one-term bump of any one of A0, A1, Theta0, Theta1
+    # each check reads the input transitions, phi0 and the answer alone:
+    # with every splitting unavailable, verify_connection still accepts the
+    # good certificates and rejects a one-term bump of any one of A0 and A1,
+    # and verify_witness accepts the good witness and rejects each tamper
+    # that breaks one of its checks
     import algconn.jet_obstruction as jo
     import algconn.p1_engine as pe
 
     certs = _gauged_certs()
-    E, V, c, theta0, theta1 = _witness_case()
+    E, anchor, witness = _witness_case()
+    tampered = [_tampered(E, anchor, witness, check) for check in range(5)]
 
     def no_splitting(F):
         raise AssertionError("a certificate check asked for a splitting")
@@ -777,10 +899,8 @@ def test_no_certificate_check_reads_the_engine(monkeypatch):
     monkeypatch.setattr(jo, "birkhoff_split", no_splitting)
     monkeypatch.setattr(pe, "_birkhoff_cached", no_splitting)
     _accepts_and_rejects_bumps(*certs)
-    assert verify_witness(E, V, c, theta0, theta1)
-    for bump in certs[2]:
-        assert not verify_witness(E, V, c, theta0 + bump, theta1)
-        assert not verify_witness(E, V, c, theta0, theta1 + bump)
+    assert verify_witness(E, anchor, *witness)
+    assert not any(verify_witness(E, anchor, *bad) for bad in tampered)
 
 
 def test_zero_anchor_does_not_split_e(monkeypatch):

@@ -264,6 +264,21 @@ trace_pair trivial_bundle twist unit_inverse __version__
 """.split()
 
 
+# the public certificate checks and what each reads besides E and the
+# anchor: verify_witness takes the vector witness of a "no", its two
+# exponents and five vectors, not a cocycle and two r x rq matrices
+CHECK_PARAMETERS = {
+    "verify_connection": ("E", "anchor", "cert"),
+    "verify_witness": ("E", "anchor", "a_i", "v_a", "u", "v", "x", "w0", "w1"),
+}
+
+
+def test_certificate_checks_take_the_recorded_parameters():
+    for name, params in CHECK_PARAMETERS.items():
+        code = getattr(algconn, name).__code__
+        assert code.co_varnames[: code.co_argcount] == params, name
+
+
 def test_exports_are_exactly_the_public_names():
     # two-sided: a removed name still bound fails, and so does an unrecorded new one
     public = {
