@@ -36,6 +36,14 @@ witness-chart1, witness-overlap, witness-pairing, witness-pairing-transpose
 and witness-cocycle. Each vector check has its own mutant
 (witness-vector-shape and witness-in-z through witness-residue), and the
 cocycle the CLI prints is checked on its own (printed-cocycle-checked).
+
+verify_connection's identity and the printed cocycle's check share one
+helper, _overlap_holds, which sums each entry of T Z - s (x) T' -
+X (K (x) T) in one coefficient map. connection-identity and
+printed-cocycle-checked disable its two calls; overlap-a0-term,
+overlap-a1-term and overlap-anchor-term each drop one term of an entry,
+and overlap-entry-nonzero drops the test that an entry cancels to zero.
+The harness lists 51 mutants.
 """
 
 from __future__ import annotations
@@ -159,10 +167,18 @@ MUTANTS = (
     Mutant(
         "connection-identity",
         JET,
-        "return cert.A0 @ T_V.kron(T) == T @ cert.A1 - (anchor.phi_row @ T_V).kron(T.derivative())",
+        "return _overlap_holds(E.transition, T_V, cert.A0, cert.A1, anchor.phi_row @ T_V)",
         "return True",
         JET_TESTS,
     ),
+    # _overlap_holds, which decides both overlap identities: one mutant per
+    # term of an entry, and one for the test that the entry cancels to zero
+    Mutant("overlap-a0-term", JET, "_accumulate(accs[i * width + ar + j], minus_k_ba, y_ij._coeffs)",
+           "pass", JET_TESTS),
+    Mutant("overlap-a1-term", JET, "_accumulate(accs[i * width + col], t, z)", "pass", JET_TESTS),
+    Mutant("overlap-anchor-term", JET, "_accumulate(accs[i * width + ar + j], sa, minus_tp)", "pass",
+           JET_TESTS),
+    Mutant("overlap-entry-nonzero", JET, "if any(acc.values()):", "if False:", JET_TESTS),
     # the solve stores -beta0, so that it returns A0 = -b0 with no negation
     Mutant("connection-sign", JET, "hol0[e] = -coeff", "hol0[e] = coeff", JET_TESTS),
     # construct_connection decides from the integers of the two splittings,
@@ -199,7 +215,7 @@ MUTANTS = (
     Mutant(
         "printed-cocycle-checked",
         JET,
-        "if cocycle.overlap_matrix @ I_q.kron(T) != anchor.phi_row.kron(T.derivative()):",
+        "if not _overlap_holds(E.transition, I_q, cocycle.overlap_matrix, zero, -anchor.phi_row):",
         "if False:",
         JET_TESTS,
     ),

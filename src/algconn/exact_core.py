@@ -432,7 +432,8 @@ def _accumulate(
     out: dict[int, int | Fraction], a: dict[int, int | Fraction], b: dict[int, int | Fraction]
 ) -> None:
     """out += a * b on coefficient maps. Sums that cancel stay in out as
-    zeros; the caller drops them once, when the map is complete."""
+    zeros; the caller drops them once, when the map is complete, or, as
+    jet_obstruction's overlap check does, tests the map for zero."""
     get = out.get
     for e1, c1 in a.items():
         for e2, c2 in b.items():

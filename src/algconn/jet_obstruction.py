@@ -55,15 +55,30 @@ A1 = -b1 from y (_solve), with no matrix negated on the way, and
 verify_connection checks them. Both checks read the input transitions,
 phi0 and the answer alone, inverse-free, with no splitting and no cocycle;
 construct_connection computes none. The CLI prints the cocycle, checked as
-c (I_q (x) T) = phi0 (x) T' (_cocycle_and_connection).
+c (I_q (x) T) = phi0 (x) T' (_cocycle_and_connection). That check and
+verify_connection's identity go through one helper, _overlap_holds, which
+decides X (K (x) T) = T Z - s (x) T' in one pass over coefficient maps by
+the block identity above: no Kronecker product, neither side and no
+difference is built as a matrix, and T' is read only for s != 0, so the
+zero certificate of a zero anchor is checked without one coefficient
+product.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from .errors import InvalidAnchor, SchemaError, ShapeMismatch, naming
-from .exact_core import LaurentMatrix, LaurentPoly, _matrix, _parse_entries, _poly, _Value
+from .exact_core import (
+    LaurentMatrix,
+    LaurentPoly,
+    _accumulate,
+    _matrix,
+    _parse_entries,
+    _poly,
+    _Value,
+)
 from .p1_engine import (
     P1Bundle,
     SplittingData,
@@ -269,10 +284,55 @@ def _cocycle_and_connection(
     splitting's cached T^(-1), so it is checked, whatever the answer, as
     c (I_q (x) T) = phi0 (x) T'; a failed check is an internal bug."""
     cocycle = obstruction_cocycle(E, anchor)
-    T, I_q = E.transition, LaurentMatrix.identity(anchor.V.rank)
-    if cocycle.overlap_matrix @ I_q.kron(T) != anchor.phi_row.kron(T.derivative()):
+    r, q = E.rank, anchor.V.rank
+    I_q, zero = LaurentMatrix.identity(q), LaurentMatrix.zeros(r, r * q)
+    if not _overlap_holds(E.transition, I_q, cocycle.overlap_matrix, zero, -anchor.phi_row):
         raise AssertionError("obstruction cocycle failed its check (internal bug)")
     return cocycle, construct_connection(E, anchor)
+
+
+def _overlap_holds(
+    T: LaurentMatrix, K: LaurentMatrix, X: LaurentMatrix, Z: LaurentMatrix, s: LaurentMatrix
+) -> bool:
+    """Does X (K (x) T) = T Z - s (x) T' hold? X and Z are r x rq block
+    rows, K is q x q and s is 1 x q. Neither side is built: by the block
+    identity, block a of the left side is sum_b K_ba Y^(b), where Y =
+    X (I_q (x) T) is formed once, one sparse r x r product per V-index
+    block. Each entry (i, a*r + j) of T Z - s (x) T' - X (K (x) T) sums its
+    terms in one coefficient map with _accumulate. K and T' enter negated,
+    so nothing is subtracted, and T' is read only when some s_a != 0. The
+    first entry that keeps a nonzero coefficient answers False."""
+    r, q = T.rows, K.rows
+    width, t_rows, x_rows = r * q, T._rows, X._rows
+    # the coefficient map of entry (i, col), keyed by i*width + col
+    accs: defaultdict[int, dict[int, int | Fraction]] = defaultdict(dict)
+    for k, z_row in enumerate(Z._rows):  # T Z: Z_k,col times column k of T
+        for col, entry in enumerate(z_row):
+            if z := entry._coeffs:
+                for i, t_row in enumerate(t_rows):
+                    if t := t_row[k]._coeffs:
+                        _accumulate(accs[i * width + col], t, z)
+    for b, k_row in enumerate(K._rows):  # -sum_b K_ba Y^(b)
+        minus_k = [(a * r, {e: -c for e, c in k_ba._coeffs.items()})
+                   for a, k_ba in enumerate(k_row) if k_ba._coeffs]
+        if minus_k:
+            y = _matrix(tuple([row[b * r:(b + 1) * r] for row in x_rows])) @ T
+            for i, y_row in enumerate(y._rows):
+                for j, y_ij in enumerate(y_row):
+                    if y_ij._coeffs:
+                        for ar, minus_k_ba in minus_k:
+                            _accumulate(accs[i * width + ar + j], minus_k_ba, y_ij._coeffs)
+    s_listed = [(a * r, x._coeffs) for a, x in enumerate(s._rows[0]) if x._coeffs]
+    if s_listed:  # -s (x) T'
+        for i, t_row in enumerate(t_rows):
+            for j, t in enumerate(t_row):
+                if t._coeffs and (minus_tp := {e - 1: -e * c for e, c in t._coeffs.items() if e}):
+                    for ar, sa in s_listed:
+                        _accumulate(accs[i * width + ar + j], sa, minus_tp)
+    for acc in accs.values():
+        if any(acc.values()):
+            return False
+    return True
 
 
 def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert) -> bool:
@@ -289,6 +349,12 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
          multiplied on the right by T_V (x) T, an invertible factor, it
          becomes the identity above. So the check reads only the input
          transitions, phi0 and the certificate: no inverse, no splitting.
+         It is decided entry by entry in one pass over coefficient maps
+         (_overlap_holds): block a of the left side is
+         sum_b (T_V)_ba * A0^(b) T, so T_V (x) T, either side and their
+         difference are never built as matrices, and T' is read only when
+         phi0 T_V != 0. The zero anchor's certificate (0, 0) passes the
+         same check.
 
     The Leibniz rule needs no check: d0(f s) - f d0(s) = f' s phi0 holds for
     every A0, since A0 acts linearly over functions.
@@ -298,8 +364,8 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
         return False
     if not cert.A0.is_poly_in_z or not cert.A1.is_poly_in_w:
         return False
-    T, T_V = E.transition, anchor.V.transition
-    return cert.A0 @ T_V.kron(T) == T @ cert.A1 - (anchor.phi_row @ T_V).kron(T.derivative())
+    T_V = anchor.V.transition
+    return _overlap_holds(E.transition, T_V, cert.A0, cert.A1, anchor.phi_row @ T_V)
 
 
 def verify_witness(

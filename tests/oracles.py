@@ -16,6 +16,9 @@ splitting claims, from its type alone, and column a column vector.
 serre_witness, is_global_witness and residue_pairing judge a vector
 witness by the rank-one section it names, in both charts, with inverses
 they are handed and check, and the trace pairing summed entry by entry.
+connection_identity and cocycle_identity are the matrix forms of the two
+overlap identities that jet_obstruction decides entry by entry: both
+sides, the Kronecker products and T' are built as matrices and compared.
 """
 
 from __future__ import annotations
@@ -228,6 +231,20 @@ def residue_pairing(theta0: LaurentMatrix, c: LaurentMatrix) -> int | Fraction:
             for j in range(r):
                 total = total + theta0.entry(i, a * r + j) * c.entry(j, a * r + i)
     return total.coeff(-1)
+
+
+def connection_identity(
+    T: LaurentMatrix, T_V: LaurentMatrix, phi0: LaurentMatrix, A0: LaurentMatrix, A1: LaurentMatrix
+) -> bool:
+    """A0 (T_V (x) T) = T A1 - (phi0 T_V) (x) T', verify_connection's overlap
+    identity, with both sides built as matrices."""
+    return A0 @ T_V.kron(T) == T @ A1 - (phi0 @ T_V).kron(T.derivative())
+
+
+def cocycle_identity(T: LaurentMatrix, phi0: LaurentMatrix, c: LaurentMatrix) -> bool:
+    """c (I_q (x) T) = phi0 (x) T', the check of the cocycle that algconn
+    connect prints, with both sides built as matrices."""
+    return c @ LaurentMatrix.identity(phi0.cols).kron(T) == phi0.kron(T.derivative())
 
 
 def hn_first_step_bruteforce(degrees: list[int]) -> tuple[int, ...]:

@@ -12,11 +12,17 @@ The oracle below reads only the hidden integers e_i, v_a and the zero test
 of the split anchor row; it never calls the engine. The engine sees E in a
 gauged frame, and V either split or gauged as A diag(z^(v_a)) B with the
 anchor row carried along as phi_split A^(-1).
+
+The first jet bundle has a closed form too. J1(O(a)) is the extension of
+O(a) by K(a) = O(a - 2) whose class is the Atiyah class a: for a != 0 it
+is the nonsplit O(a - 1)^2, and for a = 0 the sum O + O(-2). J1 takes
+direct sums to direct sums, so the type of J1(E) is read off the integers
+e_i alone.
 """
 
 from algconn.exact_core import LaurentMatrix, LaurentPoly
-from algconn.jet_obstruction import ConcreteAnchor, connection_exists_p1
-from algconn.p1_engine import gauge_transform, split_bundle
+from algconn.jet_obstruction import ConcreteAnchor, connection_exists_p1, jet1_transition
+from algconn.p1_engine import birkhoff_split, gauge_transform, split_bundle
 from algconn.sampling import Sampler
 
 
@@ -87,3 +93,24 @@ def test_engine_matches_genus0_closed_form():
     # the anchor: the integers answer "yes" because every a_i is 0, and the
     # solve runs on y = psi (x) M with q = 2
     assert any(q == 2 and g and trivial and atiyah for _, q, g, _, trivial, atiyah in answers)
+
+
+def closed_form_jet1_type(e_type: list[int]) -> list[int]:
+    pairs = [(e - 1, e - 1) if e else (0, -2) for e in e_type]
+    return sorted((b for pair in pairs for b in pair), reverse=True)
+
+
+def test_jet1_type_matches_closed_form():
+    # gauged E of rank 1 to 3 with the type hidden: the engine splits J1(E)
+    # from its transition, the oracle reads the hidden type
+    checked, ranks, zero_summand = 0, set(), set()
+    for seed in range(500, 506):
+        s = Sampler(seed)
+        for _ in range(15):
+            E, e_type = s.gauged_p1_bundle(max_rank=3)
+            assert list(birkhoff_split(jet1_transition(E)).type) == closed_form_jet1_type(e_type)
+            checked += 1
+            ranks.add(E.rank)
+            zero_summand.add(0 in e_type)
+    # the draw reaches every rank and both rules
+    assert checked == 90 and ranks == {1, 2, 3} and zero_summand == {True, False}

@@ -1,13 +1,17 @@
 """Jet bundles, the obstruction cocycle, coboundaries, certificates."""
 
 import os
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 from oracles import (
+    cocycle_identity,
     column,
+    connection_identity,
     is_global_witness,
     monomial_det,
     residue_pairing,
@@ -25,6 +29,7 @@ from algconn.jet_obstruction import (
     ObstructionCocycle,
     _cocycle_and_connection,
     _connection,
+    _overlap_holds,
     anchor_from_json,
     anchor_to_json,
     connection_exists_p1,
@@ -878,6 +883,87 @@ def test_verify_rejects_perturbed_certs():
     assert not verify_connection(E, a, ConnectionCert(A0=wide, A1=wide))
     # a bump in any one block of A0 or A1 breaks the overlap identity
     _accepts_and_rejects_bumps(*_gauged_certs())
+
+
+def _bump(M: LaurentMatrix, i: int, j: int, exp: int, c) -> LaurentMatrix:
+    """M with c z^exp added to entry (i, j)."""
+    rows = [M.row_list(k) for k in range(M.rows)]
+    rows[i][j] = rows[i][j] + LaurentPoly.monomial(c, exp)
+    return LaurentMatrix(rows)
+
+
+def _forged_anchor(V: P1Bundle, phi_row: LaurentMatrix) -> ConcreteAnchor:
+    """A ConcreteAnchor with its slots set directly, past the global-hom
+    check: verify_connection reads V's transition and the row alone, so a
+    tampered row need not be a valid anchor."""
+    forged = object.__new__(ConcreteAnchor)
+    ConcreteAnchor.V.__set__(forged, V)
+    ConcreteAnchor.phi_row.__set__(forged, phi_row)
+    return forged
+
+
+def test_overlap_checks_agree_with_the_matrix_identities():
+    # verify_connection and the printed cocycle's check decide their
+    # identities entry by entry over coefficient maps; on every certificate
+    # and cocycle of the solve cases, and on one-coefficient tampers of A0,
+    # A1, phi0 and c with Fraction coefficients, they answer as the matrix
+    # forms of tests/oracles.py do
+    rng = random.Random(83)
+    ranks, rejected, tampers = set(), 0, 0
+    for E, anchor in _solve_cases():
+        T, T_V, phi0 = E.transition, anchor.V.transition, anchor.phi_row
+        r, q = E.rank, anchor.V.rank
+        I_q, zero = LaurentMatrix.identity(q), LaurentMatrix.zeros(r, r * q)
+        c = obstruction_cocycle(E, anchor).overlap_matrix
+        assert _overlap_holds(T, I_q, c, zero, -phi0) and cocycle_identity(T, phi0, c)
+        cert = construct_connection(E, anchor)
+        if cert is None:
+            continue
+        ranks.add(q)
+        assert verify_connection(E, anchor, cert)
+        assert connection_identity(T, T_V, phi0, cert.A0, cert.A1)
+        for _ in range(3):
+            coeff = Fraction(rng.choice((-1, 1)) * (2 * rng.randint(0, 4) + 1), 2 * rng.randint(1, 3))
+            i, col, a = rng.randrange(r), rng.randrange(r * q), rng.randrange(q)
+            A0 = _bump(cert.A0, i, col, rng.randint(0, 2), coeff)
+            A1 = _bump(cert.A1, i, col, -rng.randint(0, 2), coeff)
+            phi = _bump(phi0, 0, a, rng.randint(0, 2), coeff)
+            for A0_, A1_, phi_ in ((A0, cert.A1, phi0), (cert.A0, A1, phi0), (cert.A0, cert.A1, phi)):
+                expected = connection_identity(T, T_V, phi_, A0_, A1_)
+                cert_ = ConnectionCert(A0_, A1_)
+                assert verify_connection(E, _forged_anchor(anchor.V, phi_), cert_) == expected
+                rejected += not expected
+                tampers += 1
+            bad_c = _bump(c, i, col, rng.randint(-2, 2), coeff)
+            assert not _overlap_holds(T, I_q, bad_c, zero, -phi0)
+            assert not cocycle_identity(T, phi0, bad_c)
+            assert _overlap_holds(T, I_q, c, zero, -phi) == cocycle_identity(T, phi, c)
+    assert ranks == {1, 2}
+    # every tamper breaks the identity: T_V (x) T and T are invertible, and
+    # no T of the solve cases is constant, so a tamper of phi0 shows in T'
+    assert rejected == tampers >= 60
+
+
+def test_overlap_check_reads_every_coefficient_of_an_entry():
+    # a tamper spread over the A0 and the A1 term of one entry, in split
+    # frames with a_0 = 1 and v_0 = 0: c at z^0 of A0^(0)_00 adds c z to the
+    # left side, and c + d z^(-1) at A1^(0)_00 adds c z + d to the right, so
+    # the difference cancels at z but keeps -d at z^0; each half alone
+    # leaves a coefficient at z
+    E = split_bundle([1, -1])
+    anchor = ConcreteAnchor(split_bundle([0, -1]), LaurentMatrix.parse([["z^2 + 1", "z"]]))
+    cert = construct_connection(E, anchor)
+    T, T_V, phi0 = E.transition, anchor.V.transition, anchor.phi_row
+    c, d = Fraction(3, 2), Fraction(-5, 7)
+    A0 = _bump(cert.A0, 0, 0, 0, c)
+    A1 = _bump(_bump(cert.A1, 0, 0, 0, c), 0, 0, -1, d)
+    diff = A0 @ T_V.kron(T) - T @ A1 + (phi0 @ T_V).kron(T.derivative())
+    assert diff == _bump(LaurentMatrix.zeros(2, 4), 0, 0, 0, -d)
+    assert not connection_identity(T, T_V, phi0, A0, A1)
+    assert not verify_connection(E, anchor, ConnectionCert(A0, A1))
+    for half in (ConnectionCert(A0, cert.A1), ConnectionCert(cert.A0, _bump(cert.A1, 0, 0, 0, c))):
+        assert not verify_connection(E, anchor, half)
+    assert verify_connection(E, anchor, cert)
 
 
 def test_no_certificate_check_reads_the_engine(monkeypatch):
