@@ -27,7 +27,9 @@ identity (the proof is in SplittingData's docstring), _shift_columns' guard
 on the number of exponents is one that no record that builds can trip, a
 SplittingData holds the one transition it splits, so no U0^(-1) is keyed by
 another, and verify_witness reads no inverse whose identity T T^(-1) = I it
-would have to check.
+would have to check. end-section-shape, end-section-holomorphy and
+trace-constant left with trace_pair, whose input checks they disabled: no
+answer reads a trace of endomorphism sections.
 
 The witness is five vectors, not the pair of r x rq matrices (Theta0,
 Theta1), and verify_witness reads no cocycle, so the mutants of the matrix
@@ -43,7 +45,7 @@ X (K (x) T) in one coefficient map. connection-identity and
 printed-cocycle-checked disable its two calls; overlap-a0-term,
 overlap-a1-term and overlap-anchor-term each drop one term of an entry,
 and overlap-entry-nonzero drops the test that an entry cancels to zero.
-The harness lists 51 mutants.
+The harness lists 48 mutants.
 """
 
 from __future__ import annotations
@@ -126,22 +128,6 @@ MUTANTS = (
     Mutant("w-side-unit-test", P1, "if any(w_tops):", "if False:", P1_TESTS),
     # the z-chart step budget: on det 0 with a wide span, it bounds the time
     Mutant("reduction-budget", P1, "if budget <= 0:", "if False:", CLI_TESTS),
-    Mutant(
-        "end-section-shape",
-        P1,
-        "if theta.shape != (E.rank, E.rank):",
-        "if False:",
-        P1_TESTS,
-    ),
-    Mutant(
-        "end-section-holomorphy",
-        P1,
-        "if not is_global_hom(E, E, theta):",
-        "if False:",
-        P1_TESTS,
-    ),
-    # a trace of endomorphism sections is a constant, or trace_pair refuses it
-    Mutant("trace-constant", P1, "if not t.is_constant:", "if False:", P1_TESTS),
     # verify_connection
     Mutant(
         "connection-shape",

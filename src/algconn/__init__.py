@@ -25,10 +25,8 @@ from .formal_bundles import (
     Atom,
     CurveContext,
     FormalBundle,
-    HNFiltration,
     Stability,
     atiyah_weil,
-    hn_filtration,
 )
 from .jet_obstruction import (
     ConcreteAnchor,
@@ -61,10 +59,8 @@ from .p1_engine import (
     split_bundle,
     tangent_bundle,
     tensor_bundle,
-    trace_pair,
     trivial_bundle,
     twist,
-    unit_inverse,
 )
 
 __version__ = "0.1.0"

@@ -20,10 +20,6 @@ class LaurentSyntaxError(AlgconnError):
         self.position = position
 
 
-class NotSquare(AlgconnError):
-    """Matrix operation that requires a square matrix received a non-square one."""
-
-
 class NotAUnit(AlgconnError):
     """Determinant is not a nonzero monomial, so the matrix is not invertible
     over the Laurent ring."""
@@ -33,24 +29,12 @@ class ContextMismatch(AlgconnError):
     """Two bundles living over curves of different genus were combined."""
 
 
-class UnknownStability(AlgconnError):
-    """An operation requiring declared stability met an atom flagged unknown."""
-
-
 class InvalidAnchor(AlgconnError):
     """An algebroid descriptor violates an anchor invariant."""
 
 
 class PreconditionFailed(AlgconnError):
     """An operation was called outside its stated domain."""
-
-
-class InvalidSection(AlgconnError):
-    """A purported global section fails the two-chart holomorphy constraint."""
-
-
-class NonConstantTrace(AlgconnError):
-    """trace(v∘w) came out non-constant; valid global sections cannot do this."""
 
 
 class ShapeMismatch(AlgconnError):

@@ -112,7 +112,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
 
-from .errors import LaurentSyntaxError, NotSquare, PreconditionFailed, SchemaError
+from .errors import LaurentSyntaxError, PreconditionFailed, SchemaError
 
 Rat = Fraction
 
@@ -239,10 +239,6 @@ class LaurentPoly(_Value):
     @property
     def max_exp(self) -> int | None:
         return max(self._coeffs) if self._coeffs else None
-
-    @property
-    def is_constant(self) -> bool:
-        return not self._coeffs or set(self._coeffs) == {0}
 
     @property
     def is_poly_in_z(self) -> bool:
@@ -765,14 +761,6 @@ class LaurentMatrix(_Value):
             raise ValueError("matrix must have positive dimensions")
         rows = self._rows
         return _matrix(tuple([tuple([rows[i][j] for j in col_idx]) for i in row_idx]))
-
-    def trace(self) -> LaurentPoly:
-        if not self.is_square:
-            raise NotSquare("trace needs a square matrix")
-        acc = LaurentPoly.zero()
-        for i in range(self.rows):
-            acc = acc + self._rows[i][i]
-        return acc
 
     @property
     def shape(self) -> tuple[int, int]:

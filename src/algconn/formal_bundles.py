@@ -3,7 +3,7 @@
 A bundle is a multiset of indecomposable atoms (rank, degree, stability
 class). Stability is a *declared* attribute: for genus >= 1 it is not
 determined by the numerics, so hypotheses like "V is stable" enter as input
-data, never as conclusions. Slopes are exact rationals.
+data, never as conclusions.
 
 The tangent line bundle has degree 2(1-g) and the canonical bundle 2g-2;
 both are derived from the genus, never stored. A rank-1 atom may carry the
@@ -14,9 +14,8 @@ strictly more information than its (rank, degree) class once g >= 1.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
-from .errors import SchemaError, UnknownStability
+from .errors import SchemaError
 from .exact_core import _Value
 
 
@@ -67,10 +66,6 @@ class Atom(_Value):
         if is_tangent and rank != 1:
             raise ValueError("is_tangent requires rank 1")
 
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.degree, self.rank)
-
 
 class FormalBundle(_Value):
     """Non-empty multiset of atoms over a fixed curve context."""
@@ -96,45 +91,6 @@ class FormalBundle(_Value):
     @property
     def degree(self) -> int:
         return sum(a.degree for a in self.atoms)
-
-
-class HNFiltration(_Value):
-    """Successive-quotient data: (atoms, slope) steps with strictly
-    decreasing slopes, partitioning the bundle's atoms."""
-
-    __slots__ = _fields = ("steps",)
-
-    def __init__(self, steps: tuple[tuple[tuple[Atom, ...], Fraction], ...]) -> None:
-        object.__setattr__(self, "steps", steps)
-        slopes = [s for _, s in steps]
-        for earlier, later in zip(slopes, slopes[1:]):
-            if not earlier > later:
-                raise ValueError(f"slopes not strictly decreasing: {slopes}")
-
-    @property
-    def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(s for _, s in self.steps)
-
-
-def hn_filtration(E: FormalBundle) -> HNFiltration:
-    """Group atoms by slope, in strictly decreasing slope order.
-
-    Equal-slope atoms merge into one step: a direct sum of semistables of
-    one slope is semistable, so the grouping is the canonical filtration
-    with semistable quotients. Every atom must carry a declared stability.
-    """
-    for a in E.atoms:
-        if a.stability == Stability.UNKNOWN:
-            raise UnknownStability(
-                f"atom {a.label or (a.rank, a.degree)} has unknown stability"
-            )
-    by_slope: dict[Fraction, list[Atom]] = {}
-    for a in E.atoms:
-        by_slope.setdefault(a.slope, []).append(a)
-    steps = tuple(
-        (tuple(by_slope[s]), s) for s in sorted(by_slope, reverse=True)
-    )
-    return HNFiltration(steps)
 
 
 def atiyah_weil(E: FormalBundle) -> bool:

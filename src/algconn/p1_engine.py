@@ -56,17 +56,10 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import (
-    InvalidSection,
-    NonConstantTrace,
-    NotAUnit,
-    NotSquare,
-    SchemaError,
-)
+from .errors import NotAUnit, SchemaError
 from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
-    Rat,
     _matrix,
     _nonzero,
     _parse_entries,
@@ -357,15 +350,6 @@ def birkhoff_split(E: P1Bundle) -> SplittingData:
     return _birkhoff_cached(E.transition)
 
 
-def unit_inverse(M: LaurentMatrix) -> LaurentMatrix:
-    """Inverse of a square matrix whose determinant is a unit c*z^k of the
-    Laurent ring, read off M's certified splitting, which validates M as a
-    transition; raises NotSquare or NotAUnit."""
-    if not M.is_square:
-        raise NotSquare(f"cannot invert a {M.rows}x{M.cols} matrix")
-    return _birkhoff_cached(M).transition_inverse
-
-
 _TANGENT = line_bundle(2, -1)  # tangent_bundle(); built here, once the memo exists
 _TRIVIAL = trivial_bundle(1)  # O, whose homs into E are E's sections
 
@@ -457,29 +441,6 @@ def serre_dual_check(E: P1Bundle) -> bool:
     which solves for h^0(E* (x) K) on T^(-T) without splitting it."""
     _, h1 = cohomology_dims(E)
     return h1 == sum(max(0, -a - 1) for a in birkhoff_split(E).type)
-
-
-# -- endomorphism sections ---------------------------------------------------
-
-
-def _require_end_section(E: P1Bundle, theta: LaurentMatrix) -> None:
-    if theta.shape != (E.rank, E.rank):
-        raise InvalidSection(
-            f"endomorphism section must be {E.rank}x{E.rank}, got {theta.shape}"
-        )
-    if not is_global_hom(E, E, theta):
-        raise InvalidSection("matrix fails the two-chart holomorphy constraint")
-
-
-def trace_pair(E: P1Bundle, v: LaurentMatrix, w: LaurentMatrix) -> int | Rat:
-    """trace(v o w) for global endomorphism sections: a global function on a
-    compact curve, hence an exact rational constant."""
-    _require_end_section(E, v)
-    _require_end_section(E, w)
-    t = (v @ w).trace()
-    if not t.is_constant:
-        raise NonConstantTrace(f"trace came out non-constant: {t}")
-    return t.coeff(0)
 
 
 # -- JSON interface ----------------------------------------------------------

@@ -16,6 +16,8 @@ splitting claims, from its type alone, and column a column vector.
 serre_witness, is_global_witness and residue_pairing judge a vector
 witness by the rank-one section it names, in both charts, with inverses
 they are handed and check, and the trace pairing summed entry by entry.
+trace sums a square matrix's diagonal and insists on a constant, which is
+what the trace of a product of global endomorphisms must be.
 connection_identity and cocycle_identity are the matrix forms of the two
 overlap identities that jet_obstruction decides entry by entry: both
 sides, the Kronecker products and T' are built as matrices and compared.
@@ -231,6 +233,17 @@ def residue_pairing(theta0: LaurentMatrix, c: LaurentMatrix) -> int | Fraction:
             for j in range(r):
                 total = total + theta0.entry(i, a * r + j) * c.entry(j, a * r + i)
     return total.coeff(-1)
+
+
+def trace(M: LaurentMatrix) -> int | Fraction:
+    """The trace of M, asserted constant: M is a product of global
+    endomorphism sections, and their trace is a global function on P^1."""
+    assert M.rows == M.cols, M.shape
+    total = LaurentPoly.zero()
+    for i in range(M.rows):
+        total = total + M.entry(i, i)
+    assert total.is_zero or set(total.coeffs) == {0}, total
+    return total.coeff(0)
 
 
 def connection_identity(

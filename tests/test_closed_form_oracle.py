@@ -18,10 +18,24 @@ O(a) by K(a) = O(a - 2) whose class is the Atiyah class a: for a != 0 it
 is the nonsplit O(a - 1)^2, and for a = 0 the sum O + O(-2). J1 takes
 direct sums to direct sums, so the type of J1(E) is read off the integers
 e_i alone.
+
+So does the anchored jet bundle J_V(E), the extension of E by E (x) V*
+whose class is the Atiyah class pushed along phi^*: on the summand O(e_i)
+it is e_i psi_b(0) in H^1(O(e_i - v_b - e_i)) = H^1(O(-v_b)) for each
+summand O(v_b) of V (Atiyah 1957). Only v_b = 2 has H^1(O(-v_b)) of rank
+one and a constant psi_b, so the class on O(e_i) is nonzero exactly when
+e_i != 0 and some v_b = 2 has psi_b(0) != 0. A change of frame among those
+summands O(e_i - 2) leaves one of them carrying the class, which glues it
+to O(e_i) as O(e_i - 1)^2, as for J1; every other summand splits off.
 """
 
 from algconn.exact_core import LaurentMatrix, LaurentPoly
-from algconn.jet_obstruction import ConcreteAnchor, connection_exists_p1, jet1_transition
+from algconn.jet_obstruction import (
+    ConcreteAnchor,
+    connection_exists_p1,
+    jet1_transition,
+    jetV_transition,
+)
 from algconn.p1_engine import birkhoff_split, gauge_transform, split_bundle
 from algconn.sampling import Sampler
 
@@ -114,3 +128,41 @@ def test_jet1_type_matches_closed_form():
             zero_summand.add(0 in e_type)
     # the draw reaches every rank and both rules
     assert checked == 90 and ranks == {1, 2, 3} and zero_summand == {True, False}
+
+
+def _class_summands(v_type: list[int], phi_split: list) -> int:
+    """K: how many summands O(v_b) of V have v_b = 2 and psi_b(0) != 0."""
+    return sum(v == 2 and p.coeff(0) != 0 for v, p in zip(v_type, phi_split))
+
+
+def closed_form_jetV_type(e_type: list[int], v_type: list[int], phi_split: list) -> list[int]:
+    k = _class_summands(v_type, phi_split)
+    out: list[int] = []
+    for e in e_type:
+        part = [e - v for v in v_type] + [e]
+        if e and k:
+            part.remove(e)
+            part.remove(e - 2)
+            part += [e - 1, e - 1]
+        out += part
+    return sorted(out, reverse=True)
+
+
+def test_jetV_type_matches_closed_form():
+    # the engine splits J_V(E) from its transition, with E gauged and V
+    # split or gauged; the oracle reads the hidden types and phi_split(0)
+    checked, seen = 0, set()
+    for seed in (71, 72, 73):
+        for e_type, v_type, phi_split, gauged, E, anchor in _cases(120, seed):
+            expected = closed_form_jetV_type(e_type, v_type, phi_split)
+            assert list(birkhoff_split(jetV_transition(E, anchor)).type) == expected, (
+                e_type, v_type, [str(p) for p in phi_split], gauged,
+            )
+            checked += 1
+            seen.add((_class_summands(v_type, phi_split), gauged, not any(e_type)))
+    # the draw reaches K = 0, 1 and 2, a gauged V whose degree-2 summand
+    # carries the class, and a trivial E, where the class is zero however
+    # large K is
+    assert checked == 360
+    assert {k for k, _, _ in seen} == {0, 1, 2}
+    assert any(k and g for k, g, _ in seen) and any(k and t for k, _, t in seen)

@@ -1,15 +1,8 @@
-"""Formal layer: atoms, filtrations, the degree-zero criterion, JSON."""
-
-import os
-import sys
-from fractions import Fraction
+"""Formal layer: atoms, the degree-zero criterion, JSON."""
 
 import pytest
 
-sys.path.insert(0, os.path.dirname(__file__))
-from oracles import hn_first_step_bruteforce
-
-from algconn.errors import SchemaError, UnknownStability
+from algconn.errors import SchemaError
 from algconn.formal_bundles import (
     Atom,
     CurveContext,
@@ -18,7 +11,6 @@ from algconn.formal_bundles import (
     atiyah_weil,
     bundle_from_json,
     bundle_to_json,
-    hn_filtration,
 )
 from algconn.sampling import Sampler
 
@@ -28,47 +20,6 @@ P0 = CurveContext(0)
 def fb(*pairs, genus=0, stability=Stability.STABLE):
     atoms = tuple(Atom(r, d, stability) for r, d in pairs)
     return FormalBundle(CurveContext(genus), atoms)
-
-
-def test_hn_singleton_semistable():
-    f = hn_filtration(fb((1, 0)))
-    assert len(f.steps) == 1 and f.slopes == (0,)
-
-
-def test_hn_line_bundle_example():
-    f = hn_filtration(fb((1, 3), (1, 1), (1, 1), (1, -2)))
-    assert f.slopes == (3, 1, -2)
-    assert [len(atoms) for atoms, _ in f.steps] == [1, 2, 1]
-    # brute-force oracle for the first step
-    assert hn_first_step_bruteforce([3, 1, 1, -2]) == (3,)
-
-
-def test_hn_mixed_rank_example():
-    E = FormalBundle(
-        P0, (Atom(2, 1, Stability.SEMISTABLE), Atom(1, -1, Stability.STABLE))
-    )
-    f = hn_filtration(E)
-    assert f.slopes == (Fraction(1, 2), -1)
-
-
-def test_hn_requires_known_stability():
-    E = FormalBundle(CurveContext(1), (Atom(2, 0, Stability.UNKNOWN),))
-    with pytest.raises(UnknownStability):
-        hn_filtration(E)
-
-
-def test_hn_first_step_matches_bruteforce_on_line_bundles():
-    s = Sampler(11)
-    for _ in range(100):
-        degs = [s.rng.randint(-4, 4) for _ in range(s.rng.randint(1, 5))]
-        f = hn_filtration(fb(*[(1, d) for d in degs]))
-        first_atoms, first_slope = f.steps[0]
-        got = tuple(sorted(a.degree for a in first_atoms))
-        assert got == hn_first_step_bruteforce(degs)
-        assert first_slope == Fraction(sum(got), len(got))
-        slopes = list(f.slopes)
-        assert slopes == sorted(slopes, reverse=True)
-        assert len(set(slopes)) == len(slopes)
 
 
 def test_atiyah_weil():

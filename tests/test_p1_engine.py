@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from oracles import column, h0_by_linear_solve, min_exponent, monomial_det, split_diagonal
+from oracles import column, h0_by_linear_solve, min_exponent, monomial_det, split_diagonal, trace
 
 from algconn import p1_engine
 from algconn.cli import main
-from algconn.errors import InvalidSection, NonConstantTrace, NotAUnit
+from algconn.errors import NotAUnit
 from algconn.exact_core import LaurentMatrix, LaurentPoly
 from algconn.jet_obstruction import (
     ConcreteAnchor,
@@ -43,10 +43,8 @@ from algconn.p1_engine import (
     splitting_to_json,
     tangent_bundle,
     tensor_bundle,
-    trace_pair,
     trivial_bundle,
     twist,
-    unit_inverse,
 )
 from algconn.sampling import Sampler
 
@@ -152,17 +150,17 @@ def test_split_memo_observationally_transparent():
     assert fresh is not cached and fresh == cached
 
 
-def test_split_memo_is_keyed_by_the_transition(monkeypatch):
-    # a bundle reads the memo entry of its transition, and unit_inverse reads
-    # the entry of its matrix without building a bundle
+def test_split_memo_is_keyed_by_the_transition():
+    # a bundle reads the memo entry of its transition, and so does a second
+    # bundle built on an equal transition
     s = Sampler(68)
     E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
     assert birkhoff_split(E) is _birkhoff_cached(E.transition)
     T = s.unimodular_z(3) @ split_bundle([1, 0, -1]).transition @ s.unimodular_w(3)
-    built = []
-    monkeypatch.setattr(P1Bundle, "__post_init__", lambda self: built.append(self))
-    inv = unit_inverse(T)
-    assert built == [] and inv is _birkhoff_cached(T).transition_inverse
+    inv = birkhoff_split(P1Bundle(3, T)).transition_inverse
+    assert inv is _birkhoff_cached(T).transition_inverse
+    fresh = LaurentMatrix.parse(T.to_strings())
+    assert fresh is not T and birkhoff_split(P1Bundle(3, fresh)).transition_inverse is inv
     assert T @ inv == LaurentMatrix.identity(3)
 
 
@@ -721,34 +719,12 @@ def test_vec_convention_ties_hom_to_sections():
 
 
 def test_kernel_filtration_rejects_non_sections():
-    # on O(1) + O(-1) the (1, 0) slot maps O(1) to O(-1), which has no nonzero map;
-    # trace_pair rejects it, and a matrix of the wrong size, in either argument
+    # on O(1) + O(-1) the (1, 0) slot maps O(1) to O(-1), which has no nonzero
+    # map; is_global_hom rejects it, and a matrix of the wrong size
     E = split_bundle([1, -1])
-    bad = LaurentMatrix.parse([["0", "0"], ["1", "0"]])
-    assert not is_global_hom(E, E, bad)
-    with pytest.raises(InvalidSection):
-        trace_pair(E, bad, LaurentMatrix.identity(2))
-    with pytest.raises(InvalidSection, match=r"must be 2x2, got \(1, 1\)"):
-        trace_pair(E, LaurentMatrix.identity(2), LaurentMatrix.parse([["z^-1"]]))
-
-
-def test_trace_pair_values():
-    E = trivial_bundle(2)
-    I2 = LaurentMatrix.identity(2)
-    assert trace_pair(E, I2, I2) == 2
-    up = LaurentMatrix.parse([["0", "1"], ["0", "0"]])
-    assert trace_pair(E, I2, up) == 0
-    assert trace_pair(E, LaurentMatrix.zeros(2, 2), up) == 0
-
-
-def test_a_nonconstant_trace_is_refused(monkeypatch):
-    # only a non-section can have a non-constant trace, and is_global_hom
-    # refuses every one; with that check gone, z passes as an endomorphism
-    # section of O, and its trace with itself, z^2, is refused here
-    monkeypatch.setattr(p1_engine, "is_global_hom", lambda E, F, phi0: True)
-    z = LaurentMatrix.parse([["z"]])
-    with pytest.raises(NonConstantTrace, match=r"trace came out non-constant: z\^2"):
-        trace_pair(line_bundle(0), z, z)
+    assert not is_global_hom(E, E, LaurentMatrix.parse([["0", "0"], ["1", "0"]]))
+    assert not is_global_hom(E, E, LaurentMatrix.parse([["z^-1"]]))
+    assert is_global_hom(E, E, LaurentMatrix.parse([["0", "z^2"], ["0", "0"]]))
 
 
 def test_trace_pair_filtration_vanishing():
@@ -757,8 +733,8 @@ def test_trace_pair_filtration_vanishing():
     v = LaurentMatrix.parse([["3", "z^2 + 1"], ["0", "-2"]])
     w = LaurentMatrix.parse([["0", "z"], ["0", "0"]])
     assert is_global_hom(E, E, v) and is_global_hom(E, E, w)
-    assert trace_pair(E, v, w) == 0
-    assert trace_pair(E, v, v) == 3 * 3 + (-2) * (-2)
+    assert trace(v @ w) == 0
+    assert trace(v @ v) == 3 * 3 + (-2) * (-2)
 
 
 def gauged(s: Sampler, exps) -> P1Bundle:

@@ -8,7 +8,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from algconn.exact_core import LaurentMatrix, LaurentPoly
-from algconn.p1_engine import cohomology_dims, global_sections, unit_inverse
+from algconn.p1_engine import birkhoff_split, cohomology_dims, global_sections
 from algconn.sampling import Sampler
 
 z = sympy.Symbol("z")
@@ -33,7 +33,7 @@ def test_unit_inverse_matches_sympy_inverse():
             E, _ = s.gauged_p1_bundle(max_rank=rank, min_rank=rank, bound=2, ops=2, max_deg=1)
             T = to_sympy_matrix(E.transition)
             expected = T.adjugate(method="berkowitz") / T.det(method="berkowitz")
-            got = to_sympy_matrix(unit_inverse(E.transition))
+            got = to_sympy_matrix(birkhoff_split(E).transition_inverse)
             assert (got - expected).applyfunc(sympy.cancel).is_zero_matrix, (seed, rank)
 
 

@@ -23,7 +23,6 @@ from algconn import (
     Decision,
     FormalBundle,
     GlobalSection,
-    HNFiltration,
     LaurentMatrix,
     LaurentPoly,
     ObstructionCocycle,
@@ -51,7 +50,6 @@ CASES = {
         (2, -1, Stability.STABLE, "a", False),
     ),
     FormalBundle: (("context", "atoms"), (CurveContext(1), (ATOM, LINE))),
-    HNFiltration: (("steps",), ((((LINE,), Fraction(1)), ((ATOM,), Fraction(-1, 2))),)),
     AnchorDesc: (("kind", "section"), (AnchorKind.NONZERO, (laurent_parse("1 + z"),))),
     AlgebroidDesc: (
         ("V", "anchor"),
@@ -86,9 +84,6 @@ REPRS = {
     FormalBundle: "FormalBundle(context=CurveContext(genus=1), atoms=(Atom(rank=2, degree=-1, "
     "stability=<Stability.STABLE: 'stable'>, label='a', is_tangent=False), Atom(rank=1, "
     "degree=1, stability=<Stability.STABLE: 'stable'>, label='O(1)', is_tangent=False)))",
-    HNFiltration: "HNFiltration(steps=(((Atom(rank=1, degree=1, stability=<Stability.STABLE: "
-    "'stable'>, label='O(1)', is_tangent=False),), Fraction(1, 1)), ((Atom(rank=2, degree=-1, "
-    "stability=<Stability.STABLE: 'stable'>, label='a', is_tangent=False),), Fraction(-1, 2))))",
     AnchorDesc: "AnchorDesc(kind=<AnchorKind.NONZERO: 'nonzero'>, section=(LaurentPoly('1 + z'),))",
     AlgebroidDesc: "AlgebroidDesc(V=FormalBundle(context=CurveContext(genus=0), atoms=(Atom("
     "rank=1, degree=2, stability=<Stability.STABLE: 'stable'>, label='', is_tangent=True),)), "
@@ -115,7 +110,7 @@ def build(cls):
 
 
 def test_every_type_is_covered():
-    assert set(REPRS) == set(CASES) and len(CASES) == 14
+    assert set(REPRS) == set(CASES) and len(CASES) == 13
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
@@ -254,13 +249,13 @@ def test_immutable_values_copy_to_themselves_and_outcomes_do_not():
 EXPORTS = """
 AlgebroidDesc AnchorDesc AnchorKind Decision Reason Verdict anchor_forced_zero
 decide_connection validate_algebroid LaurentMatrix LaurentPoly Rat laurent_parse Atom
-CurveContext FormalBundle HNFiltration Stability atiyah_weil hn_filtration ConcreteAnchor
+CurveContext FormalBundle Stability atiyah_weil ConcreteAnchor
 ConnectionCert ObstructionCocycle connection_exists_p1 construct_connection jet1_transition
 jetV_transition obstruction_cocycle tangent_anchor verify_connection
 verify_witness zero_anchor GlobalSection P1Bundle SplittingData birkhoff_split
 cohomology_dims dual_bundle gauge_transform global_sections hom_bundle hom_sections
 line_bundle riemann_roch_check serre_dual_check split_bundle tangent_bundle tensor_bundle
-trace_pair trivial_bundle twist unit_inverse __version__
+trivial_bundle twist __version__
 """.split()
 
 
