@@ -45,7 +45,13 @@ X (K (x) T) in one coefficient map. connection-identity and
 printed-cocycle-checked disable its two calls; overlap-a0-term,
 overlap-a1-term and overlap-anchor-term each drop one term of an entry,
 and overlap-entry-nonzero drops the test that an entry cancels to zero.
-The harness lists 48 mutants.
+
+SplittingData forms U0^(-1) = T U1 D^(-1) with _lifted_product, over one
+denominator per column of U1, and decides U0 U0^(-1) = I with
+_inverse_holds, in one pass over coefficient maps. verify-identity disables
+that decision, lifted-division leaves out the kernel's one division per
+coefficient, and inverse-entry-nonzero drops the decision's test that each
+entry's map cancels to zero. The harness lists 50 mutants.
 """
 
 from __future__ import annotations
@@ -99,13 +105,7 @@ MUTANTS = (
     Mutant("verify-u1-unimodular", P1, "if _qnullspace(w0, r) is not None:", "if False:", P1_TESTS),
     Mutant("verify-type-length", P1, "if transition.shape != (r, r):", "if False:", P1_TESTS),
     Mutant("verify-u0-inverse-in-z", P1, "if not u0_inv.is_poly_in_z:", "if False:", P1_TESTS),
-    Mutant(
-        "verify-identity",
-        P1,
-        "if U0 @ u0_inv != LaurentMatrix.identity(r):",
-        "if False:",
-        P1_TESTS,
-    ),
+    Mutant("verify-identity", P1, "if not _inverse_holds(U0, u0_inv):", "if False:", P1_TESTS),
     Mutant(
         "verify-transition-equality",
         P1,
@@ -232,6 +232,22 @@ MUTANTS = (
         "        if pivot is None:\n            continue",
         CORE_TESTS,
     ),
+    # the lifted product divides each coefficient by its column's denominator,
+    # and the one-pass decision of A B = I tests every entry's map for zero
+    Mutant(
+        "lifted-division",
+        CORE,
+        "e: _ratio(c, m) if type(c) is int else _q(c / m) for e, c in acc.items() if c})",
+        "e: c for e, c in acc.items() if c})",
+        CORE_TESTS,
+    ),
+    Mutant(
+        "inverse-entry-nonzero",
+        CORE,
+        "            if any(acc.values()):\n                return False\n    return True",
+        "            pass\n    return True",
+        CORE_TESTS,
+    ),
     # the product kernel's one-term path and its single-contribution entries
     Mutant(
         "one-term-canonical-scalar",
@@ -240,7 +256,13 @@ MUTANTS = (
         "c1 * c2",
         CORE_TESTS,
     ),
-    Mutant("matmul-single-contribution", CORE, "if acc is None:", "if True:", CORE_TESTS),
+    Mutant(
+        "matmul-single-contribution",
+        CORE,
+        "if acc is None:\n                            entries[j] = (x, y)",
+        "if True:\n                            entries[j] = (x, y)",
+        CORE_TESTS,
+    ),
     # a 1 x 1 factor is a scalar: [[1]] is the identity on either side, and
     # the one-product path serves a 1 x 1 @ 1 x 1 product only, not r x 1 @ 1 x 1
     Mutant(

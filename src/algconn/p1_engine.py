@@ -21,7 +21,10 @@ invertible (the predictable-degree property; Kailath, Linear Systems,
 polynomial in w = 1/z with N(0) invertible. On the w-chart it reduces N,
 reflected to a polynomial in z, and gives U1 = N^(-1). A SplittingData
 holds the T it splits and checks all of U0 * T * U1 = diag(z^(a_i)) once,
-when it is built, and every inverse of a unit matrix is read off it.
+when it is built, and every inverse of a unit matrix is read off it. The
+check forms U0^(-1) = T U1 D^(-1) as one product over one denominator per
+column of U1 and decides U0 U0^(-1) = I in one pass over coefficient maps,
+with exact_core's _lifted_product and _inverse_holds.
 U0^(-1) = T * U1 * diag(z^(-a_i)) polynomial in z makes U0 unimodular,
 with no determinant, and then U1 is unimodular iff its constant term
 U1(w = 0) is invertible: det T * det U1 = c * z^(sum a_i), so det U1 =
@@ -60,6 +63,8 @@ from .errors import NotAUnit, SchemaError
 from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
+    _inverse_holds,
+    _lifted_product,
     _matrix,
     _nonzero,
     _parse_entries,
@@ -176,7 +181,15 @@ class SplittingData(_Value):
     Every inverse the engine needs is read off the identity. D =
     diag(z^(a_i)) and D^(-1) are never multiplied: on the left they shift
     row i by z^(+-a_i), on the right column j by z^(+-a_j). U0^(-1) is the
-    check's, kept in u0_inverse, and T^(-1) is computed on first read."""
+    check's, kept in u0_inverse, and T^(-1) is computed on first read.
+
+    How the check multiplies: U0^(-1) is one lifted product
+    (exact_core._lifted_product). Column j of U1 is scaled to integers by
+    the lcm m_j of its denominators and shifted by z^(-a_j), T's rows
+    accumulate on it, and each coefficient of column j is divided by m_j
+    once, at the end. U0 U0^(-1) = I is decided in one pass over
+    coefficient maps (exact_core._inverse_holds), which builds neither the
+    product nor I."""
 
     _fields = ("transition", "type", "U0", "U1")
     __slots__ = _fields + ("u0_inverse", "__dict__")  # __dict__ holds the cached T^(-1)
@@ -202,10 +215,10 @@ class SplittingData(_Value):
             raise ValueError("U1 must have an invertible constant term")
         if transition.shape != (r, r):
             raise ValueError(f"a transition of shape {transition.shape} for a type of length {r}")
-        u0_inv = _shift_columns(transition @ U1, [-a for a in type])
+        u0_inv = _lifted_product(transition, U1, [-a for a in type])
         if not u0_inv.is_poly_in_z:
             raise ValueError("U0^(-1) = T U1 D^(-1) must be polynomial in z")
-        if U0 @ u0_inv != LaurentMatrix.identity(r):
+        if not _inverse_holds(U0, u0_inv):
             raise ValueError("U0 T U1 must be diag(z^(a_i))")
         object.__setattr__(self, "u0_inverse", u0_inv)
 

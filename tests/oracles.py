@@ -10,8 +10,9 @@ The determinant oracle evaluates entries from their coefficient dicts at a
 few integer nodes and eliminates over the rationals itself: it uses no
 elimination of algconn.exact_core and nothing of algconn.p1_engine. The
 Fraction Gauss-Jordan inverse and nullspace are the references for the
-fraction-free kernels of exact_core, and the dense product is the reference
-for its sparse product kernel. split_diagonal builds the D that a
+fraction-free kernels of exact_core, the dense product is the reference
+for its sparse product kernel, and the Fraction Laurent product is the
+reference for its lifted product. split_diagonal builds the D that a
 splitting claims, from its type alone, and column a column vector.
 serre_witness, is_global_witness and residue_pairing judge a vector
 witness by the rank-one section it names, in both charts, with inverses
@@ -92,6 +93,27 @@ def fraction_matmul(
 ) -> list[list[int | Fraction]]:
     """The dense product of two scalar matrices, every entry a full sum."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def fraction_laurent_product(
+    A: LaurentMatrix, B: LaurentMatrix, shifts
+) -> list[list[dict[int, Fraction]]]:
+    """A @ B @ diag(z^(s_j)) as coefficient maps, every coefficient a
+    Fraction summed over all of its terms, zeros dropped: the reference for
+    exact_core._lifted_product."""
+    out = []
+    for i in range(A.rows):
+        row = []
+        for j, s in enumerate(shifts):
+            acc: dict[int, Fraction] = {}
+            for k in range(A.cols):
+                for e1, c1 in A.entry(i, k).coeffs.items():
+                    for e2, c2 in B.entry(k, j).coeffs.items():
+                        e = e1 + e2 + s
+                        acc[e] = acc.get(e, Fraction(0)) + Fraction(c1) * Fraction(c2)
+            row.append({e: c for e, c in acc.items() if c != 0})
+        out.append(row)
+    return out
 
 
 def fraction_inverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:

@@ -15,6 +15,8 @@ from algconn.errors import LaurentSyntaxError, NotAUnit
 from algconn.exact_core import (
     LaurentMatrix,
     LaurentPoly,
+    _inverse_holds,
+    _lifted_product,
     _qinverse,
     _qnullspace,
     laurent_parse,
@@ -22,6 +24,7 @@ from algconn.exact_core import (
 from algconn.p1_engine import (
     P1Bundle,
     _birkhoff_cached,
+    _shift_columns,
     birkhoff_split,
     gauge_transform,
     split_bundle,
@@ -29,7 +32,12 @@ from algconn.p1_engine import (
 from algconn.sampling import Sampler
 
 sys.path.insert(0, os.path.dirname(__file__))
-from oracles import fraction_inverse, fraction_matmul, fraction_nullspace
+from oracles import (
+    fraction_inverse,
+    fraction_laurent_product,
+    fraction_matmul,
+    fraction_nullspace,
+)
 
 
 def lp(s: str) -> LaurentPoly:
@@ -587,6 +595,111 @@ def test_qinverse_matches_the_fraction_reference(a):
     got = _qinverse(a)
     assert got == want
     assert _canonical(got) and a == before
+
+
+# -- the lifted product and the one-pass identity decision ---------------------
+
+
+@st.composite
+def lifted_factors(draw):
+    """A (r x n) and B (n x c) with their denominators in A, in B, in both or
+    in neither, and one shift per column of B. Half the time A becomes
+    [A | A] and B becomes [B; -B], so that every entry cancels to zero."""
+    r, n, c = (draw(st.integers(1, 4)) for _ in range(3))
+    where = draw(st.sampled_from(["neither", "left", "right", "both"]))
+
+    def matrix(rows, cols, rational):
+        den = st.integers(1, 6) if rational else st.just(1)
+        return LaurentMatrix([
+            [LaurentPoly({e: Fraction(x, draw(den)) for e, x in draw(st.dictionaries(
+                st.integers(-3, 3), st.integers(-4, 4), max_size=3)).items()})
+             if draw(st.integers(0, 3)) else LaurentPoly.zero()
+             for _ in range(cols)]
+            for _ in range(rows)
+        ])
+
+    A = matrix(r, n, where in ("left", "both"))
+    B = matrix(n, c, where in ("right", "both"))
+    if draw(st.booleans()):
+        A, B = A.hstack(A), B.vstack(-B)
+    shifts = draw(st.lists(st.integers(-3, 3), min_size=c, max_size=c))
+    return A, B, shifts
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifted_factors())
+def test_lifted_product_matches_the_product_and_the_fraction_reference(factors):
+    A, B, shifts = factors
+    got = _lifted_product(A, B, shifts)
+    assert got == _shift_columns(A @ B, shifts)
+    assert [[got.entry(i, j).coeffs for j in range(got.cols)] for i in range(got.rows)] == (
+        fraction_laurent_product(A, B, shifts)
+    )
+    _assert_canonical_matrix(got)
+    _assert_zeros_shared(got)
+
+
+def test_lifted_product_divides_once_and_keeps_canonical_scalars():
+    # column 0 of B is over 6, column 1 over 1; A holds a denominator in row 1
+    A = LaurentMatrix.parse([["3", "2"], ["1/2", "0"]])
+    B = LaurentMatrix.parse([["1/2 + 1/3*z", "z"], ["1/4*z", "-1"]])
+    got = _lifted_product(A, B, [1, -1])
+    assert got == LaurentMatrix.parse(
+        [["3/2*z + 3/2*z^2", "3 - 2*z^-1"], ["1/4*z + 1/6*z^2", "1/2"]])
+    _assert_canonical_matrix(got)
+    # 2/3 * 3/2 is the int 1, and 2/3 * z - 2/3 * z, summed over the
+    # denominator 3 of column 1, is the shared zero
+    one = _lifted_product(LaurentMatrix.parse([["2/3", "1"]]),
+                          LaurentMatrix.parse([["3/2", "z"], ["0", "-2/3*z"]]), [0, 0])
+    assert one.entry(0, 0) is LaurentPoly.one() and type(one.entry(0, 0).coeff(0)) is int
+    assert one.entry(0, 1) is LaurentPoly.zero()
+    cancelled = _lifted_product(LaurentMatrix.parse([["1", "1"]]),
+                                LaurentMatrix.parse([["1/3*z"], ["-1/3*z"]]), [2])
+    assert cancelled.entry(0, 0) is LaurentPoly.zero()
+
+
+def _one_at(r: int, i: int, j: int, x: LaurentPoly) -> LaurentMatrix:
+    return LaurentMatrix([[x if (a, b) == (i, j) else LaurentPoly.zero() for b in range(r)]
+                          for a in range(r)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 5))
+def test_inverse_holds_agrees_with_the_product_on_near_misses(seed, kind):
+    s = Sampler(seed)
+    r = s.rng.randint(1, 4)
+    U = s.unimodular_z(r, ops=3, max_deg=2)
+    V = unit_inv(U)
+    i, j = s.rng.randrange(r), s.rng.randrange(r)
+    e = next(iter(V.entry(i, j).coeffs), 0)
+    identity = LaurentMatrix.identity(r)
+    near = [
+        V,  # the inverse itself
+        V + _one_at(r, i, j, LaurentPoly.monomial(Fraction(1, 3), e)),  # one coefficient off
+        V + _one_at(r, i, (i + 1) % r, LaurentPoly.z(1)),  # a term added off the diagonal
+        V @ (identity - _one_at(r, j, j, LaurentPoly.one())),  # a diagonal 1 missing
+        V @ (identity - _one_at(r, j, j, LaurentPoly.const(Fraction(1, 2)))),  # one scaled by 1/2
+        V.scalar_mul(-1),  # every diagonal 1 made -1
+    ][kind]
+    assert _inverse_holds(U, near) == (U @ near == identity)
+    assert _inverse_holds(U, V) and _inverse_holds(V, U)
+
+
+def test_inverse_holds_on_fixed_near_misses():
+    U = LaurentMatrix.parse([["1", "z"], ["0", "2"]])
+    V = LaurentMatrix.parse([["1", "-1/2*z"], ["0", "1/2"]])
+    assert U @ V == LaurentMatrix.identity(2) and _inverse_holds(U, V)
+    for B in (
+        LaurentMatrix.parse([["1", "-1/2*z"], ["0", "1/3"]]),  # a diagonal 1 scaled
+        LaurentMatrix.parse([["1", "-1/2*z + z^2"], ["0", "1/2"]]),  # an off-diagonal term
+        LaurentMatrix.parse([["1", "-1/2*z"], ["0", "0"]]),  # a diagonal 1 missing
+        LaurentMatrix.parse([["1 + z", "-1/2*z"], ["0", "1/2"]]),  # one coefficient off
+        LaurentMatrix.parse([["0", "-1/2*z"], ["0", "1/2"]]),  # an entry no term reaches
+    ):
+        assert U @ B != LaurentMatrix.identity(2)
+        assert not _inverse_holds(U, B)
+    assert _inverse_holds(LaurentMatrix.identity(1), LaurentMatrix.identity(1))
+    assert not _inverse_holds(LaurentMatrix.parse([["0"]]), LaurentMatrix.parse([["0"]]))
 
 
 def test_qnullspace_on_empty_zero_wide_and_tall_input():

@@ -268,42 +268,54 @@ def test_verify_accepts_every_splitting_not_only_the_memos():
     assert checked > 100
 
 
+def count_products(monkeypatch) -> list:
+    """Record every matrix product from here on as (kind, left, right):
+    "@" for LaurentMatrix.__matmul__, "lifted" for the record's T U1 D^(-1)
+    and "inverse" for its decision of U0 U0^(-1) = I."""
+    products = []
+    matmul = LaurentMatrix.__matmul__
+    lifted, inverse = p1_engine._lifted_product, p1_engine._inverse_holds
+
+    def counting_matmul(self, other):
+        products.append(("@", self, other))
+        return matmul(self, other)
+
+    def counting_lifted(A, B, shifts):
+        products.append(("lifted", A, B))
+        return lifted(A, B, shifts)
+
+    def counting_inverse(A, B):
+        products.append(("inverse", A, B))
+        return inverse(A, B)
+
+    monkeypatch.setattr(LaurentMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(p1_engine, "_lifted_product", counting_lifted)
+    monkeypatch.setattr(p1_engine, "_inverse_holds", counting_inverse)
+    return products
+
+
 def test_split_verify_and_sections_form_t_u1_once(monkeypatch):
     s = Sampler(65)
     r = 5
     T = s.unimodular_z(r) @ split_bundle([3, 1, 0, -1, -2]).transition @ s.unimodular_w(r)
     _birkhoff_cached.cache_clear()  # so that P1Bundle(r, T) runs the reduction and verify
-    products = []
-    matmul = LaurentMatrix.__matmul__
-
-    def counting(self, other):
-        products.append((self, other))
-        return matmul(self, other)
-
-    monkeypatch.setattr(LaurentMatrix, "__matmul__", counting)
+    products = count_products(monkeypatch)
     E = P1Bundle(r, T)
     d = birkhoff_split(E)
     assert d.verify(E)
     assert len(global_sections(E)) == cohomology_dims(E)[0]
-    assert sum(1 for x, y in products if x is T and y is d.U1) == 1
+    assert [kind for kind, x, y in products if x is T and y is d.U1] == ["lifted"]
 
 
 def test_verify_forms_no_product_and_a_split_checks_once(monkeypatch):
     # a record splits exactly its own transition, so verify multiplies
-    # nothing; the memo's split checks the identity with one T U1 and one
-    # U0 U0^(-1)
+    # nothing; the memo's split forms T U1 D^(-1) once, as one lifted
+    # product, and decides U0 U0^(-1) = I once, without a product
     s = Sampler(67)
     r = 4
     T = s.unimodular_z(r) @ split_bundle([2, 1, -1, -2]).transition @ s.unimodular_w(r)
     _birkhoff_cached.cache_clear()  # so that P1Bundle(r, T) runs the reduction
-    products = []
-    matmul = LaurentMatrix.__matmul__
-
-    def counting(self, other):
-        products.append((self, other))
-        return matmul(self, other)
-
-    monkeypatch.setattr(LaurentMatrix, "__matmul__", counting)
+    products = count_products(monkeypatch)
     E = P1Bundle(r, T)
     d = birkhoff_split(E)
     copy, other = p1bundle_from_json(p1bundle_to_json(E)), twist(E, 1)
@@ -311,8 +323,9 @@ def test_verify_forms_no_product_and_a_split_checks_once(monkeypatch):
     products.clear()
     assert d.verify(E) and d.verify(copy) and not d.verify(other)
     assert products == []
-    assert sum(1 for x, y in split if x is T and y is d.U1) == 1
-    assert sum(1 for x, y in split if x is d.U0 and y is d.u0_inverse) == 1
+    assert [kind for kind, x, y in split if x is T and y is d.U1] == ["lifted"]
+    assert [kind for kind, x, y in split if x is d.U0 and y is d.u0_inverse] == ["inverse"]
+    assert not any(kind == "@" and x is d.U0 for kind, x, _ in split)
 
 
 def verify_by_det(d, E: P1Bundle) -> bool:
@@ -341,6 +354,7 @@ REFUSED_BY = {
     "u0_not_poly": "U0 must be polynomial in z",
     "shear": "U0 T U1 must be diag",
     "u1_not_poly": "U1 must be polynomial in 1/z",
+    "column_scaled": "U0 T U1 must be diag",
 }
 
 
@@ -382,6 +396,9 @@ def tampered_splittings(E: P1Bundle) -> dict[str, Claim]:
         # z, det U1 = 1: U1 polynomial in 1/z sees it (at some ranks U1's
         # constant term is singular too)
         "u1_not_poly": Claim(T, d.type, steep @ d.U0, d.U1 @ unit_at_01(-z)),
+        # U1's column 1 times 2/3: every chart clause holds, and U0 U0^(-1)
+        # has 2/3 on its diagonal, which only the identity sees
+        "column_scaled": Claim(T, d.type, d.U0, d.U1 @ at(1, LaurentPoly.const(Fraction(2, 3)))),
     }
 
 

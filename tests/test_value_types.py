@@ -296,9 +296,12 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
         "import algconn\n"
         f"print([n for n in {EXPORTS!r} if not hasattr(algconn, n)])\n"
     )
+    # the child sees no PYTHON* variable, PYTHONDONTWRITEBYTECODE included, so
+    # -B keeps it from writing bytecode caches into the source tree
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
