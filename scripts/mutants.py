@@ -51,7 +51,24 @@ denominator per column of U1, and decides U0 U0^(-1) = I with
 _inverse_holds, in one pass over coefficient maps. verify-identity disables
 that decision, lifted-division leaves out the kernel's one division per
 coefficient, and inverse-entry-nonzero drops the decision's test that each
-entry's map cancels to zero. The harness lists 50 mutants.
+entry's map cancels to zero. reduction-step leaves a step of _reduce out
+of U0, and u1-pivot-division leaves the rows of _qinverse, hence of U1,
+undivided by their pivots. The record refuses every split they break:
+each split that takes a step, and each split whose w-side ends on a
+constant with a pivot other than 1, the tangent bundle's among them. The
+package builds the tangent bundle and O on first use, not at import, so
+such a mutant fails the tests that split, one by one; when the import
+split them, u1-pivot-division failed every test file at collection, which
+counts as an error and not as a kill.
+
+A "yes" is the closed form of jet_obstruction's docstring: A0 = U0^(-1)
+[phi0 (x) U0' - (psi~ U0_V) (x) Delta U0] and A1 = U1 [(z^(-1) psi(0)
+U0_V T_V) (x) Delta Y + (phi0 T_V) (x) Y']. closed-form-a0-frame,
+closed-form-a0-delta, closed-form-a1-delta and closed-form-a1-frame each
+drop one of the four terms, and verify_connection refuses the
+certificate. Two mutants left with the window solve they patched:
+connection-sign (the solve's negated coefficients) and window-after-yes
+(its window-hit refusal). The harness lists 54 mutants.
 """
 
 from __future__ import annotations
@@ -124,6 +141,16 @@ MUTANTS = (
     # P1Bundle's shape guards
     Mutant("bundle-square", P1, "if not self.transition.is_square:", "if False:", P1_TESTS),
     Mutant("bundle-rank", P1, "if self.transition.rows != self.rank:", "if False:", P1_TESTS),
+    # a reduction step that leaves U0's row as it was, and U1 = C^(-1) W with
+    # C^(-1)'s rows left undivided by their pivots: the record refuses both
+    Mutant("reduction-step", P1, "        v_rows[i0] = _combine(v_rows, terms)\n", "", P1_TESTS),
+    Mutant(
+        "u1-pivot-division",
+        CORE,
+        "return [[_ratio(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]",
+        "return [row[n:] for row in aug]",
+        P1_TESTS,
+    ),
     # the w-chart reduction: a row of positive degree left means no unit
     Mutant("w-side-unit-test", P1, "if any(w_tops):", "if False:", P1_TESTS),
     # the z-chart step budget: on det 0 with a wide span, it bounds the time
@@ -165,10 +192,8 @@ MUTANTS = (
     Mutant("overlap-anchor-term", JET, "_accumulate(accs[i * width + ar + j], sa, minus_tp)", "pass",
            JET_TESTS),
     Mutant("overlap-entry-nonzero", JET, "if any(acc.values()):", "if False:", JET_TESTS),
-    # the solve stores -beta0, so that it returns A0 = -b0 with no negation
-    Mutant("connection-sign", JET, "hol0[e] = -coeff", "hol0[e] = coeff", JET_TESTS),
     # construct_connection decides from the integers of the two splittings,
-    # and checks either answer; a window hit after an integer "yes" is a bug
+    # and checks either answer
     Mutant(
         "integer-rule",
         JET,
@@ -176,13 +201,15 @@ MUTANTS = (
         "i = next((i for i, ai in enumerate(se.type)), None)",
         JET_TESTS,
     ),
-    Mutant(
-        "window-after-yes",
-        JET,
-        "if not isinstance(cert, ConnectionCert):",
-        "if False:",
-        JET_TESTS,
-    ),
+    # the closed-form "yes": one mutant per term of A0 and A1
+    Mutant("closed-form-a0-frame", JET, "_bracket(anchor.phi_row, minus_psi_t",
+           "_bracket(LaurentMatrix.zeros(1, q), minus_psi_t", JET_TESTS),
+    Mutant("closed-form-a0-delta", JET, "minus_psi_t @ sv.U0, U0,", "LaurentMatrix.zeros(1, q), U0,",
+           JET_TESTS),
+    Mutant("closed-form-a1-delta", JET, "(psi_0 @ sv.U0 @ T_V).shift(-1), Y,",
+           "LaurentMatrix.zeros(1, q), Y,", JET_TESTS),
+    Mutant("closed-form-a1-frame", JET, "_bracket(anchor.phi_row @ T_V,",
+           "_bracket(LaurentMatrix.zeros(1, q),", JET_TESTS),
     Mutant(
         "connection-checked",
         JET,

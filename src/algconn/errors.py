@@ -37,10 +37,6 @@ class PreconditionFailed(AlgconnError):
     """An operation was called outside its stated domain."""
 
 
-class ShapeMismatch(AlgconnError):
-    """Cochain or matrix shapes are inconsistent with the ambient bundle."""
-
-
 class SchemaError(Exception):
     """A JSON payload does not match the expected schema (CLI usage error)."""
 

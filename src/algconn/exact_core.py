@@ -32,7 +32,7 @@ matrix its w-chart run ends on; SplittingData's check calls _qnullspace to
 see that U1(w = 0) is invertible.
 
 The splitting's check multiplies with two kernels of its own, beside
-_accumulate; every other product (@, T^(-1), the cocycle, the solve) runs
+_accumulate; every other product (@, T^(-1), the cocycle, a certificate) runs
 the general one. _lifted_product forms U0^(-1) = T U1 D^(-1): each column
 of U1 is scaled to integers by the lcm of its denominators, as _int_row
 scales a row, and shifted by its -a_j, once; T's rows accumulate on the

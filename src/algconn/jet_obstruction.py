@@ -33,8 +33,8 @@ over the V*-frame (r = rank E, q = rank V, entry (i, a*r + j) is entry
 (i, j) of block a), and the V-index acts on it through one Kronecker
 factor, by the block identity (X (A (x) B))^(a) = sum_b A_ba * X^(b) B.
 Eliminating A1 shows existence is the coboundary problem for the
-V*-twisted discrepancy cocycle c = phi0 (x) T' T^(-1). It is solved in the
-split frames U0 T U1 = D = diag(z^(a_i)) of E and U0_V T_V U1_V =
+V*-twisted discrepancy cocycle c = phi0 (x) T' T^(-1). It is read in the
+split frames U0 T U1 = D = diag(z^(a_i)) of E and U0_V T_V U1_V = D_V =
 diag(z^(v_a)) of V, where End(E) (x) V* is the sum of the line bundles
 O(a_i - a_j - v_a), without building that bundle: a cochain valued in O(d)
 misses being a coboundary exactly on the coefficient window
@@ -48,20 +48,38 @@ a_i psi_a(0), at z^(-1) of entry (i, a*r + i) with v_a = 2: the Atiyah class
 of E pushed along phi^*. The answer is read off integers: no connection
 exactly when some v_a = 2 has psi_a(0) != 0 and some a_i != 0.
 
+A "yes" comes from the three terms of M, with no window scan. With
+Delta = diag(a_i) and psi = psi(0) + z psi~, D' D^(-1) = z^(-1) Delta is
+the split bundle's own connection, and psi (x) z^(-1) Delta = psi~ (x)
+Delta + z^(-1) psi(0) (x) Delta shares it between the charts. The U0' term
+is the z-chart's frame change, and the U1' term the w-chart's: with
+Y = U1^(-1) = D^(-1) U0 T, -U1' U1^(-1) = U1 Y'. In E's frames
+
+    A0 = U0^(-1) [phi0 (x) U0' - (psi~ U0_V) (x) Delta U0]
+    A1 = U1 [(z^(-1) psi(0) U0_V T_V) (x) Delta Y + (phi0 T_V) (x) Y'],
+
+which satisfy verify_connection's identity by phi0 = psi U0_V, T U1 =
+U0^(-1) D and D Y' = U0' T + U0 T' - z^(-1) Delta U0 T. A0 is polynomial
+in z. In A1, Y' has exponents <= -2 and phi0 T_V = -z^2 phi1 (phi1 the
+chart-1 row), and the Delta term carries psi_a(0) z^(v_a - 1), as
+U0_V T_V = D_V U1_V^(-1): polynomial in 1/z unless v_a = 2 and
+psi_a(0) != 0, where a "yes" has Delta = 0. For V = TX this is Atiyah's
+construction (Complex analytic connections in fibre bundles, 1957). Two
+certificates differ by a section of End(E) (x) V*, so where every
+a_i - a_j - v_a < 0 this one is the only one.
+
 A "no" is certified by five vectors of the two splittings, a Serre-dual
 rank-one section that pairs to a_i psi_a(0) with the cocycle
-(verify_witness). A "yes" solves for the connection matrices A0 = -b0 and
-A1 = -b1 from y (_solve), with no matrix negated on the way, and
-verify_connection checks them. Both checks read the input transitions,
-phi0 and the answer alone, inverse-free, with no splitting and no cocycle;
-construct_connection computes none. The CLI prints the cocycle, checked as
-c (I_q (x) T) = phi0 (x) T' (_cocycle_and_connection). That check and
-verify_connection's identity go through one helper, _overlap_holds, which
-decides X (K (x) T) = T Z - s (x) T' in one pass over coefficient maps by
-the block identity above: no Kronecker product, neither side and no
-difference is built as a matrix, and T' is read only for s != 0, so the
-zero certificate of a zero anchor is checked without one coefficient
-product.
+(verify_witness), and verify_connection checks every "yes". Both checks
+read the input transitions, phi0 and the answer alone, inverse-free, with
+no splitting and no cocycle; construct_connection computes no cocycle. The
+CLI prints the cocycle, checked as c (I_q (x) T) = phi0 (x) T'
+(_cocycle_and_connection). That check and verify_connection's identity go
+through one helper, _overlap_holds, which decides X (K (x) T) = T Z - s (x)
+T' in one pass over coefficient maps by the block identity above: no
+Kronecker product, neither side and no difference is built as a matrix, and
+T' is read only for s != 0, so the zero certificate of a zero anchor is
+checked without one coefficient product.
 """
 
 from __future__ import annotations
@@ -69,20 +87,20 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from .errors import InvalidAnchor, SchemaError, ShapeMismatch, naming
+from .errors import InvalidAnchor, SchemaError, naming
 from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
     _accumulate,
     _matrix,
+    _nonzero,
     _parse_entries,
     _poly,
     _Value,
+    _ZERO,
 )
 from .p1_engine import (
     P1Bundle,
-    SplittingData,
-    _shift_columns,
     birkhoff_split,
     is_global_hom,
     p1bundle_from_json,
@@ -175,67 +193,36 @@ def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocyc
     return ObstructionCocycle(anchor.phi_row.kron(disc))
 
 
-def _connection(
-    c: ObstructionCocycle, E: P1Bundle, V: P1Bundle
-) -> ConnectionCert | tuple[int, int, int, int]:
-    """Solve c = b0 - transport(b1), b0 holomorphic on the z-chart and b1 on
-    the w-chart, in End(E) (x) V*, for any cochain c of the right shape, by
-    _solve on U0 c (U0_V^(-1) (x) U0^(-1)) (I_q (x) D). Nothing is checked."""
-    r, q = E.rank, V.rank
-    if c.overlap_matrix.shape != (r, r * q):
-        raise ShapeMismatch(
-            f"cochain shape {c.overlap_matrix.shape} does not match rank {r} "
-            f"and anchor rank {q}"
-        )
-    se, sv = birkhoff_split(E), birkhoff_split(V)
-    y = se.U0 @ c.overlap_matrix @ sv.u0_inverse.kron(se.u0_inverse)
-    return _solve(_shift_columns(y, list(se.type) * q), se, sv, E, V)
-
-
-def _solve(
-    yd: LaurentMatrix, se: SplittingData, sv: SplittingData, E: P1Bundle, V: P1Bundle,
-) -> ConnectionCert | tuple[int, int, int, int]:
-    """The connection matrices A0 = -b0 and A1 = -b1 for the cochain c with
-    split-frame form y = U0 c (U0_V^(-1) (x) U0^(-1)), or the first window
-    hit (a, i, j, e). It reads yd = y (I_q (x) D), so an anchor's cocycle
-    needs no D^(-1): yd = psi (x) U0 T' U1, and the term z^e of entry
-    (i, a*r + j) of yd is the term z^(e - a_j) of y, valued in O(d) with
-    d = a_i - a_j - v_a. There the z-chart side covers exponents >= 0 and
-    the w-chart side exponents <= d, so the equation is solvable exactly
-    when the window d+1 .. -1 holds no coefficient; the first one in loop
-    order, at its lowest exponent, depends on the cochain alone. The scan
-    stores -beta0, the terms of exponent >= 0 negated, so A0 = -b0 = U0^(-1)
-    (-beta0) (U0_V (x) U0) negates no matrix, and D^(-1) y_neg for the rest.
-    As c + A0 = U0^(-1) y_neg (U0_V (x) U0) and T^(-1) U0^(-1) = U1 D^(-1),
-    A1 = T^(-1) (c + A0) (T_V (x) T) = U1 (D^(-1) y_neg) (U0_V (x) U0)
-    (T_V (x) T), with no inverse but the held U0^(-1)."""
-    r = E.rank
-    if yd.is_zero:  # c = 0, so A0 = A1 = 0
-        zero = LaurentMatrix.zeros(r, yd.cols)
-        return ConnectionCert(zero, zero)
-    minus_beta0: list[list[LaurentPoly]] = [[] for _ in range(r)]
-    dinv_y_neg: list[list[LaurentPoly]] = [[] for _ in range(r)]
-    for a, v in enumerate(sv.type):
-        for i, ai in enumerate(se.type):
-            yd_row = yd._rows[i]
-            for j, aj in enumerate(se.type):
-                d = ai - aj - v
-                hol0: dict[int, int | Fraction] = {}
-                hol1: dict[int, int | Fraction] = {}
-                for e, coeff in sorted(yd_row[a * r + j]._coeffs.items()):
-                    e -= aj
-                    if e >= 0:
-                        hol0[e] = -coeff
-                    elif e > d:
-                        return a, i, j, e
-                    else:
-                        hol1[e - ai] = coeff
-                minus_beta0[i].append(_poly(hol0))
-                dinv_y_neg[i].append(_poly(hol1))
-    u0_kron = sv.U0.kron(se.U0)
-    A0 = se.u0_inverse @ (_matrix(tuple(map(tuple, minus_beta0))) @ u0_kron)
-    w_side = _matrix(tuple(map(tuple, dinv_y_neg))) @ u0_kron @ V.transition.kron(E.transition)
-    return ConnectionCert(A0, se.U1 @ w_side)
+def _bracket(
+    p: LaurentMatrix, m: LaurentMatrix, M: LaurentMatrix, delta: tuple[int, ...]
+) -> LaurentMatrix:
+    """The r x rq block row p (x) M' + m (x) Delta M, p and m 1 x q, M r x r
+    and Delta = diag(delta): entry (i, a*r + j) is p_a M_ij' + m_a a_i M_ij,
+    summed in one _accumulate map per entry, as _overlap_holds sums its
+    entries. M' is formed entry by entry and a_i M_ij row by row, and a zero
+    factor is skipped: a constant frame costs no derivative term and a
+    trivial type no Delta term."""
+    r, q = M.rows, p.cols
+    p_listed = [(a * r, x._coeffs) for a, x in enumerate(p._rows[0]) if x._coeffs]
+    m_listed = [(a * r, x._coeffs) for a, x in enumerate(m._rows[0]) if x._coeffs]
+    out = []
+    for row, ai in zip(M._rows, delta):
+        accs: dict[int, dict[int, int | Fraction]] = {}
+        for j, x in enumerate(row):
+            if not (x := x._coeffs):
+                continue
+            if p_listed and (dx := {e - 1: e * c for e, c in x.items() if e}):
+                for ar, pa in p_listed:
+                    _accumulate(accs.setdefault(ar + j, {}), pa, dx)
+            if ai and m_listed:
+                ax = {e: ai * c for e, c in x.items()}
+                for ar, ma in m_listed:
+                    _accumulate(accs.setdefault(ar + j, {}), ma, ax)
+        new = [_ZERO] * (r * q)
+        for col, acc in accs.items():
+            new[col] = _poly(_nonzero(acc))
+        out.append(tuple(new))
+    return _matrix(tuple(out))
 
 
 def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert | None:
@@ -246,9 +233,9 @@ def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert 
     with a_i != 0 is the Serre dual of the window coefficient a_i psi_a(0):
     Theta0 = w0^T (x) u v with u = U0^(-1)[:, i], v = U0[i, :] and w0 =
     U0_V^(-1)[:, a], its chart-1 form read off x = U1[:, i] and w1 =
-    U1_V[:, a]; verify_witness checks the five vectors. A "yes" solves on
-    y = psi (x) M, read as y (I_q (x) D) = psi (x) U0 T' U1, where a window
-    hit contradicts the integers. Either failure is an internal bug."""
+    U1_V[:, a]; verify_witness checks the five vectors. A "yes" is the
+    closed form of the module docstring, each bracket one _bracket. A
+    failed check of either answer is an internal bug."""
     r, q = E.rank, anchor.V.rank
     if anchor.is_zero:
         zero = LaurentMatrix.zeros(r, r * q)
@@ -267,10 +254,16 @@ def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert 
             if not verify_witness(E, anchor, *witness):
                 raise AssertionError("Serre-dual witness failed verification (internal bug)")
             return None
-        yd = psi.kron(se.U0 @ E.transition.derivative() @ se.U1)
-        cert = _solve(yd, se, sv, E, anchor.V)
-        if not isinstance(cert, ConnectionCert):
-            raise AssertionError("window coefficient where the integers found none (internal bug)")
+        U0, T_V, row = se.U0, anchor.V.transition, psi._rows[0]
+        psi_0 = _matrix((tuple([_poly({0: x._coeffs[0]}) if 0 in x._coeffs else _ZERO
+                                for x in row]),))
+        minus_psi_t = _matrix((tuple([_poly({e - 1: -c for e, c in x._coeffs.items() if e})
+                                      for x in row]),))
+        Y = _matrix(tuple([tuple([x.shift(-ai) for x in y_row])
+                           for y_row, ai in zip((U0 @ E.transition)._rows, se.type)]))
+        A0 = se.u0_inverse @ _bracket(anchor.phi_row, minus_psi_t @ sv.U0, U0, se.type)
+        A1 = se.U1 @ _bracket(anchor.phi_row @ T_V, (psi_0 @ sv.U0 @ T_V).shift(-1), Y, se.type)
+        cert = ConnectionCert(A0, A1)
     if not verify_connection(E, anchor, cert):
         raise AssertionError("constructed certificate failed verification (internal bug)")
     return cert

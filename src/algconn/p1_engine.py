@@ -41,7 +41,7 @@ bundle, a dual, twist, tensor, hom or jet bundle too, is validated by the
 reduction that splits it, and its degree is the sum of its splitting type.
 
 End(E) (x) V*, where the connection obstruction lives, is never split as a
-bundle of its own: the connection solve of jet_obstruction works through
+bundle of its own: jet_obstruction answers and builds certificates from
 the splittings of E and V. Cohomology builds no bundle at all: h^0, h^1,
 Riemann-Roch and Serre duality are all read off the certified type of E.
 
@@ -120,11 +120,17 @@ def split_bundle(exponents: Sequence[int]) -> P1Bundle:
     )
 
 
+_tangent = _trivial = None  # the tangent bundle and O (see global_sections), built on first use
+
+
 def tangent_bundle() -> P1Bundle:
-    """The tangent bundle: O(2) with transition -z^2 (chain-rule sign). It
-    is one value, built when the module is imported, so each anchor check
-    reads the same transition and its cached hash."""
-    return _TANGENT
+    """The tangent bundle: O(2) with transition -z^2 (chain-rule sign). One
+    value, built and split on first use (importing splits nothing), so each
+    anchor check reads the same transition and its cached hash."""
+    global _tangent
+    if _tangent is None:
+        _tangent = line_bundle(2, -1)
+    return _tangent
 
 
 def dual_bundle(E: P1Bundle) -> P1Bundle:
@@ -363,10 +369,6 @@ def birkhoff_split(E: P1Bundle) -> SplittingData:
     return _birkhoff_cached(E.transition)
 
 
-_TANGENT = line_bundle(2, -1)  # tangent_bundle(); built here, once the memo exists
-_TRIVIAL = trivial_bundle(1)  # O, whose homs into E are E's sections
-
-
 # -- cohomology and sections ------------------------------------------------
 
 
@@ -392,7 +394,10 @@ class GlobalSection(_Value):
 def global_sections(E: P1Bundle) -> list[GlobalSection]:
     """A basis of H^0(E), of size h^0: the homs O -> E, hom_sections(O, E).
     In the split frame the sections of O(a) are 1, z, ..., z^a."""
-    return [GlobalSection(M) for M in hom_sections(_TRIVIAL, E)]
+    global _trivial
+    if _trivial is None:
+        _trivial = trivial_bundle(1)
+    return [GlobalSection(M) for M in hom_sections(_trivial, E)]
 
 
 def is_global_hom(E: P1Bundle, F: P1Bundle, phi0: LaurentMatrix) -> bool:

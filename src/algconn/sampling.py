@@ -4,7 +4,7 @@ Everything here is driven by a single random.Random instance, so a fixed
 seed reproduces the exact same cases and the fuzz report is byte-identical
 across runs. Bounds are small on purpose: ranks <= 3 and exponents <= 4
 keep each case in the milliseconds while still exercising every code path
-of the coboundary solver.
+of the connection engine.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -65,6 +66,27 @@ def test_bundle_degree_and_validation():
         bundle([["z", "0"], ["0", "0"]])
     with pytest.raises(NotAUnit):
         bundle([["1 + z", "0"], ["0", "1"]])
+
+
+def test_import_splits_nothing_and_tangent_bundle_is_one_value():
+    # the tangent bundle and O are built on first use, so a bug that breaks
+    # every split fails the tests that split, not the import of a test file
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        f"sys.path[:1] = [{src!r}]\n"
+        "import algconn, algconn.cli, algconn.sampling\n"
+        "from algconn.p1_engine import _birkhoff_cached, tangent_bundle\n"
+        "print(_birkhoff_cached.cache_info().currsize)\n"
+        "print(tangent_bundle() is tangent_bundle())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0", "True"]
 
 
 def test_non_units_raise_not_a_unit():
