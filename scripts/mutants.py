@@ -39,16 +39,21 @@ and witness-cocycle. Each vector check has its own mutant
 (witness-vector-shape and witness-in-z through witness-residue), and the
 cocycle the CLI prints is checked on its own (printed-cocycle-checked).
 
-verify_connection's identity and the printed cocycle's check share one
-helper, _overlap_holds, which sums each entry of T Z - s (x) T' -
-X (K (x) T) in one coefficient map. connection-identity and
-printed-cocycle-checked disable its two calls; overlap-a0-term,
-overlap-a1-term and overlap-anchor-term each drop one term of an entry,
-and overlap-entry-nonzero drops the test that an entry cancels to zero.
+The certificate checks and the splitting's U0^(-1) share one row kernel,
+exact_core's _row_sums: a left row times the listed right rows, summed in
+one coefficient map per column. verify_connection's identity and the
+printed cocycle's check share one helper on it, _overlap_holds, which runs
+row by row and sums each entry of T Z - s (x) T' - X (K (x) T) in one
+map. connection-identity and printed-cocycle-checked disable its two
+calls; overlap-a1-term drops row i of T Z (a _row_sums call),
+overlap-a0-term the -K_ba Y^(b) terms and overlap-anchor-term the
+-s (x) T' terms of each entry; overlap-entry-nonzero drops the test that
+an entry cancels to zero, and overlap-every-row answers True after the
+first row, which a tamper of the last row alone refuses.
 
 SplittingData forms U0^(-1) = T U1 D^(-1) with _lifted_product, over one
 denominator per column of U1, and decides U0 U0^(-1) = I with
-_inverse_holds, in one pass over coefficient maps. verify-identity disables
+_inverse_holds, row by row; both run on _row_sums. verify-identity disables
 that decision, lifted-division leaves out the kernel's one division per
 coefficient, and inverse-entry-nonzero drops the decision's test that each
 entry's map cancels to zero. reduction-step leaves a step of _reduce out
@@ -68,7 +73,7 @@ closed-form-a0-delta, closed-form-a1-delta and closed-form-a1-frame each
 drop one of the four terms, and verify_connection refuses the
 certificate. Two mutants left with the window solve they patched:
 connection-sign (the solve's negated coefficients) and window-after-yes
-(its window-hit refusal). The harness lists 54 mutants.
+(its window-hit refusal). The harness lists 55 mutants.
 """
 
 from __future__ import annotations
@@ -186,12 +191,20 @@ MUTANTS = (
     ),
     # _overlap_holds, which decides both overlap identities: one mutant per
     # term of an entry, and one for the test that the entry cancels to zero
-    Mutant("overlap-a0-term", JET, "_accumulate(accs[i * width + ar + j], minus_k_ba, y_ij._coeffs)",
+    Mutant("overlap-a0-term", JET, "_accumulate(accs.setdefault(ar + j, {}), minus_k_ba, y)",
            "pass", JET_TESTS),
-    Mutant("overlap-a1-term", JET, "_accumulate(accs[i * width + col], t, z)", "pass", JET_TESTS),
-    Mutant("overlap-anchor-term", JET, "_accumulate(accs[i * width + ar + j], sa, minus_tp)", "pass",
-           JET_TESTS),
+    Mutant("overlap-a1-term", JET, "accs = _row_sums({}, t_row, z_listed)", "accs = {}", JET_TESTS),
+    Mutant("overlap-anchor-term", JET, "_accumulate(accs.setdefault(ar + j, {}), sa, minus_tp)",
+           "pass", JET_TESTS),
     Mutant("overlap-entry-nonzero", JET, "if any(acc.values()):", "if False:", JET_TESTS),
+    # the check runs row by row and answers True only after the last row
+    Mutant(
+        "overlap-every-row",
+        JET,
+        "                return False\n    return True",
+        "                return False\n        return True\n    return True",
+        JET_TESTS,
+    ),
     # construct_connection decides from the integers of the two splittings,
     # and checks either answer
     Mutant(

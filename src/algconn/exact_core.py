@@ -31,18 +31,22 @@ vector of the RREF nullspace basis, and _qinverse inverts the constant
 matrix its w-chart run ends on; SplittingData's check calls _qnullspace to
 see that U1(w = 0) is invertible.
 
-The splitting's check multiplies with two kernels of its own, beside
-_accumulate; every other product (@, T^(-1), the cocycle, a certificate) runs
-the general one. _lifted_product forms U0^(-1) = T U1 D^(-1): each column
-of U1 is scaled to integers by the lcm of its denominators, as _int_row
-scales a row, and shifted by its -a_j, once; T's rows accumulate on the
-scaled columns, all in ints for an integral T, and each output coefficient
-is divided by its column's denominator once, so it comes out canonical
-whatever T holds. _inverse_holds decides U0 U0^(-1) = I in one pass over
-coefficient maps, as jet_obstruction's _overlap_holds decides the
-certificates: each entry of a row sums its terms in one map, the diagonal
-one seeded with -1 at z^0, and the identity holds when every map cancels;
-neither the product nor I is built.
+One row kernel, _row_sums, serves the certificate checks and the
+splitting's U0^(-1). It is one row of Gustavson's product (see below) over
+coefficient maps: the left row times the listed right rows (_listed: each
+row's nonzero entries with their columns), summed in one _accumulate map
+per output column; the cancelled zeros stay, for the caller to drop or to
+test. _lifted_product forms U0^(-1) = T U1 D^(-1) on it: each column of U1
+is scaled to integers by the lcm of its denominators, as _int_row scales a
+row, and shifted by its -a_j, once; T's rows run on the scaled rows, all in
+ints for an integral T, and each output coefficient is divided by its
+column's denominator once, so it comes out canonical whatever T holds.
+_inverse_holds decides U0 U0^(-1) = I row by row, each row's maps seeded
+with -1 at z^0 in the diagonal column: the identity holds when every map
+cancels, and neither the product nor I is built. jet_obstruction's
+_overlap_holds decides the certificate and cocycle identities row by row
+on it too. Every other product (@, T^(-1), the cocycle, a certificate)
+runs LaurentMatrix.__matmul__.
 
 Canonical form. Every LaurentPoly maps int exponents to nonzero scalars in
 the form above and stores no zero; every LaurentMatrix is a nonempty
@@ -457,47 +461,59 @@ def _nonzero(acc: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
     return {e: c if type(c) is int else _q(c) for e, c in acc.items() if c}
 
 
+def _listed(M: "LaurentMatrix") -> list[list[tuple[int, dict[int, int | Fraction]]]]:
+    """Each row of M as its nonzero entries, (column, coefficient map) pairs:
+    the right factor of _row_sums."""
+    return [[(j, y._coeffs) for j, y in enumerate(row) if y._coeffs] for row in M._rows]
+
+
+def _row_sums(
+    accs: dict[int, dict[int, int | Fraction]],
+    row: Sequence[LaurentPoly],
+    listed: list[list[tuple[int, dict[int, int | Fraction]]]],
+) -> dict[int, dict[int, int | Fraction]]:
+    """accs[j] += row[k] * b for each nonzero row[k] and each pair (j, b) of
+    listed[k], and accs returned: one row of Gustavson's product, summed in
+    one _accumulate map per column that a term reaches. Cancelled zeros stay
+    in the maps, for the caller to drop or to test."""
+    get = accs.get
+    for k, x in enumerate(row):
+        if a := x._coeffs:
+            for j, b in listed[k]:
+                acc = get(j)
+                if acc is None:
+                    accs[j] = acc = {}
+                _accumulate(acc, a, b)
+    return accs
+
+
 def _lifted_product(
     A: "LaurentMatrix", B: "LaurentMatrix", shifts: Sequence[int]
 ) -> "LaurentMatrix":
     """A @ B @ diag(z^(s_j)), with B's columns over one denominator each.
     Column j of B is scaled to integers by the lcm m_j of its denominators,
     as _int_row scales a row, and shifted by z^(s_j), once; a column with
-    m_j = 1 and s_j = 0 is used as it is. Row i of A then accumulates on the
-    scaled rows of B, as in Gustavson's product, and each output coefficient
-    is divided by m_j once, by _ratio, with the cancelled zeros dropped.
-    With A integral every sum is an int, so no Fraction is formed before
-    that one division; a Fraction of A enters the sums as it is, and such a
-    sum is divided as a Fraction and made canonical with _q."""
-    b_rows = B._rows
+    m_j = 1 and s_j = 0 is used as it is. Each row of A then goes through
+    _row_sums on the scaled rows of B, and each output coefficient is
+    divided by m_j once, by _ratio, with the cancelled zeros dropped. With A
+    integral every sum is an int, so no Fraction is formed before that one
+    division; a Fraction of A enters the sums as it is, and such a sum is
+    divided as a Fraction and made canonical with _q."""
     dens = [lcm(*[c.denominator for y in col for c in y._coeffs.values() if type(c) is not int])
-            for col in zip(*b_rows)]
-    lifted = []
-    for row in b_rows:
-        listed = []
-        for j, y in enumerate(row):
-            if b := y._coeffs:
-                s, m = shifts[j], dens[j]
-                if m != 1:
-                    b = {e + s: c * m if type(c) is int else c.numerator * (m // c.denominator)
-                         for e, c in b.items()}
-                elif s:
-                    b = {e + s: c for e, c in b.items()}
-                listed.append((j, b))
-        lifted.append(listed)
+            for col in zip(*B._rows)]
+    lifted = _listed(B)
+    for row in lifted:
+        for n, (j, b) in enumerate(row):
+            s, m = shifts[j], dens[j]
+            if m != 1:
+                row[n] = j, {e + s: c * m if type(c) is int else c.numerator * (m // c.denominator)
+                             for e, c in b.items()}
+            elif s:
+                row[n] = j, {e + s: c for e, c in b.items()}
     out = []
     for row in A._rows:
-        accs: dict[int, dict[int, int | Fraction]] = {}
-        get = accs.get
-        for k, x in enumerate(row):
-            if a := x._coeffs:
-                for j, b in lifted[k]:
-                    acc = get(j)
-                    if acc is None:
-                        accs[j] = acc = {}
-                    _accumulate(acc, a, b)
         new = [_ZERO] * len(dens)
-        for j, acc in accs.items():
+        for j, acc in _row_sums({}, row, lifted).items():
             m = dens[j]
             new[j] = _poly(_nonzero(acc) if m == 1 else {
                 e: _ratio(c, m) if type(c) is int else _q(c / m) for e, c in acc.items() if c})
@@ -506,30 +522,15 @@ def _lifted_product(
 
 
 def _inverse_holds(A: "LaurentMatrix", B: "LaurentMatrix") -> bool:
-    """Does A @ B = I hold, for r x r A and B? Decided in one pass over
-    coefficient maps, with neither the product nor I built: row i of A @ B
-    is summed in one map per column with _accumulate, the map of column i
-    seeded with -1 at z^0, so the identity holds exactly when every map
-    cancels to zero. An entry no a_ik b_kj reaches is zero, and the seeded
-    diagonal map is always there to test. The first row that keeps a
-    nonzero coefficient answers False."""
-    b_rows = B._rows
-    listed: list[list[tuple[int, dict[int, int | Fraction]]] | None] = [None] * len(b_rows)
+    """Does A @ B = I hold, for r x r A and B? Decided row by row, with
+    neither the product nor I built: row i of A @ B is _row_sums on maps
+    seeded with -1 at z^0 in column i, so the identity holds exactly when
+    every map cancels to zero. An entry no a_ik b_kj reaches is zero, and
+    the seeded diagonal map is always there to test. The first row that
+    keeps a nonzero coefficient answers False."""
+    listed = _listed(B)
     for i, row in enumerate(A._rows):
-        accs: dict[int, dict[int, int | Fraction]] = {i: {0: -1}}
-        get = accs.get
-        for k, x in enumerate(row):
-            if a := x._coeffs:
-                b_row = listed[k]
-                if b_row is None:
-                    b_row = listed[k] = [
-                        (j, y._coeffs) for j, y in enumerate(b_rows[k]) if y._coeffs]
-                for j, b in b_row:
-                    acc = get(j)
-                    if acc is None:
-                        accs[j] = acc = {}
-                    _accumulate(acc, a, b)
-        for acc in accs.values():
+        for acc in _row_sums({i: {0: -1}}, row, listed).values():
             if any(acc.values()):
                 return False
     return True

@@ -76,15 +76,14 @@ no splitting and no cocycle; construct_connection computes no cocycle. The
 CLI prints the cocycle, checked as c (I_q (x) T) = phi0 (x) T'
 (_cocycle_and_connection). That check and verify_connection's identity go
 through one helper, _overlap_holds, which decides X (K (x) T) = T Z - s (x)
-T' in one pass over coefficient maps by the block identity above: no
-Kronecker product, neither side and no difference is built as a matrix, and
-T' is read only for s != 0, so the zero certificate of a zero anchor is
-checked without one coefficient product.
+T' row by row on exact_core's row kernel _row_sums, by the block identity
+above: no Kronecker product, neither side and no difference is built as a
+matrix, and T' is read only for s != 0, so the zero certificate of a zero
+anchor is checked without one coefficient product.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 
 from .errors import InvalidAnchor, SchemaError, naming
@@ -92,10 +91,12 @@ from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
     _accumulate,
+    _listed,
     _matrix,
     _nonzero,
     _parse_entries,
     _poly,
+    _row_sums,
     _Value,
     _ZERO,
 )
@@ -289,42 +290,33 @@ def _overlap_holds(
 ) -> bool:
     """Does X (K (x) T) = T Z - s (x) T' hold? X and Z are r x rq block
     rows, K is q x q and s is 1 x q. Neither side is built: by the block
-    identity, block a of the left side is sum_b K_ba Y^(b), where Y =
-    X (I_q (x) T) is formed once, one sparse r x r product per V-index
-    block. Each entry (i, a*r + j) of T Z - s (x) T' - X (K (x) T) sums its
-    terms in one coefficient map with _accumulate. K and T' enter negated,
-    so nothing is subtracted, and T' is read only when some s_a != 0. The
-    first entry that keeps a nonzero coefficient answers False."""
-    r, q = T.rows, K.rows
-    width, t_rows, x_rows = r * q, T._rows, X._rows
-    # the coefficient map of entry (i, col), keyed by i*width + col
-    accs: defaultdict[int, dict[int, int | Fraction]] = defaultdict(dict)
-    for k, z_row in enumerate(Z._rows):  # T Z: Z_k,col times column k of T
-        for col, entry in enumerate(z_row):
-            if z := entry._coeffs:
-                for i, t_row in enumerate(t_rows):
-                    if t := t_row[k]._coeffs:
-                        _accumulate(accs[i * width + col], t, z)
-    for b, k_row in enumerate(K._rows):  # -sum_b K_ba Y^(b)
-        minus_k = [(a * r, {e: -c for e, c in k_ba._coeffs.items()})
-                   for a, k_ba in enumerate(k_row) if k_ba._coeffs]
-        if minus_k:
-            y = _matrix(tuple([row[b * r:(b + 1) * r] for row in x_rows])) @ T
-            for i, y_row in enumerate(y._rows):
-                for j, y_ij in enumerate(y_row):
-                    if y_ij._coeffs:
-                        for ar, minus_k_ba in minus_k:
-                            _accumulate(accs[i * width + ar + j], minus_k_ba, y_ij._coeffs)
+    identity, block a of the left side is sum_b K_ba Y^(b), where Y^(b) =
+    X^(b) T. The check runs row by row. Row i of T Z, and row i of each
+    Y^(b) that some K_ba reads, come from exact_core's _row_sums; each entry
+    (i, a*r + j) of T Z - s (x) T' - X (K (x) T) sums its terms in one
+    coefficient map with _accumulate. K and T' enter negated, so nothing is
+    subtracted, and T' is read only when some s_a != 0. The first row that
+    keeps a nonzero coefficient answers False."""
+    r = T.rows
+    t_listed, z_listed = _listed(T), _listed(Z)
+    minus_k = [[(a * r, {e: -c for e, c in k_ba._coeffs.items()})
+                for a, k_ba in enumerate(k_row) if k_ba._coeffs] for k_row in K._rows]
     s_listed = [(a * r, x._coeffs) for a, x in enumerate(s._rows[0]) if x._coeffs]
-    if s_listed:  # -s (x) T'
-        for i, t_row in enumerate(t_rows):
+    for t_row, x_row in zip(T._rows, X._rows):
+        accs = _row_sums({}, t_row, z_listed)  # row i of T Z
+        for b, minus_k_b in enumerate(minus_k):  # -sum_b K_ba Y^(b)
+            if minus_k_b:
+                for j, y in _row_sums({}, x_row[b * r:(b + 1) * r], t_listed).items():
+                    for ar, minus_k_ba in minus_k_b:
+                        _accumulate(accs.setdefault(ar + j, {}), minus_k_ba, y)
+        if s_listed:  # -s (x) T'
             for j, t in enumerate(t_row):
                 if t._coeffs and (minus_tp := {e - 1: -e * c for e, c in t._coeffs.items() if e}):
                     for ar, sa in s_listed:
-                        _accumulate(accs[i * width + ar + j], sa, minus_tp)
-    for acc in accs.values():
-        if any(acc.values()):
-            return False
+                        _accumulate(accs.setdefault(ar + j, {}), sa, minus_tp)
+        for acc in accs.values():
+            if any(acc.values()):
+                return False
     return True
 
 
@@ -342,12 +334,12 @@ def verify_connection(E: P1Bundle, anchor: ConcreteAnchor, cert: ConnectionCert)
          multiplied on the right by T_V (x) T, an invertible factor, it
          becomes the identity above. So the check reads only the input
          transitions, phi0 and the certificate: no inverse, no splitting.
-         It is decided entry by entry in one pass over coefficient maps
-         (_overlap_holds): block a of the left side is
-         sum_b (T_V)_ba * A0^(b) T, so T_V (x) T, either side and their
-         difference are never built as matrices, and T' is read only when
-         phi0 T_V != 0. The zero anchor's certificate (0, 0) passes the
-         same check.
+         It is decided row by row (_overlap_holds), on coefficient maps:
+         block a of the left side is sum_b (T_V)_ba * A0^(b) T, so
+         T_V (x) T, either side and their difference are never built as
+         matrices, T' is read only when phi0 T_V != 0, and the first row
+         that does not cancel answers False. The zero anchor's certificate
+         (0, 0) passes the same check.
 
     The Leibniz rule needs no check: d0(f s) - f d0(s) = f' s phi0 holds for
     every A0, since A0 acts linearly over functions.

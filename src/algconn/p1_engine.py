@@ -22,9 +22,8 @@ polynomial in w = 1/z with N(0) invertible. On the w-chart it reduces N,
 reflected to a polynomial in z, and gives U1 = N^(-1). A SplittingData
 holds the T it splits and checks all of U0 * T * U1 = diag(z^(a_i)) once,
 when it is built, and every inverse of a unit matrix is read off it. The
-check forms U0^(-1) = T U1 D^(-1) as one product over one denominator per
-column of U1 and decides U0 U0^(-1) = I in one pass over coefficient maps,
-with exact_core's _lifted_product and _inverse_holds.
+check forms U0^(-1) = T U1 D^(-1) and decides U0 U0^(-1) = I on
+exact_core's row kernel, _row_sums.
 U0^(-1) = T * U1 * diag(z^(-a_i)) polynomial in z makes U0 unimodular,
 with no determinant, and then U1 is unimodular iff its constant term
 U1(w = 0) is invertible: det T * det U1 = c * z^(sum a_i), so det U1 =
@@ -189,13 +188,9 @@ class SplittingData(_Value):
     row i by z^(+-a_i), on the right column j by z^(+-a_j). U0^(-1) is the
     check's, kept in u0_inverse, and T^(-1) is computed on first read.
 
-    How the check multiplies: U0^(-1) is one lifted product
-    (exact_core._lifted_product). Column j of U1 is scaled to integers by
-    the lcm m_j of its denominators and shifted by z^(-a_j), T's rows
-    accumulate on it, and each coefficient of column j is divided by m_j
-    once, at the end. U0 U0^(-1) = I is decided in one pass over
-    coefficient maps (exact_core._inverse_holds), which builds neither the
-    product nor I."""
+    How the check multiplies: U0^(-1) is exact_core._lifted_product and
+    U0 U0^(-1) = I is exact_core._inverse_holds, both on the row kernel
+    exact_core._row_sums."""
 
     _fields = ("transition", "type", "U0", "U1")
     __slots__ = _fields + ("u0_inverse", "__dict__")  # __dict__ holds the cached T^(-1)

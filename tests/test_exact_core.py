@@ -792,7 +792,7 @@ def test_shift_and_predicates():
 # -- matrices -----------------------------------------------------------------
 
 
-def test_unit_inverse_examples():
+def test_transition_inverse_examples():
     I2 = LaurentMatrix.identity(2)
     assert unit_inv(I2) == I2
     D = LaurentMatrix.parse([["z", "0"], ["0", "z^-1"]])
@@ -803,14 +803,14 @@ def test_unit_inverse_examples():
     assert M @ Minv == I2
 
 
-def test_unit_inverse_rejects_non_units():
+def test_transition_inverse_rejects_non_units():
     with pytest.raises(NotAUnit):
         unit_inv(LaurentMatrix.parse([["z", "0"], ["0", "0"]]))
     with pytest.raises(NotAUnit):
         unit_inv(LaurentMatrix.parse([["1 + z", "0"], ["0", "1"]]))
 
 
-def test_unit_inverse_involution_on_random_unimodulars():
+def test_transition_inverse_involution_on_random_unimodulars():
     s = Sampler(2024)
     for _ in range(25):
         size = s.rng.randint(1, 5)

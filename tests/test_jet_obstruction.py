@@ -853,7 +853,7 @@ def test_overlap_checks_agree_with_the_matrix_identities():
     # A1, phi0 and c with Fraction coefficients, they answer as the matrix
     # forms of tests/oracles.py do
     rng = random.Random(83)
-    ranks, rejected, tampers = set(), 0, 0
+    ranks, rejected, tampers, row_tampers = set(), 0, 0, set()
     for E, anchor in _solve_cases():
         T, T_V, phi0 = E.transition, anchor.V.transition, anchor.phi_row
         r, q = E.rank, anchor.V.rank
@@ -882,7 +882,18 @@ def test_overlap_checks_agree_with_the_matrix_identities():
             assert not _overlap_holds(T, I_q, bad_c, zero, -phi0)
             assert not cocycle_identity(T, phi0, bad_c)
             assert _overlap_holds(T, I_q, c, zero, -phi) == cocycle_identity(T, phi, c)
+        if q == 2 and not T_V.entry(0, 1).is_zero:
+            # K = T_V mixes the V-blocks, and a tamper of A0 in one row
+            # changes that row of the difference only: the check runs row by
+            # row, and must refuse a tamper of the first row alone and of
+            # the last row alone (here in block 1, at entry (i, i))
+            for i in (0, r - 1):
+                A0 = _bump(cert.A0, i, r + i, 1, Fraction(3, 2))
+                assert not connection_identity(T, T_V, phi0, A0, cert.A1)
+                assert not verify_connection(E, anchor, ConnectionCert(A0, cert.A1))
+                row_tampers.add((r, i))
     assert ranks == {1, 2}
+    assert row_tampers == {(2, 0), (2, 1), (3, 0), (3, 2)}
     # every tamper breaks the identity: T_V (x) T and T are invertible, and
     # no T of the solve cases is constant, so a tamper of phi0 shows in T'
     assert rejected == tampers >= 60

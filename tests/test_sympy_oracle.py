@@ -24,7 +24,7 @@ def to_sympy_matrix(M: LaurentMatrix):
     return sympy.Matrix(M.rows, M.cols, lambda i, j: to_sympy(M.entry(i, j)))
 
 
-def test_unit_inverse_matches_sympy_inverse():
+def test_transition_inverse_matches_sympy_inverse():
     # adj T / det T by Berkowitz, as the h^0 oracle below: with LU, sympy's
     # is_zero_matrix answers None on the rank-3 bundle of seed 63
     for seed in (61, 63):
