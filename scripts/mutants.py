@@ -19,25 +19,12 @@ when every selected mutant is killed, 1 otherwise.
 
 riemann_roch_check and serre_dual_check have no mutant. Both read h^0 and
 h^1 off the certified type, so each is true by construction: making it
-return True changes nothing a test can see. Five checks left the engine
-with their mutants, verify-degree-sum, shift-columns-guard,
-u0-inverse-key, witness-inverse-of-E and witness-inverse-of-V: the degree
-sum of SplittingData.verify follows from the record's clauses and the
-identity (the proof is in SplittingData's docstring), _shift_columns' guard
-on the number of exponents is one that no record that builds can trip, a
-SplittingData holds the one transition it splits, so no U0^(-1) is keyed by
-another, and verify_witness reads no inverse whose identity T T^(-1) = I it
-would have to check. end-section-shape, end-section-holomorphy and
-trace-constant left with trace_pair, whose input checks they disabled: no
-answer reads a trace of endomorphism sections.
+return True changes nothing a test can see.
 
-The witness is five vectors, not the pair of r x rq matrices (Theta0,
-Theta1), and verify_witness reads no cocycle, so the mutants of the matrix
-checks left with their code: witness-shape, witness-chart0,
-witness-chart1, witness-overlap, witness-pairing, witness-pairing-transpose
-and witness-cocycle. Each vector check has its own mutant
-(witness-vector-shape and witness-in-z through witness-residue), and the
-cocycle the CLI prints is checked on its own (printed-cocycle-checked).
+The witness of a "no" is five vectors, and each of verify_witness's vector
+checks has its own mutant (witness-vector-shape and witness-in-z through
+witness-residue). The cocycle the CLI prints is checked on its own
+(printed-cocycle-checked).
 
 The certificate checks and the splitting's U0^(-1) share one row kernel,
 exact_core's _row_sums: a left row times the listed right rows, summed in
@@ -62,18 +49,19 @@ undivided by their pivots. The record refuses every split they break:
 each split that takes a step, and each split whose w-side ends on a
 constant with a pivot other than 1, the tangent bundle's among them. The
 package builds the tangent bundle and O on first use, not at import, so
-such a mutant fails the tests that split, one by one; when the import
-split them, u1-pivot-division failed every test file at collection, which
-counts as an error and not as a kill.
+such a mutant fails the tests that split, one by one.
 
 A "yes" is the closed form of jet_obstruction's docstring: A0 = U0^(-1)
 [phi0 (x) U0' - (psi~ U0_V) (x) Delta U0] and A1 = U1 [(z^(-1) psi(0)
 U0_V T_V) (x) Delta Y + (phi0 T_V) (x) Y']. closed-form-a0-frame,
 closed-form-a0-delta, closed-form-a1-delta and closed-form-a1-frame each
 drop one of the four terms, and verify_connection refuses the
-certificate. Two mutants left with the window solve they patched:
-connection-sign (the solve's negated coefficients) and window-after-yes
-(its window-hit refusal). The harness lists 55 mutants.
+certificate.
+
+run_fuzz records each case where the decision and the engine disagree, and
+`algconn fuzz` exits 1 when it recorded one: fuzz-failure-record drops the
+record and fuzz-mismatch-exit the exit status. The harness lists 57
+mutants.
 """
 
 from __future__ import annotations
@@ -95,6 +83,7 @@ P1 = "src/algconn/p1_engine.py"
 JET = "src/algconn/jet_obstruction.py"
 CORE = "src/algconn/exact_core.py"
 CLI = "src/algconn/cli.py"
+SAMPLING = "src/algconn/sampling.py"
 P1_TESTS = "tests/test_p1_engine.py"
 JET_TESTS = "tests/test_jet_obstruction.py"
 CLI_TESTS = "tests/test_cli.py"
@@ -370,6 +359,15 @@ MUTANTS = (
         CLI,
         "except (ValueError, RecursionError) as exc:",
         "except json.JSONDecodeError as exc:",
+        CLI_TESTS,
+    ),
+    # a fuzz case where the two routes disagree is reported, and fails the command
+    Mutant("fuzz-failure-record", SAMPLING, "if declared != computed:", "if False:", CLI_TESTS),
+    Mutant(
+        "fuzz-mismatch-exit",
+        CLI,
+        'return EXIT_OK if outcome.report["mismatches"] == 0 else EXIT_MISMATCH',
+        "return EXIT_OK",
         CLI_TESTS,
     ),
 )

@@ -65,9 +65,13 @@ is canonical already. The kernels call _q only where a Fraction result can
 be integral (a sum, a scalar or derivative multiple, a product with a
 Fraction in it). LaurentPoly.__mul__, LaurentMatrix.kron and each entry of
 LaurentMatrix.__matmul__ that receives one a_ik*b_kj multiply through one
-rule, _product; a matrix entry that receives two or more sums them in one
-coefficient map with _accumulate, the one multi-term loop, and drops the
-zeros once. Integer coefficients multiply as native ints throughout.
+rule, _product. _accumulate, out += a * b on coefficient maps, is the one
+loop that sums: a product of two many-term polynomials, a matrix entry
+that receives two or more products (in @ and _row_sums), p + q and p - q
+(q times {0: 1} or {0: -1} into a copy of p), and the splitting
+reduction's row step, p1_engine._combine (row i times {s: k}). Each sum
+drops its zeros once, with _nonzero. Integer coefficients multiply as
+native ints throughout.
 
 Zeros and ones cost nothing. The zero polynomial is one shared object,
 _ZERO: the public constructor, _poly and LaurentPoly.zero() all return it
@@ -279,15 +283,8 @@ class LaurentPoly(_Value):
         if not self._coeffs:
             return other
         out = dict(self._coeffs)
-        for e, c in b.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            elif s := s + c:
-                out[e] = _q(s)
-            else:
-                del out[e]
-        return _poly(out)
+        _accumulate(out, _ONE_COEFFS, b)
+        return _poly(_nonzero(out))
 
     def __neg__(self) -> "LaurentPoly":
         if not self._coeffs:
@@ -302,15 +299,8 @@ class LaurentPoly(_Value):
         if not b:
             return self
         out = dict(self._coeffs)
-        for e, c in b.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = -c
-            elif s := s - c:
-                out[e] = _q(s)
-            else:
-                del out[e]
-        return _poly(out)
+        _accumulate(out, {0: -1}, b)
+        return _poly(_nonzero(out))
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):

@@ -77,10 +77,10 @@ class FormalBundle(_Value):
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("a bundle needs at least one atom")
-        for a in atoms:
+        for i, a in enumerate(atoms):
             if a.is_tangent and a.degree != context.tangent_degree:
                 raise ValueError(
-                    f"tangent atom must have degree {context.tangent_degree} "
+                    f"atom #{i}: tangent atom must have degree {context.tangent_degree} "
                     f"at genus {context.genus}, got {a.degree}"
                 )
 

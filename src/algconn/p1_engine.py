@@ -62,6 +62,7 @@ from .errors import NotAUnit, SchemaError
 from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
+    _accumulate,
     _inverse_holds,
     _lifted_product,
     _matrix,
@@ -273,10 +274,10 @@ def _reduce(
     sum of the initial row lows, so an exhausted budget, like a zero row,
     means det = 0. On a block-diagonal matrix the first null vector of H
     lies in one block, so the steps are those of the blocks reduced one by
-    one. A step changes row i0 only, and its new row and V row are summed
-    on coefficient maps, so their cost follows the nonzero terms of the
-    rows they combine. The maps are wrapped as polynomials by the caller,
-    once, for the rows it keeps."""
+    one. A step changes row i0 only: _combine sums its new row and V row on
+    coefficient maps, through exact_core's _accumulate, so their cost
+    follows the nonzero terms of the rows they combine. The maps are
+    wrapped as polynomials by the caller, once, for the rows it keeps."""
     r = len(rows)
     v_rows = [[{0: 1} if i == j else {} for j in range(r)] for i in range(r)]
     tops, H = map(list, zip(*map(_top_coefficients, rows)))
@@ -299,16 +300,14 @@ def _reduce(
 
 def _combine(rows: list[_Row], terms: list[tuple[int, int, int | Fraction]]) -> _Row:
     """The sum of k z^s rows[i] over the (i, s, k) in terms, entry by entry,
-    in canonical form."""
+    in canonical form: each nonzero entry of rows[i] times the term's map
+    {s: k} goes through exact_core's _accumulate, the one sum loop."""
     accs: _Row = [{} for _ in rows[0]]
     for i, s, k in terms:
+        term = {s: k}
         for acc, x in zip(accs, rows[i]):
             if x:
-                get = acc.get
-                for e, c in x.items():
-                    e += s
-                    v = get(e)
-                    acc[e] = k * c if v is None else v + k * c
+                _accumulate(acc, term, x)
     return [_nonzero(acc) if acc else acc for acc in accs]
 
 

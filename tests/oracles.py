@@ -11,9 +11,11 @@ few integer nodes and eliminates over the rationals itself: it uses no
 elimination of algconn.exact_core and nothing of algconn.p1_engine. The
 Fraction Gauss-Jordan inverse and nullspace are the references for the
 fraction-free kernels of exact_core, the dense product is the reference
-for its sparse product kernel, and the Fraction Laurent product is the
-reference for its lifted product. split_diagonal builds the D that a
-splitting claims, from its type alone, and column a column vector.
+for its sparse product kernel, the Fraction Laurent product is the
+reference for its lifted product, and the Fraction Laurent sum for its
+sums: LaurentPoly's + and - and the reduction's row step. split_diagonal
+builds the D that a splitting claims, from its type alone, and column a
+column vector.
 serre_witness, is_global_witness and residue_pairing judge a vector
 witness by the rank-one section it names, in both charts, with inverses
 they are handed and check, and the trace pairing summed entry by entry.
@@ -114,6 +116,17 @@ def fraction_laurent_product(
             row.append({e: c for e, c in acc.items() if c != 0})
         out.append(row)
     return out
+
+
+def fraction_laurent_sum(terms) -> dict[int, Fraction]:
+    """The sum of k z^s p over the (p, s, k) in terms, p a coefficient map,
+    every coefficient a Fraction summed over all of its terms, zeros dropped:
+    the reference for LaurentPoly's + and - and for p1_engine._combine."""
+    acc: dict[int, Fraction] = {}
+    for p, s, k in terms:
+        for e, c in p.items():
+            acc[e + s] = acc.get(e + s, Fraction(0)) + Fraction(k) * Fraction(c)
+    return {e: c for e, c in acc.items() if c != 0}
 
 
 def fraction_inverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:

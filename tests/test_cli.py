@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from algconn import sampling
 from algconn.cli import main
 
 
@@ -401,6 +402,20 @@ def test_fuzz_deterministic_bytes(files, capsys):
     assert json.loads(first)["mismatches"] == 0
 
 
+def test_fuzz_reports_every_mismatch_and_exits_1(monkeypatch, capsys):
+    # an engine that answers the opposite of the real one on every case
+    real = sampling.construct_connection
+    monkeypatch.setattr(sampling, "construct_connection",
+                        lambda E, anchor: "flipped" if real(E, anchor) is None else None)
+    report = sampling.run_fuzz(3, 0).report
+    assert report["mismatches"] == report["cases"] == 3
+    assert [f["index"] for f in report["failures"]] == [0, 1, 2]
+    keys = {"index", "algebroid", "bundle", "anchor", "transition", "decision", "engine_exists"}
+    assert all(set(f) == keys for f in report["failures"])
+    assert main(["fuzz", "--count", "3", "--seed", "0"]) == 1
+    assert json.loads(capsys.readouterr().out) == report
+
+
 def test_fuzz_count_zero_exits_2(files, capsys):
     code, _, err = run(capsys, ["fuzz", "--count", "0"])
     assert code == 2
@@ -553,3 +568,69 @@ def test_jets_errors_name_the_anchor_entry(files, capsys, tmp_path):
     assert err.startswith(
         f"schema error: --anchor {anchor}: V: bad transition entry at row 0, column 0: "
     )
+
+
+def _v(*atoms, genus=0):
+    return {"genus": genus, "atoms": list(atoms)}
+
+
+LINE = {"rank": 1, "degree": 0}
+TANGENT_AT_3 = {"rank": 1, "degree": 3, "is_tangent": True}
+O1 = {"rank": 1, "transition": [["z"]]}
+ISO = {"kind": "isomorphism"}
+
+# (command, option at fault, its document, exit code, message after the prefix)
+INPUT_ERRORS = [
+    ("decide", "algebroid",
+     {"V": _v({"rank": 2, "degree": 0, "stability": "stable"}, genus=1), "anchor": ISO}, 3,
+     "isomorphism anchor needs rank(V) = 1 = rank of the tangent bundle, got rank 2"),
+    ("decide", "algebroid", {"V": _v({"rank": 1, "degree": -1}), "anchor": ISO}, 3,
+     "isomorphism anchor requires V to be the tangent bundle (rank 1, degree 2, tangent-identified)"),
+    ("decide", "algebroid", {"V": _v(LINE, LINE), "anchor": {"kind": "nonzero", "section": ["1"]}},
+     3, "anchor section has 1 entries for rank 2"),
+    ("decide", "algebroid", [], 2, "algebroid document must be a JSON object"),
+    ("decide", "algebroid", {"V": _v(LINE), "anchor": "zero"}, 2,
+     "'anchor' must be an object with a 'kind'"),
+    ("decide", "algebroid", {"V": _v(LINE), "anchor": {"kind": "zero", "section": "1"}}, 2,
+     "anchor section must be a list of Laurent strings"),
+    # the tangent atom's degree error names its atom, as every other atom error does
+    ("decide", "algebroid", {"V": _v(LINE, TANGENT_AT_3), "anchor": {"kind": "zero"}}, 2,
+     "V: atom #1: tangent atom must have degree 2 at genus 0, got 3"),
+    ("decide", "bundle", [], 2, "bundle document must be a JSON object"),
+    ("decide", "bundle", {"genus": 0, "atoms": [1]}, 2, "atom #0 must be an object"),
+    ("decide", "bundle", _v(dict(LINE, label=3)), 2, "atom #0 label must be a string"),
+    ("decide", "bundle", _v(dict(LINE, is_tangent="yes")), 2, "atom #0 is_tangent must be a boolean"),
+    ("decide", "bundle", _v({"rank": 2, "degree": 0, "is_tangent": True}, genus=1), 2,
+     "atom #0: is_tangent requires rank 1"),
+    ("decide", "bundle", _v(LINE, TANGENT_AT_3), 2,
+     "atom #1: tangent atom must have degree 2 at genus 0, got 3"),
+    ("split", "bundle", [1], 2, "bundle document must be a JSON object"),
+    ("split", "bundle", {"rank": 1}, 2, "bundle document needs 'rank' and 'transition'"),
+    ("split", "bundle", {"rank": 2, "transition": [["1"]]}, 2,
+     "'transition' must be a rank x rank grid of Laurent strings"),
+    ("connect", "anchor", [], 2, "anchor document must be a JSON object"),
+    ("connect", "anchor", {"V": O1}, 2, "anchor document needs 'V' and 'phi_row'"),
+    ("connect", "anchor", {"V": O1, "phi_row": ["1", "1"]}, 2,
+     "'phi_row' must be a list of 1 Laurent strings"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, doc, code, message",
+    INPUT_ERRORS,
+    ids=[f"{case[0]}-{case[1]}-{n}" for n, case in enumerate(INPUT_ERRORS)],
+)
+def test_input_errors_name_the_option_the_file_and_the_fault(
+    files, capsys, tmp_path, command, option, doc, code, message
+):
+    inputs = {
+        "decide": {"algebroid": files["algebroid"], "bundle": files["bundle"]},
+        "split": {"bundle": files["p1"]},
+        "connect": {"bundle": files["o2"], "anchor": files["tangent"]},
+    }[command]
+    inputs[option] = path = write(tmp_path, "fault.json", doc)
+    argv = [command] + [arg for name, p in inputs.items() for arg in (f"--{name}", p)]
+    got, out, err = run(capsys, argv)
+    kind = "schema" if code == 2 else "validation"
+    assert (got, out) == (code, None)
+    assert err == f"{kind} error: --{option} {path}: {message}\n"

@@ -35,6 +35,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from oracles import (
     fraction_inverse,
     fraction_laurent_product,
+    fraction_laurent_sum,
     fraction_matmul,
     fraction_nullspace,
 )
@@ -204,6 +205,16 @@ def test_poly_kernels_keep_canonical_form(p, q, k):
         _assert_canonical_poly(x)
     assert all(x.is_zero for x in cancelling)
     assert (p + q) * (p - q) == p * p - q * q
+
+
+@given(poly_strategy, poly_strategy, st.sampled_from([0, 1, -1]))
+def test_sums_match_the_fraction_reference(p, q, tie):
+    if tie:  # q = p or q = -p, so that p - q or p + q cancels to zero
+        q = p * tie
+    a, b = p.coeffs, q.coeffs
+    for got, want in ((p + q, [(a, 0, 1), (b, 0, 1)]), (p - q, [(a, 0, 1), (b, 0, -1)])):
+        assert got.coeffs == fraction_laurent_sum(want)
+        assert all(_is_canonical_scalar(c) for c in got.coeffs.values())
 
 
 @settings(max_examples=40)

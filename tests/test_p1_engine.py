@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import namedtuple
@@ -10,7 +11,15 @@ from fractions import Fraction
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from oracles import column, h0_by_linear_solve, min_exponent, monomial_det, split_diagonal, trace
+from oracles import (
+    column,
+    fraction_laurent_sum,
+    h0_by_linear_solve,
+    min_exponent,
+    monomial_det,
+    split_diagonal,
+    trace,
+)
 
 from algconn import p1_engine
 from algconn.cli import main
@@ -552,6 +561,33 @@ def test_u1_runs_past_its_zero_terms():
     assert N @ U1 == LaurentMatrix.identity(3)
     assert min_exponent(U1) == -4
     assert U1.entry(0, 2) == LaurentPoly.z(-4)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_row_step_matches_the_fraction_reference(seed):
+    # _combine, the reduction's row step: entry j is the sum of k z^s rows[i][j]
+    # over the terms (i, s, k), with k a nonzero canonical scalar as kappa is
+    rng = random.Random(seed)
+    r, width = rng.randint(1, 4), rng.randint(1, 4)
+
+    def scalar():
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+        return c.numerator if c.denominator == 1 else c
+
+    rows = [[{rng.randint(-3, 3): scalar() for _ in range(rng.randint(0, 3))} for _ in range(width)]
+            for _ in range(r)]
+    terms = [(i, rng.randint(-2, 2), scalar()) for i in rng.sample(range(r), rng.randint(1, r))]
+    cancel = seed % 4 == 0
+    if cancel:
+        terms += [(i, s, -k) for i, s, k in terms]
+    before = [[dict(x) for x in row] for row in rows]
+    got = p1_engine._combine(rows, terms)
+    assert got == [fraction_laurent_sum([(rows[i][j], s, k) for i, s, k in terms])
+                   for j in range(width)]
+    assert all(type(c) is int or c.denominator > 1 for x in got for c in x.values())
+    assert rows == before  # the rows it reads are left as they were
+    if cancel:
+        assert got == [{}] * width
 
 
 NONCONSTANT_DET = [["1", "z^-1"], ["-1", "1"]]
