@@ -60,8 +60,10 @@ certificate.
 
 run_fuzz records each case where the decision and the engine disagree, and
 `algconn fuzz` exits 1 when it recorded one: fuzz-failure-record drops the
-record and fuzz-mismatch-exit the exit status. The harness lists 57
-mutants.
+record and fuzz-mismatch-exit the exit status. `algconn decide` on an
+algebroid and a bundle of different genus names both inputs:
+decide-genus-names leaves the fault to decide_connection, whose message
+names neither. The harness lists 58 mutants.
 """
 
 from __future__ import annotations
@@ -368,6 +370,13 @@ MUTANTS = (
         CLI,
         'return EXIT_OK if outcome.report["mismatches"] == 0 else EXIT_MISMATCH',
         "return EXIT_OK",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "decide-genus-names",
+        CLI,
+        "if desc.V.context != bundle.context:",
+        "if False:",
         CLI_TESTS,
     ),
 )

@@ -11,21 +11,14 @@ import argparse
 import json
 import sys
 
-from .algebroid_decision import (
-    algebroid_from_json,
-    decide_connection,
-    decision_to_json,
-    validate_algebroid,
-)
-from .errors import AlgconnError, PreconditionFailed, SchemaError, naming
+# A module that only some commands run is imported inside them, so that a
+# cold `split` or `cohomology` compiles neither the decision layer, the jet
+# layer nor the sampler. formal_bundles and p1_engine stay here:
+# bench/tracer.py patches formal_bundles by name at install, and
+# bench/selftest.py checks that the patch reaches this module's
+# birkhoff_split.
+from .errors import AlgconnError, ContextMismatch, PreconditionFailed, SchemaError, naming
 from .formal_bundles import bundle_from_json
-from .jet_obstruction import (
-    _cocycle_and_connection,
-    anchor_from_json,
-    cert_to_json,
-    jet1_transition,
-    jetV_transition,
-)
 from .p1_engine import (
     birkhoff_split,
     cohomology_dims,
@@ -35,7 +28,6 @@ from .p1_engine import (
     serre_dual_check,
     splitting_to_json,
 )
-from .sampling import run_fuzz
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -75,9 +67,22 @@ def _emit(payload) -> None:
 
 
 def cmd_decide(args) -> int:
+    from .algebroid_decision import (
+        algebroid_from_json,
+        decide_connection,
+        decision_to_json,
+        validate_algebroid,
+    )
+
     # validated here so that an invalid anchor names --algebroid
     desc = _read(args, "algebroid", lambda doc: validate_algebroid(algebroid_from_json(doc)))
     bundle = _read(args, "bundle", bundle_from_json)
+    if desc.V.context != bundle.context:
+        raise ContextMismatch(
+            f"--algebroid {args.algebroid} at genus {desc.V.context.genus}, "
+            f"--bundle {args.bundle} at genus {bundle.context.genus}: "
+            "the algebroid and the bundle must lie on one curve"
+        )
     decision = decide_connection(desc, bundle)
     _emit(decision_to_json(decision))
     return EXIT_OK
@@ -111,6 +116,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_connect(args) -> int:
+    from .jet_obstruction import _cocycle_and_connection, anchor_from_json, cert_to_json
+
     bundle = _read(args, "bundle", p1bundle_from_json)
     anchor = _read(args, "anchor", anchor_from_json)
     cocycle, cert = _cocycle_and_connection(bundle, anchor)
@@ -125,6 +132,8 @@ def cmd_connect(args) -> int:
 
 
 def cmd_jets(args) -> int:
+    from .jet_obstruction import anchor_from_json, jet1_transition, jetV_transition
+
     bundle = _read(args, "bundle", p1bundle_from_json)
     jet1 = jet1_transition(bundle)
     payload = {
@@ -141,6 +150,8 @@ def cmd_jets(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .sampling import run_fuzz
+
     if args.count < 1:
         sys.stderr.write("fuzz: --count must be at least 1\n")
         return EXIT_USAGE

@@ -634,3 +634,15 @@ def test_input_errors_name_the_option_the_file_and_the_fault(
     kind = "schema" if code == 2 else "validation"
     assert (got, out) == (code, None)
     assert err == f"{kind} error: --{option} {path}: {message}\n"
+
+
+def test_genus_mismatch_names_both_options_files_and_genera(capsys, tmp_path):
+    # the fault lies in neither input alone, so the error names both
+    algebroid = write(tmp_path, "alg.json", {"V": _v(LINE, genus=1), "anchor": {"kind": "zero"}})
+    bundle = write(tmp_path, "bundle.json", _v(LINE))
+    got, out, err = run(capsys, ["decide", "--algebroid", algebroid, "--bundle", bundle])
+    assert (got, out) == (3, None)
+    assert err == (
+        f"validation error: --algebroid {algebroid} at genus 1, --bundle {bundle} at genus 0: "
+        "the algebroid and the bundle must lie on one curve\n"
+    )

@@ -1,12 +1,13 @@
 """Value semantics of the record types: construction, equality, hashing,
-immutability, repr, copying and pickling; and the import cost of the CLI."""
+immutability, repr, copying and pickling; the exported names; and the
+modules that importing the CLI and running each command load."""
 
 import copy
+import json
 import os
 import pickle
 import subprocess
 import sys
-import types
 from fractions import Fraction
 
 import pytest
@@ -275,34 +276,101 @@ def test_certificate_checks_take_the_recorded_parameters():
 
 
 def test_exports_are_exactly_the_public_names():
-    # two-sided: a removed name still bound fails, and so does an unrecorded new one
-    public = {
-        name
-        for name, value in vars(algconn).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
+    # two-sided: a removed name still listed fails, and so does an unrecorded
+    # new one. The names load lazily, so vars(algconn) holds only those read
+    # so far; __all__ and dir() list them all, and each must resolve.
     assert len(set(EXPORTS)) == len(EXPORTS)
+    assert len(set(algconn.__all__)) == len(algconn.__all__)
+    assert set(algconn.__all__) | {"__version__"} == set(EXPORTS)
+    public = {name for name in dir(algconn) if not name.startswith("_")}
     assert public | {"__version__"} == set(EXPORTS)
+    for name in EXPORTS:
+        assert getattr(algconn, name) is not None, name
+    with pytest.raises(AttributeError):
+        algconn.not_an_export
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_child(code: str) -> list:
+    """The stdout lines of `code` run in a fresh interpreter that imports
+    algconn from this checkout."""
+    # the child sees no PYTHON* variable, PYTHONDONTWRITEBYTECODE included, so
+    # -B keeps it from writing bytecode caches into the source tree
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", f"import sys\nsys.path[:1] = [{SRC!r}]\n" + code],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
-        "import sys\n"
-        f"sys.path[:1] = [{src!r}]\n"
         "before = set(sys.modules)\n"
         "import algconn.cli\n"
         "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))\n"
         "import algconn\n"
         f"print([n for n in {EXPORTS!r} if not hasattr(algconn, n)])\n"
     )
-    # the child sees no PYTHON* variable, PYTHONDONTWRITEBYTECODE included, so
-    # -B keeps it from writing bytecode caches into the source tree
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert run_child(code) == ["[]", "[]"]
     assert all(hasattr(algconn, n) for n in EXPORTS)
+
+
+# What `import algconn.cli` loads. Each command imports the rest of what it
+# runs when it runs. formal_bundles and p1_engine stay eager all the same:
+# bench/tracer.py patches formal_bundles' functions by name when it installs,
+# which needs the module loaded, and bench/selftest.py asserts that the
+# tracer's patch of p1_engine.birkhoff_split reaches algconn.cli's name.
+CLI_IMPORT = {"algconn", "algconn.cli", "algconn.errors", "algconn.exact_core",
+              "algconn.formal_bundles", "algconn.p1_engine"}
+
+# the commands run in one process, and the modules they add to CLI_IMPORT
+COMMAND_MODULES = [
+    (("split", "cohomology"), set()),
+    (("connect",), {"algconn.jet_obstruction"}),
+    (("jets",), {"algconn.jet_obstruction"}),
+    (("decide",), {"algconn.algebroid_decision"}),
+]
+
+
+@pytest.mark.parametrize("commands, added", COMMAND_MODULES,
+                         ids=["+".join(commands) for commands, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, commands, added):
+    files = {
+        "p1": {"rank": 2, "transition": [["z^-1", "1"], ["0", "z"]]},
+        "anchor": {"V": {"rank": 1, "transition": [["-z^2"]]}, "phi_row": ["1"]},
+        "algebroid": {"V": {"genus": 0, "atoms": [{"rank": 1, "degree": -3}]},
+                      "anchor": {"kind": "nonzero", "section": ["z^5 + 1"]}},
+        "formal": {"genus": 0, "atoms": [{"rank": 1, "degree": 7}]},
+    }
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    argvs = {
+        "split": ["split", "--bundle", paths["p1"]],
+        "cohomology": ["cohomology", "--bundle", paths["p1"]],
+        "connect": ["connect", "--bundle", paths["p1"], "--anchor", paths["anchor"]],
+        "jets": ["jets", "--bundle", paths["p1"], "--anchor", paths["anchor"]],
+        "decide": ["decide", "--algebroid", paths["algebroid"], "--bundle", paths["formal"]],
+    }
+    code = (
+        "import contextlib, io\n"
+        "import algconn.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'algconn')\n"
+        "print(loaded(), 'random' in sys.modules)\n"
+        f"for argv in {[argvs[c] for c in commands]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = algconn.cli.main(argv)\n"
+        "    print(code)\n"
+        "print(loaded())\n"
+    )
+    lines = run_child(code)
+    assert lines[0] == f"{sorted(CLI_IMPORT)} False"
+    assert lines[1:-1] == ["0"] * len(commands)
+    assert lines[-1] == str(sorted(CLI_IMPORT | added))
