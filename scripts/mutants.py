@@ -63,7 +63,9 @@ run_fuzz records each case where the decision and the engine disagree, and
 record and fuzz-mismatch-exit the exit status. `algconn decide` on an
 algebroid and a bundle of different genus names both inputs:
 decide-genus-names leaves the fault to decide_connection, whose message
-names neither. The harness lists 58 mutants.
+names neither. The command line is read from one table: cli-required-option
+lets a required option be left out, and cli-unknown-option lets an option
+the command does not take through. The harness lists 60 mutants.
 """
 
 from __future__ import annotations
@@ -379,6 +381,9 @@ MUTANTS = (
         "if False:",
         CLI_TESTS,
     ),
+    # the command line: a required option left out, or one the command does not take
+    Mutant("cli-required-option", CLI, "if missing:", "if False:", CLI_TESTS),
+    Mutant("cli-unknown-option", CLI, "if name not in kinds:", "if False:", CLI_TESTS),
 )
 
 

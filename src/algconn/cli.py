@@ -7,9 +7,9 @@ schema errors, 3 domain validation failures.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 # A module that only some commands run is imported inside them, so that a
 # cold `split` or `cohomology` compiles neither the decision layer, the jet
@@ -160,55 +160,117 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if outcome.report["mismatches"] == 0 else EXIT_MISMATCH
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="algconn",
-        description="Decide and construct Lie algebroid connections on "
-        "holomorphic vector bundles: formal criterion at any genus, exact "
-        "cohomological computation on the projective line.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# One row per command: its handler, its help line and its options. An option
+# is (name, help, required, type, default); main reads it as --name value or
+# --name=value, and an option given twice keeps its last value.
+COMMANDS = {
+    "decide": (cmd_decide, "apply the existence criterion to formal data", (
+        ("algebroid", "algebroid descriptor JSON file", True, str, None),
+        ("bundle", "formal bundle JSON file", True, str, None),
+    )),
+    "split": (cmd_split, "split a transition matrix into line bundles", (
+        ("bundle", "P1 bundle JSON file", True, str, None),
+    )),
+    "cohomology": (cmd_cohomology, "cohomology dimensions and duality checks", (
+        ("bundle", "P1 bundle JSON file", True, str, None),
+    )),
+    "connect": (cmd_connect, "compute the obstruction and a certificate", (
+        ("bundle", "P1 bundle JSON file", True, str, None),
+        ("anchor", "concrete anchor JSON file", True, str, None),
+    )),
+    "jets": (cmd_jets, "first jet bundle and anchored jet bundle", (
+        ("bundle", "P1 bundle JSON file", True, str, None),
+        ("anchor", "concrete anchor JSON file", False, str, None),
+    )),
+    "fuzz": (cmd_fuzz, "cross-validate the criterion against the engine", (
+        ("count", "number of random cases", True, int, None),
+        ("seed", "RNG seed (default 0)", False, int, 0),
+    )),
+}
 
-    p = sub.add_parser("decide", help="apply the existence criterion to formal data")
-    p.add_argument("--algebroid", required=True, help="algebroid descriptor JSON file")
-    p.add_argument("--bundle", required=True, help="formal bundle JSON file")
-    p.set_defaults(func=cmd_decide)
+DESCRIPTION = (
+    "Decide and construct Lie algebroid connections on holomorphic vector bundles:\n"
+    "formal criterion at any genus, exact cohomological computation on the\n"
+    "projective line."
+)
 
-    p = sub.add_parser("split", help="split a transition matrix into line bundles")
-    p.add_argument("--bundle", required=True, help="P1 bundle JSON file")
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("cohomology", help="cohomology dimensions and duality checks")
-    p.add_argument("--bundle", required=True, help="P1 bundle JSON file")
-    p.set_defaults(func=cmd_cohomology)
+class _UsageError(Exception):
+    """A command line that COMMANDS does not accept. Its args are the command
+    the line names (None when it names none) and what is wrong with it."""
 
-    p = sub.add_parser("connect", help="compute the obstruction and a certificate")
-    p.add_argument("--bundle", required=True, help="P1 bundle JSON file")
-    p.add_argument("--anchor", required=True, help="concrete anchor JSON file")
-    p.set_defaults(func=cmd_connect)
 
-    p = sub.add_parser("jets", help="first jet bundle and anchored jet bundle")
-    p.add_argument("--bundle", required=True, help="P1 bundle JSON file")
-    p.add_argument("--anchor", help="concrete anchor JSON file")
-    p.set_defaults(func=cmd_jets)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: algconn {{{','.join(COMMANDS)}}} [--option value ...]"
+    words = [f"--{name} {name.upper()}" if required else f"[--{name} {name.upper()}]"
+             for name, _, required, _, _ in COMMANDS[command][2]]
+    return " ".join(["usage: algconn", command, *words])
 
-    p = sub.add_parser("fuzz", help="cross-validate the criterion against the engine")
-    p.add_argument("--count", type=int, required=True, help="number of random cases")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.set_defaults(func=cmd_fuzz)
 
-    return parser
+def _help(command: str | None) -> str:
+    if command is None:
+        rows = [(name, line) for name, (_, line, _) in COMMANDS.items()]
+        body = [DESCRIPTION, "", "commands:"]
+        tail = ["", "algconn <command> --help lists the options of a command."]
+    else:
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(f"--{name} {name.upper()}", text)
+                 for name, text, _, _, _ in COMMANDS[command][2]]
+        body = [COMMANDS[command][1], "", "options:"]
+        tail = []
+    width = max(len(label) for label, _ in rows) + 2
+    lines = [_usage(command), "", *body]
+    lines += [f"  {label:<{width}}{text}" for label, text in rows]
+    return "\n".join(lines + tail) + "\n"
+
+
+def _parse(argv: list[str]):
+    """The handler and the namespace of its options that argv names, or a
+    _UsageError. Options must be spelled out in full."""
+    if not argv:
+        raise _UsageError(None, "a command is required")
+    command, tokens = argv[0], iter(argv[1:])
+    if command not in COMMANDS:
+        raise _UsageError(None, f"invalid choice: {command!r} (choose from {', '.join(COMMANDS)})")
+    handler, _, options = COMMANDS[command]
+    kinds = {name: kind for name, _, _, kind, _ in options}
+    values = {}
+    for token in tokens:
+        name, eq, value = token[2:].partition("=") if token.startswith("--") else ("", "", "")
+        if name not in kinds:
+            raise _UsageError(command, f"unrecognized argument: {token}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(command, f"argument --{name}: expected one argument")
+        try:
+            values[name] = kinds[name](value)
+        except ValueError:
+            raise _UsageError(
+                command, f"argument --{name}: invalid {kinds[name].__name__} value: {value!r}"
+            ) from None
+    missing = [f"--{name}" for name, _, required, _, _ in options if required and name not in values]
+    if missing:
+        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**{name: values.get(name, default)
+                                       for name, _, _, _, default in options})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help(argv[0] if argv[0] in COMMANDS else None))
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
-        return int(exc.code or 0)
+        handler, args = _parse(argv)
+    except _UsageError as exc:
+        command, message = exc.args
+        prog = "algconn" if command is None else f"algconn {command}"
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+        return EXIT_USAGE
     try:
-        return args.func(args)
+        return handler(args)
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return EXIT_USAGE

@@ -427,14 +427,79 @@ def test_missing_file_exits_2(files, capsys):
     assert code == 2
 
 
-def test_usage_error_exits_2(files, capsys):
-    assert main(["split"]) == 2
-    capsys.readouterr()
+# argv (a name of the files fixture stands for its path), the program that
+# the usage error's second line names, and the token at fault it must name
+USAGE_ERRORS = {
+    "no-command": ([], "algconn", "a command is required"),
+    "unknown-command": (["bogus"], "algconn", "'bogus'"),
+    "option-before-command": (["--bogus", "split"], "algconn", "'--bogus'"),
+    "unknown-option": (["split", "--bogus", "x"], "algconn split", "--bogus"),
+    "unknown-option-with-equals": (["split", "--bogus=x", "--bundle", "p1"], "algconn split", "--bogus=x"),
+    "abbreviated-option": (["split", "--bund", "p1"], "algconn split", "--bund"),
+    "stray-argument": (["split", "--bundle", "p1", "extra"], "algconn split", "extra"),
+    "missing-value": (["split", "--bundle"], "algconn split", "--bundle"),
+    "missing-value-before-option": (
+        ["connect", "--anchor", "--bundle", "p1"], "algconn connect", "--anchor"),
+    "missing-required": (["split"], "algconn split", "--bundle"),
+    "missing-second-required": (["connect", "--bundle", "p1"], "algconn connect", "--anchor"),
+    "non-integer-count": (["fuzz", "--count", "abc"], "algconn fuzz", "abc"),
+    "non-integer-seed": (["fuzz", "--count", "1", "--seed=abc"], "algconn fuzz", "abc"),
+}
+
+
+@pytest.mark.parametrize("argv, prog, token", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_2(files, capsys, argv, prog, token):
+    code, doc, err = run(capsys, [files.get(a, a) for a in argv])
+    assert code == 2
+    assert doc is None
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: {prog} ")
+    assert error.startswith(f"{prog}: error: ")
+    assert token in error
+
+
+def test_an_option_takes_its_value_after_an_equals_sign_too(files, capsys):
+    main(["connect", "--bundle", files["p1"], "--anchor", files["tangent"]])
+    expected = capsys.readouterr().out
+    assert main(["connect", f"--bundle={files['p1']}", f"--anchor={files['tangent']}"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_a_repeated_option_keeps_its_last_value(files, capsys):
+    main(["split", "--bundle", files["p1"]])
+    expected = capsys.readouterr().out
+    assert main(["split", "--bundle", files["badjson"], "--bundle", files["p1"]]) == 0
+    assert capsys.readouterr().out == expected
+    code, _, err = run(capsys, ["split", "--bundle", files["p1"], "--bundle", files["nonunit"]])
+    assert code == 3
+    assert "--bundle " + files["nonunit"] in err
 
 
 def test_help_exits_0(files, capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# what each help text lists: the commands at the top level, else the options
+HELP_LISTS = {
+    None: ["decide", "split", "cohomology", "connect", "jets", "fuzz"],
+    "decide": ["--algebroid", "--bundle"],
+    "split": ["--bundle"],
+    "cohomology": ["--bundle"],
+    "connect": ["--bundle", "--anchor"],
+    "jets": ["--bundle", "--anchor"],
+    "fuzz": ["--count", "--seed"],
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", HELP_LISTS, ids=lambda c: c or "top")
+def test_help_lists_the_commands_or_the_options(capsys, command, flag):
+    assert main([flag] if command is None else [command, flag]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.startswith(f"usage: algconn {command or ''}".rstrip())
+    assert all(name in out.out for name in HELP_LISTS[command])
 
 
 # -- every schema or validation error names the input at fault ------------------

@@ -308,10 +308,12 @@ def run_child(code: str) -> list:
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # nor argparse and gettext: the CLI parses its arguments from its own table
     code = (
         "before = set(sys.modules)\n"
         "import algconn.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'argparse', 'gettext'}\n"
+        "             & (set(sys.modules) - before)))\n"
         "import algconn\n"
         f"print([n for n in {EXPORTS!r} if not hasattr(algconn, n)])\n"
     )
@@ -368,9 +370,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, commands, added):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = algconn.cli.main(argv)\n"
         "    print(code)\n"
-        "print(loaded())\n"
+        "print(loaded(), 'argparse' in sys.modules)\n"
     )
     lines = run_child(code)
     assert lines[0] == f"{sorted(CLI_IMPORT)} False"
     assert lines[1:-1] == ["0"] * len(commands)
-    assert lines[-1] == str(sorted(CLI_IMPORT | added))
+    assert lines[-1] == f"{sorted(CLI_IMPORT | added)} False"
