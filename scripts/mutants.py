@@ -64,8 +64,11 @@ record and fuzz-mismatch-exit the exit status. `algconn decide` on an
 algebroid and a bundle of different genus names both inputs:
 decide-genus-names leaves the fault to decide_connection, whose message
 names neither. The command line is read from one table: cli-required-option
-lets a required option be left out, and cli-unknown-option lets an option
-the command does not take through. The harness lists 60 mutants.
+lets a required option be left out, cli-unknown-option lets an option the
+command does not take through, and cli-positive-count lets a count below 1
+reach run_fuzz. A Decision reads its verdict off its reason, in one table
+of algebroid_decision: decision-verdict-row makes the undecided case
+answer "exists". The harness lists 61 mutants.
 """
 
 from __future__ import annotations
@@ -87,11 +90,13 @@ P1 = "src/algconn/p1_engine.py"
 JET = "src/algconn/jet_obstruction.py"
 CORE = "src/algconn/exact_core.py"
 CLI = "src/algconn/cli.py"
+DECISION = "src/algconn/algebroid_decision.py"
 SAMPLING = "src/algconn/sampling.py"
 P1_TESTS = "tests/test_p1_engine.py"
 JET_TESTS = "tests/test_jet_obstruction.py"
 CLI_TESTS = "tests/test_cli.py"
 CORE_TESTS = "tests/test_exact_core.py"
+DECISION_TESTS = "tests/test_algebroid_decision.py"
 TIMEOUT_S = 300  # one test file; a mutant that hangs its tests is an error, not a kill
 
 VERIFY_SHAPES = "if U0.shape != (r, r) or U1.shape != (r, r):"
@@ -136,9 +141,8 @@ MUTANTS = (
         "except ZeroDivisionError as exc:",
         P1_TESTS,
     ),
-    # P1Bundle's shape guards
+    # P1Bundle's shape guard; the rank is read off the transition
     Mutant("bundle-square", P1, "if not self.transition.is_square:", "if False:", P1_TESTS),
-    Mutant("bundle-rank", P1, "if self.transition.rows != self.rank:", "if False:", P1_TESTS),
     # a reduction step that leaves U0's row as it was, and U1 = C^(-1) W with
     # C^(-1)'s rows left undivided by their pivots: the record refuses both
     Mutant("reduction-step", P1, "        v_rows[i0] = _combine(v_rows, terms)\n", "", P1_TESTS),
@@ -381,9 +385,19 @@ MUTANTS = (
         "if False:",
         CLI_TESTS,
     ),
-    # the command line: a required option left out, or one the command does not take
+    # the command line: a required option left out, one the command does not
+    # take, or a count below 1
     Mutant("cli-required-option", CLI, "if missing:", "if False:", CLI_TESTS),
     Mutant("cli-unknown-option", CLI, "if name not in kinds:", "if False:", CLI_TESTS),
+    Mutant("cli-positive-count", CLI, "if value < 1:", "if False:", CLI_TESTS),
+    # a decision's verdict is read off its reason: one wrong row of the table
+    Mutant(
+        "decision-verdict-row",
+        DECISION,
+        "Reason.HYPOTHESES_UNMET: (Verdict.UNDECIDED,",
+        "Reason.HYPOTHESES_UNMET: (Verdict.EXISTS,",
+        DECISION_TESTS,
+    ),
 )
 
 

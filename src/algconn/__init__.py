@@ -16,12 +16,12 @@ _SOURCE = {
     for module, names in (
         ("algebroid_decision", "AlgebroidDesc AnchorDesc AnchorKind Decision Reason Verdict "
                                "anchor_forced_zero decide_connection validate_algebroid"),
-        ("exact_core", "LaurentMatrix LaurentPoly Rat laurent_parse"),
+        ("exact_core", "LaurentMatrix LaurentPoly laurent_parse"),
         ("formal_bundles", "Atom CurveContext FormalBundle Stability atiyah_weil"),
         ("jet_obstruction", "ConcreteAnchor ConnectionCert ObstructionCocycle "
-                            "connection_exists_p1 construct_connection jet1_transition "
-                            "jetV_transition obstruction_cocycle tangent_anchor "
-                            "verify_connection verify_witness zero_anchor"),
+                            "construct_connection jet1_transition jetV_transition "
+                            "obstruction_cocycle tangent_anchor verify_connection "
+                            "verify_witness zero_anchor"),
         ("p1_engine", "GlobalSection P1Bundle SplittingData birkhoff_split cohomology_dims "
                       "dual_bundle gauge_transform global_sections hom_bundle hom_sections "
                       "line_bundle riemann_roch_check serre_dual_check split_bundle "

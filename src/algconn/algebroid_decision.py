@@ -79,30 +79,40 @@ class Reason(str, Enum):
     HYPOTHESES_UNMET = "HypothesesUnmet"
 
 
-CITATIONS = {
-    Reason.ZERO_ANCHOR: "zero anchor: the zero homomorphism E -> E (x) V* is a connection",
-    Reason.STABLE_RANK_GE2: "stable anchor bundle of rank >= 2: the obstruction class vanishes",
-    Reason.RANK_ONE_NOT_TANGENT: "line-bundle anchor other than the tangent bundle: "
-    "the obstruction class vanishes",
-    Reason.ANCHOR_ISO_AW: "anchor an isomorphism: Atiyah-Weil criterion "
-    "(every indecomposable component of degree zero)",
-    Reason.HYPOTHESES_UNMET: "outside the hypotheses of the criterion: no verdict",
+# Each case of the criterion: the verdict it gives and the result it cites.
+_RULES = {
+    Reason.ZERO_ANCHOR: (Verdict.EXISTS, "zero anchor: the zero homomorphism "
+                         "E -> E (x) V* is a connection"),
+    Reason.STABLE_RANK_GE2: (Verdict.EXISTS, "stable anchor bundle of rank >= 2: "
+                             "the obstruction class vanishes"),
+    Reason.RANK_ONE_NOT_TANGENT: (Verdict.EXISTS, "line-bundle anchor other than the "
+                                  "tangent bundle: the obstruction class vanishes"),
+    Reason.ANCHOR_ISO_AW: (Verdict.EXISTS_IFF_ATIYAH_WEIL, "anchor an isomorphism: "
+                           "Atiyah-Weil criterion (every indecomposable component "
+                           "of degree zero)"),
+    Reason.HYPOTHESES_UNMET: (Verdict.UNDECIDED, "outside the hypotheses of the "
+                              "criterion: no verdict"),
 }
 
 
 class Decision(_Value):
-    __slots__ = _fields = ("verdict", "reason", "atiyah_weil")
+    """The case of the criterion that applies, and the Atiyah-Weil answer
+    where that case needs one. The verdict and the citation are read off
+    the case, in _RULES."""
 
-    def __init__(
-        self, verdict: Verdict, reason: Reason, atiyah_weil: bool | None = None
-    ) -> None:
-        object.__setattr__(self, "verdict", verdict)
+    __slots__ = _fields = ("reason", "atiyah_weil")
+
+    def __init__(self, reason: Reason, atiyah_weil: bool | None = None) -> None:
         object.__setattr__(self, "reason", reason)
         object.__setattr__(self, "atiyah_weil", atiyah_weil)
 
     @property
+    def verdict(self) -> Verdict:
+        return _RULES[self.reason][0]
+
+    @property
     def citation(self) -> str:
-        return CITATIONS[self.reason]
+        return _RULES[self.reason][1]
 
     def as_bool(self) -> bool:
         """Resolve to a plain existence answer where one is determined."""
@@ -232,16 +242,14 @@ def decide_connection(desc: AlgebroidDesc, E: FormalBundle) -> Decision:
     V, anchor = desc.V, desc.anchor
 
     if anchor.kind == AnchorKind.ZERO:
-        return Decision(Verdict.EXISTS, Reason.ZERO_ANCHOR)
+        return Decision(Reason.ZERO_ANCHOR)
     if V.rank >= 2:
         if len(V.atoms) == 1 and V.atoms[0].stability == Stability.STABLE:
-            return Decision(Verdict.EXISTS, Reason.STABLE_RANK_GE2)
-        return Decision(Verdict.UNDECIDED, Reason.HYPOTHESES_UNMET)
+            return Decision(Reason.STABLE_RANK_GE2)
+        return Decision(Reason.HYPOTHESES_UNMET)
     if not _is_tangent_bundle(V):
-        return Decision(Verdict.EXISTS, Reason.RANK_ONE_NOT_TANGENT)
-    return Decision(
-        Verdict.EXISTS_IFF_ATIYAH_WEIL, Reason.ANCHOR_ISO_AW, atiyah_weil(E)
-    )
+        return Decision(Reason.RANK_ONE_NOT_TANGENT)
+    return Decision(Reason.ANCHOR_ISO_AW, atiyah_weil(E))
 
 
 # -- JSON interface ---------------------------------------------------------

@@ -152,12 +152,18 @@ def cmd_jets(args) -> int:
 def cmd_fuzz(args) -> int:
     from .sampling import run_fuzz
 
-    if args.count < 1:
-        sys.stderr.write("fuzz: --count must be at least 1\n")
-        return EXIT_USAGE
     outcome = run_fuzz(args.count, args.seed)
     _emit(outcome.report)
     return EXIT_OK if outcome.report["mismatches"] == 0 else EXIT_MISMATCH
+
+
+def positive(text: str) -> int:
+    """An int of at least 1. Its name completes the usage error of any
+    other value: invalid positive value: '0'."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 # One row per command: its handler, its help line and its options. An option
@@ -183,7 +189,7 @@ COMMANDS = {
         ("anchor", "concrete anchor JSON file", False, str, None),
     )),
     "fuzz": (cmd_fuzz, "cross-validate the criterion against the engine", (
-        ("count", "number of random cases", True, int, None),
+        ("count", "number of random cases", True, positive, None),
         ("seed", "RNG seed (default 0)", False, int, 0),
     )),
 }

@@ -1,13 +1,13 @@
 """Exact rational and Laurent-polynomial arithmetic.
 
 Scalars are exact rationals in one form: a Python int when the value is
-integral, and a `fractions.Fraction` (exported as `Rat`) with denominator > 1
-otherwise. So an int means integral and a Fraction is never integral; every
-coefficient a LaurentPoly stores or returns is in this form. int and
-Fraction mix exactly, compare equal and hash alike (hash(3) ==
-hash(Fraction(3))), and _q is the one normaliser that turns an integral
-Fraction into its int. No operation here ever rounds, and no helper divides
-two ints, which would give a float: a reciprocal is Fraction(1, p).
+integral, and a `fractions.Fraction` with denominator > 1 otherwise. So
+an int means integral and a Fraction is never integral; every coefficient
+a LaurentPoly stores or returns is in this form. int and Fraction mix
+exactly, compare equal and hash alike (hash(3) == hash(Fraction(3))), and
+_q is the one normaliser that turns an integral Fraction into its int. No
+operation here ever rounds, and no helper divides two ints, which would
+give a float: a reciprocal is Fraction(1, p).
 
 Laurent polynomials in the chart coordinate z are maps exponent -> nonzero
 rational; matrices over them carry the transition data of bundles on the
@@ -134,8 +134,6 @@ from math import gcd, lcm
 from operator import attrgetter
 
 from .errors import LaurentSyntaxError, PreconditionFailed, SchemaError
-
-Rat = Fraction
 
 
 def _q(c):

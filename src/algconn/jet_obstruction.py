@@ -149,10 +149,6 @@ class ObstructionCocycle(_Value):
     def __init__(self, overlap_matrix: LaurentMatrix) -> None:  # r x (r * rank V)
         object.__setattr__(self, "overlap_matrix", overlap_matrix)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.overlap_matrix.is_zero
-
 
 class ConnectionCert(_Value):
     """Local connection matrices: chart-0 operator phi^* d + A0 and chart-1
@@ -182,7 +178,7 @@ def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
     T_H = T.kron(birkhoff_split(anchor.V).transition_inverse.transpose())
     top = T_H.hstack(T.derivative().kron(anchor.phi_row.transpose()))
     bottom = LaurentMatrix.zeros(E.rank, T_H.rows).hstack(T)
-    return P1Bundle(T_H.rows + E.rank, top.vstack(bottom))
+    return P1Bundle(top.vstack(bottom))
 
 
 def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocycle:
@@ -394,12 +390,6 @@ def verify_witness(
         return False
     pairing = (anchor.phi_row @ w0).entry(0, 0) * (v @ T.derivative() @ x).entry(0, 0)
     return pairing.coeff(a_i - 1) != 0
-
-
-def connection_exists_p1(E: P1Bundle, anchor: ConcreteAnchor) -> bool:
-    """Ground truth for genus 0: a connection exists iff the obstruction
-    cocycle is a coboundary, in which case a verified certificate exists."""
-    return construct_connection(E, anchor) is not None
 
 
 # -- JSON interface ----------------------------------------------------------

@@ -82,42 +82,35 @@ class P1Bundle(_Value):
     unless T is invertible over the Laurent ring, and the degree is the sum
     of the splitting type. Duals, twists, tensor, hom and jet bundles are
     built this way too. That splitting is memoised, so birkhoff_split
-    returns it without a second reduction. Only rank and transition take
-    part in equality, hashing and repr.
+    returns it without a second reduction. The transition alone takes part
+    in equality, hashing and repr: rank and degree are read off it.
     """
 
-    _fields = ("rank", "transition")
-    __slots__ = _fields + ("degree",)
+    _fields = ("transition",)
+    __slots__ = _fields + ("rank", "degree")
 
-    def __init__(self, rank: int, transition: LaurentMatrix) -> None:
-        object.__setattr__(self, "rank", rank)
+    def __init__(self, transition: LaurentMatrix) -> None:
         object.__setattr__(self, "transition", transition)
         self.__post_init__()  # its own method, so that bench/tracer.py can time it
 
     def __post_init__(self):
         if not self.transition.is_square:
             raise NotAUnit("transition matrix must be square")
-        if self.transition.rows != self.rank:
-            raise ValueError(
-                f"rank {self.rank} does not match a "
-                f"{self.transition.rows}x{self.transition.cols} transition"
-            )
+        object.__setattr__(self, "rank", self.transition.rows)
         object.__setattr__(self, "degree", sum(_birkhoff_cached(self.transition).type))
 
 
 def line_bundle(a: int, coeff=1) -> P1Bundle:
-    return P1Bundle(1, LaurentMatrix([[LaurentPoly.monomial(coeff, a)]]))
+    return P1Bundle(LaurentMatrix([[LaurentPoly.monomial(coeff, a)]]))
 
 
 def trivial_bundle(rank: int) -> P1Bundle:
-    return P1Bundle(rank, LaurentMatrix.identity(rank))
+    return P1Bundle(LaurentMatrix.identity(rank))
 
 
 def split_bundle(exponents: Sequence[int]) -> P1Bundle:
     """Direct sum of line bundles O(a_i) as a diagonal transition."""
-    return P1Bundle(
-        len(exponents), LaurentMatrix.diag([LaurentPoly.z(a) for a in exponents])
-    )
+    return P1Bundle(LaurentMatrix.diag([LaurentPoly.z(a) for a in exponents]))
 
 
 _tangent = _trivial = None  # the tangent bundle and O (see global_sections), built on first use
@@ -136,13 +129,13 @@ def tangent_bundle() -> P1Bundle:
 def dual_bundle(E: P1Bundle) -> P1Bundle:
     """E*: transition T^(-T), with T^(-1) read off E's splitting. Its type
     is -a_r >= ... >= -a_1, so its degree is -deg E."""
-    return P1Bundle(E.rank, birkhoff_split(E).transition_inverse.transpose())
+    return P1Bundle(birkhoff_split(E).transition_inverse.transpose())
 
 
 def tensor_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
     """E (x) F with frames ordered row-major, i.e. kron(T_E, T_F). Its
     degree is r_F deg E + r_E deg F."""
-    return P1Bundle(E.rank * F.rank, E.transition.kron(F.transition))
+    return P1Bundle(E.transition.kron(F.transition))
 
 
 def hom_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
@@ -155,7 +148,7 @@ def hom_bundle(E: P1Bundle, F: P1Bundle) -> P1Bundle:
 def twist(E: P1Bundle, n: int) -> P1Bundle:
     """E (x) O(n): shifts every transition entry by z^n. Its type is E's
     plus n, so its degree is deg E + r n."""
-    return P1Bundle(E.rank, E.transition.shift(n))
+    return P1Bundle(E.transition.shift(n))
 
 
 def gauge_transform(E: P1Bundle, A: LaurentMatrix, B: LaurentMatrix) -> P1Bundle:
@@ -163,7 +156,7 @@ def gauge_transform(E: P1Bundle, A: LaurentMatrix, B: LaurentMatrix) -> P1Bundle
     1/z, both with constant nonzero determinant, for this to be a frame
     change; the result is validated like any other transition, by the
     reduction that splits it."""
-    return P1Bundle(E.rank, A @ E.transition @ B)
+    return P1Bundle(A @ E.transition @ B)
 
 
 # -- splitting --------------------------------------------------------------
@@ -476,7 +469,7 @@ def p1bundle_from_json(doc) -> P1Bundle:
     T = LaurentMatrix(
         [_parse_entries(row, f"transition entry at row {i}, column") for i, row in enumerate(rows)]
     )
-    return P1Bundle(rank, T)
+    return P1Bundle(T)
 
 
 def p1bundle_to_json(E: P1Bundle) -> dict:

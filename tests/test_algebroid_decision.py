@@ -6,6 +6,7 @@ from algconn.algebroid_decision import (
     AlgebroidDesc,
     AnchorDesc,
     AnchorKind,
+    Decision,
     Reason,
     Verdict,
     algebroid_from_json,
@@ -212,6 +213,30 @@ def test_json_round_trip():
                 "anchor": {"kind": "sideways"},
             }
         )
+
+
+# each case of the criterion, with the verdict and the citation it gives
+RULES = {
+    Reason.ZERO_ANCHOR: (
+        Verdict.EXISTS, "zero anchor: the zero homomorphism E -> E (x) V* is a connection"),
+    Reason.STABLE_RANK_GE2: (
+        Verdict.EXISTS, "stable anchor bundle of rank >= 2: the obstruction class vanishes"),
+    Reason.RANK_ONE_NOT_TANGENT: (
+        Verdict.EXISTS,
+        "line-bundle anchor other than the tangent bundle: the obstruction class vanishes"),
+    Reason.ANCHOR_ISO_AW: (
+        Verdict.EXISTS_IFF_ATIYAH_WEIL,
+        "anchor an isomorphism: Atiyah-Weil criterion (every indecomposable component of "
+        "degree zero)"),
+    Reason.HYPOTHESES_UNMET: (
+        Verdict.UNDECIDED, "outside the hypotheses of the criterion: no verdict"),
+}
+
+
+@pytest.mark.parametrize("reason", list(Reason), ids=lambda r: r.value)
+def test_a_decision_reads_its_verdict_and_citation_off_its_reason(reason):
+    d = Decision(reason)
+    assert (d.verdict, d.citation) == RULES[reason]
 
 
 def test_decision_json_carries_citation():

@@ -443,6 +443,8 @@ USAGE_ERRORS = {
     "missing-required": (["split"], "algconn split", "--bundle"),
     "missing-second-required": (["connect", "--bundle", "p1"], "algconn connect", "--anchor"),
     "non-integer-count": (["fuzz", "--count", "abc"], "algconn fuzz", "abc"),
+    "zero-count": (["fuzz", "--count", "0"], "algconn fuzz", "'0'"),
+    "negative-count": (["fuzz", "--count", "-3"], "algconn fuzz", "'-3'"),
     "non-integer-seed": (["fuzz", "--count", "1", "--seed=abc"], "algconn fuzz", "abc"),
 }
 

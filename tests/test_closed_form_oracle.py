@@ -32,7 +32,7 @@ to O(e_i) as O(e_i - 1)^2, as for J1; every other summand splits off.
 from algconn.exact_core import LaurentMatrix, LaurentPoly
 from algconn.jet_obstruction import (
     ConcreteAnchor,
-    connection_exists_p1,
+    construct_connection,
     jet1_transition,
     jetV_transition,
 )
@@ -90,7 +90,7 @@ def test_engine_matches_genus0_closed_form():
     answers = []
     for e_type, v_type, phi_split, gauged, E, anchor in _cases(120, 71):
         expected = closed_form_exists(e_type, v_type, phi_split)
-        got = connection_exists_p1(E, anchor)
+        got = construct_connection(E, anchor) is not None
         atiyah = any(v == 2 and not p.is_zero for v, p in zip(v_type, phi_split))
         answers.append((E.rank, anchor.V.rank, gauged, expected, not any(e_type), atiyah))
         if got != expected:

@@ -48,7 +48,7 @@ def lp(s: str) -> LaurentPoly:
 def unit_inv(M: LaurentMatrix) -> LaurentMatrix:
     """M^(-1) over the Laurent ring, read off the certified splitting of
     the bundle with transition M; raises NotAUnit when M is no unit."""
-    return birkhoff_split(P1Bundle(M.rows, M)).transition_inverse
+    return birkhoff_split(P1Bundle(M)).transition_inverse
 
 
 # -- parser ------------------------------------------------------------------
@@ -738,9 +738,9 @@ def test_integral_fractions_and_ints_share_memo_keys():
         ]
     )
     parsed = LaurentMatrix.parse([["3*z", "5 + 7*z^2"], ["0", "1/3"]])
-    E = P1Bundle(2, built)
+    E = P1Bundle(built)
     hits = _birkhoff_cached.cache_info().hits
-    F = P1Bundle(2, parsed)
+    F = P1Bundle(parsed)
     assert E == F and hash(E) == hash(F)
     assert _birkhoff_cached.cache_info().hits == hits + 1
     assert built.entry(0, 1).coeffs == {0: 5, 2: 7}
@@ -760,7 +760,7 @@ def test_rebuilt_transition_hits_the_splitting_memo():
     s = Sampler(31)
     E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
     hits = _birkhoff_cached.cache_info().hits
-    F = P1Bundle(3, LaurentMatrix.parse(E.transition.to_strings()))
+    F = P1Bundle(LaurentMatrix.parse(E.transition.to_strings()))
     assert F == E and _birkhoff_cached.cache_info().hits == hits + 1
 
 

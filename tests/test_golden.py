@@ -6,9 +6,10 @@ anchors; both answers), the `algconn split`, `cohomology` and `jets` stdout
 of 6 gauged rank 4-6 bundles (drawn by `Sampler.gauged_p1_bundle` with bound
 2, ops 2, max_deg 1) and of two rank-4 bundles the reduction once split
 block by block (a direct sum of two gauged rank-2 blocks, and a diagonal
-transition with non-unit scalars), and the sha256 of `algconn fuzz --count
-200 --seed 0` stdout. The recorded outputs are replayed through
-algconn.cli.main here.
+transition with non-unit scalars), the `algconn decide` stdout of one
+formal algebroid per Reason (the isomorphism anchor twice, once with each
+Atiyah-Weil answer), and the sha256 of `algconn fuzz --count 200 --seed 0`
+stdout. The recorded outputs are replayed through algconn.cli.main here.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from algconn.algebroid_decision import Reason
 from algconn.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
@@ -65,6 +67,22 @@ def test_split_path_stdout_is_golden(index, command, tmp_path, capsys):
     bundle = tmp_path / "bundle.json"
     bundle.write_text(json.dumps(case["bundle"]))
     assert _stdout(capsys, [command, "--bundle", str(bundle)]) == case[command]
+
+
+def test_golden_decide_cases_cover_every_reason_and_atiyah_weil_answer():
+    docs = [json.loads(c["stdout"]) for c in GOLDEN["decide"]]
+    assert {d["reason"] for d in docs} == {r.value for r in Reason}
+    assert {d.get("atiyah_weil") for d in docs} == {None, True, False}
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN["decide"])))
+def test_decide_stdout_is_golden(index, tmp_path, capsys):
+    case = GOLDEN["decide"][index]
+    algebroid, bundle = tmp_path / "algebroid.json", tmp_path / "bundle.json"
+    algebroid.write_text(json.dumps(case["algebroid"]))
+    bundle.write_text(json.dumps(case["bundle"]))
+    out = _stdout(capsys, ["decide", "--algebroid", str(algebroid), "--bundle", str(bundle)])
+    assert out == case["stdout"]
 
 
 def test_fuzz_stdout_is_golden(capsys):

@@ -32,7 +32,6 @@ from algconn.jet_obstruction import (
     _overlap_holds,
     anchor_from_json,
     anchor_to_json,
-    connection_exists_p1,
     construct_connection,
     jet1_transition,
     jetV_transition,
@@ -65,7 +64,7 @@ from algconn.sampling import Sampler
 def unit_inv(M: LaurentMatrix) -> LaurentMatrix:
     """M^(-1) over the Laurent ring, read off the certified splitting of
     the bundle with transition M."""
-    return birkhoff_split(P1Bundle(M.rows, M)).transition_inverse
+    return birkhoff_split(P1Bundle(M)).transition_inverse
 
 
 def anchor_line(v: int, poly: str) -> ConcreteAnchor:
@@ -234,12 +233,12 @@ def test_cocycle_line_bundles_tangent():
 
 
 def test_cocycle_trivial_and_zero_anchor():
-    assert obstruction_cocycle(trivial_bundle(3), tangent_anchor()).is_zero
+    assert obstruction_cocycle(trivial_bundle(3), tangent_anchor()).overlap_matrix.is_zero
     s = Sampler(43)
     for _ in range(10):
         E, _ = s.gauged_p1_bundle(max_rank=3, bound=3, ops=1, max_deg=1)
         V = split_bundle(s.exponents(max_rank=2, bound=2))
-        assert obstruction_cocycle(E, zero_anchor(V)).is_zero
+        assert obstruction_cocycle(E, zero_anchor(V)).overlap_matrix.is_zero
 
 
 def _vec_cochain(c: LaurentMatrix, r: int, q: int) -> LaurentMatrix:
@@ -766,14 +765,14 @@ def test_construct_trivial_tangent_gives_zero_cert():
 def test_construct_obstructed_cases():
     assert construct_connection(line_bundle(1), tangent_anchor()) is None
     assert construct_connection(line_bundle(2), tangent_anchor()) is None
-    assert not connection_exists_p1(split_bundle([1, -1]), tangent_anchor())
+    assert construct_connection(split_bundle([1, -1]), tangent_anchor()) is None
 
 
 def test_construct_low_degree_anchor_always_succeeds():
     cert = construct_connection(line_bundle(1), anchor_line(-3, "z^5 + 1"))
     assert cert is not None
-    assert connection_exists_p1(split_bundle([1, -1]), anchor_line(-1, "z^2 + z"))
-    assert connection_exists_p1(split_bundle([0, 0]), tangent_anchor())
+    assert construct_connection(split_bundle([1, -1]), anchor_line(-1, "z^2 + z")) is not None
+    assert construct_connection(split_bundle([0, 0]), tangent_anchor()) is not None
 
 
 def _gauged_certs():
@@ -988,12 +987,12 @@ def test_exists_gauge_invariant():
     for _ in range(8):
         exps = s.exponents(max_rank=2, bound=2)
         E = split_bundle(exps)
-        verdict = connection_exists_p1(E, tangent_anchor())
+        verdict = construct_connection(E, tangent_anchor()) is not None
         for _ in range(3):
             A = s.unimodular_z(E.rank, ops=1, max_deg=1)
             B = s.unimodular_w(E.rank, ops=1, max_deg=1)
             G = gauge_transform(E, A, B)
-            assert connection_exists_p1(G, tangent_anchor()) == verdict
+            assert (construct_connection(G, tangent_anchor()) is not None) == verdict
 
 
 def test_block_diagonal_functoriality():
@@ -1012,14 +1011,15 @@ def test_block_diagonal_functoriality():
         block = (T.hstack(zero_ul)).vstack(
             LaurentMatrix.zeros(E2.rank, E1g.rank).hstack(E2.transition)
         )
-        E = P1Bundle(E1g.rank + E2.rank, block)
+        E = P1Bundle(block)
         anchor = tangent_anchor()
         c = obstruction_cocycle(E, anchor).overlap_matrix
         for i in range(E1g.rank):
             for j in range(E1g.rank, E.rank):
                 assert c.entry(i, j).is_zero and c.entry(j, i).is_zero
-        assert connection_exists_p1(E, anchor) == (
-            connection_exists_p1(E1g, anchor) and connection_exists_p1(E2, anchor)
+        assert (construct_connection(E, anchor) is not None) == (
+            construct_connection(E1g, anchor) is not None
+            and construct_connection(E2, anchor) is not None
         )
 
 
@@ -1028,7 +1028,7 @@ def test_zero_anchor_total():
     for _ in range(10):
         E, _ = s.gauged_p1_bundle(max_rank=3, bound=3, ops=1, max_deg=1)
         V = split_bundle(s.exponents(max_rank=2, bound=3))
-        assert connection_exists_p1(E, zero_anchor(V))
+        assert construct_connection(E, zero_anchor(V)) is not None
 
 
 def test_rank2_anchor_connection():
@@ -1068,7 +1068,7 @@ def test_gauged_high_rank_connections():
             if desc is not None:
                 assert decide_connection(desc, E_formal).as_bool() == (cert is not None)
             else:
-                assert connection_exists_p1(split_bundle(exps), anchor) == (cert is not None)
+                assert (construct_connection(split_bundle(exps), anchor) is not None) == (cert is not None)
 
 
 def test_anchor_json_round_trip():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -61,7 +62,7 @@ from algconn.sampling import Sampler
 
 def bundle(rows) -> P1Bundle:
     T = LaurentMatrix.parse(rows)
-    return P1Bundle(T.rows, T)
+    return P1Bundle(T)
 
 
 # -- construction invariants ---------------------------------------------------
@@ -109,16 +110,44 @@ def test_non_units_raise_not_a_unit():
         hidden,  # det = c(1 + z) behind a z/w gauge
     ):
         with pytest.raises(NotAUnit, match="not invertible over the Laurent ring"):
-            P1Bundle(T.rows, T)
+            P1Bundle(T)
 
 
 def test_bundle_rejects_a_transition_of_another_shape():
-    # a non-square transition is no unit, and a square one of another size
-    # is a rank mismatch, not a bundle of its own size
+    # a non-square transition is no unit
     with pytest.raises(NotAUnit, match="must be square"):
-        P1Bundle(2, LaurentMatrix.parse([["1", "0", "0"], ["0", "1", "0"]]))
-    with pytest.raises(ValueError, match="rank 3 does not match a 2x2 transition"):
-        P1Bundle(3, LaurentMatrix.identity(2))
+        P1Bundle(LaurentMatrix.parse([["1", "0", "0"], ["0", "1", "0"]]))
+
+
+def test_every_constructor_reads_the_rank_off_the_transition():
+    s = Sampler(69)
+    E, _ = s.gauged_p1_bundle(max_rank=3, bound=2, ops=2, max_deg=1)
+    V = split_bundle([2, 1])
+    built = [
+        line_bundle(3, -2), trivial_bundle(4), split_bundle([2, 0, -1]), tangent_bundle(),
+        dual_bundle(E), tensor_bundle(E, V), hom_bundle(V, E), twist(E, -2),
+        gauge_transform(E, s.unimodular_z(E.rank), s.unimodular_w(E.rank)),
+        p1bundle_from_json(p1bundle_to_json(E)), jet1_transition(E),
+        jetV_transition(E, ConcreteAnchor(V, LaurentMatrix.parse([["1", "z"]]))),
+    ]
+    assert [X.rank for X in built] == [X.transition.rows for X in built]
+    assert [X.rank for X in built[:4]] == [1, 4, 3, 1]
+    assert [X.rank for X in built[4:]] == [E.rank, 2 * E.rank, 2 * E.rank, E.rank, E.rank,
+                                           E.rank, 2 * E.rank, 3 * E.rank]
+
+
+def test_a_bundle_is_its_transition():
+    # P1Bundle takes the transition alone, positionally or by name; equal
+    # transitions built two ways give equal bundles with one hash, and a
+    # pickle carries the transition and nothing else
+    built = LaurentMatrix.diag([LaurentPoly.z(1), LaurentPoly.z(-1)])
+    parsed = LaurentMatrix.parse([["z", "0"], ["0", "z^-1"]])
+    E, F = P1Bundle(built), P1Bundle(transition=parsed)
+    assert E == F and hash(E) == hash(F) == hash((parsed,))
+    assert E != P1Bundle(LaurentMatrix.parse([["z", "0"], ["0", "z"]]))
+    assert E.__reduce__() == (P1Bundle, (built,))
+    again = pickle.loads(pickle.dumps(F))
+    assert again == E and (again.rank, again.degree) == (2, 0)
 
 
 def test_degree_pinned_by_sections():
@@ -188,10 +217,10 @@ def test_split_memo_is_keyed_by_the_transition():
     E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
     assert birkhoff_split(E) is _birkhoff_cached(E.transition)
     T = s.unimodular_z(3) @ split_bundle([1, 0, -1]).transition @ s.unimodular_w(3)
-    inv = birkhoff_split(P1Bundle(3, T)).transition_inverse
+    inv = birkhoff_split(P1Bundle(T)).transition_inverse
     assert inv is _birkhoff_cached(T).transition_inverse
     fresh = LaurentMatrix.parse(T.to_strings())
-    assert fresh is not T and birkhoff_split(P1Bundle(3, fresh)).transition_inverse is inv
+    assert fresh is not T and birkhoff_split(P1Bundle(fresh)).transition_inverse is inv
     assert T @ inv == LaurentMatrix.identity(3)
 
 
@@ -329,9 +358,9 @@ def test_split_verify_and_sections_form_t_u1_once(monkeypatch):
     s = Sampler(65)
     r = 5
     T = s.unimodular_z(r) @ split_bundle([3, 1, 0, -1, -2]).transition @ s.unimodular_w(r)
-    _birkhoff_cached.cache_clear()  # so that P1Bundle(r, T) runs the reduction and verify
+    _birkhoff_cached.cache_clear()  # so that P1Bundle(T) runs the reduction and verify
     products = count_products(monkeypatch)
-    E = P1Bundle(r, T)
+    E = P1Bundle(T)
     d = birkhoff_split(E)
     assert d.verify(E)
     assert len(global_sections(E)) == cohomology_dims(E)[0]
@@ -345,9 +374,9 @@ def test_verify_forms_no_product_and_a_split_checks_once(monkeypatch):
     s = Sampler(67)
     r = 4
     T = s.unimodular_z(r) @ split_bundle([2, 1, -1, -2]).transition @ s.unimodular_w(r)
-    _birkhoff_cached.cache_clear()  # so that P1Bundle(r, T) runs the reduction
+    _birkhoff_cached.cache_clear()  # so that P1Bundle(T) runs the reduction
     products = count_products(monkeypatch)
-    E = P1Bundle(r, T)
+    E = P1Bundle(T)
     d = birkhoff_split(E)
     copy, other = p1bundle_from_json(p1bundle_to_json(E)), twist(E, 1)
     split = products[:]
@@ -494,7 +523,7 @@ def test_splits_rejects_a_u1_that_is_not_unimodular(monkeypatch):
     _birkhoff_cached.cache_clear()
     try:
         with pytest.raises(AssertionError, match="internal bug") as refused:
-            P1Bundle(1, I1)
+            P1Bundle(I1)
         assert isinstance(refused.value.__cause__, ValueError)
         assert "invertible constant term" in str(refused.value.__cause__)
         assert _birkhoff_cached.cache_info().currsize == 0
@@ -547,7 +576,7 @@ def test_u1_reaches_its_degree_bound():
     N = LaurentMatrix.parse(
         [["1", "z^-1", "0", "0"], ["0", "1", "z^-1", "0"], ["0", "0", "1", "z^-1"], ["0", "0", "0", "1"]]
     )
-    U1 = birkhoff_split(P1Bundle(4, N)).U1
+    U1 = birkhoff_split(P1Bundle(N)).U1
     assert N @ U1 == LaurentMatrix.identity(4)
     assert min_exponent(U1) == -3
     assert U1.entry(0, 3) == -LaurentPoly.z(-3)
@@ -557,7 +586,7 @@ def test_u1_runs_past_its_zero_terms():
     # T = N = I + w^2 J with J the nilpotent 3x3 shift: U1 = N^-1 = I - w^2 J
     # + w^4 J^2 has terms at w^0, w^2 and w^4 and zero terms between them
     N = LaurentMatrix.parse([["1", "z^-2", "0"], ["0", "1", "z^-2"], ["0", "0", "1"]])
-    U1 = birkhoff_split(P1Bundle(3, N)).U1
+    U1 = birkhoff_split(P1Bundle(N)).U1
     assert N @ U1 == LaurentMatrix.identity(3)
     assert min_exponent(U1) == -4
     assert U1.entry(0, 2) == LaurentPoly.z(-4)
@@ -711,7 +740,7 @@ def test_dual_and_twist_types_match_oracle_and_reduction():
             assert birkhoff_split(X).type == tuple(a + n for a in derived)
             assert cohomology_dims(X)[0] == h0_by_linear_solve(t_dual, n)
         _birkhoff_cached.cache_clear()
-        assert birkhoff_split(P1Bundle(r, t_dual)).type == derived
+        assert birkhoff_split(P1Bundle(t_dual)).type == derived
 
 
 def test_splitting_does_not_depend_on_what_was_split_before():
@@ -728,11 +757,11 @@ def test_splitting_does_not_depend_on_what_was_split_before():
         ):
             X = derive()
             _birkhoff_cached.cache_clear()
-            fresh = splitting_to_json(birkhoff_split(P1Bundle(X.rank, X.transition)))
+            fresh = splitting_to_json(birkhoff_split(P1Bundle(X.transition)))
             _birkhoff_cached.cache_clear()
             X = derive()
             birkhoff_split(X)
-            after = splitting_to_json(birkhoff_split(P1Bundle(X.rank, X.transition)))
+            after = splitting_to_json(birkhoff_split(P1Bundle(X.transition)))
             assert after == fresh
 
 

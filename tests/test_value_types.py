@@ -31,7 +31,6 @@ from algconn import (
     Reason,
     SplittingData,
     Stability,
-    Verdict,
     laurent_parse,
     tangent_bundle,
 )
@@ -56,14 +55,11 @@ CASES = {
         ("V", "anchor"),
         (TANGENT_V, AnchorDesc(AnchorKind.ISOMORPHISM, (laurent_parse("1"),))),
     ),
-    Decision: (
-        ("verdict", "reason", "atiyah_weil"),
-        (Verdict.EXISTS_IFF_ATIYAH_WEIL, Reason.ANCHOR_ISO_AW, True),
-    ),
+    Decision: (("reason", "atiyah_weil"), (Reason.ANCHOR_ISO_AW, True)),
     ConcreteAnchor: (("V", "phi_row"), (tangent_bundle(), M([["1"]]))),
     ObstructionCocycle: (("overlap_matrix",), (M([["2*z^-1", "0"]]),)),
     ConnectionCert: (("A0", "A1"), (M([["z", "0"]]), M([["0", "1/2*z^-1"]]))),
-    P1Bundle: (("rank", "transition"), (2, M([["z", "1"], ["0", "z^-1"]]))),
+    P1Bundle: (("transition",), (M([["z", "1"], ["0", "z^-1"]]),)),
     SplittingData: (
         ("transition", "type", "U0", "U1"),
         (
@@ -90,13 +86,12 @@ REPRS = {
     "rank=1, degree=2, stability=<Stability.STABLE: 'stable'>, label='', is_tangent=True),)), "
     "anchor=AnchorDesc(kind=<AnchorKind.ISOMORPHISM: 'isomorphism'>, "
     "section=(LaurentPoly('1'),)))",
-    Decision: "Decision(verdict=<Verdict.EXISTS_IFF_ATIYAH_WEIL: 'exists-iff-atiyah-weil'>, "
-    "reason=<Reason.ANCHOR_ISO_AW: 'AnchorIso_AW'>, atiyah_weil=True)",
-    ConcreteAnchor: "ConcreteAnchor(V=P1Bundle(rank=1, transition=LaurentMatrix([-z^2])), "
+    Decision: "Decision(reason=<Reason.ANCHOR_ISO_AW: 'AnchorIso_AW'>, atiyah_weil=True)",
+    ConcreteAnchor: "ConcreteAnchor(V=P1Bundle(transition=LaurentMatrix([-z^2])), "
     "phi_row=LaurentMatrix([1]))",
     ObstructionCocycle: "ObstructionCocycle(overlap_matrix=LaurentMatrix([2*z^-1, 0]))",
     ConnectionCert: "ConnectionCert(A0=LaurentMatrix([z, 0]), A1=LaurentMatrix([0, 1/2*z^-1]))",
-    P1Bundle: "P1Bundle(rank=2, transition=LaurentMatrix([z, 1; 0, z^-1]))",
+    P1Bundle: "P1Bundle(transition=LaurentMatrix([z, 1; 0, z^-1]))",
     SplittingData: "SplittingData(transition=LaurentMatrix([z, -1; 0, z^-1]), type=(1, -1), "
     "U0=LaurentMatrix([1, 0; 0, 1]), U1=LaurentMatrix([1, z^-1; 0, 1]))",
     GlobalSection: "GlobalSection(chart0_rep=LaurentMatrix([z; 1]))",
@@ -127,7 +122,7 @@ def test_defaults():
         Stability.UNKNOWN, "", False)
     assert Atom(1, 0).stability == Stability.STABLE  # rank 1 is always stable
     assert AnchorDesc(AnchorKind.ZERO).section is None
-    assert Decision(Verdict.EXISTS, Reason.ZERO_ANCHOR).atiyah_weil is None
+    assert Decision(Reason.ZERO_ANCHOR).atiyah_weil is None
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
@@ -188,10 +183,10 @@ def test_repr_is_the_dataclass_repr(cls):
     assert repr(build(cls)) == REPRS[cls]
 
 
-def test_p1bundle_compares_rank_and_transition_only():
+def test_p1bundle_compares_its_transition_only():
     E = build(P1Bundle)
-    assert E.degree == 0 and "degree" not in repr(E)
-    assert hash(E) == hash((E.rank, E.transition))
+    assert (E.rank, E.degree) == (2, 0) and "rank" not in repr(E) and "degree" not in repr(E)
+    assert hash(E) == hash((E.transition,))
 
 
 @pytest.mark.parametrize(
@@ -249,9 +244,9 @@ def test_immutable_values_copy_to_themselves_and_outcomes_do_not():
 # every name algconn/__init__.py exports
 EXPORTS = """
 AlgebroidDesc AnchorDesc AnchorKind Decision Reason Verdict anchor_forced_zero
-decide_connection validate_algebroid LaurentMatrix LaurentPoly Rat laurent_parse Atom
+decide_connection validate_algebroid LaurentMatrix LaurentPoly laurent_parse Atom
 CurveContext FormalBundle Stability atiyah_weil ConcreteAnchor
-ConnectionCert ObstructionCocycle connection_exists_p1 construct_connection jet1_transition
+ConnectionCert ObstructionCocycle construct_connection jet1_transition
 jetV_transition obstruction_cocycle tangent_anchor verify_connection
 verify_witness zero_anchor GlobalSection P1Bundle SplittingData birkhoff_split
 cohomology_dims dual_bundle gauge_transform global_sections hom_bundle hom_sections
