@@ -68,7 +68,13 @@ lets a required option be left out, cli-unknown-option lets an option the
 command does not take through, and cli-positive-count lets a count below 1
 reach run_fuzz. A Decision reads its verdict off its reason, in one table
 of algebroid_decision: decision-verdict-row makes the undecided case
-answer "exists". The harness lists 61 mutants.
+answer "exists", and decision-atiyah-weil-check lets a Decision carry an
+Atiyah-Weil answer its reason contradicts.
+
+The JSON readers parse each short entry text once, in exact_core's bounded
+memo _parsed: parse-memo-long-text lets a text over 64 characters into the
+memo, and parse-memo-unbounded drops its size bound. The harness lists 64
+mutants.
 """
 
 from __future__ import annotations
@@ -354,6 +360,16 @@ MUTANTS = (
     ),
     # parse-time guards of exact_core
     Mutant("parse-non-string-entry", CORE, "if not isinstance(s, str):", "if False:", CLI_TESTS),
+    # the parse memo keeps short texts only, and at most maxsize of them
+    Mutant(
+        "parse-memo-long-text",
+        CORE,
+        "_parsed(s) if len(s) <= _MEMO_TEXT_MAX else laurent_parse(s)",
+        "_parsed(s)",
+        CORE_TESTS,
+    ),
+    Mutant("parse-memo-unbounded", CORE, "@lru_cache(maxsize=1024)", "@lru_cache(maxsize=None)",
+           P1_TESTS),
     Mutant(
         "parse-digit-limit",
         CORE,
@@ -396,6 +412,14 @@ MUTANTS = (
         DECISION,
         "Reason.HYPOTHESES_UNMET: (Verdict.UNDECIDED,",
         "Reason.HYPOTHESES_UNMET: (Verdict.EXISTS,",
+        DECISION_TESTS,
+    ),
+    # an Atiyah-Weil answer exactly when the reason's verdict needs one
+    Mutant(
+        "decision-atiyah-weil-check",
+        DECISION,
+        "if not (isinstance(atiyah_weil, bool) if needs_answer else atiyah_weil is None):",
+        "if False:",
         DECISION_TESTS,
     ),
 )

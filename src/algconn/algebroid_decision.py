@@ -98,13 +98,18 @@ _RULES = {
 class Decision(_Value):
     """The case of the criterion that applies, and the Atiyah-Weil answer
     where that case needs one. The verdict and the citation are read off
-    the case, in _RULES."""
+    the case, in _RULES. ValueError unless atiyah_weil is a bool exactly
+    when the verdict is EXISTS_IFF_ATIYAH_WEIL, and None otherwise."""
 
     __slots__ = _fields = ("reason", "atiyah_weil")
 
     def __init__(self, reason: Reason, atiyah_weil: bool | None = None) -> None:
         object.__setattr__(self, "reason", reason)
         object.__setattr__(self, "atiyah_weil", atiyah_weil)
+        needs_answer = self.verdict == Verdict.EXISTS_IFF_ATIYAH_WEIL
+        if not (isinstance(atiyah_weil, bool) if needs_answer else atiyah_weil is None):
+            expected = "a bool" if needs_answer else "None"
+            raise ValueError(f"{reason!r} takes atiyah_weil {expected}, not {atiyah_weil!r}")
 
     @property
     def verdict(self) -> Verdict:
@@ -119,7 +124,7 @@ class Decision(_Value):
         if self.verdict == Verdict.EXISTS:
             return True
         if self.verdict == Verdict.EXISTS_IFF_ATIYAH_WEIL:
-            return bool(self.atiyah_weil)
+            return self.atiyah_weil
         raise PreconditionFailed("undecided verdicts carry no boolean answer")
 
 

@@ -107,6 +107,20 @@ NotImplemented, so Python raises TypeError; the slot is read inside
 try/except AttributeError, which costs the common path nothing from Python
 3.11 on (an exception costs only when raised).
 
+Parsing. laurent_parse parses one Laurent string and caches nothing. The
+JSON readers (p1bundle_from_json, anchor_from_json, algebroid_from_json)
+read their entries through _parse_entries, which parses a text of at most
+_MEMO_TEXT_MAX (64) characters once, in the memo _parsed, and a longer one
+directly. Entry texts repeat, "0" most of all, so most reads are hits.
+Equal texts give one shared LaurentPoly, which is safe because it is
+immutable, so a transition built from them hashes on cached entry hashes
+and compares equal entries by identity. The memo is an lru_cache of 1024
+entries, bounded because its keys are outside input: whatever the
+documents hold, it keeps at most 1024 texts of at most 64 characters.
+lru_cache stores no exception, so a text that does not parse raises afresh
+on every read, with the same message and position. It is one of the
+package's two memos; the other is p1_engine's splitting memo.
+
 Value classes. Every value type of the package is a plain slotted class on
 _Value: the two Laurent types and the record types (CurveContext, Atom,
 P1Bundle, SplittingData, the certificates, ...). __init__ sets each field
@@ -130,6 +144,7 @@ import re
 import sys
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -604,15 +619,27 @@ def laurent_parse(text: str) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
+# the longest text that enters the parse memo (see Parsing above)
+_MEMO_TEXT_MAX = 64
+
+
+@lru_cache(maxsize=1024)
+def _parsed(text: str) -> LaurentPoly:
+    # laurent_parse is looked up at call time, so a wrapper bound to the
+    # module name (the bench tracer's span) sees every miss
+    return laurent_parse(text)
+
+
 def _parse_entries(texts: list, what: str) -> list[LaurentPoly]:
-    """The Laurent strings parsed; SchemaError "bad <what> k: ..." names the
-    position k of the first that does not parse."""
+    """The Laurent strings parsed, each short text once (see _parsed);
+    SchemaError "bad <what> k: ..." names the position k of the first that
+    does not parse."""
     out = []
     for k, s in enumerate(texts):
         if not isinstance(s, str):
             raise SchemaError(f"bad {what} {k}: expected a Laurent string, got {type(s).__name__}")
         try:
-            out.append(laurent_parse(s))
+            out.append(_parsed(s) if len(s) <= _MEMO_TEXT_MAX else laurent_parse(s))
         except LaurentSyntaxError as exc:
             raise SchemaError(f"bad {what} {k}: {exc}") from exc
     return out

@@ -44,12 +44,17 @@ bundle of its own: jet_obstruction answers and builds certificates from
 the splittings of E and V. Cohomology builds no bundle at all: h^0, h^1,
 Riemann-Roch and Serre duality are all read off the certified type of E.
 
-There is one memo, the splitting memo behind birkhoff_split, keyed by the
-transition. Every inverse the engine takes (T^(-1), and the U0^(-1) the
-record's check computes) is read off the SplittingData it holds and kept
-there, so equal transitions share them. The bundle constructors cache
-nothing, and the memo is a pure function of the transition: equal bundles
-get the same type, U0 and U1, whatever was split before.
+The engine has one memo, the splitting memo behind birkhoff_split, keyed
+by the transition; the package's only other memo is exact_core's parse
+memo _parsed, which p1bundle_from_json reads entry texts through. Every
+inverse the engine takes (T^(-1), and the U0^(-1) the record's check
+computes) is read off the SplittingData it holds and kept there, so equal
+transitions share them. The bundle constructors cache nothing, and the
+memo is a pure function of the transition: equal bundles get the same
+type, U0 and U1, whatever was split before. The parse memo is bounded
+(at most 1024 texts of at most 64 characters), because its keys are
+outside input and nothing else limits how many distinct texts arrive; the
+splitting memo is not bounded yet, and grows with every bundle validated.
 """
 
 from __future__ import annotations
@@ -335,11 +340,15 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
     return SplittingData(T, tuple(tops[i] for i in order), _matrix(U0), _matrix(tuple(U1)))
 
 
-# The one memo. It is global and keyed by transition equality, not scoped to
-# a bundle instance: small split bundles (the E and V of run_fuzz cases, their
+# The engine's one memo; the package's other is exact_core._parsed, the parse
+# memo of the JSON readers, bounded because its keys are outside input. This
+# one is unbounded, global and keyed by transition equality, not scoped to a
+# bundle instance: small split bundles (the E and V of run_fuzz cases, their
 # duals and twists) recur across inputs as fresh, equal objects. Scoped to the
 # instance, the bench's fuzz_diagonal workload fell from 83 to 43 cases/s on
-# a 2-vCPU VM.
+# a 2-vCPU VM. A transition parsed from JSON holds the parse memo's shared
+# entries, so hashing a key reads their cached hashes and comparing it meets
+# identical entries.
 @lru_cache(maxsize=None)
 def _birkhoff_cached(T: LaurentMatrix) -> SplittingData:
     try:

@@ -235,8 +235,19 @@ RULES = {
 
 @pytest.mark.parametrize("reason", list(Reason), ids=lambda r: r.value)
 def test_a_decision_reads_its_verdict_and_citation_off_its_reason(reason):
-    d = Decision(reason)
+    d = Decision(reason, True if reason == Reason.ANCHOR_ISO_AW else None)
     assert (d.verdict, d.citation) == RULES[reason]
+
+
+@pytest.mark.parametrize(
+    "reason, atiyah_weil",
+    [(Reason.ANCHOR_ISO_AW, None), (Reason.ANCHOR_ISO_AW, 1), (Reason.ZERO_ANCHOR, False),
+     (Reason.HYPOTHESES_UNMET, True)],
+)
+def test_a_decision_refuses_an_answer_its_reason_contradicts(reason, atiyah_weil):
+    # an Atiyah-Weil answer exactly when the reason's verdict needs one
+    with pytest.raises(ValueError, match="takes atiyah_weil"):
+        Decision(reason, atiyah_weil)
 
 
 def test_decision_json_carries_citation():

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algconn.errors import LaurentSyntaxError, NotAUnit
+from algconn.errors import LaurentSyntaxError, NotAUnit, SchemaError
 from algconn.exact_core import (
     LaurentMatrix,
     LaurentPoly,
     _inverse_holds,
     _lifted_product,
+    _parse_entries,
+    _parsed,
     _qinverse,
     _qnullspace,
     laurent_parse,
@@ -104,6 +106,54 @@ poly_strategy = st.builds(
 @given(poly_strategy)
 def test_printer_parser_round_trip(p):
     assert laurent_parse(str(p)) == p
+
+
+# -- the parse memo behind the JSON readers ----------------------------------
+
+
+@pytest.fixture
+def cold_memo():
+    _parsed.cache_clear()
+
+
+def test_equal_texts_read_as_one_object(cold_memo):
+    a, b, c = _parse_entries(["3/2*z^-1 + 1", "z", "3/2*z^-1 + 1"], "x")
+    assert a is c and a == lp("3/2*z^-1 + 1") and b == lp("z")
+    assert _parse_entries(["3/2*z^-1 + 1"], "y")[0] is a
+
+
+@pytest.mark.parametrize("text", ["z^", "1/0", "2 2", "z + 3/0*z^2", ""])
+def test_a_bad_text_raises_afresh_and_is_never_memoised(cold_memo, text):
+    with pytest.raises(LaurentSyntaxError) as direct:
+        laurent_parse(text)
+    size = _parsed.cache_info().currsize
+    for _ in range(2):  # the first read and the second
+        with pytest.raises(SchemaError) as err:
+            _parse_entries([text], "x")
+        assert str(err.value) == f"bad x 0: {direct.value}"
+        assert err.value.__cause__.position == direct.value.position
+        assert _parsed.cache_info().currsize == size
+
+
+def test_a_long_text_parses_directly_and_never_enters_the_memo(cold_memo):
+    text = " + ".join(f"{k}*z^{k}" for k in range(1, 12))
+    assert len(text) > 64
+    before = _parsed.cache_info()
+    assert _parse_entries([text], "x") == [LaurentPoly({k: k for k in range(1, 12)})]
+    assert _parsed.cache_info() == before  # not even looked up
+    # a text of exactly 64 characters is memoised
+    assert _parse_entries(["1" + " " * 63], "x") == [LaurentPoly.one()]
+    assert _parsed.cache_info().currsize == before.currsize + 1
+
+
+@given(st.lists(poly_strategy, min_size=1, max_size=8))
+def test_parse_entries_round_trip_cold_and_warm(polys):
+    _parsed.cache_clear()
+    texts = [str(p) for p in polys]
+    assert _parse_entries(texts, "x") == polys  # cold
+    misses = _parsed.cache_info().misses
+    assert _parse_entries(texts, "x") == polys  # warm
+    assert _parsed.cache_info().misses == misses
 
 
 # -- the public constructor validates -------------------------------------------

@@ -224,8 +224,9 @@ def test_split_memo_is_keyed_by_the_transition():
     assert T @ inv == LaurentMatrix.identity(3)
 
 
-def test_splitting_memo_is_the_only_memo():
+def test_the_splitting_and_parse_memos_are_the_only_memos():
     import algconn.cli  # noqa: F401  (with the package, loads every algconn module)
+    from algconn import exact_core
 
     memos = set()
     for name, module in sorted(sys.modules.items()):
@@ -236,7 +237,9 @@ def test_splitting_memo_is_the_only_memo():
             for member, obj in members:
                 if callable(getattr(obj, "cache_info", None)):
                     memos.add(f"{obj.__module__}.{obj.__qualname__}")
-    assert memos == {"algconn.p1_engine._birkhoff_cached"}
+    assert memos == {"algconn.p1_engine._birkhoff_cached", "algconn.exact_core._parsed"}
+    # the parse memo is keyed by outside input, so it must stay bounded
+    assert exact_core._parsed.cache_info().maxsize is not None
 
 
 def test_equal_bundles_share_one_transition_inverse():
