@@ -19,7 +19,8 @@ when every selected mutant is killed, 1 otherwise.
 
 riemann_roch_check and serre_dual_check have no mutant. Both read h^0 and
 h^1 off the certified type, so each is true by construction: making it
-return True changes nothing a test can see.
+return True changes nothing a test can see. Neither is printed or exported
+any more; only the benchmark calls them.
 
 The witness of a "no" is five vectors, and each of verify_witness's vector
 checks has its own mutant (witness-vector-shape and witness-in-z through
@@ -73,8 +74,9 @@ Atiyah-Weil answer its reason contradicts.
 
 The JSON readers parse each short entry text once, in exact_core's bounded
 memo _parsed: parse-memo-long-text lets a text over 64 characters into the
-memo, and parse-memo-unbounded drops its size bound. The harness lists 64
-mutants.
+memo, and parse-memo-unbounded drops its size bound. split-memo-unbounded
+drops the bound of p1_engine's splitting memo _birkhoff_cached. The harness
+lists 65 mutants.
 """
 
 from __future__ import annotations
@@ -369,6 +371,8 @@ MUTANTS = (
         CORE_TESTS,
     ),
     Mutant("parse-memo-unbounded", CORE, "@lru_cache(maxsize=1024)", "@lru_cache(maxsize=None)",
+           P1_TESTS),
+    Mutant("split-memo-unbounded", P1, "@lru_cache(maxsize=1024)", "@lru_cache(maxsize=None)",
            P1_TESTS),
     Mutant(
         "parse-digit-limit",

@@ -24,8 +24,8 @@ _SOURCE = {
                             "verify_witness zero_anchor"),
         ("p1_engine", "GlobalSection P1Bundle SplittingData birkhoff_split cohomology_dims "
                       "dual_bundle gauge_transform global_sections hom_bundle hom_sections "
-                      "line_bundle riemann_roch_check serre_dual_check split_bundle "
-                      "tangent_bundle tensor_bundle trivial_bundle twist"),
+                      "line_bundle split_bundle tangent_bundle tensor_bundle trivial_bundle "
+                      "twist"),
     )
     for name in names.split()
 }

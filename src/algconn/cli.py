@@ -24,8 +24,6 @@ from .p1_engine import (
     cohomology_dims,
     p1bundle_from_json,
     p1bundle_to_json,
-    riemann_roch_check,
-    serre_dual_check,
     splitting_to_json,
 )
 
@@ -93,7 +91,6 @@ def cmd_split(args) -> int:
     data = birkhoff_split(bundle)
     payload = splitting_to_json(data)
     payload["degree"] = bundle.degree
-    payload["verified"] = True
     _emit(payload)
     return EXIT_OK
 
@@ -108,8 +105,6 @@ def cmd_cohomology(args) -> int:
             "splitting_type": list(birkhoff_split(bundle).type),
             "h0": h0,
             "h1": h1,
-            "riemann_roch": riemann_roch_check(bundle),
-            "serre_duality": serre_dual_check(bundle),
         }
     )
     return EXIT_OK
@@ -134,14 +129,15 @@ def cmd_connect(args) -> int:
 def cmd_jets(args) -> int:
     from .jet_obstruction import anchor_from_json, jet1_transition, jetV_transition
 
+    # both inputs are read before J^1(E), the costly part, is built and split
     bundle = _read(args, "bundle", p1bundle_from_json)
+    anchor = None if args.anchor is None else _read(args, "anchor", anchor_from_json)
     jet1 = jet1_transition(bundle)
     payload = {
         "jet1": p1bundle_to_json(jet1),
         "jet1_type": list(birkhoff_split(jet1).type),
     }
-    if args.anchor is not None:
-        anchor = _read(args, "anchor", anchor_from_json)
+    if anchor is not None:
         jetv = jetV_transition(bundle, anchor)
         payload["jetV"] = p1bundle_to_json(jetv)
         payload["jetV_type"] = list(birkhoff_split(jetv).type)
@@ -177,7 +173,7 @@ COMMANDS = {
     "split": (cmd_split, "split a transition matrix into line bundles", (
         ("bundle", "P1 bundle JSON file", True, str, None),
     )),
-    "cohomology": (cmd_cohomology, "cohomology dimensions and duality checks", (
+    "cohomology": (cmd_cohomology, "cohomology dimensions read off the splitting type", (
         ("bundle", "P1 bundle JSON file", True, str, None),
     )),
     "connect": (cmd_connect, "compute the obstruction and a certificate", (

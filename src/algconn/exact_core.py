@@ -119,7 +119,7 @@ entries, bounded because its keys are outside input: whatever the
 documents hold, it keeps at most 1024 texts of at most 64 characters.
 lru_cache stores no exception, so a text that does not parse raises afresh
 on every read, with the same message and position. It is one of the
-package's two memos; the other is p1_engine's splitting memo.
+package's two bounded memos; the other is p1_engine's splitting memo.
 
 Value classes. Every value type of the package is a plain slotted class on
 _Value: the two Laurent types and the record types (CurveContext, Atom,

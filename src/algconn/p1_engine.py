@@ -41,8 +41,8 @@ reduction that splits it, and its degree is the sum of its splitting type.
 
 End(E) (x) V*, where the connection obstruction lives, is never split as a
 bundle of its own: jet_obstruction answers and builds certificates from
-the splittings of E and V. Cohomology builds no bundle at all: h^0, h^1,
-Riemann-Roch and Serre duality are all read off the certified type of E.
+the splittings of E and V. Cohomology builds no bundle at all: h^0 and
+h^1 are read off the certified type of E.
 
 The engine has one memo, the splitting memo behind birkhoff_split, keyed
 by the transition; the package's only other memo is exact_core's parse
@@ -51,10 +51,10 @@ inverse the engine takes (T^(-1), and the U0^(-1) the record's check
 computes) is read off the SplittingData it holds and kept there, so equal
 transitions share them. The bundle constructors cache nothing, and the
 memo is a pure function of the transition: equal bundles get the same
-type, U0 and U1, whatever was split before. The parse memo is bounded
-(at most 1024 texts of at most 64 characters), because its keys are
-outside input and nothing else limits how many distinct texts arrive; the
-splitting memo is not bounded yet, and grows with every bundle validated.
+type, U0 and U1, whatever was split before. Both memos keep at most 1024
+entries, because their keys are outside input and nothing else limits how
+many distinct ones arrive; an evicted transition is split again, to an
+equal record.
 """
 
 from __future__ import annotations
@@ -87,8 +87,9 @@ class P1Bundle(_Value):
     unless T is invertible over the Laurent ring, and the degree is the sum
     of the splitting type. Duals, twists, tensor, hom and jet bundles are
     built this way too. That splitting is memoised, so birkhoff_split
-    returns it without a second reduction. The transition alone takes part
-    in equality, hashing and repr: rank and degree are read off it.
+    returns it with no second reduction until the memo evicts it. The
+    transition alone takes part in equality, hashing and repr: rank and
+    degree are read off it.
     """
 
     _fields = ("transition",)
@@ -236,8 +237,8 @@ class SplittingData(_Value):
 
 
 def _shift_columns(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
-    """M * diag(z^(e_j)): column j times z^(e_j). Every caller passes one
-    exponent per column: a splitting's type, or q copies of it for r x rq."""
+    """M * diag(z^(e_j)): column j times z^(e_j), one exponent per column.
+    Its one caller, transition_inverse, passes a splitting's type."""
     return _matrix(tuple([tuple([x.shift(e) for x, e in zip(row, exps)]) for row in M._rows]))
 
 
@@ -340,16 +341,15 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
     return SplittingData(T, tuple(tops[i] for i in order), _matrix(U0), _matrix(tuple(U1)))
 
 
-# The engine's one memo; the package's other is exact_core._parsed, the parse
-# memo of the JSON readers, bounded because its keys are outside input. This
-# one is unbounded, global and keyed by transition equality, not scoped to a
-# bundle instance: small split bundles (the E and V of run_fuzz cases, their
-# duals and twists) recur across inputs as fresh, equal objects. Scoped to the
-# instance, the bench's fuzz_diagonal workload fell from 83 to 43 cases/s on
-# a 2-vCPU VM. A transition parsed from JSON holds the parse memo's shared
-# entries, so hashing a key reads their cached hashes and comparing it meets
-# identical entries.
-@lru_cache(maxsize=None)
+# The engine's one memo; the package's other is exact_core._parsed. Both are
+# bounded because their keys are outside input; fuzz_diagonal, the bench's
+# most repetitive workload, meets at most 826 distinct transitions. This one
+# is global and keyed by transition equality, not scoped to a bundle
+# instance: small split bundles (the E and V of run_fuzz cases) recur across
+# inputs as fresh, equal objects, and scoped to the instance fuzz_diagonal
+# fell from 83 to 43 cases/s. A transition parsed from JSON holds the parse
+# memo's shared entries, so its hash and equality read cached, identical ones.
+@lru_cache(maxsize=1024)
 def _birkhoff_cached(T: LaurentMatrix) -> SplittingData:
     try:
         return _split_connected(T)
@@ -361,7 +361,7 @@ def _birkhoff_cached(T: LaurentMatrix) -> SplittingData:
 def birkhoff_split(E: P1Bundle) -> SplittingData:
     """Split E into line bundles: exact factorization U0 * T * U1 = diag.
     Constructing E split it already, so this is a memo lookup unless the
-    memo was cleared since."""
+    memo has evicted or cleared that split since; then T is split again."""
     return _birkhoff_cached(E.transition)
 
 
@@ -435,10 +435,11 @@ def hom_sections(E: P1Bundle, F: P1Bundle) -> list[LaurentMatrix]:
 def riemann_roch_check(E: P1Bundle) -> bool:
     """h^0(E) - h^1(E) = deg E + rank E. Read off the certified type E =
     sum O(a_i), both sides are sum (a_i + 1), so like serre_dual_check this
-    is true by construction. It stays for the "riemann_roch" key of `algconn
-    cohomology`, which bench/workloads.py also calls. The independent checks
-    are the linear-solve oracle tests of h^0 and h^1 and the tests that read
-    deg E off det T (test_derived_degrees_match_det, test_det_matches_sympy_det)."""
+    is true by construction; neither is printed or exported. Both stay only
+    for bench/workloads.py, and go with it (ROADMAP item 3). The independent
+    checks are the linear-solve oracle tests of h^0 and h^1 and the tests
+    that read deg E off det T (test_derived_degrees_match_det,
+    test_det_matches_sympy_det)."""
     h0, h1 = cohomology_dims(E)
     return h0 - h1 == E.degree + E.rank
 
@@ -450,7 +451,7 @@ def serre_dual_check(E: P1Bundle) -> bool:
 
     Both sides are the same sum over the type, so once the splitting is
     certified this is true by construction; it checks nothing the splitting
-    has not. It stays for the "serre_duality" key of `algconn cohomology`.
+    has not. It stays only for bench/workloads.py (see riemann_roch_check).
     The independent check is test_serre_duality_against_direct_linear_algebra,
     which solves for h^0(E* (x) K) on T^(-T) without splitting it."""
     _, h1 = cohomology_dims(E)

@@ -164,10 +164,11 @@ def test_cohomology_rejects_boolean_rank(files, capsys, tmp_path):
 
 
 def test_split_verified_output(files, capsys):
+    # a split that fails its check prints nothing, so no key reports the check
     code, doc, _ = run(capsys, ["split", "--bundle", files["p1"]])
     assert code == 0
+    assert sorted(doc) == ["U0", "U1", "degree", "type"]
     assert doc["type"] == [0, 0]
-    assert doc["verified"] is True
     assert doc["degree"] == 0
 
 
@@ -325,10 +326,14 @@ def test_unprintable_payload_integer_is_a_validation_error(capsys, tmp_path):
 
 
 def test_cohomology(files, capsys):
+    # Riemann-Roch and Serre duality are not printed: both hold by
+    # construction, and each can be recomputed from the keys that are
     code, doc, _ = run(capsys, ["cohomology", "--bundle", files["p1"]])
     assert code == 0
+    assert sorted(doc) == ["degree", "h0", "h1", "rank", "splitting_type"]
     assert (doc["h0"], doc["h1"]) == (2, 0)
-    assert doc["riemann_roch"] and doc["serre_duality"]
+    assert doc["h0"] - doc["h1"] == doc["degree"] + doc["rank"]
+    assert doc["h1"] == sum(max(0, -a - 1) for a in doc["splitting_type"])
 
 
 def test_connect_obstructed(files, capsys):
@@ -385,6 +390,27 @@ def test_jets(files, capsys):
     )
     assert code == 0
     assert doc["jetV_type"] == [1, 1]
+
+
+def test_jets_reads_the_anchor_before_building_the_jet_bundle(files, capsys, tmp_path, monkeypatch):
+    # a missing or malformed --anchor fails before J^1(E) is built and split,
+    # with the message it had when it failed after
+    from algconn import jet_obstruction
+
+    def no_jet_bundle(bundle):
+        pytest.fail("J^1(E) built before --anchor was read")
+
+    monkeypatch.setattr(jet_obstruction, "jet1_transition", no_jet_bundle)
+    missing = str(tmp_path / "missing.json")
+    code, doc, err = run(capsys, ["jets", "--bundle", files["o2"], "--anchor", missing])
+    assert (code, doc) == (2, None)
+    assert err.startswith(f"schema error: --anchor {missing}: cannot read: ")
+    malformed = write(tmp_path, "two_rows.json", {"V": {"rank": 1, "transition": [["z"]]},
+                                                  "phi_row": ["1", "1"]})
+    code, doc, err = run(capsys, ["jets", "--bundle", files["o2"], "--anchor", malformed])
+    assert (code, doc) == (2, None)
+    assert err == (f"schema error: --anchor {malformed}: "
+                   "'phi_row' must be a list of 1 Laurent strings\n")
 
 
 def test_fuzz_smoke(files, capsys):

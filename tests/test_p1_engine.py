@@ -238,8 +238,28 @@ def test_the_splitting_and_parse_memos_are_the_only_memos():
                 if callable(getattr(obj, "cache_info", None)):
                     memos.add(f"{obj.__module__}.{obj.__qualname__}")
     assert memos == {"algconn.p1_engine._birkhoff_cached", "algconn.exact_core._parsed"}
-    # the parse memo is keyed by outside input, so it must stay bounded
+    # both memos are keyed by outside input, so both must stay bounded
     assert exact_core._parsed.cache_info().maxsize is not None
+    assert _birkhoff_cached.cache_info().maxsize is not None
+
+
+def test_split_memo_evicts_past_its_bound_and_splits_again():
+    # 1024 + 8 distinct transitions leave 1024 in the memo; the first one,
+    # evicted, is split again on its next read, to an equal record
+    s = Sampler(69)
+    E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
+    _birkhoff_cached.cache_clear()
+    try:
+        first = birkhoff_split(E)
+        for a in range(1024 + 7):
+            line_bundle(a)
+        assert _birkhoff_cached.cache_info().currsize == 1024
+        misses = _birkhoff_cached.cache_info().misses
+        again = birkhoff_split(P1Bundle(LaurentMatrix.parse(E.transition.to_strings())))
+        assert _birkhoff_cached.cache_info().misses == misses + 1
+        assert again is not first and again == first
+    finally:
+        _birkhoff_cached.cache_clear()
 
 
 def test_equal_bundles_share_one_transition_inverse():

@@ -2,13 +2,16 @@
 immutability, repr, copying and pickling; the exported names; and the
 modules that importing the CLI and running each command load."""
 
+import ast
 import copy
+import importlib
 import json
 import os
 import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -250,8 +253,7 @@ ConnectionCert ObstructionCocycle construct_connection jet1_transition
 jetV_transition obstruction_cocycle tangent_anchor verify_connection
 verify_witness zero_anchor GlobalSection P1Bundle SplittingData birkhoff_split
 cohomology_dims dual_bundle gauge_transform global_sections hom_bundle hom_sections
-line_bundle riemann_roch_check serre_dual_check split_bundle tangent_bundle tensor_bundle
-trivial_bundle twist __version__
+line_bundle split_bundle tangent_bundle tensor_bundle trivial_bundle twist __version__
 """.split()
 
 
@@ -283,6 +285,24 @@ def test_exports_are_exactly_the_public_names():
         assert getattr(algconn, name) is not None, name
     with pytest.raises(AttributeError):
         algconn.not_an_export
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_the_names_the_benchmark_imports_resolve():
+    # bench/ imports these from the library; a name removed from src/ would
+    # turn every case of a workload into an ImportError, seen only when the
+    # benchmark runs. The tracer and bench/selftest.py read the memo's stats.
+    imported = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("algconn."):
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert imported
+    for file, module, name in imported:
+        assert hasattr(importlib.import_module(module), name), (file, module, name)
+    assert callable(importlib.import_module("algconn.p1_engine")._birkhoff_cached.cache_info)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
