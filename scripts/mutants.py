@@ -75,8 +75,22 @@ Atiyah-Weil answer its reason contradicts.
 The JSON readers parse each short entry text once, in exact_core's bounded
 memo _parsed: parse-memo-long-text lets a text over 64 characters into the
 memo, and parse-memo-unbounded drops its size bound. split-memo-unbounded
-drops the bound of p1_engine's splitting memo _birkhoff_cached. The harness
-lists 65 mutants.
+drops the bound of p1_engine's splitting memo _birkhoff_cached.
+
+An AlgebroidDesc checks its anchor data and puts itself in canonical form
+when it is built, so no later reader validates it again. Each check has a
+mutant: algebroid-genus0-atom-rank (a genus-0 atom of rank >= 2),
+algebroid-iso-rank and algebroid-iso-tangent (an isomorphism anchor on a V
+other than TX), algebroid-nonzero-degree (a nonzero anchor on a line bundle
+of degree >= deg TX), algebroid-forced-zero (a nonzero anchor the slope data
+force to vanish), and for an explicit section algebroid-section-genus,
+algebroid-section-length, algebroid-section-degree,
+algebroid-zero-kind-section and algebroid-nonzero-kind-section. So do the
+two canonicalizations (algebroid-canonical-tangent, an undeclared genus-0
+O(2) read as TX; algebroid-canonical-isomorphism, a nonzero anchor on TX
+read as an isomorphism) and AnchorDesc's two coercions
+(anchor-kind-coercion, anchor-section-tuple). The harness lists 79
+mutants.
 """
 
 from __future__ import annotations
@@ -426,6 +440,54 @@ MUTANTS = (
         "if False:",
         DECISION_TESTS,
     ),
+    # AlgebroidDesc checks its anchor data when it is built: one mutant per
+    # check, per canonicalization and per coercion of AnchorDesc
+    Mutant("algebroid-genus0-atom-rank", DECISION, "if atom.rank >= 2:", "if False:",
+           DECISION_TESTS),
+    Mutant("algebroid-iso-rank", DECISION, "if V.rank != 1:", "if False:", DECISION_TESTS),
+    Mutant(
+        "algebroid-iso-tangent",
+        DECISION,
+        "if not _is_tangent_bundle(V):\n                raise InvalidAnchor(",
+        "if False:\n                raise InvalidAnchor(",
+        DECISION_TESTS,
+    ),
+    Mutant(
+        "algebroid-nonzero-degree",
+        DECISION,
+        "if V.rank == 1 and not _is_tangent_bundle(V) and V.degree >= tangent_deg:",
+        "if False:",
+        DECISION_TESTS,
+    ),
+    Mutant("algebroid-forced-zero", DECISION, "if anchor_forced_zero(V):", "if False:",
+           DECISION_TESTS),
+    Mutant("algebroid-section-genus", DECISION, "if g != 0:", "if False:", DECISION_TESTS),
+    Mutant("algebroid-section-length", DECISION, "if len(anchor.section) != V.rank:", "if False:",
+           DECISION_TESTS),
+    Mutant("algebroid-section-degree", DECISION, "(not p.is_poly_in_z or p.max_exp > top)",
+           "(not p.is_poly_in_z)", DECISION_TESTS),
+    Mutant("algebroid-zero-kind-section", DECISION,
+           "if anchor.kind == AnchorKind.ZERO and not section_zero:", "if False:", DECISION_TESTS),
+    Mutant("algebroid-nonzero-kind-section", DECISION,
+           "if anchor.kind != AnchorKind.ZERO and section_zero:", "if False:", DECISION_TESTS),
+    Mutant(
+        "algebroid-canonical-tangent",
+        DECISION,
+        "if V.rank == 1 and V.degree == tangent_deg and not V.atoms[0].is_tangent:",
+        "if False:",
+        DECISION_TESTS,
+    ),
+    Mutant(
+        "algebroid-canonical-isomorphism",
+        DECISION,
+        "if anchor.kind == AnchorKind.NONZERO and _is_tangent_bundle(V):",
+        "if False:",
+        DECISION_TESTS,
+    ),
+    Mutant("anchor-kind-coercion", DECISION, '"kind", AnchorKind(kind))', '"kind", kind)',
+           DECISION_TESTS),
+    Mutant("anchor-section-tuple", DECISION, "None if section is None else tuple(section)",
+           "section", DECISION_TESTS),
 )
 
 

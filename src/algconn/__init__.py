@@ -15,7 +15,7 @@ _SOURCE = {
     name: module
     for module, names in (
         ("algebroid_decision", "AlgebroidDesc AnchorDesc AnchorKind Decision Reason Verdict "
-                               "anchor_forced_zero decide_connection validate_algebroid"),
+                               "anchor_forced_zero decide_connection"),
         ("exact_core", "LaurentMatrix LaurentPoly laurent_parse"),
         ("formal_bundles", "Atom CurveContext FormalBundle Stability atiyah_weil"),
         ("jet_obstruction", "ConcreteAnchor ConnectionCert ObstructionCocycle "

@@ -3,7 +3,9 @@
 An algebroid is a bundle V together with an anchor homomorphism into the
 tangent bundle, described here by its kind: identically zero, nonzero but
 not an isomorphism, or an isomorphism (which pins V to the tangent bundle).
-The decision procedure is a total case analysis over validated descriptors:
+An AlgebroidDesc checks its anchor data and puts itself in canonical form
+when it is built, so every descriptor is valid. The decision procedure is a
+total case analysis over those descriptors:
 
   1. zero anchor            -> connections always exist (the zero map is one)
   2. rank(V) >= 2, V stable -> always exist
@@ -46,21 +48,113 @@ class AnchorKind(str, Enum):
 
 class AnchorDesc(_Value):
     """Anchor data. The optional section (chart-0 coefficients of the map
-    into the tangent bundle) is carried for the genus-0 engine only."""
+    into the tangent bundle) is carried for the genus-0 engine only. The
+    kind is stored as an AnchorKind (ValueError for any other value) and
+    the section as a tuple."""
 
     __slots__ = _fields = ("kind", "section")
 
     def __init__(
         self, kind: AnchorKind, section: tuple[LaurentPoly, ...] | None = None
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "kind", AnchorKind(kind))
+        object.__setattr__(self, "section", None if section is None else tuple(section))
+
+
+def _is_tangent_bundle(V: FormalBundle) -> bool:
+    return V.rank == 1 and V.atoms[0].is_tangent
 
 
 class AlgebroidDesc(_Value):
+    """An algebroid (V, anchor), checked when it is built: InvalidAnchor
+    unless the anchor data can describe a map V -> TX. V and the anchor are
+    stored in canonical form, so a descriptor rebuilt from its own fields is
+    equal to it.
+
+    A genus-0 atom of rank >= 2 is rejected, whatever its declared
+    stability: an atom is indecomposable, and by Grothendieck every bundle on
+    the projective line is a sum of line bundles, so no such V exists.
+
+    An explicit section is genus-0 data, checked as a map V -> TX: entry k
+    maps the line atom O(v_k) into O(2), so it is a polynomial in z of degree
+    <= 2 - v_k.
+
+    Canonicalizations: at genus 0 a degree-2 line bundle is the tangent
+    bundle (line bundles there are classified by degree), and a nonzero
+    anchor on the tangent bundle is an isomorphism (a nonzero map between
+    line bundles of equal degree cannot vanish anywhere).
+    """
+
     __slots__ = _fields = ("V", "anchor")
 
     def __init__(self, V: FormalBundle, anchor: AnchorDesc) -> None:
+        g = V.context.genus
+        tangent_deg = V.context.tangent_degree
+
+        if g == 0:
+            for k, atom in enumerate(V.atoms):
+                if atom.rank >= 2:
+                    name = f" {atom.label!r}" if atom.label else ""
+                    raise InvalidAnchor(
+                        f"V atom {k}{name} (rank {atom.rank}, degree {atom.degree}) is "
+                        f"declared {atom.stability.value}, but an atom is indecomposable and "
+                        f"genus 0 has no indecomposable bundle of rank >= 2 (every bundle "
+                        f"on the projective line splits into line bundles)"
+                    )
+            # every atom is now a line, so a rank-1 V is one atom
+            if V.rank == 1 and V.degree == tangent_deg and not V.atoms[0].is_tangent:
+                a = V.atoms[0]
+                V = FormalBundle(V.context, (Atom(a.rank, a.degree, a.stability, a.label, True),))
+
+        if anchor.kind == AnchorKind.NONZERO and _is_tangent_bundle(V):
+            anchor = AnchorDesc(AnchorKind.ISOMORPHISM, anchor.section)
+
+        if anchor.kind == AnchorKind.ISOMORPHISM:
+            if V.rank != 1:
+                raise InvalidAnchor(
+                    f"isomorphism anchor needs rank(V) = 1 = rank of the tangent bundle, "
+                    f"got rank {V.rank}"
+                )
+            if not _is_tangent_bundle(V):
+                raise InvalidAnchor(
+                    "isomorphism anchor requires V to be the tangent bundle "
+                    "(rank 1, degree {0}, tangent-identified)".format(tangent_deg)
+                )
+
+        if anchor.kind == AnchorKind.NONZERO:
+            if V.rank == 1 and not _is_tangent_bundle(V) and V.degree >= tangent_deg:
+                raise InvalidAnchor(
+                    f"degree(V) = {V.degree} >= {tangent_deg} = degree of the tangent "
+                    f"bundle forces every map V -> TX to vanish or V = TX; a nonzero "
+                    f"anchor is impossible"
+                )
+            if anchor_forced_zero(V):
+                raise InvalidAnchor(
+                    f"slope data (rank {V.rank}, degree {V.degree}, genus {g}) forces "
+                    f"the anchor to vanish; kind 'nonzero' is inconsistent"
+                )
+
+        if anchor.section is not None:
+            if g != 0:
+                raise InvalidAnchor("explicit anchor sections are genus-0 data only")
+            if len(anchor.section) != V.rank:
+                raise InvalidAnchor(
+                    f"anchor section has {len(anchor.section)} entries for rank {V.rank}"
+                )
+            # every genus-0 atom is a line, so entry k maps atom k into TX
+            for k, (p, atom) in enumerate(zip(anchor.section, V.atoms)):
+                top = tangent_deg - atom.degree
+                if not p.is_zero and (not p.is_poly_in_z or p.max_exp > top):
+                    raise InvalidAnchor(
+                        f"anchor section entry {k} ({p}) is no map from O({atom.degree}) "
+                        f"into the tangent bundle: it must be a polynomial in z of degree <= {top}"
+                    )
+            section_zero = all(p.is_zero for p in anchor.section)
+            if anchor.kind == AnchorKind.ZERO and not section_zero:
+                raise InvalidAnchor("zero anchor carries a nonzero section")
+            if anchor.kind != AnchorKind.ZERO and section_zero:
+                raise InvalidAnchor(f"{anchor.kind.value} anchor carries a zero section")
+
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "anchor", anchor)
 
@@ -128,103 +222,11 @@ class Decision(_Value):
         raise PreconditionFailed("undecided verdicts carry no boolean answer")
 
 
-def _is_tangent_bundle(V: FormalBundle) -> bool:
-    return V.rank == 1 and V.atoms[0].is_tangent
-
-
-def validate_algebroid(desc: AlgebroidDesc) -> AlgebroidDesc:
-    """Check the anchor invariants and return a canonicalized descriptor.
-
-    A genus-0 atom of rank >= 2 is rejected, whatever its declared
-    stability: an atom is indecomposable, and by Grothendieck every bundle on
-    the projective line is a sum of line bundles, so no such V exists.
-
-    An explicit section is genus-0 data, checked as a map V -> TX: entry k
-    maps the line atom O(v_k) into O(2), so it is a polynomial in z of degree
-    <= 2 - v_k.
-
-    Canonicalizations: at genus 0 a degree-2 line bundle is the tangent
-    bundle (line bundles there are classified by degree), and a nonzero
-    anchor on the tangent bundle is an isomorphism (a nonzero map between
-    line bundles of equal degree cannot vanish anywhere).
-    """
-    V = desc.V
-    anchor = desc.anchor
-    g = V.context.genus
-    tangent_deg = V.context.tangent_degree
-
-    if g == 0:
-        for k, atom in enumerate(V.atoms):
-            if atom.rank >= 2:
-                name = f" {atom.label!r}" if atom.label else ""
-                raise InvalidAnchor(
-                    f"V atom {k}{name} (rank {atom.rank}, degree {atom.degree}) is "
-                    f"declared {atom.stability.value}, but an atom is indecomposable and "
-                    f"genus 0 has no indecomposable bundle of rank >= 2 (every bundle "
-                    f"on the projective line splits into line bundles)"
-                )
-
-    if V.context.genus == 0 and V.rank == 1 and V.degree == tangent_deg:
-        if not V.atoms[0].is_tangent:
-            a = V.atoms[0]
-            V = FormalBundle(V.context, (Atom(a.rank, a.degree, a.stability, a.label, True),))
-
-    if anchor.kind == AnchorKind.NONZERO and _is_tangent_bundle(V):
-        anchor = AnchorDesc(AnchorKind.ISOMORPHISM, anchor.section)
-
-    if anchor.kind == AnchorKind.ISOMORPHISM:
-        if V.rank != 1:
-            raise InvalidAnchor(
-                f"isomorphism anchor needs rank(V) = 1 = rank of the tangent bundle, "
-                f"got rank {V.rank}"
-            )
-        if not _is_tangent_bundle(V):
-            raise InvalidAnchor(
-                "isomorphism anchor requires V to be the tangent bundle "
-                "(rank 1, degree {0}, tangent-identified)".format(tangent_deg)
-            )
-
-    if anchor.kind == AnchorKind.NONZERO:
-        if V.rank == 1 and not _is_tangent_bundle(V) and V.degree >= tangent_deg:
-            raise InvalidAnchor(
-                f"degree(V) = {V.degree} >= {tangent_deg} = degree of the tangent "
-                f"bundle forces every map V -> TX to vanish or V = TX; a nonzero "
-                f"anchor is impossible"
-            )
-        if anchor_forced_zero(AlgebroidDesc(V, anchor)):
-            raise InvalidAnchor(
-                f"slope data (rank {V.rank}, degree {V.degree}, genus {g}) forces "
-                f"the anchor to vanish; kind 'nonzero' is inconsistent"
-            )
-
-    if anchor.section is not None:
-        if g != 0:
-            raise InvalidAnchor("explicit anchor sections are genus-0 data only")
-        if len(anchor.section) != V.rank:
-            raise InvalidAnchor(
-                f"anchor section has {len(anchor.section)} entries for rank {V.rank}"
-            )
-        # every genus-0 atom is a line, so entry k maps atom k into TX
-        for k, (p, atom) in enumerate(zip(anchor.section, V.atoms)):
-            top = tangent_deg - atom.degree
-            if not p.is_zero and (not p.is_poly_in_z or p.max_exp > top):
-                raise InvalidAnchor(
-                    f"anchor section entry {k} ({p}) is no map from O({atom.degree}) "
-                    f"into the tangent bundle: it must be a polynomial in z of degree <= {top}"
-                )
-        section_zero = all(p.is_zero for p in anchor.section)
-        if anchor.kind == AnchorKind.ZERO and not section_zero:
-            raise InvalidAnchor("zero anchor carries a nonzero section")
-        if anchor.kind != AnchorKind.ZERO and section_zero:
-            raise InvalidAnchor(f"{anchor.kind.value} anchor carries a zero section")
-
-    return AlgebroidDesc(V, anchor)
-
-
-def anchor_forced_zero(desc: AlgebroidDesc) -> bool:
-    """True when slope data alone forces the anchor to vanish: a stable V of
-    rank >= 2 with mu(V) >= deg(TX), or a line bundle of degree > deg(TX)."""
-    V = desc.V
+def anchor_forced_zero(V: FormalBundle) -> bool:
+    """True when slope data alone forces every map V -> TX to vanish: a
+    stable V of rank >= 2 with mu(V) >= deg(TX), or a line bundle of degree
+    > deg(TX). It reads V only, so AlgebroidDesc can ask it before the
+    descriptor exists."""
     tangent_deg = V.context.tangent_degree
     if V.rank >= 2:
         all_stable = all(a.stability == Stability.STABLE for a in V.atoms)
@@ -237,8 +239,9 @@ def anchor_forced_zero(desc: AlgebroidDesc) -> bool:
 
 
 def decide_connection(desc: AlgebroidDesc, E: FormalBundle) -> Decision:
-    """Total, deterministic case analysis; first matching case wins."""
-    desc = validate_algebroid(desc)
+    """Total, deterministic case analysis; first matching case wins. The
+    descriptor was checked and put in canonical form when it was built, so
+    only the two genera are compared here."""
     if desc.V.context != E.context:
         raise ContextMismatch(
             f"algebroid at genus {desc.V.context.genus}, bundle at genus "

@@ -65,15 +65,11 @@ def _emit(payload) -> None:
 
 
 def cmd_decide(args) -> int:
-    from .algebroid_decision import (
-        algebroid_from_json,
-        decide_connection,
-        decision_to_json,
-        validate_algebroid,
-    )
+    from .algebroid_decision import algebroid_from_json, decide_connection, decision_to_json
 
-    # validated here so that an invalid anchor names --algebroid
-    desc = _read(args, "algebroid", lambda doc: validate_algebroid(algebroid_from_json(doc)))
+    # the descriptor checks itself when it is built, inside _read, so that an
+    # invalid anchor names --algebroid
+    desc = _read(args, "algebroid", algebroid_from_json)
     bundle = _read(args, "bundle", bundle_from_json)
     if desc.V.context != bundle.context:
         raise ContextMismatch(

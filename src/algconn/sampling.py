@@ -114,9 +114,9 @@ class Sampler:
 
     def rank1_algebroid(self) -> tuple[AlgebroidDesc, ConcreteAnchor]:
         """A rank-1 genus-0 algebroid, in matching formal and concrete
-        presentations. The descriptor is valid and canonical by
-        construction: a degree-2 atom is the tangent bundle, with a zero or
-        isomorphism anchor. decide_connection validates it."""
+        presentations. The descriptor is drawn valid and canonical: a
+        degree-2 atom is the tangent bundle, with a zero or isomorphism
+        anchor. AlgebroidDesc checks it when it is built."""
         v = self.rng.randint(-4, 2)
         if v == 2:
             kind = self.rng.choice([AnchorKind.ZERO, AnchorKind.ISOMORPHISM])

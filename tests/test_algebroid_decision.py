@@ -1,4 +1,8 @@
-"""Decision procedure: validation, forced-zero anchors, the case analysis."""
+"""Decision procedure: descriptors checked when built, forced-zero anchors,
+the case analysis."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -14,10 +18,9 @@ from algconn.algebroid_decision import (
     anchor_forced_zero,
     decide_connection,
     decision_to_json,
-    validate_algebroid,
 )
 from algconn.errors import ContextMismatch, InvalidAnchor, PreconditionFailed, SchemaError
-from algconn.exact_core import laurent_parse
+from algconn.exact_core import LaurentPoly, laurent_parse
 from algconn.formal_bundles import Atom, CurveContext, FormalBundle, Stability
 
 
@@ -39,14 +42,17 @@ def anchor(kind, section=None):
 
 
 def test_validate_tangent_isomorphism_ok():
-    desc = AlgebroidDesc(v_line(2, tangent=True), anchor("isomorphism"))
-    validate_algebroid(desc)
+    AlgebroidDesc(v_line(2, tangent=True), anchor("isomorphism"))
 
 
 def test_validate_rank2_isomorphism_rejected():
-    desc = AlgebroidDesc(v_rank2(0), anchor("isomorphism"))
     with pytest.raises(InvalidAnchor):
-        validate_algebroid(desc)
+        AlgebroidDesc(v_rank2(0), anchor("isomorphism"))
+    # at genus 1 a rank-2 V exists, and the isomorphism check itself refuses it
+    with pytest.raises(InvalidAnchor, match=r"needs rank\(V\) = 1 = rank of the tangent bundle"):
+        AlgebroidDesc(v_rank2(-3, genus=1), anchor("isomorphism"))
+    with pytest.raises(InvalidAnchor, match="requires V to be the tangent bundle"):
+        AlgebroidDesc(v_line(-1), anchor("isomorphism"))
 
 
 def test_validate_genus0_stable_rank2_rejected():
@@ -57,63 +63,65 @@ def test_validate_genus0_stable_rank2_rejected():
         declared = f"declared {stability.value}"
         for kind in ("nonzero", "zero"):
             with pytest.raises(InvalidAnchor, match=rf"V atom 0 \(rank 2, degree 1\) is {declared}"):
-                validate_algebroid(AlgebroidDesc(v_rank2(1, stability=stability), anchor(kind)))
+                AlgebroidDesc(v_rank2(1, stability=stability), anchor(kind))
         V = FormalBundle(CurveContext(0), (Atom(1, -1), Atom(3, -4, stability, label="S")))
         with pytest.raises(InvalidAnchor, match=rf"V atom 1 'S' \(rank 3, degree -4\) is {declared}"):
             decide_connection(AlgebroidDesc(V, anchor("nonzero")), e_lines([1]))
         # at genus 1 bundles of rank 2 of every stability exist
-        validate_algebroid(AlgebroidDesc(v_rank2(-3, genus=1, stability=stability), anchor("nonzero")))
+        AlgebroidDesc(v_rank2(-3, genus=1, stability=stability), anchor("nonzero"))
 
 
 def test_validate_high_degree_nonzero_rejected():
     # degree 5 > 2 = deg TX at genus 0: every map to TX vanishes
-    desc = AlgebroidDesc(v_line(5), anchor("nonzero"))
     with pytest.raises(InvalidAnchor):
-        validate_algebroid(desc)
+        AlgebroidDesc(v_line(5), anchor("nonzero"))
 
 
 def test_validate_equal_degree_nontangent_nonzero_rejected():
     # genus 2: deg V = -2 = deg TX but V is not TX: nonzero map impossible
-    desc = AlgebroidDesc(v_line(-2, genus=2), anchor("nonzero"))
-    with pytest.raises(InvalidAnchor):
-        validate_algebroid(desc)
+    with pytest.raises(InvalidAnchor, match=r"degree\(V\) = -2 >= -2 = degree of the tangent"):
+        AlgebroidDesc(v_line(-2, genus=2), anchor("nonzero"))
 
 
 def test_canonicalization_genus0_degree2_is_tangent():
     # at genus 0 the degree-2 line bundle is the tangent bundle, and a
     # nonzero self-map of it is an isomorphism
-    desc = validate_algebroid(AlgebroidDesc(v_line(2), anchor("nonzero", ["1"])))
+    desc = AlgebroidDesc(v_line(2), anchor("nonzero", ["1"]))
     assert desc.V.atoms[0].is_tangent
     assert desc.anchor.kind == AnchorKind.ISOMORPHISM
 
 
 def test_canonicalization_tangent_nonzero_promoted_any_genus():
     desc = AlgebroidDesc(v_line(-2, genus=2, tangent=True), anchor("nonzero"))
-    assert validate_algebroid(desc).anchor.kind == AnchorKind.ISOMORPHISM
+    assert desc.anchor.kind == AnchorKind.ISOMORPHISM
 
 
 def test_validate_forced_zero_inconsistency_rejected():
     # genus 1, stable rank-2 of slope 0 >= 0 = deg TX: anchor forced zero
-    desc = AlgebroidDesc(v_rank2(0, genus=1), anchor("nonzero"))
-    assert anchor_forced_zero(desc)
-    with pytest.raises(InvalidAnchor):
-        validate_algebroid(desc)
+    assert anchor_forced_zero(v_rank2(0, genus=1))
+    with pytest.raises(InvalidAnchor, match="forces the anchor to vanish"):
+        AlgebroidDesc(v_rank2(0, genus=1), anchor("nonzero"))
 
 
 def test_validate_section_consistency():
     with pytest.raises(InvalidAnchor):
-        validate_algebroid(AlgebroidDesc(v_line(-1), anchor("zero", ["z"])))
+        AlgebroidDesc(v_line(-1), anchor("zero", ["z"]))
     with pytest.raises(InvalidAnchor):
-        validate_algebroid(AlgebroidDesc(v_line(-1), anchor("nonzero", ["0"])))
+        AlgebroidDesc(v_line(-1), anchor("nonzero", ["0"]))
     with pytest.raises(InvalidAnchor):
-        validate_algebroid(AlgebroidDesc(v_line(-1, genus=1), anchor("nonzero", ["z"])))
-    validate_algebroid(AlgebroidDesc(v_line(-1), anchor("nonzero", ["z^3 - 1"])))
+        AlgebroidDesc(v_line(-1, genus=1), anchor("nonzero", ["z"]))
+    AlgebroidDesc(v_line(-1), anchor("nonzero", ["z^3 - 1"]))
     # a genus-0 section is a map V -> TX: entry k is a polynomial of degree
     # <= 2 - deg(atom k); the boundary degree is accepted
-    validate_algebroid(AlgebroidDesc(v_line(-1), anchor("nonzero", ["z^3"])))
-    validate_algebroid(AlgebroidDesc(v_line(2, tangent=True), anchor("isomorphism", ["-2"])))
+    AlgebroidDesc(v_line(-1), anchor("nonzero", ["z^3"]))
+    AlgebroidDesc(v_line(2, tangent=True), anchor("isomorphism", ["-2"]))
     v10 = e_lines([1, 0])
-    validate_algebroid(AlgebroidDesc(v10, anchor("nonzero", ["z", "z^2"])))
+    AlgebroidDesc(v10, anchor("nonzero", ["z", "z^2"]))
+    # one entry per line atom of V, no fewer and no more
+    for V, section in ((v10, ["z"]), (v_line(-1), ["z", "1"])):
+        n = len(section)
+        with pytest.raises(InvalidAnchor, match=f"anchor section has {n} entries for rank {V.rank}"):
+            AlgebroidDesc(V, anchor("nonzero", section))
     for V, kind, section, k in (
         (v_line(-1), "nonzero", ["z^5"], 0),
         (v_line(-1), "nonzero", ["z^-1"], 0),
@@ -122,17 +130,70 @@ def test_validate_section_consistency():
         (v10, "nonzero", ["1", "z^3 + 1"], 1),
     ):
         with pytest.raises(InvalidAnchor, match=rf"anchor section entry {k} "):
-            validate_algebroid(AlgebroidDesc(V, anchor(kind, section)))
+            AlgebroidDesc(V, anchor(kind, section))
+
+
+# fields that the constructor rewrites: an undeclared genus-0 O(2) is TX,
+# and a nonzero anchor on TX is an isomorphism
+CANONICALIZED = [
+    (v_line(2), anchor("nonzero")),
+    (v_line(2), anchor("nonzero", ["3"])),
+    (v_line(2), anchor("zero")),
+    (v_line(2, tangent=True), anchor("nonzero")),
+    (v_line(-2, genus=2, tangent=True), anchor("nonzero")),
+]
+
+
+@pytest.mark.parametrize("fields", CANONICALIZED, ids=range(len(CANONICALIZED)))
+def test_a_descriptor_is_stored_in_canonical_form(fields):
+    desc = AlgebroidDesc(*fields)
+    assert desc.V.atoms[0].is_tangent
+    assert desc.anchor.kind != AnchorKind.NONZERO
+    # the canonical form is a fixed point: rebuilt from its fields, copied,
+    # pickled or sent through JSON, the descriptor comes back equal
+    assert AlgebroidDesc(desc.V, desc.anchor) == desc
+    assert AlgebroidDesc(desc.V, AnchorDesc(desc.anchor.kind, desc.anchor.section)) == desc
+    assert copy.copy(desc) == desc and copy.deepcopy(desc) == desc
+    assert pickle.loads(pickle.dumps(desc)) == desc
+    assert algebroid_from_json(algebroid_to_json(desc)) == desc
+
+
+def test_an_anchor_kind_is_an_anchor_kind():
+    # a string is read as its kind; any other value is refused
+    assert AnchorDesc("nonzero") == AnchorDesc(AnchorKind.NONZERO)
+    assert type(AnchorDesc("zero").kind) is AnchorKind
+    with pytest.raises(ValueError):
+        AnchorDesc("bogus")
+    with pytest.raises(InvalidAnchor, match="nonzero anchor carries a zero section"):
+        AlgebroidDesc(v_line(-1), AnchorDesc("nonzero", (LaurentPoly.zero(),)))
+    desc = AlgebroidDesc(v_line(-1), AnchorDesc("nonzero", [laurent_parse("z")]))
+    assert algebroid_to_json(desc)["anchor"] == {"kind": "nonzero", "section": ["z"]}
+    # a list section is stored as a tuple, so the descriptor hashes
+    assert desc.anchor.section == (laurent_parse("z"),)
+    assert hash(desc) == hash(AlgebroidDesc(v_line(-1), anchor("nonzero", ["z"])))
+
+
+def test_decide_connection_builds_no_descriptor(monkeypatch):
+    # the descriptor is checked when it is built, so deciding builds none
+    desc = AlgebroidDesc(v_line(2), anchor("nonzero", ["3"]))
+    built = []
+    init = AlgebroidDesc.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(AlgebroidDesc, "__init__", counting_init)
+    d = decide_connection(desc, e_lines([1]))
+    assert (d.reason, d.atiyah_weil, built) == (Reason.ANCHOR_ISO_AW, False, [])
 
 
 def test_anchor_forced_zero_cases():
-    assert anchor_forced_zero(AlgebroidDesc(v_rank2(0, genus=1), anchor("zero")))
-    assert anchor_forced_zero(AlgebroidDesc(v_line(3), anchor("zero")))
-    assert not anchor_forced_zero(AlgebroidDesc(v_line(-3), anchor("zero")))
+    assert anchor_forced_zero(v_rank2(0, genus=1))
+    assert anchor_forced_zero(v_line(3))
+    assert not anchor_forced_zero(v_line(-3))
     # unstable rank 2: nothing is forced
-    assert not anchor_forced_zero(
-        AlgebroidDesc(v_rank2(0, genus=1, stability=Stability.UNKNOWN), anchor("zero"))
-    )
+    assert not anchor_forced_zero(v_rank2(0, genus=1, stability=Stability.UNKNOWN))
 
 
 def test_decide_rank_one_not_tangent():
@@ -159,10 +220,10 @@ def test_decide_stable_rank2():
 
 def test_decide_stable_rank2_forced_zero_descriptor_rejected():
     # mu(V) = 1/2 >= -4 = deg TX forces the anchor to vanish, so declaring
-    # it nonzero is inconsistent and validation refuses to decide
-    desc = AlgebroidDesc(v_rank2(1, genus=3), anchor("nonzero"))
+    # it nonzero is inconsistent and no such descriptor is built
     with pytest.raises(InvalidAnchor):
-        decide_connection(desc, e_lines([2, 5], genus=3))
+        decide_connection(AlgebroidDesc(v_rank2(1, genus=3), anchor("nonzero")),
+                          e_lines([2, 5], genus=3))
     # the same V with a zero anchor is fine and decides via the zero case
     d = decide_connection(
         AlgebroidDesc(v_rank2(1, genus=3), anchor("zero")), e_lines([2, 5], genus=3)

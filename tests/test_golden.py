@@ -8,7 +8,10 @@ of 6 gauged rank 4-6 bundles (drawn by `Sampler.gauged_p1_bundle` with bound
 block by block (a direct sum of two gauged rank-2 blocks, and a diagonal
 transition with non-unit scalars), the `algconn decide` stdout of one
 formal algebroid per Reason (the isomorphism anchor twice, once with each
-Atiyah-Weil answer), and the sha256 of `algconn fuzz --count 200 --seed 0`
+Atiyah-Weil answer), the `algconn decide` stdout of two algebroids that are
+read in canonical form (an undeclared genus-0 O(2) with a nonzero anchor,
+with and without a section, which decide as the tangent bundle with an
+isomorphism anchor), and the sha256 of `algconn fuzz --count 200 --seed 0`
 stdout. The recorded outputs are replayed through algconn.cli.main here.
 """
 
@@ -27,6 +30,13 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 def _stdout(capsys, argv) -> str:
     assert main(argv) == 0
     return capsys.readouterr().out
+
+
+def _decide_stdout(case, tmp_path, capsys) -> str:
+    algebroid, bundle = tmp_path / "algebroid.json", tmp_path / "bundle.json"
+    algebroid.write_text(json.dumps(case["algebroid"]))
+    bundle.write_text(json.dumps(case["bundle"]))
+    return _stdout(capsys, ["decide", "--algebroid", str(algebroid), "--bundle", str(bundle)])
 
 
 def test_golden_cases_cover_every_anchor_kind_and_answer():
@@ -78,11 +88,20 @@ def test_golden_decide_cases_cover_every_reason_and_atiyah_weil_answer():
 @pytest.mark.parametrize("index", range(len(GOLDEN["decide"])))
 def test_decide_stdout_is_golden(index, tmp_path, capsys):
     case = GOLDEN["decide"][index]
-    algebroid, bundle = tmp_path / "algebroid.json", tmp_path / "bundle.json"
-    algebroid.write_text(json.dumps(case["algebroid"]))
-    bundle.write_text(json.dumps(case["bundle"]))
-    out = _stdout(capsys, ["decide", "--algebroid", str(algebroid), "--bundle", str(bundle)])
-    assert out == case["stdout"]
+    assert _decide_stdout(case, tmp_path, capsys) == case["stdout"]
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN["decide_canonical"])))
+def test_canonical_decide_stdout_is_golden(index, tmp_path, capsys):
+    # an undeclared genus-0 O(2) is TX, and a nonzero anchor on it an
+    # isomorphism: a degree-1 E fails Atiyah-Weil
+    case = GOLDEN["decide_canonical"][index]
+    assert case["algebroid"]["V"] == {"genus": 0, "atoms": [{"rank": 1, "degree": 2}]}
+    assert case["algebroid"]["anchor"]["kind"] == "nonzero"
+    assert ("section" in case["algebroid"]["anchor"]) == (index == 1)
+    doc = json.loads(case["stdout"])
+    assert (doc["reason"], doc["atiyah_weil"]) == ("AnchorIso_AW", False)
+    assert _decide_stdout(case, tmp_path, capsys) == case["stdout"]
 
 
 def test_fuzz_stdout_is_golden(capsys):

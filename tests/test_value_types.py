@@ -247,7 +247,7 @@ def test_immutable_values_copy_to_themselves_and_outcomes_do_not():
 # every name algconn/__init__.py exports
 EXPORTS = """
 AlgebroidDesc AnchorDesc AnchorKind Decision Reason Verdict anchor_forced_zero
-decide_connection validate_algebroid LaurentMatrix LaurentPoly laurent_parse Atom
+decide_connection LaurentMatrix LaurentPoly laurent_parse Atom
 CurveContext FormalBundle Stability atiyah_weil ConcreteAnchor
 ConnectionCert ObstructionCocycle construct_connection jet1_transition
 jetV_transition obstruction_cocycle tangent_anchor verify_connection
