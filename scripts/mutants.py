@@ -48,9 +48,16 @@ entry's map cancels to zero. reduction-step leaves a step of _reduce out
 of U0, and u1-pivot-division leaves the rows of _qinverse, hence of U1,
 undivided by their pivots. The record refuses every split they break:
 each split that takes a step, and each split whose w-side ends on a
-constant with a pivot other than 1, the tangent bundle's among them. The
-package builds the tangent bundle and O on first use, not at import, so
-such a mutant fails the tests that split, one by one.
+constant with a pivot other than 1. The package builds the tangent bundle
+and O on first use, not at import, so such a mutant fails the tests that
+split, one by one.
+
+A diagonal transition with one monomial on each diagonal entry is split
+by reading it, not by the reduction, and the tests require the very
+record the reduction gives. closed-form-tie-order puts tied exponents in
+reversed row order, closed-form-u1-inverse puts c_i where 1/c_i belongs,
+closed-form-off-diagonal drops the scan for entries off the diagonal, and
+closed-form-zero-entry lets a zero diagonal entry into the closed form.
 
 A "yes" is the closed form of jet_obstruction's docstring: A0 = U0^(-1)
 [phi0 (x) U0' - (psi~ U0_V) (x) Delta U0] and A1 = U1 [(z^(-1) psi(0)
@@ -88,9 +95,10 @@ algebroid-section-length, algebroid-section-degree,
 algebroid-zero-kind-section and algebroid-nonzero-kind-section. So do the
 two canonicalizations (algebroid-canonical-tangent, an undeclared genus-0
 O(2) read as TX; algebroid-canonical-isomorphism, a nonzero anchor on TX
-read as an isomorphism) and AnchorDesc's two coercions
-(anchor-kind-coercion, anchor-section-tuple). The harness lists 79
-mutants.
+read as an isomorphism), AnchorDesc's two coercions
+(anchor-kind-coercion, anchor-section-tuple) and its two section checks
+(anchor-section-entries, an entry that is no LaurentPoly;
+anchor-section-string, a string section). The harness lists 85 mutants.
 """
 
 from __future__ import annotations
@@ -175,6 +183,18 @@ MUTANTS = (
         "return [row[n:] for row in aug]",
         P1_TESTS,
     ),
+    # the closed form of a monomial diagonal, one mutant per clause: ties in
+    # row order, U1 = the inverse scalars, no entry off the diagonal, and no
+    # zero entry on it
+    Mutant("closed-form-tie-order", P1, "order = sorted(range(r), key=lambda i: -terms[i][0])",
+           "order = sorted(reversed(range(r)), key=lambda i: -terms[i][0])", P1_TESTS),
+    Mutant("closed-form-u1-inverse", P1, "_poly({0: _ratio(c.denominator, c.numerator)})",
+           "_poly({0: c})", P1_TESTS),
+    Mutant("closed-form-off-diagonal", P1,
+           "if len(x) != 1 or any(y._coeffs for j, y in enumerate(row) if j != i):",
+           "if len(x) != 1:", P1_TESTS),
+    Mutant("closed-form-zero-entry", P1, "if len(x) != 1 or any(", "if len(x) > 1 or any(",
+           P1_TESTS),
     # the w-chart reduction: a row of positive degree left means no unit
     Mutant("w-side-unit-test", P1, "if any(w_tops):", "if False:", P1_TESTS),
     # the z-chart step budget: on det 0 with a wide span, it bounds the time
@@ -488,6 +508,10 @@ MUTANTS = (
            DECISION_TESTS),
     Mutant("anchor-section-tuple", DECISION, "None if section is None else tuple(section)",
            "section", DECISION_TESTS),
+    Mutant("anchor-section-entries", DECISION, "if not isinstance(p, LaurentPoly):", "if False:",
+           DECISION_TESTS),
+    Mutant("anchor-section-string", DECISION, "if isinstance(section, str):", "if False:",
+           DECISION_TESTS),
 )
 
 

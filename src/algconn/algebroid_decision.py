@@ -50,7 +50,9 @@ class AnchorDesc(_Value):
     """Anchor data. The optional section (chart-0 coefficients of the map
     into the tangent bundle) is carried for the genus-0 engine only. The
     kind is stored as an AnchorKind (ValueError for any other value) and
-    the section as a tuple."""
+    the section as a tuple of LaurentPoly: TypeError for a string section,
+    which would read as its characters, and for an entry of any other
+    type, named by its index."""
 
     __slots__ = _fields = ("kind", "section")
 
@@ -58,7 +60,15 @@ class AnchorDesc(_Value):
         self, kind: AnchorKind, section: tuple[LaurentPoly, ...] | None = None
     ) -> None:
         object.__setattr__(self, "kind", AnchorKind(kind))
-        object.__setattr__(self, "section", None if section is None else tuple(section))
+        if isinstance(section, str):
+            raise TypeError("an anchor section is a sequence of LaurentPoly, not a string")
+        section = None if section is None else tuple(section)
+        for k, p in enumerate(section or ()):
+            if not isinstance(p, LaurentPoly):
+                raise TypeError(
+                    f"anchor section entry {k} must be a LaurentPoly, not {type(p).__name__}"
+                )
+        object.__setattr__(self, "section", section)
 
 
 def _is_tangent_bundle(V: FormalBundle) -> bool:

@@ -13,7 +13,10 @@ determinant of T. The tangent bundle is O(2) with transition -z^2: the sign
 is the honest chain rule d/dz = -z^2... for w = 1/z, and matters once jets
 and anchors enter.
 
-Splitting (the decomposition into line bundles) is computed by one row
+Splitting (the decomposition into line bundles) reads the record off a
+diagonal transition with one monomial c_i z^(a_i) on each diagonal entry,
+which is its own splitting (Grothendieck, 1957): the split bundles E and V
+that run_fuzz builds are such. Any other transition is split by one row
 reduction, run on both charts: polynomial row operations on the left lower
 the row-degree sum until the matrix of leading row coefficients is
 invertible (the predictable-degree property; Kailath, Linear Systems,
@@ -29,15 +32,16 @@ with no determinant, and then U1 is unimodular iff its constant term
 U1(w = 0) is invertible: det T * det U1 = c * z^(sum a_i), so det U1 =
 q(1/z) divides a monomial, q(w) = c' * w^m, a nonzero constant iff q(0) != 0.
 
-No determinant validates a transition either. The reduction is the
-validation, and raises NotAUnit exactly when T is not a unit. On the
-z-chart it stops on det T = 0 (a row reduces to zero, or the step budget
-runs out). Otherwise det N is a nonzero polynomial in w, and the w-chart
-reduction leaves a row of positive degree exactly when det N is no
-constant, that is when det T is no monomial c * z^k. For a unit deg E =
-sum a_i (see SplittingData), and a failing identity is an internal bug. Every
-bundle, a dual, twist, tensor, hom or jet bundle too, is validated by the
-reduction that splits it, and its degree is the sum of its splitting type.
+No determinant validates a transition either. A monomial diagonal is a
+unit on sight; on any other T the reduction is the validation, and raises
+NotAUnit exactly when T is not a unit. On the z-chart it stops on det T =
+0 (a row reduces to zero, or the step budget runs out). Otherwise det N is
+a nonzero polynomial in w, and the w-chart reduction leaves a row of
+positive degree exactly when det N is no constant, that is when det T is
+no monomial c * z^k. For a unit deg E = sum a_i (see SplittingData), and a
+failing identity is an internal bug. Every bundle, a dual, twist, tensor,
+hom or jet bundle too, is validated by the split that builds its record,
+and its degree is the sum of its splitting type.
 
 End(E) (x) V*, where the connection obstruction lives, is never split as a
 bundle of its own: jet_obstruction answers and builds certificates from
@@ -72,24 +76,27 @@ from .exact_core import (
     _lifted_product,
     _matrix,
     _nonzero,
+    _ONE,
     _parse_entries,
     _poly,
     _qinverse,
     _qnullspace,
+    _ratio,
     _Value,
+    _ZERO,
 )
 
 
 class P1Bundle(_Value):
     """Rank-r bundle on the projective line via its transition matrix.
 
-    Constructing one validates T by the reduction that splits it: NotAUnit
-    unless T is invertible over the Laurent ring, and the degree is the sum
-    of the splitting type. Duals, twists, tensor, hom and jet bundles are
-    built this way too. That splitting is memoised, so birkhoff_split
-    returns it with no second reduction until the memo evicts it. The
-    transition alone takes part in equality, hashing and repr: rank and
-    degree are read off it.
+    Constructing one validates T by splitting it: NotAUnit unless T is
+    invertible over the Laurent ring, and the degree is the sum of the
+    splitting type. Duals, twists, tensor, hom and jet bundles are built
+    this way too. That splitting is memoised, so birkhoff_split returns it
+    with no second split until the memo evicts it. The transition alone
+    takes part in equality, hashing and repr: rank and degree are read off
+    it.
     """
 
     _fields = ("transition",)
@@ -160,8 +167,8 @@ def twist(E: P1Bundle, n: int) -> P1Bundle:
 def gauge_transform(E: P1Bundle, A: LaurentMatrix, B: LaurentMatrix) -> P1Bundle:
     """Change frames: T -> A * T * B. A must be polynomial in z and B in
     1/z, both with constant nonzero determinant, for this to be a frame
-    change; the result is validated like any other transition, by the
-    reduction that splits it."""
+    change; the result is validated like any other transition, by
+    splitting it."""
     return P1Bundle(A @ E.transition @ B)
 
 
@@ -311,6 +318,37 @@ def _combine(rows: list[_Row], terms: list[tuple[int, int, int | Fraction]]) -> 
 
 
 def _split_connected(T: LaurentMatrix) -> SplittingData:
+    """The splitting record of T; NotAUnit when T is no unit. The record
+    checks the factorization when it is built.
+
+    A diagonal T with one monomial c_i z^(a_i) on each diagonal entry is
+    its own splitting (Grothendieck), and its record is read off it: the
+    type is the a_i sorted descending, ties in row order, U0 the sorting
+    permutation and U1 its inverse with 1/c_i at (i, position of i). That
+    is exactly the record _split_reduced gives it, since the reduction
+    takes no step on such a T and its w-side stops on the constant C =
+    U0 diag(c_i), so the memo stays a pure function of T. Any other T,
+    a zero or many-term diagonal entry too, goes through _split_reduced
+    and keeps its NotAUnit messages."""
+    rows = T._rows
+    terms = []
+    for i, row in enumerate(rows):
+        x = row[i]._coeffs
+        if len(x) != 1 or any(y._coeffs for j, y in enumerate(row) if j != i):
+            return _split_reduced(T)
+        terms.extend(x.items())  # its one (a_i, c_i)
+    r = len(rows)
+    order = sorted(range(r), key=lambda i: -terms[i][0])
+    U0 = tuple([tuple([_ONE if j == i else _ZERO for j in range(r)]) for i in order])
+    U1 = [[_ZERO] * r for _ in range(r)]
+    for k, i in enumerate(order):
+        c = terms[i][1]
+        U1[i][k] = _poly({0: _ratio(c.denominator, c.numerator)})
+    type_ = tuple([terms[i][0] for i in order])
+    return SplittingData(T, type_, _matrix(U0), _matrix(tuple(map(tuple, U1))))
+
+
+def _split_reduced(T: LaurentMatrix) -> SplittingData:
     """U0 and U1 with U0 @ T @ U1 diagonal and the type sorted, by one
     reduction run on both charts; NotAUnit when T is no unit. The record
     checks the factorization when it is built.
@@ -343,12 +381,15 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
 
 # The engine's one memo; the package's other is exact_core._parsed. Both are
 # bounded because their keys are outside input; fuzz_diagonal, the bench's
-# most repetitive workload, meets at most 826 distinct transitions. This one
-# is global and keyed by transition equality, not scoped to a bundle
-# instance: small split bundles (the E and V of run_fuzz cases) recur across
-# inputs as fresh, equal objects, and scoped to the instance fuzz_diagonal
-# fell from 83 to 43 cases/s. A transition parsed from JSON holds the parse
-# memo's shared entries, so its hash and equality read cached, identical ones.
+# most repetitive workload, meets at most 826 distinct transitions, and each
+# one it misses on is a monomial diagonal of rank <= 3, most of rank 3, that
+# _split_connected reads off with no reduction, so a miss there costs the
+# record's check alone. This one is global and keyed by transition equality,
+# not scoped to a bundle instance: small split bundles (the E and V of
+# run_fuzz cases) recur across inputs as fresh, equal objects, and scoped to
+# the instance fuzz_diagonal fell from 83 to 43 cases/s. A transition parsed
+# from JSON holds the parse memo's shared entries, so its hash and equality
+# read cached, identical ones.
 @lru_cache(maxsize=1024)
 def _birkhoff_cached(T: LaurentMatrix) -> SplittingData:
     try:

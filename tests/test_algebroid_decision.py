@@ -173,6 +173,23 @@ def test_an_anchor_kind_is_an_anchor_kind():
     assert hash(desc) == hash(AlgebroidDesc(v_line(-1), anchor("nonzero", ["z"])))
 
 
+def test_an_anchor_section_holds_laurent_polynomials():
+    # an entry of another type is named by its index, and a string section,
+    # which tuple() would split into its characters, is refused whole
+    with pytest.raises(TypeError, match="anchor section entry 0 must be a LaurentPoly, not str"):
+        AnchorDesc("nonzero", ("z",))
+    with pytest.raises(TypeError, match="entry 1 must be a LaurentPoly, not int"):
+        AnchorDesc(AnchorKind.NONZERO, [laurent_parse("z"), 3])
+    for section in ("z", ""):
+        with pytest.raises(TypeError, match="not a string"):
+            AnchorDesc("zero", section)
+    # so no descriptor is built on such data
+    with pytest.raises(TypeError, match="entry 0"):
+        AlgebroidDesc(v_line(-1), AnchorDesc("nonzero", ("z",)))
+    assert AnchorDesc("nonzero", ()).section == ()
+    assert AnchorDesc("nonzero", iter([laurent_parse("z")])).section == (laurent_parse("z"),)
+
+
 def test_decide_connection_builds_no_descriptor(monkeypatch):
     # the descriptor is checked when it is built, so deciding builds none
     desc = AlgebroidDesc(v_line(2), anchor("nonzero", ["3"]))

@@ -6,7 +6,10 @@ anchors; both answers), the `algconn split`, `cohomology` and `jets` stdout
 of 6 gauged rank 4-6 bundles (drawn by `Sampler.gauged_p1_bundle` with bound
 2, ops 2, max_deg 1) and of two rank-4 bundles the reduction once split
 block by block (a direct sum of two gauged rank-2 blocks, and a diagonal
-transition with non-unit scalars), the `algconn decide` stdout of one
+transition with non-unit scalars), the `algconn split`, `cohomology` and
+`jets` stdout of 4 monomial diagonals, which are split by reading them
+(`-z^2`, `1/2*z^-3`, the rank-3 tie `diag(2*z, -z, 1/3*z)` and a rank-4
+diagonal with two tied pairs), the `algconn decide` stdout of one
 formal algebroid per Reason (the isomorphism anchor twice, once with each
 Atiyah-Weil answer), the `algconn decide` stdout of two algebroids that are
 read in canonical form (an undeclared genus-0 O(2) with a nonzero anchor,
@@ -70,13 +73,39 @@ def test_golden_split_cases_cover_ranks_4_to_6():
     assert [T[i][i] for i in range(4)] == ["2*z", "-3", "1/2*z^-1", "z^2"]
 
 
+def _bundle_stdout(case, command, tmp_path, capsys) -> str:
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(case["bundle"]))
+    return _stdout(capsys, [command, "--bundle", str(bundle)])
+
+
 @pytest.mark.parametrize("command", ["split", "cohomology", "jets"])
 @pytest.mark.parametrize("index", range(len(GOLDEN["split"])))
 def test_split_path_stdout_is_golden(index, command, tmp_path, capsys):
     case = GOLDEN["split"][index]
-    bundle = tmp_path / "bundle.json"
-    bundle.write_text(json.dumps(case["bundle"]))
-    assert _stdout(capsys, [command, "--bundle", str(bundle)]) == case[command]
+    assert _bundle_stdout(case, command, tmp_path, capsys) == case[command]
+
+
+def test_golden_split_diagonal_cases_hold_ties():
+    # monomial diagonals, split by reading them: two of rank 1, a rank-3
+    # tie and a rank-4 type with two tied pairs
+    cases = GOLDEN["split_diagonal"]
+    for case in cases:
+        T, r = case["bundle"]["transition"], case["bundle"]["rank"]
+        assert all(T[i][j] == "0" for i in range(r) for j in range(r) if i != j)
+        assert all(T[i][i] != "0" and " " not in T[i][i] for i in range(r))
+    types = [json.loads(c["cohomology"])["splitting_type"] for c in cases]
+    assert types == [[2], [-3], [1, 1, 1], [2, 2, -1, -1]]
+    assert [c["bundle"]["transition"][i][i] for c in cases[2:3] for i in range(3)] == [
+        "2*z", "-z", "1/3*z"
+    ]
+
+
+@pytest.mark.parametrize("command", ["split", "cohomology", "jets"])
+@pytest.mark.parametrize("index", range(len(GOLDEN["split_diagonal"])))
+def test_split_diagonal_stdout_is_golden(index, command, tmp_path, capsys):
+    case = GOLDEN["split_diagonal"][index]
+    assert _bundle_stdout(case, command, tmp_path, capsys) == case[command]
 
 
 def test_golden_decide_cases_cover_every_reason_and_atiyah_weil_answer():

@@ -1,5 +1,6 @@
 """Splitting, cohomology, sections, endomorphisms on the projective line."""
 
+import itertools
 import json
 import os
 import pickle
@@ -677,6 +678,87 @@ def test_a_split_that_fails_verify_is_an_internal_bug(monkeypatch):
         assert "U0 T U1 must be diag" in str(refused.value.__cause__)
     finally:
         _birkhoff_cached.cache_clear()
+
+
+# -- the closed form of a monomial diagonal --------------------------------------
+
+
+def monomial_diagonal(coeffs, exps) -> LaurentMatrix:
+    return LaurentMatrix.diag([LaurentPoly.monomial(c, a) for c, a in zip(coeffs, exps)])
+
+
+def assert_closed_form_is_the_reduction(T):
+    closed, reduced = p1_engine._split_connected(T), p1_engine._split_reduced(T)
+    for name in ("type", "U0", "U1", "u0_inverse"):
+        a, b = getattr(closed, name), getattr(reduced, name)
+        assert a == b and repr(a) == repr(b), (T, name)
+
+
+def test_a_monomial_diagonal_is_split_as_the_reduction_splits_it():
+    # every rank <= 3 diagonal with exponents in [-4, 4] and coefficients all
+    # 1, all -1, or (2, -3, 1): the memo stays a pure function of T
+    for r in range(1, 4):
+        for exps in itertools.product(range(-4, 5), repeat=r):
+            for coeffs in ((1,) * r, (-1,) * r, (2, -3, 1)[:r]):
+                assert_closed_form_is_the_reduction(monomial_diagonal(coeffs, exps))
+
+
+def test_a_tied_rational_diagonal_is_split_as_the_reduction_splits_it():
+    # ties keep row order; U1 holds each 1/c_i in canonical form
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    coeff_rows = ((half, -2 * third, 3, Fraction(-7, 5)), (-1, third, -third, 5), (-half,) * 4)
+    for r in range(1, 5):
+        for exps in itertools.product((-1, 0, 1), repeat=r):
+            for coeffs in coeff_rows:
+                assert_closed_form_is_the_reduction(monomial_diagonal(coeffs[:r], exps))
+    d = birkhoff_split(P1Bundle(monomial_diagonal((2, -1, third), (1, 1, 1))))
+    assert d.U0 == LaurentMatrix.identity(3)
+    assert d.U1.to_strings() == [["1/2", "0", "0"], ["0", "-1", "0"], ["0", "0", "3"]]
+    d = birkhoff_split(P1Bundle(monomial_diagonal((-1, 3, half, -2), (-1, 2, -1, 2))))
+    assert d.type == (2, 2, -1, -1)
+    assert d.U0.to_strings() == [
+        ["0", "1", "0", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "0", "1", "0"]
+    ]
+
+
+def count_reductions(monkeypatch) -> list:
+    runs = []
+    real = p1_engine._reduce
+
+    def counting(*args, **kwargs):
+        runs.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(p1_engine, "_reduce", counting)
+    _birkhoff_cached.cache_clear()
+    return runs
+
+
+def test_split_bundles_are_split_with_no_reduction(monkeypatch):
+    runs = count_reductions(monkeypatch)
+    monkeypatch.setattr(p1_engine, "_tangent", None)  # so that tangent_bundle() builds it
+    E, V = split_bundle([2, 0, -1, 2]), line_bundle(-3, Fraction(2, 3))
+    built = [E, V, tangent_bundle(), twist(E, -2), dual_bundle(E), dual_bundle(V),
+             tensor_bundle(E, V), tensor_bundle(V, E), hom_bundle(V, E), trivial_bundle(3)]
+    assert runs == []
+    assert [b.degree for b in built] == [3, -3, 2, -5, -3, 3, -9, -9, 15, 0]
+    # a gauged T, or a monomial diagonal with an entry off it, is still reduced
+    s = Sampler(50)
+    gauge_transform(E, s.unimodular_z(4), s.unimodular_w(4))
+    assert runs[:1] == [4]
+    bundle([["z", "2"], ["0", "z^-1"]])
+    assert runs[-2:] == [2, 2]
+
+
+def test_a_zero_or_many_term_diagonal_entry_keeps_its_message():
+    for rows, message in (
+        ([["z", "0"], ["0", "0"]], "determinant is zero"),
+        ([["0", "0"], ["0", "-z"]], "determinant is zero"),
+        ([["1 + z", "0"], ["0", "1"]], "not a monomial"),
+        ([["1", "0"], ["0", "z^-1 + z"]], "not a monomial"),
+    ):
+        with pytest.raises(NotAUnit, match=message):
+            bundle(rows)
 
 
 # -- cohomology ------------------------------------------------------------------
