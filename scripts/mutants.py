@@ -44,13 +44,16 @@ denominator per column of U1, and decides U0 U0^(-1) = I with
 _inverse_holds, row by row; both run on _row_sums. verify-identity disables
 that decision, lifted-division leaves out the kernel's one division per
 coefficient, and inverse-entry-nonzero drops the decision's test that each
-entry's map cancels to zero. reduction-step leaves a step of _reduce out
-of U0, and u1-pivot-division leaves the rows of _qinverse, hence of U1,
-undivided by their pivots. The record refuses every split they break:
-each split that takes a step, and each split whose w-side ends on a
-constant with a pivot other than 1. The package builds the tangent bundle
-and O on first use, not at import, so such a mutant fails the tests that
-split, one by one.
+entry's map cancels to zero. reduction-step leaves a step of the z-chart
+reduction _reduce out of U0, and the record refuses each split that takes
+one. The w-chart inverts N by simple transformations and one forward
+substitution, in _w_inverse, with one mutant per rule: w-popov-stop lets a
+row of degree zero stop on a leading position another row holds,
+w-non-unit drops the test that a positive degree is left, w-pivot-division
+leaves each row of the substitution undivided by its pivot, and
+w-subtracted-terms drops the terms it subtracts. The package builds the
+tangent bundle and O on first use, not at import, so such a mutant fails
+the tests that split, one by one.
 
 A diagonal transition with one monomial on each diagonal entry is split
 by reading it, not by the reduction, and the tests require the very
@@ -98,7 +101,7 @@ O(2) read as TX; algebroid-canonical-isomorphism, a nonzero anchor on TX
 read as an isomorphism), AnchorDesc's two coercions
 (anchor-kind-coercion, anchor-section-tuple) and its two section checks
 (anchor-section-entries, an entry that is no LaurentPoly;
-anchor-section-string, a string section). The harness lists 85 mutants.
+anchor-section-string, a string section). The harness lists 87 mutants.
 """
 
 from __future__ import annotations
@@ -173,16 +176,8 @@ MUTANTS = (
     ),
     # P1Bundle's shape guard; the rank is read off the transition
     Mutant("bundle-square", P1, "if not self.transition.is_square:", "if False:", P1_TESTS),
-    # a reduction step that leaves U0's row as it was, and U1 = C^(-1) W with
-    # C^(-1)'s rows left undivided by their pivots: the record refuses both
+    # a z-chart reduction step that leaves U0's row as it was: the record refuses it
     Mutant("reduction-step", P1, "        v_rows[i0] = _combine(v_rows, terms)\n", "", P1_TESTS),
-    Mutant(
-        "u1-pivot-division",
-        CORE,
-        "return [[_ratio(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]",
-        "return [row[n:] for row in aug]",
-        P1_TESTS,
-    ),
     # the closed form of a monomial diagonal, one mutant per clause: ties in
     # row order, U1 = the inverse scalars, no entry off the diagonal, and no
     # zero entry on it
@@ -195,8 +190,15 @@ MUTANTS = (
            "if len(x) != 1:", P1_TESTS),
     Mutant("closed-form-zero-entry", P1, "if len(x) != 1 or any(", "if len(x) > 1 or any(",
            P1_TESTS),
-    # the w-chart reduction: a row of positive degree left means no unit
-    Mutant("w-side-unit-test", P1, "if any(w_tops):", "if False:", P1_TESTS),
+    # the w-chart's simple transformations: they stop once the leading
+    # positions are distinct, and a positive degree left means no unit; then
+    # one forward substitution, each row divided by its pivot once after
+    # subtracting the rows solved before it
+    Mutant("w-popov-stop", P1, "if k is None:", "if k is None or not d:", P1_TESTS),
+    Mutant("w-non-unit", P1, "if any(d for d, _, _ in leads):", "if False:", P1_TESTS),
+    Mutant("w-pivot-division", P1, "if pivot != 1:", "if False:", P1_TESTS),
+    Mutant("w-subtracted-terms", P1, "        if terms:\n            inverse[p]",
+           "        if False:\n            inverse[p]", P1_TESTS),
     # the z-chart step budget: on det 0 with a wide span, it bounds the time
     Mutant("reduction-budget", P1, "if budget <= 0:", "if False:", CLI_TESTS),
     # verify_connection

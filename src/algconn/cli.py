@@ -2,7 +2,9 @@
 
 Single-document JSON on stdout, diagnostics on stderr. Exit codes:
 0 success (and fuzz agreement), 1 semantic disagreement in fuzz, 2 usage or
-schema errors, 3 domain validation failures.
+schema errors, 3 domain validation failures, 4 an internal bug: one of the
+engine's own checks failed (errors.InternalCheckFailed), reported in one
+stderr line that names the check and the inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ from types import SimpleNamespace
 # bench/tracer.py patches formal_bundles by name at install, and
 # bench/selftest.py checks that the patch reaches this module's
 # birkhoff_split.
-from .errors import AlgconnError, ContextMismatch, PreconditionFailed, SchemaError, naming
+from .errors import (
+    AlgconnError,
+    ContextMismatch,
+    InternalCheckFailed,
+    PreconditionFailed,
+    SchemaError,
+    naming,
+)
 from .formal_bundles import bundle_from_json
 from .p1_engine import (
     birkhoff_split,
@@ -31,6 +40,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json(path: str):
@@ -275,6 +285,11 @@ def main(argv: list[str] | None = None) -> int:
     except AlgconnError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_DOMAIN
+    except InternalCheckFailed as exc:
+        given = " ".join(f"--{name} {value}" for name, value in vars(args).items()
+                         if value is not None)
+        sys.stderr.write(f"internal error: algconn {argv[0]}: {exc} (inputs: {given})\n")
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

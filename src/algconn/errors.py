@@ -2,7 +2,9 @@
 
 Everything user-facing derives from AlgconnError so the CLI can map domain
 failures to a single exit code. Schema problems in JSON payloads raise
-SchemaError instead, which maps to the usage exit code.
+SchemaError instead, which maps to the usage exit code. A failed internal
+check raises InternalCheckFailed, an AssertionError, which maps to an exit
+code of its own.
 """
 
 from contextlib import contextmanager
@@ -35,6 +37,13 @@ class InvalidAnchor(AlgconnError):
 
 class PreconditionFailed(AlgconnError):
     """An operation was called outside its stated domain."""
+
+
+class InternalCheckFailed(AssertionError):
+    """One of the engine's own checks refused what the engine built: a
+    splitting record, a certificate, a witness or a printed cocycle. It is
+    a bug, not a verdict on the input, and the CLI maps it to its own exit
+    code."""
 
 
 class SchemaError(Exception):

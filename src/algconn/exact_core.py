@@ -18,18 +18,18 @@ No determinant is computed: a transition's determinant exponent is fixed by
 the splitting reduction, and inverses of unit matrices come from that
 certified splitting, both in p1_engine.
 
-The scalar kernels _qnullspace and _qinverse eliminate without fractions
-(cf. Bareiss, Sylvester's identity and multistep integer-preserving Gaussian
-elimination, 1968): each row is scaled to integers by the lcm of its
-denominators, Gauss-Jordan runs on integer rows up to the first column
-without a pivot, each new row divided by its content, and each output entry
-is one division, in canonical form. The RREF and the inverse are unique, so
-they are the values a Fraction elimination gives (tests/oracles.py keeps
-that one as the reference). p1_engine calls them in two places: in the
-splitting reduction, _qnullspace gives each step's null vector, the first
-vector of the RREF nullspace basis, and _qinverse inverts the constant
-matrix its w-chart run ends on; SplittingData's check calls _qnullspace to
-see that U1(w = 0) is invertible.
+The scalar kernel _qnullspace eliminates without fractions (cf. Bareiss,
+Sylvester's identity and multistep integer-preserving Gaussian elimination,
+1968): each row is scaled to integers by the lcm of its denominators,
+Gauss-Jordan runs on integer rows up to the first column without a pivot,
+each new row divided by its content, and each output entry is one division,
+in canonical form. The RREF is unique, so it is the value a Fraction
+elimination gives (tests/oracles.py keeps that one as the reference).
+p1_engine calls it in two places: in the z-chart reduction it gives each
+step's null vector, the first vector of the RREF nullspace basis, and
+SplittingData's check calls it to see that U1(w = 0) is invertible. The
+w-chart needs no linear algebra: its simple transformations and its one
+forward substitution divide through _ratio.
 
 One row kernel, _row_sums, serves the certificate checks and the
 splitting's U0^(-1). It is one row of Gustavson's product (see below) over
@@ -921,17 +921,6 @@ def _matrix(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentMatrix:
 # -- exact rational linear algebra helpers ---------------------------------
 
 
-def _qinverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:
-    """A^(-1) by fraction-free Gauss-Jordan on [A | I]: the left block ends
-    diagonal, and row i of the inverse is row i of the right block over its
-    pivot. Raises ZeroDivisionError when A is singular."""
-    n = len(a)
-    aug = [_int_row(list(row) + [int(i == j) for j in range(n)]) for i, row in enumerate(a)]
-    if _int_gauss_jordan(aug, n) < n:
-        raise ZeroDivisionError("singular matrix in _qinverse")
-    return [[_ratio(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
-
-
 def _qnullspace(a: Sequence[Sequence[int | Fraction]], ncols: int) -> list[int | Fraction] | None:
     """The first vector of the RREF basis of the right nullspace of a
     constraint matrix, or None when the nullspace is zero: the vector with
@@ -984,7 +973,8 @@ def _int_gauss_jordan(rows: list[list[int]], ncols: int) -> int:
     return ncols
 
 
-def _ratio(n: int, d: int) -> int | Fraction:
-    """n / d in canonical scalar form, d != 0."""
+def _ratio(n: int | Fraction, d: int | Fraction) -> int | Fraction:
+    """n / d in canonical scalar form, d != 0, for exact rationals n and d:
+    two ints give Fraction(n, d) or their int quotient, never a float."""
     q, m = divmod(n, d)
     return Fraction(n, d) if m else q

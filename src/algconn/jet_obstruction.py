@@ -86,7 +86,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidAnchor, SchemaError, naming
+from .errors import InternalCheckFailed, InvalidAnchor, SchemaError, naming
 from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
@@ -249,7 +249,7 @@ def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert 
                 sv.u0_inverse.submatrix(range(q), [a]), sv.U1.submatrix(range(q), [a]),
             )
             if not verify_witness(E, anchor, *witness):
-                raise AssertionError("Serre-dual witness failed verification (internal bug)")
+                raise InternalCheckFailed("Serre-dual witness failed verification (internal bug)")
             return None
         U0, T_V, row = se.U0, anchor.V.transition, psi._rows[0]
         psi_0 = _matrix((tuple([_poly({0: x._coeffs[0]}) if 0 in x._coeffs else _ZERO
@@ -262,7 +262,7 @@ def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert 
         A1 = se.U1 @ _bracket(anchor.phi_row @ T_V, (psi_0 @ sv.U0 @ T_V).shift(-1), Y, se.type)
         cert = ConnectionCert(A0, A1)
     if not verify_connection(E, anchor, cert):
-        raise AssertionError("constructed certificate failed verification (internal bug)")
+        raise InternalCheckFailed("constructed certificate failed verification (internal bug)")
     return cert
 
 
@@ -277,7 +277,7 @@ def _cocycle_and_connection(
     r, q = E.rank, anchor.V.rank
     I_q, zero = LaurentMatrix.identity(q), LaurentMatrix.zeros(r, r * q)
     if not _overlap_holds(E.transition, I_q, cocycle.overlap_matrix, zero, -anchor.phi_row):
-        raise AssertionError("obstruction cocycle failed its check (internal bug)")
+        raise InternalCheckFailed("obstruction cocycle failed its check (internal bug)")
     return cocycle, construct_connection(E, anchor)
 
 

@@ -16,13 +16,16 @@ and anchors enter.
 Splitting (the decomposition into line bundles) reads the record off a
 diagonal transition with one monomial c_i z^(a_i) on each diagonal entry,
 which is its own splitting (Grothendieck, 1957): the split bundles E and V
-that run_fuzz builds are such. Any other transition is split by one row
-reduction, run on both charts: polynomial row operations on the left lower
-the row-degree sum until the matrix of leading row coefficients is
-invertible (the predictable-degree property; Kailath, Linear Systems,
-1980). On the z-chart it gives U0 with U0 * T = diag(z^(h_i)) * N, N
-polynomial in w = 1/z with N(0) invertible. On the w-chart it reduces N,
-reflected to a polynomial in z, and gives U1 = N^(-1). A SplittingData
+that run_fuzz builds are such. Any other transition is split by a row
+reduction on each chart. On the z-chart, _reduce's polynomial row
+operations on the left lower the row-degree sum until the matrix of
+leading row coefficients is invertible (the predictable-degree property;
+Kailath, Linear Systems, 1980), one null vector per step; it gives U0 with
+U0 * T = diag(z^(h_i)) * N, N polynomial in w = 1/z with N(0) invertible.
+On the w-chart, _w_inverse brings N, reflected to a polynomial in z, to
+weak Popov form by simple transformations (Mulders and Storjohann, 2003),
+with no linear algebra, and one forward substitution gives U1 = N^(-1),
+which is unique whatever reduction reaches it. A SplittingData
 holds the T it splits and checks all of U0 * T * U1 = diag(z^(a_i)) once,
 when it is built, and every inverse of a unit matrix is read off it. The
 check forms U0^(-1) = T U1 D^(-1) and decides U0 U0^(-1) = I on
@@ -36,9 +39,9 @@ No determinant validates a transition either. A monomial diagonal is a
 unit on sight; on any other T the reduction is the validation, and raises
 NotAUnit exactly when T is not a unit. On the z-chart it stops on det T =
 0 (a row reduces to zero, or the step budget runs out). Otherwise det N is
-a nonzero polynomial in w, and the w-chart reduction leaves a row of
-positive degree exactly when det N is no constant, that is when det T is
-no monomial c * z^k. For a unit deg E = sum a_i (see SplittingData), and a
+a nonzero polynomial in w, and the weak Popov form of the w-chart leaves a
+row of positive degree exactly when det N is no constant, that is when
+det T is no monomial c * z^k. For a unit deg E = sum a_i (see SplittingData), and a
 failing identity is an internal bug. Every bundle, a dual, twist, tensor,
 hom or jet bundle too, is validated by the split that builds its record,
 and its degree is the sum of its splitting type.
@@ -63,11 +66,11 @@ equal record.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import NotAUnit, SchemaError
+from .errors import InternalCheckFailed, NotAUnit, SchemaError
 from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
@@ -79,7 +82,6 @@ from .exact_core import (
     _ONE,
     _parse_entries,
     _poly,
-    _qinverse,
     _qnullspace,
     _ratio,
     _Value,
@@ -265,13 +267,12 @@ def _top_coefficients(row: _Row) -> tuple[int, list[int | Fraction]]:
     return h, [x.get(h, 0) for x in row]
 
 
-def _reduce(
-    rows: list[_Row], done: Callable[[list[int]], bool] | None = None
-) -> tuple[list[int], list[list[int | Fraction]], list[_Row]]:
+def _reduce(rows: list[_Row]) -> tuple[list[int], list[_Row]]:
     """Row-reduce a square matrix of coefficient maps in place by polynomial
     row operations on the left, V @ rows_in = rows_out, until its matrix H
-    of top row coefficients is invertible or done(tops) holds; returns the
-    row tops, H and the rows of V. NotAUnit when the determinant is zero.
+    of top row coefficients is invertible; returns the row tops and the rows
+    of V. NotAUnit when the determinant is zero. It runs on the z-chart
+    only: the w-chart inverts N by _w_inverse.
 
     A step takes a left null vector kappa of H and replaces row i0, the row
     of highest top in kappa's support, by sum_i kappa_i z^(top_i0 - top_i)
@@ -288,10 +289,7 @@ def _reduce(
     v_rows = [[{0: 1} if i == j else {} for j in range(r)] for i in range(r)]
     tops, H = map(list, zip(*map(_top_coefficients, rows)))
     budget = sum(tops) - sum(min(min(x) for x in row if x) for row in rows) + 1
-    while done is None or not done(tops):
-        kappa = _qnullspace(list(zip(*H)), r)
-        if kappa is None:
-            break
+    while (kappa := _qnullspace(list(zip(*H)), r)) is not None:
         if budget <= 0:
             raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
         budget -= 1
@@ -301,7 +299,7 @@ def _reduce(
         rows[i0] = _combine(rows, terms)
         v_rows[i0] = _combine(v_rows, terms)
         tops[i0], H[i0] = _top_coefficients(rows[i0])
-    return tops, H, v_rows
+    return tops, v_rows
 
 
 def _combine(rows: list[_Row], terms: list[tuple[int, int, int | Fraction]]) -> _Row:
@@ -349,34 +347,91 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
 
 
 def _split_reduced(T: LaurentMatrix) -> SplittingData:
-    """U0 and U1 with U0 @ T @ U1 diagonal and the type sorted, by one
-    reduction run on both charts; NotAUnit when T is no unit. The record
-    checks the factorization when it is built.
+    """U0 and U1 with U0 @ T @ U1 diagonal and the type sorted, by a row
+    reduction on each chart; NotAUnit when T is no unit. The record checks
+    the factorization when it is built.
 
     On the z-chart, _reduce gives U0 @ T = diag(z^h) * N, N polynomial in
     w = 1/z with N(0) = H invertible; sorting the rows by h sorts the type.
-    U1 = N^(-1). Reflected (w -> z), N is a polynomial matrix R with R(0) =
-    H, so det R != 0, and _reduce on it gives W @ R = R' with row degrees
-    summing to deg det R once its top coefficients are invertible. So R is
-    a unit exactly when they all reach zero: then R' = C is constant and
-    invertible (det C = det W det R != 0), and R^(-1) = C^(-1) W. The w-side
-    stops as soon as every row degree is zero, with no null-space test on
-    C, and a positive row degree left means det T is no monomial. Any kappa
-    gives the same U1 = N^(-1), while the z-side's kappa fixes U0."""
+    U1 = N^(-1): reflected (w -> z), N is a polynomial matrix R with R(0) =
+    H, so det R != 0, and _w_inverse brings R to weak Popov form by simple
+    transformations, with no null space, to read off R^(-1) or decide that
+    det R, hence det T up to a monomial, is not constant. N^(-1) is unique,
+    so any reduction on the w-chart gives the same U1, while the z-side's
+    kappa fixes U0."""
     r = T.rows
     rows = [[x._coeffs for x in T.row_list(i)] for i in range(r)]
-    tops, _, u0_rows = _reduce(rows)
+    tops, u0_rows = _reduce(rows)
     order = sorted(range(r), key=lambda i: -tops[i])
     R = [[{tops[i] - e: c for e, c in x.items()} for x in rows[i]] for i in order]
-    w_tops, C, w_rows = _reduce(R, done=lambda w_tops: not any(w_tops))
-    if any(w_tops):
-        raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k")
-    U1 = []  # C^(-1) W, reflected back to w
-    for c_row in _qinverse(C):
-        row = _combine(w_rows, [(k, 0, c) for k, c in enumerate(c_row) if c])
-        U1.append(tuple([_poly({-e: c for e, c in x.items()}) for x in row]))
+    U1 = tuple([tuple([_poly({-e: c for e, c in x.items()}) for x in row]) for row in _w_inverse(R)])
     U0 = tuple([tuple(map(_poly, u0_rows[i])) for i in order])
-    return SplittingData(T, tuple(tops[i] for i in order), _matrix(U0), _matrix(tuple(U1)))
+    return SplittingData(T, tuple(tops[i] for i in order), _matrix(U0), _matrix(U1))
+
+
+def _leading(row: _Row) -> tuple[int, int, int | Fraction]:
+    """The degree d of a nonzero polynomial row of coefficient maps, its
+    leading position (the last column whose entry reaches degree d) and
+    the coefficient of z^d there."""
+    d = max(max(x) for x in row if x)
+    p = next(j for j in reversed(range(len(row))) if d in row[j])
+    return d, p, row[p][d]
+
+
+def _w_inverse(rows: list[_Row]) -> list[_Row]:
+    """R^(-1) for a square polynomial matrix R of coefficient maps with
+    R(0) invertible, as coefficient maps; rows is reduced in place.
+    NotAUnit when det R is not constant.
+
+    Simple transformations (Mulders and Storjohann, On lattice reduction
+    for polynomial matrices, J. Symbolic Comput. 35(4), 2003): while two
+    rows i and k share a leading position with deg_i >= deg_k, row i and
+    its row of the transform W become row_i - (lc_i/lc_k) z^(deg_i -
+    deg_k) row_k, through _combine. That cancels row i's leading term, and
+    row k holds less than deg_k to the right of the position, so (deg_i,
+    position_i) falls and the loop ends. W is unimodular, so det(W R) =
+    c det R != 0: no row reaches zero. With the positions distinct, W R is
+    in weak Popov form, whose row degrees sum to deg det R. So R is a unit
+    exactly when every degree is zero; a positive one left means det R is
+    no constant. Then C = W R is constant, and the row with position p has
+    its last nonzero entry in column p: C is a row permutation of a lower
+    triangular matrix. R^(-1) = C^(-1) W is one forward substitution, in
+    which row p of R^(-1) is (W_i - sum_(j<p) C_ij row_j) / C_ip, for the
+    row i of position p, each coefficient divided once by the pivot C_ip
+    with exact_core's _ratio (a pivot 1 needs no division)."""
+    r = len(rows)
+    w_rows = [[{0: 1} if i == j else {} for j in range(r)] for i in range(r)]
+    leads = [_leading(row) for row in rows]
+    owner: dict[int, int] = {}  # leading position -> the one row that holds it
+    todo = list(range(r))
+    while todo:
+        i = todo.pop(0)
+        d, p, c = leads[i]
+        k = owner.get(p)
+        if k is None:
+            owner[p] = i
+            continue
+        if leads[k][0] > d:  # the row of higher degree is the one reduced
+            owner[p], i, k = i, k, i
+            d, _, c = leads[i]
+        terms = [(i, 0, 1), (k, d - leads[k][0], -_ratio(c, leads[k][2]))]
+        rows[i] = _combine(rows, terms)
+        w_rows[i] = _combine(w_rows, terms)
+        leads[i] = _leading(rows[i])
+        todo.append(i)
+    if any(d for d, _, _ in leads):
+        raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k")
+    inverse: list[_Row] = []
+    for p in range(r):
+        i = owner[p]
+        inverse.append(w_rows[i])
+        terms = [(j, 0, -x[0]) for j, x in enumerate(rows[i][:p]) if x]
+        if terms:
+            inverse[p] = _combine(inverse, [(p, 0, 1)] + terms)
+        pivot = rows[i][p][0]
+        if pivot != 1:
+            inverse[p] = [{e: _ratio(c, pivot) for e, c in x.items()} for x in inverse[p]]
+    return inverse
 
 
 # The engine's one memo; the package's other is exact_core._parsed. Both are
@@ -396,7 +451,7 @@ def _birkhoff_cached(T: LaurentMatrix) -> SplittingData:
         return _split_connected(T)
     except ValueError as exc:
         # the reduction on both charts decided T is a unit, so this is a bug
-        raise AssertionError("splitting failed verification (internal bug)") from exc
+        raise InternalCheckFailed("splitting failed verification (internal bug)") from exc
 
 
 def birkhoff_split(E: P1Bundle) -> SplittingData:

@@ -10,7 +10,8 @@ The determinant oracle evaluates entries from their coefficient dicts at a
 few integer nodes and eliminates over the rationals itself: it uses no
 elimination of algconn.exact_core and nothing of algconn.p1_engine. The
 Fraction Gauss-Jordan inverse and nullspace are the references for the
-fraction-free kernels of exact_core, the dense product is the reference
+fraction-free kernel of exact_core and for the w-chart inverse of
+p1_engine, the dense product is the reference
 for its sparse product kernel, the Fraction Laurent product is the
 reference for its lifted product, and the Fraction Laurent sum for its
 sums: LaurentPoly's + and - and the reduction's row step. split_diagonal
@@ -131,8 +132,8 @@ def fraction_laurent_sum(terms) -> dict[int, Fraction]:
 
 def fraction_inverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]]:
     """A^(-1) by Gauss-Jordan on [A | I] in Fraction arithmetic: the
-    reference for exact_core._qinverse. Raises ZeroDivisionError when A is
-    singular."""
+    reference for p1_engine._w_inverse on a constant matrix. Raises
+    ZeroDivisionError when A is singular."""
     n = len(a)
     aug = [row[:] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):

@@ -240,7 +240,8 @@ def test_high_exponent_entry_splits_in_bounded_time(tmp_path, command):
 
 def test_wide_w_span_splits_in_bounded_time(tmp_path):
     # one w^(10^8) entry: U1 = N^-1 has two w-powers, 0 and 10^8, and the
-    # w-side reduction takes one step on them, not one per power in between
+    # w-chart takes one simple transformation on them (row 0 minus z^(10^8)
+    # row 1, reflected), not one per power in between
     doc = {"rank": 2, "transition": [["1", "z^-100000000"], ["0", "1"]]}
     p = write(tmp_path, "wide.json", doc)
     proc = run_child(["split", "--bundle", p], timeout=10)
@@ -252,7 +253,8 @@ def test_wide_w_span_splits_in_bounded_time(tmp_path):
 
 def test_wide_w_span_non_unit_fails_in_bounded_time(tmp_path):
     # det T = 1 + z^-1 with one w^(10^8) entry: N^-1 is an infinite w-series,
-    # and the w-side reduction ends in two steps on a row of degree 1
+    # and the w-chart ends after one simple transformation with the leading
+    # positions distinct and a row of degree 1 left
     doc = {"rank": 2, "transition": [["1 + z^-1", "z^-100000000"], ["0", "1"]]}
     p = write(tmp_path, "wide_non_unit.json", doc)
     proc = run_child(["split", "--bundle", p], timeout=10)
@@ -440,6 +442,60 @@ def test_fuzz_reports_every_mismatch_and_exits_1(monkeypatch, capsys):
     assert all(set(f) == keys for f in report["failures"])
     assert main(["fuzz", "--count", "3", "--seed", "0"]) == 1
     assert json.loads(capsys.readouterr().out) == report
+
+
+@pytest.mark.parametrize(
+    "command, target, check",
+    [
+        ("split", "p1_engine._split_connected", "splitting failed verification"),
+        ("connect-yes", "jet_obstruction.verify_connection", "constructed certificate failed"),
+        ("connect-no", "jet_obstruction.verify_witness", "Serre-dual witness failed"),
+        ("connect-no", "jet_obstruction._overlap_holds", "obstruction cocycle failed"),
+    ],
+)
+def test_a_failed_internal_check_exits_4(files, capsys, tmp_path, monkeypatch, command, target, check):
+    # each of the engine's own checks, made to refuse what the engine built:
+    # no traceback and no stdout, one stderr line naming the check and the inputs
+    from algconn import jet_obstruction, p1_engine
+
+    module, name = target.split(".")
+    owner = p1_engine if module == "p1_engine" else jet_obstruction
+    real = getattr(owner, name)
+    if name == "_split_connected":
+        def tampered(T):  # 2 U0 keeps every clause of the record but the identity
+            data = real(T)
+            return p1_engine.SplittingData(T, data.type, data.U0.scalar_mul(2), data.U1)
+    else:
+        def tampered(*args):
+            return False
+    monkeypatch.setattr(owner, name, tampered)
+    o0 = write(tmp_path, "o0.json", {"rank": 1, "transition": [["1"]]})
+    argv = {
+        "split": ["split", "--bundle", files["p1"]],
+        "connect-yes": ["connect", "--bundle", o0, "--anchor", files["tangent"]],
+        "connect-no": ["connect", "--bundle", files["o2"], "--anchor", files["tangent"]],
+    }[command]
+    p1_engine._birkhoff_cached.cache_clear()
+    try:
+        code, doc, err = run(capsys, argv)
+    finally:
+        p1_engine._birkhoff_cached.cache_clear()
+    assert code == 4 and doc is None
+    assert err.count("\n") == 1 and err.startswith(f"internal error: algconn {argv[0]}: {check}")
+    assert "(internal bug)" in err
+    assert err.endswith(f"(inputs: {' '.join(argv[1:])})\n")
+
+
+def test_only_the_engine_s_own_checks_exit_4(files, capsys, monkeypatch):
+    # any other AssertionError is a plain crash, not a reported internal check
+    from algconn import jet_obstruction
+
+    def failing(*args):
+        raise AssertionError("not one of the engine's checks")
+
+    monkeypatch.setattr(jet_obstruction, "verify_witness", failing)
+    with pytest.raises(AssertionError, match="not one of the engine's checks"):
+        main(["connect", "--bundle", files["o2"], "--anchor", files["tangent"]])
 
 
 def test_fuzz_count_zero_exits_2(files, capsys):

@@ -27,7 +27,23 @@ one and a constant psi_b, so the class on O(e_i) is nonzero exactly when
 e_i != 0 and some v_b = 2 has psi_b(0) != 0. A change of frame among those
 summands O(e_i - 2) leaves one of them carrying the class, which glues it
 to O(e_i) as O(e_i - 1)^2, as for J1; every other summand splits off.
+
+A third route needs no hidden type at all. A connection exists iff the
+anchored jet sequence 0 -> H -> J_V(E) -> E -> 0, H = Hom(V, E), splits
+(Atiyah 1957). If J_V(E) is isomorphic to H (+) E, then Hom(E, J_V(E)) ->
+Hom(E, E) is onto by a dimension count, since Hom spaces on a curve are
+finite-dimensional, so the identity lifts and the sequence splits (Miyata,
+Note on direct summands of modules, 1967); the converse is clear. On the
+projective line two bundles are isomorphic iff their splitting types agree
+(Grothendieck 1957), and H's type is every a_i - v_a. So a connection
+exists iff the type of J_V(E) is E's type together with every a_i - v_a,
+sorted: the criterion reads only the engine's certified types.
 """
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from algconn.exact_core import LaurentMatrix, LaurentPoly
 from algconn.jet_obstruction import (
@@ -166,3 +182,53 @@ def test_jetV_type_matches_closed_form():
     assert checked == 360
     assert {k for k, _, _ in seen} == {0, 1, 2}
     assert any(k and g for k, g, _ in seen) and any(k and t for k, _, t in seen)
+
+
+@st.composite
+def jet_inputs(draw):
+    """The plain parameters of one case: a seed for the gauges and the
+    anchor's coefficients, E's type (rank 1 to 4), V's (rank 1 to 3),
+    which anchor entries are nonzero, and whether V is gauged."""
+    r, q = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return (
+        draw(st.integers(0, 2**16)),
+        draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)),
+        draw(st.lists(st.sampled_from((-2, -1, 0, 1, 2, 2)), min_size=q, max_size=q)),
+        draw(st.lists(st.booleans(), min_size=q, max_size=q)),
+        draw(st.booleans()),
+    )
+
+
+def jet_case(seed: int, e_type: list[int], v_type: list[int], nonzero: list[bool], gauged: bool):
+    """E gauged, and V split or gauged as A diag(z^(v_a)) B with the anchor
+    row carried along as phi_split A^(-1); a gauged line bundle is scaled."""
+    s = Sampler(seed)
+    r, q = len(e_type), len(v_type)
+    E = gauge_transform(split_bundle(e_type), s.unimodular_z(r, ops=2), s.unimodular_w(r, ops=2))
+    row = LaurentMatrix([[s.laurent(0, 2 - v, max_terms=2, nonzero=True) if nz else LaurentPoly.zero()
+                          for v, nz in zip(v_type, nonzero)]])
+    if not gauged:
+        return E, ConcreteAnchor(split_bundle(v_type), row)
+    if q == 1:
+        c = s.coefficient(3, nonzero=True)
+        A, A_inv = LaurentMatrix([[LaurentPoly.const(c)]]), LaurentMatrix([[LaurentPoly.const(Fraction(1, c))]])
+    else:
+        A, A_inv = _unimodular_with_inverse(s, q)
+    V = gauge_transform(split_bundle(v_type), A, s.unimodular_w(q, ops=2))
+    return E, ConcreteAnchor(V, row @ A_inv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_inputs())
+# a "no" at rank 4 against a gauged V of rank 3, and a trivial E, a "yes"
+@example((3, [1, -1, 0, 2], [2, 1, 0], [True, True, False], True))
+@example((4, [0, 0, 0], [2, 2], [True, True], True))
+def test_a_connection_exists_exactly_when_the_jet_sequence_splits(params):
+    # the engine's answer against the jet criterion, which reads the
+    # certified types of E, V and J_V(E); J is split by the reduction on
+    # both charts, whatever the answer
+    E, anchor = jet_case(*params)
+    a, v = birkhoff_split(E).type, birkhoff_split(anchor.V).type
+    j_type = birkhoff_split(jetV_transition(E, anchor)).type
+    splits = list(j_type) == sorted([*a, *(ai - va for ai in a for va in v)], reverse=True)
+    assert (construct_connection(E, anchor) is not None) == splits

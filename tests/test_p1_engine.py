@@ -15,6 +15,8 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 from oracles import (
     column,
+    fraction_inverse,
+    fraction_laurent_product,
     fraction_laurent_sum,
     h0_by_linear_solve,
     min_exponent,
@@ -680,6 +682,99 @@ def test_a_split_that_fails_verify_is_an_internal_bug(monkeypatch):
         _birkhoff_cached.cache_clear()
 
 
+# -- the w-chart: simple transformations and one forward substitution ------------
+
+
+def maps(rows) -> list:
+    """Rows of Laurent strings as rows of coefficient maps."""
+    return [[dict(x.coeffs) for x in row] for row in LaurentMatrix.parse(rows)._rows]
+
+
+def assert_w_inverse(rows):
+    """_w_inverse(R) is R^(-1) in canonical coefficient maps: R R^(-1) = I
+    by the Fraction product, and a constant R^(-1) is the Fraction
+    Gauss-Jordan inverse."""
+    R = maps(rows)
+    r = len(R)
+    got = p1_engine._w_inverse([[dict(x) for x in row] for row in R])
+    assert all(type(c) is int or c.denominator > 1 for row in got for x in row for c in x.values())
+    as_matrix = [[LaurentPoly(x) for x in row] for row in got]
+    product = fraction_laurent_product(LaurentMatrix.parse(rows), LaurentMatrix(as_matrix), [0] * r)
+    assert product == [[{0: 1} if i == j else {} for j in range(r)] for i in range(r)]
+    if all(set(x) <= {0} for row in R for x in row):
+        want = fraction_inverse([[x.get(0, 0) for x in row] for row in R])
+        assert got == [[{0: c} if c else {} for c in row] for row in want]
+    return got
+
+
+def test_w_inverse_of_a_constant_divides_by_pivots_that_are_not_one():
+    # C = W R constant at once: the forward substitution alone, each row
+    # divided by its pivot, with earlier rows subtracted below the diagonal
+    assert assert_w_inverse([["2", "0"], ["3", "5"]]) == [
+        [{0: Fraction(1, 2)}, {}], [{0: Fraction(-3, 10)}, {0: Fraction(1, 5)}]
+    ]
+    assert_w_inverse([["0", "-3", "0"], ["7", "2", "0"], ["1/2", "0", "-4"]])
+    assert_w_inverse([["-1", "0"], ["1", "-1"]])
+
+
+def test_w_inverse_of_rank_one():
+    assert assert_w_inverse([["3"]]) == [[{0: Fraction(1, 3)}]]
+    assert assert_w_inverse([["-2/5"]]) == [[{0: Fraction(-5, 2)}]]
+    assert assert_w_inverse([["1"]]) == [[{0: 1}]]
+    with pytest.raises(NotAUnit, match="not a monomial"):
+        p1_engine._w_inverse(maps([["1 + 2*z"]]))
+
+
+def test_w_inverse_reduces_rows_tied_on_a_leading_position():
+    # both rows end in column 1: at degree 0 (a dense constant), at equal
+    # positive degrees, and at degrees 1 and 0, where the row of higher
+    # degree is reduced whichever comes first
+    assert_w_inverse([["2", "3"], ["5", "7"]])
+    assert_w_inverse([["1", "z"], ["1", "1 + z"]])
+    assert_w_inverse([["1", "0"], ["2*z", "3"]])
+    assert_w_inverse([["2", "3*z"], ["0", "-1"]])
+    assert_w_inverse([["0", "-1"], ["2", "3*z"]])
+    # I + zJ, J the nilpotent shift: each step leaves a tie one column left
+    assert_w_inverse([["1", "z", "0", "0"], ["0", "1", "z", "0"], ["0", "0", "1", "z"],
+                      ["0", "0", "0", "1"]])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_w_inverse_inverts_random_units_and_refuses_non_units(seed):
+    # R = (product of elementary polynomial row operations) @ C, with C a
+    # constant invertible matrix of rational entries, is a unit; R times
+    # diag(1 + c z, 1, ...) is not, and the w-chart decides it
+    rng = random.Random(seed)
+    r = rng.randint(1, 4)
+    C = [[Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(r)] for _ in range(r)]
+    while monomial_det(LaurentMatrix([[LaurentPoly({0: c}) for c in row] for row in C])) is None:
+        C[rng.randrange(r)][rng.randrange(r)] += 1
+    R = LaurentMatrix([[LaurentPoly({0: c}) for c in row] for row in C])
+    for _ in range(rng.randint(0, 2 * r)):
+        if r == 1:
+            break
+        i, j = rng.sample(range(r), 2)
+        E = [[LaurentPoly.one() if a == b else LaurentPoly() for b in range(r)] for a in range(r)]
+        E[i][j] = LaurentPoly({rng.randint(0, 2): rng.choice([-2, -1, 1, Fraction(1, 2), 3])})
+        R = LaurentMatrix(E) @ R
+    rows = R.to_strings()
+    assert_w_inverse(rows)
+    bump = LaurentMatrix.diag([LaurentPoly({0: 1, 1: rng.choice([1, -2, Fraction(1, 3)])})]
+                              + [LaurentPoly.one()] * (r - 1))
+    with pytest.raises(NotAUnit, match="not a monomial"):
+        p1_engine._w_inverse(maps((R @ bump).to_strings()))
+
+
+def test_a_constant_transition_is_inverted_on_the_w_chart():
+    # no z-chart step (H = T), one w-chart step on the tie in column 1, then
+    # pivots 2 and 3: U1 = T^(-1)
+    d = birkhoff_split(bundle([["2", "1"], ["0", "3"]]))
+    assert d.type == (0, 0) and d.U0 == LaurentMatrix.identity(2)
+    assert d.U1.to_strings() == [["1/2", "-1/6"], ["0", "1/3"]]
+    d = birkhoff_split(bundle([["2", "0"], ["3", "5"]]))
+    assert d.U1.to_strings() == [["1/2", "0"], ["-3/10", "1/5"]]
+
+
 # -- the closed form of a monomial diagonal --------------------------------------
 
 
@@ -722,14 +817,14 @@ def test_a_tied_rational_diagonal_is_split_as_the_reduction_splits_it():
 
 
 def count_reductions(monkeypatch) -> list:
+    """Each run of either chart's reduction, as (name, rank), in order."""
     runs = []
-    real = p1_engine._reduce
+    for name in ("_reduce", "_w_inverse"):
+        def counting(rows, real=getattr(p1_engine, name), name=name):
+            runs.append((name, len(rows)))
+            return real(rows)
 
-    def counting(*args, **kwargs):
-        runs.append(len(args[0]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(p1_engine, "_reduce", counting)
+        monkeypatch.setattr(p1_engine, name, counting)
     _birkhoff_cached.cache_clear()
     return runs
 
@@ -742,12 +837,13 @@ def test_split_bundles_are_split_with_no_reduction(monkeypatch):
              tensor_bundle(E, V), tensor_bundle(V, E), hom_bundle(V, E), trivial_bundle(3)]
     assert runs == []
     assert [b.degree for b in built] == [3, -3, 2, -5, -3, 3, -9, -9, 15, 0]
-    # a gauged T, or a monomial diagonal with an entry off it, is still reduced
+    # a gauged T, or a monomial diagonal with an entry off it, is still
+    # reduced, once on each chart
     s = Sampler(50)
     gauge_transform(E, s.unimodular_z(4), s.unimodular_w(4))
-    assert runs[:1] == [4]
+    assert runs == [("_reduce", 4), ("_w_inverse", 4)]
     bundle([["z", "2"], ["0", "z^-1"]])
-    assert runs[-2:] == [2, 2]
+    assert runs[2:] == [("_reduce", 2), ("_w_inverse", 2)]
 
 
 def test_a_zero_or_many_term_diagonal_entry_keeps_its_message():
