@@ -44,11 +44,19 @@ denominator per column of U1, and decides U0 U0^(-1) = I with
 _inverse_holds, row by row; both run on _row_sums. verify-identity disables
 that decision, lifted-division leaves out the kernel's one division per
 coefficient, and inverse-entry-nonzero drops the decision's test that each
-entry's map cancels to zero. reduction-step leaves a step of the z-chart
-reduction _reduce out of U0, and the record refuses each split that takes
-one. The w-chart inverts N by simple transformations and one forward
-substitution, in _w_inverse, with one mutant per rule: w-popov-stop lets a
-row of degree zero stop on a leading position another row holds,
+entry's map cancels to zero. verify-u1-unimodular drops the rank test of
+U1(w = 0), Gauss-Jordan on its rows scaled to integers.
+
+Both charts run one reduction, _weak_popov: fraction-free simple
+transformations, with one mutant per rule. reduction-step leaves a step out
+of the transform row, and the record refuses each split that takes one;
+reduction-higher-degree reduces the row of lower degree when the other row
+holds the shared position; reduction-content leaves out the division of the
+two new rows by their joint content; reduction-zero-row drops the test that
+a row is zero; reduction-budget drops the step budget, and its test counts
+the steps, so that the mutant fails it instead of hanging it; w-popov-stop
+lets a row of degree zero stop on a leading position another row holds.
+The w-chart then inverts N by one forward substitution, in _w_inverse:
 w-non-unit drops the test that a positive degree is left, w-pivot-division
 leaves each row of the substitution undivided by its pivot, and
 w-subtracted-terms drops the terms it subtracts. The package builds the
@@ -101,7 +109,7 @@ O(2) read as TX; algebroid-canonical-isomorphism, a nonzero anchor on TX
 read as an isomorphism), AnchorDesc's two coercions
 (anchor-kind-coercion, anchor-section-tuple) and its two section checks
 (anchor-section-entries, an entry that is no LaurentPoly;
-anchor-section-string, a string section). The harness lists 87 mutants.
+anchor-section-string, a string section). The harness lists 90 mutants.
 """
 
 from __future__ import annotations
@@ -155,7 +163,8 @@ MUTANTS = (
     ),
     Mutant("verify-u0-in-z", P1, "if not U0.is_poly_in_z:", "if False:", P1_TESTS),
     Mutant("verify-u1-in-w", P1, "if not U1.is_poly_in_w:", "if False:", P1_TESTS),
-    Mutant("verify-u1-unimodular", P1, "if _qnullspace(w0, r) is not None:", "if False:", P1_TESTS),
+    Mutant("verify-u1-unimodular", P1, "if _int_gauss_jordan([_int_row(row) for row in w0], r) != r:",
+           "if False:", P1_TESTS),
     Mutant("verify-type-length", P1, "if transition.shape != (r, r):", "if False:", P1_TESTS),
     Mutant("verify-u0-inverse-in-z", P1, "if not u0_inv.is_poly_in_z:", "if False:", P1_TESTS),
     Mutant("verify-identity", P1, "if not _inverse_holds(U0, u0_inv):", "if False:", P1_TESTS),
@@ -176,8 +185,18 @@ MUTANTS = (
     ),
     # P1Bundle's shape guard; the rank is read off the transition
     Mutant("bundle-square", P1, "if not self.transition.is_square:", "if False:", P1_TESTS),
-    # a z-chart reduction step that leaves U0's row as it was: the record refuses it
-    Mutant("reduction-step", P1, "        v_rows[i0] = _combine(v_rows, terms)\n", "", P1_TESTS),
+    # _weak_popov, the one reduction of both charts, one mutant per rule: a
+    # step that leaves the transform row as it was (the record refuses it),
+    # the row of higher degree is the one reduced, both rows are divided by
+    # their content, a zero row means det 0, and so does a spent budget
+    Mutant("reduction-step", P1, "row, t_row = _combine(rows, terms), _combine(t_rows, terms)",
+           "row, t_row = _combine(rows, terms), t_rows[i]", P1_TESTS),
+    Mutant("reduction-higher-degree", P1, "if leads[k][0] > d:", "if False:", P1_TESTS),
+    Mutant("reduction-content", P1, "if g != 1:", "if False:", P1_TESTS),
+    Mutant("reduction-zero-row", P1, "if not exps:", "if False:", P1_TESTS),
+    # the step budget: on det 0 with a wide span it ends the loop, and the
+    # test counts the steps, so the mutant fails it instead of hanging it
+    Mutant("reduction-budget", P1, "if budget == 0:", "if False:", P1_TESTS),
     # the closed form of a monomial diagonal, one mutant per clause: ties in
     # row order, U1 = the inverse scalars, no entry off the diagonal, and no
     # zero entry on it
@@ -190,17 +209,15 @@ MUTANTS = (
            "if len(x) != 1:", P1_TESTS),
     Mutant("closed-form-zero-entry", P1, "if len(x) != 1 or any(", "if len(x) > 1 or any(",
            P1_TESTS),
-    # the w-chart's simple transformations: they stop once the leading
-    # positions are distinct, and a positive degree left means no unit; then
-    # one forward substitution, each row divided by its pivot once after
+    # the simple transformations stop once the leading positions are
+    # distinct; on the w-chart a positive degree left means no unit, and
+    # then one forward substitution divides each row by its pivot once after
     # subtracting the rows solved before it
     Mutant("w-popov-stop", P1, "if k is None:", "if k is None or not d:", P1_TESTS),
     Mutant("w-non-unit", P1, "if any(d for d, _, _ in leads):", "if False:", P1_TESTS),
     Mutant("w-pivot-division", P1, "if pivot != 1:", "if False:", P1_TESTS),
     Mutant("w-subtracted-terms", P1, "        if terms:\n            inverse[p]",
            "        if False:\n            inverse[p]", P1_TESTS),
-    # the z-chart step budget: on det 0 with a wide span, it bounds the time
-    Mutant("reduction-budget", P1, "if budget <= 0:", "if False:", CLI_TESTS),
     # verify_connection
     Mutant(
         "connection-shape",

@@ -18,18 +18,18 @@ No determinant is computed: a transition's determinant exponent is fixed by
 the splitting reduction, and inverses of unit matrices come from that
 certified splitting, both in p1_engine.
 
-The scalar kernel _qnullspace eliminates without fractions (cf. Bareiss,
-Sylvester's identity and multistep integer-preserving Gaussian elimination,
-1968): each row is scaled to integers by the lcm of its denominators,
-Gauss-Jordan runs on integer rows up to the first column without a pivot,
-each new row divided by its content, and each output entry is one division,
-in canonical form. The RREF is unique, so it is the value a Fraction
-elimination gives (tests/oracles.py keeps that one as the reference).
-p1_engine calls it in two places: in the z-chart reduction it gives each
-step's null vector, the first vector of the RREF nullspace basis, and
-SplittingData's check calls it to see that U1(w = 0) is invertible. The
-w-chart needs no linear algebra: its simple transformations and its one
-forward substitution divide through _ratio.
+The scalar kernels are fraction-free. _int_row scales a row of exact
+rationals to integers by the lcm of its denominators, and _content is the
+gcd of the numerators over that lcm, so that a row divided by it holds
+integers with no common factor. _int_gauss_jordan runs Gauss-Jordan on
+integer rows (cf. Bareiss, Sylvester's identity and multistep
+integer-preserving Gaussian elimination, 1968), each new row divided by
+its content, up to the first column without a pivot; so it is a rank test,
+and SplittingData's check runs it on U1(w = 0) (tests/oracles.py keeps a
+Fraction elimination as the reference). p1_engine's reduction,
+_weak_popov, divides each row it makes by its _content, and _w_inverse
+each row of its forward substitution by a pivot, both through _ratio; no
+kernel here solves a linear system for them.
 
 One row kernel, _row_sums, serves the certificate checks and the
 splitting's U0^(-1). It is one row of Gustavson's product (see below) over
@@ -142,7 +142,7 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -921,23 +921,6 @@ def _matrix(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentMatrix:
 # -- exact rational linear algebra helpers ---------------------------------
 
 
-def _qnullspace(a: Sequence[Sequence[int | Fraction]], ncols: int) -> list[int | Fraction] | None:
-    """The first vector of the RREF basis of the right nullspace of a
-    constraint matrix, or None when the nullspace is zero: the vector with
-    a 1 at the first non-pivot column fc, and zeros past it. Gauss-Jordan
-    stops at fc; the pivots after it would not change the vector, as their
-    rows are zero in column fc. With no rows fc is 0."""
-    rows = [_int_row(row) for row in a]
-    fc = _int_gauss_jordan(rows, ncols)
-    if fc == ncols:
-        return None
-    v = [0] * ncols
-    v[fc] = 1
-    for pc in range(fc):
-        v[pc] = _ratio(-rows[pc][fc], rows[pc][pc])
-    return v
-
-
 def _int_row(row: Sequence[int | Fraction]) -> list[int]:
     """The row times the lcm of its denominators: integers, same span."""
     m = 1
@@ -945,6 +928,20 @@ def _int_row(row: Sequence[int | Fraction]) -> list[int]:
         if type(x) is not int:
             m = lcm(m, x.denominator)
     return [x * m if type(x) is int else x.numerator * (m // x.denominator) for x in row]
+
+
+def _content(values: Iterable[int | Fraction]) -> int | Fraction:
+    """The content of exact rationals, not all zero: the gcd of their
+    numerators over the lcm of their denominators, positive, so that the
+    values divided by it are integers with no common factor."""
+    g, m = 0, 1
+    for x in values:
+        if type(x) is int:
+            g = gcd(g, x)
+        else:
+            g = gcd(g, x.numerator)
+            m = lcm(m, x.denominator)
+    return g if m == 1 else Fraction(g, m)
 
 
 def _int_gauss_jordan(rows: list[list[int]], ncols: int) -> int:

@@ -16,16 +16,16 @@ and anchors enter.
 Splitting (the decomposition into line bundles) reads the record off a
 diagonal transition with one monomial c_i z^(a_i) on each diagonal entry,
 which is its own splitting (Grothendieck, 1957): the split bundles E and V
-that run_fuzz builds are such. Any other transition is split by a row
-reduction on each chart. On the z-chart, _reduce's polynomial row
-operations on the left lower the row-degree sum until the matrix of
-leading row coefficients is invertible (the predictable-degree property;
-Kailath, Linear Systems, 1980), one null vector per step; it gives U0 with
-U0 * T = diag(z^(h_i)) * N, N polynomial in w = 1/z with N(0) invertible.
-On the w-chart, _w_inverse brings N, reflected to a polynomial in z, to
-weak Popov form by simple transformations (Mulders and Storjohann, 2003),
-with no linear algebra, and one forward substitution gives U1 = N^(-1),
-which is unique whatever reduction reaches it. A SplittingData
+that run_fuzz builds are such. Any other transition is split by one row
+reduction, _weak_popov, run on each chart: the simple transformations of
+Mulders and Storjohann (2003), kept fraction-free by dividing each new row
+and its transform row by their joint content, bring a matrix to weak Popov
+form, whose matrix of top row coefficients is invertible. On the z-chart
+that gives U0 with U0 * T = diag(z^(h_i)) * N, N polynomial in w = 1/z
+with N(0) invertible. On the w-chart, _w_inverse brings N, reflected to a
+polynomial in z, to weak Popov form too, and one forward substitution
+gives U1 = N^(-1), which is unique whatever reduction reaches it; U0 is
+unique only up to the automorphisms of the split bundle. A SplittingData
 holds the T it splits and checks all of U0 * T * U1 = diag(z^(a_i)) once,
 when it is built, and every inverse of a unit matrix is read off it. The
 check forms U0^(-1) = T U1 D^(-1) and decides U0 U0^(-1) = I on
@@ -38,7 +38,7 @@ q(1/z) divides a monomial, q(w) = c' * w^m, a nonzero constant iff q(0) != 0.
 No determinant validates a transition either. A monomial diagonal is a
 unit on sight; on any other T the reduction is the validation, and raises
 NotAUnit exactly when T is not a unit. On the z-chart it stops on det T =
-0 (a row reduces to zero, or the step budget runs out). Otherwise det N is
+0 (a row reduces to zero, or its step budget runs out). Otherwise det N is
 a nonzero polynomial in w, and the weak Popov form of the w-chart leaves a
 row of positive degree exactly when det N is no constant, that is when
 det T is no monomial c * z^k. For a unit deg E = sum a_i (see SplittingData), and a
@@ -75,6 +75,9 @@ from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
     _accumulate,
+    _content,
+    _int_gauss_jordan,
+    _int_row,
     _inverse_holds,
     _lifted_product,
     _matrix,
@@ -82,7 +85,6 @@ from .exact_core import (
     _ONE,
     _parse_entries,
     _poly,
-    _qnullspace,
     _ratio,
     _Value,
     _ZERO,
@@ -185,6 +187,10 @@ class SplittingData(_Value):
     for a type of length r, the type descends, U0 is polynomial in z, U1 in
     1/z, U1(w = 0) is invertible, T is r x r, and the identity holds in the
     form U0 * U0^(-1) = I with U0^(-1) = T U1 D^(-1) polynomial in z.
+    U1(w = 0) is invertible when its rank is r: its rows are scaled to
+    integers (exact_core._int_row) and eliminated by exact_core's
+    _int_gauss_jordan, an elimination of the check's own, shared with no
+    step of the splitter.
 
     No degree is compared: U0 U0^(-1) = I with both factors polynomial in
     z makes det U0 = c0, and every bundle a constructor can make has det T
@@ -221,7 +227,7 @@ class SplittingData(_Value):
         if not U1.is_poly_in_w:
             raise ValueError("U1 must be polynomial in 1/z")
         w0 = [[x._coeffs.get(0, 0) for x in U1.row_list(i)] for i in range(r)]
-        if _qnullspace(w0, r) is not None:
+        if _int_gauss_jordan([_int_row(row) for row in w0], r) != r:
             raise ValueError("U1 must have an invertible constant term")
         if transition.shape != (r, r):
             raise ValueError(f"a transition of shape {transition.shape} for a type of length {r}")
@@ -257,51 +263,6 @@ _NOT_A_UNIT = "transition is not invertible over the Laurent ring"
 _Row = list[dict[int, int | Fraction]]
 
 
-def _top_coefficients(row: _Row) -> tuple[int, list[int | Fraction]]:
-    """The top exponent h of a row of coefficient maps and the row's
-    coefficients of z^h; NotAUnit for a zero row."""
-    exps = [max(x) for x in row if x]
-    if not exps:
-        raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
-    h = max(exps)
-    return h, [x.get(h, 0) for x in row]
-
-
-def _reduce(rows: list[_Row]) -> tuple[list[int], list[_Row]]:
-    """Row-reduce a square matrix of coefficient maps in place by polynomial
-    row operations on the left, V @ rows_in = rows_out, until its matrix H
-    of top row coefficients is invertible; returns the row tops and the rows
-    of V. NotAUnit when the determinant is zero. It runs on the z-chart
-    only: the w-chart inverts N by _w_inverse.
-
-    A step takes a left null vector kappa of H and replaces row i0, the row
-    of highest top in kappa's support, by sum_i kappa_i z^(top_i0 - top_i)
-    row_i: the top coefficients cancel, so the row-degree sum falls by at
-    least one. For det != 0 that sum stays >= the top exponent of det >= the
-    sum of the initial row lows, so an exhausted budget, like a zero row,
-    means det = 0. On a block-diagonal matrix the first null vector of H
-    lies in one block, so the steps are those of the blocks reduced one by
-    one. A step changes row i0 only: _combine sums its new row and V row on
-    coefficient maps, through exact_core's _accumulate, so their cost
-    follows the nonzero terms of the rows they combine. The maps are
-    wrapped as polynomials by the caller, once, for the rows it keeps."""
-    r = len(rows)
-    v_rows = [[{0: 1} if i == j else {} for j in range(r)] for i in range(r)]
-    tops, H = map(list, zip(*map(_top_coefficients, rows)))
-    budget = sum(tops) - sum(min(min(x) for x in row if x) for row in rows) + 1
-    while (kappa := _qnullspace(list(zip(*H)), r)) is not None:
-        if budget <= 0:
-            raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
-        budget -= 1
-        support = [i for i in range(r) if kappa[i] != 0]
-        i0 = max(support, key=lambda i: tops[i])
-        terms = [(i, tops[i0] - tops[i], kappa[i]) for i in support]  # kappa is canonical
-        rows[i0] = _combine(rows, terms)
-        v_rows[i0] = _combine(v_rows, terms)
-        tops[i0], H[i0] = _top_coefficients(rows[i0])
-    return tops, v_rows
-
-
 def _combine(rows: list[_Row], terms: list[tuple[int, int, int | Fraction]]) -> _Row:
     """The sum of k z^s rows[i] over the (i, s, k) in terms, entry by entry,
     in canonical form: each nonzero entry of rows[i] times the term's map
@@ -323,9 +284,10 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
     its own splitting (Grothendieck), and its record is read off it: the
     type is the a_i sorted descending, ties in row order, U0 the sorting
     permutation and U1 its inverse with 1/c_i at (i, position of i). That
-    is exactly the record _split_reduced gives it, since the reduction
-    takes no step on such a T and its w-side stops on the constant C =
-    U0 diag(c_i), so the memo stays a pure function of T. Any other T,
+    is exactly the record _split_reduced gives it, since the rows of such
+    a T lead in distinct columns, so _weak_popov takes no step on either
+    chart, and the w-side inverts the constant C = U0 diag(c_i), so the
+    memo stays a pure function of T. Any other T,
     a zero or many-term diagonal entry too, goes through _split_reduced
     and keeps its NotAUnit messages."""
     rows = T._rows
@@ -347,21 +309,22 @@ def _split_connected(T: LaurentMatrix) -> SplittingData:
 
 
 def _split_reduced(T: LaurentMatrix) -> SplittingData:
-    """U0 and U1 with U0 @ T @ U1 diagonal and the type sorted, by a row
-    reduction on each chart; NotAUnit when T is no unit. The record checks
-    the factorization when it is built.
+    """U0 and U1 with U0 @ T @ U1 diagonal and the type sorted, by one
+    reduction, _weak_popov, on each chart; NotAUnit when T is no unit. The
+    record checks the factorization when it is built.
 
-    On the z-chart, _reduce gives U0 @ T = diag(z^h) * N, N polynomial in
-    w = 1/z with N(0) = H invertible; sorting the rows by h sorts the type.
-    U1 = N^(-1): reflected (w -> z), N is a polynomial matrix R with R(0) =
-    H, so det R != 0, and _w_inverse brings R to weak Popov form by simple
-    transformations, with no null space, to read off R^(-1) or decide that
-    det R, hence det T up to a monomial, is not constant. N^(-1) is unique,
-    so any reduction on the w-chart gives the same U1, while the z-side's
-    kappa fixes U0."""
+    On the z-chart, _weak_popov's transform is U0, and the rows of U0 @ T
+    are in weak Popov form, so their matrix H of top coefficients is
+    invertible: U0 @ T = diag(z^h) * N, N polynomial in w = 1/z with N(0) =
+    H; sorting the rows by h sorts the type. U1 = N^(-1): reflected (w ->
+    z), N is a polynomial matrix R with R(0) = H, so det R != 0, and
+    _w_inverse reads R^(-1) off R's weak Popov form, or decides that det R,
+    hence det T up to a monomial, is not constant. N^(-1) is unique, so the
+    z-chart's U0 fixes U1."""
     r = T.rows
     rows = [[x._coeffs for x in T.row_list(i)] for i in range(r)]
-    tops, u0_rows = _reduce(rows)
+    leads, u0_rows = _weak_popov(rows)
+    tops = [d for d, _, _ in leads]
     order = sorted(range(r), key=lambda i: -tops[i])
     R = [[{tops[i] - e: c for e, c in x.items()} for x in rows[i]] for i in order]
     U1 = tuple([tuple([_poly({-e: c for e, c in x.items()}) for x in row]) for row in _w_inverse(R)])
@@ -370,38 +333,59 @@ def _split_reduced(T: LaurentMatrix) -> SplittingData:
 
 
 def _leading(row: _Row) -> tuple[int, int, int | Fraction]:
-    """The degree d of a nonzero polynomial row of coefficient maps, its
-    leading position (the last column whose entry reaches degree d) and
-    the coefficient of z^d there."""
-    d = max(max(x) for x in row if x)
+    """The degree d of a row of coefficient maps, its leading position (the
+    last column whose entry reaches degree d) and the coefficient of z^d
+    there; NotAUnit for a zero row."""
+    exps = [max(x) for x in row if x]
+    if not exps:
+        raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
+    d = max(exps)
     p = next(j for j in reversed(range(len(row))) if d in row[j])
     return d, p, row[p][d]
 
 
-def _w_inverse(rows: list[_Row]) -> list[_Row]:
-    """R^(-1) for a square polynomial matrix R of coefficient maps with
-    R(0) invertible, as coefficient maps; rows is reduced in place.
-    NotAUnit when det R is not constant.
+def _weak_popov(rows: list[_Row]) -> tuple[list[tuple[int, int, int | Fraction]], list[_Row]]:
+    """Bring a square matrix of coefficient maps, Laurent in z, to weak
+    Popov form in place by polynomial row operations on the left, W @
+    rows_in = rows_out; returns each row's _leading triple and the rows of
+    W. NotAUnit when the determinant is zero. Both charts of _split_reduced
+    run it.
 
     Simple transformations (Mulders and Storjohann, On lattice reduction
-    for polynomial matrices, J. Symbolic Comput. 35(4), 2003): while two
-    rows i and k share a leading position with deg_i >= deg_k, row i and
-    its row of the transform W become row_i - (lc_i/lc_k) z^(deg_i -
-    deg_k) row_k, through _combine. That cancels row i's leading term, and
-    row k holds less than deg_k to the right of the position, so (deg_i,
-    position_i) falls and the loop ends. W is unimodular, so det(W R) =
-    c det R != 0: no row reaches zero. With the positions distinct, W R is
-    in weak Popov form, whose row degrees sum to deg det R. So R is a unit
-    exactly when every degree is zero; a positive one left means det R is
-    no constant. Then C = W R is constant, and the row with position p has
-    its last nonzero entry in column p: C is a row permutation of a lower
-    triangular matrix. R^(-1) = C^(-1) W is one forward substitution, in
-    which row p of R^(-1) is (W_i - sum_(j<p) C_ij row_j) / C_ip, for the
-    row i of position p, each coefficient divided once by the pivot C_ip
-    with exact_core's _ratio (a pivot 1 needs no division)."""
+    for polynomial matrices, J. Symbolic Comput. 35(4), 2003), kept
+    fraction-free: while two rows i and k share a leading position with
+    deg_i >= deg_k, row i and its row of W become lc_k row_i - lc_i
+    z^(deg_i - deg_k) row_k, through _combine, and both are then divided by
+    their joint content, exact_core._content, so a row that has taken a
+    step holds integers with no common factor (Beckermann and Labahn,
+    Fraction-free computation of matrix rational interpolants and matrix
+    GCDs, SIAM J. Matrix Anal. Appl. 22(1), 2000). The step cancels row i's
+    leading term, and row k holds less than deg_k to the right of the
+    position, so (deg_i, pos_i) falls lexicographically. It multiplies det
+    W by the nonzero constant lc_k / content, so W stays unimodular and a
+    zero row means det = 0. With the positions distinct, the matrix of the
+    rows' top coefficients is a row permutation of a triangular matrix with
+    a nonzero diagonal: it is invertible, and the row degrees sum to the
+    top exponent of det.
+
+    The budget. Let phi = sum_i (r deg_i + pos_i), with 0 <= pos_i < r. A
+    step lowers one (deg_i, pos_i): when deg_i falls, r deg_i falls by at
+    least r and pos_i rises by at most r - 1; otherwise pos_i falls. So phi
+    falls by at least 1 per step, from at most r sum(tops) + r (r - 1),
+    with tops the initial row degrees. While det != 0, det = c det(rows_in)
+    for a constant c != 0; expanded over the current rows, its top exponent
+    is at most sum_i deg_i, and expanded over the initial rows, its lowest
+    is at least sum(lows), the sum of their lowest exponents. So sum_i
+    deg_i >= sum(lows) and phi >= r sum(lows): a matrix with det != 0 takes
+    at most r (sum(tops) - sum(lows) + r - 1) steps. A budget of r
+    (sum(tops) - sum(lows) + r) steps that runs out, like a row that
+    reaches zero, means det = 0. A polynomial matrix with an invertible
+    constant term, as on the w-chart, has det != 0, and never exhausts it."""
     r = len(rows)
-    w_rows = [[{0: 1} if i == j else {} for j in range(r)] for i in range(r)]
+    t_rows = [[{0: 1} if i == j else {} for j in range(r)] for i in range(r)]
     leads = [_leading(row) for row in rows]
+    lows = sum(min(min(x) for x in row if x) for row in rows)
+    budget = r * (sum(d for d, _, _ in leads) - lows + r)
     owner: dict[int, int] = {}  # leading position -> the one row that holds it
     todo = list(range(r))
     while todo:
@@ -414,15 +398,41 @@ def _w_inverse(rows: list[_Row]) -> list[_Row]:
         if leads[k][0] > d:  # the row of higher degree is the one reduced
             owner[p], i, k = i, k, i
             d, _, c = leads[i]
-        terms = [(i, 0, 1), (k, d - leads[k][0], -_ratio(c, leads[k][2]))]
-        rows[i] = _combine(rows, terms)
-        w_rows[i] = _combine(w_rows, terms)
-        leads[i] = _leading(rows[i])
+        if budget == 0:
+            raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
+        budget -= 1
+        terms = [(i, 0, leads[k][2]), (k, d - leads[k][0], -c)]
+        row, t_row = _combine(rows, terms), _combine(t_rows, terms)
+        g = _content([v for x in row + t_row for v in x.values()])
+        if g != 1:
+            row, t_row = [[{e: _ratio(v, g) for e, v in x.items()} for x in y] for y in (row, t_row)]
+        rows[i], t_rows[i] = row, t_row
+        leads[i] = _leading(row)
         todo.append(i)
+    return leads, t_rows
+
+
+def _w_inverse(rows: list[_Row]) -> list[_Row]:
+    """R^(-1) for a square polynomial matrix R of coefficient maps with
+    R(0) invertible, as coefficient maps; rows is reduced in place.
+    NotAUnit when det R is not constant.
+
+    _weak_popov brings R to W R in weak Popov form, with W unimodular;
+    det R != 0, so it raises nothing here. The row degrees of W R sum to
+    deg det R, so R is a unit exactly when every degree is zero; a positive
+    one left means det R is no constant. Then C = W R is constant, and the
+    row with position p has its last nonzero entry in column p: C is a row
+    permutation of a lower triangular matrix. R^(-1) = C^(-1) W is one
+    forward substitution, in which row p of R^(-1) is (W_i - sum_(j<p)
+    C_ij row_j) / C_ip, for the row i of position p, each coefficient
+    divided once by the pivot C_ip with exact_core's _ratio (a pivot 1
+    needs no division)."""
+    leads, w_rows = _weak_popov(rows)
     if any(d for d, _, _ in leads):
         raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k")
+    owner = {p: i for i, (_, p, _) in enumerate(leads)}
     inverse: list[_Row] = []
-    for p in range(r):
+    for p in range(len(rows)):
         i = owner[p]
         inverse.append(w_rows[i])
         terms = [(j, 0, -x[0]) for j, x in enumerate(rows[i][:p]) if x]

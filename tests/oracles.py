@@ -153,7 +153,8 @@ def fraction_inverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]
 def fraction_nullspace(a: list[list[int | Fraction]], ncols: int) -> list[list[int | Fraction]]:
     """Right nullspace basis read off the RREF, computed in Fraction
     arithmetic: one vector per non-pivot column, with a 1 there. The
-    reference for exact_core._qnullspace."""
+    reference for the rank test of SplittingData's U1(w = 0) clause,
+    exact_core._int_gauss_jordan on rows scaled by _int_row."""
     rows = [row[:] for row in a]
     nrows = len(rows)
     pivots: list[int] = []

@@ -37,10 +37,16 @@ Note on direct summands of modules, 1967); the converse is clear. On the
 projective line two bundles are isomorphic iff their splitting types agree
 (Grothendieck 1957), and H's type is every a_i - v_a. So a connection
 exists iff the type of J_V(E) is E's type together with every a_i - v_a,
-sorted: the criterion reads only the engine's certified types.
+sorted: the criterion reads only the engine's certified types. It is
+checked on drawn jet cases and on the gauged bundles of
+scripts/cli_stdout_digest.py with each of that script's three anchors.
 """
 
+import importlib.util
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -50,9 +56,10 @@ from algconn.jet_obstruction import (
     ConcreteAnchor,
     construct_connection,
     jet1_transition,
+    anchor_from_json,
     jetV_transition,
 )
-from algconn.p1_engine import birkhoff_split, gauge_transform, split_bundle
+from algconn.p1_engine import birkhoff_split, gauge_transform, p1bundle_from_json, split_bundle
 from algconn.sampling import Sampler
 
 
@@ -232,3 +239,39 @@ def test_a_connection_exists_exactly_when_the_jet_sequence_splits(params):
     j_type = birkhoff_split(jetV_transition(E, anchor)).type
     splits = list(j_type) == sorted([*a, *(ai - va for ai in a for va in v)], reverse=True)
     assert (construct_connection(E, anchor) is not None) == splits
+
+
+def load_digest_script():
+    """scripts/cli_stdout_digest.py as a module, loaded without writing
+    bytecode, for its input generator."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "cli_stdout_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_stdout_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    before = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = before
+    return module
+
+
+def test_the_jet_criterion_holds_on_the_digest_inputs():
+    # the digest's first 60 gauged bundles (rank 2-6, half with a rational
+    # row scale) against all three of its anchors: every (rank, scale,
+    # anchor) twice, both answers among them
+    digest = load_digest_script()
+    rng = random.Random(0)
+    answers = set()
+    for index in range(60):
+        E = p1bundle_from_json(digest.gauged_bundle(rng, index))
+        a = birkhoff_split(E).type
+        for doc in digest.ANCHORS:
+            anchor = anchor_from_json(doc)
+            v = birkhoff_split(anchor.V).type
+            j_type = birkhoff_split(jetV_transition(E, anchor)).type
+            splits = list(j_type) == sorted([*a, *(ai - va for ai in a for va in v)], reverse=True)
+            exists = construct_connection(E, anchor) is not None
+            assert exists == splits, (index, doc)
+            answers.add(exists)
+    assert answers == {True, False}

@@ -1,6 +1,7 @@
 """Laurent arithmetic: parser, derivative, matrices, unit inverses."""
 
 import copy
+import math
 import os
 import pickle
 import re
@@ -15,11 +16,13 @@ from algconn.errors import LaurentSyntaxError, NotAUnit, SchemaError
 from algconn.exact_core import (
     LaurentMatrix,
     LaurentPoly,
+    _content,
+    _int_gauss_jordan,
+    _int_row,
     _inverse_holds,
     _lifted_product,
     _parse_entries,
     _parsed,
-    _qnullspace,
     _ratio,
     laurent_parse,
 )
@@ -570,18 +573,35 @@ def test_chart_predicates_match_their_definition(factors):
             assert x.is_poly_in_w == all(e <= 0 for e in x.coeffs)
 
 
+def free_column(a, ncols) -> int:
+    """The rank test of SplittingData's U1(0) clause: Gauss-Jordan on the
+    rows scaled to integers, which returns the first column with no pivot,
+    ncols exactly when the rows have rank ncols."""
+    rows = [_int_row(row) for row in a]
+    got = _int_gauss_jordan(rows, ncols)
+    assert all(type(x) is int for row in rows for x in row)
+    return got
+
+
 def test_dense_helpers_stay_exact_on_int_input():
-    # a reciprocal of an int pivot is Fraction(1, p), never the float 1 / p
-    results = [
-        ([_qnullspace([[2, 4]], 2)], [[-2, 1]]),
-        ([_qnullspace([[3, 1, 0], [0, 7, 1]], 3)], [[Fraction(1, 21), Fraction(-1, 7), 1]]),
-        # 1 - (1/49.0)*49 is not 0 in floating point: a float pivot finds rank 2
-        ([_qnullspace([[49, 49], [1, 1]], 2)], [[-1, 1]]),
-    ]
-    for got, want in results:
-        assert got == want
-        assert not any(isinstance(x, float) for row in got for x in row)
-    assert _qnullspace([[2, 1], [1, 1]], 2) is None
+    # no step divides two ints, so no float enters the elimination
+    assert free_column([[2, 4]], 2) == 1
+    assert free_column([[3, 1, 0], [0, 7, 1]], 3) == 2
+    # 1 - (1/49.0)*49 is not 0 in floating point: a float pivot finds rank 2
+    assert free_column([[49, 49], [1, 1]], 2) == 1
+    assert free_column([[2, 1], [1, 1]], 2) == 2
+
+
+def test_content_makes_exact_rationals_primitive_integers():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for values, want in (([4, -6, 10], 2), ([3], 3), ([-3], 3), ([0, 5, 0], 5), ([1, 2], 1),
+                         ([half, third], Fraction(1, 6)), ([Fraction(3, 2), 3], Fraction(3, 2)),
+                         ([Fraction(-4, 3), Fraction(8, 9)], Fraction(4, 9))):
+        got = _content(values)
+        assert got == want and type(got) is type(want)
+        quotients = [Fraction(x) / got for x in values]
+        assert all(q.denominator == 1 for q in quotients)
+        assert math.gcd(*[q.numerator for q in quotients]) == 1
 
 
 def test_ratio_is_canonical_on_ints_and_fractions():
@@ -624,30 +644,22 @@ def scalar_matrices(draw):
     return [[Fraction(x) if draw(st.booleans()) else x for x in row] for row in a]
 
 
-def first_null_vector(a, ncols):
-    """The first vector of the Fraction reference basis, or None."""
+def first_free_column(a, ncols) -> int:
+    """The column of the 1 in the first vector of the Fraction reference
+    basis (the vector is zero past it), or ncols when there is none."""
     basis = fraction_nullspace(a, ncols)
-    return basis[0] if basis else None
-
-
-def _canonical(rows) -> bool:
-    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
-               for row in rows for x in row)
+    return max(j for j, x in enumerate(basis[0]) if x) if basis else ncols
 
 
 @settings(max_examples=300, deadline=None)
 @given(scalar_matrices(), st.integers(0, 2))
-def test_qnullspace_matches_the_fraction_reference(a, extra_cols):
+def test_the_rank_test_matches_the_fraction_reference(a, extra_cols):
     # extra_cols > 0 makes the matrix wider than drawn, with zero columns
     ncols = len(a[0]) + extra_cols
     a = [row + [0] * extra_cols for row in a]
     before = [row[:] for row in a]
-    got = _qnullspace(a, ncols)
-    assert got == first_null_vector(a, ncols)
+    assert free_column(a, ncols) == first_free_column(a, ncols)
     assert a == before
-    if got is not None:
-        assert _canonical([got])
-        assert all(sum(x * y for x, y in zip(row, got)) == 0 for row in a)
 
 
 # -- the lifted product and the one-pass identity decision ---------------------
@@ -755,17 +767,16 @@ def test_inverse_holds_on_fixed_near_misses():
     assert not _inverse_holds(LaurentMatrix.parse([["0"]]), LaurentMatrix.parse([["0"]]))
 
 
-def test_qnullspace_on_empty_zero_wide_and_tall_input():
-    assert _qnullspace([], 3) == [1, 0, 0]
-    assert _qnullspace([[0, 0], [0, 0], [0, 0]], 2) == [1, 0]
+def test_the_rank_test_on_empty_zero_wide_and_tall_input():
+    assert free_column([], 3) == 0
+    assert free_column([[0, 0], [0, 0], [0, 0]], 2) == 0
     wide = [[1, Fraction(1, 2), 3, 0], [2, 1, Fraction(7, 3), 1]]
     tall = [[1, 2], [2, 4], [Fraction(1, 2), 1], [0, 0]]
     for a, ncols in ((wide, 4), (tall, 2)):
-        got = _qnullspace(a, ncols)
-        assert got == first_null_vector(a, ncols) and _canonical([got])
-    assert _qnullspace(tall, 2) == [-2, 1]
-    # the first free column is 1; the pivot of column 2 after it leaves the vector alone
-    assert _qnullspace([[1, 2, 0], [0, 0, 5]], 3) == [-2, 1, 0]
+        assert free_column(a, ncols) == first_free_column(a, ncols)
+    assert free_column(tall, 2) == 1
+    # the first free column is 1; the pivot of column 2 after it changes nothing
+    assert free_column([[1, 2, 0], [0, 0, 5]], 3) == 1
 
 
 def test_integral_fractions_and_ints_share_memo_keys():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import pickle
 import random
@@ -766,13 +767,111 @@ def test_w_inverse_inverts_random_units_and_refuses_non_units(seed):
 
 
 def test_a_constant_transition_is_inverted_on_the_w_chart():
-    # no z-chart step (H = T), one w-chart step on the tie in column 1, then
-    # pivots 2 and 3: U1 = T^(-1)
+    # both rows of [[2, 1], [0, 3]] lead in column 1: one z-chart step,
+    # row 1 <- 1 row 1 - 3 row 0, gives U0 T = [[2, 1], [-6, 0]], whose
+    # positions differ, and the w-chart inverts that constant by forward
+    # substitution: U1 = (U0 T)^(-1)
     d = birkhoff_split(bundle([["2", "1"], ["0", "3"]]))
-    assert d.type == (0, 0) and d.U0 == LaurentMatrix.identity(2)
-    assert d.U1.to_strings() == [["1/2", "-1/6"], ["0", "1/3"]]
+    assert d.type == (0, 0) and d.U0.to_strings() == [["1", "0"], ["-3", "1"]]
+    assert d.U1.to_strings() == [["0", "-1/6"], ["1", "1/3"]]
+    # a lower triangular T has distinct positions: no step on either chart,
+    # then pivots 2 and 5
     d = birkhoff_split(bundle([["2", "0"], ["3", "5"]]))
+    assert d.U0 == LaurentMatrix.identity(2)
     assert d.U1.to_strings() == [["1/2", "0"], ["-3/10", "1/5"]]
+
+
+# -- the one reduction: fraction-free simple transformations on both charts ------
+
+
+def counting_combine(monkeypatch, limit=None) -> list:
+    """Wrap _combine: each call's output is appended to the returned list,
+    and a call past limit raises, so a reduction that would not stop fails
+    at once instead of running on."""
+    calls, real = [], p1_engine._combine
+
+    def counting(rows, terms):
+        if limit is not None and len(calls) >= limit:
+            raise RuntimeError(f"more than {limit} calls of _combine")
+        calls.append(real(rows, terms))
+        return calls[-1]
+
+    monkeypatch.setattr(p1_engine, "_combine", counting)
+    _birkhoff_cached.cache_clear()
+    return calls
+
+
+def test_a_quadratic_non_unit_reduces_in_integers(monkeypatch):
+    # det T = 2 - z. One z-chart step leaves R = [[2z - 1, 0], [z^(D-2), 1]]
+    # on the w-chart, and its weak Popov form, like every reduced form of R,
+    # holds z^(D-2) mod (2z - 1) = 2^(2-D): D - 2 steps, each row an integer
+    # row, whose largest coefficient is 2^(D-2) and no larger
+    D = 1000
+    calls = counting_combine(monkeypatch)
+    with pytest.raises(NotAUnit, match="not a monomial"):
+        bundle([["2*z", f"z^{D}"], [f"z^-{D - 1}", "z^-1"]])
+    coeffs = [c for row in calls for x in row for c in x.values()]
+    assert all(type(c) is int for c in coeffs)
+    assert max(map(abs, coeffs)) == 2 ** (D - 2)
+    assert len(calls) == 2 * (D - 1)  # a row and its transform row per step
+
+
+def test_a_zero_row_means_the_determinant_is_zero():
+    # a zero row on input, and one that a step makes: [1, z] and [2, 2z]
+    # share position 1, and 1 row_1 - 2 row_0 = 0
+    for rows in ([["z", "1"], ["0", "0"]], [["1", "z"], ["2", "2*z"]],
+                 [["1", "z", "0"], ["0", "1", "z^-1"], ["3", "3*z", "0"]]):
+        with pytest.raises(NotAUnit, match="determinant is zero"):
+            p1_engine._weak_popov(maps(rows))
+        with pytest.raises(NotAUnit, match="determinant is zero"):
+            bundle(rows)
+
+
+def test_the_step_budget_ends_a_zero_determinant(monkeypatch):
+    # det T = 0 with a w^(10^8) entry: each step lowers row 0's degree by
+    # one, and only the budget r (sum(tops) - sum(lows) + r) = 2 (1 + 2) = 6
+    # ends the loop, after 6 steps of 2 _combine calls each
+    calls = counting_combine(monkeypatch, limit=100)
+    with pytest.raises(NotAUnit, match="determinant is zero"):
+        p1_engine._weak_popov(maps([["0", "-z^-2"], ["0", "z^-100000000 + z^-99999999"]]))
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_unit_takes_fewer_steps_than_the_budget_in_primitive_rows(monkeypatch, seed):
+    # the docstring's bound: at most r (sum(tops) - sum(lows) + r - 1) steps
+    # while det != 0, one short of the budget per row; and each row that
+    # took a step holds, with its transform row, integers of gcd 1
+    s = Sampler(700 + seed)
+    r = 2 + seed % 4
+    T = s.unimodular_z(r, ops=r * r) @ split_bundle([s.rng.randint(-2, 2) for _ in range(r)]).transition
+    T = T.scalar_mul(Fraction(seed + 1, 2)) @ s.unimodular_w(r, ops=r * r)
+    rows = maps(T.to_strings())
+    tops = sum(max(max(x) for x in row if x) for row in rows)
+    lows = sum(min(min(x) for x in row if x) for row in rows)
+    calls = counting_combine(monkeypatch)
+    _, t_rows = p1_engine._weak_popov(rows)
+    assert len(calls) <= 2 * r * (tops - lows + r - 1)
+    stepped = [i for i in range(r) if t_rows[i] != [{0: 1} if j == i else {} for j in range(r)]]
+    assert stepped
+    for i in stepped:
+        coeffs = [c for x in rows[i] + t_rows[i] for c in x.values()]
+        assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
+
+
+def test_dense_rank_8_frames_stay_small():
+    # the z-chart's rows are divided by their content after each step, so
+    # U0 holds integers of at most 14 digits on these three bundles
+    # (rational rows reached 34 digits, numerator and denominator together)
+    for seed in (8000, 8001, 8002):
+        s = Sampler(seed)
+        e = [s.rng.randint(-1, 1) for _ in range(8)]
+        T = s.unimodular_z(8, ops=64) @ split_bundle(e).transition @ s.unimodular_w(8, ops=64)
+        d = p1_engine._split_reduced(T)
+        assert sorted(d.type, reverse=True) == sorted(e, reverse=True)
+        coeffs = [c for row in d.U0._rows for x in row for c in x.coeffs.values()]
+        assert all(type(c) is int for c in coeffs)
+        assert max(len(str(abs(c))) for c in coeffs) <= 16, seed
 
 
 # -- the closed form of a monomial diagonal --------------------------------------
@@ -817,14 +916,15 @@ def test_a_tied_rational_diagonal_is_split_as_the_reduction_splits_it():
 
 
 def count_reductions(monkeypatch) -> list:
-    """Each run of either chart's reduction, as (name, rank), in order."""
+    """Each run of the reduction, _weak_popov, on either chart, as (name,
+    rank), in order."""
     runs = []
-    for name in ("_reduce", "_w_inverse"):
-        def counting(rows, real=getattr(p1_engine, name), name=name):
-            runs.append((name, len(rows)))
-            return real(rows)
 
-        monkeypatch.setattr(p1_engine, name, counting)
+    def counting(rows, real=p1_engine._weak_popov):
+        runs.append(("_weak_popov", len(rows)))
+        return real(rows)
+
+    monkeypatch.setattr(p1_engine, "_weak_popov", counting)
     _birkhoff_cached.cache_clear()
     return runs
 
@@ -841,9 +941,9 @@ def test_split_bundles_are_split_with_no_reduction(monkeypatch):
     # reduced, once on each chart
     s = Sampler(50)
     gauge_transform(E, s.unimodular_z(4), s.unimodular_w(4))
-    assert runs == [("_reduce", 4), ("_w_inverse", 4)]
+    assert runs == [("_weak_popov", 4), ("_weak_popov", 4)]
     bundle([["z", "2"], ["0", "z^-1"]])
-    assert runs[2:] == [("_reduce", 2), ("_w_inverse", 2)]
+    assert runs[2:] == [("_weak_popov", 2), ("_weak_popov", 2)]
 
 
 def test_a_zero_or_many_term_diagonal_entry_keeps_its_message():
