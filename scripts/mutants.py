@@ -45,7 +45,16 @@ _inverse_holds, row by row; both run on _row_sums. verify-identity disables
 that decision, lifted-division leaves out the kernel's one division per
 coefficient, and inverse-entry-nonzero drops the decision's test that each
 entry's map cancels to zero. verify-u1-unimodular drops the rank test of
-U1(w = 0), Gauss-Jordan on its rows scaled to integers.
+U1(w = 0), a forward elimination of its rows scaled to integers, and
+rank-test-early-stop lets that elimination pass over a column with no
+pivot.
+
+The record keeps no T^(-1), so its readers read the frames.
+hom-split-frame-degree tightens is_global_hom's split-frame test, each
+entry of row j of U0_F phi0 T_E of z-degree <= b_j, to < b_j, which
+refuses the basis homs of top degree; printed-cocycle-shift-sign drops the
+sign of the shifts by which the printed cocycle forms T' U1 D^(-1), and
+its check refuses the cocycle.
 
 Both charts run one reduction, _weak_popov: fraction-free simple
 transformations, with one mutant per rule. reduction-step leaves a step out
@@ -109,7 +118,7 @@ O(2) read as TX; algebroid-canonical-isomorphism, a nonzero anchor on TX
 read as an isomorphism), AnchorDesc's two coercions
 (anchor-kind-coercion, anchor-section-tuple) and its two section checks
 (anchor-section-entries, an entry that is no LaurentPoly;
-anchor-section-string, a string section). The harness lists 90 mutants.
+anchor-section-string, a string section). The harness lists 92 mutants.
 """
 
 from __future__ import annotations
@@ -163,7 +172,7 @@ MUTANTS = (
     ),
     Mutant("verify-u0-in-z", P1, "if not U0.is_poly_in_z:", "if False:", P1_TESTS),
     Mutant("verify-u1-in-w", P1, "if not U1.is_poly_in_w:", "if False:", P1_TESTS),
-    Mutant("verify-u1-unimodular", P1, "if _int_gauss_jordan([_int_row(row) for row in w0], r) != r:",
+    Mutant("verify-u1-unimodular", P1, "if _int_free_column([_int_row(row) for row in w0], r) != r:",
            "if False:", P1_TESTS),
     Mutant("verify-type-length", P1, "if transition.shape != (r, r):", "if False:", P1_TESTS),
     Mutant("verify-u0-inverse-in-z", P1, "if not u0_inv.is_poly_in_z:", "if False:", P1_TESTS),
@@ -185,6 +194,8 @@ MUTANTS = (
     ),
     # P1Bundle's shape guard; the rank is read off the transition
     Mutant("bundle-square", P1, "if not self.transition.is_square:", "if False:", P1_TESTS),
+    # is_global_hom reads row j of U0_F phi0 T_E against F's b_j
+    Mutant("hom-split-frame-degree", P1, "max(x._coeffs) <= b", "max(x._coeffs) < b", P1_TESTS),
     # _weak_popov, the one reduction of both charts, one mutant per rule: a
     # step that leaves the transform row as it was (the record refuses it),
     # the row of higher degree is the one reduced, both rows are divided by
@@ -295,7 +306,8 @@ MUTANTS = (
         "if False:",
         JET_TESTS,
     ),
-    # _cocycle_and_connection checks the cocycle algconn connect prints
+    # _cocycle_and_connection checks the cocycle algconn connect prints,
+    # which is formed from E's frames as (T' U1 D^(-1)) U0
     Mutant(
         "printed-cocycle-checked",
         JET,
@@ -303,6 +315,8 @@ MUTANTS = (
         "if False:",
         JET_TESTS,
     ),
+    Mutant("printed-cocycle-shift-sign", JET, "[-a for a in se.type]", "[a for a in se.type]",
+           JET_TESTS),
     # verify_witness: a shape guard, then one mutant per vector check
     Mutant("witness-vector-shape", JET, WITNESS_SHAPES, "if False:", JET_TESTS),
     Mutant(
@@ -322,9 +336,9 @@ MUTANTS = (
         JET_TESTS,
     ),
     Mutant("witness-residue", JET, "return pairing.coeff(a_i - 1) != 0", "return True", JET_TESTS),
-    # the scalar kernels' Gauss-Jordan stops at the first column with no pivot
+    # the rank test's forward elimination stops at the first column with no pivot
     Mutant(
-        "gauss-jordan-early-stop",
+        "rank-test-early-stop",
         CORE,
         "        if pivot is None:\n            return col",
         "        if pivot is None:\n            continue",

@@ -21,8 +21,8 @@ certified splitting, both in p1_engine.
 The scalar kernels are fraction-free. _int_row scales a row of exact
 rationals to integers by the lcm of its denominators, and _content is the
 gcd of the numerators over that lcm, so that a row divided by it holds
-integers with no common factor. _int_gauss_jordan runs Gauss-Jordan on
-integer rows (cf. Bareiss, Sylvester's identity and multistep
+integers with no common factor. _int_free_column eliminates integer rows
+below each pivot (cf. Bareiss, Sylvester's identity and multistep
 integer-preserving Gaussian elimination, 1968), each new row divided by
 its content, up to the first column without a pivot; so it is a rank test,
 and SplittingData's check runs it on U1(w = 0) (tests/oracles.py keeps a
@@ -36,17 +36,17 @@ splitting's U0^(-1). It is one row of Gustavson's product (see below) over
 coefficient maps: the left row times the listed right rows (_listed: each
 row's nonzero entries with their columns), summed in one _accumulate map
 per output column; the cancelled zeros stay, for the caller to drop or to
-test. _lifted_product forms U0^(-1) = T U1 D^(-1) on it: each column of U1
-is scaled to integers by the lcm of its denominators, as _int_row scales a
-row, and shifted by its -a_j, once; T's rows run on the scaled rows, all in
-ints for an integral T, and each output coefficient is divided by its
-column's denominator once, so it comes out canonical whatever T holds.
+test. _lifted_product forms U0^(-1) = T U1 D^(-1) on it, and the printed
+cocycle's T' U1 D^(-1): each column of U1 is scaled to integers by the lcm
+of its denominators and shifted by its -a_j, once; T's rows run on the
+scaled rows, all in ints for an integral T, and each output coefficient is
+divided by its column's denominator once, so it comes out canonical.
 _inverse_holds decides U0 U0^(-1) = I row by row, each row's maps seeded
 with -1 at z^0 in the diagonal column: the identity holds when every map
 cancels, and neither the product nor I is built. jet_obstruction's
 _overlap_holds decides the certificate and cocycle identities row by row
-on it too. Every other product (@, T^(-1), the cocycle, a certificate)
-runs LaurentMatrix.__matmul__.
+on it too. Every other product (@, T^(-1), the cocycle's factor U0, a
+certificate) runs LaurentMatrix.__matmul__.
 
 Canonical form. Every LaurentPoly maps int exponents to nonzero scalars in
 the form above and stores no zero; every LaurentMatrix is a nonempty
@@ -944,15 +944,14 @@ def _content(values: Iterable[int | Fraction]) -> int | Fraction:
     return g if m == 1 else Fraction(g, m)
 
 
-def _int_gauss_jordan(rows: list[list[int]], ncols: int) -> int:
-    """Gauss-Jordan on integer rows, in place, column by column from column
-    0 until a column has no pivot; returns that column, or ncols when each
-    of the first ncols has one. Row k then holds the pivot of column k, for
-    each k before the returned column. A step replaces row r by p*row_r - f*row_pivot (p the pivot,
-    f the entry it clears) and divides it by its content, so every row
-    stays a nonzero integer multiple of the same row of the rational
-    elimination: the same pivots, and the RREF is each pivot row over its
-    pivot."""
+def _int_free_column(rows: list[list[int]], ncols: int) -> int:
+    """The first column without a pivot in the forward elimination of
+    integer rows, in place; ncols when each of the first ncols has one. A
+    step replaces each row below the pivot by p*row - f*row_pivot (p the
+    pivot, f the entry it clears) over its content, so every row stays a
+    nonzero integer multiple of the same row of the rational elimination:
+    the same pivots. Rows above a pivot take part in no later pivot search,
+    so nothing is cleared there: a rank test, with no reduced echelon form."""
     nrows = len(rows)
     for col in range(ncols):
         pivot = next((r for r in range(col, nrows) if rows[r][col]), None)
@@ -961,10 +960,9 @@ def _int_gauss_jordan(rows: list[list[int]], ncols: int) -> int:
         rows[col], rows[pivot] = rows[pivot], rows[col]
         prow = rows[col]
         p = prow[col]
-        for r, row in enumerate(rows):
-            f = row[col]
-            if f and r != col:
-                new = [p * x - f * y for x, y in zip(row, prow)]
+        for r in range(col + 1, nrows):
+            if f := rows[r][col]:
+                new = [p * x - f * y for x, y in zip(rows[r], prow)]
                 g = gcd(*new)
                 rows[r] = [x // g for x in new] if g > 1 else new
     return ncols

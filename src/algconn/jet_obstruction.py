@@ -91,6 +91,7 @@ from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
     _accumulate,
+    _lifted_product,
     _listed,
     _matrix,
     _nonzero,
@@ -182,11 +183,13 @@ def jetV_transition(E: P1Bundle, anchor: ConcreteAnchor) -> P1Bundle:
 
 
 def obstruction_cocycle(E: P1Bundle, anchor: ConcreteAnchor) -> ObstructionCocycle:
-    """The V*-twisted discrepancy cocycle phi0 (x) T' T^(-1), zero for the
-    zero anchor without inverting T."""
+    """The V*-twisted discrepancy cocycle phi0 (x) T' T^(-1), with T' T^(-1)
+    = (T' U1 D^(-1)) U0 read off E's frames, the bracket on the record's
+    kernel _lifted_product; zero for the zero anchor, with no frame read."""
     if anchor.is_zero:
         return ObstructionCocycle(LaurentMatrix.zeros(E.rank, E.rank * anchor.V.rank))
-    disc = E.transition.derivative() @ birkhoff_split(E).transition_inverse
+    se = birkhoff_split(E)
+    disc = _lifted_product(E.transition.derivative(), se.U1, [-a for a in se.type]) @ se.U0
     return ObstructionCocycle(anchor.phi_row.kron(disc))
 
 
@@ -270,9 +273,9 @@ def _cocycle_and_connection(
     E: P1Bundle, anchor: ConcreteAnchor
 ) -> tuple[ObstructionCocycle, ConnectionCert | None]:
     """The obstruction cocycle that algconn connect prints, with the answer
-    of construct_connection, which reads no cocycle. The cocycle reads the
-    splitting's cached T^(-1), so it is checked, whatever the answer, as
-    c (I_q (x) T) = phi0 (x) T'; a failed check is an internal bug."""
+    of construct_connection, which reads no cocycle. The cocycle, formed
+    from the splitting's frames, is checked whatever the answer, on T and
+    phi0 alone: c (I_q (x) T) = phi0 (x) T', or an internal bug is raised."""
     cocycle = obstruction_cocycle(E, anchor)
     r, q = E.rank, anchor.V.rank
     I_q, zero = LaurentMatrix.identity(q), LaurentMatrix.zeros(r, r * q)

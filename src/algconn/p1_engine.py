@@ -53,22 +53,22 @@ h^1 are read off the certified type of E.
 
 The engine has one memo, the splitting memo behind birkhoff_split, keyed
 by the transition; the package's only other memo is exact_core's parse
-memo _parsed, which p1bundle_from_json reads entry texts through. Every
-inverse the engine takes (T^(-1), and the U0^(-1) the record's check
-computes) is read off the SplittingData it holds and kept there, so equal
-transitions share them. The bundle constructors cache nothing, and the
-memo is a pure function of the transition: equal bundles get the same
-type, U0 and U1, whatever was split before. Both memos keep at most 1024
-entries, because their keys are outside input and nothing else limits how
-many distinct ones arrive; an evicted transition is split again, to an
-equal record.
+memo _parsed, which p1bundle_from_json reads entry texts through. A
+SplittingData keeps only what its check computes, U0^(-1); the hom test
+reads U0, the printed cocycle U1 and U0, and T^(-1) = U1 D^(-1) U0 is
+formed only by dual_bundle and jetV_transition, for the bundle each
+builds. The bundle constructors cache nothing, and the memo is a pure
+function of the transition: equal bundles get the same type, U0 and U1,
+whatever was split before. Both memos keep at most 1024 entries, because
+their keys are outside input and nothing else limits how many distinct
+ones arrive; an evicted transition is split again, to an equal record.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import InternalCheckFailed, NotAUnit, SchemaError
 from .exact_core import (
@@ -76,7 +76,7 @@ from .exact_core import (
     LaurentPoly,
     _accumulate,
     _content,
-    _int_gauss_jordan,
+    _int_free_column,
     _int_row,
     _inverse_holds,
     _lifted_product,
@@ -188,9 +188,9 @@ class SplittingData(_Value):
     1/z, U1(w = 0) is invertible, T is r x r, and the identity holds in the
     form U0 * U0^(-1) = I with U0^(-1) = T U1 D^(-1) polynomial in z.
     U1(w = 0) is invertible when its rank is r: its rows are scaled to
-    integers (exact_core._int_row) and eliminated by exact_core's
-    _int_gauss_jordan, an elimination of the check's own, shared with no
-    step of the splitter.
+    integers (exact_core._int_row), and exact_core's _int_free_column, a
+    forward elimination of the check's own, shared with no step of the
+    splitter, finds no column without a pivot.
 
     No degree is compared: U0 U0^(-1) = I with both factors polynomial in
     z makes det U0 = c0, and every bundle a constructor can make has det T
@@ -198,17 +198,16 @@ class SplittingData(_Value):
     det U1 = (c0 c)^(-1) z^(sum a_i - deg E), a polynomial in 1/z whose
     constant term is nonzero: it is constant, and sum a_i = deg E.
 
-    Every inverse the engine needs is read off the identity. D =
-    diag(z^(a_i)) and D^(-1) are never multiplied: on the left they shift
-    row i by z^(+-a_i), on the right column j by z^(+-a_j). U0^(-1) is the
-    check's, kept in u0_inverse, and T^(-1) is computed on first read.
-
-    How the check multiplies: U0^(-1) is exact_core._lifted_product and
-    U0 U0^(-1) = I is exact_core._inverse_holds, both on the row kernel
-    exact_core._row_sums."""
+    Every inverse the engine needs is read off the identity, and D =
+    diag(z^(a_i)) and D^(-1) are never multiplied: they shift rows or
+    columns by z^(+-a_i). The check forms U0^(-1) with
+    exact_core._lifted_product and decides U0 U0^(-1) = I with
+    _inverse_holds, both on the row kernel _row_sums. That U0^(-1), kept in
+    u0_inverse, is the one derived value the record holds: T^(-1) is formed
+    from U0 and U1 on each read of transition_inverse."""
 
     _fields = ("transition", "type", "U0", "U1")
-    __slots__ = _fields + ("u0_inverse", "__dict__")  # __dict__ holds the cached T^(-1)
+    __slots__ = _fields + ("u0_inverse",)
 
     def __init__(
         self, transition: LaurentMatrix, type: tuple[int, ...], U0: LaurentMatrix, U1: LaurentMatrix
@@ -227,7 +226,7 @@ class SplittingData(_Value):
         if not U1.is_poly_in_w:
             raise ValueError("U1 must be polynomial in 1/z")
         w0 = [[x._coeffs.get(0, 0) for x in U1.row_list(i)] for i in range(r)]
-        if _int_gauss_jordan([_int_row(row) for row in w0], r) != r:
+        if _int_free_column([_int_row(row) for row in w0], r) != r:
             raise ValueError("U1 must have an invertible constant term")
         if transition.shape != (r, r):
             raise ValueError(f"a transition of shape {transition.shape} for a type of length {r}")
@@ -244,17 +243,12 @@ class SplittingData(_Value):
         deg E (see above)."""
         return E.transition == self.transition
 
-    @cached_property
+    @property
     def transition_inverse(self) -> LaurentMatrix:
-        """T^(-1) = U1 D^(-1) U0, computed once: the memo hands this object
-        to every transition equal to the one it split."""
-        return _shift_columns(self.U1, [-a for a in self.type]) @ self.U0
-
-
-def _shift_columns(M: LaurentMatrix, exps: Sequence[int]) -> LaurentMatrix:
-    """M * diag(z^(e_j)): column j times z^(e_j), one exponent per column.
-    Its one caller, transition_inverse, passes a splitting's type."""
-    return _matrix(tuple([tuple([x.shift(e) for x, e in zip(row, exps)]) for row in M._rows]))
+        """T^(-1) = U1 D^(-1) U0, formed on each read and kept nowhere; only
+        dual_bundle and jetV_transition read it, once per bundle they build."""
+        shifted = [tuple([x.shift(-a) for x, a in zip(row, self.type)]) for row in self.U1._rows]
+        return _matrix(tuple(shifted)) @ self.U0
 
 
 _NOT_A_UNIT = "transition is not invertible over the Laurent ring"
@@ -504,14 +498,19 @@ def global_sections(E: P1Bundle) -> list[GlobalSection]:
 
 def is_global_hom(E: P1Bundle, F: P1Bundle, phi0: LaurentMatrix) -> bool:
     """Is the chart-0 matrix phi0 a global homomorphism E -> F? It must be
-    polynomial in z and its chart-1 representative T_F^(-1) phi0 T_E
-    polynomial in 1/z."""
+    polynomial in z, and phi1 = T_F^(-1) phi0 T_E polynomial in 1/z, which
+    is tested as: each entry of row j of U0_F phi0 T_E has z-degree <= b_j,
+    b F's type. Proof: T_F^(-1) = U1_F D_F^(-1) U0_F with U1_F unimodular
+    over C[1/z] (the record's check), so phi1 is polynomial in 1/z exactly
+    when D_F^(-1) U0_F phi0 T_E is. For F = TX, U0_F = (1): an anchor check
+    is one product, phi0 T_V, and this degree test."""
     if phi0.shape != (F.rank, E.rank):
         return False
     if not phi0.is_poly_in_z:
         return False
-    phi1 = birkhoff_split(F).transition_inverse @ phi0 @ E.transition
-    return phi1.is_poly_in_w
+    sf = birkhoff_split(F)
+    rows = (sf.U0 @ phi0 @ E.transition)._rows
+    return all(max(x._coeffs) <= b for row, b in zip(rows, sf.type) for x in row if x._coeffs)
 
 
 def hom_sections(E: P1Bundle, F: P1Bundle) -> list[LaurentMatrix]:

@@ -154,7 +154,7 @@ def fraction_nullspace(a: list[list[int | Fraction]], ncols: int) -> list[list[i
     """Right nullspace basis read off the RREF, computed in Fraction
     arithmetic: one vector per non-pivot column, with a 1 there. The
     reference for the rank test of SplittingData's U1(w = 0) clause,
-    exact_core._int_gauss_jordan on rows scaled by _int_row."""
+    exact_core._int_free_column on rows scaled by _int_row."""
     rows = [row[:] for row in a]
     nrows = len(rows)
     pivots: list[int] = []

@@ -17,7 +17,7 @@ from algconn.exact_core import (
     LaurentMatrix,
     LaurentPoly,
     _content,
-    _int_gauss_jordan,
+    _int_free_column,
     _int_row,
     _inverse_holds,
     _lifted_product,
@@ -29,7 +29,6 @@ from algconn.exact_core import (
 from algconn.p1_engine import (
     P1Bundle,
     _birkhoff_cached,
-    _shift_columns,
     birkhoff_split,
     gauge_transform,
     split_bundle,
@@ -42,6 +41,7 @@ from oracles import (
     fraction_laurent_sum,
     fraction_matmul,
     fraction_nullspace,
+    split_diagonal,
 )
 
 
@@ -574,11 +574,11 @@ def test_chart_predicates_match_their_definition(factors):
 
 
 def free_column(a, ncols) -> int:
-    """The rank test of SplittingData's U1(0) clause: Gauss-Jordan on the
-    rows scaled to integers, which returns the first column with no pivot,
-    ncols exactly when the rows have rank ncols."""
+    """The rank test of SplittingData's U1(0) clause: forward elimination
+    of the rows scaled to integers, which returns the first column with no
+    pivot, ncols exactly when the rows have rank ncols."""
     rows = [_int_row(row) for row in a]
-    got = _int_gauss_jordan(rows, ncols)
+    got = _int_free_column(rows, ncols)
     assert all(type(x) is int for row in rows for x in row)
     return got
 
@@ -696,7 +696,7 @@ def lifted_factors(draw):
 def test_lifted_product_matches_the_product_and_the_fraction_reference(factors):
     A, B, shifts = factors
     got = _lifted_product(A, B, shifts)
-    assert got == _shift_columns(A @ B, shifts)
+    assert got == A @ B @ split_diagonal(shifts)
     assert [[got.entry(i, j).coeffs for j in range(got.cols)] for i in range(got.rows)] == (
         fraction_laurent_product(A, B, shifts)
     )

@@ -45,10 +45,11 @@ from algconn.p1_engine import (
     P1Bundle,
     SplittingData,
     _birkhoff_cached,
-    _shift_columns,
     birkhoff_split,
+    cohomology_dims,
     dual_bundle,
     gauge_transform,
+    global_sections,
     hom_bundle,
     hom_sections,
     is_global_hom,
@@ -58,7 +59,7 @@ from algconn.p1_engine import (
     tensor_bundle,
     trivial_bundle,
 )
-from algconn.sampling import Sampler
+from algconn.sampling import Sampler, run_fuzz
 
 
 def unit_inv(M: LaurentMatrix) -> LaurentMatrix:
@@ -415,7 +416,7 @@ def test_tampered_splitting_never_gives_a_wrong_answer(monkeypatch):
                     SplittingData(*claim)
                 bad = _forged_splitting(
                     **dict(zip(SplittingData._fields, claim)),
-                    u0_inverse=_shift_columns(E.transition @ honest.U1, [-a for a in raised]),
+                    u0_inverse=E.transition @ honest.U1 @ split_diagonal([-a for a in raised]),
                 )
                 assert bad.U0 @ E.transition @ bad.U1 == split_diagonal(raised)
                 monkeypatch.setattr(
@@ -654,30 +655,32 @@ def test_witness_rejects_a_zero_pairing():
 
 
 def test_forged_inverse_never_reaches_an_answer(monkeypatch):
-    # construct_connection reads no cached T^(-1): forged for E or for V,
-    # both answers stay the honest ones. The cocycle algconn connect prints
-    # does read E's, so _cocycle_and_connection checks it, whatever the
-    # answer, and refuses a forged one; V's is read by neither
+    # construct_connection reads no T^(-1) and no cocycle: with the printed
+    # cocycle's factor T' U1 D^(-1) = T' T^(-1) U0^(-1) forged for E or for
+    # V, both answers stay the honest ones. The cocycle algconn connect
+    # prints does read E's, so _cocycle_and_connection checks it, whatever
+    # the answer, and refuses a forged one; V's is read by neither
     import algconn.jet_obstruction as jo
 
     E0, anchor0 = _witness_anchor()
     s = Sampler(59)
     E1 = gauge_transform(split_bundle([0, 0]), s.unimodular_z(2), s.unimodular_w(2))
     cases = ((E0, anchor0, False), (E1, tangent_anchor(), True))
-    original = jo.birkhoff_split
+    original = jo._lifted_product
     refused = 0
     for E, anchor, exists in cases:
         assert (construct_connection(E, anchor) is not None) == exists
         for victim in (E, anchor.V):
-            good = original(victim)
+            derivative = victim.transition.derivative()
             zeros = [LaurentPoly.zero()] * (victim.rank - 1)
             for k in (-40, -1, 0, 1):
-                bad = SplittingData(good.transition, good.type, good.U0, good.U1)
                 bump = LaurentMatrix.diag([LaurentPoly.z(k)] + zeros)
-                vars(bad)["transition_inverse"] = good.transition_inverse + bump  # the cached value
-                monkeypatch.setattr(
-                    jo, "birkhoff_split", lambda F, v=victim, b=bad: b if F == v else original(F)
-                )
+
+                def forged(A, B, shifts, d=derivative, bump=bump):
+                    honest = original(A, B, shifts)
+                    return honest + bump if A == d else honest
+
+                monkeypatch.setattr(jo, "_lifted_product", forged)
                 assert (construct_connection(E, anchor) is not None) == exists
                 if victim is E:
                     with pytest.raises(AssertionError, match="cocycle failed its check"):
@@ -713,6 +716,35 @@ def test_an_answer_builds_no_cocycle_and_reads_no_inverse(monkeypatch):
     for E, anchor, exists in cases:
         assert (construct_connection(E, anchor) is not None) == exists
     assert {exists for _, _, exists in cases} == {True, False}
+
+
+def test_the_workload_paths_form_no_transition_inverse(monkeypatch):
+    # only dual_bundle and jetV_transition form T^(-1) = U1 D^(-1) U0; anchor
+    # checks, connect with its printed cocycle, cohomology, sections and the
+    # fuzz read the record's frames, so all of them run with the read refused
+    E0, anchor0 = _witness_anchor()
+    s = Sampler(60)
+    E1 = gauge_transform(split_bundle([0, 0]), s.unimodular_z(2), s.unimodular_w(2))
+    V2 = _gauged_v2()
+    phi2 = hom_sections(V2, tangent_bundle())[0]
+
+    def refuse(*args):
+        raise AssertionError("T^(-1) was formed")
+
+    monkeypatch.setattr(SplittingData, "transition_inverse", property(refuse))
+    with pytest.raises(AssertionError, match="was formed"):
+        dual_bundle(E1)
+    assert tangent_anchor().phi_row == LaurentMatrix.parse([["1"]])
+    assert anchor_line(-1, "z^3 + z").V == line_bundle(-1)
+    assert ConcreteAnchor(V2, phi2).phi_row == phi2
+    with pytest.raises(InvalidAnchor):
+        anchor_line(1, "z^2")
+    for E, anchor, exists in ((E0, anchor0, False), (E1, tangent_anchor(), True)):
+        cocycle, cert = _cocycle_and_connection(E, anchor)
+        assert (cert is not None) == exists and not cocycle.overlap_matrix.is_zero
+    assert cohomology_dims(E0) == (3, 0)
+    assert len(global_sections(E0)) == 3
+    assert run_fuzz(25, 53).report["mismatches"] == 0
 
 
 # -- coboundary solving --------------------------------------------------------------

@@ -40,7 +40,6 @@ from algconn.p1_engine import (
     P1Bundle,
     SplittingData,
     _birkhoff_cached,
-    _shift_columns,
     birkhoff_split,
     cohomology_dims,
     dual_bundle,
@@ -221,10 +220,13 @@ def test_split_memo_is_keyed_by_the_transition():
     E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
     assert birkhoff_split(E) is _birkhoff_cached(E.transition)
     T = s.unimodular_z(3) @ split_bundle([1, 0, -1]).transition @ s.unimodular_w(3)
-    inv = birkhoff_split(P1Bundle(T)).transition_inverse
-    assert inv is _birkhoff_cached(T).transition_inverse
+    record = birkhoff_split(P1Bundle(T))
+    assert record is _birkhoff_cached(T)
     fresh = LaurentMatrix.parse(T.to_strings())
-    assert fresh is not T and birkhoff_split(P1Bundle(fresh)).transition_inverse is inv
+    assert fresh is not T and birkhoff_split(P1Bundle(fresh)) is record
+    # T^(-1) is formed from the record's frames on each read: equal, not shared
+    inv = record.transition_inverse
+    assert birkhoff_split(P1Bundle(fresh)).transition_inverse == inv
     assert T @ inv == LaurentMatrix.identity(3)
 
 
@@ -266,14 +268,18 @@ def test_split_memo_evicts_past_its_bound_and_splits_again():
         _birkhoff_cached.cache_clear()
 
 
-def test_equal_bundles_share_one_transition_inverse():
+def test_equal_bundles_get_equal_transition_inverses():
+    # the record keeps no T^(-1): each read forms it from U0 and U1, so
+    # equal bundles get equal inverses, but never one shared object
     s = Sampler(61)
     E = gauge_transform(split_bundle([2, 0, -1]), s.unimodular_z(3), s.unimodular_w(3))
     F = p1bundle_from_json(p1bundle_to_json(E))
     assert F is not E and F == E
     t_inv = birkhoff_split(E).transition_inverse
-    assert birkhoff_split(F).transition_inverse is t_inv
+    assert birkhoff_split(F).transition_inverse == t_inv
+    assert birkhoff_split(E).transition_inverse is not t_inv
     assert E.transition @ t_inv == LaurentMatrix.identity(3)
+    assert not hasattr(birkhoff_split(E), "__dict__")
 
 
 def test_splitting_inverses_are_two_sided():
@@ -297,7 +303,7 @@ def test_u0_inverse_is_held_for_its_transition():
         T = E.transition
         held = d.u0_inverse
         assert d.u0_inverse is held and d.transition is T
-        assert held == _shift_columns(T @ d.U1, [-a for a in d.type])
+        assert held == T @ d.U1 @ split_diagonal([-a for a in d.type])
         # an equal bundle built afresh gets the memo's splitting and its inverse
         F = p1bundle_from_json(p1bundle_to_json(E))
         assert F.transition is not T and F.transition == T
@@ -1118,6 +1124,46 @@ def test_vec_convention_ties_hom_to_sections():
         assert is_global_hom(trivial_bundle(1), H, v)
         rows = [[v.entry(i * E.rank + j, 0) for j in range(E.rank)] for i in range(F.rank)]
         assert LaurentMatrix(rows) == phi
+
+
+def _hom_answers_match_the_definition(E, F, rng) -> list[bool]:
+    """is_global_hom on each basis hom of Hom(E, F), and on it plus one
+    monomial z^(m + 1) at a drawn entry (j, i), with m the largest exponent
+    whose chart-1 form there stays polynomial in 1/z. Each answer must be
+    the definition's: phi0 polynomial in z and T_F^(-1) phi0 T_E polynomial
+    in 1/z, with T_F^(-1) formed by SplittingData.transition_inverse. The
+    chart-1 form of z^m E_(j,i) is z^m T_F^(-1)[:, j] T_E[i, :], whose top
+    exponent is m plus the tops of that column and that row."""
+    t_inv, T = birkhoff_split(F).transition_inverse, E.transition
+    answers = []
+    for phi0 in hom_sections(E, F):
+        j, i = rng.randrange(F.rank), rng.randrange(E.rank)
+        column = [t_inv.entry(k, j) for k in range(F.rank)]
+        top = max(x.max_exp for x in column if not x.is_zero)
+        top += max(x.max_exp for x in T.row_list(i) if not x.is_zero)
+        bump = [[LaurentPoly.monomial(int((r, c) == (j, i)), 1 - top) for c in range(E.rank)]
+                for r in range(F.rank)]
+        for candidate in (phi0, phi0 + LaurentMatrix(bump)):
+            chart1 = t_inv @ candidate @ T
+            expected = candidate.is_poly_in_z and chart1.is_poly_in_w
+            assert is_global_hom(E, F, candidate) == expected
+            answers.append(expected)
+    return answers
+
+
+def test_the_split_frame_hom_test_matches_its_definition():
+    # is_global_hom reads row j of U0_F phi0 T_E against b_j; the definition
+    # reads T_F^(-1) phi0 T_E. Gauged E and F, then a gauged rank-2 V into TX
+    s = Sampler(531)
+    answers = []
+    for _ in range(8):
+        E, _ = s.gauged_p1_bundle(max_rank=3, bound=2, ops=2, max_deg=1)
+        F, _ = s.gauged_p1_bundle(max_rank=3, bound=2, ops=2, max_deg=1)
+        answers += _hom_answers_match_the_definition(E, F, s.rng)
+    assert set(answers) == {True, False}
+    V = gauge_transform(split_bundle([1, -1]), s.unimodular_z(2), s.unimodular_w(2))
+    into_tx = _hom_answers_match_the_definition(V, tangent_bundle(), s.rng)
+    assert set(into_tx) == {True, False}
 
 
 # -- endomorphisms -----------------------------------------------------------------
