@@ -44,10 +44,10 @@ denominator per column of U1, and decides U0 U0^(-1) = I with
 _inverse_holds, row by row; both run on _row_sums. verify-identity disables
 that decision, lifted-division leaves out the kernel's one division per
 coefficient, and inverse-entry-nonzero drops the decision's test that each
-entry's map cancels to zero. verify-u1-unimodular drops the rank test of
-U1(w = 0), a forward elimination of its rows scaled to integers, and
-rank-test-early-stop lets that elimination pass over a column with no
-pivot.
+entry's map cancels to zero. The record certifies U1 by its inverse too:
+it forms U1^(-1) = D^(-1) U0 T by shifting row i of U0 T by z^(-a_i).
+verify-u1-unimodular drops the test that U1^(-1) is polynomial in 1/z,
+and u1-inverse-shift-sign shifts each row by z^(+a_i) instead.
 
 The record keeps no T^(-1), so its readers read the frames.
 hom-split-frame-degree tightens is_global_hom's split-frame test, each
@@ -172,8 +172,9 @@ MUTANTS = (
     ),
     Mutant("verify-u0-in-z", P1, "if not U0.is_poly_in_z:", "if False:", P1_TESTS),
     Mutant("verify-u1-in-w", P1, "if not U1.is_poly_in_w:", "if False:", P1_TESTS),
-    Mutant("verify-u1-unimodular", P1, "if _int_free_column([_int_row(row) for row in w0], r) != r:",
-           "if False:", P1_TESTS),
+    Mutant("verify-u1-unimodular", P1, "if not u1_inv.is_poly_in_w:", "if False:", P1_TESTS),
+    Mutant("u1-inverse-shift-sign", P1, "tuple([x.shift(-a) for x in row])",
+           "tuple([x.shift(a) for x in row])", P1_TESTS),
     Mutant("verify-type-length", P1, "if transition.shape != (r, r):", "if False:", P1_TESTS),
     Mutant("verify-u0-inverse-in-z", P1, "if not u0_inv.is_poly_in_z:", "if False:", P1_TESTS),
     Mutant("verify-identity", P1, "if not _inverse_holds(U0, u0_inv):", "if False:", P1_TESTS),
@@ -336,14 +337,6 @@ MUTANTS = (
         JET_TESTS,
     ),
     Mutant("witness-residue", JET, "return pairing.coeff(a_i - 1) != 0", "return True", JET_TESTS),
-    # the rank test's forward elimination stops at the first column with no pivot
-    Mutant(
-        "rank-test-early-stop",
-        CORE,
-        "        if pivot is None:\n            return col",
-        "        if pivot is None:\n            continue",
-        CORE_TESTS,
-    ),
     # the lifted product divides each coefficient by its column's denominator,
     # and the one-pass decision of A B = I tests every entry's map for zero
     Mutant(

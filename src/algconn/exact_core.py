@@ -18,18 +18,13 @@ No determinant is computed: a transition's determinant exponent is fixed by
 the splitting reduction, and inverses of unit matrices come from that
 certified splitting, both in p1_engine.
 
-The scalar kernels are fraction-free. _int_row scales a row of exact
-rationals to integers by the lcm of its denominators, and _content is the
-gcd of the numerators over that lcm, so that a row divided by it holds
-integers with no common factor. _int_free_column eliminates integer rows
-below each pivot (cf. Bareiss, Sylvester's identity and multistep
-integer-preserving Gaussian elimination, 1968), each new row divided by
-its content, up to the first column without a pivot; so it is a rank test,
-and SplittingData's check runs it on U1(w = 0) (tests/oracles.py keeps a
-Fraction elimination as the reference). p1_engine's reduction,
-_weak_popov, divides each row it makes by its _content, and _w_inverse
-each row of its forward substitution by a pivot, both through _ratio; no
-kernel here solves a linear system for them.
+Two scalar helpers keep p1_engine's reduction fraction-free. _content is
+the gcd of the numerators of exact rationals over the lcm of their
+denominators, so that a row divided by it holds integers with no common
+factor; _weak_popov divides each row it makes by it, and _w_inverse each
+row of its forward substitution by a pivot, both through _ratio, which
+divides two exact rationals. No kernel here eliminates or solves a linear
+system.
 
 One row kernel, _row_sums, serves the certificate checks and the
 splitting's U0^(-1). It is one row of Gustavson's product (see below) over
@@ -45,8 +40,9 @@ _inverse_holds decides U0 U0^(-1) = I row by row, each row's maps seeded
 with -1 at z^0 in the diagonal column: the identity holds when every map
 cancels, and neither the product nor I is built. jet_obstruction's
 _overlap_holds decides the certificate and cocycle identities row by row
-on it too. Every other product (@, T^(-1), the cocycle's factor U0, a
-certificate) runs LaurentMatrix.__matmul__.
+on it too. Every other product (@, T^(-1), the record's U0 T for its
+U1^(-1), the cocycle's factor U0, a certificate) runs
+LaurentMatrix.__matmul__.
 
 Canonical form. Every LaurentPoly maps int exponents to nonzero scalars in
 the form above and stores no zero; every LaurentMatrix is a nonempty
@@ -495,7 +491,7 @@ def _lifted_product(
 ) -> "LaurentMatrix":
     """A @ B @ diag(z^(s_j)), with B's columns over one denominator each.
     Column j of B is scaled to integers by the lcm m_j of its denominators,
-    as _int_row scales a row, and shifted by z^(s_j), once; a column with
+    each coefficient times m_j, and shifted by z^(s_j), once; a column with
     m_j = 1 and s_j = 0 is used as it is. Each row of A then goes through
     _row_sums on the scaled rows of B, and each output coefficient is
     divided by m_j once, by _ratio, with the cancelled zeros dropped. With A
@@ -918,16 +914,7 @@ def _matrix(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentMatrix:
     return m
 
 
-# -- exact rational linear algebra helpers ---------------------------------
-
-
-def _int_row(row: Sequence[int | Fraction]) -> list[int]:
-    """The row times the lcm of its denominators: integers, same span."""
-    m = 1
-    for x in row:
-        if type(x) is not int:
-            m = lcm(m, x.denominator)
-    return [x * m if type(x) is int else x.numerator * (m // x.denominator) for x in row]
+# -- exact rational scalar helpers -----------------------------------------
 
 
 def _content(values: Iterable[int | Fraction]) -> int | Fraction:
@@ -942,30 +929,6 @@ def _content(values: Iterable[int | Fraction]) -> int | Fraction:
             g = gcd(g, x.numerator)
             m = lcm(m, x.denominator)
     return g if m == 1 else Fraction(g, m)
-
-
-def _int_free_column(rows: list[list[int]], ncols: int) -> int:
-    """The first column without a pivot in the forward elimination of
-    integer rows, in place; ncols when each of the first ncols has one. A
-    step replaces each row below the pivot by p*row - f*row_pivot (p the
-    pivot, f the entry it clears) over its content, so every row stays a
-    nonzero integer multiple of the same row of the rational elimination:
-    the same pivots. Rows above a pivot take part in no later pivot search,
-    so nothing is cleared there: a rank test, with no reduced echelon form."""
-    nrows = len(rows)
-    for col in range(ncols):
-        pivot = next((r for r in range(col, nrows) if rows[r][col]), None)
-        if pivot is None:
-            return col
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        prow = rows[col]
-        p = prow[col]
-        for r in range(col + 1, nrows):
-            if f := rows[r][col]:
-                new = [p * x - f * y for x, y in zip(rows[r], prow)]
-                g = gcd(*new)
-                rows[r] = [x // g for x in new] if g > 1 else new
-    return ncols
 
 
 def _ratio(n: int | Fraction, d: int | Fraction) -> int | Fraction:

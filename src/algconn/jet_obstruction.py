@@ -228,14 +228,15 @@ def _bracket(
 def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert | None:
     """A verified certificate when the obstruction class vanishes, else None
     with a verified witness, decided by the integer rule of the module
-    docstring with no cocycle and no inverse but the held U0^(-1)'s. A "no"
-    at the first V-index a with v_a = 2 and psi_a(0) != 0 and the first i
-    with a_i != 0 is the Serre dual of the window coefficient a_i psi_a(0):
-    Theta0 = w0^T (x) u v with u = U0^(-1)[:, i], v = U0[i, :] and w0 =
-    U0_V^(-1)[:, a], its chart-1 form read off x = U1[:, i] and w1 =
-    U1_V[:, a]; verify_witness checks the five vectors. A "yes" is the
-    closed form of the module docstring, each bracket one _bracket. A
-    failed check of either answer is an internal bug."""
+    docstring with no cocycle and no inverse but the records' held U0^(-1)
+    and U1^(-1). A "no" at the first V-index a with v_a = 2 and psi_a(0) !=
+    0 and the first i with a_i != 0 is the Serre dual of the window
+    coefficient a_i psi_a(0): Theta0 = w0^T (x) u v with u = U0^(-1)[:, i],
+    v = U0[i, :] and w0 = U0_V^(-1)[:, a], its chart-1 form read off x =
+    U1[:, i] and w1 = U1_V[:, a]; verify_witness checks the five vectors. A
+    "yes" is the closed form of the module docstring, each bracket one
+    _bracket, with Y = U1^(-1) read off E's record. A failed check of
+    either answer is an internal bug."""
     r, q = E.rank, anchor.V.rank
     if anchor.is_zero:
         zero = LaurentMatrix.zeros(r, r * q)
@@ -259,8 +260,7 @@ def construct_connection(E: P1Bundle, anchor: ConcreteAnchor) -> ConnectionCert 
                                 for x in row]),))
         minus_psi_t = _matrix((tuple([_poly({e - 1: -c for e, c in x._coeffs.items() if e})
                                       for x in row]),))
-        Y = _matrix(tuple([tuple([x.shift(-ai) for x in y_row])
-                           for y_row, ai in zip((U0 @ E.transition)._rows, se.type)]))
+        Y = se.u1_inverse
         A0 = se.u0_inverse @ _bracket(anchor.phi_row, minus_psi_t @ sv.U0, U0, se.type)
         A1 = se.U1 @ _bracket(anchor.phi_row @ T_V, (psi_0 @ sv.U0 @ T_V).shift(-1), Y, se.type)
         cert = ConnectionCert(A0, A1)

@@ -27,13 +27,12 @@ polynomial in z, to weak Popov form too, and one forward substitution
 gives U1 = N^(-1), which is unique whatever reduction reaches it; U0 is
 unique only up to the automorphisms of the split bundle. A SplittingData
 holds the T it splits and checks all of U0 * T * U1 = diag(z^(a_i)) once,
-when it is built, and every inverse of a unit matrix is read off it. The
-check forms U0^(-1) = T U1 D^(-1) and decides U0 U0^(-1) = I on
-exact_core's row kernel, _row_sums.
-U0^(-1) = T * U1 * diag(z^(-a_i)) polynomial in z makes U0 unimodular,
-with no determinant, and then U1 is unimodular iff its constant term
-U1(w = 0) is invertible: det T * det U1 = c * z^(sum a_i), so det U1 =
-q(1/z) divides a monomial, q(w) = c' * w^m, a nonzero constant iff q(0) != 0.
+when it is built, and every inverse of a unit matrix is read off it. Each
+frame is certified by its inverse on its own chart: the check forms
+U0^(-1) = T U1 D^(-1), which must be polynomial in z, decides U0 U0^(-1)
+= I on exact_core's row kernel, _row_sums, and forms U1^(-1) = D^(-1) U0
+T, which must be polynomial in 1/z. So U0 is unimodular over C[z] and U1
+over C[1/z], with no determinant and no constant-term test.
 
 No determinant validates a transition either. A monomial diagonal is a
 unit on sight; on any other T the reduction is the validation, and raises
@@ -54,8 +53,9 @@ h^1 are read off the certified type of E.
 The engine has one memo, the splitting memo behind birkhoff_split, keyed
 by the transition; the package's only other memo is exact_core's parse
 memo _parsed, which p1bundle_from_json reads entry texts through. A
-SplittingData keeps only what its check computes, U0^(-1); the hom test
-reads U0, the printed cocycle U1 and U0, and T^(-1) = U1 D^(-1) U0 is
+SplittingData keeps only what its check computes, U0^(-1) and U1^(-1); the
+hom test reads U0, the printed cocycle U1 and U0, the closed form of a
+"yes" U1^(-1), and T^(-1) = U1 D^(-1) U0 is
 formed only by dual_bundle and jetV_transition, for the bundle each
 builds. The bundle constructors cache nothing, and the memo is a pure
 function of the transition: equal bundles get the same type, U0 and U1,
@@ -76,8 +76,6 @@ from .exact_core import (
     LaurentPoly,
     _accumulate,
     _content,
-    _int_free_column,
-    _int_row,
     _inverse_holds,
     _lifted_product,
     _matrix,
@@ -183,31 +181,31 @@ class SplittingData(_Value):
     """U0 * T * U1 = diag(z^(a_1), ..., z^(a_r)) with a_1 >= ... >= a_r,
     U0 polynomial in z, U1 polynomial in 1/z, both of constant nonzero
     determinant: a checked factorization of the transition T it holds. It
-    is checked once, when it is built: ValueError unless U0 and U1 are r x r
-    for a type of length r, the type descends, U0 is polynomial in z, U1 in
-    1/z, U1(w = 0) is invertible, T is r x r, and the identity holds in the
-    form U0 * U0^(-1) = I with U0^(-1) = T U1 D^(-1) polynomial in z.
-    U1(w = 0) is invertible when its rank is r: its rows are scaled to
-    integers (exact_core._int_row), and exact_core's _int_free_column, a
-    forward elimination of the check's own, shared with no step of the
-    splitter, finds no column without a pivot.
+    is checked once, when it is built: TypeError unless the type is a tuple
+    of ints, not bools; ValueError unless U0 and U1 are r x r for a type of
+    length r, the type descends, U0 is polynomial in z, U1 in 1/z, T is r x
+    r, the identity holds in the form U0 * U0^(-1) = I with U0^(-1) = T U1
+    D^(-1) polynomial in z, and Y = D^(-1) U0 T is polynomial in 1/z.
 
-    No degree is compared: U0 U0^(-1) = I with both factors polynomial in
-    z makes det U0 = c0, and every bundle a constructor can make has det T
-    = c z^(deg E), since building it ran its own validating split. So
-    det U1 = (c0 c)^(-1) z^(sum a_i - deg E), a polynomial in 1/z whose
-    constant term is nonzero: it is constant, and sum a_i = deg E.
+    Each frame is certified by its inverse. U0 U0^(-1) = I with both
+    factors polynomial in z makes U0 unimodular over C[z]. The same
+    identity gives Y U1 = D^(-1) (U0 T U1 D^(-1)) D = I, so Y is U1^(-1),
+    and with both polynomial in 1/z, U1 is unimodular over C[1/z]. Then
+    T = U0^(-1) D Y has det T = c z^(sum a_i), c != 0, so sum a_i = deg E
+    whatever built the bundle, and no degree is compared.
 
     Every inverse the engine needs is read off the identity, and D =
     diag(z^(a_i)) and D^(-1) are never multiplied: they shift rows or
     columns by z^(+-a_i). The check forms U0^(-1) with
     exact_core._lifted_product and decides U0 U0^(-1) = I with
-    _inverse_holds, both on the row kernel _row_sums. That U0^(-1), kept in
-    u0_inverse, is the one derived value the record holds: T^(-1) is formed
-    from U0 and U1 on each read of transition_inverse."""
+    _inverse_holds, both on the row kernel _row_sums, and forms Y with @,
+    which the splitter never calls, and a shift of each row. The record
+    keeps what its check computes, U0^(-1) as u0_inverse and U1^(-1) as
+    u1_inverse: T^(-1) is formed from U0 and U1 on each read of
+    transition_inverse."""
 
     _fields = ("transition", "type", "U0", "U1")
-    __slots__ = _fields + ("u0_inverse",)
+    __slots__ = _fields + ("u0_inverse", "u1_inverse")
 
     def __init__(
         self, transition: LaurentMatrix, type: tuple[int, ...], U0: LaurentMatrix, U1: LaurentMatrix
@@ -216,6 +214,9 @@ class SplittingData(_Value):
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "U0", U0)
         object.__setattr__(self, "U1", U1)
+        if not isinstance(type, tuple) or any(isinstance(a, bool) or not isinstance(a, int)
+                                               for a in type):
+            raise TypeError(f"splitting type {type!r} is not a tuple of ints")
         r = len(type)
         if U0.shape != (r, r) or U1.shape != (r, r):
             raise ValueError(f"frames {U0.shape}, {U1.shape} for a type of length {r}")
@@ -225,9 +226,6 @@ class SplittingData(_Value):
             raise ValueError("U0 must be polynomial in z")
         if not U1.is_poly_in_w:
             raise ValueError("U1 must be polynomial in 1/z")
-        w0 = [[x._coeffs.get(0, 0) for x in U1.row_list(i)] for i in range(r)]
-        if _int_free_column([_int_row(row) for row in w0], r) != r:
-            raise ValueError("U1 must have an invertible constant term")
         if transition.shape != (r, r):
             raise ValueError(f"a transition of shape {transition.shape} for a type of length {r}")
         u0_inv = _lifted_product(transition, U1, [-a for a in type])
@@ -235,7 +233,12 @@ class SplittingData(_Value):
             raise ValueError("U0^(-1) = T U1 D^(-1) must be polynomial in z")
         if not _inverse_holds(U0, u0_inv):
             raise ValueError("U0 T U1 must be diag(z^(a_i))")
+        u1_inv = _matrix(tuple([tuple([x.shift(-a) for x in row])
+                                for row, a in zip((U0 @ transition)._rows, type)]))
+        if not u1_inv.is_poly_in_w:
+            raise ValueError("U1^(-1) = D^(-1) U0 T must be polynomial in 1/z")
         object.__setattr__(self, "u0_inverse", u0_inv)
+        object.__setattr__(self, "u1_inverse", u1_inv)
 
     def verify(self, E: "P1Bundle") -> bool:
         """Does this split E's transition? Exactly when it is this record's

@@ -9,12 +9,11 @@ enumerates sub-multisets exhaustively.
 The determinant oracle evaluates entries from their coefficient dicts at a
 few integer nodes and eliminates over the rationals itself: it uses no
 elimination of algconn.exact_core and nothing of algconn.p1_engine. The
-Fraction Gauss-Jordan inverse and nullspace are the references for the
-fraction-free kernel of exact_core and for the w-chart inverse of
-p1_engine, the dense product is the reference
-for its sparse product kernel, the Fraction Laurent product is the
-reference for its lifted product, and the Fraction Laurent sum for its
-sums: LaurentPoly's + and - and the reduction's row step. split_diagonal
+Fraction Gauss-Jordan inverse is the reference for the w-chart inverse of
+p1_engine, and the Fraction nullspace solves the linear systems of the
+h^0 oracle. The Fraction Laurent product is the reference for exact_core's
+lifted product, and the Fraction Laurent sum for its sums: LaurentPoly's +
+and - and the reduction's row step. split_diagonal
 builds the D that a splitting claims, from its type alone, and column a
 column vector.
 serre_witness, is_global_witness and residue_pairing judge a vector
@@ -91,13 +90,6 @@ def monomial_det(M: LaurentMatrix) -> tuple[Fraction, int] | None:
     return None
 
 
-def fraction_matmul(
-    a: list[list[int | Fraction]], b: list[list[int | Fraction]]
-) -> list[list[int | Fraction]]:
-    """The dense product of two scalar matrices, every entry a full sum."""
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 def fraction_laurent_product(
     A: LaurentMatrix, B: LaurentMatrix, shifts
 ) -> list[list[dict[int, Fraction]]]:
@@ -152,9 +144,9 @@ def fraction_inverse(a: list[list[int | Fraction]]) -> list[list[int | Fraction]
 
 def fraction_nullspace(a: list[list[int | Fraction]], ncols: int) -> list[list[int | Fraction]]:
     """Right nullspace basis read off the RREF, computed in Fraction
-    arithmetic: one vector per non-pivot column, with a 1 there. The
-    reference for the rank test of SplittingData's U1(w = 0) clause,
-    exact_core._int_free_column on rows scaled by _int_row."""
+    arithmetic: one vector per non-pivot column, with a 1 there. It solves
+    h0_by_linear_solve's constraints, and shows a splitting frame's constant
+    term singular where a test needs that."""
     rows = [row[:] for row in a]
     nrows = len(rows)
     pivots: list[int] = []

@@ -17,8 +17,6 @@ from algconn.exact_core import (
     LaurentMatrix,
     LaurentPoly,
     _content,
-    _int_free_column,
-    _int_row,
     _inverse_holds,
     _lifted_product,
     _parse_entries,
@@ -39,8 +37,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 from oracles import (
     fraction_laurent_product,
     fraction_laurent_sum,
-    fraction_matmul,
-    fraction_nullspace,
     split_diagonal,
 )
 
@@ -573,25 +569,6 @@ def test_chart_predicates_match_their_definition(factors):
             assert x.is_poly_in_w == all(e <= 0 for e in x.coeffs)
 
 
-def free_column(a, ncols) -> int:
-    """The rank test of SplittingData's U1(0) clause: forward elimination
-    of the rows scaled to integers, which returns the first column with no
-    pivot, ncols exactly when the rows have rank ncols."""
-    rows = [_int_row(row) for row in a]
-    got = _int_free_column(rows, ncols)
-    assert all(type(x) is int for row in rows for x in row)
-    return got
-
-
-def test_dense_helpers_stay_exact_on_int_input():
-    # no step divides two ints, so no float enters the elimination
-    assert free_column([[2, 4]], 2) == 1
-    assert free_column([[3, 1, 0], [0, 7, 1]], 3) == 2
-    # 1 - (1/49.0)*49 is not 0 in floating point: a float pivot finds rank 2
-    assert free_column([[49, 49], [1, 1]], 2) == 1
-    assert free_column([[2, 1], [1, 1]], 2) == 2
-
-
 def test_content_makes_exact_rationals_primitive_integers():
     half, third = Fraction(1, 2), Fraction(1, 3)
     for values, want in (([4, -6, 10], 2), ([3], 3), ([-3], 3), ([0, 5, 0], 5), ([1, 2], 1),
@@ -612,54 +589,6 @@ def test_ratio_is_canonical_on_ints_and_fractions():
                        (0, third, 0)):
         got = _ratio(n, d)
         assert got == want and type(got) is type(want)
-
-
-# -- the fraction-free kernels against the Fraction Gauss-Jordan reference ----
-
-scalar_strategy = st.one_of(
-    st.integers(-6, 6),
-    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
-)
-
-
-@st.composite
-def scalar_matrices(draw):
-    """A matrix of ints and Fractions, drawn in full or as a product of two
-    thinner ones (rank-deficient), with a zero row sometimes planted."""
-    nrows = draw(st.integers(1, 5))
-    ncols = draw(st.integers(1, 5))
-    if draw(st.booleans()):
-        a = draw(st.lists(st.lists(scalar_strategy, min_size=ncols, max_size=ncols),
-                          min_size=nrows, max_size=nrows))
-    else:
-        k = draw(st.integers(1, max(1, min(nrows, ncols) - 1)))
-        left = draw(st.lists(st.lists(scalar_strategy, min_size=k, max_size=k),
-                             min_size=nrows, max_size=nrows))
-        right = draw(st.lists(st.lists(scalar_strategy, min_size=ncols, max_size=ncols),
-                              min_size=k, max_size=k))
-        a = fraction_matmul(left, right)
-    if draw(st.booleans()):
-        a[draw(st.integers(0, nrows - 1))] = [0] * ncols
-    # the kernels take any exact entries, integral Fractions included
-    return [[Fraction(x) if draw(st.booleans()) else x for x in row] for row in a]
-
-
-def first_free_column(a, ncols) -> int:
-    """The column of the 1 in the first vector of the Fraction reference
-    basis (the vector is zero past it), or ncols when there is none."""
-    basis = fraction_nullspace(a, ncols)
-    return max(j for j, x in enumerate(basis[0]) if x) if basis else ncols
-
-
-@settings(max_examples=300, deadline=None)
-@given(scalar_matrices(), st.integers(0, 2))
-def test_the_rank_test_matches_the_fraction_reference(a, extra_cols):
-    # extra_cols > 0 makes the matrix wider than drawn, with zero columns
-    ncols = len(a[0]) + extra_cols
-    a = [row + [0] * extra_cols for row in a]
-    before = [row[:] for row in a]
-    assert free_column(a, ncols) == first_free_column(a, ncols)
-    assert a == before
 
 
 # -- the lifted product and the one-pass identity decision ---------------------
@@ -765,18 +694,6 @@ def test_inverse_holds_on_fixed_near_misses():
         assert not _inverse_holds(U, B)
     assert _inverse_holds(LaurentMatrix.identity(1), LaurentMatrix.identity(1))
     assert not _inverse_holds(LaurentMatrix.parse([["0"]]), LaurentMatrix.parse([["0"]]))
-
-
-def test_the_rank_test_on_empty_zero_wide_and_tall_input():
-    assert free_column([], 3) == 0
-    assert free_column([[0, 0], [0, 0], [0, 0]], 2) == 0
-    wide = [[1, Fraction(1, 2), 3, 0], [2, 1, Fraction(7, 3), 1]]
-    tall = [[1, 2], [2, 4], [Fraction(1, 2), 1], [0, 0]]
-    for a, ncols in ((wide, 4), (tall, 2)):
-        assert free_column(a, ncols) == first_free_column(a, ncols)
-    assert free_column(tall, 2) == 1
-    # the first free column is 1; the pivot of column 2 after it changes nothing
-    assert free_column([[1, 2, 0], [0, 0, 5]], 3) == 1
 
 
 def test_integral_fractions_and_ints_share_memo_keys():

@@ -414,9 +414,11 @@ def test_tampered_splitting_never_gives_a_wrong_answer(monkeypatch):
                 claim = (E.transition, raised, scale @ honest.U0, honest.U1)
                 with pytest.raises(ValueError, match="must be polynomial in z"):
                     SplittingData(*claim)
+                d_inv = split_diagonal([-a for a in raised])
                 bad = _forged_splitting(
                     **dict(zip(SplittingData._fields, claim)),
-                    u0_inverse=E.transition @ honest.U1 @ split_diagonal([-a for a in raised]),
+                    u0_inverse=E.transition @ honest.U1 @ d_inv,
+                    u1_inverse=d_inv @ claim[2] @ E.transition,
                 )
                 assert bad.U0 @ E.transition @ bad.U1 == split_diagonal(raised)
                 monkeypatch.setattr(

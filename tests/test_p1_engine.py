@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from collections import namedtuple
@@ -19,6 +20,7 @@ from oracles import (
     fraction_inverse,
     fraction_laurent_product,
     fraction_laurent_sum,
+    fraction_nullspace,
     h0_by_linear_solve,
     min_exponent,
     monomial_det,
@@ -32,6 +34,7 @@ from algconn.errors import NotAUnit
 from algconn.exact_core import LaurentMatrix, LaurentPoly
 from algconn.jet_obstruction import (
     ConcreteAnchor,
+    construct_connection,
     jet1_transition,
     jetV_transition,
     tangent_anchor,
@@ -294,6 +297,59 @@ def test_splitting_inverses_are_two_sided():
             assert M @ inv == eye and inv @ M == eye
 
 
+def assert_u1_inverse_is_held(d) -> None:
+    """The record's u1_inverse is D^(-1) U0 T, by the Fraction reference,
+    and inverts U1."""
+    r = d.U0.rows
+    u0_t = fraction_laurent_product(d.U0, d.transition, [0] * r)
+    want = [[{e - a: c for e, c in x.items()} for x in row] for row, a in zip(u0_t, d.type)]
+    held = d.u1_inverse
+    assert [[held.entry(i, j).coeffs for j in range(r)] for i in range(r)] == want
+    eye = [[{0: 1} if i == j else {} for j in range(r)] for i in range(r)]
+    assert fraction_laurent_product(held, d.U1, [0] * r) == eye
+
+
+def test_the_record_holds_u1_inverse_on_both_paths():
+    # gauged bundles go through the reduction, monomial diagonals through
+    # the closed form; each record holds U1^(-1) = D^(-1) U0 T
+    s = Sampler(541)
+    for r in range(1, 7):
+        exps = s.exponents(max_rank=r, min_rank=r, bound=3)
+        E = gauge_transform(split_bundle(exps), s.unimodular_z(r), s.unimodular_w(r))
+        assert_u1_inverse_is_held(birkhoff_split(E))
+    third = Fraction(1, 3)
+    for coeffs, exps in (((2, -1, third), (1, 1, 1)), ((1, -3, 5), (-2, 3, 0)),
+                         ((third, 7), (4, -4)), ((-2,), (3,))):
+        d = birkhoff_split(P1Bundle(monomial_diagonal(coeffs, exps)))
+        assert d == p1_engine._split_connected(d.transition)
+        assert_u1_inverse_is_held(d)
+
+
+def test_a_yes_forms_no_u0_t_product_of_its_own(monkeypatch):
+    # construct_connection reads Y = U1^(-1) off E's record
+    s = Sampler(542)
+    for r in (2, 3):
+        E = gauge_transform(split_bundle([0] * r), s.unimodular_z(r, ops=r * r),
+                            s.unimodular_w(r, ops=r * r))
+        d = birkhoff_split(E)
+        products = count_products(monkeypatch)
+        assert construct_connection(E, tangent_anchor()) is not None
+        assert products and not any(x is d.U0 and y is E.transition for _, x, y in products)
+        monkeypatch.undo()
+
+
+def test_a_splitting_type_is_a_tuple_of_ints():
+    # the record is exported: a type that is no tuple, or holds a float, a
+    # bool or a Fraction, is refused as LaurentPoly refuses a non-int
+    # exponent, and never builds a record that hash() refuses
+    I1, z = LaurentMatrix.identity(1), LaurentMatrix.parse([["z"]])
+    for T, bad in ((I1, (0.0,)), (z, (True,)), (I1, [0]), (I1, (Fraction(0),)), (I1, "0")):
+        with pytest.raises(TypeError, match="is not a tuple of ints"):
+            SplittingData(T, bad, I1, I1)
+    d, honest = SplittingData(I1, (0,), I1, I1), birkhoff_split(trivial_bundle(1))
+    assert d == honest and hash(d) == hash(honest)
+
+
 def test_u0_inverse_is_held_for_its_transition():
     s = Sampler(63)
     for r in (4, 5, 6):
@@ -403,7 +459,8 @@ def test_split_verify_and_sections_form_t_u1_once(monkeypatch):
 def test_verify_forms_no_product_and_a_split_checks_once(monkeypatch):
     # a record splits exactly its own transition, so verify multiplies
     # nothing; the memo's split forms T U1 D^(-1) once, as one lifted
-    # product, and decides U0 U0^(-1) = I once, without a product
+    # product, decides U0 U0^(-1) = I once, without a product, and forms
+    # U0 T once, for U1^(-1)
     s = Sampler(67)
     r = 4
     T = s.unimodular_z(r) @ split_bundle([2, 1, -1, -2]).transition @ s.unimodular_w(r)
@@ -418,7 +475,8 @@ def test_verify_forms_no_product_and_a_split_checks_once(monkeypatch):
     assert products == []
     assert [kind for kind, x, y in split if x is T and y is d.U1] == ["lifted"]
     assert [kind for kind, x, y in split if x is d.U0 and y is d.u0_inverse] == ["inverse"]
-    assert not any(kind == "@" and x is d.U0 for kind, x, _ in split)
+    assert [kind for kind, x, y in split if x is d.U0 and y is T] == ["@"]
+    assert [kind for kind, x, _ in split if kind == "@" and x is d.U0] == ["@"]
 
 
 def verify_by_det(d, E: P1Bundle) -> bool:
@@ -438,11 +496,14 @@ def verify_by_det(d, E: P1Bundle) -> bool:
 # a claimed splitting, not yet built: SplittingData(*claim) checks it
 Claim = namedtuple("Claim", "transition type U0 U1")
 
+# the clause that certifies U1 by its inverse, by its message
+NOT_UNIMODULAR = r"U1\^\(-1\) = D\^\(-1\) U0 T must be polynomial in 1/z"
+
 # the constructor's clause that refuses each tamper, by its message
 REFUSED_BY = {
-    "row_scaled": "invertible constant term",
+    "row_scaled": r"T U1 D\^\(-1\) must be polynomial in z",
     "unsorted": "must descend",
-    "degree_sum": "invertible constant term",
+    "degree_sum": NOT_UNIMODULAR,
     "degree_raised": r"T U1 D\^\(-1\) must be polynomial in z",
     "u0_not_poly": "U0 must be polynomial in z",
     "shear": "U0 T U1 must be diag",
@@ -473,12 +534,14 @@ def tampered_splittings(E: P1Bundle) -> dict[str, Claim]:
     low[-1] -= 1
     high[0] += 1
     return {
-        # U0 T U1 = D still holds, but det U0 = z and det U1 = 1/z: U1's
-        # singular constant term sees it, and so would U0^(-1) off its chart
+        # U0 T U1 = D still holds, but det U0 = z and det U1 = 1/z:
+        # U0^(-1) leaves its chart (column 0 times 1/z), and so would
+        # U1^(-1) = D^(-1) U0 T (row 0 times z)
         "row_scaled": Claim(T, d.type, at(0, z) @ d.U0, d.U1 @ at(0, w)),
         "unsorted": Claim(T, d.type[1::-1] + d.type[2:], swap @ d.U0, d.U1 @ swap),
-        # U0 T U1 = diag(z^low) with det U1 = 1/z: U1's singular constant
-        # term sees it, and with it the type's sum deg E - 1
+        # U0 T U1 = diag(z^low) with det U1 = 1/z: of the record's clauses
+        # only U1^(-1) = D^(-1) U0 T polynomial in 1/z sees it (its last
+        # row is z times the honest one), and with it the type's sum deg E - 1
         "degree_sum": Claim(T, tuple(low), d.U0, d.U1 @ at(r - 1, w)),
         # U0 T U1 = diag(z^high) with det U0 = z and U1 unimodular: of the
         # record's clauses only U0^(-1) polynomial in z sees it
@@ -486,8 +549,8 @@ def tampered_splittings(E: P1Bundle) -> dict[str, Claim]:
         "u0_not_poly": Claim(T, d.type, at(0, w) @ d.U0, d.U1 @ at(0, z)),
         "shear": Claim(T, d.type, shear @ d.U0, d.U1),
         # U0 T U1 = D, U0 polynomial and U0^(-1) = T U1 D^(-1) polynomial in
-        # z, det U1 = 1: U1 polynomial in 1/z sees it (at some ranks U1's
-        # constant term is singular too)
+        # z, det U1 = 1: U1 polynomial in 1/z sees it, and so would U1^(-1)
+        # = D^(-1) U0 T, whose row 0 gains z times row 1
         "u1_not_poly": Claim(T, d.type, steep @ d.U0, d.U1 @ unit_at_01(-z)),
         # U1's column 1 times 2/3: every chart clause holds, and U0 U0^(-1)
         # has 2/3 on its diagonal, which only the identity sees
@@ -535,8 +598,9 @@ def test_verify_rejects_u0_off_its_chart_under_a_wrong_degree():
 
 def test_splits_rejects_a_u1_that_is_not_unimodular(monkeypatch):
     # T = I: each stub has U0 T U1 = D, U0 and U1 on their charts and U0^(-1)
-    # = T U1 D^(-1) = I, yet det U1 = w. Only U1's constant term, singular
-    # (zero, or nonzero of rank 1), sees it.
+    # = T U1 D^(-1) = I, yet det U1 = w. Only U1^(-1) = D^(-1) U0 T, which
+    # holds z, sees it. As an independent oracle, U1's constant term is
+    # singular (zero, or nonzero of rank 1) by the Fraction nullspace
     w = LaurentPoly.z(-1)
     I1, I2 = LaurentMatrix.identity(1), LaurentMatrix.identity(2)
     stubs = [
@@ -548,7 +612,10 @@ def test_splits_rejects_a_u1_that_is_not_unimodular(monkeypatch):
         assert stub.U0 @ T @ stub.U1 == split_diagonal(stub.type)
         assert stub.U0.is_poly_in_z and stub.U1.is_poly_in_w
         assert T @ stub.U1 @ split_diagonal([-a for a in stub.type]) == T
-        with pytest.raises(ValueError, match="invertible constant term"):
+        u1_0 = [[stub.U1.entry(i, j).coeff(0) for j in range(T.rows)] for i in range(T.rows)]
+        assert fraction_nullspace(u1_0, T.rows)
+        assert not (split_diagonal([-a for a in stub.type]) @ stub.U0 @ T).is_poly_in_w
+        with pytest.raises(ValueError, match=NOT_UNIMODULAR):
             SplittingData(*stub)
     # a stub from the reduction is refused before it can enter the memo, and
     # the memo reports the refusal as an internal bug
@@ -558,7 +625,7 @@ def test_splits_rejects_a_u1_that_is_not_unimodular(monkeypatch):
         with pytest.raises(AssertionError, match="internal bug") as refused:
             P1Bundle(I1)
         assert isinstance(refused.value.__cause__, ValueError)
-        assert "invertible constant term" in str(refused.value.__cause__)
+        assert re.search(NOT_UNIMODULAR, str(refused.value.__cause__))
         assert _birkhoff_cached.cache_info().currsize == 0
     finally:
         _birkhoff_cached.cache_clear()
@@ -889,7 +956,7 @@ def monomial_diagonal(coeffs, exps) -> LaurentMatrix:
 
 def assert_closed_form_is_the_reduction(T):
     closed, reduced = p1_engine._split_connected(T), p1_engine._split_reduced(T)
-    for name in ("type", "U0", "U1", "u0_inverse"):
+    for name in ("type", "U0", "U1", "u0_inverse", "u1_inverse"):
         a, b = getattr(closed, name), getattr(reduced, name)
         assert a == b and repr(a) == repr(b), (T, name)
 
