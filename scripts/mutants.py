@@ -72,12 +72,10 @@ w-subtracted-terms drops the terms it subtracts. The package builds the
 tangent bundle and O on first use, not at import, so such a mutant fails
 the tests that split, one by one.
 
-A diagonal transition with one monomial on each diagonal entry is split
-by reading it, not by the reduction, and the tests require the very
-record the reduction gives. closed-form-tie-order puts tied exponents in
-reversed row order, closed-form-u1-inverse puts c_i where 1/c_i belongs,
-closed-form-off-diagonal drops the scan for entries off the diagonal, and
-closed-form-zero-entry lets a zero diagonal entry into the closed form.
+The reduction splits every transition, monomial diagonals too, and the
+tests compare its record on 2,817 of them with the closed form that
+tests/oracles.py reads off: reduction-tie-order puts rows of equal degree
+in reversed row order, and w-pivot-division leaves 1/c_i out of U1.
 
 A "yes" is the closed form of jet_obstruction's docstring: A0 = U0^(-1)
 [phi0 (x) U0' - (psi~ U0_V) (x) Delta U0] and A1 = U1 [(z^(-1) psi(0)
@@ -118,7 +116,9 @@ O(2) read as TX; algebroid-canonical-isomorphism, a nonzero anchor on TX
 read as an isomorphism), AnchorDesc's two coercions
 (anchor-kind-coercion, anchor-section-tuple) and its two section checks
 (anchor-section-entries, an entry that is no LaurentPoly;
-anchor-section-string, a string section). The harness lists 92 mutants.
+anchor-section-string, a string section). An Atom stores its stability as
+a Stability: atom-stability-coercion stores the value it is handed. The
+harness lists 90 mutants.
 """
 
 from __future__ import annotations
@@ -147,6 +147,8 @@ JET_TESTS = "tests/test_jet_obstruction.py"
 CLI_TESTS = "tests/test_cli.py"
 CORE_TESTS = "tests/test_exact_core.py"
 DECISION_TESTS = "tests/test_algebroid_decision.py"
+FORMAL = "src/algconn/formal_bundles.py"
+FORMAL_TESTS = "tests/test_formal_bundles.py"
 TIMEOUT_S = 300  # one test file; a mutant that hangs its tests is an error, not a kill
 
 VERIFY_SHAPES = "if U0.shape != (r, r) or U1.shape != (r, r):"
@@ -209,17 +211,8 @@ MUTANTS = (
     # the step budget: on det 0 with a wide span it ends the loop, and the
     # test counts the steps, so the mutant fails it instead of hanging it
     Mutant("reduction-budget", P1, "if budget == 0:", "if False:", P1_TESTS),
-    # the closed form of a monomial diagonal, one mutant per clause: ties in
-    # row order, U1 = the inverse scalars, no entry off the diagonal, and no
-    # zero entry on it
-    Mutant("closed-form-tie-order", P1, "order = sorted(range(r), key=lambda i: -terms[i][0])",
-           "order = sorted(reversed(range(r)), key=lambda i: -terms[i][0])", P1_TESTS),
-    Mutant("closed-form-u1-inverse", P1, "_poly({0: _ratio(c.denominator, c.numerator)})",
-           "_poly({0: c})", P1_TESTS),
-    Mutant("closed-form-off-diagonal", P1,
-           "if len(x) != 1 or any(y._coeffs for j, y in enumerate(row) if j != i):",
-           "if len(x) != 1:", P1_TESTS),
-    Mutant("closed-form-zero-entry", P1, "if len(x) != 1 or any(", "if len(x) > 1 or any(",
+    # the rows are sorted by degree, ties in row order
+    Mutant("reduction-tie-order", P1, "key=lambda i: -tops[i]", "key=lambda i: (-tops[i], -i)",
            P1_TESTS),
     # the simple transformations stop once the leading positions are
     # distinct; on the w-chart a positive degree left means no unit, and
@@ -538,6 +531,8 @@ MUTANTS = (
            DECISION_TESTS),
     Mutant("anchor-section-string", DECISION, "if isinstance(section, str):", "if False:",
            DECISION_TESTS),
+    Mutant("atom-stability-coercion", FORMAL, "else Stability(stability)", "else stability",
+           FORMAL_TESTS),
 )
 
 

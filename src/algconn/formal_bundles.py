@@ -26,12 +26,15 @@ class Stability(str, Enum):
 
 
 class CurveContext(_Value):
-    """A compact connected Riemann surface, known to this layer by its genus."""
+    """A compact connected Riemann surface, known to this layer by its genus:
+    TypeError unless it is an int, not a bool."""
 
     __slots__ = _fields = ("genus",)
 
     def __init__(self, genus: int) -> None:
         object.__setattr__(self, "genus", genus)
+        if type(genus) is not int:
+            raise TypeError(f"genus must be an int, got {genus!r}")
         if genus < 0:
             raise ValueError("genus must be a non-negative integer")
 
@@ -42,7 +45,9 @@ class CurveContext(_Value):
 
 class Atom(_Value):
     """An indecomposable summand, identified by rank, degree and declared
-    stability. Rank-1 atoms are always stable, so the flag is normalized."""
+    stability: TypeError unless rank and degree are ints, not bools. The
+    stability is stored as a Stability (ValueError for any other value);
+    rank-1 atoms are always stable, so the flag is normalized."""
 
     __slots__ = _fields = ("rank", "degree", "stability", "label", "is_tangent")
 
@@ -54,8 +59,9 @@ class Atom(_Value):
         label: str = "",
         is_tangent: bool = False,
     ) -> None:
-        if rank == 1:
-            stability = Stability.STABLE
+        if type(rank) is not int or type(degree) is not int:
+            raise TypeError(f"atom rank and degree must be ints, got {rank!r}, {degree!r}")
+        stability = Stability.STABLE if rank == 1 else Stability(stability)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "stability", stability)
@@ -68,13 +74,16 @@ class Atom(_Value):
 
 
 class FormalBundle(_Value):
-    """Non-empty multiset of atoms over a fixed curve context."""
+    """Non-empty multiset of atoms over a fixed curve context: TypeError
+    unless the atoms are a tuple of Atom, so that the bundle hashes."""
 
     __slots__ = _fields = ("context", "atoms")
 
     def __init__(self, context: CurveContext, atoms: tuple[Atom, ...]) -> None:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "atoms", atoms)
+        if not isinstance(atoms, tuple) or not all(isinstance(a, Atom) for a in atoms):
+            raise TypeError(f"atoms must be a tuple of Atom, got {atoms!r}")
         if not atoms:
             raise ValueError("a bundle needs at least one atom")
         for i, a in enumerate(atoms):

@@ -13,20 +13,20 @@ determinant of T. The tangent bundle is O(2) with transition -z^2: the sign
 is the honest chain rule d/dz = -z^2... for w = 1/z, and matters once jets
 and anchors enter.
 
-Splitting (the decomposition into line bundles) reads the record off a
-diagonal transition with one monomial c_i z^(a_i) on each diagonal entry,
-which is its own splitting (Grothendieck, 1957): the split bundles E and V
-that run_fuzz builds are such. Any other transition is split by one row
-reduction, _weak_popov, run on each chart: the simple transformations of
-Mulders and Storjohann (2003), kept fraction-free by dividing each new row
-and its transform row by their joint content, bring a matrix to weak Popov
-form, whose matrix of top row coefficients is invertible. On the z-chart
-that gives U0 with U0 * T = diag(z^(h_i)) * N, N polynomial in w = 1/z
-with N(0) invertible. On the w-chart, _w_inverse brings N, reflected to a
-polynomial in z, to weak Popov form too, and one forward substitution
-gives U1 = N^(-1), which is unique whatever reduction reaches it; U0 is
-unique only up to the automorphisms of the split bundle. A SplittingData
-holds the T it splits and checks all of U0 * T * U1 = diag(z^(a_i)) once,
+Splitting (the decomposition into line bundles, Grothendieck, 1957) is
+one row reduction, _weak_popov, run on each chart: the simple
+transformations of Mulders and Storjohann (2003), kept fraction-free by
+dividing each new row and its transform row by their joint content, bring
+a matrix to weak Popov form, whose matrix of top row coefficients is
+invertible. On the z-chart that gives U0 with U0 * T = diag(z^(h_i)) * N,
+N polynomial in w = 1/z with N(0) invertible. On the w-chart, _w_inverse
+brings N, reflected to a polynomial in z, to weak Popov form too, and one
+forward substitution gives U1 = N^(-1), which is unique whatever reduction
+reaches it; U0 is unique only up to the automorphisms of the split bundle.
+A monomial diagonal diag(c_i z^(a_i)), whose rows lead in distinct
+columns, takes no step on either chart: U0 is the permutation that sorts
+the a_i, ties in row order, and U1 holds the 1/c_i. A SplittingData holds
+the T it splits and checks all of U0 * T * U1 = diag(z^(a_i)) once,
 when it is built, and every inverse of a unit matrix is read off it. Each
 frame is certified by its inverse on its own chart: the check forms
 U0^(-1) = T U1 D^(-1), which must be polynomial in z, decides U0 U0^(-1)
@@ -34,16 +34,16 @@ U0^(-1) = T U1 D^(-1), which must be polynomial in z, decides U0 U0^(-1)
 T, which must be polynomial in 1/z. So U0 is unimodular over C[z] and U1
 over C[1/z], with no determinant and no constant-term test.
 
-No determinant validates a transition either. A monomial diagonal is a
-unit on sight; on any other T the reduction is the validation, and raises
-NotAUnit exactly when T is not a unit. On the z-chart it stops on det T =
-0 (a row reduces to zero, or its step budget runs out). Otherwise det N is
-a nonzero polynomial in w, and the weak Popov form of the w-chart leaves a
-row of positive degree exactly when det N is no constant, that is when
-det T is no monomial c * z^k. For a unit deg E = sum a_i (see SplittingData), and a
-failing identity is an internal bug. Every bundle, a dual, twist, tensor,
-hom or jet bundle too, is validated by the split that builds its record,
-and its degree is the sum of its splitting type.
+No determinant validates a transition either. The reduction is the
+validation, and raises NotAUnit exactly when T is not a unit. On the
+z-chart it stops on det T = 0 (a row reduces to zero, or its step budget
+runs out). Otherwise det N is a nonzero polynomial in w, and the weak Popov
+form of the w-chart leaves a row of positive degree exactly when det N is
+no constant, that is when det T is no monomial c * z^k. For a unit deg E =
+sum a_i (see SplittingData), and a failing identity is an internal bug.
+Every bundle, a dual, twist, tensor, hom or jet bundle too, is validated by
+the split that builds its record, and its degree is the sum of its
+splitting type.
 
 End(E) (x) V*, where the connection obstruction lives, is never split as a
 bundle of its own: jet_obstruction answers and builds certificates from
@@ -80,12 +80,10 @@ from .exact_core import (
     _lifted_product,
     _matrix,
     _nonzero,
-    _ONE,
     _parse_entries,
     _poly,
     _ratio,
     _Value,
-    _ZERO,
 )
 
 
@@ -273,38 +271,6 @@ def _combine(rows: list[_Row], terms: list[tuple[int, int, int | Fraction]]) -> 
     return [_nonzero(acc) if acc else acc for acc in accs]
 
 
-def _split_connected(T: LaurentMatrix) -> SplittingData:
-    """The splitting record of T; NotAUnit when T is no unit. The record
-    checks the factorization when it is built.
-
-    A diagonal T with one monomial c_i z^(a_i) on each diagonal entry is
-    its own splitting (Grothendieck), and its record is read off it: the
-    type is the a_i sorted descending, ties in row order, U0 the sorting
-    permutation and U1 its inverse with 1/c_i at (i, position of i). That
-    is exactly the record _split_reduced gives it, since the rows of such
-    a T lead in distinct columns, so _weak_popov takes no step on either
-    chart, and the w-side inverts the constant C = U0 diag(c_i), so the
-    memo stays a pure function of T. Any other T,
-    a zero or many-term diagonal entry too, goes through _split_reduced
-    and keeps its NotAUnit messages."""
-    rows = T._rows
-    terms = []
-    for i, row in enumerate(rows):
-        x = row[i]._coeffs
-        if len(x) != 1 or any(y._coeffs for j, y in enumerate(row) if j != i):
-            return _split_reduced(T)
-        terms.extend(x.items())  # its one (a_i, c_i)
-    r = len(rows)
-    order = sorted(range(r), key=lambda i: -terms[i][0])
-    U0 = tuple([tuple([_ONE if j == i else _ZERO for j in range(r)]) for i in order])
-    U1 = [[_ZERO] * r for _ in range(r)]
-    for k, i in enumerate(order):
-        c = terms[i][1]
-        U1[i][k] = _poly({0: _ratio(c.denominator, c.numerator)})
-    type_ = tuple([terms[i][0] for i in order])
-    return SplittingData(T, type_, _matrix(U0), _matrix(tuple(map(tuple, U1))))
-
-
 def _split_reduced(T: LaurentMatrix) -> SplittingData:
     """U0 and U1 with U0 @ T @ U1 diagonal and the type sorted, by one
     reduction, _weak_popov, on each chart; NotAUnit when T is no unit. The
@@ -345,8 +311,8 @@ def _weak_popov(rows: list[_Row]) -> tuple[list[tuple[int, int, int | Fraction]]
     """Bring a square matrix of coefficient maps, Laurent in z, to weak
     Popov form in place by polynomial row operations on the left, W @
     rows_in = rows_out; returns each row's _leading triple and the rows of
-    W. NotAUnit when the determinant is zero. Both charts of _split_reduced
-    run it.
+    W. NotAUnit when the determinant is zero. Both charts of _split_reduced,
+    which splits every transition, run it.
 
     Simple transformations (Mulders and Storjohann, On lattice reduction
     for polynomial matrices, J. Symbolic Comput. 35(4), 2003), kept
@@ -444,18 +410,18 @@ def _w_inverse(rows: list[_Row]) -> list[_Row]:
 # The engine's one memo; the package's other is exact_core._parsed. Both are
 # bounded because their keys are outside input; fuzz_diagonal, the bench's
 # most repetitive workload, meets at most 826 distinct transitions, and each
-# one it misses on is a monomial diagonal of rank <= 3, most of rank 3, that
-# _split_connected reads off with no reduction, so a miss there costs the
-# record's check alone. This one is global and keyed by transition equality,
-# not scoped to a bundle instance: small split bundles (the E and V of
-# run_fuzz cases) recur across inputs as fresh, equal objects, and scoped to
-# the instance fuzz_diagonal fell from 83 to 43 cases/s. A transition parsed
-# from JSON holds the parse memo's shared entries, so its hash and equality
-# read cached, identical ones.
+# one it misses on is a monomial diagonal of rank <= 3, most of rank 3, whose
+# rows lead in distinct columns: a miss there is a reduction that takes no
+# step on either chart, plus the record's check. This memo is global and
+# keyed by transition equality, not scoped to a bundle instance: small split
+# bundles (the E and V of run_fuzz cases) recur across inputs as fresh, equal
+# objects, and scoped to the instance fuzz_diagonal fell from 83 to 43
+# cases/s. A transition parsed from JSON holds the parse memo's shared
+# entries, so its hash and equality read cached, identical ones.
 @lru_cache(maxsize=1024)
 def _birkhoff_cached(T: LaurentMatrix) -> SplittingData:
     try:
-        return _split_connected(T)
+        return _split_reduced(T)
     except ValueError as exc:
         # the reduction on both charts decided T is a unit, so this is a bug
         raise InternalCheckFailed("splitting failed verification (internal bug)") from exc

@@ -15,7 +15,9 @@ h^0 oracle. The Fraction Laurent product is the reference for exact_core's
 lifted product, and the Fraction Laurent sum for its sums: LaurentPoly's +
 and - and the reduction's row step. split_diagonal
 builds the D that a splitting claims, from its type alone, and column a
-column vector.
+column vector. monomial_diagonal_splitting reads the record of a monomial
+diagonal off in closed form, as coefficient maps: the reference for the
+reduction on the transitions of split bundles.
 serre_witness, is_global_witness and residue_pairing judge a vector
 witness by the rank-one section it names, in both charts, with inverses
 they are handed and check, and the trace pairing summed entry by entry.
@@ -230,6 +232,34 @@ def column(entries) -> LaurentMatrix:
 def split_diagonal(exponents) -> LaurentMatrix:
     """diag(z^(a_1), ..., z^(a_r)): the right side D of U0 T U1 = D."""
     return LaurentMatrix.diag([LaurentPoly.z(a) for a in exponents])
+
+
+def monomial_diagonal_splitting(coeffs, exps) -> dict:
+    """The splitting record of T = diag(c_i z^(a_i)), read off in closed form
+    (T is its own splitting, Grothendieck 1957), as plain coefficient maps:
+    the reference for the reduction on a monomial diagonal. The type is the
+    a_i sorted descending, ties in row order, by the permutation s. Row k of
+    U0 is the unit row of column s(k), and U0^(-1) = T U1 D^(-1) is U0's
+    transpose; U1 holds 1/c_s(k) at (s(k), k), and row k of U1^(-1) = D^(-1)
+    U0 T holds c_s(k) at column s(k). Each coefficient is canonical: an int
+    when it is integral."""
+    r = len(exps)
+    s = sorted(range(r), key=lambda i: -exps[i])
+
+    def matrix(entries: dict) -> list[list[dict[int, int | Fraction]]]:
+        rows = [[{} for _ in range(r)] for _ in range(r)]
+        for (i, j), c in entries.items():
+            c = Fraction(c)
+            rows[i][j] = {0: c.numerator if c.denominator == 1 else c}
+        return rows
+
+    return {
+        "type": tuple(exps[i] for i in s),
+        "U0": matrix({(k, i): 1 for k, i in enumerate(s)}),
+        "u0_inverse": matrix({(i, k): 1 for k, i in enumerate(s)}),
+        "U1": matrix({(i, k): 1 / Fraction(coeffs[i]) for k, i in enumerate(s)}),
+        "u1_inverse": matrix({(k, i): coeffs[i] for k, i in enumerate(s)}),
+    }
 
 
 def serre_witness(u: LaurentMatrix, v: LaurentMatrix, w0: LaurentMatrix) -> LaurentMatrix:

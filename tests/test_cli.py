@@ -447,7 +447,7 @@ def test_fuzz_reports_every_mismatch_and_exits_1(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "command, target, check",
     [
-        ("split", "p1_engine._split_connected", "splitting failed verification"),
+        ("split", "p1_engine._split_reduced", "splitting failed verification"),
         ("connect-yes", "jet_obstruction.verify_connection", "constructed certificate failed"),
         ("connect-no", "jet_obstruction.verify_witness", "Serre-dual witness failed"),
         ("connect-no", "jet_obstruction._overlap_holds", "obstruction cocycle failed"),
@@ -461,7 +461,7 @@ def test_a_failed_internal_check_exits_4(files, capsys, tmp_path, monkeypatch, c
     module, name = target.split(".")
     owner = p1_engine if module == "p1_engine" else jet_obstruction
     real = getattr(owner, name)
-    if name == "_split_connected":
+    if name == "_split_reduced":
         def tampered(T):  # 2 U0 keeps every clause of the record but the identity
             data = real(T)
             return p1_engine.SplittingData(T, data.type, data.U0.scalar_mul(2), data.U1)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from algconn.errors import SchemaError
+from algconn.algebroid_decision import AlgebroidDesc, AnchorDesc
+from algconn.errors import InvalidAnchor, SchemaError
 from algconn.formal_bundles import (
     Atom,
     CurveContext,
@@ -43,6 +44,28 @@ def test_atiyah_weil_permutation_invariant():
 def test_rank_one_atoms_are_stable():
     a = Atom(1, 5, Stability.UNKNOWN)
     assert a.stability == Stability.STABLE
+
+
+def test_value_types_validate_their_fields():
+    # a stability string is stored as its Stability, so that the JSON writer
+    # and AlgebroidDesc's genus-0 rank message can read its value
+    a = Atom(2, 1, "stable")
+    assert a.stability is Stability.STABLE and a == Atom(2, 1, Stability.STABLE)
+    assert bundle_to_json(FormalBundle(P0, (a,)))["atoms"][0]["stability"] == "stable"
+    with pytest.raises(InvalidAnchor, match="declared stable"):
+        AlgebroidDesc(FormalBundle(P0, (a,)), AnchorDesc("zero"))
+    with pytest.raises(ValueError):
+        Atom(2, 1, "bogus")
+    for rank, degree in ((True, 0), (1, 2.5), (2.0, 1), (1, False), ("1", 0)):
+        with pytest.raises(TypeError):
+            Atom(rank, degree)
+    for genus in (1.5, True, "0"):
+        with pytest.raises(TypeError):
+            CurveContext(genus)
+    # a list of atoms would build a bundle that hash() refuses
+    for atoms in ([Atom(1, 0)], (Atom(1, 0), (1, 0)), ((1, 0),)):
+        with pytest.raises(TypeError):
+            FormalBundle(P0, atoms)
 
 
 def test_tangent_atom_degree_checked():

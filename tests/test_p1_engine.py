@@ -24,6 +24,7 @@ from oracles import (
     h0_by_linear_solve,
     min_exponent,
     monomial_det,
+    monomial_diagonal_splitting,
     split_diagonal,
     trace,
 )
@@ -63,7 +64,7 @@ from algconn.p1_engine import (
     trivial_bundle,
     twist,
 )
-from algconn.sampling import Sampler
+from algconn.sampling import Sampler, run_fuzz
 
 
 def bundle(rows) -> P1Bundle:
@@ -310,8 +311,8 @@ def assert_u1_inverse_is_held(d) -> None:
 
 
 def test_the_record_holds_u1_inverse_on_both_paths():
-    # gauged bundles go through the reduction, monomial diagonals through
-    # the closed form; each record holds U1^(-1) = D^(-1) U0 T
+    # gauged bundles, on which the reduction takes steps, and monomial
+    # diagonals, on which it takes none: each record holds U1^(-1) = D^(-1) U0 T
     s = Sampler(541)
     for r in range(1, 7):
         exps = s.exponents(max_rank=r, min_rank=r, bound=3)
@@ -320,9 +321,7 @@ def test_the_record_holds_u1_inverse_on_both_paths():
     third = Fraction(1, 3)
     for coeffs, exps in (((2, -1, third), (1, 1, 1)), ((1, -3, 5), (-2, 3, 0)),
                          ((third, 7), (4, -4)), ((-2,), (3,))):
-        d = birkhoff_split(P1Bundle(monomial_diagonal(coeffs, exps)))
-        assert d == p1_engine._split_connected(d.transition)
-        assert_u1_inverse_is_held(d)
+        assert_u1_inverse_is_held(birkhoff_split(P1Bundle(monomial_diagonal(coeffs, exps))))
 
 
 def test_a_yes_forms_no_u0_t_product_of_its_own(monkeypatch):
@@ -619,7 +618,7 @@ def test_splits_rejects_a_u1_that_is_not_unimodular(monkeypatch):
             SplittingData(*stub)
     # a stub from the reduction is refused before it can enter the memo, and
     # the memo reports the refusal as an internal bug
-    monkeypatch.setattr(p1_engine, "_split_connected", lambda T: SplittingData(*stubs[0]))
+    monkeypatch.setattr(p1_engine, "_split_reduced", lambda T: SplittingData(*stubs[0]))
     _birkhoff_cached.cache_clear()
     try:
         with pytest.raises(AssertionError, match="internal bug") as refused:
@@ -740,13 +739,13 @@ def test_nonconstant_det_is_not_a_unit(capsys, tmp_path):
 def test_a_split_that_fails_verify_is_an_internal_bug(monkeypatch):
     # the reduction decides units, so a claimed splitting that fails the
     # identity is a bug, not a verdict on the input
-    real = p1_engine._split_connected
+    real = p1_engine._split_reduced
 
     def tampered(T):
         data = real(T)  # 2 U0 keeps every clause of the record but the identity
         return SplittingData(T, data.type, data.U0.scalar_mul(2), data.U1)
 
-    monkeypatch.setattr(p1_engine, "_split_connected", tampered)
+    monkeypatch.setattr(p1_engine, "_split_reduced", tampered)
     _birkhoff_cached.cache_clear()
     try:
         with pytest.raises(AssertionError, match="internal bug") as refused:
@@ -947,27 +946,36 @@ def test_dense_rank_8_frames_stay_small():
         assert max(len(str(abs(c))) for c in coeffs) <= 16, seed
 
 
-# -- the closed form of a monomial diagonal --------------------------------------
+# -- a monomial diagonal against its closed form ---------------------------------
 
 
 def monomial_diagonal(coeffs, exps) -> LaurentMatrix:
     return LaurentMatrix.diag([LaurentPoly.monomial(c, a) for c, a in zip(coeffs, exps)])
 
 
-def assert_closed_form_is_the_reduction(T):
-    closed, reduced = p1_engine._split_connected(T), p1_engine._split_reduced(T)
-    for name in ("type", "U0", "U1", "u0_inverse", "u1_inverse"):
-        a, b = getattr(closed, name), getattr(reduced, name)
-        assert a == b and repr(a) == repr(b), (T, name)
+def typed(rows) -> list:
+    """Rows of coefficient maps whose values carry their type, so that an
+    int and an equal Fraction differ."""
+    return [[{e: (type(c), c) for e, c in x.items()} for x in row] for row in rows]
+
+
+def assert_the_reduction_gives_the_closed_form(coeffs, exps):
+    d = p1_engine._split_reduced(monomial_diagonal(coeffs, exps))
+    want = monomial_diagonal_splitting(coeffs, exps)
+    assert d.type == want["type"], (coeffs, exps)
+    for name in ("U0", "U1", "u0_inverse", "u1_inverse"):
+        got = [[x.coeffs for x in row] for row in getattr(d, name)._rows]
+        assert typed(got) == typed(want[name]), (coeffs, exps, name)
 
 
 def test_a_monomial_diagonal_is_split_as_the_reduction_splits_it():
     # every rank <= 3 diagonal with exponents in [-4, 4] and coefficients all
-    # 1, all -1, or (2, -3, 1): the memo stays a pure function of T
+    # 1, all -1, or (2, -3, 1) is split to its closed form, read off by the
+    # oracle with no LaurentMatrix arithmetic
     for r in range(1, 4):
         for exps in itertools.product(range(-4, 5), repeat=r):
             for coeffs in ((1,) * r, (-1,) * r, (2, -3, 1)[:r]):
-                assert_closed_form_is_the_reduction(monomial_diagonal(coeffs, exps))
+                assert_the_reduction_gives_the_closed_form(coeffs, exps)
 
 
 def test_a_tied_rational_diagonal_is_split_as_the_reduction_splits_it():
@@ -977,7 +985,7 @@ def test_a_tied_rational_diagonal_is_split_as_the_reduction_splits_it():
     for r in range(1, 5):
         for exps in itertools.product((-1, 0, 1), repeat=r):
             for coeffs in coeff_rows:
-                assert_closed_form_is_the_reduction(monomial_diagonal(coeffs[:r], exps))
+                assert_the_reduction_gives_the_closed_form(coeffs[:r], exps)
     d = birkhoff_split(P1Bundle(monomial_diagonal((2, -1, third), (1, 1, 1))))
     assert d.U0 == LaurentMatrix.identity(3)
     assert d.U1.to_strings() == [["1/2", "0", "0"], ["0", "-1", "0"], ["0", "0", "3"]]
@@ -1002,21 +1010,37 @@ def count_reductions(monkeypatch) -> list:
     return runs
 
 
-def test_split_bundles_are_split_with_no_reduction(monkeypatch):
+def test_split_bundles_take_no_reduction_step(monkeypatch):
+    # the rows of a monomial diagonal lead in distinct columns, so the
+    # reduction runs once on each chart and takes no step on either
     runs = count_reductions(monkeypatch)
+    steps = counting_combine(monkeypatch)
     monkeypatch.setattr(p1_engine, "_tangent", None)  # so that tangent_bundle() builds it
     E, V = split_bundle([2, 0, -1, 2]), line_bundle(-3, Fraction(2, 3))
     built = [E, V, tangent_bundle(), twist(E, -2), dual_bundle(E), dual_bundle(V),
              tensor_bundle(E, V), tensor_bundle(V, E), hom_bundle(V, E), trivial_bundle(3)]
-    assert runs == []
+    assert steps == []
+    assert len(runs) == 2 * len({b.transition for b in built})
     assert [b.degree for b in built] == [3, -3, 2, -5, -3, 3, -9, -9, 15, 0]
-    # a gauged T, or a monomial diagonal with an entry off it, is still
-    # reduced, once on each chart
+    # a gauged T, or a monomial diagonal with an entry off it, takes steps
     s = Sampler(50)
     gauge_transform(E, s.unimodular_z(4), s.unimodular_w(4))
-    assert runs == [("_weak_popov", 4), ("_weak_popov", 4)]
+    assert steps
+    del steps[:]
     bundle([["z", "2"], ["0", "z^-1"]])
-    assert runs[2:] == [("_weak_popov", 2), ("_weak_popov", 2)]
+    assert steps
+
+
+@pytest.mark.parametrize("seed", (0, 7, 53))
+def test_algconn_fuzz_reaches_the_reduction(monkeypatch, seed):
+    # every split bundle that run_fuzz builds misses the cleared memo into the
+    # reduction, which runs on both charts and takes no step
+    runs = count_reductions(monkeypatch)
+    steps = counting_combine(monkeypatch)
+    assert run_fuzz(25, seed).report["mismatches"] == 0
+    misses = _birkhoff_cached.cache_info().misses
+    assert misses and len(runs) == 2 * misses and runs[0::2] == runs[1::2]
+    assert steps == []
 
 
 def test_a_zero_or_many_term_diagonal_entry_keeps_its_message():
