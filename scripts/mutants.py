@@ -57,12 +57,16 @@ sign of the shifts by which the printed cocycle forms T' U1 D^(-1), and
 its check refuses the cocycle.
 
 Both charts run one reduction, _weak_popov: fraction-free simple
-transformations, with one mutant per rule. reduction-step leaves a step out
-of the transform row, and the record refuses each split that takes one;
+transformations on rows held as one coefficient map each, keyed by
+(exponent, column), with one mutant per rule. reduction-step leaves a step
+out of the transform row, and the record refuses each split that takes one;
 reduction-higher-degree reduces the row of lower degree when the other row
 holds the shared position; reduction-content leaves out the division of the
 two new rows by their joint content; reduction-zero-row drops the test that
-a row is zero; reduction-budget drops the step budget, and its test counts
+a row is zero; leading-key-order takes the first column that reaches the
+row's degree as its leading position instead of the last, the row's
+largest key; step-canonical-scalar leaves a step's integral Fraction sums
+as Fractions; reduction-budget drops the step budget, and its test counts
 the steps, so that the mutant fails it instead of hanging it; w-popov-stop
 lets a row of degree zero stop on a leading position another row holds.
 The w-chart then inverts N by one forward substitution, in _w_inverse:
@@ -117,8 +121,13 @@ read as an isomorphism), AnchorDesc's two coercions
 (anchor-kind-coercion, anchor-section-tuple) and its two section checks
 (anchor-section-entries, an entry that is no LaurentPoly;
 anchor-section-string, a string section). An Atom stores its stability as
-a Stability: atom-stability-coercion stores the value it is handed. The
-harness lists 90 mutants.
+a Stability: atom-stability-coercion stores the value it is handed, and
+atom-rank-one-stability lets a rank-1 atom skip the check before its
+stability is normalized. The formal layer refuses what bundle_to_json
+could not write or bundle_from_json would not read back: atom-label-type
+lets a label that is no str through, atom-is-tangent-type a flag that is
+no bool, and formal-bundle-context a context that is no CurveContext. The
+harness lists 96 mutants.
 """
 
 from __future__ import annotations
@@ -203,11 +212,18 @@ MUTANTS = (
     # step that leaves the transform row as it was (the record refuses it),
     # the row of higher degree is the one reduced, both rows are divided by
     # their content, a zero row means det 0, and so does a spent budget
-    Mutant("reduction-step", P1, "row, t_row = _combine(rows, terms), _combine(t_rows, terms)",
-           "row, t_row = _combine(rows, terms), t_rows[i]", P1_TESTS),
+    Mutant("reduction-step", P1, "t_row = _step(t_rows[i], lc_k, t_rows[k], -lc_i, s)",
+           "t_row = t_rows[i]", P1_TESTS),
     Mutant("reduction-higher-degree", P1, "if leads[k][0] > d:", "if False:", P1_TESTS),
     Mutant("reduction-content", P1, "if g != 1:", "if False:", P1_TESTS),
-    Mutant("reduction-zero-row", P1, "if not exps:", "if False:", P1_TESTS),
+    Mutant("reduction-zero-row", P1, "if not row:", "if False:", P1_TESTS),
+    # a row's leading key is its largest (exponent, column) key: the degree,
+    # then the last column that reaches it; and a step's sums are canonical
+    Mutant("leading-key-order", P1, "return max(row)",
+           "return max(row, key=lambda key: (key[0], -key[1]))", P1_TESTS),
+    Mutant("step-canonical-scalar", P1,
+           "return {key: c if type(c) is int else _q(c) for key, c in out.items() if c}",
+           "return {key: c for key, c in out.items() if c}", P1_TESTS),
     # the step budget: on det 0 with a wide span it ends the loop, and the
     # test counts the steps, so the mutant fails it instead of hanging it
     Mutant("reduction-budget", P1, "if budget == 0:", "if False:", P1_TESTS),
@@ -219,10 +235,9 @@ MUTANTS = (
     # then one forward substitution divides each row by its pivot once after
     # subtracting the rows solved before it
     Mutant("w-popov-stop", P1, "if k is None:", "if k is None or not d:", P1_TESTS),
-    Mutant("w-non-unit", P1, "if any(d for d, _, _ in leads):", "if False:", P1_TESTS),
+    Mutant("w-non-unit", P1, "if any(d for d, _ in leads):", "if False:", P1_TESTS),
     Mutant("w-pivot-division", P1, "if pivot != 1:", "if False:", P1_TESTS),
-    Mutant("w-subtracted-terms", P1, "        if terms:\n            inverse[p]",
-           "        if False:\n            inverse[p]", P1_TESTS),
+    Mutant("w-subtracted-terms", P1, "row = _step(row, 1, inverse[j], -c, 0)", "pass", P1_TESTS),
     # verify_connection
     Mutant(
         "connection-shape",
@@ -531,8 +546,16 @@ MUTANTS = (
            DECISION_TESTS),
     Mutant("anchor-section-string", DECISION, "if isinstance(section, str):", "if False:",
            DECISION_TESTS),
-    Mutant("atom-stability-coercion", FORMAL, "else Stability(stability)", "else stability",
+    Mutant("atom-stability-coercion", FORMAL, "else checked", "else stability", FORMAL_TESTS),
+    # the formal layer refuses what bundle_to_json could not write or
+    # bundle_from_json would not read back: one mutant per check
+    Mutant("atom-rank-one-stability", FORMAL, "checked = Stability(stability)",
+           "checked = stability if rank == 1 else Stability(stability)", FORMAL_TESTS),
+    Mutant("atom-label-type", FORMAL, "if type(label) is not str:", "if False:", FORMAL_TESTS),
+    Mutant("atom-is-tangent-type", FORMAL, "if type(is_tangent) is not bool:", "if False:",
            FORMAL_TESTS),
+    Mutant("formal-bundle-context", FORMAL, "if not isinstance(context, CurveContext):",
+           "if False:", FORMAL_TESTS),
 )
 
 

@@ -62,12 +62,12 @@ be integral (a sum, a scalar or derivative multiple, a product with a
 Fraction in it). LaurentPoly.__mul__, LaurentMatrix.kron and each entry of
 LaurentMatrix.__matmul__ that receives one a_ik*b_kj multiply through one
 rule, _product. _accumulate, out += a * b on coefficient maps, is the one
-loop that sums: a product of two many-term polynomials, a matrix entry
-that receives two or more products (in @ and _row_sums), p + q and p - q
-(q times {0: 1} or {0: -1} into a copy of p), and the splitting
-reduction's row step, p1_engine._combine (row i times {s: k}). Each sum
-drops its zeros once, with _nonzero. Integer coefficients multiply as
-native ints throughout.
+loop that sums polynomials: a product of two many-term polynomials, a
+matrix entry that receives two or more products (in @ and _row_sums), and
+p + q and p - q (q times {0: 1} or {0: -1} into a copy of p). Each sum
+drops its zeros once, with _nonzero. The splitting reduction sums whole
+rows, each one map keyed by (exponent, column), in its own row step,
+p1_engine._step. Integer coefficients multiply as native ints throughout.
 
 Zeros and ones cost nothing. The zero polynomial is one shared object,
 _ZERO: the public constructor, _poly and LaurentPoly.zero() all return it

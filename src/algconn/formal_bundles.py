@@ -45,9 +45,11 @@ class CurveContext(_Value):
 
 class Atom(_Value):
     """An indecomposable summand, identified by rank, degree and declared
-    stability: TypeError unless rank and degree are ints, not bools. The
-    stability is stored as a Stability (ValueError for any other value);
-    rank-1 atoms are always stable, so the flag is normalized."""
+    stability: TypeError unless rank and degree are ints, not bools, the
+    label is a str and is_tangent a bool, so that bundle_to_json's output
+    always reads back. The stability is stored as a Stability (ValueError
+    for any other value, at every rank); rank-1 atoms are always stable, so
+    the flag is then normalized."""
 
     __slots__ = _fields = ("rank", "degree", "stability", "label", "is_tangent")
 
@@ -61,7 +63,12 @@ class Atom(_Value):
     ) -> None:
         if type(rank) is not int or type(degree) is not int:
             raise TypeError(f"atom rank and degree must be ints, got {rank!r}, {degree!r}")
-        stability = Stability.STABLE if rank == 1 else Stability(stability)
+        if type(label) is not str:
+            raise TypeError(f"atom label must be a str, got {label!r}")
+        if type(is_tangent) is not bool:
+            raise TypeError(f"atom is_tangent must be a bool, got {is_tangent!r}")
+        checked = Stability(stability)
+        stability = Stability.STABLE if rank == 1 else checked
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "stability", stability)
@@ -75,13 +82,16 @@ class Atom(_Value):
 
 class FormalBundle(_Value):
     """Non-empty multiset of atoms over a fixed curve context: TypeError
-    unless the atoms are a tuple of Atom, so that the bundle hashes."""
+    unless the context is a CurveContext and the atoms are a tuple of Atom,
+    so that the bundle hashes and bundle_to_json can write it."""
 
     __slots__ = _fields = ("context", "atoms")
 
     def __init__(self, context: CurveContext, atoms: tuple[Atom, ...]) -> None:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "atoms", atoms)
+        if not isinstance(context, CurveContext):
+            raise TypeError(f"context must be a CurveContext, got {context!r}")
         if not isinstance(atoms, tuple) or not all(isinstance(a, Atom) for a in atoms):
             raise TypeError(f"atoms must be a tuple of Atom, got {atoms!r}")
         if not atoms:

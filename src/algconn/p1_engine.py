@@ -18,14 +18,18 @@ one row reduction, _weak_popov, run on each chart: the simple
 transformations of Mulders and Storjohann (2003), kept fraction-free by
 dividing each new row and its transform row by their joint content, bring
 a matrix to weak Popov form, whose matrix of top row coefficients is
-invertible. On the z-chart that gives U0 with U0 * T = diag(z^(h_i)) * N,
-N polynomial in w = 1/z with N(0) invertible. On the w-chart, _w_inverse
-brings N, reflected to a polynomial in z, to weak Popov form too, and one
-forward substitution gives U1 = N^(-1), which is unique whatever reduction
-reaches it; U0 is unique only up to the automorphisms of the split bundle.
-A monomial diagonal diag(c_i z^(a_i)), whose rows lead in distinct
-columns, takes no step on either chart: U0 is the permutation that sorts
-the a_i, ties in row order, and U1 holds the 1/c_i. A SplittingData holds
+invertible. The reduction holds each row as one coefficient map keyed by
+(exponent, column), so a row's largest key is its degree and leading
+position, and a step is one pass over two rows' nonzero terms, _step; the
+frames become LaurentMatrix entries once, at the end. On the z-chart that
+gives U0 with U0 * T = diag(z^(h_i)) * N, N polynomial in w = 1/z with
+N(0) invertible. On the w-chart, _w_inverse brings N, reflected to a
+polynomial in z, to weak Popov form too, and one forward substitution
+gives U1 = N^(-1), which is unique whatever reduction reaches it; U0 is
+unique only up to the automorphisms of the split bundle. A monomial
+diagonal diag(c_i z^(a_i)), whose rows lead in distinct columns, takes no
+step on either chart: U0 is the permutation that sorts the a_i, ties in
+row order, and U1 holds the 1/c_i. A SplittingData holds
 the T it splits and checks all of U0 * T * U1 = diag(z^(a_i)) once,
 when it is built, and every inverse of a unit matrix is read off it. Each
 frame is certified by its inverse on its own chart: the check forms
@@ -74,14 +78,13 @@ from .errors import InternalCheckFailed, NotAUnit, SchemaError
 from .exact_core import (
     LaurentMatrix,
     LaurentPoly,
-    _accumulate,
     _content,
     _inverse_holds,
     _lifted_product,
     _matrix,
-    _nonzero,
     _parse_entries,
     _poly,
+    _q,
     _ratio,
     _Value,
 )
@@ -254,21 +257,35 @@ class SplittingData(_Value):
 
 _NOT_A_UNIT = "transition is not invertible over the Laurent ring"
 
-# a matrix row as the coefficient maps of its entries, in canonical form
-_Row = list[dict[int, int | Fraction]]
+# a matrix row as one coefficient map, {(exponent, column): coefficient}, in
+# canonical form: the nonzero terms of all its entries
+_Row = dict[tuple[int, int], int | Fraction]
 
 
-def _combine(rows: list[_Row], terms: list[tuple[int, int, int | Fraction]]) -> _Row:
-    """The sum of k z^s rows[i] over the (i, s, k) in terms, entry by entry,
-    in canonical form: each nonzero entry of rows[i] times the term's map
-    {s: k} goes through exact_core's _accumulate, the one sum loop."""
-    accs: _Row = [{} for _ in rows[0]]
-    for i, s, k in terms:
-        term = {s: k}
-        for acc, x in zip(accs, rows[i]):
-            if x:
-                _accumulate(acc, term, x)
-    return [_nonzero(acc) if acc else acc for acc in accs]
+def _step(a: _Row, ka: int | Fraction, b: _Row, kb: int | Fraction, s: int) -> _Row:
+    """ka a + kb z^s b, for rows a and b and nonzero scalars ka and kb, in
+    canonical form: one pass over each row's nonzero terms, the cancelled
+    zeros dropped and _q applied to each Fraction sum."""
+    out = {key: ka * c for key, c in a.items()}
+    get = out.get
+    for (e, j), c in b.items():
+        key = (e + s, j)
+        v = get(key)
+        out[key] = kb * c if v is None else v + kb * c
+    return {key: c if type(c) is int else _q(c) for key, c in out.items() if c}
+
+
+def _as_matrix(rows: list[_Row], r: int, sign: int) -> LaurentMatrix:
+    """The LaurentMatrix of r columns whose rows are the given row maps,
+    each exponent e read as sign * e (-1 turns the reflected z back into
+    1/z)."""
+    out = []
+    for row in rows:
+        entries: list[dict[int, int | Fraction]] = [{} for _ in range(r)]
+        for (e, j), c in row.items():
+            entries[j][sign * e] = c
+        out.append(tuple([_poly(x) for x in entries]))
+    return _matrix(tuple(out))
 
 
 def _split_reduced(T: LaurentMatrix) -> SplittingData:
@@ -283,58 +300,56 @@ def _split_reduced(T: LaurentMatrix) -> SplittingData:
     z), N is a polynomial matrix R with R(0) = H, so det R != 0, and
     _w_inverse reads R^(-1) off R's weak Popov form, or decides that det R,
     hence det T up to a monomial, is not constant. N^(-1) is unique, so the
-    z-chart's U0 fixes U1."""
+    z-chart's U0 fixes U1. Each chart works on row maps, and U0 and U1 are
+    grouped into LaurentMatrix entries once, at the end."""
     r = T.rows
-    rows = [[x._coeffs for x in T.row_list(i)] for i in range(r)]
+    rows = [{(e, j): c for j, x in enumerate(row) for e, c in x._coeffs.items()} for row in T._rows]
     leads, u0_rows = _weak_popov(rows)
-    tops = [d for d, _, _ in leads]
+    tops = [d for d, _ in leads]
     order = sorted(range(r), key=lambda i: -tops[i])
-    R = [[{tops[i] - e: c for e, c in x.items()} for x in rows[i]] for i in order]
-    U1 = tuple([tuple([_poly({-e: c for e, c in x.items()}) for x in row]) for row in _w_inverse(R)])
-    U0 = tuple([tuple(map(_poly, u0_rows[i])) for i in order])
-    return SplittingData(T, tuple(tops[i] for i in order), _matrix(U0), _matrix(U1))
+    R = [{(tops[i] - e, j): c for (e, j), c in rows[i].items()} for i in order]
+    U1 = _as_matrix(_w_inverse(R), r, -1)
+    U0 = _as_matrix([u0_rows[i] for i in order], r, 1)
+    return SplittingData(T, tuple(tops[i] for i in order), U0, U1)
 
 
-def _leading(row: _Row) -> tuple[int, int, int | Fraction]:
-    """The degree d of a row of coefficient maps, its leading position (the
-    last column whose entry reaches degree d) and the coefficient of z^d
-    there; NotAUnit for a zero row."""
-    exps = [max(x) for x in row if x]
-    if not exps:
+def _leading(row: _Row) -> tuple[int, int]:
+    """(d, p), the degree d of a row and its leading position p, the last
+    column whose entry reaches degree d: the row's largest key. NotAUnit
+    for a zero row."""
+    if not row:
         raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
-    d = max(exps)
-    p = next(j for j in reversed(range(len(row))) if d in row[j])
-    return d, p, row[p][d]
+    return max(row)
 
 
-def _weak_popov(rows: list[_Row]) -> tuple[list[tuple[int, int, int | Fraction]], list[_Row]]:
-    """Bring a square matrix of coefficient maps, Laurent in z, to weak
-    Popov form in place by polynomial row operations on the left, W @
-    rows_in = rows_out; returns each row's _leading triple and the rows of
-    W. NotAUnit when the determinant is zero. Both charts of _split_reduced,
-    which splits every transition, run it.
+def _weak_popov(rows: list[_Row]) -> tuple[list[tuple[int, int]], list[_Row]]:
+    """Bring a square matrix, its rows given as coefficient maps Laurent in
+    z, to weak Popov form in place by polynomial row operations on the
+    left, W @ rows_in = rows_out; returns each row's _leading key (deg_i,
+    pos_i) and the rows of W. NotAUnit when the determinant is zero. Both
+    charts of _split_reduced, which splits every transition, run it.
 
     Simple transformations (Mulders and Storjohann, On lattice reduction
     for polynomial matrices, J. Symbolic Comput. 35(4), 2003), kept
     fraction-free: while two rows i and k share a leading position with
     deg_i >= deg_k, row i and its row of W become lc_k row_i - lc_i
-    z^(deg_i - deg_k) row_k, through _combine, and both are then divided by
-    their joint content, exact_core._content, so a row that has taken a
+    z^(deg_i - deg_k) row_k, each by one _step, and both are then divided
+    by their joint content, exact_core._content, so a row that has taken a
     step holds integers with no common factor (Beckermann and Labahn,
     Fraction-free computation of matrix rational interpolants and matrix
     GCDs, SIAM J. Matrix Anal. Appl. 22(1), 2000). The step cancels row i's
     leading term, and row k holds less than deg_k to the right of the
-    position, so (deg_i, pos_i) falls lexicographically. It multiplies det
-    W by the nonzero constant lc_k / content, so W stays unimodular and a
-    zero row means det = 0. With the positions distinct, the matrix of the
-    rows' top coefficients is a row permutation of a triangular matrix with
-    a nonzero diagonal: it is invertible, and the row degrees sum to the
-    top exponent of det.
+    position, so (deg_i, pos_i), the row's largest key, falls
+    lexicographically. It multiplies det W by the nonzero constant lc_k /
+    content, so W stays unimodular and a zero row means det = 0. With the
+    positions distinct, the matrix of the rows' top coefficients is a row
+    permutation of a triangular matrix with a nonzero diagonal: it is
+    invertible, and the row degrees sum to the top exponent of det.
 
     The budget. Let phi = sum_i (r deg_i + pos_i), with 0 <= pos_i < r. A
-    step lowers one (deg_i, pos_i): when deg_i falls, r deg_i falls by at
-    least r and pos_i rises by at most r - 1; otherwise pos_i falls. So phi
-    falls by at least 1 per step, from at most r sum(tops) + r (r - 1),
+    step lowers one key (deg_i, pos_i): when deg_i falls, r deg_i falls by
+    at least r and pos_i rises by at most r - 1; otherwise pos_i falls. So
+    phi falls by at least 1 per step, from at most r sum(tops) + r (r - 1),
     with tops the initial row degrees. While det != 0, det = c det(rows_in)
     for a constant c != 0; expanded over the current rows, its top exponent
     is at most sum_i deg_i, and expanded over the initial rows, its lowest
@@ -345,30 +360,32 @@ def _weak_popov(rows: list[_Row]) -> tuple[list[tuple[int, int, int | Fraction]]
     reaches zero, means det = 0. A polynomial matrix with an invertible
     constant term, as on the w-chart, has det != 0, and never exhausts it."""
     r = len(rows)
-    t_rows = [[{0: 1} if i == j else {} for j in range(r)] for i in range(r)]
+    t_rows = [{(0, i): 1} for i in range(r)]
     leads = [_leading(row) for row in rows]
-    lows = sum(min(min(x) for x in row if x) for row in rows)
-    budget = r * (sum(d for d, _, _ in leads) - lows + r)
+    lows = sum(min(row)[0] for row in rows)
+    budget = r * (sum(d for d, _ in leads) - lows + r)
     owner: dict[int, int] = {}  # leading position -> the one row that holds it
     todo = list(range(r))
     while todo:
         i = todo.pop(0)
-        d, p, c = leads[i]
+        d, p = leads[i]
         k = owner.get(p)
         if k is None:
             owner[p] = i
             continue
         if leads[k][0] > d:  # the row of higher degree is the one reduced
             owner[p], i, k = i, k, i
-            d, _, c = leads[i]
+            d = leads[i][0]
         if budget == 0:
             raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is zero")
         budget -= 1
-        terms = [(i, 0, leads[k][2]), (k, d - leads[k][0], -c)]
-        row, t_row = _combine(rows, terms), _combine(t_rows, terms)
-        g = _content([v for x in row + t_row for v in x.values()])
+        lc_i, lc_k, s = rows[i][leads[i]], rows[k][leads[k]], d - leads[k][0]
+        row = _step(rows[i], lc_k, rows[k], -lc_i, s)
+        t_row = _step(t_rows[i], lc_k, t_rows[k], -lc_i, s)
+        g = _content([*row.values(), *t_row.values()])
         if g != 1:
-            row, t_row = [[{e: _ratio(v, g) for e, v in x.items()} for x in y] for y in (row, t_row)]
+            row = {key: _ratio(v, g) for key, v in row.items()}
+            t_row = {key: _ratio(v, g) for key, v in t_row.items()}
         rows[i], t_rows[i] = row, t_row
         leads[i] = _leading(row)
         todo.append(i)
@@ -376,34 +393,36 @@ def _weak_popov(rows: list[_Row]) -> tuple[list[tuple[int, int, int | Fraction]]
 
 
 def _w_inverse(rows: list[_Row]) -> list[_Row]:
-    """R^(-1) for a square polynomial matrix R of coefficient maps with
-    R(0) invertible, as coefficient maps; rows is reduced in place.
-    NotAUnit when det R is not constant.
+    """R^(-1) for a square polynomial matrix R with R(0) invertible, rows
+    in and out as coefficient maps; rows is reduced in place. NotAUnit when
+    det R is not constant.
 
     _weak_popov brings R to W R in weak Popov form, with W unimodular;
     det R != 0, so it raises nothing here. The row degrees of W R sum to
     deg det R, so R is a unit exactly when every degree is zero; a positive
-    one left means det R is no constant. Then C = W R is constant, and the
-    row with position p has its last nonzero entry in column p: C is a row
-    permutation of a lower triangular matrix. R^(-1) = C^(-1) W is one
-    forward substitution, in which row p of R^(-1) is (W_i - sum_(j<p)
-    C_ij row_j) / C_ip, for the row i of position p, each coefficient
-    divided once by the pivot C_ip with exact_core's _ratio (a pivot 1
-    needs no division)."""
+    one left means det R is no constant. Then C = W R is constant, every
+    key of its rows (0, j), and the row with position p has its largest
+    key, its last nonzero entry, in column p: C is a row permutation of a
+    lower triangular matrix. R^(-1) = C^(-1) W is one forward substitution,
+    in which row p of R^(-1) is (W_i - sum_(j<p) C_ij row_j) / C_ip, for
+    the row i of position p: one _step per term C_ij, then each
+    coefficient divided once by the pivot C_ip with exact_core's _ratio (a
+    pivot 1 needs no division)."""
     leads, w_rows = _weak_popov(rows)
-    if any(d for d, _, _ in leads):
+    if any(d for d, _ in leads):
         raise NotAUnit(f"{_NOT_A_UNIT}: its determinant is not a monomial c*z^k")
-    owner = {p: i for i, (_, p, _) in enumerate(leads)}
+    owner = {p: i for i, (_, p) in enumerate(leads)}
     inverse: list[_Row] = []
     for p in range(len(rows)):
         i = owner[p]
-        inverse.append(w_rows[i])
-        terms = [(j, 0, -x[0]) for j, x in enumerate(rows[i][:p]) if x]
-        if terms:
-            inverse[p] = _combine(inverse, [(p, 0, 1)] + terms)
-        pivot = rows[i][p][0]
+        row = w_rows[i]
+        for (_, j), c in rows[i].items():
+            if j < p:
+                row = _step(row, 1, inverse[j], -c, 0)
+        pivot = rows[i][0, p]
         if pivot != 1:
-            inverse[p] = [{e: _ratio(c, pivot) for e, c in x.items()} for x in inverse[p]]
+            row = {key: _ratio(c, pivot) for key, c in row.items()}
+        inverse.append(row)
     return inverse
 
 

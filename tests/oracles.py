@@ -116,7 +116,8 @@ def fraction_laurent_product(
 def fraction_laurent_sum(terms) -> dict[int, Fraction]:
     """The sum of k z^s p over the (p, s, k) in terms, p a coefficient map,
     every coefficient a Fraction summed over all of its terms, zeros dropped:
-    the reference for LaurentPoly's + and - and for p1_engine._combine."""
+    the reference for LaurentPoly's + and - and, entry by entry, for
+    p1_engine._step."""
     acc: dict[int, Fraction] = {}
     for p, s, k in terms:
         for e, c in p.items():

@@ -68,6 +68,34 @@ def test_value_types_validate_their_fields():
             FormalBundle(P0, atoms)
 
 
+def test_a_bundle_refuses_a_context_that_is_no_curve_context():
+    # bundle_to_json reads context.genus, which an int does not have
+    for context in (0, None, {"genus": 0}):
+        with pytest.raises(TypeError, match="CurveContext"):
+            FormalBundle(context, (Atom(1, 0),))
+
+
+def test_an_atom_refuses_a_label_or_tangent_flag_that_json_would_not_read_back():
+    # bundle_from_json refuses a label that is no string and a flag that is
+    # no boolean, so the value types refuse them too
+    for label in (5, None, b"O(1)"):
+        with pytest.raises(TypeError, match="label"):
+            Atom(1, 0, label=label)
+    for is_tangent in (0, 1, None, "yes"):
+        with pytest.raises(TypeError, match="is_tangent"):
+            Atom(1, 2, is_tangent=is_tangent)
+    E = FormalBundle(P0, (Atom(1, 2, label="TX", is_tangent=True), Atom(1, 0, label="")))
+    assert bundle_from_json(bundle_to_json(E)) == E
+
+
+def test_a_rank_one_atom_checks_its_stability_before_normalizing_it():
+    for stability in ("bogus", 1, None):
+        with pytest.raises(ValueError):
+            Atom(1, 0, stability)
+    for stability in ("unknown", "semistable", Stability.UNKNOWN):
+        assert Atom(1, 0, stability).stability is Stability.STABLE
+
+
 def test_tangent_atom_degree_checked():
     with pytest.raises(ValueError):
         FormalBundle(CurveContext(2), (Atom(1, 0, is_tangent=True),))

@@ -1,5 +1,6 @@
 """Splitting, cohomology, sections, endomorphisms on the projective line."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -691,31 +692,60 @@ def test_u1_runs_past_its_zero_terms():
     assert U1.entry(0, 2) == LaurentPoly.z(-4)
 
 
+def entries(row: dict, width: int) -> list:
+    """A row map {(exponent, column): coefficient} as the coefficient maps of
+    its width entries."""
+    out = [{} for _ in range(width)]
+    for (e, j), c in row.items():
+        out[j][e] = c
+    return out
+
+
+def row_map(entry_maps) -> dict:
+    """The coefficient maps of a row's entries as one row map."""
+    return {(e, j): c for j, x in enumerate(entry_maps) for e, c in x.items()}
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_row_step_matches_the_fraction_reference(seed):
-    # _combine, the reduction's row step: entry j is the sum of k z^s rows[i][j]
-    # over the terms (i, s, k), with k a nonzero canonical scalar as kappa is
+    # _step, the reduction's row step: entry j of ka a + kb z^s b is the sum
+    # of ka a_j and kb z^s b_j, with ka and kb nonzero canonical scalars as
+    # the leading coefficients are
     rng = random.Random(seed)
-    r, width = rng.randint(1, 4), rng.randint(1, 4)
+    width = rng.randint(1, 4)
 
     def scalar():
         c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
         return c.numerator if c.denominator == 1 else c
 
-    rows = [[{rng.randint(-3, 3): scalar() for _ in range(rng.randint(0, 3))} for _ in range(width)]
-            for _ in range(r)]
-    terms = [(i, rng.randint(-2, 2), scalar()) for i in rng.sample(range(r), rng.randint(1, r))]
+    def row():
+        return [{rng.randint(-3, 3): scalar() for _ in range(rng.randint(0, 3))}
+                for _ in range(width)]
+
+    a, b = row(), row()
+    ka, kb, s = scalar(), scalar(), rng.randint(-2, 2)
     cancel = seed % 4 == 0
     if cancel:
-        terms += [(i, s, -k) for i, s, k in terms]
-    before = [[dict(x) for x in row] for row in rows]
-    got = p1_engine._combine(rows, terms)
-    assert got == [fraction_laurent_sum([(rows[i][j], s, k) for i, s, k in terms])
-                   for j in range(width)]
-    assert all(type(c) is int or c.denominator > 1 for x in got for c in x.values())
-    assert rows == before  # the rows it reads are left as they were
+        b, kb, s = a, -ka, 0
+    a_map, b_map = row_map(a), row_map(b)
+    before = (dict(a_map), dict(b_map))
+    got = p1_engine._step(a_map, ka, b_map, kb, s)
+    assert entries(got, width) == [fraction_laurent_sum([(a[j], 0, ka), (b[j], s, kb)])
+                                   for j in range(width)]
+    assert all(c and (type(c) is int or c.denominator > 1) for c in got.values())
+    assert (a_map, b_map) == before  # the rows it reads are left as they were
     if cancel:
-        assert got == [{}] * width
+        assert got == {}
+
+
+def test_the_leading_key_is_the_last_column_at_the_row_degree():
+    # (d, p) is the row's largest key: the degree d, then the last column
+    # whose entry reaches it, whatever the coefficients and lower terms
+    assert p1_engine._leading({(1, 0): 5, (1, 2): -1, (0, 3): 7, (-4, 1): 2}) == (1, 2)
+    assert p1_engine._leading({(0, 3): 1, (0, 0): 2}) == (0, 3)
+    assert p1_engine._leading({(-2, 1): Fraction(1, 2)}) == (-2, 1)
+    with pytest.raises(NotAUnit, match="determinant is zero"):
+        p1_engine._leading({})
 
 
 NONCONSTANT_DET = [["1", "z^-1"], ["-1", "1"]]
@@ -759,23 +789,24 @@ def test_a_split_that_fails_verify_is_an_internal_bug(monkeypatch):
 
 
 def maps(rows) -> list:
-    """Rows of Laurent strings as rows of coefficient maps."""
-    return [[dict(x.coeffs) for x in row] for row in LaurentMatrix.parse(rows)._rows]
+    """Rows of Laurent strings as row maps {(exponent, column): coefficient}."""
+    return [row_map([x.coeffs for x in row]) for row in LaurentMatrix.parse(rows)._rows]
 
 
 def assert_w_inverse(rows):
-    """_w_inverse(R) is R^(-1) in canonical coefficient maps: R R^(-1) = I
-    by the Fraction product, and a constant R^(-1) is the Fraction
-    Gauss-Jordan inverse."""
+    """_w_inverse(R) is R^(-1) in canonical row maps: R R^(-1) = I by the
+    Fraction product, and a constant R^(-1) is the Fraction Gauss-Jordan
+    inverse. Returns R^(-1) as the coefficient maps of its entries."""
     R = maps(rows)
     r = len(R)
-    got = p1_engine._w_inverse([[dict(x) for x in row] for row in R])
-    assert all(type(c) is int or c.denominator > 1 for row in got for x in row for c in x.values())
+    got = p1_engine._w_inverse([dict(row) for row in R])
+    assert all(type(c) is int or c.denominator > 1 for row in got for c in row.values())
+    got = [entries(row, r) for row in got]
     as_matrix = [[LaurentPoly(x) for x in row] for row in got]
     product = fraction_laurent_product(LaurentMatrix.parse(rows), LaurentMatrix(as_matrix), [0] * r)
     assert product == [[{0: 1} if i == j else {} for j in range(r)] for i in range(r)]
-    if all(set(x) <= {0} for row in R for x in row):
-        want = fraction_inverse([[x.get(0, 0) for x in row] for row in R])
+    if all(e == 0 for row in R for e, _ in row):
+        want = fraction_inverse([[x.get(0, 0) for x in entries(row, r)] for row in R])
         assert got == [[{0: c} if c else {} for c in row] for row in want]
     return got
 
@@ -856,19 +887,19 @@ def test_a_constant_transition_is_inverted_on_the_w_chart():
 # -- the one reduction: fraction-free simple transformations on both charts ------
 
 
-def counting_combine(monkeypatch, limit=None) -> list:
-    """Wrap _combine: each call's output is appended to the returned list,
-    and a call past limit raises, so a reduction that would not stop fails
-    at once instead of running on."""
-    calls, real = [], p1_engine._combine
+def counting_step(monkeypatch, limit=None) -> list:
+    """Wrap _step: each call's output is appended to the returned list, and a
+    call past limit raises, so a reduction that would not stop fails at once
+    instead of running on."""
+    calls, real = [], p1_engine._step
 
-    def counting(rows, terms):
+    def counting(a, ka, b, kb, s):
         if limit is not None and len(calls) >= limit:
-            raise RuntimeError(f"more than {limit} calls of _combine")
-        calls.append(real(rows, terms))
+            raise RuntimeError(f"more than {limit} calls of _step")
+        calls.append(real(a, ka, b, kb, s))
         return calls[-1]
 
-    monkeypatch.setattr(p1_engine, "_combine", counting)
+    monkeypatch.setattr(p1_engine, "_step", counting)
     _birkhoff_cached.cache_clear()
     return calls
 
@@ -879,10 +910,10 @@ def test_a_quadratic_non_unit_reduces_in_integers(monkeypatch):
     # holds z^(D-2) mod (2z - 1) = 2^(2-D): D - 2 steps, each row an integer
     # row, whose largest coefficient is 2^(D-2) and no larger
     D = 1000
-    calls = counting_combine(monkeypatch)
+    calls = counting_step(monkeypatch)
     with pytest.raises(NotAUnit, match="not a monomial"):
         bundle([["2*z", f"z^{D}"], [f"z^-{D - 1}", "z^-1"]])
-    coeffs = [c for row in calls for x in row for c in x.values()]
+    coeffs = [c for row in calls for c in row.values()]
     assert all(type(c) is int for c in coeffs)
     assert max(map(abs, coeffs)) == 2 ** (D - 2)
     assert len(calls) == 2 * (D - 1)  # a row and its transform row per step
@@ -902,8 +933,8 @@ def test_a_zero_row_means_the_determinant_is_zero():
 def test_the_step_budget_ends_a_zero_determinant(monkeypatch):
     # det T = 0 with a w^(10^8) entry: each step lowers row 0's degree by
     # one, and only the budget r (sum(tops) - sum(lows) + r) = 2 (1 + 2) = 6
-    # ends the loop, after 6 steps of 2 _combine calls each
-    calls = counting_combine(monkeypatch, limit=100)
+    # ends the loop, after 6 steps of 2 _step calls each
+    calls = counting_step(monkeypatch, limit=100)
     with pytest.raises(NotAUnit, match="determinant is zero"):
         p1_engine._weak_popov(maps([["0", "-z^-2"], ["0", "z^-100000000 + z^-99999999"]]))
     assert len(calls) == 12
@@ -918,16 +949,16 @@ def test_a_unit_takes_fewer_steps_than_the_budget_in_primitive_rows(monkeypatch,
     r = 2 + seed % 4
     T = s.unimodular_z(r, ops=r * r) @ split_bundle([s.rng.randint(-2, 2) for _ in range(r)]).transition
     T = T.scalar_mul(Fraction(seed + 1, 2)) @ s.unimodular_w(r, ops=r * r)
+    tops = sum(max(x.max_exp for x in row if not x.is_zero) for row in T._rows)
+    lows = sum(min(min(x.coeffs) for x in row if not x.is_zero) for row in T._rows)
     rows = maps(T.to_strings())
-    tops = sum(max(max(x) for x in row if x) for row in rows)
-    lows = sum(min(min(x) for x in row if x) for row in rows)
-    calls = counting_combine(monkeypatch)
+    calls = counting_step(monkeypatch)
     _, t_rows = p1_engine._weak_popov(rows)
     assert len(calls) <= 2 * r * (tops - lows + r - 1)
-    stepped = [i for i in range(r) if t_rows[i] != [{0: 1} if j == i else {} for j in range(r)]]
+    stepped = [i for i in range(r) if t_rows[i] != {(0, i): 1}]
     assert stepped
     for i in stepped:
-        coeffs = [c for x in rows[i] + t_rows[i] for c in x.values()]
+        coeffs = [*rows[i].values(), *t_rows[i].values()]
         assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
 
 
@@ -944,6 +975,69 @@ def test_dense_rank_8_frames_stay_small():
         coeffs = [c for row in d.U0._rows for x in row for c in x.coeffs.values()]
         assert all(type(c) is int for c in coeffs)
         assert max(len(str(abs(c))) for c in coeffs) <= 16, seed
+
+
+def rationally_scaled(seed: int) -> LaurentMatrix:
+    """A gauged bundle of rank 1 + seed % 8 whose rows are scaled by
+    rationals, so that the reduction multiplies and sums Fractions, and
+    some of those sums are integers."""
+    s = Sampler(5600 + seed)
+    r = 1 + seed % 8
+    e = [s.rng.randint(-2, 2) for _ in range(r)]
+    scale = LaurentMatrix.diag([LaurentPoly.const(Fraction(s.rng.choice([-2, -1, 1, 3]),
+                                                           s.rng.choice([1, 2, 3, 4, 6])))
+                                for _ in range(r)])
+    return (scale @ s.unimodular_z(r, ops=2 * r) @ split_bundle(e).transition
+            @ s.unimodular_w(r, ops=2 * r))
+
+
+# sha256 of the JSON records of rationally_scaled(0..23), as splitting_to_json
+# prints them: U0 is unique only up to the split bundle's automorphisms, so
+# a change to the order of the reduction's steps that moves a printed frame
+# shows here
+RATIONALLY_SCALED_RECORDS = "bd7d0dcabfff729b0a3ff82d21f3762bed5b3894d4abd549f7b4664db9ca00a8"
+
+
+def test_rational_rows_keep_canonical_coefficients(monkeypatch):
+    # every coefficient the reduction holds is an int or a Fraction that is
+    # no integer: equality alone would not show a Fraction(2, 1), which
+    # compares and hashes as 2, so each value's type is tested
+    def canonical(row):
+        return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+                   for c in row.values())
+
+    steps = counting_step(monkeypatch)
+    popov, w_inverse = p1_engine._weak_popov, p1_engine._w_inverse
+
+    def checked_popov(rows):
+        leads, t_rows = popov(rows)
+        assert all(map(canonical, rows + t_rows))
+        return leads, t_rows
+
+    def checked_w_inverse(rows):
+        inverse = w_inverse(rows)
+        assert all(map(canonical, inverse))
+        return inverse
+
+    monkeypatch.setattr(p1_engine, "_weak_popov", checked_popov)
+    monkeypatch.setattr(p1_engine, "_w_inverse", checked_w_inverse)
+    records = []
+    for seed in range(24):
+        T = rationally_scaled(seed)
+        d = p1_engine._split_reduced(T)
+        r = T.rows
+        for U in (d.U0, d.U1):
+            assert all(canonical(x._coeffs) for row in U._rows for x in row), seed
+        U0T = LaurentMatrix([[LaurentPoly(x) for x in row]
+                             for row in fraction_laurent_product(d.U0, T, [0] * r)])
+        assert fraction_laurent_product(U0T, d.U1, [0] * r) == [
+            [{a: 1} if i == j else {} for j in range(r)] for i, a in enumerate(d.type)
+        ], seed
+        records.append(splitting_to_json(d))
+    assert steps and all(map(canonical, steps))
+    assert any(type(c) is Fraction for row in steps for c in row.values())
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == RATIONALLY_SCALED_RECORDS
 
 
 # -- a monomial diagonal against its closed form ---------------------------------
@@ -1014,7 +1108,7 @@ def test_split_bundles_take_no_reduction_step(monkeypatch):
     # the rows of a monomial diagonal lead in distinct columns, so the
     # reduction runs once on each chart and takes no step on either
     runs = count_reductions(monkeypatch)
-    steps = counting_combine(monkeypatch)
+    steps = counting_step(monkeypatch)
     monkeypatch.setattr(p1_engine, "_tangent", None)  # so that tangent_bundle() builds it
     E, V = split_bundle([2, 0, -1, 2]), line_bundle(-3, Fraction(2, 3))
     built = [E, V, tangent_bundle(), twist(E, -2), dual_bundle(E), dual_bundle(V),
@@ -1036,7 +1130,7 @@ def test_algconn_fuzz_reaches_the_reduction(monkeypatch, seed):
     # every split bundle that run_fuzz builds misses the cleared memo into the
     # reduction, which runs on both charts and takes no step
     runs = count_reductions(monkeypatch)
-    steps = counting_combine(monkeypatch)
+    steps = counting_step(monkeypatch)
     assert run_fuzz(25, seed).report["mismatches"] == 0
     misses = _birkhoff_cached.cache_info().misses
     assert misses and len(runs) == 2 * misses and runs[0::2] == runs[1::2]
